@@ -77,6 +77,7 @@ from .faults import (
     get_canned,
 )
 from .framework import Experiment, measure_event
+from .runner.jobs import SPEC_OPTIONS
 from .topology import barabasi_albert, clique, line, ring, star
 
 __all__ = ["main", "Output"]
@@ -201,22 +202,26 @@ def _print_anatomy(result, out: Output) -> None:
 
 
 def _runner_kwargs(args) -> dict:
-    """Map the shared --workers/--cache-dir/--no-cache/--progress flags
-    onto the sweep functions' runner options."""
+    """Map the shared sweep flags onto the sweep functions' keywords:
+    --runs, the runner options (--workers/--cache-dir/--no-cache/
+    --progress/--registry) and every grid-wide RunSpec option the
+    command has a flag for (--n, --mrai, --metrics, --anatomy, ...)."""
     cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
     if getattr(args, "no_cache", False):
         cache = None
     registry = getattr(args, "registry", None) or os.environ.get(REGISTRY_ENV)
+    flags = vars(args)
     return {
+        "runs": args.runs,
         "workers": getattr(args, "workers", 1),
         "cache": cache,
         "progress": "log" if getattr(args, "progress", False) else None,
-        "trace_level": getattr(args, "trace_level", "full"),
-        "metrics": getattr(args, "metrics", False),
-        "profile": getattr(args, "profile", False),
         "registry": registry,
-        "sample_hz": getattr(args, "sample_hz", 0.0),
-        "anatomy": getattr(args, "anatomy", False),
+        **{
+            option.name: flags[option.name]
+            for option in SPEC_OPTIONS
+            if option.metadata["grid"] and option.name in flags
+        },
     }
 
 
@@ -232,11 +237,7 @@ def _export_sweep(result, args, out: Output) -> None:
 
 
 def cmd_fig2(args) -> int:
-    result = withdrawal_sweep(
-        n=args.n, runs=args.runs, mrai=args.mrai,
-        recompute_delay=args.recompute_delay,
-        **_runner_kwargs(args),
-    )
+    result = withdrawal_sweep(**_runner_kwargs(args))
     _print_sweep(result, f"Fig. 2 — withdrawal on a {args.n}-AS clique", args.out)
     _print_metrics(result, args.out)
     _print_anatomy(result, args.out)
@@ -245,11 +246,7 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_failover(args) -> int:
-    result = failover_sweep(
-        n=args.n, runs=args.runs, mrai=args.mrai,
-        recompute_delay=args.recompute_delay,
-        **_runner_kwargs(args),
-    )
+    result = failover_sweep(**_runner_kwargs(args))
     _print_sweep(result, f"§4 — fail-over (dual-homed origin, {args.n}-AS clique)", args.out)
     _print_metrics(result, args.out)
     _print_anatomy(result, args.out)
@@ -258,11 +255,7 @@ def cmd_failover(args) -> int:
 
 
 def cmd_announcement(args) -> int:
-    result = announcement_sweep(
-        n=args.n, runs=args.runs, mrai=args.mrai,
-        recompute_delay=args.recompute_delay,
-        **_runner_kwargs(args),
-    )
+    result = announcement_sweep(**_runner_kwargs(args))
     _print_sweep(result, f"§4 — announcement ({args.n}-AS clique)", args.out)
     _print_metrics(result, args.out)
     _print_anatomy(result, args.out)
@@ -374,11 +367,7 @@ def cmd_sweep(args) -> int:
     if args.self_check:
         return _self_check(args)
     sweep = SWEEPS[args.scenario]
-    result = sweep(
-        n=args.n, runs=args.runs, mrai=args.mrai,
-        recompute_delay=args.recompute_delay,
-        **_runner_kwargs(args),
-    )
+    result = sweep(**_runner_kwargs(args))
     out = args.out
     _print_sweep(result, f"{args.scenario} sweep ({args.n}-AS clique)", out)
     _print_metrics(result, out)
@@ -512,15 +501,8 @@ def cmd_scenarios(args) -> int:
         for suite in suites:
             get_canned(suite)  # fail fast on typos
     results = scenarios_sweep(
-        n=args.n, suites=suites, fractions=fractions, runs=args.runs,
-        fault_seed=args.fault_seed, mrai=args.mrai,
-        recompute_delay=args.recompute_delay,
-        **{
-            k: v for k, v in _runner_kwargs(args).items()
-            if k not in (
-                "metrics", "profile", "registry", "sample_hz", "anatomy"
-            )
-        },
+        suites=suites, fractions=fractions, fault_seed=args.fault_seed,
+        **_runner_kwargs(args),
     )
     out.info(
         f"Fault suites vs SDN deployment ({args.n}-AS clique, "

@@ -14,7 +14,9 @@ into one clean 400.
 Two payload shapes are understood:
 
 - a **spec**: one trial (``runspec_from_json``), mirroring every
-  digest-relevant :class:`RunSpec` field;
+  :class:`RunSpec` field — the fields, their JSON kinds, bounds and
+  choices are read from the declarations on the dataclass
+  (``repro.runner.jobs.SPEC_OPTIONS``), never re-listed here;
 - a **grid**: a Fig. 2-style fraction sweep (``grid_from_json``) that
   expands to the exact spec list
   :func:`~repro.experiments.common.run_fraction_sweep` would build —
@@ -26,6 +28,8 @@ Two payload shapes are understood:
 
 from __future__ import annotations
 
+import functools
+from dataclasses import MISSING
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -41,9 +45,8 @@ __all__ = [
 #: hard ceiling on how many trials one grid payload may expand to.
 MAX_GRID_SPECS = 4096
 
-_TRACE_LEVELS = ("full", "route", "off")
-
-_SCHEDULERS = ("heap", "calendar")
+#: a grid's own fields, next to the RunSpec options flagged ``grid``.
+_GRID_ONLY = ("sdn_counts", "runs", "seed_base")
 
 
 class SpecIngestError(ValueError):
@@ -65,8 +68,10 @@ def _ba(n: int):
     return barabasi_albert(n, 2, seed=0)
 
 
-# Registries are built lazily: repro.experiments imports repro.framework
-# which imports repro.config, so eager imports here would be circular.
+# Registries (and the option tables below) are built lazily, once:
+# repro.experiments imports repro.framework which imports repro.config,
+# so eager imports here would be circular.
+@functools.lru_cache(maxsize=None)
 def _scenario_registry() -> Dict[str, Callable]:
     from ..experiments import (
         AnnouncementScenario,
@@ -81,6 +86,7 @@ def _scenario_registry() -> Dict[str, Callable]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _topology_registry() -> Dict[str, Callable]:
     from ..topology import caida_hierarchy, clique, line, ring, star
 
@@ -270,6 +276,50 @@ class _Fields:
         )
         return None
 
+    def option(self, opt):
+        """One declared RunSpec option (a dataclass field whose
+        metadata carries its JSON kind, bounds and choices)."""
+        meta = opt.metadata
+        name = meta.get("json", opt.name)
+        default = meta.get("json_default", opt.default)
+        required = default is MISSING
+        if required:
+            default = None
+        kind = meta["kind"]
+        if kind == "bool":
+            return self.bool_(name, default)
+        if kind == "number":
+            return self.number(
+                name, default, required=required,
+                minimum=meta.get("minimum"), allow_none=default is None,
+            )
+        if kind == "int":
+            return self.int_(
+                name, default, required=required, minimum=meta.get("minimum")
+            )
+        if kind == "str":
+            return self.str_(name, default, choices=meta.get("choices"))
+        if kind == "factory":
+            registry = _FACTORIES[name]()
+            chosen = self.str_(
+                name, default, required=required, choices=registry
+            )
+            return registry.get(chosen)
+        if kind == "int_list":
+            items = self.int_list(name, item_minimum=meta.get("minimum"))
+            return tuple(items) if items is not None else None
+        return self.faults(name)  # kind == "faults"
+
+    def options(self, opts) -> Dict[str, Any]:
+        """Every option of ``opts`` by field name, cross-checked."""
+        values = {opt.name: self.option(opt) for opt in opts}
+        if values["anatomy"] and not values["spans"]:
+            self.error(
+                "field 'anatomy': needs 'spans': true (anatomy is "
+                "derived from the span payload)"
+            )
+        return values
+
     def raise_if_failed(self) -> None:
         if self.errors:
             raise SpecIngestError(self.errors)
@@ -290,12 +340,20 @@ def _ensure_dict(payload, what: str) -> Dict[str, Any]:
     return payload
 
 
-_SPEC_FIELDS = (
-    "scenario", "topology", "n", "sdn_count", "seed", "mrai",
-    "recompute_delay", "policy_mode", "sdn_members", "horizon",
-    "trace_level", "metrics", "spans", "profile", "sample_hz",
-    "faults", "compact", "batch_delivery", "lean", "scheduler", "label",
-)
+#: JSON factory field -> the closed name registry it resolves against.
+_FACTORIES = {"scenario": _scenario_registry, "topology": _topology_registry}
+
+
+@functools.lru_cache(maxsize=None)
+def _declared(grid: bool = False):
+    """``(options, known field names)`` of a spec payload — or, with
+    ``grid``, of a grid payload — derived once from the RunSpec
+    declarations."""
+    from ..runner.jobs import SPEC_OPTIONS
+
+    options = tuple(o for o in SPEC_OPTIONS if o.metadata["grid"] or not grid)
+    names = tuple(o.metadata.get("json", o.name) for o in options)
+    return options, names + (_GRID_ONLY if grid else ())
 
 
 def runspec_from_json(payload) -> "RunSpec":  # noqa: F821 (local import)
@@ -306,37 +364,17 @@ def runspec_from_json(payload) -> "RunSpec":  # noqa: F821 (local import)
     or topology names, and malformed nested fault schedules.
     """
     data = _ensure_dict(payload, "spec")
+    options, known = _declared()
     f = _Fields(data)
-    f.reject_unknown(_SPEC_FIELDS)
-    scenarios = _scenario_registry()
-    topologies = _topology_registry()
-    scenario = f.str_("scenario", required=True, choices=scenarios)
-    topology = f.str_("topology", "clique", choices=topologies)
-    n = f.int_("n", required=True, minimum=2)
-    sdn_count = f.int_("sdn_count", 0, minimum=0)
-    seed = f.int_("seed", 0)
-    mrai = f.number("mrai", 30.0, minimum=0.0)
-    recompute_delay = f.number("recompute_delay", 0.5, minimum=0.0)
-    policy_mode = f.str_("policy_mode", "flat")
-    sdn_members = f.int_list("sdn_members", None, item_minimum=0)
-    horizon = f.number("horizon", None, minimum=0.0, allow_none=True)
-    trace_level = f.str_("trace_level", "full", choices=_TRACE_LEVELS)
-    metrics = f.bool_("metrics")
-    spans = f.bool_("spans")
-    profile = f.bool_("profile")
-    sample_hz = f.number("sample_hz", 0.0, minimum=0.0)
-    faults = f.faults()
-    compact = f.bool_("compact")
-    batch_delivery = f.bool_("batch_delivery")
-    lean = f.bool_("lean")
-    scheduler = f.str_("scheduler", "heap", choices=_SCHEDULERS)
-    label = f.str_("label", "")
+    f.reject_unknown(known)
+    values = f.options(options)
+    n, sdn_count = values["n"], values["sdn_count"]
     if n is not None and sdn_count is not None and sdn_count > n:
         f.error(
             f"field 'sdn_count': cannot convert {sdn_count} of {n} ASes"
         )
-    if n is not None and sdn_members:
-        outside = [m for m in sdn_members if m > n]
+    if n is not None and values["sdn_members"]:
+        outside = [m for m in values["sdn_members"] if m > n]
         if outside:
             f.error(
                 f"field 'sdn_members': ASes {outside} outside 1..{n}"
@@ -345,69 +383,24 @@ def runspec_from_json(payload) -> "RunSpec":  # noqa: F821 (local import)
 
     from ..runner.jobs import RunSpec
 
-    return RunSpec(
-        scenario_factory=scenarios[scenario],
-        topology_factory=topologies[topology],
-        n=n,
-        sdn_count=sdn_count,
-        seed=seed,
-        mrai=mrai,
-        recompute_delay=recompute_delay,
-        policy_mode=policy_mode,
-        sdn_members=tuple(sdn_members) if sdn_members is not None else None,
-        horizon=horizon,
-        trace_level=trace_level,
-        metrics=metrics,
-        spans=spans,
-        profile=profile,
-        sample_hz=sample_hz,
-        faults=faults,
-        compact=compact,
-        batch_delivery=batch_delivery,
-        lean=lean,
-        scheduler=scheduler,
-        label=label,
-    )
-
-
-_GRID_FIELDS = (
-    "scenario", "topology", "n", "sdn_counts", "runs", "seed_base",
-    "mrai", "recompute_delay", "policy_mode", "trace_level",
-    "metrics", "spans", "profile", "sample_hz", "faults", "horizon",
-    "compact", "batch_delivery", "lean", "scheduler",
-)
+    return RunSpec(**values)
 
 
 def grid_from_json(payload, *, max_specs: int = MAX_GRID_SPECS) -> List:
     """Expand a sweep-grid payload to the RunSpec list the Fig. 2
-    harness would build: seeds follow ``seed_base + 1000*sdn_count +
-    run_index`` and labels match, so grid submissions share digests
-    (and cache entries) with :func:`run_fraction_sweep` trials."""
+    harness would build (both go through
+    :func:`~repro.runner.jobs.fraction_grid`), so grid submissions
+    share digests (and cache entries) with :func:`run_fraction_sweep`
+    trials."""
     data = _ensure_dict(payload, "grid")
+    options, known = _declared(grid=True)
     f = _Fields(data)
-    f.reject_unknown(_GRID_FIELDS)
-    scenarios = _scenario_registry()
-    topologies = _topology_registry()
-    scenario = f.str_("scenario", required=True, choices=scenarios)
-    topology = f.str_("topology", "clique", choices=topologies)
-    n = f.int_("n", required=True, minimum=2)
+    f.reject_unknown(known)
+    values = f.options(options)
+    n = values["n"]
     sdn_counts = f.int_list("sdn_counts", None, item_minimum=0)
     runs = f.int_("runs", 1, minimum=1)
     seed_base = f.int_("seed_base", 100)
-    mrai = f.number("mrai", 30.0, minimum=0.0)
-    recompute_delay = f.number("recompute_delay", 0.5, minimum=0.0)
-    policy_mode = f.str_("policy_mode", "flat")
-    trace_level = f.str_("trace_level", "full", choices=_TRACE_LEVELS)
-    metrics = f.bool_("metrics")
-    spans = f.bool_("spans")
-    profile = f.bool_("profile")
-    sample_hz = f.number("sample_hz", 0.0, minimum=0.0)
-    horizon = f.number("horizon", None, minimum=0.0, allow_none=True)
-    faults = f.faults()
-    compact = f.bool_("compact")
-    batch_delivery = f.bool_("batch_delivery")
-    lean = f.bool_("lean")
-    scheduler = f.str_("scheduler", "heap", choices=_SCHEDULERS)
     if n is not None and sdn_counts:
         too_big = [c for c in sdn_counts if c > n]
         if too_big:
@@ -416,50 +409,15 @@ def grid_from_json(payload, *, max_specs: int = MAX_GRID_SPECS) -> List:
             )
     f.raise_if_failed()
 
-    from ..runner.jobs import RunSpec
+    from ..runner.jobs import SpecError, fraction_grid
 
-    probe = scenarios[scenario]()
-    if sdn_counts is None:
-        max_sdn = n - len(probe.reserved_legacy)
-        sdn_counts = list(range(0, max_sdn + 1))
-    total = len(sdn_counts) * runs
-    if total > max_specs:
-        raise SpecIngestError(
-            [
-                f"grid expands to {total} trials "
-                f"({len(sdn_counts)} sdn_counts x {runs} runs); "
-                f"the limit is {max_specs}"
-            ]
-        )
-    specs: List[RunSpec] = []
-    for sdn_count in sdn_counts:
-        for run_index in range(runs):
-            seed = seed_base + 1000 * sdn_count + run_index
-            specs.append(
-                RunSpec(
-                    scenario_factory=scenarios[scenario],
-                    topology_factory=topologies[topology],
-                    n=n,
-                    sdn_count=sdn_count,
-                    seed=seed,
-                    mrai=mrai,
-                    recompute_delay=recompute_delay,
-                    policy_mode=policy_mode,
-                    horizon=horizon,
-                    trace_level=trace_level,
-                    metrics=metrics,
-                    spans=spans,
-                    profile=profile,
-                    sample_hz=sample_hz,
-                    faults=faults,
-                    compact=compact,
-                    batch_delivery=batch_delivery,
-                    lean=lean,
-                    scheduler=scheduler,
-                    label=f"{probe.name} sdn={sdn_count} seed={seed}",
-                )
-            )
-    return specs
+    try:
+        return fraction_grid(
+            sdn_counts=sdn_counts, runs=runs, seed_base=seed_base,
+            max_specs=max_specs, **values,
+        )[2]
+    except SpecError as exc:
+        raise SpecIngestError([str(exc)]) from None
 
 
 def specs_from_json(payload) -> List:
@@ -502,60 +460,34 @@ def spec_payload(spec) -> Dict[str, Any]:
     """The JSON payload form of a RunSpec (inverse of
     :func:`runspec_from_json` for registry-named factories).
 
-    Raises :class:`SpecIngestError` when the spec uses factories that
-    have no registered name (such specs cannot travel over the API).
+    Digest-``always`` fields are always present; the rest appear only
+    when set, so pre-existing payloads (and their consumers) see no new
+    keys.  Raises :class:`SpecIngestError` when the spec uses factories
+    that have no registered name (such specs cannot travel over the
+    API).
     """
     from ..runner.jobs import callable_token
 
-    scenario_tokens = {
-        callable_token(factory): name
-        for name, factory in _scenario_registry().items()
-    }
-    topology_tokens = {
-        callable_token(factory): name
-        for name, factory in _topology_registry().items()
-    }
-    scenario_token = callable_token(spec.scenario_factory)
-    topology_token = callable_token(spec.topology_factory)
+    out: Dict[str, Any] = {}
     errors = []
-    if scenario_token not in scenario_tokens:
-        errors.append(f"scenario factory {scenario_token} has no registered name")
-    if topology_token not in topology_tokens:
-        errors.append(f"topology factory {topology_token} has no registered name")
+    for opt in _declared()[0]:
+        meta = opt.metadata
+        name = meta.get("json", opt.name)
+        value = getattr(spec, opt.name)
+        if meta["kind"] == "factory":
+            token = callable_token(value)
+            for registered, factory in _FACTORIES[name]().items():
+                if callable_token(factory) == token:
+                    out[name] = registered
+                    break
+            else:
+                errors.append(
+                    f"{name} factory {token} has no registered name"
+                )
+        elif value is not None and (
+            meta["digest"] == "always" or value != opt.default
+        ):
+            out[name] = _jsonify(value)
     if errors:
         raise SpecIngestError(errors)
-    out: Dict[str, Any] = {
-        "scenario": scenario_tokens[scenario_token],
-        "topology": topology_tokens[topology_token],
-        "n": spec.n,
-        "sdn_count": spec.sdn_count,
-        "seed": spec.seed,
-        "mrai": spec.mrai,
-        "recompute_delay": spec.recompute_delay,
-        "policy_mode": spec.policy_mode,
-        "trace_level": spec.trace_level,
-        "metrics": spec.metrics,
-        "spans": spec.spans,
-        "profile": spec.profile,
-    }
-    if spec.sdn_members is not None:
-        out["sdn_members"] = list(spec.sdn_members)
-    if spec.horizon is not None:
-        out["horizon"] = spec.horizon
-    if spec.faults is not None:
-        out["faults"] = _jsonify(spec.faults)
-    # Like the digest, these appear only when set so pre-existing
-    # payloads (and their consumers) see no new keys.
-    if spec.compact:
-        out["compact"] = True
-    if spec.batch_delivery:
-        out["batch_delivery"] = True
-    if spec.lean:
-        out["lean"] = True
-    if spec.scheduler != "heap":
-        out["scheduler"] = spec.scheduler
-    if spec.sample_hz:
-        out["sample_hz"] = spec.sample_hz
-    if spec.label:
-        out["label"] = spec.label
     return out

@@ -24,7 +24,7 @@ from ..faults.schedule import FaultSchedule
 from ..framework.convergence import ConvergenceMeasurement, measure_event
 from ..framework.experiment import Experiment, ExperimentConfig
 from ..net.addr import Prefix
-from ..runner import ParallelRunner, RunSpec, SweepTiming
+from ..runner import ParallelRunner, SweepTiming, fraction_grid
 from ..topology.builders import clique
 from ..topology.model import Topology
 
@@ -62,18 +62,16 @@ def paper_config(
     metrics: bool = False,
     spans: bool = False,
     compact: bool = False,
-    batch_delivery: bool = False,
     lean: bool = False,
     scheduler: str = "heap",
 ) -> ExperimentConfig:
     """The configuration matching the paper's clique experiments.
 
     ``compact`` turns on the interned/incremental route machinery
-    (result-identical, scale-oriented); ``batch_delivery`` coalesces
-    same-instant link deliveries (NOT digest-preserving); ``lean``
-    drops the baseline full-mesh originations and the route collector —
-    the memory shape Internet-scale trials need, where per-AS /24s
-    would mean O(n²) Adj-RIB entries; ``scheduler`` selects the event
+    (result-identical, scale-oriented); ``lean`` drops the baseline
+    full-mesh originations and the route collector — the memory shape
+    Internet-scale trials need, where per-AS /24s would mean O(n²)
+    Adj-RIB entries; ``scheduler`` selects the event
     kernel's pending-set structure ("heap" or "calendar";
     digest-preserving either way).
     """
@@ -86,7 +84,6 @@ def paper_config(
         metrics=metrics,
         spans=spans,
         compact=compact,
-        batch_delivery=batch_delivery,
         with_collector=not lean,
         originate_all=not lean,
         scheduler=scheduler,
@@ -469,8 +466,6 @@ def run_fraction_sweep(
     n: int = 16,
     sdn_counts: Optional[Sequence[int]] = None,
     runs: int = 10,
-    mrai: float = 30.0,
-    recompute_delay: float = 0.5,
     seed_base: int = 100,
     topology_factory=clique,
     workers: int = 1,
@@ -478,14 +473,8 @@ def run_fraction_sweep(
     progress=None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    trace_level: str = "full",
-    metrics: bool = False,
-    spans: bool = False,
-    anatomy: bool = False,
-    profile: bool = False,
-    sample_hz: float = 0.0,
-    faults=None,
     registry=None,
+    **options,
 ) -> SweepResult:
     """The Fig. 2 harness: sweep SDN deployment over seeded runs.
 
@@ -499,60 +488,38 @@ def run_fraction_sweep(
     ``cache`` (a directory path or :class:`~repro.runner.ResultCache`)
     to skip already-computed trials, ``progress`` (``'log'``, a
     callable, or a sink) for reporting, and ``timeout``/``retries`` for
-    fault tolerance.  ``trace_level`` bounds per-run trace memory
-    (``"off"`` retains zero records while measuring identically),
-    ``metrics=True`` attaches a per-run metrics snapshot to every
-    :class:`RunResult`, ``spans=True`` attaches the run's causal
-    provenance spans, ``anatomy=True`` additionally derives each run's
-    critical-path delay attribution from those spans (implies
-    ``spans=True``; digest-neutral, so cached span-collecting trials
-    are reused as-is), ``profile=True`` wraps each trial in cProfile
-    and attaches its hottest functions, and ``sample_hz > 0`` runs the
-    sampling wall-clock profiler alongside each trial and attaches its
-    flamegraph collapsed stacks (results stay bit-identical in every
-    case).  ``registry`` (a
+    fault tolerance.  ``registry`` (a
     :class:`~repro.obs.registry.RunRegistry`, a path, or a prepared
     :class:`~repro.obs.registry.RegistrySink`) records every trial —
     including cache hits and failures — into the cross-run telemetry
-    store (see ``docs/telemetry.md``).  ``faults`` (a
+    store (see ``docs/telemetry.md``).
+
+    ``options`` are the :class:`~repro.runner.RunSpec` fields every
+    trial shares (``mrai``, ``recompute_delay``, ``trace_level``,
+    ``metrics``, ``spans``, ``anatomy``, ``profile``, ``sample_hz``,
+    ``faults``, ... — whatever the spec declares grid-wide).
+    ``trace_level="off"`` retains zero records while measuring
+    identically; ``metrics``/``spans``/``profile`` attach the matching
+    payload to every :class:`RunResult`; ``anatomy=True`` additionally
+    derives each run's critical-path delay attribution from the spans
+    (implies ``spans=True``; digest-neutral, so cached span-collecting
+    trials are reused as-is).  ``faults`` (a
     :class:`~repro.faults.FaultSchedule` or its canonical tuple) is
     embedded in every spec — scenarios that understand fault schedules
-    (``FaultSuiteScenario``) read it back from ``scenario.faults``.  Results are bit-identical across worker counts:
-    every run is seeded from the spec alone and ``SweepPoint.runs``
-    keeps the serial ordering.  Runs that fail for good land in
-    ``SweepPoint.failures`` instead of aborting the sweep.
+    (``FaultSuiteScenario``) read it back from ``scenario.faults``.
+    Results are bit-identical across worker counts: every run is seeded
+    from the spec alone and ``SweepPoint.runs`` keeps the serial
+    ordering.  Runs that fail for good land in ``SweepPoint.failures``
+    instead of aborting the sweep.
     """
-    probe = scenario_factory()
-    if anatomy:
-        spans = True  # anatomy is derived from the span payload
-    if sdn_counts is None:
-        max_sdn = n - len(probe.reserved_legacy)
-        sdn_counts = list(range(0, max_sdn + 1))
-    if isinstance(faults, FaultSchedule):
-        faults = faults.canonical()
-    specs: List[RunSpec] = []
-    for sdn_count in sdn_counts:
-        for run_index in range(runs):
-            seed = seed_base + 1000 * sdn_count + run_index
-            specs.append(
-                RunSpec(
-                    scenario_factory=scenario_factory,
-                    topology_factory=topology_factory,
-                    n=n,
-                    sdn_count=sdn_count,
-                    seed=seed,
-                    mrai=mrai,
-                    recompute_delay=recompute_delay,
-                    trace_level=trace_level,
-                    metrics=metrics,
-                    spans=spans,
-                    anatomy=anatomy,
-                    profile=profile,
-                    sample_hz=sample_hz,
-                    faults=faults,
-                    label=f"{probe.name} sdn={sdn_count} seed={seed}",
-                )
-            )
+    if options.get("anatomy"):
+        options["spans"] = True  # anatomy is derived from the span payload
+    if isinstance(options.get("faults"), FaultSchedule):
+        options["faults"] = options["faults"].canonical()
+    scenario, sdn_counts, specs = fraction_grid(
+        scenario_factory, topology_factory, n=n, sdn_counts=sdn_counts,
+        runs=runs, seed_base=seed_base, **options,
+    )
     runner = ParallelRunner(
         workers, timeout=timeout, retries=retries,
         cache=cache, progress=progress, registry=registry,
@@ -576,10 +543,7 @@ def run_fraction_sweep(
                         worker=record.worker,
                         cached=record.cached,
                         attempts=record.attempts,
-                        metrics=record.metrics,
-                        spans=record.spans,
-                        profile=record.profile,
-                        anatomy=record.anatomy,
+                        **record.payloads(result_only=True),
                     )
                 )
             else:
@@ -594,6 +558,6 @@ def run_fraction_sweep(
                 )
         points.append(point)
     return SweepResult(
-        scenario=probe.name, n_ases=n, points=points,
+        scenario=scenario, n_ases=n, points=points,
         timing=runner.last_timing,
     )

@@ -12,28 +12,21 @@ import io
 import json
 from typing import List
 
+from ..runner.jobs import RESULT_PAYLOADS
 from .common import SweepResult
 
 __all__ = ["sweep_to_csv", "sweep_to_json", "sweep_rows"]
 
 
-def sweep_rows(
-    result: SweepResult,
-    *,
-    include_metrics: bool = False,
-    include_spans: bool = False,
-    include_profile: bool = False,
-    include_anatomy: bool = False,
-) -> List[dict]:
+def sweep_rows(result: SweepResult, *, payloads: bool = False) -> List[dict]:
     """One dict per individual run (long/tidy format).
 
-    ``include_metrics`` attaches the per-run metrics snapshot as a
-    ``run_metrics`` dict column; ``include_spans`` attaches the run's
-    provenance spans as a ``run_spans`` list column; ``include_profile``
-    attaches the cProfile hot-function table as a ``run_profile`` list
-    column; ``include_anatomy`` attaches the run's critical-path delay
-    attribution as a ``run_anatomy`` dict column — all kept out of the
-    CSV path, where a nested value would not be a scalar cell.
+    ``payloads`` attaches every per-run result payload as a
+    ``run_<name>`` column (``run_metrics``: the metrics snapshot dict,
+    ``run_spans``: the provenance span list, ``run_profile``: the
+    cProfile hot-function table, ``run_anatomy``: the critical-path
+    delay attribution) — kept out of the CSV path, where a nested
+    value would not be a scalar cell.
     """
     rows: List[dict] = []
     for point in result.points:
@@ -51,21 +44,15 @@ def sweep_rows(
                 "decision_changes": m.decision_changes,
                 "fib_changes": m.fib_changes,
                 "recomputations": m.recomputations,
-                # execution metadata (default-populated via getattr
-                # so pre-runner RunResult-like objects still export)
-                "wall_time": round(getattr(run, "wall_time", 0.0), 6),
-                "worker": getattr(run, "worker", ""),
-                "cached": bool(getattr(run, "cached", False)),
-                "attempts": getattr(run, "attempts", 1),
+                # execution metadata
+                "wall_time": round(run.wall_time, 6),
+                "worker": run.worker,
+                "cached": bool(run.cached),
+                "attempts": run.attempts,
             }
-            if include_metrics:
-                row["run_metrics"] = getattr(run, "metrics", None)
-            if include_spans:
-                row["run_spans"] = getattr(run, "spans", None)
-            if include_profile:
-                row["run_profile"] = getattr(run, "profile", None)
-            if include_anatomy:
-                row["run_anatomy"] = getattr(run, "anatomy", None)
+            if payloads:
+                for name in RESULT_PAYLOADS:
+                    row[f"run_{name}"] = getattr(run, name)
             rows.append(row)
     return rows
 
@@ -85,7 +72,7 @@ def sweep_to_csv(result: SweepResult) -> str:
 def sweep_to_json(result: SweepResult, *, indent: int = 2) -> str:
     """JSON with per-point boxplot summaries plus the raw runs."""
     fit = result.fit()
-    timing = getattr(result, "timing", None)
+    timing = result.timing
     failures = [
         {
             "sdn_count": f.sdn_count,
@@ -95,7 +82,7 @@ def sweep_to_json(result: SweepResult, *, indent: int = 2) -> str:
             "error": f.error,
         }
         for point in result.points
-        for f in getattr(point, "failures", [])
+        for f in point.failures
     ]
     payload = {
         "scenario": result.scenario,
@@ -115,22 +102,20 @@ def sweep_to_json(result: SweepResult, *, indent: int = 2) -> str:
                 "max_job_wall": timing.max_job_wall,
                 "mean_job_wall": timing.mean_job_wall,
                 "workers": timing.workers,
-                "cache_hits": getattr(timing, "cache_hits", 0),
-                "cache_misses": getattr(timing, "cache_misses", 0),
-                "cache_entries": getattr(timing, "cache_entries", 0),
-                "cache_bytes": getattr(timing, "cache_bytes", 0),
+                "cache_hits": timing.cache_hits,
+                "cache_misses": timing.cache_misses,
+                "cache_entries": timing.cache_entries,
+                "cache_bytes": timing.cache_bytes,
             }
             if timing is not None else None
         ),
         "failures": failures,
         # merged per-run metric snapshots (None without metrics=True);
         # per-run snapshots ride on the "runs" rows via run_metrics.
-        "metrics": result.merged_metrics()
-        if hasattr(result, "merged_metrics") else None,
+        "metrics": result.merged_metrics(),
         # per-point aggregated delay attribution (None entries without
         # anatomy=True); per-run payloads ride on "runs" via run_anatomy.
-        "anatomy": result.anatomy_by_fraction()
-        if hasattr(result, "anatomy_by_fraction") else None,
+        "anatomy": result.anatomy_by_fraction(),
         "points": [
             {
                 "sdn_count": point.sdn_count,
@@ -145,12 +130,6 @@ def sweep_to_json(result: SweepResult, *, indent: int = 2) -> str:
             }
             for point in result.points
         ],
-        "runs": sweep_rows(
-            result,
-            include_metrics=True,
-            include_spans=True,
-            include_profile=True,
-            include_anatomy=True,
-        ),
+        "runs": sweep_rows(result, payloads=True),
     }
     return json.dumps(payload, indent=indent)

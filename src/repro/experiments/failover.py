@@ -25,25 +25,12 @@ def failover_sweep(
     *,
     n: int = 16,
     sdn_counts: Optional[Sequence[int]] = None,
-    runs: int = 10,
-    mrai: float = 30.0,
-    recompute_delay: float = 0.5,
     seed_base: int = 200,
-    workers: int = 1,
-    cache=None,
-    progress=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    trace_level: str = "full",
-    metrics: bool = False,
-    profile: bool = False,
-    registry=None,
-    sample_hz: float = 0.0,
-    anatomy: bool = False,
+    **sweep,
 ) -> SweepResult:
     """The fail-over counterpart of Fig. 2 (text-only result in §4).
 
-    Runner options as in :func:`repro.experiments.withdrawal_sweep`.
+    Options as in :func:`repro.experiments.withdrawal_sweep`.
     """
     if sdn_counts is None:
         # origin + primary gateway reserved; the backup gateway is the
@@ -53,22 +40,6 @@ def failover_sweep(
             {c for c in DEFAULT_SDN_COUNTS if c < max_sdn} | {max_sdn}
         )
     return run_fraction_sweep(
-        FailoverScenario,
-        n=n,
-        sdn_counts=list(sdn_counts),
-        runs=runs,
-        mrai=mrai,
-        recompute_delay=recompute_delay,
-        seed_base=seed_base,
-        workers=workers,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-        trace_level=trace_level,
-        metrics=metrics,
-        profile=profile,
-        registry=registry,
-        sample_hz=sample_hz,
-        anatomy=anatomy,
+        FailoverScenario, n=n, sdn_counts=list(sdn_counts),
+        seed_base=seed_base, **sweep,
     )

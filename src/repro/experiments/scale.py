@@ -66,17 +66,7 @@ def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
     scenario = spec.scenario_factory()
     topology = scenario.topology(spec.n, spec.topology_factory)
     members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
-    config = paper_config(
-        seed=spec.seed,
-        mrai=spec.mrai,
-        recompute_delay=spec.recompute_delay,
-        policy_mode=spec.policy_mode,
-        trace_level=spec.trace_level,
-        compact=spec.compact,
-        batch_delivery=spec.batch_delivery,
-        lean=spec.lean,
-        scheduler=spec.scheduler,
-    )
+    config = paper_config(**spec.config_options())
     t_start = time.perf_counter()
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name

@@ -20,7 +20,6 @@ from ..faults.invariants import InvariantError
 from ..faults.scenarios import canned_names, get_canned
 from ..faults.schedule import FaultSchedule
 from ..framework.experiment import Experiment
-from ..topology.builders import clique
 from .common import Scenario, SweepResult, run_fraction_sweep
 
 __all__ = [
@@ -115,20 +114,16 @@ def scenarios_sweep(
     runs: int = 3,
     fault_seed: int = 0,
     mrai: float = 5.0,
-    recompute_delay: float = 0.5,
-    seed_base: int = 100,
-    topology_factory=clique,
-    workers: int = 1,
-    cache=None,
-    progress=None,
-    trace_level: str = "full",
+    **sweep,
 ) -> Dict[str, SweepResult]:
     """Every canned suite (or a chosen subset) against each fraction.
 
     Defaults to MRAI 5 s rather than the paper's 30 s: fault suites pack
     several events a few seconds apart, and the shorter MRAI keeps
     consecutive faults from trivially overlapping (overlap still works,
-    it just measures the composite instead of each fault).
+    it just measures the composite instead of each fault).  ``sweep``
+    is forwarded to :func:`run_fraction_sweep` (``seed_base``,
+    ``topology_factory``, runner and grid-wide spec options).
     """
     results: Dict[str, SweepResult] = {}
     for suite in suites if suites is not None else canned_names():
@@ -144,12 +139,6 @@ def scenarios_sweep(
             ),
             runs=runs,
             mrai=mrai,
-            recompute_delay=recompute_delay,
-            seed_base=seed_base,
-            topology_factory=topology_factory,
-            workers=workers,
-            cache=cache,
-            progress=progress,
-            trace_level=trace_level,
+            **sweep,
         )
     return results

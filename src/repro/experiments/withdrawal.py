@@ -27,30 +27,17 @@ def withdrawal_sweep(
     *,
     n: int = 16,
     sdn_counts: Optional[Sequence[int]] = None,
-    runs: int = 10,
-    mrai: float = 30.0,
-    recompute_delay: float = 0.5,
     seed_base: int = 100,
-    workers: int = 1,
-    cache=None,
-    progress=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    trace_level: str = "full",
-    metrics: bool = False,
-    profile: bool = False,
-    registry=None,
-    sample_hz: float = 0.0,
-    anatomy: bool = False,
+    **sweep,
 ) -> SweepResult:
     """Reproduce Fig. 2; returns per-fraction convergence boxplot data.
 
-    ``workers``/``cache``/``progress``/``timeout``/``retries`` route the
-    grid through :class:`~repro.runner.ParallelRunner` (results are
-    bit-identical at any worker count; see ``docs/runner.md``).
-    ``profile`` attaches per-trial cProfile tables; ``registry`` records
-    every trial into the cross-run telemetry store
-    (``docs/telemetry.md``).
+    ``sweep`` is forwarded to :func:`run_fraction_sweep`: ``runs``, the
+    runner options (``workers``/``cache``/``progress``/``timeout``/
+    ``retries``/``registry``; results are bit-identical at any worker
+    count, see ``docs/runner.md``) and any grid-wide
+    :class:`~repro.runner.RunSpec` option (``mrai``, ``metrics``,
+    ``profile``, ``anatomy``, ...).
     """
     if sdn_counts is None:
         max_sdn = n - 1
@@ -58,22 +45,6 @@ def withdrawal_sweep(
             {c for c in DEFAULT_SDN_COUNTS if c < max_sdn} | {max_sdn}
         )
     return run_fraction_sweep(
-        WithdrawalScenario,
-        n=n,
-        sdn_counts=list(sdn_counts),
-        runs=runs,
-        mrai=mrai,
-        recompute_delay=recompute_delay,
-        seed_base=seed_base,
-        workers=workers,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-        trace_level=trace_level,
-        metrics=metrics,
-        profile=profile,
-        registry=registry,
-        sample_hz=sample_hz,
-        anatomy=anatomy,
+        WithdrawalScenario, n=n, sdn_counts=list(sdn_counts),
+        seed_base=seed_base, **sweep,
     )

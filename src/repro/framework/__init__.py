@@ -6,7 +6,6 @@ from .convergence import (
     ConvergenceTracker,
     MeasurementWindow,
     measure_event,
-    measure_event_from_trace,
 )
 from .detector import SilenceDetection, SilenceDetector, compare_with_oracle
 from .events import EventReport, EventSchedule, ScheduledEvent
@@ -19,7 +18,6 @@ __all__ = [
     "ConvergenceTracker",
     "MeasurementWindow",
     "measure_event",
-    "measure_event_from_trace",
     "SilenceDetection",
     "SilenceDetector",
     "compare_with_oracle",

@@ -12,9 +12,10 @@ Measurement is streaming: a :class:`ConvergenceTracker` subscribed to
 the instrumentation bus maintains the last route-affecting / last
 state-changing timestamps and the per-category activity counters in
 O(1) per record, so :func:`measure_event` needs no post-run trace scan
-and works with trace capture disabled entirely.  The scan-based
-implementation survives as :func:`measure_event_from_trace` — it is the
-reference the streaming path is tested bit-identical against.
+and works with trace capture disabled entirely.  The scan of the
+retained trace it replaced lives on as the oracle in
+``tests/framework/test_streaming.py``, which the streaming path is
+tested bit-identical against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "ConvergenceTracker",
     "MeasurementWindow",
     "measure_event",
-    "measure_event_from_trace",
     "STATE_CHANGING",
 ]
 
@@ -234,44 +234,12 @@ def measure_event(
     with trace capture disabled and its cost is independent of run size.
     """
     tracker = experiment.tracker
-    if tracker is None:
-        return measure_event_from_trace(
-            experiment, event,
-            horizon=horizon, check_reachability=check_reachability,
-        )
     return _measure(
         experiment, event,
         horizon=horizon, check_reachability=check_reachability,
         counts=lambda: experiment.net.bus.counts,
         last_activity_since=tracker.last_activity_since,
         last_state_since=tracker.last_state_change_since,
-    )
-
-
-def measure_event_from_trace(
-    experiment: Experiment,
-    event: Callable[[], None],
-    *,
-    horizon: Optional[float] = None,
-    check_reachability: bool = False,
-) -> ConvergenceMeasurement:
-    """The scan-based reference implementation of :func:`measure_event`.
-
-    Reads the convergence instants by re-scanning the retained trace
-    (requires full trace capture).  Kept as the oracle the streaming
-    path is verified bit-identical against.
-    """
-    trace = experiment.net.trace
-    return _measure(
-        experiment, event,
-        horizon=horizon, check_reachability=check_reachability,
-        counts=lambda: trace.counts,
-        last_activity_since=lambda since: trace.last_time(
-            ROUTE_AFFECTING, since=since
-        ),
-        last_state_since=lambda since: trace.last_time(
-            STATE_CHANGING, since=since
-        ),
     )
 
 

@@ -40,7 +40,12 @@ from ..sdn.flowtable import FlowAction, FlowRule
 from ..sdn.switch import SDNSwitch
 from ..topology.model import Topology
 
-__all__ = ["ExperimentConfig", "Experiment", "ExperimentError"]
+__all__ = [
+    "ExperimentConfig",
+    "Experiment",
+    "ExperimentError",
+    "POLICY_MODES",
+]
 
 #: Pool that on-demand "event prefixes" (announce/withdraw experiments)
 #: are carved from, distinct from the automatic AS prefixes.
@@ -49,6 +54,13 @@ EVENT_POOL = Prefix.parse("192.168.0.0/16")
 #: Priority used for static host routes in switch flow tables, above any
 #: controller-computed rule (max prefix length is 32).
 HOST_RULE_PRIORITY = 1000
+
+#: ``ExperimentConfig.policy_mode`` -> per-session policy by peer
+#: relationship.  Spec ingest validates against these names.
+POLICY_MODES = {
+    "flat": lambda relationship: transit_all_policy(),
+    "gao_rexford": gao_rexford_policy,
+}
 
 
 class ExperimentError(RuntimeError):
@@ -60,7 +72,8 @@ class ExperimentConfig:
     """Everything configurable about an experiment build."""
 
     seed: int = 0
-    #: "flat" (transit-all; the paper's clique setting) or "gao_rexford".
+    #: one of :data:`POLICY_MODES`: "flat" (transit-all; the paper's
+    #: clique setting) or "gao_rexford".
     policy_mode: str = "flat"
     timers: BGPTimers = field(default_factory=BGPTimers)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -102,11 +115,6 @@ class ExperimentConfig:
     #: to the default full-scan path (the differential-oracle suite
     #: proves it); required for Internet-scale topologies.
     compact: bool = False
-    #: coalesce same-instant per-link deliveries into one kernel event.
-    #: NOT digest-preserving (same-instant cross-link interleaving, and
-    #: with it RNG draw order, changes) — defaults off; see
-    #: docs/scaling.md before flipping it on.
-    batch_delivery: bool = False
     #: event-kernel pending-set structure: "heap" (binary heap, the
     #: historical default) or "calendar" (calendar queue; O(1) amortized
     #: at depth).  Digest-preserving — both schedulers pop in the exact
@@ -173,7 +181,6 @@ class Experiment:
             trace_level=self.config.trace_level,
             trace_max_records=self.config.trace_max_records,
             trace_sample=self.config.trace_sample,
-            batch_delivery=self.config.batch_delivery,
             scheduler=self.config.scheduler,
         )
         # imported here: framework.convergence imports this module for
@@ -323,11 +330,13 @@ class Experiment:
         return link
 
     def _policy(self, relationship: Relationship) -> PeerPolicy:
-        if self.config.policy_mode == "gao_rexford":
-            return gao_rexford_policy(relationship)
-        if self.config.policy_mode == "flat":
-            return transit_all_policy()
-        raise ExperimentError(f"unknown policy mode: {self.config.policy_mode!r}")
+        try:
+            policy = POLICY_MODES[self.config.policy_mode]
+        except KeyError:
+            raise ExperimentError(
+                f"unknown policy mode: {self.config.policy_mode!r}"
+            ) from None
+        return policy(relationship)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -383,10 +392,7 @@ class Experiment:
         evictions) so capture loss is visible in every exported
         snapshot and on the service ``/metrics`` page.  A gauge, not a
         counter: run diffs compare counters exactly, and drop counts
-        depend on buffer sizing, not on the routing outcome.  The same
-        rule puts ``link.coalesced_total`` (same-instant deliveries
-        merged under ``batch_delivery``) in the gauge table: it
-        describes an execution strategy, not a routing result.
+        depend on buffer sizing, not on the routing outcome.
         """
         registry = self.metrics
         if registry is None:
@@ -395,10 +401,6 @@ class Experiment:
         if trace is not None:
             registry.gauge("trace.dropped_records").set(
                 getattr(trace, "dropped_records", 0)
-            )
-        if self.net is not None:
-            registry.gauge("link.coalesced_total").set(
-                sum(link.coalesced_count for link in self.net.links)
             )
         return registry.snapshot()
 

@@ -46,13 +46,6 @@ class Link:
         Free-form tag — ``"phys"`` for topology links, ``"control"`` for
         the out-of-band switch-to-controller channel, ``"collector"`` for
         route-collector peerings.  Analysis and visualization group by it.
-    batch_delivery:
-        Coalesce same-instant, same-direction transmissions into one
-        scheduled kernel event (the flush delivers each message
-        individually, in send order).  Cuts event-queue pressure on
-        dense graphs, but same-instant deliveries across *different*
-        links then interleave differently, which reorders RNG draws —
-        so this is opt-in and defaults off to keep legacy run digests.
     """
 
     def __init__(
@@ -64,7 +57,6 @@ class Link:
         loss: float = 0.0,
         kind: str = "phys",
         name: Optional[str] = None,
-        batch_delivery: bool = False,
     ) -> None:
         if a is b:
             raise ValueError("self-loops are not supported")
@@ -84,13 +76,6 @@ class Link:
         self.addresses: dict[str, IPv4Address] = {}
         self.tx_count = 0
         self.drop_count = 0
-        self.batch_delivery = batch_delivery
-        #: messages that rode an already-scheduled delivery event
-        #: (batching effectiveness counter; 0 unless ``batch_delivery``).
-        self.coalesced_count = 0
-        #: pending batches: (receiver name, delivery time, background)
-        #: -> messages, flushed by one kernel event per key.
-        self._pending: dict = {}
         self._sim = a.sim
         if b.sim is not self._sim:
             raise ValueError("endpoints belong to different simulators")
@@ -141,39 +126,13 @@ class Link:
             # Provenance: the in-flight message carries its sender's
             # causal context; the receiving node restores it on delivery.
             message._prov = obs.current
-        if not self.batch_delivery:
-            self._sim.schedule(
-                self.latency,
-                lambda: receiver.receive(self, message),
-                background=background,
-                label=f"{self.name}:deliver",
-            )
-            return True
-        # Batched mode: loss, tx accounting and provenance stamping all
-        # happened above, per message, exactly as in the legacy path —
-        # only the kernel event is shared.  The key pins the delivery
-        # instant, so a latency change mid-instant still splits batches.
-        when = self._sim.now + self.latency
-        key = (receiver.name, when, background)
-        bucket = self._pending.get(key)
-        if bucket is not None:
-            bucket.append(message)
-            self.coalesced_count += 1
-            return True
-        self._pending[key] = [message]
         self._sim.schedule(
             self.latency,
-            lambda: self._deliver_batch(key, receiver),
+            lambda: receiver.receive(self, message),
             background=background,
             label=f"{self.name}:deliver",
         )
         return True
-
-    def _deliver_batch(self, key, receiver: "Node") -> None:
-        # Pop before delivering: a zero-latency reply sent from inside
-        # receive() must open a fresh batch, not join this spent one.
-        for message in self._pending.pop(key, ()):
-            receiver.receive(self, message)
 
     # ------------------------------------------------------------------
     def set_up(self, up: bool) -> None:

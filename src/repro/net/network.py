@@ -70,7 +70,6 @@ class Network:
         trace_level: str = "full",
         trace_max_records: Optional[int] = None,
         trace_sample: int = 1,
-        batch_delivery: bool = False,
         scheduler: str = "heap",
     ) -> None:
         if trace_level not in TRACE_LEVELS:
@@ -93,9 +92,6 @@ class Network:
         self.trace_level = trace_level
         self.metrics: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanTracker] = None
-        #: default for new links: coalesce same-instant deliveries into
-        #: one kernel event (see :class:`Link`).  Off for legacy digests.
-        self.batch_delivery = batch_delivery
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
 
@@ -154,7 +150,6 @@ class Network:
         """Link two nodes (by object or name)."""
         node_a = a if isinstance(a, Node) else self.get(a)
         node_b = b if isinstance(b, Node) else self.get(b)
-        kwargs.setdefault("batch_delivery", self.batch_delivery)
         link = Link(node_a, node_b, **kwargs)
         self.links.append(link)
         return link

@@ -35,10 +35,10 @@ import os
 import pathlib
 import sqlite3
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..runner.jobs import RunRecord, RunSpec, callable_token
+from ..runner.jobs import RECORD_PAYLOADS, RunRecord, RunSpec, callable_token
 from ..runner.progress import ProgressSink, SweepTiming
 
 __all__ = [
@@ -58,9 +58,10 @@ __all__ = [
 REGISTRY_ENV = "REPRO_REGISTRY"
 #: where the registry lives when neither flag nor env names a path.
 DEFAULT_REGISTRY_PATH = ".repro-registry.sqlite"
-#: bump when the table layout changes.  Additive bumps migrate old
-#: files in place (see ``_check_schema``); anything newer than this
-#: code understands is rejected loudly.
+#: bump when the table layout changes other than by a new payload
+#: column.  Files of an older schema gain whichever payload columns
+#: they lack, in place (see ``_check_schema``); anything newer than
+#: this code understands is rejected loudly.
 REGISTRY_SCHEMA = 3
 
 _SCHEMA_SQL = """
@@ -107,14 +108,9 @@ CREATE TABLE IF NOT EXISTS runs (
     cached       INTEGER NOT NULL DEFAULT 0,
     attempts     INTEGER NOT NULL DEFAULT 1,
     measurement  TEXT,
-    metrics      TEXT,
     instants     TEXT,
     span_count   INTEGER,
-    fault_count  INTEGER,
-    profile      TEXT,
-    resources    TEXT,
-    sample_stacks TEXT,
-    anatomy      TEXT
+    fault_count  INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_runs_digest ON runs(spec_digest, run_id);
 CREATE INDEX IF NOT EXISTS idx_runs_sweep ON runs(sweep_id);
@@ -137,6 +133,10 @@ def _utc_now() -> str:
     return _datetime.datetime.now(_datetime.timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
     )
+
+
+def _scenario_name(spec: RunSpec) -> str:
+    return callable_token(spec.scenario_factory).rsplit(":", 1)[-1]
 
 
 def _loads(text: Optional[str]) -> Any:
@@ -179,6 +179,18 @@ class RunRow:
     resources: Optional[Dict[str, Any]] = None
     sample_stacks: Optional[Dict[str, int]] = None
     anatomy: Optional[Dict[str, Any]] = None
+
+
+#: the record payloads a run row stores, one JSON TEXT column each:
+#: every declared RunRecord payload that RunRow has a field for (spans
+#: are summarised into instants/span_count, not stored).
+_PAYLOAD_COLUMNS = tuple(
+    f.name for f in fields(RunRow) if f.name in RECORD_PAYLOADS
+)
+_RUN_COLUMNS = tuple(f.name for f in fields(RunRow))
+#: RunRow fields stored as JSON text / as 0-1 integers.
+_JSON_COLUMNS = ("measurement", "instants") + _PAYLOAD_COLUMNS
+_BOOL_COLUMNS = ("ok", "cached")
 
 
 @dataclass(frozen=True)
@@ -290,30 +302,33 @@ class RunRegistry:
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key='schema'"
             ).fetchone()
-        #: columns each historical schema bump added to ``runs`` —
-        #: every bump so far is purely additive, so any older file
-        #: migrates in place by replaying the missing tail; existing
-        #: rows read back with the new fields as None.
-        additive = {"1": ("resources", "sample_stacks", "anatomy"),
-                    "2": ("anatomy",)}
-        if row["value"] in additive:
-            for column in additive[row["value"]]:
+        version = row["value"]
+        if not (version.isdigit() and 1 <= int(version) <= REGISTRY_SCHEMA):
+            raise ValueError(
+                f"registry {self.path!r} has schema {version}, "
+                f"this code expects {REGISTRY_SCHEMA}"
+            )
+        # Every schema bump so far only added payload columns, so a file
+        # of any older schema (or a fresh one, whose CREATE TABLE lists
+        # none) migrates in place by gaining the ones it lacks; existing
+        # rows read back with the new fields as None.
+        present = {
+            r["name"] for r in self._conn.execute("PRAGMA table_info(runs)")
+        }
+        for column in _PAYLOAD_COLUMNS:
+            if column not in present:
                 try:
                     self._conn.execute(
                         f"ALTER TABLE runs ADD COLUMN {column} TEXT"
                     )
                 except sqlite3.OperationalError:
                     pass  # a concurrent opener already added it
+        if version != str(REGISTRY_SCHEMA):
             self._conn.execute(
                 "UPDATE meta SET value=? WHERE key='schema'",
                 (str(REGISTRY_SCHEMA),),
             )
-            self._conn.commit()
-        elif row["value"] != str(REGISTRY_SCHEMA):
-            raise ValueError(
-                f"registry {self.path!r} has schema {row['value']}, "
-                f"this code expects {REGISTRY_SCHEMA}"
-            )
+        self._conn.commit()
 
     def close(self) -> None:
         self._conn.close()
@@ -378,49 +393,50 @@ class RunRegistry:
         """
         instants: Optional[Dict[str, float]] = None
         span_count: Optional[int] = None
-        anatomy: Optional[Dict[str, Any]] = getattr(record, "anatomy", None)
         if record.spans is not None:
             span_count = len(record.spans)
             instants = self._instants_from_spans(record)
-            if anatomy is None:
-                # Like ``instants``, anatomy is derivable from the span
-                # payload alone — every spans-on trial gets its delay
-                # attribution recorded, flag or no flag.
-                anatomy = self._anatomy_from_spans(record)
-        scenario = callable_token(spec.scenario_factory).rsplit(":", 1)[-1]
-        measurement = record.measurement_dict() or None
-        cursor = self._conn.execute(
-            "INSERT INTO runs (sweep_id, recorded_at, spec_digest, scenario,"
-            " label, n, sdn_count, fraction, seed, git_rev, code_version,"
-            " ok, error, wall_time, worker, cached, attempts, measurement,"
-            " metrics, instants, span_count, fault_count, profile,"
-            " resources, sample_stacks, anatomy)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?,"
-            " ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                sweep_id, self.clock(), record.digest, scenario,
-                spec.label or spec.display(), spec.n, spec.sdn_count,
-                spec.sdn_count / spec.n if spec.n else None, spec.seed,
-                self.git_rev, self.code_version,
-                int(record.ok), record.error, record.wall_time,
-                record.worker, int(record.cached), record.attempts,
-                json.dumps(measurement, sort_keys=True) if measurement else None,
-                json.dumps(record.metrics, sort_keys=True)
-                if record.metrics is not None else None,
-                json.dumps(instants, sort_keys=True)
-                if instants is not None else None,
-                span_count,
-                len(spec.faults) if spec.faults is not None else None,
-                json.dumps(record.profile)
-                if getattr(record, "profile", None) is not None else None,
-                json.dumps(record.resources, sort_keys=True)
-                if getattr(record, "resources", None) is not None else None,
-                json.dumps(record.sample_stacks, sort_keys=True)
-                if getattr(record, "sample_stacks", None) is not None
-                else None,
-                json.dumps(anatomy, sort_keys=True)
-                if anatomy is not None else None,
+            # Like ``instants``, anatomy is derivable from the span
+            # payload alone — every spans-on trial gets its delay
+            # attribution recorded, flag or no flag (on a copy: the
+            # caller's record is not ours to fill in).
+            from .anatomy import ensure_record_anatomy
+
+            record = replace(record)
+            ensure_record_anatomy(record)
+        values = {
+            "sweep_id": sweep_id,
+            "recorded_at": self.clock(),
+            "spec_digest": record.digest,
+            "scenario": _scenario_name(spec),
+            "label": spec.label or spec.display(),
+            "n": spec.n,
+            "sdn_count": spec.sdn_count,
+            "fraction": spec.sdn_count / spec.n if spec.n else None,
+            "seed": spec.seed,
+            "git_rev": self.git_rev,
+            "code_version": self.code_version,
+            "ok": int(record.ok),
+            "error": record.error,
+            "wall_time": record.wall_time,
+            "worker": record.worker,
+            "cached": int(record.cached),
+            "attempts": record.attempts,
+            "measurement": record.measurement_dict() or None,
+            "instants": instants,
+            "span_count": span_count,
+            "fault_count": (
+                len(spec.faults) if spec.faults is not None else None
             ),
+            **{name: getattr(record, name) for name in _PAYLOAD_COLUMNS},
+        }
+        for name in _JSON_COLUMNS:
+            if values[name] is not None:
+                values[name] = json.dumps(values[name], sort_keys=True)
+        cursor = self._conn.execute(
+            f"INSERT INTO runs ({', '.join(values)})"
+            f" VALUES ({', '.join('?' * len(values))})",
+            list(values.values()),
         )
         self._conn.commit()
         return int(cursor.lastrowid)
@@ -441,52 +457,17 @@ class RunRegistry:
             return None
         return dag.per_node_instants(int(root_id))
 
-    @staticmethod
-    def _anatomy_from_spans(record: RunRecord) -> Optional[Dict[str, Any]]:
-        """Critical-path delay attribution of the measured event."""
-        measurement = record.measurement
-        if measurement is None or not record.spans:
-            return None
-        from .anatomy import anatomy_payload
-
-        return anatomy_payload(
-            record.spans, measurement.extra.get("event_root_span")
-        )
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @staticmethod
     def _run_row(row: sqlite3.Row) -> RunRow:
-        return RunRow(
-            run_id=row["run_id"],
-            sweep_id=row["sweep_id"],
-            recorded_at=row["recorded_at"],
-            spec_digest=row["spec_digest"],
-            scenario=row["scenario"],
-            label=row["label"],
-            n=row["n"],
-            sdn_count=row["sdn_count"],
-            fraction=row["fraction"],
-            seed=row["seed"],
-            git_rev=row["git_rev"],
-            code_version=row["code_version"],
-            ok=bool(row["ok"]),
-            error=row["error"],
-            wall_time=row["wall_time"],
-            worker=row["worker"],
-            cached=bool(row["cached"]),
-            attempts=row["attempts"],
-            measurement=_loads(row["measurement"]),
-            metrics=_loads(row["metrics"]),
-            instants=_loads(row["instants"]),
-            span_count=row["span_count"],
-            fault_count=row["fault_count"],
-            profile=_loads(row["profile"]),
-            resources=_loads(row["resources"]),
-            sample_stacks=_loads(row["sample_stacks"]),
-            anatomy=_loads(row["anatomy"]),
-        )
+        values = {name: row[name] for name in _RUN_COLUMNS}
+        for name in _JSON_COLUMNS:
+            values[name] = _loads(values[name])
+        for name in _BOOL_COLUMNS:
+            values[name] = bool(values[name])
+        return RunRow(**values)
 
     def run(self, run_id: int) -> Optional[RunRow]:
         """One run by id, or None."""
@@ -691,9 +672,9 @@ class RegistrySink(ProgressSink):
 
     def _ensure_sweep(self, spec: RunSpec) -> int:
         if self.sweep_id is None:
-            scenario = callable_token(spec.scenario_factory).rsplit(":", 1)[-1]
             self.sweep_id = self.registry.begin_sweep(
-                scenario=scenario, n_ases=spec.n, label=self.label,
+                scenario=_scenario_name(spec), n_ases=spec.n,
+                label=self.label,
             )
         return self.sweep_id
 

@@ -16,6 +16,7 @@ from .jobs import (
     SpecError,
     callable_token,
     execute_spec,
+    fraction_grid,
     profile_table,
     run_trial,
     run_trial_full,
@@ -43,6 +44,7 @@ __all__ = [
     "SpecError",
     "callable_token",
     "execute_spec",
+    "fraction_grid",
     "profile_table",
     "run_trial",
     "run_trial_full",

@@ -20,7 +20,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .jobs import RunRecord, RunSpec
+from .jobs import RECORD_PAYLOADS, RunRecord, RunSpec
 
 __all__ = ["ResultCache", "CacheStats", "current_code_version", "CACHE_SCHEMA"]
 
@@ -102,28 +102,20 @@ class ResultCache:
         if not isinstance(measurement_data, dict):
             return None
         meta = payload.get("record", {})
-        metrics = payload.get("metrics")
-        spans = payload.get("spans")
-        profile = payload.get("profile")
-        resources = payload.get("resources")
-        sample_stacks = payload.get("sample_stacks")
-        anatomy = payload.get("anatomy")
         return RunRecord(
             digest=spec.digest(),
             ok=True,
             measurement=RunRecord.measurement_from_dict(measurement_data),
-            metrics=metrics if isinstance(metrics, dict) else None,
-            spans=spans if isinstance(spans, list) else None,
-            profile=profile if isinstance(profile, list) else None,
             wall_time=float(meta.get("wall_time", 0.0)),
             worker=str(meta.get("worker", "")),
             attempts=int(meta.get("attempts", 1)),
             cached=True,
-            resources=resources if isinstance(resources, dict) else None,
-            sample_stacks=(
-                sample_stacks if isinstance(sample_stacks, dict) else None
-            ),
-            anatomy=anatomy if isinstance(anatomy, dict) else None,
+            # a payload of the wrong JSON type reads as absent
+            **{
+                name: payload.get(name)
+                for name, json_type in RECORD_PAYLOADS.items()
+                if isinstance(payload.get(name), json_type)
+            },
         )
 
     def put(self, spec: RunSpec, record: RunRecord) -> None:
@@ -143,18 +135,10 @@ class ResultCache:
             },
             "measurement": record.measurement_dict(),
         }
-        if record.metrics is not None:
-            payload["metrics"] = record.metrics
-        if record.spans is not None:
-            payload["spans"] = record.spans
-        if record.profile is not None:
-            payload["profile"] = record.profile
-        if record.resources is not None:
-            payload["resources"] = record.resources
-        if record.sample_stacks is not None:
-            payload["sample_stacks"] = record.sample_stacks
-        if record.anatomy is not None:
-            payload["anatomy"] = record.anatomy
+        payload.update(
+            (name, value) for name, value in record.payloads().items()
+            if value is not None
+        )
         # Atomic publish: a reader either sees the old entry or the new
         # complete one, never a torn write.
         fd, tmp_name = tempfile.mkstemp(

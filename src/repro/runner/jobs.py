@@ -23,16 +23,23 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..eventsim import SCHEDULERS
 from ..framework.convergence import ConvergenceMeasurement
+from ..framework.experiment import POLICY_MODES
+from ..net.network import TRACE_LEVELS
 
 __all__ = [
     "SpecError",
     "ResourceAccounting",
     "RunSpec",
     "RunRecord",
+    "SPEC_OPTIONS",
+    "RECORD_PAYLOADS",
+    "RESULT_PAYLOADS",
+    "fraction_grid",
     "callable_token",
     "execute_spec",
     "profile_table",
@@ -71,6 +78,34 @@ def callable_token(fn: Callable) -> str:
     return f"{module}:{qualname}"
 
 
+def _option(
+    default=MISSING,
+    kind: str = "bool",
+    *,
+    digest: str = "when_set",
+    grid: bool = True,
+    config: bool = False,
+    compare: bool = True,
+    **extras: Any,
+):
+    """Declare one :class:`RunSpec` field — the only place it is named.
+
+    ``kind`` (with the extras ``json``: its JSON name when that is not
+    the field name, ``json_default``, ``minimum``, ``choices``) is how
+    :mod:`repro.config.specio` reads and writes it; ``digest`` is
+    ``"always"``, ``"when_set"`` (in the digest only when it differs
+    from the default, so specs that predate the field keep their
+    digests and cache entries) or ``"never"``; ``grid`` says whether a
+    sweep grid accepts it for every trial; ``config`` feeds it to the
+    same-named ``paper_config`` keyword.
+    """
+    metadata = {
+        "kind": kind, "digest": digest, "grid": grid, "config": config,
+        **extras,
+    }
+    return field(default=default, compare=compare, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One trial of a sweep, as pure data.
@@ -83,120 +118,100 @@ class RunSpec:
     order-free, so the digest is stable no matter how the schedule was
     expressed.  ``label`` is cosmetic (progress lines) and excluded
     from the digest.
+
+    Every field is declared once, with :func:`_option`: the digest, the
+    JSON dialect, sweep grids and the experiment config all iterate
+    :data:`SPEC_OPTIONS` (see "Adding a run option" in
+    ``docs/architecture.md``).
     """
 
-    scenario_factory: Callable
-    topology_factory: Callable
-    n: int
-    sdn_count: int
-    seed: int
-    mrai: float = 30.0
-    recompute_delay: float = 0.5
-    policy_mode: str = "flat"
-    sdn_members: Optional[Tuple[int, ...]] = None
-    horizon: Optional[float] = None
-    trace_level: str = "full"
-    metrics: bool = False
+    scenario_factory: Callable = _option(
+        kind="factory", json="scenario", digest="always"
+    )
+    topology_factory: Callable = _option(
+        kind="factory", json="topology", json_default="clique",
+        digest="always",
+    )
+    n: int = _option(kind="int", minimum=2, digest="always")
+    sdn_count: int = _option(
+        kind="int", minimum=0, json_default=0, digest="always", grid=False
+    )
+    seed: int = _option(
+        kind="int", json_default=0, digest="always", grid=False, config=True
+    )
+    mrai: float = _option(
+        30.0, "number", minimum=0.0, digest="always", config=True
+    )
+    recompute_delay: float = _option(
+        0.5, "number", minimum=0.0, digest="always", config=True
+    )
+    policy_mode: str = _option(
+        "flat", "str", choices=tuple(POLICY_MODES), digest="always",
+        config=True,
+    )
+    sdn_members: Optional[Tuple[int, ...]] = _option(
+        None, "int_list", minimum=0, digest="always", grid=False
+    )
+    horizon: Optional[float] = _option(
+        None, "number", minimum=0.0, digest="always"
+    )
+    trace_level: str = _option(
+        "full", "str", choices=tuple(TRACE_LEVELS), digest="always",
+        config=True,
+    )
+    metrics: bool = _option(False, digest="always", config=True)
     #: collect causal provenance spans and attach them to the record.
-    spans: bool = False
+    #: Passive (results are bit-identical), but the record payload
+    #: differs, so span-collecting trials get their own cache entries.
+    spans: bool = _option(False, config=True)
     #: derive per-AS convergence anatomy (critical-path delay
     #: attribution) from the spans and attach it to the record.
-    #: Requires ``spans``; deliberately absent from :meth:`describe`
-    #: because anatomy is a pure function of the span payload — an
-    #: anatomy-on trial is cache-equivalent to its anatomy-off twin,
-    #: and a hit on an anatomy-less entry re-derives it losslessly.
-    anatomy: bool = False
-    #: wrap the trial in cProfile and attach the hottest functions.
-    profile: bool = False
-    faults: Optional[Tuple] = None
+    #: Requires ``spans``; out of the digest because anatomy is a pure
+    #: function of the span payload — an anatomy-on trial is
+    #: cache-equivalent to its anatomy-off twin, and a hit on an
+    #: anatomy-less entry re-derives it losslessly.
+    anatomy: bool = _option(False, digest="never")
+    #: wrap the trial in cProfile and attach the hottest functions
+    #: (never changes virtual-time results; own cache entries).
+    profile: bool = _option(False)
+    faults: Optional[Tuple] = _option(None, "faults")
     #: run legacy routers in compact mode (interned routes, prefix
     #: index, dirty-set decision driver).  Results are bit-identical to
-    #: the default path — the differential-oracle suite enforces it.
-    compact: bool = False
-    #: coalesce same-instant per-link deliveries into one kernel event.
-    #: NOT result-identical (RNG draw order shifts) — scale trials only.
-    batch_delivery: bool = False
+    #: the default path — the differential-oracle suite enforces it —
+    #: but compact-vs-default comparisons must never share a record.
+    compact: bool = _option(False, config=True)
     #: lean build: no baseline full-mesh originations, no collector.
     #: The only tractable shape at thousands of ASes.
-    lean: bool = False
-    #: event-kernel pending-set structure: "heap" or "calendar".
-    #: Digest-preserving (identical pop order), but distinct cache
-    #: entries so scheduler comparisons never alias.
-    scheduler: str = "heap"
+    lean: bool = _option(False, config=True)
+    #: event-kernel pending-set structure.  Digest-preserving
+    #: (identical pop order), but distinct cache entries so scheduler
+    #: comparisons never alias.
+    scheduler: str = _option("heap", "str", choices=SCHEDULERS, config=True)
     #: sampling wall-clock profiler rate (Hz); 0 disables.  Like
     #: ``profile``, sampling never touches virtual-time results.
-    sample_hz: float = 0.0
-    label: str = field(default="", compare=False)
+    sample_hz: float = _option(0.0, "number", minimum=0.0)
+    label: str = _option(
+        "", "str", digest="never", grid=False, compare=False
+    )
 
     def describe(self) -> Dict[str, Any]:
         """The digest payload: every result-determining field, as
         process-independent primitives (factories become tokens)."""
-        out: Dict[str, Any] = {
-            "scenario": callable_token(self.scenario_factory),
-            "topology": callable_token(self.topology_factory),
-            "n": self.n,
-            "sdn_count": self.sdn_count,
-            "seed": self.seed,
-            "mrai": self.mrai,
-            "recompute_delay": self.recompute_delay,
-            "policy_mode": self.policy_mode,
-            "sdn_members": (
-                sorted(self.sdn_members)
-                if self.sdn_members is not None else None
-            ),
-            "horizon": self.horizon,
-            "trace_level": self.trace_level,
-            "metrics": self.metrics,
-        }
-        if self.faults is not None:
-            # Only present when set, so fault-free specs keep the digests
-            # (and cache entries) they had before faults existed.
-            out["faults"] = self.faults
-        if self.spans:
-            # Same back-compat rule: span collection is passive (results
-            # are bit-identical), but the record payload differs, so
-            # span-collecting trials get their own cache entries while
-            # span-free specs keep their pre-existing digests.
-            out["spans"] = True
-        # ``anatomy`` is intentionally NOT part of the payload: it adds
-        # nothing to the record that the spans do not already determine,
-        # so anatomy-on and anatomy-off specs share digests (and cache
-        # entries) — the on/off differential test pins this.
-        if self.profile:
-            # Profiling never changes virtual-time results either, but a
-            # profiled record carries extra payload — own cache entries,
-            # unprofiled digests untouched.
-            out["profile"] = True
-        if self.compact:
-            # Compact mode is result-identical, but it exercises a
-            # different code path — give it distinct cache entries so a
-            # compact-vs-default comparison never hits the same record,
-            # while compact-free specs keep their legacy digests.
-            out["compact"] = True
-        if self.batch_delivery:
-            # Batching genuinely changes event interleaving, so it must
-            # never share a digest with an unbatched trial.
-            out["batch_delivery"] = True
-        if self.lean:
-            # Lean builds change what is originated, hence the results.
-            out["lean"] = True
-        if self.scheduler != "heap":
-            # The calendar queue pops in the same (time, seq) order as
-            # the heap — results are bit-identical — but it exercises a
-            # different kernel path, so scheduler comparisons get their
-            # own cache entries while heap specs keep legacy digests.
-            out["scheduler"] = self.scheduler
-        if self.sample_hz:
-            # Stack sampling is passive like profile/spans, but sampled
-            # records carry collapsed stacks — own cache entries, while
-            # unsampled specs keep their legacy digests.
-            out["sample_hz"] = self.sample_hz
+        out: Dict[str, Any] = {}
+        for name, key, always, default, canonical in _DIGESTED:
+            value = getattr(self, name)
+            if always or value != default:
+                out[key] = canonical(value) if canonical else value
         return out
 
     def digest(self) -> str:
         """Stable content digest — the cache key of this trial."""
         payload = json.dumps(self.describe(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def config_options(self) -> Dict[str, Any]:
+        """The ``paper_config`` keywords this spec determines."""
+        return {name: getattr(self, name) for name in _CONFIG_OPTIONS}
 
     def display(self) -> str:
         """Short human-readable tag for progress lines."""
@@ -208,20 +223,102 @@ class RunSpec:
         )
 
 
+#: every RunSpec field with its declaration (``field.metadata``).
+SPEC_OPTIONS = fields(RunSpec)
+#: kinds whose digest form is not the value itself.
+_CANONICAL = {
+    "factory": callable_token,
+    "int_list": lambda items: None if items is None else sorted(items),
+}
+_DIGESTED = tuple(
+    (
+        o.name, o.metadata.get("json", o.name),
+        o.metadata["digest"] == "always", o.default,
+        _CANONICAL.get(o.metadata["kind"]),
+    )
+    for o in SPEC_OPTIONS if o.metadata["digest"] != "never"
+)
+_CONFIG_OPTIONS = tuple(o.name for o in SPEC_OPTIONS if o.metadata["config"])
+
+
+def fraction_grid(
+    scenario_factory: Callable,
+    topology_factory: Callable,
+    *,
+    n: int,
+    sdn_counts: Optional[Sequence[int]] = None,
+    runs: int = 1,
+    seed_base: int = 100,
+    max_specs: Optional[int] = None,
+    **options: Any,
+) -> Tuple[str, List[int], List[RunSpec]]:
+    """Expand a Fig. 2-style fraction sweep to its trial specs.
+
+    Returns ``(scenario name, sdn_counts, specs)``, specs ordered by
+    count then run.  ``sdn_counts`` defaults to every convertible
+    count; ``options`` are :class:`RunSpec` fields shared by every
+    trial.  This is the one place the per-trial seed and label are
+    derived, so Python sweeps and JSON grids share digests.
+    """
+    probe = scenario_factory()
+    if sdn_counts is None:
+        sdn_counts = range(0, n - len(probe.reserved_legacy) + 1)
+    sdn_counts = list(sdn_counts)
+    total = len(sdn_counts) * runs
+    if max_specs is not None and total > max_specs:
+        raise SpecError(
+            f"grid expands to {total} trials "
+            f"({len(sdn_counts)} sdn_counts x {runs} runs); "
+            f"the limit is {max_specs}"
+        )
+    specs = []
+    for sdn_count in sdn_counts:
+        for run_index in range(runs):
+            seed = seed_base + 1000 * sdn_count + run_index
+            specs.append(
+                RunSpec(
+                    scenario_factory=scenario_factory,
+                    topology_factory=topology_factory,
+                    n=n,
+                    sdn_count=sdn_count,
+                    seed=seed,
+                    label=f"{probe.name} sdn={sdn_count} seed={seed}",
+                    **options,
+                )
+            )
+    return probe.name, sdn_counts, specs
+
+
+def _payload(json_type: type, *, result: bool = True):
+    """Declare one optional :class:`RunRecord` payload: its JSON type,
+    and whether it rides sweep results, exports and the service result
+    body (``result``) or is execution accounting that only the cache
+    and the registry keep."""
+    return field(
+        default=None, metadata={"payload": json_type, "result": result}
+    )
+
+
 @dataclass
 class RunRecord:
-    """Outcome of executing one :class:`RunSpec` (success or failure)."""
+    """Outcome of executing one :class:`RunSpec` (success or failure).
+
+    The optional payloads are declared with :func:`_payload`; the
+    cache, the registry, sweep results/exports and the service iterate
+    :data:`RECORD_PAYLOADS` (see "Adding a record payload" in
+    ``docs/architecture.md``).
+    """
 
     digest: str
     ok: bool
     measurement: Optional[ConvergenceMeasurement] = None
     #: per-run metrics snapshot (``spec.metrics=True``), JSON-ready.
-    metrics: Optional[Dict[str, Any]] = None
+    metrics: Optional[Dict[str, Any]] = _payload(dict)
     #: per-run provenance spans (``spec.spans=True``), JSON-ready dicts.
-    spans: Optional[list] = None
+    spans: Optional[list] = _payload(list)
     #: hottest functions by cumulative time (``spec.profile=True``),
     #: JSON-ready rows — see :func:`profile_table`.
-    profile: Optional[list] = None
+    profile: Optional[list] = _payload(list)
     error: Optional[str] = None
     #: wall-clock seconds the trial took inside its worker.
     wall_time: float = 0.0
@@ -237,14 +334,14 @@ class RunRecord:
     #: per-job resource accounting (CPU user/sys seconds, peak RSS,
     #: GC pauses, events/s) — digest-neutral record payload, never part
     #: of the measurement.  See :class:`ResourceAccounting`.
-    resources: Optional[Dict[str, Any]] = None
+    resources: Optional[Dict[str, Any]] = _payload(dict, result=False)
     #: flamegraph collapsed stacks (``spec.sample_hz > 0``):
     #: ``{"frame;frame;frame": samples}``.
-    sample_stacks: Optional[Dict[str, int]] = None
+    sample_stacks: Optional[Dict[str, int]] = _payload(dict, result=False)
     #: per-AS convergence anatomy (``spec.anatomy=True``), the compact
     #: JSON payload of :meth:`repro.obs.anatomy.ConvergenceAnatomy.to_dict`
     #: — derived from ``spans``, never from wall clocks.
-    anatomy: Optional[Dict[str, Any]] = None
+    anatomy: Optional[Dict[str, Any]] = _payload(dict)
 
     def measurement_dict(self) -> Dict[str, Any]:
         """JSON-ready measurement fields (for the cache)."""
@@ -261,6 +358,22 @@ class RunRecord:
         return ConvergenceMeasurement(
             **{k: v for k, v in data.items() if k in known}
         )
+
+    def payloads(self, *, result_only: bool = False) -> Dict[str, Any]:
+        """The declared payloads by name (None when absent)."""
+        names = RESULT_PAYLOADS if result_only else RECORD_PAYLOADS
+        return {name: getattr(self, name) for name in names}
+
+
+#: every optional RunRecord payload: name -> JSON type.
+RECORD_PAYLOADS = {
+    f.name: f.metadata["payload"]
+    for f in fields(RunRecord) if "payload" in f.metadata
+}
+#: the payloads that ride sweep results, exports and the service body.
+RESULT_PAYLOADS = tuple(
+    f.name for f in fields(RunRecord) if f.metadata.get("result")
+)
 
 
 def run_trial(spec: RunSpec) -> ConvergenceMeasurement:
@@ -315,19 +428,7 @@ def run_trial_full(
         members = frozenset(spec.sdn_members)
     else:
         members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
-    config = paper_config(
-        seed=spec.seed,
-        mrai=spec.mrai,
-        recompute_delay=spec.recompute_delay,
-        policy_mode=spec.policy_mode,
-        trace_level=spec.trace_level,
-        metrics=spec.metrics,
-        spans=spec.spans,
-        compact=spec.compact,
-        batch_delivery=spec.batch_delivery,
-        lean=spec.lean,
-        scheduler=spec.scheduler,
-    )
+    config = paper_config(**spec.config_options())
     return run_scenario_full(
         scenario, topology, members, config, horizon=spec.horizon, info=info,
     )

@@ -95,10 +95,7 @@ def record_payload(record: RunRecord) -> Dict[str, Any]:
         "attempts": record.attempts,
         "worker": record.worker,
         "measurement": record.measurement_dict() or None,
-        "metrics": record.metrics,
-        "spans": record.spans,
-        "profile": record.profile,
-        "anatomy": record.anatomy,
+        **record.payloads(result_only=True),
         "error": record.error,
     }
 
@@ -384,9 +381,6 @@ class ServiceApp:
         )
         gauge("service.trace_dropped_records").set(
             telemetry["trace_dropped_records"]
-        )
-        gauge("service.link_coalesced_total").set(
-            telemetry.get("link_coalesced_total", 0)
         )
         from ..bgp.attrs import intern_stats
 

@@ -507,8 +507,6 @@ class JobManager:
         ``trace_dropped_records`` sums the ``trace.dropped_records``
         gauge of every finished job's metrics snapshot — nonzero means
         a bounded TraceLog overflowed and per-event records were shed.
-        ``link_coalesced_total`` sums the per-job ``link.coalesced_total``
-        gauge the same way (same-instant deliveries merged per link).
         """
         running = sum(1 for j in self.jobs.values() if j.state == RUNNING)
         queued = sum(1 for j in self.jobs.values() if j.state == QUEUED)
@@ -517,13 +515,11 @@ class JobManager:
             j.dropped_frames for j in self.jobs.values()
         )
         trace_dropped = 0.0
-        link_coalesced = 0.0
         for job in self.jobs.values():
             metrics = job.record.metrics if job.record is not None else None
             gauges = (metrics or {}).get("gauges")
             if isinstance(gauges, dict):
                 trace_dropped += gauges.get("trace.dropped_records", 0) or 0
-                link_coalesced += gauges.get("link.coalesced_total", 0) or 0
         return {
             "in_flight": running,
             "queued": queued,
@@ -533,7 +529,6 @@ class JobManager:
             "rejected_quota": self.rejected_quota,
             "rejected_queue": self.rejected_queue,
             "trace_dropped_records": trace_dropped,
-            "link_coalesced_total": link_coalesced,
         }
 
     def stats(self) -> Dict[str, Any]:

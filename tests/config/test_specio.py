@@ -20,7 +20,10 @@ from repro.experiments.common import (
 )
 from repro.faults import get_canned
 from repro.runner import RunSpec
+from repro.runner.jobs import SPEC_OPTIONS
 from repro.topology.builders import clique, ring
+
+from ..runner.test_jobs import make_spec, other_value
 
 BASE = {"scenario": "withdrawal", "n": 8, "sdn_count": 4, "seed": 7}
 
@@ -223,34 +226,34 @@ class TestSpecPayload:
 
 
 class TestScaleKnobs:
-    """compact/batch_delivery/lean ride specs and survive round trips,
+    """compact/lean ride specs and survive round trips,
     without disturbing any legacy digest (docs/scaling.md)."""
 
     def test_scale_fields_parse(self):
         spec = runspec_from_json(
-            {**BASE, "compact": True, "batch_delivery": True, "lean": True}
+            {**BASE, "compact": True, "lean": True}
         )
-        assert spec.compact and spec.batch_delivery and spec.lean
+        assert spec.compact and spec.lean
 
     def test_false_knobs_keep_legacy_digest(self):
         # Explicit False must digest identically to absent — old cache
         # entries and registry rows stay addressable.
         legacy = runspec_from_json(BASE)
         explicit = runspec_from_json(
-            {**BASE, "compact": False, "batch_delivery": False, "lean": False}
+            {**BASE, "compact": False, "lean": False}
         )
         assert explicit.digest() == legacy.digest()
 
     def test_each_knob_changes_the_digest(self):
         base = runspec_from_json(BASE).digest()
-        for knob in ("compact", "batch_delivery", "lean"):
+        for knob in ("compact", "lean"):
             assert runspec_from_json({**BASE, knob: True}).digest() != base
 
     def test_payload_round_trip(self):
         original = runspec_from_json({**BASE, "compact": True, "lean": True})
         payload = spec_payload(original)
         assert payload["compact"] is True and payload["lean"] is True
-        assert "batch_delivery" not in payload  # unset knobs stay out
+        assert "scheduler" not in payload  # unset knobs stay out
         clone = runspec_from_json(payload)
         assert clone.digest() == original.digest()
 
@@ -278,3 +281,64 @@ class TestScaleKnobs:
             }
         )
         assert specs and all(s.compact and s.lean for s in specs)
+
+
+class TestDeclaredOptions:
+    """Every RunSpec option, walked from its declaration: the JSON
+    dialect, grids and the digest all derive from the same table."""
+
+    @pytest.mark.parametrize("option", SPEC_OPTIONS, ids=lambda o: o.name)
+    def test_json_round_trip(self, option):
+        spec = make_spec(**{option.name: other_value(option)})
+        if option.name == "anatomy":
+            spec = make_spec(anatomy=True, spans=True)
+        payload = spec_payload(spec)
+        assert option.metadata.get("json", option.name) in payload
+        clone = runspec_from_json(json.loads(json.dumps(payload)))
+        assert clone == spec and clone.label == spec.label
+        assert clone.digest() == spec.digest()
+
+    @pytest.mark.parametrize("option", SPEC_OPTIONS, ids=lambda o: o.name)
+    def test_grid_accepts_exactly_the_flagged_options(self, option):
+        name = option.metadata.get("json", option.name)
+        value = other_value(option)
+        grid = {
+            "scenario": "withdrawal", "n": 4, "sdn_counts": [1], "runs": 2,
+            "spans": True,
+            name: spec_payload(make_spec(**{option.name: value}))[name],
+        }
+        if option.metadata["grid"]:
+            specs = grid_from_json(grid)
+            assert len(specs) == 2
+            assert all(getattr(s, option.name) == value for s in specs)
+        else:
+            with pytest.raises(SpecIngestError) as excinfo:
+                grid_from_json(grid)
+            assert f"unknown field {name!r}" in str(excinfo.value)
+
+    def test_anatomy_rides_specs_and_stays_out_of_the_digest(self):
+        plain = runspec_from_json({**BASE, "spans": True})
+        spec = runspec_from_json({**BASE, "spans": True, "anatomy": True})
+        assert spec.anatomy and not plain.anatomy
+        assert spec.digest() == plain.digest()
+        assert spec_payload(spec)["anatomy"] is True
+        assert "anatomy" not in spec_payload(plain)
+
+    def test_anatomy_without_spans_is_rejected_naming_both(self):
+        (error,) = errors_of({**BASE, "anatomy": True})
+        assert "'anatomy'" in error and "'spans'" in error
+        with pytest.raises(SpecIngestError, match="'anatomy'.*'spans'"):
+            grid_from_json({"scenario": "withdrawal", "n": 4, "anatomy": True})
+
+    def test_policy_mode_validated_against_the_implemented_modes(self):
+        from repro.framework.experiment import POLICY_MODES
+
+        (error,) = errors_of({**BASE, "policy_mode": "bogus"})
+        assert "'policy_mode'" in error
+        assert all(mode in error for mode in POLICY_MODES)
+        for mode in POLICY_MODES:
+            assert runspec_from_json({**BASE, "policy_mode": mode})
+
+    def test_deleted_knob_is_an_ordinary_unknown_field(self):
+        (error,) = errors_of({**BASE, "batch" + "_delivery": True})
+        assert error.startswith("unknown field")

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.common import WithdrawalScenario, run_fraction_sweep
 from repro.experiments.export import sweep_rows, sweep_to_csv, sweep_to_json
+from repro.runner.jobs import RECORD_PAYLOADS, RESULT_PAYLOADS
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,21 @@ class TestRows:
             "convergence_time", "updates_tx",
         ):
             assert field in row
+
+    def test_every_result_payload_rides_runs_and_rows(self):
+        observed = run_fraction_sweep(
+            WithdrawalScenario, n=4, sdn_counts=[0, 2], runs=1, mrai=1.0,
+            metrics=True, profile=True, anatomy=True,
+        )
+        run = observed.points[0].runs[0]
+        row = sweep_rows(observed, payloads=True)[0]
+        for name in RESULT_PAYLOADS:
+            value = getattr(run, name)
+            assert isinstance(value, RECORD_PAYLOADS[name]), name
+            assert row[f"run_{name}"] == value
+        exported = json.loads(sweep_to_json(observed))["runs"][0]
+        assert all(exported[f"run_{name}"] for name in RESULT_PAYLOADS)
+        assert not any(k.startswith("run_") for k in sweep_rows(observed)[0])
 
     def test_rows_match_points(self, sweep):
         rows = sweep_rows(sweep)

@@ -19,13 +19,35 @@ from repro.experiments.common import (
     run_scenario_once,
     sdn_set_for,
 )
+from repro.eventsim import ROUTE_AFFECTING
 from repro.framework.convergence import (
+    STATE_CHANGING,
+    _measure,
     measure_event,
-    measure_event_from_trace,
 )
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.bgp.session import BGPTimers
 from repro.topology.builders import clique
+
+
+def measure_event_from_trace(
+    experiment, event, *, horizon=None, check_reachability=False
+):
+    """The scan oracle: :func:`measure_event` with the convergence
+    instants and counters re-read from the retained trace (requires
+    full trace capture) instead of the streaming tracker."""
+    trace = experiment.net.trace
+    return _measure(
+        experiment, event,
+        horizon=horizon, check_reachability=check_reachability,
+        counts=lambda: trace.counts,
+        last_activity_since=lambda since: trace.last_time(
+            ROUTE_AFFECTING, since=since
+        ),
+        last_state_since=lambda since: trace.last_time(
+            STATE_CHANGING, since=since
+        ),
+    )
 
 
 def _one_withdrawal(sdn_count, seed, *, n=8, measurer=measure_event,
@@ -74,9 +96,6 @@ class TestTrackerMatchesTraceScan:
         exp.wait_converged()
         tracker = exp.tracker
         trace = exp.net.trace
-        from repro.eventsim import ROUTE_AFFECTING
-        from repro.framework.convergence import STATE_CHANGING
-
         assert tracker.last_activity_since(t_event) == trace.last_time(
             ROUTE_AFFECTING, since=t_event
         )

@@ -1,16 +1,15 @@
-"""Batched per-link delivery: coalescing semantics and the default.
+"""Per-message link delivery: order, direction, accounting, re-entrancy.
 
-``batch_delivery`` shares one kernel event among same-instant,
-same-direction transmissions (docs/scaling.md).  The contract: per
-message, loss / tx accounting / delivery order are exactly the legacy
-path's; only the *number of heap events* changes.  It is opt-in —
-cross-link interleaving shifts RNG draw order, so legacy digests need
-it off.
+Every transmission is its own kernel event.  These cases once held the
+(since deleted) same-instant coalescing mode to the plain path's
+per-message contract; they stay, pointed at the one delivery path left,
+because nothing else pins same-instant send order, background vs
+foreground accounting, a latency change between two sends of one
+instant, or a zero-latency reply sent from inside ``receive``.
 """
 
 from repro.net.link import LinkDown
 from repro.net.messages import Message
-from repro.net.network import Network
 from repro.net.node import Node
 
 
@@ -33,31 +32,17 @@ def make_probe_pair(net, **kwargs):
 class TestDefaultOff:
     def test_plain_links_do_not_batch(self, net):
         a, b, link = make_probe_pair(net, latency=0.5)
-        assert link.batch_delivery is False
         for _ in range(3):
             link.transmit(a, Message())
-        assert not link._pending
         net.sim.run()
-        assert len(b.inbox) == 3
-        assert link.coalesced_count == 0
-
-    def test_network_flag_defaults_off(self, net):
-        assert net.batch_delivery is False
+        assert [t for t, _ in b.inbox] == [0.5] * 3
+        # one delivery event per message, same instant or not
+        assert net.sim.events_processed == 3
 
 
 class TestCoalescing:
-    def test_same_instant_messages_share_one_event(self, net):
-        a, b, link = make_probe_pair(net, latency=0.5, batch_delivery=True)
-        for _ in range(5):
-            link.transmit(a, Message())
-        net.sim.run()
-        assert [t for t, _ in b.inbox] == [0.5] * 5
-        assert link.coalesced_count == 4
-        # One delivery event total: the 4 followers rode the first.
-        assert net.sim.events_processed == 1
-
     def test_send_order_preserved_within_batch(self, net):
-        a, b, link = make_probe_pair(net, latency=0.1, batch_delivery=True)
+        a, b, link = make_probe_pair(net, latency=0.1)
         sent = [Message() for _ in range(4)]
         for message in sent:
             link.transmit(a, message)
@@ -65,46 +50,42 @@ class TestCoalescing:
         assert [m for _, m in b.inbox] == sent
 
     def test_different_instants_do_not_coalesce(self, net):
-        a, b, link = make_probe_pair(net, latency=0.5, batch_delivery=True)
+        a, b, link = make_probe_pair(net, latency=0.5)
         link.transmit(a, Message())
         net.sim.schedule(0.2, lambda: link.transmit(a, Message()))
         net.sim.run()
         assert [t for t, _ in b.inbox] == [0.5, 0.7]
-        assert link.coalesced_count == 0
 
     def test_directions_batch_independently(self, net):
-        a, b, link = make_probe_pair(net, latency=0.5, batch_delivery=True)
+        a, b, link = make_probe_pair(net, latency=0.5)
         link.transmit(a, Message())
         link.transmit(b, Message())
         link.transmit(a, Message())
         net.sim.run()
         assert len(b.inbox) == 2 and len(a.inbox) == 1
-        assert link.coalesced_count == 1
 
     def test_background_and_foreground_do_not_mix(self, net):
-        # A background batch must not lend its (convergence-invisible)
-        # kernel event to foreground traffic.
-        a, b, link = make_probe_pair(net, latency=0.5, batch_delivery=True)
+        # A background delivery is invisible to convergence detection;
+        # a foreground one sent at the same instant is not.
+        a, b, link = make_probe_pair(net, latency=0.5)
         link.transmit(a, Message(), background=True)
         link.transmit(a, Message())
-        assert link.coalesced_count == 0
         assert net.sim.pending_foreground() == 1
         net.sim.run()
         assert len(b.inbox) == 2
 
     def test_latency_change_mid_instant_splits_batches(self, net):
-        a, b, link = make_probe_pair(net, latency=0.5, batch_delivery=True)
+        a, b, link = make_probe_pair(net, latency=0.5)
         link.transmit(a, Message())
         link.set_latency(0.8)
         link.transmit(a, Message())
         net.sim.run()
         assert [t for t, _ in b.inbox] == [0.5, 0.8]
-        assert link.coalesced_count == 0
 
 
 class TestLegacyInvariants:
     def test_loss_is_still_per_message(self, net):
-        a, b, link = make_probe_pair(net, loss=0.5, batch_delivery=True)
+        a, b, link = make_probe_pair(net, loss=0.5)
         for _ in range(200):
             link.transmit(a, Message())
         net.sim.run()
@@ -113,7 +94,7 @@ class TestLegacyInvariants:
         assert len(b.inbox) == link.tx_count
 
     def test_down_link_still_raises(self, net):
-        a, b, link = make_probe_pair(net, batch_delivery=True)
+        a, b, link = make_probe_pair(net)
         link.fail()
         try:
             link.transmit(a, Message())
@@ -124,8 +105,7 @@ class TestLegacyInvariants:
 
     def test_zero_latency_reply_opens_fresh_batch(self, net):
         # A reply sent from inside receive() lands at the same instant
-        # and the same key shape as the spent batch — it must be
-        # delivered via a new event, not vanish into the popped bucket.
+        # as the delivery that provoked it and must still arrive.
         class Echo(Probe):
             def handle_message(self, link, message):
                 super().handle_message(link, message)
@@ -134,19 +114,7 @@ class TestLegacyInvariants:
 
         a = net.add_node(Echo(net.sim, net.trace, "a"))
         b = net.add_node(Echo(net.sim, net.trace, "b"))
-        link = net.add_link(a, b, latency=0.0, batch_delivery=True)
+        link = net.add_link(a, b, latency=0.0)
         link.transmit(a, Message())
         net.sim.run()
         assert len(b.inbox) == 1 and len(a.inbox) == 1
-
-
-class TestNetworkWiring:
-    def test_network_flag_propagates_to_links(self):
-        net = Network(seed=1, batch_delivery=True)
-        a, b, link = make_probe_pair(net)
-        assert link.batch_delivery is True
-
-    def test_explicit_link_flag_wins(self):
-        net = Network(seed=1, batch_delivery=True)
-        a, b, link = make_probe_pair(net, batch_delivery=False)
-        assert link.batch_delivery is False

@@ -12,9 +12,21 @@ from repro.obs.registry import (
     aggregate_profiles,
     resolve_registry,
 )
+from repro.obs.registry import RunRow
 from repro.runner import ParallelRunner, execute_spec
+from repro.runner.jobs import RECORD_PAYLOADS
 
-from ..runner.test_jobs import make_spec
+from ..runner.test_jobs import make_spec, sample_payload
+
+
+def run_columns(path) -> list:
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    try:
+        return [r[1] for r in conn.execute("PRAGMA table_info(runs)")]
+    finally:
+        conn.close()
 
 
 def make_registry(**overrides) -> RunRegistry:
@@ -51,6 +63,26 @@ class TestRecordAndQuery:
             == record.measurement.t_converged
         )
         assert row.measurement["updates_tx"] == record.measurement.updates_tx
+
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(RunRow)
+         if f.name in RECORD_PAYLOADS],
+    )
+    def test_every_payload_column_round_trips(self, name):
+        registry = make_registry()
+        spec = make_spec()
+        record = dataclasses.replace(
+            execute_spec(spec), **{name: sample_payload(name)}
+        )
+        row = registry.run(registry.record(spec, record))
+        assert getattr(row, name) == sample_payload(name)
+
+    def test_payload_columns_are_the_declared_ones(self):
+        # every declared payload is a column, except spans (summarised
+        # into instants/span_count rather than stored)
+        fields = {f.name for f in dataclasses.fields(RunRow)}
+        assert set(RECORD_PAYLOADS) - fields == {"spans"}
 
     def test_failed_run_recorded_with_error(self):
         from repro.runner import RunRecord
@@ -150,8 +182,13 @@ class TestRecordAndQuery:
         )
         conn.commit()
         conn.close()
+        before = run_columns(path)
 
         with RunRegistry(path) as registry:
+            # exactly the missing payload columns were added, in place
+            assert run_columns(path) == before + [
+                "resources", "sample_stacks", "anatomy",
+            ]
             row = registry.runs()[0]
             assert row.spec_digest == "abc"
             assert row.resources is None
@@ -186,8 +223,10 @@ class TestRecordAndQuery:
         conn.execute("UPDATE meta SET value='2' WHERE key='schema'")
         conn.commit()
         conn.close()
+        before = run_columns(path)
 
         with RunRegistry(path) as registry:
+            assert run_columns(path) == before + ["anatomy"]
             row = registry.runs()[0]
             assert row.anatomy is None
             assert row.resources is not None  # v2 data kept

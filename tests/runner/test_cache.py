@@ -1,15 +1,20 @@
 """Result cache: hit/miss, invalidation, atomicity of the contract."""
 
+import dataclasses
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.experiments.common import run_fraction_sweep, WithdrawalScenario
 from repro.faults import FaultSchedule
 from repro.runner import ResultCache, RunRecord, execute_spec
+from repro.runner.jobs import RECORD_PAYLOADS
 
-from .test_jobs import make_spec
+from .test_jobs import make_spec, sample_payload
 
 
 class TestHitMiss:
@@ -80,6 +85,22 @@ class TestHitMiss:
         assert record.spans is None
         cache.put(spec, record)
         assert cache.get(spec).spans is None
+
+    @pytest.mark.parametrize("name", RECORD_PAYLOADS)
+    def test_every_declared_payload_round_trips(self, tmp_path, name):
+        cache = ResultCache(tmp_path)
+        spec = make_spec()
+        record = dataclasses.replace(
+            execute_spec(spec), **{name: sample_payload(name)}
+        )
+        cache.put(spec, record)
+        assert getattr(cache.get(spec), name) == sample_payload(name)
+        # a payload of the wrong JSON type reads back as absent
+        path = tmp_path / f"{spec.digest()}.json"
+        entry = json.loads(path.read_text())
+        entry[name] = "not the declared type"
+        path.write_text(json.dumps(entry))
+        assert getattr(cache.get(spec), name) is None
 
     def test_different_spec_misses(self, tmp_path):
         cache = ResultCache(tmp_path)

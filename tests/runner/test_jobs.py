@@ -7,7 +7,9 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.experiments.common import FailoverScenario, WithdrawalScenario
+from repro.faults import get_canned
 from repro.runner import RunSpec, SpecError, callable_token, execute_spec
+from repro.runner.jobs import RECORD_PAYLOADS, SPEC_OPTIONS
 from repro.topology.builders import clique, ring
 
 from .scenarios import RaisingScenario
@@ -24,6 +26,35 @@ def make_spec(**overrides):
     )
     base.update(overrides)
     return RunSpec(**base)
+
+
+def other_value(option):
+    """A valid value for a declared RunSpec option that differs from
+    what :func:`make_spec` gives it — derived from the declaration, so
+    a new option is covered by every table-walking test unasked."""
+    meta = option.metadata
+    current = getattr(make_spec(), option.name)
+    if meta["kind"] == "factory":
+        return {"scenario": FailoverScenario, "topology": ring}[meta["json"]]
+    if meta["kind"] == "bool":
+        return not current
+    if meta["kind"] == "int":
+        return current + 1
+    if meta["kind"] == "number":
+        return (current or 0.0) + 1.0
+    if meta["kind"] == "str":
+        return next(
+            (c for c in meta.get("choices", ()) if c != current), "other"
+        )
+    if meta["kind"] == "int_list":
+        return (3, 4)
+    assert meta["kind"] == "faults"
+    return get_canned("gateway-outage").schedule(0).canonical()
+
+
+def sample_payload(name):
+    """A JSON-ready value of the declared type for a RunRecord payload."""
+    return {dict: {"k": 1.5}, list: [{"k": 1.5}]}[RECORD_PAYLOADS[name]]
 
 
 def _digest_in_subprocess(spec):
@@ -66,17 +97,19 @@ class TestDigestStability:
         int(digest, 16)  # parses as hex
 
     def test_every_result_determining_field_changes_digest(self):
-        base = make_spec().digest()
-        assert make_spec(scenario_factory=FailoverScenario).digest() != base
-        assert make_spec(topology_factory=ring).digest() != base
-        assert make_spec(n=5).digest() != base
-        assert make_spec(sdn_count=1).digest() != base
-        assert make_spec(seed=8).digest() != base
-        assert make_spec(mrai=2.0).digest() != base
-        assert make_spec(recompute_delay=1.0).digest() != base
-        assert make_spec(policy_mode="gao_rexford").digest() != base
-        assert make_spec(sdn_members=(3, 4)).digest() != base
-        assert make_spec(horizon=100.0).digest() != base
+        """Walks the declarations: a field moves the digest iff its
+        rule is not ``never``, and a ``when_set`` field left at its
+        default is absent from the payload (legacy digests hold)."""
+        base = make_spec()
+        for option in SPEC_OPTIONS:
+            rule = option.metadata["digest"]
+            changed = make_spec(**{option.name: other_value(option)})
+            assert (changed.digest() != base.digest()) == (rule != "never"), (
+                option.name
+            )
+            key = option.metadata.get("json", option.name)
+            assert (key in base.describe()) == (rule == "always"), key
+            assert (key in changed.describe()) == (rule != "never"), key
 
     def test_spans_flag_changes_digest(self):
         assert make_spec(spans=True).digest() != make_spec().digest()

@@ -183,6 +183,28 @@ class TestRoutes:
 
         serve(tmp_path, body)
 
+    def test_result_body_carries_every_result_payload(self, tmp_path):
+        """A JSON-submitted job can ask for every payload the result
+        body declares — anatomy included — and gets them non-null."""
+        from repro.runner.jobs import RECORD_PAYLOADS, RESULT_PAYLOADS
+
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            spec = {
+                **QUICK_SPEC, "metrics": True, "spans": True,
+                "anatomy": True, "profile": True,
+            }
+            (job,) = client.submit({"spec": spec})
+            assert client.watch(job["digest"])["state"] == "done"
+            result = client.result(job["digest"])
+            for name in RESULT_PAYLOADS:
+                assert isinstance(result[name], RECORD_PAYLOADS[name]), name
+            # execution accounting stays out of the canonical body
+            accounting = set(RECORD_PAYLOADS) - set(RESULT_PAYLOADS)
+            assert accounting and not accounting & set(result)
+
+        serve(tmp_path, body)
+
     def test_sse_late_subscriber_replays_history(self, tmp_path):
         def body(port, app, loop):
             client = ServiceClient("127.0.0.1", port, client_id="t")
@@ -319,6 +341,18 @@ class TestErrors:
 
         serve(tmp_path, body)
 
+    def test_unimplemented_policy_mode_is_400_not_a_failed_job(self, tmp_path):
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.submit({"spec": {**QUICK_SPEC, "policy_mode": "bogus"}})
+            assert excinfo.value.status == 400
+            detail = "\n".join(excinfo.value.detail)
+            assert "flat" in detail and "gao_rexford" in detail
+            assert client.jobs()["stats"]["jobs"] == 0
+
+        serve(tmp_path, body)
+
     def test_malformed_json_is_400(self, tmp_path):
         def body(port, app, loop):
             response = raw_request(
@@ -418,13 +452,9 @@ class TestTelemetryEndpoints:
             ) >= 1
             assert scrape.value("repro_service_cache_entries") == 1
             assert scrape.value("repro_service_uptime_seconds") > 0
-            # execution-strategy gauges: intern pools are warm after a
-            # run, link coalescing is exported even when it never fired
+            # execution-strategy gauges: intern pools are warm after a run
             assert scrape.value("repro_intern_as_paths") > 0
             assert scrape.value("repro_intern_as_path_hits") >= 0
-            assert scrape.value(
-                "repro_service_link_coalesced_total"
-            ) >= 0
             assert (
                 scrape.types["repro_service_request_seconds"] == "histogram"
             )
