@@ -3,8 +3,6 @@
 from .graphs import GraphSummary, as_graph, cut_links, summarize_topology
 from .report import experiment_report, provenance_markdown, provenance_report
 from .logs import (
-    ChurnTracker,
-    NodeUpdateCounter,
     RouteChange,
     churn_timeline,
     convergence_instant,
@@ -12,7 +10,7 @@ from .logs import (
     route_history,
     update_counts_by_node,
 )
-from .stats import BoxplotStats, LinearFit, OnlineStats, boxplot_stats, linear_fit
+from .stats import BoxplotStats, LinearFit, boxplot_stats, linear_fit
 from .viz import (
     ascii_boxplot_chart,
     churn_sparkline,
@@ -28,8 +26,6 @@ __all__ = [
     "as_graph",
     "cut_links",
     "summarize_topology",
-    "ChurnTracker",
-    "NodeUpdateCounter",
     "RouteChange",
     "churn_timeline",
     "convergence_instant",
@@ -38,7 +34,6 @@ __all__ = [
     "update_counts_by_node",
     "BoxplotStats",
     "LinearFit",
-    "OnlineStats",
     "boxplot_stats",
     "linear_fit",
     "ascii_boxplot_chart",

@@ -7,11 +7,8 @@ the quantities an experimenter reads off: update churn over time,
 per-node message counts, per-prefix route-change histories, and
 convergence instants.
 
-The scan-based functions require retained trace records; their
-streaming twins (:class:`ChurnTracker`, :class:`NodeUpdateCounter`)
-subscribe to the instrumentation bus and maintain the same answers
-online in O(1) per record, so they keep working — bit-identically —
-when trace capture is bounded, sampled, or off.
+They scan retained trace records, so the run's trace level must keep
+the categories they read.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ __all__ = [
     "route_history",
     "convergence_instant",
     "interarrival_times",
-    "ChurnTracker",
-    "NodeUpdateCounter",
 ]
 
 
@@ -121,93 +116,3 @@ def interarrival_times(records: Sequence[TraceRecord]) -> List[float]:
     """Gaps between consecutive records (burstiness diagnostics)."""
     times = sorted(rec.time for rec in records)
     return [b - a for a, b in zip(times, times[1:])]
-
-
-# ----------------------------------------------------------------------
-# streaming subscribers — the scan functions' online twins
-# ----------------------------------------------------------------------
-class ChurnTracker:
-    """Streaming churn timeline: updates per time bin, built online.
-
-    Subscribes to the bus for one category and bins record timestamps
-    as they arrive; :meth:`timeline` returns exactly what
-    :func:`churn_timeline` computes from a full trace scan.
-    """
-
-    def __init__(
-        self,
-        bus,
-        *,
-        bin_size: float = 1.0,
-        category: str = "bgp.update.tx",
-        since: float = 0.0,
-    ) -> None:
-        if bin_size <= 0:
-            raise ValueError(f"bin_size must be positive: {bin_size!r}")
-        self.bin_size = bin_size
-        self.category = category
-        self.since = since
-        self._bins: Dict[int, int] = {}
-        self._bus = bus
-        self._subscription = bus.subscribe(
-            self._on_record, categories=(category,), name="churn-tracker",
-        )
-
-    def _on_record(self, record: TraceRecord) -> None:
-        if record.time < self.since:
-            return
-        index = int((record.time - self.since) // self.bin_size)
-        self._bins[index] = self._bins.get(index, 0) + 1
-
-    def timeline(self, until: Optional[float] = None) -> List[Tuple[float, int]]:
-        """``[(bin_start_time, count), ...]`` for non-empty bins.
-
-        ``until`` truncates at bin granularity (only bins ending at or
-        before it) — the streaming tracker cannot split a bin it has
-        already accumulated.
-        """
-        out = []
-        for index in sorted(self._bins):
-            start = self.since + index * self.bin_size
-            if until is not None and start + self.bin_size > until:
-                break
-            out.append((start, self._bins[index]))
-        return out
-
-    def detach(self) -> None:
-        """Stop observing the bus."""
-        if self._subscription is not None:
-            self._bus.unsubscribe(self._subscription)
-            self._subscription = None
-
-
-class NodeUpdateCounter:
-    """Streaming per-node BGP update counts (tx or rx).
-
-    The online twin of :func:`update_counts_by_node`: one dict
-    increment per matching record, no trace retention.
-    """
-
-    def __init__(self, bus, *, direction: str = "tx", since: float = 0.0) -> None:
-        if direction not in ("tx", "rx"):
-            raise ValueError(f"direction must be tx or rx: {direction!r}")
-        self.direction = direction
-        self.since = since
-        self.counts: Dict[str, int] = {}
-        self._bus = bus
-        self._subscription = bus.subscribe(
-            self._on_record,
-            categories=(f"bgp.update.{direction}",),
-            name="node-update-counter",
-        )
-
-    def _on_record(self, record: TraceRecord) -> None:
-        if record.time < self.since:
-            return
-        self.counts[record.node] = self.counts.get(record.node, 0) + 1
-
-    def detach(self) -> None:
-        """Stop observing the bus."""
-        if self._subscription is not None:
-            self._bus.unsubscribe(self._subscription)
-            self._subscription = None

@@ -16,63 +16,9 @@ import numpy as np
 __all__ = [
     "BoxplotStats",
     "LinearFit",
-    "OnlineStats",
     "boxplot_stats",
     "linear_fit",
 ]
-
-
-class OnlineStats:
-    """Single-pass running statistics (Welford's algorithm).
-
-    Accepts one value at a time — suited to streaming bus subscribers
-    that cannot retain samples — and reports count/mean/variance without
-    the catastrophic cancellation of the naive sum-of-squares method.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running moments."""
-        value = float(value)
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Fold many samples."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1), 0.0 with fewer than two samples."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation (ddof=1)."""
-        return self.variance ** 0.5
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary."""
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.minimum if self.n else None,
-            "max": self.maximum if self.n else None,
-        }
 
 
 @dataclass(frozen=True)

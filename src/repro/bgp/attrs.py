@@ -284,9 +284,10 @@ def intern_stats() -> Dict[str, int]:
     Diagnostic only — the pools are weak, so the size numbers shrink as
     RIBs release routes, while the ``*_hits`` counters are cumulative
     per process (every construction that returned an already-pooled
-    object).  ``bench_scale`` reports sizes alongside peak RSS to show
-    how much sharing the pools achieve on large topologies; the service
-    ``/metrics`` page exports all four as gauges.
+    object).  Scale trials (``repro.experiments.scale``) report sizes
+    alongside peak RSS to show how much sharing the pools achieve on
+    large topologies; the service ``/metrics`` page exports all four as
+    gauges.
     """
     return {
         "as_paths": len(AsPath._pool),

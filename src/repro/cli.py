@@ -236,33 +236,6 @@ def _export_sweep(result, args, out: Output) -> None:
         out.info(f"wrote {args.json}")
 
 
-def cmd_fig2(args) -> int:
-    result = withdrawal_sweep(**_runner_kwargs(args))
-    _print_sweep(result, f"Fig. 2 — withdrawal on a {args.n}-AS clique", args.out)
-    _print_metrics(result, args.out)
-    _print_anatomy(result, args.out)
-    _export_sweep(result, args, args.out)
-    return 0
-
-
-def cmd_failover(args) -> int:
-    result = failover_sweep(**_runner_kwargs(args))
-    _print_sweep(result, f"§4 — fail-over (dual-homed origin, {args.n}-AS clique)", args.out)
-    _print_metrics(result, args.out)
-    _print_anatomy(result, args.out)
-    _export_sweep(result, args, args.out)
-    return 0
-
-
-def cmd_announcement(args) -> int:
-    result = announcement_sweep(**_runner_kwargs(args))
-    _print_sweep(result, f"§4 — announcement ({args.n}-AS clique)", args.out)
-    _print_metrics(result, args.out)
-    _print_anatomy(result, args.out)
-    _export_sweep(result, args, args.out)
-    return 0
-
-
 def cmd_subcluster(args) -> int:
     out = args.out
     result = run_subcluster_experiment(seed=args.seed)
@@ -364,12 +337,15 @@ def _self_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Body of ``fig2``, ``failover``, ``announcement`` and ``sweep``:
+    the named commands fix ``args.scenario`` and ``args.title``."""
     if args.self_check:
         return _self_check(args)
-    sweep = SWEEPS[args.scenario]
-    result = sweep(**_runner_kwargs(args))
+    result = SWEEPS[args.scenario](**_runner_kwargs(args))
     out = args.out
-    _print_sweep(result, f"{args.scenario} sweep ({args.n}-AS clique)", out)
+    _print_sweep(
+        result, args.title.format(scenario=args.scenario, n=args.n), out
+    )
     _print_metrics(result, out)
     _print_anatomy(result, out)
     if result.failed_runs:
@@ -1130,40 +1106,8 @@ def cmd_client_cancel(args) -> int:
     return 0
 
 
-def _report_gate(args, out: Output) -> int:
-    """--against-baseline mode: the old compare_baselines.py gate."""
-    from .obs.trends import compare_report_dirs
-
-    names, failures = compare_report_dirs(
-        args.against_baseline, args.candidate, args.tolerance,
-        require=args.require,
-    )
-    if not names:
-        out.emit(f"no *.txt reports under {args.against_baseline}")
-        return 1
-    for name in names:
-        status = "FAIL" if name in failures else "ok"
-        out.emit(f"{status:>4}  {name}")
-        for problem in failures.get(name, []):
-            out.emit(f"        {problem}")
-    for name in failures:
-        if name not in names:
-            out.emit(f"FAIL  {name}")
-            for problem in failures[name]:
-                out.emit(f"        {problem}")
-    if failures:
-        out.emit(f"\n{len(failures)} report(s) failed the gate")
-        return 1
-    out.emit(f"\nall {len(names)} report(s) within tolerance")
-    return 0
-
-
 def cmd_runs_regressions(args) -> int:
     out = args.out
-    if args.against_baseline:
-        if not args.candidate:
-            raise SystemExit("--against-baseline requires --candidate DIR")
-        return _report_gate(args, out)
     from .obs.trends import detect_regressions
 
     with _open_registry(args) as registry:
@@ -1304,17 +1248,20 @@ def build_parser() -> argparse.ArgumentParser:
                             "path (per-category summary prints after "
                             "the sweep; does not change spec digests)")
 
-    p = sub.add_parser("fig2", help="withdrawal sweep (paper Fig. 2)")
-    sweep_args(p)
-    p.set_defaults(func=cmd_fig2)
-
-    p = sub.add_parser("failover", help="fail-over sweep (paper §4)")
-    sweep_args(p)
-    p.set_defaults(func=cmd_failover)
-
-    p = sub.add_parser("announcement", help="announcement sweep (paper §4)")
-    sweep_args(p)
-    p.set_defaults(func=cmd_announcement)
+    for name, scenario, title, summary in (
+        ("fig2", "withdrawal", "Fig. 2 — withdrawal on a {n}-AS clique",
+         "withdrawal sweep (paper Fig. 2)"),
+        ("failover", "failover",
+         "§4 — fail-over (dual-homed origin, {n}-AS clique)",
+         "fail-over sweep (paper §4)"),
+        ("announcement", "announcement", "§4 — announcement ({n}-AS clique)",
+         "announcement sweep (paper §4)"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        sweep_args(p)
+        p.set_defaults(
+            func=cmd_sweep, scenario=scenario, title=title, self_check=False,
+        )
 
     p = sub.add_parser(
         "sweep",
@@ -1327,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
              "assert identical per-run convergence times",
     )
     sweep_args(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, title="{scenario} sweep ({n}-AS clique)")
 
     p = sub.add_parser("subcluster", help="sub-cluster split experiment")
     p.add_argument("--seed", type=int, default=0)
@@ -1533,8 +1480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = rsub.add_parser(
         "regressions",
-        help="gate the newest run of every digest against its history "
-             "(or --against-baseline: report-dir tolerance gate)",
+        help="gate the newest run of every digest against its history",
     )
     registry_arg(rp)
     rp.add_argument("--last", type=int, default=10,
@@ -1547,16 +1493,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="minimum relative headroom above the median")
     rp.add_argument("--min-abs", type=float, default=0.005,
                     help="minimum absolute headroom in seconds")
-    rp.add_argument("--against-baseline", type=str, default=None,
-                    metavar="DIR",
-                    help="compare *.txt benchmark reports in DIR against "
-                         "--candidate instead of using the registry")
-    rp.add_argument("--candidate", type=str, default=None, metavar="DIR",
-                    help="candidate report directory for --against-baseline")
-    rp.add_argument("--tolerance", type=float, default=0.5,
-                    help="relative error band for --against-baseline")
-    rp.add_argument("--require", nargs="*", default=[],
-                    help="report names that must exist in the baseline")
     rp.set_defaults(func=cmd_runs_regressions)
 
     rp = rsub.add_parser(

@@ -1,11 +1,11 @@
 """Forked scale trials: peak-RSS-honest measurement of one big run.
 
-``benchmarks/bench_scale.py`` draws the scaling curve; the machinery it
-needs — build a :class:`~repro.runner.jobs.RunSpec` for one
-withdrawal-storm trial on the synthetic CAIDA hierarchy, execute it in
-a **forked child process**, and read back wall times, kernel event
-counts and ``ru_maxrss`` — lives here so tests (the 10k-AS memory
-smoke) can reuse it without importing benchmark collection code.
+Build a :class:`~repro.runner.jobs.RunSpec` for one withdrawal-storm
+trial on the synthetic CAIDA hierarchy, execute it in a **forked child
+process**, and read back wall times, kernel event counts and
+``ru_maxrss`` — the machinery behind the 10k-AS memory smoke
+(``tests/experiments/test_scale_smoke.py``); the ledger's
+``caida_storm`` workload reuses :func:`scale_spec`.
 
 The fork is what makes peak RSS honest: ``getrusage(RUSAGE_SELF).
 ru_maxrss`` is a process-lifetime high-water mark that never goes down,
@@ -24,7 +24,7 @@ from typing import Any, Dict, List
 from ..bgp.attrs import intern_stats
 from ..framework.convergence import measure_event
 from ..framework.experiment import Experiment
-from ..runner.jobs import RunRecord, RunSpec
+from ..runner.jobs import RunSpec
 from ..topology import caida_hierarchy
 from .common import WithdrawalScenario, paper_config, sdn_set_for
 
@@ -32,7 +32,6 @@ __all__ = [
     "SCALE_MRAI",
     "scale_spec",
     "run_scale_trial",
-    "record_trial",
     "check_rss_sublinear",
 ]
 
@@ -133,34 +132,6 @@ def run_scale_trial(spec: RunSpec) -> Dict[str, Any]:
     if status != "ok":
         raise RuntimeError(f"scale trial n={spec.n} failed:\n{payload}")
     return payload
-
-
-def record_trial(registry, spec: RunSpec, result: Dict[str, Any]):
-    """Append the trial to the telemetry registry.
-
-    The measurement goes in the standard column; the scale numbers ride
-    in the metrics payload under ``"scale"`` so dashboards and the
-    regression gate can query them like any other per-run metric.
-    """
-    measurement = result["measurement"]
-    record = RunRecord(
-        digest=spec.digest(),
-        ok=True,
-        measurement=measurement,
-        metrics={
-            "scale": {
-                key: result[key]
-                for key in (
-                    "n", "links", "build_wall_s", "storm_wall_s",
-                    "total_wall_s", "events_total", "storm_events",
-                    "events_per_s", "peak_rss_mib", "intern_pools",
-                )
-            }
-        },
-        wall_time=result["total_wall_s"],
-        worker="bench-scale",
-    )
-    return registry.record(spec, record)
 
 
 def check_rss_sublinear(

@@ -8,7 +8,6 @@ from .convergence import (
     measure_event,
 )
 from .detector import SilenceDetection, SilenceDetector, compare_with_oracle
-from .events import EventReport, EventSchedule, ScheduledEvent
 from .experiment import Experiment, ExperimentConfig, ExperimentError
 from .traffic import LossReport, ProbeStream
 
@@ -21,9 +20,6 @@ __all__ = [
     "SilenceDetection",
     "SilenceDetector",
     "compare_with_oracle",
-    "EventReport",
-    "EventSchedule",
-    "ScheduledEvent",
     "Experiment",
     "ExperimentConfig",
     "ExperimentError",

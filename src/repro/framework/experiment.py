@@ -55,6 +55,14 @@ EVENT_POOL = Prefix.parse("192.168.0.0/16")
 #: controller-computed rule (max prefix length is 32).
 HOST_RULE_PRIORITY = 1000
 
+#: latencies (seconds) of the links the framework adds around the AS
+#: graph: controller<->member control channels, speaker<->member
+#: relays, router<->collector feeds, and host stubs.
+CONTROL_LATENCY = 0.001
+RELAY_LATENCY = 0.001
+COLLECTOR_LATENCY = 0.001
+HOST_LATENCY = 0.0005
+
 #: ``ExperimentConfig.policy_mode`` -> per-session policy by peer
 #: relationship.  Spec ingest validates against these names.
 POLICY_MODES = {
@@ -84,28 +92,15 @@ class ExperimentConfig:
     originate_all: bool = True
     #: override all topology link latencies if not None.
     phys_latency: Optional[float] = None
-    control_latency: float = 0.001
-    relay_latency: float = 0.001
-    collector_latency: float = 0.001
-    host_latency: float = 0.0005
     #: settle horizon for :meth:`Experiment.wait_converged`.
     horizon: float = 1e5
     #: trace capture level: "full" (every record), "route" (only
     #: route-affecting categories), or "off" (zero trace memory —
     #: streaming subscribers still see everything).
     trace_level: str = "full"
-    #: retain at most this many trace records (ring buffer); None =
-    #: unbounded.
-    trace_max_records: Optional[int] = None
-    #: retain every Nth matching trace record.
-    trace_sample: int = 1
     #: attach a MetricsRegistry to the bus (per-category counters plus
     #: any custom metrics components register).
     metrics: bool = False
-    #: with metrics: also count records per (category, node).
-    metrics_per_node: bool = False
-    #: with metrics: wall-clock histogram around simulator dispatch.
-    profile_dispatch: bool = False
     #: attach a causal-provenance SpanTracker to the bus: every
     #: route-affecting record becomes a span with (cause_id, parent_id)
     #: lineage.  Passive — results are bit-identical with spans on/off.
@@ -179,8 +174,6 @@ class Experiment:
         self.net = Network(
             seed=self.config.seed,
             trace_level=self.config.trace_level,
-            trace_max_records=self.config.trace_max_records,
-            trace_sample=self.config.trace_sample,
             scheduler=self.config.scheduler,
         )
         # imported here: framework.convergence imports this module for
@@ -189,10 +182,7 @@ class Experiment:
 
         self.tracker = ConvergenceTracker(self.net.bus)
         if self.config.metrics:
-            self.net.enable_metrics(
-                per_node=self.config.metrics_per_node,
-                profile_dispatch=self.config.profile_dispatch,
-            )
+            self.net.enable_metrics()
         if self.config.spans:
             self.net.enable_spans()
         self._build_cluster_core()
@@ -227,7 +217,7 @@ class Experiment:
                 self.net.add_node(node)
                 control = self.net.add_link(
                     self.controller, node,
-                    latency=self.config.control_latency, kind="control",
+                    latency=CONTROL_LATENCY, kind="control",
                     name=f"ctl-{node_name}",
                 )
                 node.set_control_link(control)
@@ -292,7 +282,7 @@ class Experiment:
         external.add_peer(phys_link, policy=self._policy(relationship))
         relay = self.net.add_link(
             self.speaker, member,
-            latency=self.config.relay_latency, kind="relay",
+            latency=RELAY_LATENCY, kind="relay",
             name=f"relay-{member.name}-{external.name}",
         )
         member.add_border_relay(phys_link, relay)
@@ -318,7 +308,7 @@ class Experiment:
     def _attach_collector(self, node: BGPRouter) -> Link:
         link = self.net.add_link(
             node, self.collector,
-            latency=self.config.collector_latency, kind="collector",
+            latency=COLLECTOR_LATENCY, kind="collector",
             name=f"rc-{node.name}",
         )
         node.add_peer(
@@ -705,7 +695,7 @@ class Experiment:
             self.net.add_node(node)
             control = self.net.add_link(
                 self.controller, node,
-                latency=self.config.control_latency, kind="control",
+                latency=CONTROL_LATENCY, kind="control",
                 name=f"ctl-{node_name}",
             )
             node.set_control_link(control)
@@ -751,7 +741,7 @@ class Experiment:
         self.net.add_node(host)
         stub = self.net.add_link(
             host, as_node,
-            latency=self.config.host_latency, kind="host",
+            latency=HOST_LATENCY, kind="host",
             name=f"{host_name}--{as_node.name}",
         )
         host.fib.install(

@@ -53,9 +53,8 @@ class Network:
 
     The network owns the :class:`InstrumentationBus` every device
     publishes on, plus the default subscribers: a :class:`TraceLog`
-    (record capture, tunable via ``trace_level``/``trace_max_records``/
-    ``trace_sample``) and — opt-in via :meth:`enable_metrics` — a
-    :class:`MetricsRegistry`.
+    (record capture, tunable via ``trace_level``) and — opt-in via
+    :meth:`enable_metrics` — a :class:`MetricsRegistry`.
 
     ``trace_level``: ``"full"`` retains every record, ``"route"``
     retains only route-affecting categories, ``"off"`` retains nothing
@@ -68,8 +67,6 @@ class Network:
         seed: int = 0,
         *,
         trace_level: str = "full",
-        trace_max_records: Optional[int] = None,
-        trace_sample: int = 1,
         scheduler: str = "heap",
     ) -> None:
         if trace_level not in TRACE_LEVELS:
@@ -85,8 +82,6 @@ class Network:
         self.trace = TraceLog(
             self.bus,
             categories=TRACE_LEVELS[trace_level],
-            max_records=trace_max_records,
-            sample=trace_sample,
             capture=trace_level != "off",
         )
         self.trace_level = trace_level
@@ -95,20 +90,11 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
 
-    def enable_metrics(
-        self, *, per_node: bool = False, profile_dispatch: bool = False
-    ) -> MetricsRegistry:
-        """Attach a metrics registry to the bus (idempotent).
-
-        ``per_node`` adds per-(category, node) record counters;
-        ``profile_dispatch`` wraps simulator event dispatch with a
-        wall-clock histogram.
-        """
+    def enable_metrics(self) -> MetricsRegistry:
+        """Attach a metrics registry to the bus (idempotent)."""
         if self.metrics is None:
             self.metrics = MetricsRegistry()
-            self.metrics.observe_bus(self.bus, per_node=per_node)
-            if profile_dispatch:
-                self.metrics.profile_simulator(self.sim)
+            self.metrics.observe_bus(self.bus)
         return self.metrics
 
     def enable_spans(self) -> SpanTracker:

@@ -57,8 +57,6 @@ _LAZY = {
     "Regression": ".trends",
     "RunDiff": ".trends",
     "SweepDiff": ".trends",
-    "compare_report_dirs": ".trends",
-    "compare_report_texts": ".trends",
     "detect_regressions": ".trends",
     "diff_runs": ".trends",
     "diff_sweeps": ".trends",
@@ -106,8 +104,6 @@ __all__ = [
     "diff_runs",
     "diff_sweeps",
     "detect_regressions",
-    "compare_report_texts",
-    "compare_report_dirs",
     "render_dashboard",
     "Span",
     "SpanTracker",

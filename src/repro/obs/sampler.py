@@ -18,8 +18,9 @@ Sampling is opt-in per :class:`~repro.runner.jobs.RunSpec` via
 ``profile`` — default specs keep their legacy digests and pay nothing.
 Collapsed stacks ride ``RunRecord.sample_stacks`` through the cache and
 registry; ``repro runs show`` and the dashboard's Ops section render
-the top frames.  Overhead at the default rate is gated to <= 5% in
-``benchmarks/bench_trace_overhead.py``.  See docs/operations.md.
+the top frames.  Overhead at the default rate is gated to <= 5% by
+the ``slow`` case in ``tests/obs/test_sampler.py``.  See
+docs/operations.md.
 """
 
 from __future__ import annotations

@@ -13,19 +13,14 @@ Two families of checks, both stdlib-only:
 - **Trend gating** (:func:`detect_regressions`): for every spec digest
   with enough history, compare the newest run's wall time against a
   robust median/MAD envelope of the preceding runs, and flag both
-  wall-time inflation and any deterministic drift.  This subsumes the
-  token-level report gate that used to live in
-  ``benchmarks/compare_baselines.py``; that script is now a thin
-  wrapper over :func:`compare_report_dirs` here.
+  wall-time inflation and any deterministic drift.
 """
 
 from __future__ import annotations
 
-import pathlib
-import re
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from .registry import RunRegistry, RunRow
 
@@ -39,9 +34,6 @@ __all__ = [
     "diff_runs",
     "diff_sweeps",
     "detect_regressions",
-    "parse_number_token",
-    "compare_report_texts",
-    "compare_report_dirs",
 ]
 
 #: per-run resource readings (schema-2 registries) that vary with the
@@ -412,111 +404,3 @@ def detect_regressions(
             1024.0,
         )
     return out
-
-
-# ----------------------------------------------------------------------
-# report-text tolerance gate (the old benchmarks/compare_baselines.py)
-# ----------------------------------------------------------------------
-#: number with optional comma grouping, decimal part, and % suffix.
-_NUMBER = re.compile(
-    r"^[+-]?\d{1,3}(?:,\d{3})*(?:\.\d+)?%?$|^[+-]?\d+(?:\.\d+)?%?$"
-)
-#: punctuation that clings to numeric tokens in prose ("10%;", "(2.5s)").
-_STRIP = "()[]{};:,"
-
-
-def parse_number_token(token: str) -> Optional[Tuple[float, bool]]:
-    """Return ``(value, is_plain_int)`` or None when not numeric.
-
-    Handles comma grouping, ``%`` suffixes, and units glued to readings
-    ("2.5s", "1.3x").  Plain integers are deterministic counts; every
-    other number is treated as a timing-derived reading.
-    """
-    core = token.strip(_STRIP)
-    for suffix in ("s", "x"):
-        trimmed = core[: -len(suffix)]
-        if core.endswith(suffix) and trimmed and _NUMBER.match(trimmed):
-            core = trimmed
-            break
-    if not _NUMBER.match(core):
-        return None
-    percent = core.endswith("%")
-    if percent:
-        core = core[:-1]
-    grouped = "," in core
-    value = float(core.replace(",", ""))
-    plain_int = "." not in core and not grouped and not percent
-    return value, plain_int
-
-
-def compare_report_texts(
-    baseline: str, candidate: str, tolerance: float
-) -> List[str]:
-    """Token-level tolerance gate between two benchmark reports.
-
-    Non-numeric tokens and plain integers must match exactly; every
-    other number must agree within ``tolerance`` relative error.
-    Returns human-readable mismatch descriptions (empty == pass).
-    """
-    problems: List[str] = []
-    base_tokens, cand_tokens = baseline.split(), candidate.split()
-    if len(base_tokens) != len(cand_tokens):
-        problems.append(
-            f"structure changed: {len(base_tokens)} tokens in baseline "
-            f"vs {len(cand_tokens)} in candidate"
-        )
-        return problems
-    for base, cand in zip(base_tokens, cand_tokens):
-        base_num = parse_number_token(base)
-        cand_num = parse_number_token(cand)
-        if base_num is None or cand_num is None:
-            if base != cand:
-                problems.append(f"token mismatch: {base!r} vs {cand!r}")
-            continue
-        (b_val, b_int), (c_val, _) = base_num, cand_num
-        if b_int:
-            if b_val != c_val:
-                problems.append(
-                    f"deterministic count drifted: {base!r} vs {cand!r}"
-                )
-            continue
-        scale = max(abs(b_val), abs(c_val))
-        if scale and abs(b_val - c_val) / scale > tolerance:
-            problems.append(
-                f"outside {tolerance:.0%} tolerance: {base!r} vs {cand!r}"
-            )
-    return problems
-
-
-def compare_report_dirs(
-    baseline_dir,
-    candidate_dir,
-    tolerance: float,
-    require: Sequence[str] = (),
-) -> Tuple[List[str], Dict[str, List[str]]]:
-    """Compare every ``*.txt`` report in two directories.
-
-    Returns ``(names, failures)``: the sorted baseline report names and
-    a mapping of failing names to their problem lists (including
-    ``require``-ed reports missing from the baseline).
-    """
-    baseline_dir = pathlib.Path(baseline_dir)
-    candidate_dir = pathlib.Path(candidate_dir)
-    names = sorted(p.name for p in baseline_dir.glob("*.txt"))
-    failures: Dict[str, List[str]] = {}
-    for name in require:
-        if name not in names:
-            failures[name] = [f"required report missing from baseline: {name}"]
-    for name in names:
-        candidate = candidate_dir / name
-        if not candidate.exists():
-            failures[name] = ["missing from candidate directory"]
-            continue
-        problems = compare_report_texts(
-            (baseline_dir / name).read_text(),
-            candidate.read_text(),
-            tolerance,
-        )
-        if problems:
-            failures[name] = problems
-    return names, failures

@@ -6,9 +6,8 @@ expensive to *check*, so the check lives behind two gates: the ``slow``
 marker and the ``REPRO_SLOW_TESTS`` environment knob.  When enabled it
 runs the synthetic CAIDA hierarchy withdrawal storm at 2k and 10k ASes
 (each in its own forked child, so ``ru_maxrss`` is an honest per-trial
-high-water mark) and feeds both rows through the same
-:func:`~repro.experiments.scale.check_rss_sublinear` gate the
-``bench_scale`` curve uses.
+high-water mark) and feeds both rows through
+:func:`~repro.experiments.scale.check_rss_sublinear`.
 
 Run it with::
 

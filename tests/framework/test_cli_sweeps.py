@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.experiments.common import FailedRun
 
 
 class TestSweepCommands:
@@ -42,3 +44,35 @@ class TestSweepCommands:
         payload = json.loads(json_path.read_text())
         assert payload["scenario"] == "withdrawal"
         assert payload["runs"]
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("fig2", "withdrawal"),
+        ("failover", "failover"),
+        ("announcement", "announcement"),
+        ("sweep", "withdrawal"),
+    ])
+    def test_failed_run_warns_and_exits_nonzero(
+        self, command, scenario, monkeypatch, capsys
+    ):
+        """A trial that exhausted its retries must not hide behind the
+        survivors' statistics: every sweep command warns and exits 1."""
+        real_sweep = cli.SWEEPS[scenario]
+
+        def sweep_with_a_failure(**kwargs):
+            result = real_sweep(**kwargs)
+            result.points[0].failures.append(
+                FailedRun(
+                    sdn_count=0, fraction=0.0, seed=100, attempts=2,
+                    error="Traceback (most recent call last):\n"
+                          "ValueError: scenario exploded on purpose",
+                )
+            )
+            return result
+
+        monkeypatch.setitem(cli.SWEEPS, scenario, sweep_with_a_failure)
+        rc = main([command, "--n", "5", "--runs", "1", "--mrai", "1"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "WARNING: 1 run(s) failed" in out
+        assert "after 2 attempt(s): ValueError: scenario exploded" in out
+        assert "executed 3/3 trials" in out

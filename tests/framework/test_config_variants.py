@@ -29,6 +29,21 @@ class TestLatencyOverride:
         rtt = exp.ping(1, 3)
         assert rtt == pytest.approx(0.04, abs=0.01)
 
+    def test_framework_links_carry_the_constant_latencies(self):
+        # clique(4) with AS 3-4 in the cluster builds every kind of
+        # framework-added link; their latencies are constants that the
+        # paper measurements were taken with
+        config = ExperimentConfig(seed=1, timers=BGPTimers(mrai=0.5))
+        exp = Experiment(clique(4), sdn_members={3, 4}, config=config).build()
+        exp.add_host(1)
+        by_kind = {}
+        for link in exp.net.links:
+            by_kind.setdefault(link.kind, set()).add(link.latency)
+        assert by_kind["control"] == {0.001}
+        assert by_kind["relay"] == {0.001}
+        assert by_kind["collector"] == {0.001}
+        assert by_kind["host"] == {0.0005}
+
 
 class TestPolicyModeValidation:
     def test_unknown_policy_mode_rejected_at_build(self):

@@ -5,8 +5,8 @@ import pytest
 
 from repro.bgp.session import BGPTimers
 from repro.controller.idr import ControllerConfig
+from repro.faults import FaultInjector, FaultSchedule
 from repro.framework import (
-    EventSchedule,
     Experiment,
     ExperimentConfig,
     ProbeStream,
@@ -33,13 +33,13 @@ class TestDemoWorkflow:
         exp.wait_converged()
         stream = ProbeStream(sender, receiver, interval=0.05)
         stream.start()
-        (
-            EventSchedule()
-            .fail_link(1, 2, at=2.0)
-            .fail_link(1, 3, at=10.0)
-            .restore_link(1, 2, at=20.0)
-            .run(exp)
-        )
+        FaultInjector(
+            exp,
+            FaultSchedule()
+            .link_down(1, 2, at=2.0)
+            .link_down(1, 3, at=10.0)
+            .link_up(1, 2, at=20.0),
+        ).run()
         exp.net.sim.run(until=exp.now + 3.0)
         stream.stop()
         report = stream.report()
@@ -63,13 +63,13 @@ class TestDemoWorkflow:
 
     def test_per_event_reports_are_isolated(self):
         exp = build()
-        reports = (
-            EventSchedule()
-            .announce(1, at=0.0, label="first")
-            .announce(2, at=60.0, label="second")
-            .run(exp)
-        )
+        result = FaultInjector(
+            exp,
+            FaultSchedule()
+            .announce(1, at=0.0, prefix="192.168.0.0/24")
+            .announce(2, at=60.0, prefix="192.168.1.0/24"),
+        ).run()
         # similar events should produce similar update counts — the
         # second report must not accumulate the first's activity
-        first, second = reports
+        first, second = (report.measurement for report in result.reports)
         assert 0 < second.updates_tx <= 2 * first.updates_tx

@@ -1,10 +1,13 @@
 """Sampling profiler: both capture modes, stack aggregation, rendering."""
 
+import contextlib
+import os
 import threading
 import time
 
 import pytest
 
+from repro.eventsim import InstrumentationBus, Simulator
 from repro.obs.sampler import (
     DEFAULT_HZ,
     MAX_HZ,
@@ -13,6 +16,11 @@ from repro.obs.sampler import (
     merge_stacks,
     top_frames,
 )
+
+
+#: docs/operations.md: at the default rate the sampler may cost the
+#: emulator's hottest loop at most this share of its throughput.
+MAX_SAMPLER_OVERHEAD = 0.05
 
 
 def spin(seconds: float) -> None:
@@ -68,6 +76,35 @@ class TestCapture:
         for stack in sampler.counts:
             frames = stack.split(";")
             assert all("." in frame or frame == "..." for frame in frames)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_SLOW_TESTS"),
+    reason="timing gate; set REPRO_SLOW_TESTS=1 to run",
+)
+def test_default_rate_overhead_on_the_bus_loop():
+    """The host loop is the instrumentation bus with nothing attached
+    (every simulated message pays it); best-of-5 per side so the pair
+    measures the sampler, not scheduler jitter."""
+
+    def best_seconds(sampled: bool) -> float:
+        best = float("inf")
+        for _ in range(5):
+            record = InstrumentationBus(Simulator(seed=0)).record
+            with StackSampler() if sampled else contextlib.nullcontext():
+                started = time.perf_counter()
+                for _ in range(200_000):
+                    record("bgp.update.tx", "as1", peer="as2")
+                best = min(best, time.perf_counter() - started)
+        return best
+
+    plain, sampled = best_seconds(False), best_seconds(True)
+    overhead = max(0.0, 1.0 - plain / sampled)
+    assert overhead <= MAX_SAMPLER_OVERHEAD, (
+        f"sampling at {DEFAULT_HZ:.0f} Hz costs the bus loop "
+        f"{overhead:.1%} (limit {MAX_SAMPLER_OVERHEAD:.0%})"
+    )
 
 
 class TestAggregation:

@@ -1,16 +1,13 @@
-"""Run diffing, regression gating, and the report-text tolerance gate."""
+"""Run diffing and regression gating."""
 
 import dataclasses
 
 import pytest
 
 from repro.obs.trends import (
-    compare_report_dirs,
-    compare_report_texts,
     detect_regressions,
     diff_runs,
     diff_sweeps,
-    parse_number_token,
 )
 from repro.runner import ParallelRunner, execute_spec
 
@@ -197,55 +194,3 @@ class TestDetectRegressions:
         flagged = detect_regressions(registry)
         assert [r.kind for r in flagged] == ["deterministic"]
         assert "measurement.t_converged" in flagged[0].detail
-
-
-class TestReportGate:
-    """Parity with the old benchmarks/compare_baselines.py behaviour."""
-
-    def test_parse_number_token(self):
-        assert parse_number_token("12") == (12.0, True)
-        assert parse_number_token("2.5s") == (2.5, False)
-        assert parse_number_token("1.3x") == (1.3, False)
-        assert parse_number_token("85%") == (85.0, False)
-        assert parse_number_token("1,024") == (1024.0, False)
-        assert parse_number_token("(7);") == (7.0, True)
-        assert parse_number_token("rate") is None
-
-    def test_identical_reports_pass(self):
-        assert compare_report_texts("ran 12 in 3.5s", "ran 12 in 3.5s", 0.1) == []
-
-    def test_timing_within_tolerance_passes(self):
-        assert compare_report_texts("took 3.5s", "took 3.9s", 0.5) == []
-
-    def test_timing_outside_tolerance_fails(self):
-        problems = compare_report_texts("took 1.0s", "took 9.0s", 0.5)
-        assert any("tolerance" in p for p in problems)
-
-    def test_integer_drift_always_fails(self):
-        problems = compare_report_texts("count 7", "count 8", 0.9)
-        assert any("deterministic count" in p for p in problems)
-
-    def test_structure_change_fails(self):
-        problems = compare_report_texts("a b c", "a b", 0.5)
-        assert any("structure changed" in p for p in problems)
-
-    def test_compare_dirs(self, tmp_path):
-        base, cand = tmp_path / "base", tmp_path / "cand"
-        base.mkdir(), cand.mkdir()
-        (base / "a.txt").write_text("ran 3 in 1.0s")
-        (cand / "a.txt").write_text("ran 3 in 1.2s")
-        (base / "b.txt").write_text("count 5")
-        names, failures = compare_report_dirs(base, cand, 0.5)
-        assert names == ["a.txt", "b.txt"]
-        assert list(failures) == ["b.txt"]
-        assert failures["b.txt"] == ["missing from candidate directory"]
-
-    def test_compare_dirs_require(self, tmp_path):
-        base, cand = tmp_path / "base", tmp_path / "cand"
-        base.mkdir(), cand.mkdir()
-        (base / "a.txt").write_text("x")
-        (cand / "a.txt").write_text("x")
-        _, failures = compare_report_dirs(
-            base, cand, 0.5, require=["vital.txt"]
-        )
-        assert "vital.txt" in failures
