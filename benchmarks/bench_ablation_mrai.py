@@ -14,7 +14,7 @@ classic results at once:
   rate limiting hurts.
 """
 
-from conftest import bench_n, bench_runs, publish
+from conftest import bench_n, bench_runs, publish, runner_kwargs
 
 from repro.experiments import mrai_sweep
 
@@ -25,6 +25,7 @@ def run():
         mrai_values=(0.0, 5.0, 15.0, 30.0),
         sdn_count=bench_n() // 2,
         runs=bench_runs(5),
+        **runner_kwargs(),
     )
 
 

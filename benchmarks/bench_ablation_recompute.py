@@ -10,7 +10,7 @@ bursty input into fewer recomputations (stability), at the cost of a
 higher convergence floor (reaction latency).
 """
 
-from conftest import bench_n, bench_runs, publish
+from conftest import bench_n, bench_runs, publish, runner_kwargs
 
 from repro.experiments import recompute_delay_sweep
 
@@ -21,6 +21,7 @@ def run():
         delays=(0.0, 0.5, 2.0, 5.0, 15.0),
         sdn_count=bench_n() // 2,
         runs=bench_runs(5),
+        **runner_kwargs(),
     )
 
 

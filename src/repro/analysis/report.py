@@ -30,8 +30,6 @@ __all__ = [
     "provenance_report",
     "provenance_markdown",
     "anatomy_of_spans",
-    "anatomy_report_for_spans",
-    "anatomy_markdown_for_spans",
 ]
 
 
@@ -306,24 +304,6 @@ def anatomy_of_spans(spans, *, root_id: Optional[int] = None):
 
     dag = _as_dag(spans)
     return anatomize(dag, _resolve_root(dag, root_id))
-
-
-def anatomy_report_for_spans(
-    spans, *, root_id: Optional[int] = None, node: Optional[str] = None
-) -> str:
-    """Terminal waterfall report (``repro trace anatomy``)."""
-    from ..obs.anatomy import anatomy_report
-
-    return anatomy_report(anatomy_of_spans(spans, root_id=root_id), node=node)
-
-
-def anatomy_markdown_for_spans(
-    spans, *, root_id: Optional[int] = None
-) -> str:
-    """Markdown waterfall report (exporters, CI artifacts)."""
-    from ..obs.anatomy import anatomy_markdown
-
-    return anatomy_markdown(anatomy_of_spans(spans, root_id=root_id))
 
 
 def _cluster(exp: Experiment) -> List[str]:

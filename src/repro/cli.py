@@ -67,7 +67,7 @@ from .experiments import (
     topology_family_sweep,
     withdrawal_sweep,
 )
-from .experiments.common import run_scenario_full, sdn_set_for
+from .experiments.common import sdn_set_for
 from .obs import chrome_trace_json, spans_from_jsonl, spans_to_jsonl
 from .obs.registry import DEFAULT_REGISTRY_PATH, REGISTRY_ENV, RunRegistry
 from .faults import (
@@ -76,14 +76,18 @@ from .faults import (
     canned_names,
     get_canned,
 )
-from .framework import Experiment, measure_event
-from .runner.jobs import SPEC_OPTIONS
+from .framework import Experiment
+from .runner.jobs import SPEC_OPTIONS, RunSpec, run_trial_full
 from .topology import barabasi_albert, clique, line, ring, star
 
 __all__ = ["main", "Output"]
 
 #: environment fallback for ``--cache-dir`` on every sweep command.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+#: ``--trace-level`` values: the ones the spec option itself declares.
+TRACE_LEVEL_CHOICES = next(
+    o.metadata["choices"] for o in SPEC_OPTIONS if o.name == "trace_level"
+)
 
 
 class Output:
@@ -249,18 +253,30 @@ def cmd_subcluster(args) -> int:
     return 0 if result.reachable_after else 1
 
 
+def _warn_failures(failures, out: Output) -> int:
+    """Name every trial that failed for good; the command's exit code."""
+    if failures:
+        out.emit(f"\nWARNING: {len(failures)} run(s) failed:")
+    for failure in failures:
+        first_line = failure.error.strip().splitlines()[-1]
+        out.emit(
+            f"  sdn={failure.sdn_count} seed={failure.seed} "
+            f"after {failure.attempts} attempt(s): {first_line}"
+        )
+    return 1 if failures else 0
+
+
 def cmd_topologies(args) -> int:
-    results = topology_family_sweep(
-        n=args.n, runs=args.runs, mrai=args.mrai,
-        workers=args.workers,
-    )
+    results = topology_family_sweep(**_runner_kwargs(args))
     args.out.info("Topology families — withdrawal, 0% vs 50% SDN")
     for r in results:
+        if not (r.baseline.runs and r.deployed.runs):
+            continue  # nothing to summarise; its trials are named below
         args.out.info(
             f"  {r.family:>16}: pure {r.pure_bgp.median:7.1f}s  "
             f"hybrid {r.hybrid.median:7.1f}s  reduction {r.reduction:.0%}"
         )
-    return 0
+    return _warn_failures([f for r in results for f in r.failures], args.out)
 
 
 def cmd_flapstorm(args) -> int:
@@ -348,14 +364,7 @@ def cmd_sweep(args) -> int:
     )
     _print_metrics(result, out)
     _print_anatomy(result, out)
-    if result.failed_runs:
-        out.emit(f"\nWARNING: {len(result.failed_runs)} run(s) failed:")
-        for failure in result.failed_runs:
-            first_line = failure.error.strip().splitlines()[-1]
-            out.emit(
-                f"  sdn={failure.sdn_count} seed={failure.seed} "
-                f"after {failure.attempts} attempt(s): {first_line}"
-            )
+    status = _warn_failures(result.failed_runs, out)
     if result.timing is not None:
         t = result.timing
         out.info(
@@ -365,7 +374,7 @@ def cmd_sweep(args) -> int:
             f"job time {t.total_job_wall:.1f}s (speedup {t.speedup:.2f}x)"
         )
     _export_sweep(result, args, out)
-    return 0 if not result.failed_runs else 1
+    return status
 
 
 def _parse_fractions(text: str) -> List[float]:
@@ -493,13 +502,8 @@ def cmd_scenarios(args) -> int:
                 f"  {point.sdn_count:2d}/{result.n_ases} SDN  "
                 f"median {s.median:8.2f}s  q1 {s.q1:8.2f}  q3 {s.q3:8.2f}"
             )
-        for failure in result.failed_runs:
-            failures += 1
-            first_line = failure.error.strip().splitlines()[-1]
-            out.emit(
-                f"  FAILED sdn={failure.sdn_count} seed={failure.seed}: "
-                f"{first_line}"
-            )
+        failures += len(result.failed_runs)
+        _warn_failures(result.failed_runs, out)
     out.emit(
         f"\n{'PASS' if failures == 0 else 'FAIL'}: "
         f"{len(results)} suite(s), {failures} failed run(s)"
@@ -510,22 +514,19 @@ def cmd_scenarios(args) -> int:
 def cmd_demo(args) -> int:
     out = args.out
     sdn = _parse_sdn(args.sdn)
-    exp = Experiment(
-        clique(args.n), sdn_members=sdn,
-        config=paper_config(
+    m, snapshot, _ = run_trial_full(
+        RunSpec(
+            scenario_factory=WithdrawalScenario, topology_factory=clique,
+            n=args.n, sdn_count=len(sdn), sdn_members=tuple(sorted(sdn)),
             seed=args.seed, mrai=args.mrai,
             trace_level=args.trace_level, metrics=args.metrics,
-        ),
-    ).start()
-    prefix = exp.announce(1)
-    exp.wait_converged()
-    m = measure_event(exp, lambda: exp.withdraw(1, prefix))
+        )
+    )
     out.info(
         f"{args.n}-AS clique, SDN members {sorted(sdn) or 'none'}: "
         f"withdrawal converged in {m.convergence_time:.1f}s "
         f"({m.updates_tx} updates)"
     )
-    snapshot = exp.metrics_snapshot()
     if snapshot is not None:
         out.info("\nmetrics")
         out.info(format_snapshot(snapshot))
@@ -566,22 +567,22 @@ def _export_spans(spans, args, out: Output, *, root_id=None) -> None:
 
 def cmd_trace_run(args) -> int:
     out = args.out
-    scenario = TRACE_SCENARIOS[args.scenario]()
-    topology = scenario.topology(args.n, clique)
+    factory = TRACE_SCENARIOS[args.scenario]
+    probe = factory()
+    topology = probe.topology(args.n, clique)
     sdn_count = min(
-        args.sdn_count, len(topology) - len(scenario.reserved_legacy)
-    )
-    members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
-    config = paper_config(
-        seed=args.seed, mrai=args.mrai,
-        recompute_delay=args.recompute_delay, spans=True,
+        args.sdn_count, len(topology) - len(probe.reserved_legacy)
     )
     out.info(
         f"tracing {args.scenario} on a {len(topology)}-AS topology "
         f"({sdn_count} SDN, seed {args.seed}, mrai {args.mrai:g}s)"
     )
-    measurement, _, spans = run_scenario_full(
-        scenario, topology, members, config
+    measurement, _, spans = run_trial_full(
+        RunSpec(
+            scenario_factory=factory, topology_factory=clique,
+            n=args.n, sdn_count=sdn_count, seed=args.seed, mrai=args.mrai,
+            recompute_delay=args.recompute_delay, spans=True,
+        )
     )
     root_id = measurement.extra.get("event_root_span")
     out.info(
@@ -1223,7 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore any result cache for this run")
         p.add_argument("--progress", action="store_true",
                        help="log one line per trial to stderr")
-        p.add_argument("--trace-level", choices=["full", "route", "off"],
+        p.add_argument("--trace-level", choices=TRACE_LEVEL_CHOICES,
                        default="full",
                        help="per-run trace retention: full trace, "
                             "route-affecting only, or none (streaming "
@@ -1347,7 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list / ranges, e.g. 5,6,7 or 5-8")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mrai", type=float, default=30.0)
-    p.add_argument("--trace-level", choices=["full", "route", "off"],
+    p.add_argument("--trace-level", choices=TRACE_LEVEL_CHOICES,
                    default="full")
     p.add_argument("--metrics", action="store_true",
                    help="print the run's metrics snapshot")

@@ -26,7 +26,7 @@ unit-level code (build a router, pass a trace) needs no changes, and
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from .bus import ROUTE_AFFECTING, InstrumentationBus, Subscription, TraceRecord
 
@@ -34,12 +34,10 @@ __all__ = ["TraceRecord", "TraceLog", "ROUTE_AFFECTING"]
 
 
 class TraceLog:
-    """Record-retaining subscriber with category filters and live taps.
+    """Record-retaining subscriber with category filters.
 
-    Taps (callbacks) observe every record published on the underlying
-    bus — they are plain bus subscriptions kept here so live tooling
-    written against the old API (the silence detector, visualizers)
-    keeps working unchanged.
+    Live observers subscribe to :attr:`bus` directly
+    (:meth:`~repro.eventsim.bus.InstrumentationBus.subscribe`).
     """
 
     def __init__(
@@ -57,7 +55,6 @@ class TraceLog:
             # legacy construction: TraceLog(sim) owns a private bus.
             self.bus = InstrumentationBus(source)
         self._records: deque = deque(maxlen=max_records)
-        self._taps: Dict[Callable[[TraceRecord], None], Subscription] = {}
         self._enabled = capture
         #: records silently evicted from the front of the ring buffer.
         #: Non-zero means queries over :attr:`records` saw a truncated
@@ -102,24 +99,6 @@ class TraceLog:
             self.dropped_records += 1
         records.append(record)
 
-    def set_enabled(self, enabled: bool) -> None:
-        """Disable to cut memory/time for very large parameter sweeps.
-
-        Toggles the underlying bus subscription, so a disabled trace
-        costs nothing per record (and lazy emitters skip building the
-        payload altogether when nothing else is attached).
-        """
-        enabled = bool(enabled)
-        if enabled == self._enabled:
-            return
-        self._enabled = enabled
-        if enabled:
-            if self._subscription is None:
-                self._subscription = self._subscribe()
-        elif self._subscription is not None:
-            self.bus.unsubscribe(self._subscription)
-            self._subscription = None
-
     def detach(self) -> None:
         """Stop receiving records from the bus entirely."""
         if self._subscription is not None:
@@ -137,14 +116,6 @@ class TraceLog:
     def counts(self) -> Dict[str, int]:
         """Per-category totals of everything published (bus-maintained)."""
         return self.bus.counts
-
-    def add_tap(self, tap: Callable[[TraceRecord], None]) -> None:
-        """Attach a live observer callback (sees every bus record)."""
-        self._taps[tap] = self.bus.subscribe(tap, name="tap")
-
-    def remove_tap(self, tap: Callable[[TraceRecord], None]) -> None:
-        """Detach a previously added observer."""
-        self.bus.unsubscribe(self._taps.pop(tap))
 
     # ------------------------------------------------------------------
     # retained records

@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..analysis.stats import BoxplotStats, boxplot_stats
-from .common import (
-    WithdrawalScenario,
-    paper_config,
-    run_scenario_once,
-    sdn_set_for,
-)
+from ..analysis.stats import BoxplotStats
 from ..topology.builders import clique
+from .common import (
+    SweepPoint,
+    WithdrawalScenario,
+    relative_reduction,
+    run_groups,
+    seeded_specs,
+)
 
 __all__ = ["MraiPoint", "mrai_sweep", "RecomputePoint", "recompute_delay_sweep"]
 
@@ -38,17 +39,35 @@ class MraiPoint:
     """
 
     mrai: float
-    pure_bgp: BoxplotStats
-    hybrid: BoxplotStats
     sdn_count: int
-    pure_updates: float = 0.0
-    hybrid_updates: float = 0.0
+    #: the two groups at this MRAI: no SDN, and ``sdn_count`` converted.
+    baseline: SweepPoint
+    deployed: SweepPoint
+
+    @property
+    def pure_bgp(self) -> BoxplotStats:
+        """Convergence with no AS converted."""
+        return self.baseline.stats
+
+    @property
+    def hybrid(self) -> BoxplotStats:
+        """Convergence with ``sdn_count`` ASes converted."""
+        return self.deployed.stats
+
+    @property
+    def pure_updates(self) -> float:
+        """Median per-run update count with no AS converted."""
+        return self.baseline.median_updates
+
+    @property
+    def hybrid_updates(self) -> float:
+        """Median per-run update count with ``sdn_count`` converted."""
+        return self.deployed.median_updates
 
     @property
     def reduction(self) -> float:
         """Relative improvement of hybrid over pure BGP."""
-        base = self.pure_bgp.median
-        return (base - self.hybrid.median) / base if base > 0 else 0.0
+        return relative_reduction(self.baseline, self.deployed)
 
 
 def mrai_sweep(
@@ -58,37 +77,34 @@ def mrai_sweep(
     sdn_count: int = 8,
     runs: int = 5,
     seed_base: int = 400,
+    **runner,
 ) -> List[MraiPoint]:
-    """Withdrawal convergence vs MRAI, pure BGP vs half-SDN hybrid."""
-    points: List[MraiPoint] = []
-    for mrai in mrai_values:
-        times = {0: [], sdn_count: []}
-        updates = {0: [], sdn_count: []}
-        for k in (0, sdn_count):
-            for run_index in range(runs):
-                scenario = WithdrawalScenario()
-                topology = clique(n)
-                members = sdn_set_for(topology, k, scenario.reserved_legacy)
-                config = paper_config(
-                    seed=seed_base + run_index + int(mrai * 10) + k,
-                    mrai=mrai,
-                )
-                m = run_scenario_once(scenario, topology, members, config)
-                times[k].append(m.convergence_time)
-                updates[k].append(m.updates_tx)
-        points.append(
-            MraiPoint(
-                mrai=mrai,
-                pure_bgp=boxplot_stats(times[0]),
-                hybrid=boxplot_stats(times[sdn_count]),
-                sdn_count=sdn_count,
-                pure_updates=sorted(updates[0])[len(updates[0]) // 2],
-                hybrid_updates=sorted(updates[sdn_count])[
-                    len(updates[sdn_count]) // 2
-                ],
+    """Withdrawal convergence vs MRAI, pure BGP vs half-SDN hybrid.
+
+    One :func:`~.common.run_groups` call, a group per
+    ``(mrai, sdn_count)``; ``runner`` is forwarded to it.
+    """
+    points, _ = run_groups(
+        {
+            (mrai, k): seeded_specs(
+                runs, seed_base + int(mrai * 10) + k, f"mrai={mrai:g} sdn={k}",
+                scenario_factory=WithdrawalScenario, topology_factory=clique,
+                n=n, sdn_count=k, mrai=mrai,
             )
+            for mrai in mrai_values
+            for k in (0, sdn_count)
+        },
+        **runner,
+    )
+    return [
+        MraiPoint(
+            mrai=mrai,
+            sdn_count=sdn_count,
+            baseline=points[mrai, 0],
+            deployed=points[mrai, sdn_count],
         )
-    return points
+        for mrai in mrai_values
+    ]
 
 
 @dataclass
@@ -96,9 +112,25 @@ class RecomputePoint:
     """Effect of one controller recompute-delay setting."""
 
     delay: float
-    convergence: BoxplotStats
-    recomputations: float  # mean per run
-    flow_mods: float       # mean per run
+    #: the delay's group of trials (``point.failures``: lost ones).
+    point: SweepPoint
+
+    @property
+    def convergence(self) -> BoxplotStats:
+        """Boxplot summary over the delay's runs."""
+        return self.point.stats
+
+    @property
+    def recomputations(self) -> float:
+        """Mean controller recomputations per run."""
+        runs = self.point.runs
+        return sum(r.measurement.recomputations for r in runs) / len(runs)
+
+    @property
+    def flow_mods(self) -> float:
+        """Mean flow-mod pushes per run."""
+        mods = [r.measurement.extra.get("flow_mods", 0) for r in self.point.runs]
+        return sum(mods) / len(mods)
 
 
 def recompute_delay_sweep(
@@ -109,32 +141,22 @@ def recompute_delay_sweep(
     runs: int = 5,
     mrai: float = 30.0,
     seed_base: int = 500,
+    **runner,
 ) -> List[RecomputePoint]:
-    """Withdrawal convergence + controller churn vs recompute delay."""
-    points: List[RecomputePoint] = []
-    for delay in delays:
-        times: List[float] = []
-        recomputes: List[int] = []
-        flow_mods: List[int] = []
-        for run_index in range(runs):
-            scenario = WithdrawalScenario()
-            topology = clique(n)
-            members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
-            config = paper_config(
-                seed=seed_base + run_index + int(delay * 100),
-                mrai=mrai,
-                recompute_delay=delay,
+    """Withdrawal convergence + controller churn vs recompute delay.
+
+    One :func:`~.common.run_groups` call, a group per delay; ``runner``
+    is forwarded to it.
+    """
+    points, _ = run_groups(
+        {
+            delay: seeded_specs(
+                runs, seed_base + int(delay * 100), f"recompute {delay:g}s",
+                scenario_factory=WithdrawalScenario, topology_factory=clique,
+                n=n, sdn_count=sdn_count, mrai=mrai, recompute_delay=delay,
             )
-            m = run_scenario_once(scenario, topology, members, config)
-            times.append(m.convergence_time)
-            recomputes.append(m.recomputations)
-            flow_mods.append(m.extra.get("flow_mods", 0))
-        points.append(
-            RecomputePoint(
-                delay=delay,
-                convergence=boxplot_stats(times),
-                recomputations=sum(recomputes) / len(recomputes),
-                flow_mods=sum(flow_mods) / len(flow_mods),
-            )
-        )
-    return points
+            for delay in delays
+        },
+        **runner,
+    )
+    return [RecomputePoint(delay=d, point=points[d]) for d in delays]

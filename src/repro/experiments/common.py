@@ -14,7 +14,7 @@ whole output queue), controller recompute delay 0.5 s.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import BoxplotStats, LinearFit, boxplot_stats, linear_fit
 from ..bgp.session import BGPTimers
@@ -24,7 +24,7 @@ from ..faults.schedule import FaultSchedule
 from ..framework.convergence import ConvergenceMeasurement, measure_event
 from ..framework.experiment import Experiment, ExperimentConfig
 from ..net.addr import Prefix
-from ..runner import ParallelRunner, SweepTiming, fraction_grid
+from ..runner import ParallelRunner, RunSpec, SweepTiming, fraction_grid
 from ..topology.builders import clique
 from ..topology.model import Topology
 
@@ -40,8 +40,10 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "run_scenario_once",
-    "run_scenario_instrumented",
     "run_scenario_full",
+    "relative_reduction",
+    "seeded_specs",
+    "run_groups",
     "run_fraction_sweep",
     "sdn_set_for",
 ]
@@ -275,7 +277,8 @@ class FailedRun:
 
 @dataclass
 class SweepPoint:
-    """All runs at one SDN deployment fraction."""
+    """All runs of one :func:`run_groups` group — in a fraction sweep,
+    one SDN deployment fraction."""
 
     sdn_count: int
     fraction: float
@@ -297,6 +300,15 @@ class SweepPoint:
         """Median per-run update count."""
         counts = sorted(r.measurement.updates_tx for r in self.runs)
         return counts[len(counts) // 2] if counts else 0
+
+
+def relative_reduction(base: SweepPoint, other: SweepPoint) -> float:
+    """How much lower ``other``'s median convergence time is, as a
+    fraction of ``base``'s (0 when ``base`` converged instantly)."""
+    base_median = base.stats.median
+    if base_median <= 0:
+        return 0.0
+    return (base_median - other.stats.median) / base_median
 
 
 @dataclass
@@ -329,9 +341,7 @@ class SweepResult:
 
     def reduction_at_full(self) -> float:
         """Relative reduction from the 0% to the highest-fraction point."""
-        base = self.points[0].stats.median
-        last = self.points[-1].stats.median
-        return (base - last) / base if base > 0 else 0.0
+        return relative_reduction(self.points[0], self.points[-1])
 
     def merged_metrics(self) -> Optional[dict]:
         """All per-run metric snapshots merged into one registry dump.
@@ -387,30 +397,10 @@ def run_scenario_once(
     horizon: Optional[float] = None,
 ) -> ConvergenceMeasurement:
     """Build, configure, prepare, inject, measure — one full run."""
-    measurement, _ = run_scenario_instrumented(
+    measurement, _, _ = run_scenario_full(
         scenario, topology, sdn_members, config, horizon=horizon
     )
     return measurement
-
-
-def run_scenario_instrumented(
-    scenario: Scenario,
-    topology: Topology,
-    sdn_members: frozenset,
-    config: ExperimentConfig,
-    *,
-    horizon: Optional[float] = None,
-) -> tuple:
-    """One full run, returning ``(measurement, metrics_snapshot)``.
-
-    The snapshot is ``None`` unless ``config.metrics`` is set, in which
-    case it is the JSON-ready registry dump taken after the measured
-    event settled.
-    """
-    measurement, metrics, _ = run_scenario_full(
-        scenario, topology, sdn_members, config, horizon=horizon
-    )
-    return measurement, metrics
 
 
 def run_scenario_full(
@@ -460,6 +450,70 @@ def run_scenario_full(
     return measurement, exp.metrics_snapshot(), spans
 
 
+def seeded_specs(runs: int, seed: int, label: str, **fields) -> List[RunSpec]:
+    """One group's trials: ``runs`` specs sharing ``fields``, seeded
+    ``seed``, ``seed + 1``, ... and labelled ``"<label> run=<i>"``."""
+    return [
+        RunSpec(seed=seed + i, label=f"{label} run={i}", **fields)
+        for i in range(runs)
+    ]
+
+
+def run_groups(
+    groups: Mapping[Hashable, Sequence[RunSpec]],
+    *,
+    workers: int = 1,
+    **runner,
+) -> Tuple[Dict[Hashable, SweepPoint], SweepTiming]:
+    """The grid harness: labelled groups of trials through the one runner.
+
+    Every multi-trial experiment is a mapping ``label -> specs`` (one
+    group per reported row: an SDN count, a ``(family, k)`` pair, a
+    placement strategy, ...).  All groups execute as one job matrix on
+    a :class:`~repro.runner.ParallelRunner` — ``workers`` processes and
+    ``runner``, its remaining options (``cache``, ``progress``,
+    ``timeout``, ``retries``, ``registry``; see ``docs/runner.md``) —
+    and come back as one :class:`SweepPoint` per label, in label order,
+    ``runs`` in spec order.  A trial that fails for good lands in its
+    own group's ``failures`` and nowhere else; the other groups are
+    unaffected.  A point's ``sdn_count``/``fraction`` are its first
+    spec's (a group shares one deployment).
+    """
+    pool = ParallelRunner(workers, **runner)
+    records = iter(pool.run([s for group in groups.values() for s in group]))
+    points: Dict[Hashable, SweepPoint] = {}
+    for label, group in groups.items():
+        head = group[0] if group else None
+        point = points[label] = SweepPoint(
+            sdn_count=head.sdn_count if head else 0,
+            fraction=head.sdn_count / head.n if head else 0.0,
+        )
+        # zip stops on the group's end, before drawing another record.
+        for spec, record in zip(group, records):
+            where = dict(
+                sdn_count=spec.sdn_count,
+                fraction=spec.sdn_count / spec.n,
+                seed=spec.seed,
+                attempts=record.attempts,
+            )
+            if record.ok:
+                point.runs.append(
+                    RunResult(
+                        measurement=record.measurement,
+                        wall_time=record.wall_time,
+                        worker=record.worker,
+                        cached=record.cached,
+                        **where,
+                        **record.payloads(result_only=True),
+                    )
+                )
+            else:
+                point.failures.append(
+                    FailedRun(error=record.error or "unknown failure", **where)
+                )
+    return points, pool.last_timing
+
+
 def run_fraction_sweep(
     scenario_factory,
     *,
@@ -484,7 +538,7 @@ def run_fraction_sweep(
     cache — see ``docs/runner.md``).
 
     The trials are independent, so the grid routes through
-    :class:`~repro.runner.ParallelRunner`: ``workers`` processes,
+    :func:`run_groups` (one group per SDN count): ``workers`` processes,
     ``cache`` (a directory path or :class:`~repro.runner.ResultCache`)
     to skip already-computed trials, ``progress`` (``'log'``, a
     callable, or a sink) for reporting, and ``timeout``/``retries`` for
@@ -520,44 +574,15 @@ def run_fraction_sweep(
         scenario_factory, topology_factory, n=n, sdn_counts=sdn_counts,
         runs=runs, seed_base=seed_base, **options,
     )
-    runner = ParallelRunner(
-        workers, timeout=timeout, retries=retries,
-        cache=cache, progress=progress, registry=registry,
+    points, timing = run_groups(
+        {
+            sdn_count: specs[i * runs:(i + 1) * runs]
+            for i, sdn_count in enumerate(sdn_counts)
+        },
+        workers=workers, cache=cache, progress=progress,
+        timeout=timeout, retries=retries, registry=registry,
     )
-    records = runner.run(specs)
-
-    points: List[SweepPoint] = []
-    by_spec = iter(zip(specs, records))
-    for sdn_count in sdn_counts:
-        point = SweepPoint(sdn_count=sdn_count, fraction=sdn_count / n)
-        for _ in range(runs):
-            spec, record = next(by_spec)
-            if record.ok:
-                point.runs.append(
-                    RunResult(
-                        sdn_count=sdn_count,
-                        fraction=sdn_count / n,
-                        seed=spec.seed,
-                        measurement=record.measurement,
-                        wall_time=record.wall_time,
-                        worker=record.worker,
-                        cached=record.cached,
-                        attempts=record.attempts,
-                        **record.payloads(result_only=True),
-                    )
-                )
-            else:
-                point.failures.append(
-                    FailedRun(
-                        sdn_count=sdn_count,
-                        fraction=sdn_count / n,
-                        seed=spec.seed,
-                        error=record.error or "unknown failure",
-                        attempts=record.attempts,
-                    )
-                )
-        points.append(point)
     return SweepResult(
-        scenario=scenario, n_ases=n, points=points,
-        timing=runner.last_timing,
+        scenario=scenario, n_ases=n, points=list(points.values()),
+        timing=timing,
     )

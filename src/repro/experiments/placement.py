@@ -12,13 +12,17 @@ system incrementally would actually ask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
-from ..analysis.stats import BoxplotStats, boxplot_stats
-from ..runner import ParallelRunner, RunSpec
+from ..analysis.stats import BoxplotStats
 from ..topology.builders import barabasi_albert
 from ..topology.model import Topology
-from .common import WithdrawalScenario
+from .common import (
+    SweepPoint,
+    WithdrawalScenario,
+    run_groups,
+    seeded_specs,
+)
 
 __all__ = ["PlacementResult", "placement_sweep", "STRATEGIES", "pick_members"]
 
@@ -80,8 +84,14 @@ class PlacementResult:
     strategy: str
     sdn_count: int
     members: frozenset
-    convergence: BoxplotStats
+    #: the strategy's group of trials (``point.failures``: lost ones).
+    point: SweepPoint
     mean_member_degree: float
+
+    @property
+    def convergence(self) -> BoxplotStats:
+        """Boxplot summary over the strategy's runs."""
+        return self.point.stats
 
 
 def _ba_seed11(n: int) -> Topology:
@@ -99,17 +109,14 @@ def placement_sweep(
     seed_base: int = 800,
     topology_factory: Callable[[int], Topology] = _ba_seed11,
     strategies: Sequence[str] = ("hubs-first", "stubs-first", "spread"),
-    workers: int = 1,
-    cache=None,
-    progress=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
+    **runner,
 ) -> List[PlacementResult]:
     """Same budget, different member choices, same withdrawal event.
 
     Member sets are picked up front (the topology factory is
-    deterministic) and carried in each spec explicitly; the grid then
-    runs through :class:`~repro.runner.ParallelRunner`.
+    deterministic) and carried in each spec explicitly; the grid is one
+    :func:`~.common.run_groups` call, a group per strategy, and
+    ``runner`` is forwarded to it.
     """
     sample = topology_factory(n)
     chosen: Dict[str, frozenset] = {
@@ -119,43 +126,28 @@ def placement_sweep(
         )
         for strategy in strategies
     }
-    specs: List[RunSpec] = []
-    for strategy in strategies:
-        for run_index in range(runs):
-            specs.append(
-                RunSpec(
-                    scenario_factory=WithdrawalScenario,
-                    topology_factory=topology_factory,
-                    n=n,
-                    sdn_count=sdn_count,
-                    seed=seed_base + run_index,
-                    mrai=mrai,
-                    sdn_members=tuple(sorted(chosen[strategy])),
-                    label=f"placement-{strategy} run={run_index}",
-                )
+    points, _ = run_groups(
+        {
+            strategy: seeded_specs(
+                runs, seed_base, f"placement-{strategy}",
+                scenario_factory=WithdrawalScenario,
+                topology_factory=topology_factory,
+                n=n, sdn_count=sdn_count, mrai=mrai,
+                sdn_members=tuple(sorted(members)),
             )
-    runner = ParallelRunner(
-        workers, timeout=timeout, retries=retries,
-        cache=cache, progress=progress,
+            for strategy, members in chosen.items()
+        },
+        **runner,
     )
-    records = iter(runner.run(specs))
-
-    results: List[PlacementResult] = []
-    for strategy in strategies:
-        members = chosen[strategy]
-        times = [
-            record.measurement.convergence_time
-            for record in (next(records) for _ in range(runs))
-            if record.ok
-        ]
-        degree_sum = sum(sample.degree(a) for a in members)
-        results.append(
-            PlacementResult(
-                strategy=strategy,
-                sdn_count=sdn_count,
-                members=members,
-                convergence=boxplot_stats(times),
-                mean_member_degree=degree_sum / max(len(members), 1),
-            )
+    return [
+        PlacementResult(
+            strategy=strategy,
+            sdn_count=sdn_count,
+            members=members,
+            point=points[strategy],
+            mean_member_degree=(
+                sum(sample.degree(a) for a in members) / max(len(members), 1)
+            ),
         )
-    return results
+        for strategy, members in chosen.items()
+    ]

@@ -14,13 +14,19 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..analysis.stats import BoxplotStats, boxplot_stats
-from ..runner import ParallelRunner, RunSpec
+from ..analysis.stats import BoxplotStats
 from ..topology.builders import barabasi_albert, clique
 from ..topology.caida import synthetic_caida_topology
 from ..topology.iplane import synthetic_iplane_topology
 from ..topology.model import Topology
-from .common import WithdrawalScenario
+from .common import (
+    FailedRun,
+    SweepPoint,
+    WithdrawalScenario,
+    relative_reduction,
+    run_groups,
+    seeded_specs,
+)
 
 __all__ = ["TopologyFamilyResult", "topology_family_sweep", "FAMILIES"]
 
@@ -55,15 +61,30 @@ class TopologyFamilyResult:
     family: str
     n_ases: int
     n_links: int
-    pure_bgp: BoxplotStats
-    hybrid: BoxplotStats
     sdn_count: int
+    #: the family's two groups: no SDN, and ``sdn_count`` ASes converted.
+    baseline: SweepPoint
+    deployed: SweepPoint
+
+    @property
+    def pure_bgp(self) -> BoxplotStats:
+        """Convergence with no AS converted."""
+        return self.baseline.stats
+
+    @property
+    def hybrid(self) -> BoxplotStats:
+        """Convergence with ``sdn_count`` ASes converted."""
+        return self.deployed.stats
 
     @property
     def reduction(self) -> float:
         """Relative improvement of hybrid over pure BGP."""
-        base = self.pure_bgp.median
-        return (base - self.hybrid.median) / base if base > 0 else 0.0
+        return relative_reduction(self.baseline, self.deployed)
+
+    @property
+    def failures(self) -> List[FailedRun]:
+        """Every trial of this family that failed for good."""
+        return self.baseline.failures + self.deployed.failures
 
 
 def topology_family_sweep(
@@ -74,63 +95,38 @@ def topology_family_sweep(
     mrai: float = 30.0,
     seed_base: int = 600,
     families: Optional[Dict[str, tuple]] = None,
-    workers: int = 1,
-    cache=None,
-    progress=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
+    **runner,
 ) -> List[TopologyFamilyResult]:
     """Withdrawal convergence per family, 0% vs ``sdn_fraction`` SDN.
 
-    The whole grid (all families x both deployments x runs) is one
-    declarative job matrix executed by
-    :class:`~repro.runner.ParallelRunner` (see ``docs/runner.md``).
+    The whole grid is one :func:`~.common.run_groups` call, a group per
+    ``(family, sdn_count)``; ``runner`` is forwarded to it (``workers``,
+    ``cache``, ``progress``, ``timeout``, ``retries``, ``registry``).
     """
-    grid: List[tuple] = []  # (family, sample, sdn_count)
-    specs: List[RunSpec] = []
+    grid: Dict[str, tuple] = {}  # family -> (sample topology, sdn_count)
+    groups: Dict[tuple, list] = {}
     for family, (factory, policy_mode) in (families or FAMILIES).items():
         sample = factory(n)
-        origin = sample.asns[0]
         sdn_count = int(len(sample) * sdn_fraction)
-        grid.append((family, sample, sdn_count))
+        grid[family] = (sample, sdn_count)
         for k in (0, sdn_count):
-            for run_index in range(runs):
-                specs.append(
-                    RunSpec(
-                        scenario_factory=functools.partial(
-                            WithdrawalScenario, origin=origin
-                        ),
-                        topology_factory=factory,
-                        n=n,
-                        sdn_count=k,
-                        seed=seed_base + run_index + k,
-                        mrai=mrai,
-                        policy_mode=policy_mode,
-                        label=f"family-{family} sdn={k} run={run_index}",
-                    )
-                )
-    runner = ParallelRunner(
-        workers, timeout=timeout, retries=retries,
-        cache=cache, progress=progress,
-    )
-    records = iter(runner.run(specs))
-
-    results: List[TopologyFamilyResult] = []
-    for family, sample, sdn_count in grid:
-        times: Dict[int, List[float]] = {0: [], sdn_count: []}
-        for k in (0, sdn_count):
-            for _ in range(runs):
-                record = next(records)
-                if record.ok:
-                    times[k].append(record.measurement.convergence_time)
-        results.append(
-            TopologyFamilyResult(
-                family=family,
-                n_ases=len(sample),
-                n_links=len(sample.links),
-                pure_bgp=boxplot_stats(times[0]),
-                hybrid=boxplot_stats(times[sdn_count]),
-                sdn_count=sdn_count,
+            groups[family, k] = seeded_specs(
+                runs, seed_base + k, f"family-{family} sdn={k}",
+                scenario_factory=functools.partial(
+                    WithdrawalScenario, origin=sample.asns[0]
+                ),
+                topology_factory=factory,
+                n=n, sdn_count=k, mrai=mrai, policy_mode=policy_mode,
             )
+    points, _ = run_groups(groups, **runner)
+    return [
+        TopologyFamilyResult(
+            family=family,
+            n_ases=len(sample),
+            n_links=len(sample.links),
+            sdn_count=sdn_count,
+            baseline=points[family, 0],
+            deployed=points[family, sdn_count],
         )
-    return results
+        for family, (sample, sdn_count) in grid.items()
+    ]

@@ -9,7 +9,10 @@ The telemetry layer persists across processes: :mod:`~repro.obs.registry`
 is the append-only SQLite run registry every sweep can record into,
 :mod:`~repro.obs.trends` diffs runs/sweeps and gates regressions over
 the recorded history, and :mod:`~repro.obs.dashboard` renders the
-registry as a static HTML page.  See docs/telemetry.md.
+registry as a static HTML page.  See docs/telemetry.md.  Those modules
+(and ``runtime``/``logging``/``sampler``) pull in repro.runner, whose
+simulator imports come back here for spans — import them by module
+path; this package exports only the cycle-free span/DAG/anatomy names.
 """
 
 from .anatomy import (
@@ -39,72 +42,7 @@ from .spans import (
     last_span_activation,
 )
 
-# The telemetry modules pull in repro.runner and repro.analysis, which
-# themselves import the simulator packages that import repro.obs.spans —
-# so they must load lazily (PEP 562) to keep `import repro.bgp` and
-# friends cycle-free.
-_LAZY = {
-    "render_dashboard": ".dashboard",
-    "DEFAULT_REGISTRY_PATH": ".registry",
-    "REGISTRY_ENV": ".registry",
-    "RegistrySink": ".registry",
-    "RunRegistry": ".registry",
-    "RunRow": ".registry",
-    "SweepRow": ".registry",
-    "aggregate_profiles": ".registry",
-    "current_git_rev": ".registry",
-    "resolve_registry": ".registry",
-    "Regression": ".trends",
-    "RunDiff": ".trends",
-    "SweepDiff": ".trends",
-    "detect_regressions": ".trends",
-    "diff_runs": ".trends",
-    "diff_sweeps": ".trends",
-    # operational telemetry plane (docs/operations.md)
-    "PromScrape": ".runtime",
-    "parse_prometheus": ".runtime",
-    "render_prometheus": ".runtime",
-    "StructuredLogger": ".logging",
-    "get_logger": ".logging",
-    "log_enabled": ".logging",
-    "new_cid": ".logging",
-    "StackSampler": ".sampler",
-    "collapsed_text": ".sampler",
-    "merge_stacks": ".sampler",
-    "top_frames": ".sampler",
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
-
-        value = getattr(import_module(_LAZY[name], __name__), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
 __all__ = [
-    "DEFAULT_REGISTRY_PATH",
-    "REGISTRY_ENV",
-    "RunRegistry",
-    "RegistrySink",
-    "RunRow",
-    "SweepRow",
-    "aggregate_profiles",
-    "current_git_rev",
-    "resolve_registry",
-    "Regression",
-    "RunDiff",
-    "SweepDiff",
-    "diff_runs",
-    "diff_sweeps",
-    "detect_regressions",
-    "render_dashboard",
     "Span",
     "SpanTracker",
     "SPAN_CATEGORIES",
@@ -126,15 +64,4 @@ __all__ = [
     "as_spans",
     "activation",
     "last_span_activation",
-    "PromScrape",
-    "parse_prometheus",
-    "render_prometheus",
-    "StructuredLogger",
-    "get_logger",
-    "log_enabled",
-    "new_cid",
-    "StackSampler",
-    "collapsed_text",
-    "merge_stacks",
-    "top_frames",
 ]

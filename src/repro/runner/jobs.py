@@ -44,7 +44,6 @@ __all__ = [
     "execute_spec",
     "profile_table",
     "run_trial",
-    "run_trial_instrumented",
     "run_trial_full",
 ]
 
@@ -383,20 +382,8 @@ def run_trial(spec: RunSpec) -> ConvergenceMeasurement:
     scenario, scenario-shaped topology, standard member selection,
     paper config seeded from the spec.
     """
-    measurement, _ = run_trial_instrumented(spec)
+    measurement, _, _ = run_trial_full(spec)
     return measurement
-
-
-def run_trial_instrumented(
-    spec: RunSpec,
-) -> Tuple[ConvergenceMeasurement, Optional[Dict[str, Any]]]:
-    """Like :func:`run_trial`, also returning the metrics snapshot.
-
-    The snapshot is ``None`` unless the spec asked for metrics
-    (``spec.metrics=True``).
-    """
-    measurement, metrics, _ = run_trial_full(spec)
-    return measurement, metrics
 
 
 def run_trial_full(

@@ -33,12 +33,12 @@ from __future__ import annotations
 import asyncio
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..obs.logging import new_cid
 from ..runner.cache import ResultCache
-from ..runner.jobs import RunRecord, RunSpec
+from ..runner.jobs import RECORD_PAYLOADS, RunRecord, RunSpec
 from ..runner.pool import ParallelRunner
 from ..runner.progress import AsyncQueueProgress, TeeProgress, record_summary
 
@@ -219,19 +219,15 @@ class JobManager:
         """
         digests = [spec.digest() for spec in specs]
 
-        # Pass 1 (no side effects): how many genuinely new jobs would
-        # this batch queue, and does the whole batch fit?
-        new_digests = []
-        seen: Set[str] = set()
+        # Pass 1 (nothing admitted yet): probe cache + registry once for
+        # every digest the job table does not know; the ones with no
+        # answer are the genuinely new jobs.  Does the whole batch fit?
+        seen: Set[str] = set(digests)
+        found: Dict[str, Optional[RunRecord]] = {}
         for spec, digest in zip(specs, digests):
-            if digest in seen:
-                continue
-            seen.add(digest)
-            job = self.jobs.get(digest)
-            if job is not None:
-                continue
-            if self._lookup_record(spec) is None:
-                new_digests.append(digest)
+            if digest not in self.jobs and digest not in found:
+                found[digest] = self._lookup_record(spec)
+        new_digests = [d for d, record in found.items() if record is None]
 
         active = self._active_for(client)
         # Attaching to an existing active job counts against the quota
@@ -264,7 +260,7 @@ class JobManager:
         for spec, digest in zip(specs, digests):
             job = self.jobs.get(digest)
             if job is None:
-                record = self._lookup_record(spec)
+                record = found[digest]
                 if record is not None:
                     job = self._adopt_record(spec, digest, record)
                 else:
@@ -300,8 +296,16 @@ class JobManager:
             if record is not None:
                 return record
         if self.registry_path and os.path.exists(self.registry_path):
-            from ..obs.registry import RunRegistry
+            from ..obs.registry import RunRegistry, RunRow
 
+            # The registry answers only what it stored: a spec asking
+            # for a payload the rows have no column for (spans) executes.
+            stored = {f.name for f in fields(RunRow)} & set(RECORD_PAYLOADS)
+            if any(
+                getattr(spec, name, False)
+                for name in set(RECORD_PAYLOADS) - stored
+            ):
+                return None
             with RunRegistry(self.registry_path) as registry:
                 rows = registry.runs(
                     digest=spec.digest(), ok=True,
@@ -316,11 +320,11 @@ class JobManager:
                         RunRecord.measurement_from_dict(row.measurement)
                         if row.measurement else None
                     ),
-                    metrics=row.metrics,
                     wall_time=row.wall_time,
                     worker=row.worker,
                     attempts=row.attempts,
                     cached=True,
+                    **{name: getattr(row, name) for name in stored},
                 )
         return None
 

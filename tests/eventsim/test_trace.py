@@ -26,8 +26,8 @@ class TestRecording:
         assert trace.count("bgp.update") == 2
         assert trace.count("bgp") == 3
 
-    def test_disabled_log_still_counts(self, trace):
-        trace.set_enabled(False)
+    def test_disabled_log_still_counts(self, sim):
+        trace = TraceLog(sim, capture=False)
         trace.record("x", "n")
         assert len(trace) == 0
         assert trace.counts["x"] == 1
@@ -72,31 +72,33 @@ class TestRingBufferWraparound:
         assert "dropped=1" in repr(trace)
 
     def test_disabled_capture_does_not_drop(self, sim):
-        trace = TraceLog(sim, max_records=1)
-        trace.set_enabled(False)
+        trace = TraceLog(sim, max_records=1, capture=False)
         for _ in range(5):
             trace.record("x", "n")
         assert trace.dropped_records == 0
 
 
 class TestTaps:
+    """Live observers are plain subscriptions on the trace's bus."""
+
     def test_tap_sees_records_live(self, trace):
         seen = []
-        trace.add_tap(seen.append)
+        trace.bus.subscribe(seen.append)
         trace.record("x", "n")
         assert len(seen) == 1
 
-    def test_tap_fires_even_when_disabled(self, trace):
+    def test_tap_fires_even_when_disabled(self, sim):
+        trace = TraceLog(sim, capture=False)
         seen = []
-        trace.add_tap(seen.append)
-        trace.set_enabled(False)
+        trace.bus.subscribe(seen.append)
         trace.record("x", "n")
         assert len(seen) == 1
+        assert len(trace) == 0
 
     def test_remove_tap(self, trace):
         seen = []
-        trace.add_tap(seen.append)
-        trace.remove_tap(seen.append)
+        tap = trace.bus.subscribe(seen.append)
+        trace.bus.unsubscribe(tap)
         trace.record("x", "n")
         assert seen == []
 

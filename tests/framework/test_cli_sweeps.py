@@ -6,7 +6,9 @@ import pytest
 
 from repro import cli
 from repro.cli import main
+from repro.experiments import topologies
 from repro.experiments.common import FailedRun
+from tests.runner.scenarios import ExplodingWithdrawal
 
 
 class TestSweepCommands:
@@ -76,3 +78,43 @@ class TestSweepCommands:
         assert "WARNING: 1 run(s) failed" in out
         assert "after 2 attempt(s): ValueError: scenario exploded" in out
         assert "executed 3/3 trials" in out
+
+    def test_topologies_failed_run_warns_and_exits_nonzero(
+        self, monkeypatch, capsys
+    ):
+        """Same contract for the topology-family command: it used to
+        return 0 whatever happened to its trials."""
+        real_sweep = cli.topology_family_sweep
+
+        def sweep_with_a_failure(**kwargs):
+            results = real_sweep(**kwargs)
+            results[0].deployed.failures.append(
+                FailedRun(
+                    sdn_count=3, fraction=0.5, seed=603, attempts=2,
+                    error="Traceback (most recent call last):\n"
+                          "ValueError: scenario exploded on purpose",
+                )
+            )
+            return results
+
+        monkeypatch.setattr(cli, "topology_family_sweep", sweep_with_a_failure)
+        rc = main(["topologies", "--n", "6", "--runs", "1", "--mrai", "1"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "reduction" in out
+        assert "WARNING: 1 run(s) failed" in out
+        assert "sdn=3 seed=603 after 2 attempt(s): ValueError" in out
+
+    def test_topologies_names_every_trial_of_a_failed_family(
+        self, monkeypatch, capsys
+    ):
+        """Families with no surviving run used to die in boxplot_stats
+        with a bare "no values"; now each lost trial is named."""
+        monkeypatch.setattr(
+            topologies, "WithdrawalScenario", ExplodingWithdrawal
+        )
+        rc = main(["topologies", "--n", "6", "--runs", "1", "--mrai", "1"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "WARNING: 8 run(s) failed" in out
+        assert out.count("ValueError: scenario exploded on purpose") == 8

@@ -33,6 +33,16 @@ class RaisingScenario(Scenario):
 
 
 @dataclass
+class ExplodingWithdrawal(WithdrawalScenario):
+    """A withdrawal (so it takes ``origin=``) whose event always raises."""
+
+    name: str = "exploding"
+
+    def event(self, exp) -> None:
+        raise ValueError("scenario exploded on purpose")
+
+
+@dataclass
 class FlakyScenario(WithdrawalScenario):
     """Fails on the first attempt, succeeds on every later one.
 

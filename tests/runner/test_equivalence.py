@@ -3,8 +3,11 @@ the new per-run runner metadata."""
 
 import json
 
+import pytest
+
 from repro.experiments.common import WithdrawalScenario, run_fraction_sweep
 from repro.experiments.export import sweep_rows, sweep_to_json
+from tests.experiments.grids import PINNED, group_values
 
 SWEEP_KWARGS = dict(n=4, sdn_counts=[0, 2, 3], runs=3, mrai=1.0)
 
@@ -82,3 +85,29 @@ class TestExportMetadata:
         )
         workers = {row["worker"] for row in sweep_rows(result)}
         assert all(w.startswith("pid-") for w in workers)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+class TestGroupedSweepEquivalence:
+    """The topology, placement, MRAI and recompute-delay sweeps ride the
+    same harness as the fraction sweeps, so they owe the same two
+    guarantees."""
+
+    def test_two_workers_match_serial(self, name):
+        sweep, kwargs, _, _ = PINNED[name]
+        assert group_values(name, sweep(workers=2, **kwargs)) == (
+            group_values(name, sweep(**kwargs))
+        )
+
+    def test_warm_cache_executes_nothing(self, name, tmp_path):
+        sweep, kwargs, trials, _ = PINNED[name]
+        timings = []
+
+        def progress(event, payload):
+            if event == "sweep_finished":
+                timings.append(payload["timing"])
+
+        cold = sweep(cache=tmp_path, progress=progress, **kwargs)
+        warm = sweep(cache=tmp_path, progress=progress, **kwargs)
+        assert [t.executed for t in timings] == [trials, 0]
+        assert group_values(name, warm) == group_values(name, cold)

@@ -118,6 +118,55 @@ class TestDedup:
             == baseline.measurement.convergence_time
         )
 
+    def test_registry_hit_serves_the_payloads_the_row_stores(self, tmp_path):
+        """A registry-answered job used to come back with metrics only:
+        ``profile`` was null although the first execution served it."""
+        spec = spec_for(profile=True, metrics=True)
+        registry_path = str(tmp_path / "runs.sqlite")
+
+        async def body(manager):
+            (job,) = manager.submit_many([spec], "alice")
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        first = run(manager_session(body, registry_path=registry_path))
+        again = run(manager_session(body, registry_path=registry_path))
+        assert not first.from_cache and again.from_cache
+        assert first.record.profile and first.record.metrics
+        served = again.record.payloads(result_only=True)
+        assert served["profile"] == first.record.profile
+        assert served["metrics"] == first.record.metrics
+        assert again.record.resources == first.record.resources
+
+    def test_registry_never_answers_a_spans_request(self, tmp_path):
+        """Rows keep span counts, not spans: asking for them executes."""
+        spec = spec_for(spans=True)
+        registry_path = str(tmp_path / "runs.sqlite")
+
+        async def body(manager):
+            (job,) = manager.submit_many([spec], "alice")
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        first = run(manager_session(body, registry_path=registry_path))
+        again = run(manager_session(body, registry_path=registry_path))
+        assert not again.from_cache
+        assert again.record.spans
+        assert len(again.record.spans) == len(first.record.spans)
+
+    def test_fresh_submit_probes_the_cache_once(self, tmp_path):
+        """One dedup probe at admission plus the runner's own lookup;
+        admission used to probe twice (3 misses)."""
+        cache = ResultCache(tmp_path / "cache")
+
+        async def body(manager):
+            (job,) = manager.submit_many([spec_for()], "alice")
+            assert cache.misses == 1
+            await asyncio.wait_for(job.done.wait(), 60)
+
+        run(manager_session(body, cache=cache))
+        assert cache.misses == 2
+
     def test_done_job_serves_later_submissions(self):
         async def body(manager):
             spec = spec_for()
