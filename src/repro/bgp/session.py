@@ -103,21 +103,10 @@ class BGPSession:
         self._connect_timer = Timer(
             sim, self._send_open, label=f"{router.name}:connect"
         )
-        # Hold expiry only matters when keepalives stop coming; it must
-        # not hold up convergence detection, so it is background.
-        self._hold_timer = Timer(
-            sim, self._on_hold_expiry, background=True,
-            label=f"{router.name}:hold",
-        )
-        self._keepalive_timer = PeriodicTimer(
-            sim,
-            self._send_keepalive,
-            max(self.timers.keepalive_interval, 1e-3),
-            background=True,
-            label=f"{router.name}:keepalive",
-            jitter=0.25 if self.timers.keepalive_interval > 0 else 0.0,
-            jitter_rng=sim.rng("bgp.keepalive"),
-        )
+        # Armed only under ``keepalives_enabled``, so made on first use:
+        # most experiments run tens of thousands of sessions without.
+        self._hold_timer: Optional[Timer] = None
+        self._keepalive_timer: Optional[PeriodicTimer] = None
         self._dirty: Set[Prefix] = set()
         #: provenance of pending advertisements: prefix -> (context, time
         #: it first went dirty).  First cause wins; consumed at send time
@@ -216,8 +205,10 @@ class BGPSession:
             self._flush_event = None
         self._mrai_timer.stop()
         self._connect_timer.stop()
-        self._hold_timer.stop()
-        self._keepalive_timer.stop()
+        if self._hold_timer is not None:
+            self._hold_timer.stop()
+        if self._keepalive_timer is not None:
+            self._keepalive_timer.stop()
 
     # ------------------------------------------------------------------
     # FSM message handling
@@ -283,18 +274,18 @@ class BGPSession:
         if self.state is SessionState.OPEN_CONFIRM:
             self.state = SessionState.ESTABLISHED
             if self.timers.keepalives_enabled:
-                self._keepalive_timer.start()
-                self._hold_timer.start(self.timers.hold_time)
+                self._start_keepalives()
+                self._restart_hold()
             self.router.session_up(self)
         elif self.established and self.timers.keepalives_enabled:
-            self._hold_timer.start(self.timers.hold_time)
+            self._restart_hold()
 
     def _handle_update(self, message: BGPUpdate) -> None:
         if not self.established:
             return
         self.updates_received += 1
         if self.timers.keepalives_enabled:
-            self._hold_timer.start(self.timers.hold_time)
+            self._restart_hold()
         self.router.enqueue_update(self, message)
 
     def _handle_notification(self, message: BGPNotification) -> None:
@@ -305,6 +296,31 @@ class BGPSession:
         # Try again later, like a real speaker would.
         if self.link.up:
             self.start(delay=self.timers.reconnect_delay)
+
+    def _restart_hold(self) -> None:
+        if self._hold_timer is None:
+            # Hold expiry only matters when keepalives stop coming; it
+            # must not hold up convergence detection, so it is background.
+            self._hold_timer = Timer(
+                self._sim, self._on_hold_expiry, background=True,
+                label=f"{self.router.name}:hold",
+            )
+        self._hold_timer.start(self.timers.hold_time)
+
+    def _start_keepalives(self) -> None:
+        if self._keepalive_timer is None:
+            # "bgp.keepalive" is one by-name stream for all sessions, so
+            # when a session makes its timer cannot change the draws.
+            self._keepalive_timer = PeriodicTimer(
+                self._sim,
+                self._send_keepalive,
+                max(self.timers.keepalive_interval, 1e-3),
+                background=True,
+                label=f"{self.router.name}:keepalive",
+                jitter=0.25 if self.timers.keepalive_interval > 0 else 0.0,
+                jitter_rng=self._sim.rng("bgp.keepalive"),
+            )
+        self._keepalive_timer.start()
 
     def _on_hold_expiry(self) -> None:
         self.stop(notify_peer=False, reason="hold_timer")

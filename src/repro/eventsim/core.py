@@ -24,6 +24,10 @@ Two interchangeable event queues back the loop (``scheduler=`` knob):
   halving buckets, re-estimating the width from the earliest pending
   gaps) deterministically — no wall clock, no randomness.
 
+Both keep ``(time, seq, event)`` tuples in their heaps: ``seq`` is
+unique, so ``heapq`` orders them in C and never calls ``Event.__lt__``
+(sixteen Python-level comparisons per event at 29k pending).
+
 Both schedulers pop events in the exact global ``(time, seq)`` order, so
 a run is bit-identical under either; the scheduler-equivalence test
 harness (``tests/properties/test_scheduler_equivalence.py`` and
@@ -32,12 +36,12 @@ harness (``tests/properties/test_scheduler_equivalence.py`` and
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "SimulationError", "CalendarQueue", "SCHEDULERS"]
 
@@ -52,8 +56,10 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker so same-time events run in scheduling order, which keeps
-    runs deterministic.  Cancel through :meth:`Simulator.cancel` so the
-    kernel's foreground bookkeeping stays exact.  ``slots=True`` because
+    runs deterministic.  The queues do not call this ordering: they hold
+    :data:`Entry` tuples, which the C heap compares without entering
+    Python.  Cancel through :meth:`Simulator.cancel` so the kernel's
+    foreground bookkeeping stays exact.  ``slots=True`` because
     dense-graph runs keep hundreds of thousands of these alive in the
     heap at once.
     """
@@ -63,7 +69,13 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     background: bool = field(default=False, compare=False)
     label: str = field(default="", compare=False)
+    #: no longer pending: cancelled before it fired, or already fired.
     cancelled: bool = field(default=False, compare=False)
+
+
+#: What both schedulers keep in their heaps.  ``seq`` is unique per
+#: simulator, so comparing two entries never reaches the event.
+Entry = Tuple[float, int, Event]
 
 
 #: Recognized ``scheduler=`` values for :class:`Simulator`.
@@ -75,16 +87,16 @@ class CalendarQueue:
 
     Virtual time is divided into fixed-width *days*; day ``d`` covers
     ``[d*width, (d+1)*width)`` and hashes to bucket ``d % nbuckets``
-    (one *year* = ``nbuckets`` days).  Each bucket is a small heap, so
-    same-day events — and days colliding a year apart — still pop in
-    exact ``(time, seq)`` order.  Day membership is always computed as
-    ``int(event.time / width)``, the same expression push uses for the
-    bucket index, so float rounding can never strand an event between a
-    bucket and its day.
+    (one *year* = ``nbuckets`` days).  Each bucket is a small heap of
+    ``(time, seq, event)`` entries, so same-day events — and days
+    colliding a year apart — still pop in exact ``(time, seq)`` order.
+    Day membership is always computed as ``int(event.time / width)``,
+    the same expression push uses for the bucket index, so float
+    rounding can never strand an event between a bucket and its day.
 
     Determinism: pops yield the exact global ``(time, seq)`` order (the
-    scan visits days in order; within a day the bucket heap orders by
-    ``Event.__lt__``; a fruitless full-year scan falls back to the true
+    scan visits days in order; within a day the bucket heap orders its
+    entries; a fruitless full-year scan falls back to the true
     minimum over bucket heads and jumps the calendar there).  Resizes
     are triggered purely by the queue length and re-estimate the bucket
     width from the gaps between the earliest pending events — no wall
@@ -102,13 +114,13 @@ class CalendarQueue:
     def __init__(self, *, width: float = 0.001, nbuckets: int = MIN_BUCKETS) -> None:
         if width <= 0:
             raise ValueError(f"bucket width must be positive: {width!r}")
-        self._buckets: List[List[Event]] = [[] for _ in range(nbuckets)]
+        self._buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
         self._nbuckets = nbuckets
         self._width = width
         self._size = 0
         #: time of the last popped event — the scan starts at its day.
         self._last = 0.0
-        #: memoized ``(bucket, head_event)`` from the last search, so
+        #: memoized ``(bucket, head_entry)`` from the last search, so
         #: the peek-then-pop pattern of the run loop scans only once.
         self._head: Optional[tuple] = None
 
@@ -129,14 +141,15 @@ class CalendarQueue:
         if self._size >= self._nbuckets * 2:
             self._resize(self._nbuckets * 2)
         bucket = self._buckets[int(event.time / self._width) % self._nbuckets]
-        heappush(bucket, event)
+        entry = (event.time, event.seq, event)
+        heappush(bucket, entry)
         self._size += 1
         head = self._head
-        if head is not None and event < head[1]:
+        if head is not None and entry < head[1]:
             # The new event outranks the memoized head; since it also
             # outranks its own bucket's previous minimum it is now that
             # bucket's top, so the memo can be updated in place.
-            self._head = (bucket, event)
+            self._head = (bucket, entry)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest *live* event, or None.
@@ -148,7 +161,7 @@ class CalendarQueue:
             head = self._head
             if head is not None:
                 self._head = None
-                bucket, event = head
+                bucket = head[0]
             else:
                 if (
                     self._nbuckets > self.MIN_BUCKETS
@@ -157,10 +170,9 @@ class CalendarQueue:
                     self._resize(self._nbuckets // 2)
                     if not self._size:
                         break
-                bucket, event = self._find()
-            heappop(bucket)
+                bucket = self._find()[0]
+            self._last, _, event = heappop(bucket)
             self._size -= 1
-            self._last = event.time
             if not event.cancelled:
                 return event
         return None
@@ -178,7 +190,7 @@ class CalendarQueue:
             head = self._head
             if head is None:
                 head = self._head = self._find()
-            event = head[1]
+            event = head[1][2]
             if not event.cancelled:
                 return event
             self._head = None
@@ -188,7 +200,7 @@ class CalendarQueue:
         return None
 
     def _find(self):
-        """Locate the earliest event; returns ``(bucket, event)``.
+        """Locate the earliest entry; returns ``(bucket, entry)``.
 
         Scans days forward from the last popped time.  If a whole year
         passes without a due event (sparse far-future queue), jump the
@@ -200,14 +212,14 @@ class CalendarQueue:
         day = int(self._last / width)
         for _ in range(nbuckets):
             bucket = buckets[day % nbuckets]
-            if bucket and int(bucket[0].time / width) == day:
+            if bucket and int(bucket[0][0] / width) == day:
                 return bucket, bucket[0]
             day += 1
         # Nothing due within a year of the cursor: the earliest bucket
         # head is the global minimum (heads are per-bucket minima and
-        # Event orders by (time, seq)).
+        # entries order by (time, seq)).
         best = min(bucket[0] for bucket in buckets if bucket)
-        return buckets[int(best.time / width) % nbuckets], best
+        return buckets[int(best[0] / width) % nbuckets], best
 
     def _resize(self, nbuckets: int) -> None:
         """Re-bucket every pending event into ``nbuckets`` buckets.
@@ -218,28 +230,28 @@ class CalendarQueue:
         earliest pending events, clamped to a sane floor — the classic
         calendar-queue heuristic, made deterministic by sorting.
         """
-        events = [
-            event
+        entries = [
+            entry
             for bucket in self._buckets
-            for event in bucket
-            if not event.cancelled
+            for entry in bucket
+            if not entry[2].cancelled
         ]
-        events.sort()
-        sample = events[: self.SAMPLE]
+        entries.sort()
+        sample = [entry[0] for entry in entries[: self.SAMPLE]]
         gaps = [
-            later.time - earlier.time
+            later - earlier
             for earlier, later in zip(sample, sample[1:])
-            if later.time > earlier.time
+            if later > earlier
         ]
         if gaps:
             self._width = max(2.0 * sum(gaps) / len(gaps), 1e-9)
         self._nbuckets = nbuckets
         width = self._width
-        buckets: List[List[Event]] = [[] for _ in range(nbuckets)]
-        for event in events:
-            heappush(buckets[int(event.time / width) % nbuckets], event)
+        buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
+        for entry in entries:
+            heappush(buckets[int(entry[0] / width) % nbuckets], entry)
         self._buckets = buckets
-        self._size = len(events)
+        self._size = len(entries)
         self._head = None
 
 
@@ -264,7 +276,7 @@ class Simulator:
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
             )
-        self._queue: list[Event] = []
+        self._queue: List[Entry] = []
         self._calendar = CalendarQueue() if scheduler == "calendar" else None
         self.scheduler = scheduler
         self._seq = itertools.count()
@@ -295,11 +307,10 @@ class Simulator:
         independent of any other stream, so experiments are reproducible
         bit-for-bit across runs and code reorderings.
         """
-        import random
-
-        if stream not in self._rngs:
-            self._rngs[stream] = random.Random(f"{self._seed}:{stream}")
-        return self._rngs[stream]
+        rng = self._rngs.get(stream)
+        if rng is None:
+            rng = self._rngs[stream] = random.Random(f"{self._seed}:{stream}")
+        return rng
 
     # ------------------------------------------------------------------
     # scheduling
@@ -318,17 +329,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        event = Event(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            background=background,
-            label=label,
-        )
+        when = self._now + delay
+        seq = next(self._seq)
+        event = Event(when, seq, callback, background, label)
         if self._calendar is not None:
             self._calendar.push(event)
         else:
-            heapq.heappush(self._queue, event)
+            heappush(self._queue, (when, seq, event))
         if not background:
             self._live_foreground += 1
         return event
@@ -347,7 +354,8 @@ class Simulator:
         )
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
+        """Cancel a previously scheduled event (idempotent, and a no-op
+        on one that already fired)."""
         if event.cancelled:
             return
         event.cancelled = True
@@ -378,6 +386,8 @@ class Simulator:
         if event is None:
             return False
         self._now = event.time
+        # Spent: a late cancel() must not count it down a second time.
+        event.cancelled = True
         if not event.background:
             self._live_foreground -= 1
         self.events_processed += 1
@@ -446,8 +456,9 @@ class Simulator:
         calendar = self._calendar
         if calendar is not None:
             return calendar.pop()
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heappop(queue)[2]
             if not event.cancelled:
                 return event
         return None
@@ -456,6 +467,7 @@ class Simulator:
         calendar = self._calendar
         if calendar is not None:
             return calendar.peek()
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
+        return queue[0][2] if queue else None

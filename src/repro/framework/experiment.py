@@ -13,8 +13,11 @@ until BGP has converged, check connectivity.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..bgp.collector import RouteCollector
 from ..bgp.damping import DampingConfig
@@ -50,6 +53,8 @@ __all__ = [
 #: Pool that on-demand "event prefixes" (announce/withdraw experiments)
 #: are carved from, distinct from the automatic AS prefixes.
 EVENT_POOL = Prefix.parse("192.168.0.0/16")
+EVENT_PREFIX_LEN = 24
+EVENT_POOL_SIZE = EVENT_POOL.num_addresses >> (32 - EVENT_PREFIX_LEN)
 
 #: Priority used for static host routes in switch flow tables, above any
 #: controller-computed rule (max prefix length is 32).
@@ -73,6 +78,47 @@ POLICY_MODES = {
 
 class ExperimentError(RuntimeError):
     """Misuse of the experiment API (unknown AS, event before build...)."""
+
+
+#: generation-2 threshold while a graph is under construction: never
+#: reached (it counts generation-1 collections).
+_HELD_GEN2_THRESHOLD = 1 << 30
+#: the thresholds are the process's, so the hold is too: how many
+#: ``build()``/``start()`` calls are inside it (``repro serve`` runs
+#: trials on threads) and what the first one in found.
+_hold_lock = threading.Lock()
+_hold_depth = 0
+_hold_saved: Tuple[int, int, int] = (0, 0, 0)
+
+
+@contextlib.contextmanager
+def _full_collections_held() -> Iterator[None]:
+    """Keep CPython from running *full* collections inside the block.
+
+    ``build()`` and ``start()`` allocate a large graph that is all
+    live: every full pass re-walks it and frees nothing (13 passes,
+    3 s of a 7 s set-up at 5000 ASes).  Young collections keep
+    running — ``start()`` on a clique makes plenty of cyclic garbage —
+    so only the generation-2 threshold is raised.  The last block out
+    restores what the first one in saved, exception or not; a caller
+    who disabled the collector is left alone.
+    """
+    global _hold_depth, _hold_saved
+    if not gc.isenabled():
+        yield
+        return
+    with _hold_lock:
+        if _hold_depth == 0:
+            _hold_saved = gc.get_threshold()
+            gc.set_threshold(*_hold_saved[:2], _HELD_GEN2_THRESHOLD)
+        _hold_depth += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold_depth -= 1
+            if _hold_depth == 0:
+                gc.set_threshold(*_hold_saved)
 
 
 @dataclass
@@ -159,6 +205,9 @@ class Experiment:
         self.hosts: Dict[int, List[Host]] = {}
         self._as_node: Dict[int, Node] = {}
         self._phys_link: Dict[Tuple[int, int], Link] = {}
+        #: one policy object per peer relationship (None: a collector
+        #: feed), shared by every session that has it — see _policy.
+        self._policies: Dict[Optional[Relationship], PeerPolicy] = {}
         self._event_prefix_index = 0
         self._built = False
         self._started = False
@@ -166,6 +215,7 @@ class Experiment:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @_full_collections_held()
     def build(self) -> "Experiment":
         """Instantiate all devices and links (idempotent no; call once)."""
         if self._built:
@@ -313,24 +363,36 @@ class Experiment:
         )
         node.add_peer(
             link,
-            policy=transit_all_policy(),
+            policy=self._policy(None),
             timers=self.config.collector_timers(),
         )
         self.collector.add_peer(link)
         return link
 
-    def _policy(self, relationship: Relationship) -> PeerPolicy:
-        try:
-            policy = POLICY_MODES[self.config.policy_mode]
-        except KeyError:
-            raise ExperimentError(
-                f"unknown policy mode: {self.config.policy_mode!r}"
-            ) from None
-        return policy(relationship)
+    def _policy(self, relationship: Optional[Relationship]) -> PeerPolicy:
+        """The policy for sessions toward a peer of ``relationship``
+        (None: a route-collector feed, transit-all in every mode).
+
+        One object per relationship, handed to every such session — at
+        5000 ASes a private policy graph per session was 1.2 M of the
+        2.1 M objects the collector had to walk.  Shared means
+        read-only: to change one session's policy, replace it with a
+        changed copy, as :meth:`set_export_prepend` does.
+        """
+        policy = self._policies.get(relationship)
+        if policy is None:
+            mode = "flat" if relationship is None else self.config.policy_mode
+            try:
+                template = POLICY_MODES[mode]
+            except KeyError:
+                raise ExperimentError(f"unknown policy mode: {mode!r}") from None
+            policy = self._policies[relationship] = template(relationship)
+        return policy
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    @_full_collections_held()
     def start(self, *, settle: bool = True) -> "Experiment":
         """Start sessions, originate baseline prefixes, converge."""
         if not self._built:
@@ -440,12 +502,12 @@ class Experiment:
 
     def new_event_prefix(self) -> Prefix:
         """A fresh prefix from the event pool for announce experiments."""
-        subnets = list(EVENT_POOL.subnets(24))
-        if self._event_prefix_index >= len(subnets):
+        index = self._event_prefix_index
+        if index >= EVENT_POOL_SIZE:
             raise ExperimentError("event prefix pool exhausted")
-        prefix = subnets[self._event_prefix_index]
         self._event_prefix_index += 1
-        return prefix
+        network = EVENT_POOL.network + (index << (32 - EVENT_PREFIX_LEN))
+        return Prefix(network, EVENT_PREFIX_LEN)
 
     # ------------------------------------------------------------------
     # the Mininet-BGP commands

@@ -93,6 +93,19 @@ class TestCancellation:
         sim.cancel(event)
         assert sim.pending_foreground() == 0
 
+    def test_cancel_after_fire_is_a_noop(self, sim):
+        """A handle kept past its firing must not count the event down
+        again: at -1 the next foreground event reads as "settled"."""
+        fired = sim.schedule(1.0, lambda: None)
+        sim.run()
+        sim.cancel(fired)
+        assert sim.pending_foreground() == 0
+        ran = []
+        sim.schedule(1.0, lambda: ran.append(sim.now))
+        assert sim.pending_foreground() == 1
+        sim.run_until_settled()
+        assert ran == [2.0]
+
 
 class TestRunUntil:
     def test_run_until_stops_clock_at_bound(self, sim):
@@ -200,6 +213,42 @@ class TestTieBreak:
         sim.run()
         # each round of the same-instant cascade alternates in seq order
         assert order == ["a", "b", "a", "b", "a", "b"]
+
+
+class TestQueueKeys:
+    """Both schedulers order ``(time, seq, event)`` entries, which the C
+    heap compares by itself; ``Event.__lt__`` (a tuple built per call,
+    sixteen calls per event at depth) stays for users, not for queues."""
+
+    def test_queues_never_compare_events(self, sim, monkeypatch):
+        def compared(self, other):
+            raise AssertionError("a queue compared two Events")
+
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Event, op, compared)
+        order = []
+        # duplicate-timestamp storm: three instants, scheduled
+        # interleaved, enough of them to resize the calendar.
+        handles = [
+            sim.schedule((tag % 3) * 0.5, lambda t=tag: order.append(t))
+            for tag in range(120)
+        ]
+        for handle in handles[::7]:
+            sim.cancel(handle)
+
+        # zero-delay cascade, a fruitless calendar year away.
+        def chain(tag, depth):
+            order.append((tag, depth))
+            if depth:
+                sim.schedule(0.0, lambda: chain(tag, depth - 1))
+
+        sim.schedule(5000.0, lambda: chain("a", 2))
+        sim.schedule(5000.0, lambda: chain("b", 2))
+        sim.run()
+        live = [tag for tag in range(120) if tag % 7]
+        assert order == [
+            tag for instant in range(3) for tag in live if tag % 3 == instant
+        ] + [("a", 2), ("b", 2), ("a", 1), ("b", 1), ("a", 0), ("b", 0)]
 
 
 class TestCalendarQueue:

@@ -4,10 +4,12 @@ import pytest
 
 from repro.bgp.session import BGPTimers
 from repro.framework.experiment import (
+    EVENT_POOL,
     Experiment,
     ExperimentConfig,
     ExperimentError,
 )
+from repro.net.addr import Prefix
 from repro.topology.builders import clique, line
 
 
@@ -105,4 +107,21 @@ class TestEventPrefixPool:
         exp = Experiment(clique(3), config=config).build()
         exp._event_prefix_index = 10**6
         with pytest.raises(ExperimentError):
+            exp.new_event_prefix()
+
+    def test_pool_is_the_256_slash_24s_in_order(self, monkeypatch):
+        pool = list(EVENT_POOL.subnets(24))
+
+        def enumerated(self, new_length):
+            raise AssertionError("the pool was enumerated to take one prefix")
+
+        # each call sits inside a timed measure_event: index, don't list
+        monkeypatch.setattr(Prefix, "subnets", enumerated)
+        exp = Experiment(clique(3)).build()
+        prefixes = [exp.new_event_prefix() for _ in range(256)]
+        assert str(prefixes[0]) == "192.168.0.0/24"
+        assert str(prefixes[254]) == "192.168.254.0/24"
+        assert str(prefixes[255]) == "192.168.255.0/24"
+        assert prefixes == pool
+        with pytest.raises(ExperimentError, match="exhausted"):
             exp.new_event_prefix()
