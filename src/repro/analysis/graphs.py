@@ -10,11 +10,12 @@ structural summaries an experimenter wants next to convergence numbers
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..topology.model import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["GraphSummary", "summarize_topology", "cut_links", "as_graph"]
 
@@ -49,6 +50,8 @@ def as_graph(topology: Topology) -> nx.Graph:
 
 def summarize_topology(topology: Topology) -> GraphSummary:
     """Compute the structural summary (diameter is -1 if disconnected)."""
+    import networkx as nx
+
     graph = topology.to_networkx()
     degrees = [d for _, d in graph.degree()]
     connected = nx.is_connected(graph) if len(graph) else False
@@ -71,5 +74,7 @@ def cut_links(topology: Topology) -> List[Tuple[int, int]]:
     bridge tests the sub-cluster machinery; failing a non-bridge tests
     plain re-routing.
     """
+    import networkx as nx
+
     graph = topology.to_networkx()
     return sorted((min(a, b), max(a, b)) for a, b in nx.bridges(graph))

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "BoxplotStats",
     "LinearFit",
@@ -54,6 +52,8 @@ def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     """Five-number summary with 1.5-IQR whiskers (matplotlib convention)."""
     if not values:
         raise ValueError("no values")
+    import numpy as np
+
     arr = np.asarray(sorted(values), dtype=float)
     q1, median, q3 = np.percentile(arr, [25, 50, 75])
     iqr = q3 - q1
@@ -108,6 +108,8 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("need at least two points")
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     # Closed-form least squares (more robust than polyfit's SVD for

@@ -19,30 +19,54 @@ It therefore keeps:
 
 Best paths are computed with Dijkstra on the AS topology graph
 (``repro.controller.routing``).
+
+Both graphs are plain dicts and tuples.  Everything a recompute derives
+from link state alone — sorted members, up-neighbours, sub-clusters,
+per-member loop-avoidance ASN sets — lives in one cached
+:class:`SwitchGraphView` that only a topology change drops, so the
+per-prefix work is the routes themselves.  A networkx rendering of the
+AS topology graph is available on demand (:attr:`ASTopologyGraph.graph`)
+for inspection and tests; route computation never touches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..bgp.attrs import AsPath, Origin
 from ..bgp.policy import Relationship
 from ..net.addr import Prefix
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 __all__ = [
     "Peering",
     "ExternalRoute",
     "SwitchGraph",
+    "SwitchGraphView",
     "ASTopologyGraph",
     "DEST",
+    "INTRA_WEIGHT",
     "build_as_topology",
 ]
 
 #: Name of the virtual destination node in the AS topology graph.
 DEST = "__dest__"
+
+#: Weight of one intra-cluster hop in the AS topology graph.
+INTRA_WEIGHT = 1.0
 
 
 @dataclass(frozen=True)
@@ -84,6 +108,24 @@ class ExternalRoute:
         return self.as_path.length
 
 
+class SwitchGraphView(NamedTuple):
+    """Everything route computation derives from the current link state.
+
+    Built once per link-state change (:meth:`SwitchGraph.view`) and
+    shared, read-only, by every per-prefix AS topology graph computed
+    until the next change.
+    """
+
+    #: member names, sorted.
+    members: Tuple[str, ...]
+    #: member -> members adjacent over currently-up links, sorted.
+    neighbors: Dict[str, Tuple[str, ...]]
+    #: connected components, ordered by their smallest member.
+    sub_clusters: Tuple[FrozenSet[str], ...]
+    #: member -> the ASNs of its sub-cluster (the loop-avoidance set).
+    cluster_asns: Dict[str, FrozenSet[int]]
+
+
 class SwitchGraph:
     """Live physical view of the cluster: members + intra-cluster links.
 
@@ -94,18 +136,23 @@ class SwitchGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: member -> {neighbour -> [link_name, up]}; the two directions
+        #: of a link share one state list.
+        self._adj: Dict[str, Dict[str, list]] = {}
         #: member name -> ASN
         self.member_asn: Dict[str, int] = {}
+        #: cached :class:`SwitchGraphView`; None after any mutation.
+        self._view: Optional[SwitchGraphView] = None
 
     def add_member(self, name: str, asn: int) -> None:
         """Register a member switch and its ASN."""
         self.member_asn[name] = asn
-        self._graph.add_node(name)
+        self._adj.setdefault(name, {})
+        self._view = None
 
     def members(self) -> List[str]:
         """Member switch names, sorted."""
-        return sorted(self._graph.nodes)
+        return list(self.view().members)
 
     def member_asns(self) -> Set[int]:
         """The set of all member AS numbers."""
@@ -115,49 +162,76 @@ class SwitchGraph:
         """Register an intra-cluster adjacency."""
         if a not in self.member_asn or b not in self.member_asn:
             raise KeyError(f"both endpoints must be members: {a}, {b}")
-        self._graph.add_edge(a, b, link_name=link_name, up=True)
+        self._adj[a][b] = self._adj[b][a] = [link_name, True]
+        self._view = None
 
     def set_link_state(self, a: str, b: str, up: bool) -> bool:
         """Mark an intra-cluster link up/down; True if it existed."""
-        if not self._graph.has_edge(a, b):
+        link = self._adj.get(a, {}).get(b)
+        if link is None:
             return False
-        self._graph.edges[a, b]["up"] = up
+        link[1] = up
+        self._view = None
         return True
 
-    def up_graph(self) -> nx.Graph:
-        """The switch graph restricted to links currently up."""
-        up = nx.Graph()
-        up.add_nodes_from(self._graph.nodes)
-        for a, b, data in self._graph.edges(data=True):
-            if data.get("up", True):
-                up.add_edge(a, b, **data)
-        return up
+    def view(self) -> SwitchGraphView:
+        """The derived state for the current links (cached until the
+        next :meth:`add_member` / :meth:`add_intra_link` /
+        :meth:`set_link_state`)."""
+        view = self._view
+        if view is None:
+            view = self._view = self._derive_view()
+        return view
+
+    def _derive_view(self) -> SwitchGraphView:
+        members = tuple(sorted(self._adj))
+        neighbors = {
+            member: tuple(sorted(
+                nbr for nbr, (_, up) in self._adj[member].items() if up
+            ))
+            for member in members
+        }
+        sub_clusters: List[FrozenSet[str]] = []
+        cluster_asns: Dict[str, FrozenSet[int]] = {}
+        # Sorted start points: components come out ordered by their
+        # smallest member.
+        for start in members:
+            if start in cluster_asns:
+                continue
+            reached = {start}
+            frontier = [start]
+            while frontier:
+                for nbr in neighbors[frontier.pop()]:
+                    if nbr not in reached:
+                        reached.add(nbr)
+                        frontier.append(nbr)
+            asns = frozenset(self.member_asn[m] for m in reached)
+            for member in reached:
+                cluster_asns[member] = asns
+            sub_clusters.append(frozenset(reached))
+        return SwitchGraphView(
+            members, neighbors, tuple(sub_clusters), cluster_asns
+        )
 
     def sub_clusters(self) -> List[FrozenSet[str]]:
         """Connected components (each is one sub-cluster), deterministic order."""
-        comps = [frozenset(c) for c in nx.connected_components(self.up_graph())]
-        return sorted(comps, key=lambda c: sorted(c)[0])
+        return list(self.view().sub_clusters)
 
     def sub_cluster_of(self, member: str) -> FrozenSet[str]:
         """The connected component containing a member."""
-        for comp in self.sub_clusters():
+        for comp in self.view().sub_clusters:
             if member in comp:
                 return comp
         raise KeyError(f"not a member: {member!r}")
 
     def intra_link_name(self, a: str, b: str) -> Optional[str]:
         """Name of the up link between two members, or None."""
-        if self._graph.has_edge(a, b) and self._graph.edges[a, b].get("up", True):
-            return self._graph.edges[a, b]["link_name"]
-        return None
+        link = self._adj.get(a, {}).get(b)
+        return link[0] if link is not None and link[1] else None
 
     def up_neighbors(self, member: str) -> List[str]:
         """Members adjacent over currently-up links."""
-        out = []
-        for nbr in self._graph.neighbors(member):
-            if self._graph.edges[member, nbr].get("up", True):
-                out.append(nbr)
-        return sorted(out)
+        return list(self.view().neighbors[member])
 
     def __contains__(self, member: str) -> bool:
         return member in self.member_asn
@@ -169,10 +243,12 @@ class ASTopologyGraph:
 
     Directed graph over member names plus the virtual :data:`DEST` node:
 
-    - ``member -> member`` edges (weight 1) for up intra-cluster links
-      within one sub-cluster;
+    - ``member -> member`` edges (weight :data:`INTRA_WEIGHT`) for up
+      intra-cluster links within one sub-cluster — ``neighbors``, shared
+      with the :class:`SwitchGraphView` it was built from;
     - ``member -> DEST`` edges for usable egresses: local origination
-      (weight 0) or a valid external route (weight 1 + AS-path length).
+      (weight 0) or a valid external route (weight 1 + AS-path length)
+      — ``dest_edges``.
 
     ``egress_choice`` remembers, per member with a direct DEST edge, which
     concrete external route (or local origination) backs it, so the
@@ -180,15 +256,33 @@ class ASTopologyGraph:
     """
 
     prefix: Prefix
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    #: member names, sorted.
+    members: Tuple[str, ...] = ()
+    #: member -> up intra-cluster neighbours, sorted.
+    neighbors: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: member -> (weight, "local" | "egress") of its edge to DEST.
+    dest_edges: Dict[str, Tuple[float, str]] = field(default_factory=dict)
     #: member -> ("local", None) or ("egress", ExternalRoute)
     egress_choice: Dict[str, Tuple[str, Optional[ExternalRoute]]] = field(
         default_factory=dict
     )
 
-    def usable_members(self) -> List[str]:
-        """Members present in the per-prefix graph."""
-        return sorted(n for n in self.graph.nodes if n != DEST)
+    @property
+    def graph(self) -> "nx.DiGraph":
+        """The same graph as a networkx ``DiGraph`` (``weight`` / ``kind``
+        edge attributes), derived on every access — for inspection and
+        for checking Dijkstra against networkx, not for routing."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_node(DEST)
+        graph.add_nodes_from(self.members)
+        for member in self.members:
+            for nbr in self.neighbors[member]:
+                graph.add_edge(member, nbr, weight=INTRA_WEIGHT, kind="intra")
+        for member, (weight, kind) in self.dest_edges.items():
+            graph.add_edge(member, DEST, weight=weight, kind=kind)
+        return graph
 
 
 def build_as_topology(
@@ -213,57 +307,38 @@ def build_as_topology(
     the resulting route, so Dijkstra picks what BGP's shortest-AS-path
     step would, minus the exploration.
     """
-    topo = ASTopologyGraph(prefix=prefix)
-    graph = topo.graph
-    graph.add_node(DEST)
-    sub_clusters = switch_graph.sub_clusters()
-    asn_of_component: Dict[FrozenSet[str], Set[int]] = {
-        comp: {switch_graph.member_asn[m] for m in comp} for comp in sub_clusters
-    }
-    component_of: Dict[str, FrozenSet[str]] = {}
-    for comp in sub_clusters:
-        for member in comp:
-            component_of[member] = comp
-
-    for member in switch_graph.members():
-        graph.add_node(member)
-
-    # Intra-cluster edges (both directions; weight 1 per AS hop).
-    for member in switch_graph.members():
-        for nbr in switch_graph.up_neighbors(member):
-            graph.add_edge(member, nbr, weight=1.0, kind="intra")
+    view = switch_graph.view()
+    topo = ASTopologyGraph(prefix, view.members, view.neighbors)
+    dest_edges = topo.dest_edges
 
     # Local originations beat any egress (weight 0).
     for member in sorted(set(originating_members)):
         if member not in switch_graph:
             raise KeyError(f"originating node is not a member: {member!r}")
-        graph.add_edge(member, DEST, weight=0.0, kind="local")
+        dest_edges[member] = (0.0, "local")
         topo.egress_choice[member] = ("local", None)
 
     # External egresses, best (lowest weight, then deterministic
-    # tie-break) route per member.
-    best_per_member: Dict[str, ExternalRoute] = {}
+    # tie-break) route per member: member -> (route key, route).
+    best_per_member: Dict[str, Tuple[tuple, ExternalRoute]] = {}
     for route in external_routes:
         if route.prefix != prefix:
             continue
         member = route.peering.member
-        if member not in switch_graph:
-            continue
-        cluster_asns = asn_of_component[component_of[member]]
-        if any(route.as_path.contains(asn) for asn in cluster_asns):
+        cluster_asns = view.cluster_asns.get(member)
+        if cluster_asns is None:
+            continue  # not a member
+        if not cluster_asns.isdisjoint(route.as_path.members):
             continue  # would re-enter this sub-cluster: loop risk
+        key = _route_key(route)
         current = best_per_member.get(member)
-        if current is None or _route_key(route) < _route_key(current):
-            best_per_member[member] = route
+        if current is None or key < current[0]:
+            best_per_member[member] = (key, route)
 
-    for member, route in best_per_member.items():
-        if topo.egress_choice.get(member, (None, None))[0] == "local":
+    for member, (_, route) in best_per_member.items():
+        if member in dest_edges:
             continue  # origination wins
-        graph.add_edge(
-            member, DEST,
-            weight=egress_base_cost + route.path_len,
-            kind="egress",
-        )
+        dest_edges[member] = (egress_base_cost + route.path_len, "egress")
         topo.egress_choice[member] = ("egress", route)
 
     return topo

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
-from .graphs import DEST, ASTopologyGraph, ExternalRoute
+from .graphs import DEST, INTRA_WEIGHT, ASTopologyGraph, ExternalRoute
 
 __all__ = ["MemberDecision", "compute_decisions", "decision_path"]
 
@@ -57,7 +58,7 @@ def compute_decisions(topo: ASTopologyGraph, member_asn: Dict[str, int]) -> Dict
     """Run reverse Dijkstra from DEST and derive every member's decision."""
     dist, succ = _reverse_dijkstra(topo)
     decisions: Dict[str, MemberDecision] = {}
-    for member in topo.usable_members():
+    for member in topo.members:
         if member not in dist:
             decisions[member] = MemberDecision(member, "unreachable")
             continue
@@ -72,8 +73,11 @@ def _reverse_dijkstra(
 
     Edges in the AS topology graph point toward DEST; we relax them in
     reverse (for each edge u->v, knowing dist(v) improves dist(u)).
+    Intra-cluster links are symmetric, so a member's predecessors are
+    its neighbours; DEST's are the members holding a ``dest_edges``
+    entry.
     """
-    graph = topo.graph
+    neighbors = topo.neighbors
     dist: Dict[str, float] = {DEST: 0.0}
     succ: Dict[str, str] = {}
     # (distance, node) heap; name is the deterministic tie-breaker.
@@ -84,8 +88,13 @@ def _reverse_dijkstra(
         if node in done:
             continue
         done.add(node)
-        for pred in graph.predecessors(node):
-            weight = graph.edges[pred, node]["weight"]
+        if node == DEST:
+            incoming = (
+                (member, edge[0]) for member, edge in topo.dest_edges.items()
+            )
+        else:
+            incoming = zip(neighbors[node], repeat(INTRA_WEIGHT))
+        for pred, weight in incoming:
             cand = d + weight
             if pred not in dist or cand < dist[pred] - 1e-12:
                 dist[pred] = cand

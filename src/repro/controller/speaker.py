@@ -352,9 +352,12 @@ class ClusterBGPSpeaker(Node):
             if not session.established:
                 continue
             peering = self.peering_of[link_id]
-            for route in rib_in:
-                if prefix is not None and route.prefix != prefix:
-                    continue
+            if prefix is None:
+                routes = rib_in
+            else:
+                route = rib_in.get(prefix)
+                routes = () if route is None else (route,)
+            for route in routes:
                 out.append(
                     ExternalRoute(
                         peering=peering,

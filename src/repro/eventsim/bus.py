@@ -2,12 +2,11 @@
 
 Every component publishes typed :class:`TraceRecord` events here instead
 of appending to a log directly; subscribers (the bounded
-:class:`~repro.eventsim.trace.TraceLog`, the streaming convergence
-tracker, the metrics registry, live visualizers) each receive exactly
-the records they asked for.  This is the publish/subscribe layer that
-lets large sweeps keep bounded — or zero — trace memory while online
-consumers compute in O(1) per record what previously required full-trace
-scans.
+:class:`~repro.eventsim.trace.TraceLog`, the metrics registry, live
+visualizers) each receive exactly the records they asked for.  This is
+the publish/subscribe layer that lets large sweeps keep bounded — or
+zero — trace memory while online consumers compute in O(1) per record
+what previously required full-trace scans.
 
 Records carry a dotted ``category`` (``bgp.update.rx``, ``fib.change``,
 ``controller.recompute`` ...), the node name, and a free-form payload
@@ -18,8 +17,12 @@ Subscriptions take an optional category filter (dotted-prefix matching,
 same convention as :meth:`TraceRecord.matches`) and an optional sampling
 stride (deliver every Nth matching record), so a subscriber can bound
 its own cost independently of the publishing rate.  The bus itself
-maintains per-category record counts in O(1) regardless of who is
-subscribed — counting is the one piece of state every consumer needs.
+maintains, in O(1) per record and regardless of who is subscribed, the
+two pieces of state every measurement needs: per-category record counts
+(:attr:`InstrumentationBus.counts`) and the virtual time of each
+category's last record (:attr:`InstrumentationBus.last_seen`).  The
+convergence tracker reads those tables; it does not subscribe, so an
+unobserved run has no subscriber at all.
 
 Lazy publishing (:meth:`InstrumentationBus.record_lazy`): hot emitters
 hand the bus a *payload thunk* instead of a built dict.  The bus first
@@ -27,7 +30,9 @@ checks — against its compiled per-category route — whether anything will
 actually take this record (a subscriber whose sampling stride is due, or
 an attached provenance tracker that wants the category).  Only then does
 the thunk run and a :class:`TraceRecord` get built; otherwise the cost
-of the call is the unconditional count increment and a tuple lookup.
+of the call is the unconditional count increment, the ``last_seen``
+stamp and a route lookup — a run with trace capture off and no observer
+attached evaluates no thunk at all.
 The contract for subscriber authors: a record's ``data`` dict is built
 at publish time whenever *any* taker exists, so every taker of the same
 occurrence sees the same payload, and payloads always reflect state at
@@ -89,6 +94,15 @@ class TraceRecord(NamedTuple):
         return self.category == prefix or self.category.startswith(prefix + ".")
 
 
+def _matches(category: str, prefixes) -> bool:
+    """The bus's one category rule: ``category`` equals one of the
+    dotted ``prefixes`` or nests under it."""
+    for prefix in prefixes:
+        if category == prefix or category.startswith(prefix + "."):
+            return True
+    return False
+
+
 @dataclass
 class Subscription:
     """One subscriber's standing request for records.
@@ -107,12 +121,7 @@ class Subscription:
 
     def wants(self, category: str) -> bool:
         """Category-filter check (prefix semantics, no sampling)."""
-        if self.categories is None:
-            return True
-        for prefix in self.categories:
-            if category == prefix or category.startswith(prefix + "."):
-                return True
-        return False
+        return self.categories is None or _matches(category, self.categories)
 
     def take(self) -> bool:
         """Advance the sampling stride; True if this occurrence delivers.
@@ -137,10 +146,12 @@ class InstrumentationBus:
     :meth:`record_lazy` (payload thunk); the per-category dispatch route
     is compiled and cached, so the steady-state cost of a record is one
     dict lookup plus one callback per interested subscriber — or, on the
-    lazy path with no takers, nothing beyond the count.  Per-category
-    totals (:attr:`counts`) are maintained unconditionally — they are
-    the O(1) backbone of activity counting (update/decision/FIB deltas)
-    and survive even a zero-subscriber, zero-trace run.
+    lazy path with no takers, nothing beyond the count and the stamp.
+    Per-category totals (:attr:`counts`) and last-record times
+    (:attr:`last_seen`) are maintained unconditionally — they are the
+    O(1) backbone of activity counting (update/decision/FIB deltas) and
+    convergence timing, and survive even a zero-subscriber, zero-trace
+    run.
     """
 
     def __init__(self, sim) -> None:
@@ -148,6 +159,9 @@ class InstrumentationBus:
         self._subscriptions: List[Subscription] = []
         #: total records published per exact category.
         self.counts: Dict[str, int] = {}
+        #: virtual time of the last record published per exact category
+        #: (survives :meth:`clear_counts`).
+        self.last_seen: Dict[str, float] = {}
         #: category -> compiled ``(eager, sampled, subs, obs_wants)``
         #: route (see :meth:`_compile`).
         self._routes: Dict[str, tuple] = {}
@@ -308,6 +322,7 @@ class InstrumentationBus:
         """Publish a record stamped with the current virtual time."""
         counts = self.counts
         counts[category] = counts.get(category, 0) + 1
+        self.last_seen[category] = self._sim._now
         route = self._routes.get(category)
         if route is None:
             route = self._compile(category)
@@ -322,11 +337,13 @@ class InstrumentationBus:
         dict, and runs only when a taker exists for this occurrence.
 
         Counting is unchanged — every call increments :attr:`counts`
-        exactly like :meth:`record` — so measurements and digests never
-        depend on whether anyone retained the payload.
+        and stamps :attr:`last_seen` exactly like :meth:`record` — so
+        measurements and digests never depend on whether anyone retained
+        the payload.
         """
         counts = self.counts
         counts[category] = counts.get(category, 0) + 1
+        self.last_seen[category] = self._sim._now
         route = self._routes.get(category)
         if route is None:
             route = self._compile(category)
@@ -355,6 +372,7 @@ class InstrumentationBus:
         category = record.category
         counts = self.counts
         counts[category] = counts.get(category, 0) + 1
+        self.last_seen[category] = record.time
         route = self._routes.get(category)
         if route is None:
             route = self._compile(category)
@@ -369,6 +387,17 @@ class InstrumentationBus:
         return sum(
             n for cat, n in self.counts.items()
             if cat == category or cat.startswith(category + ".")
+        )
+
+    def last_time(self, categories) -> Optional[float]:
+        """Virtual time of the last record whose category equals or
+        nests under any of ``categories``; None if there was none."""
+        return max(
+            (
+                time for category, time in self.last_seen.items()
+                if _matches(category, categories)
+            ),
+            default=None,
         )
 
     def clear_counts(self) -> None:

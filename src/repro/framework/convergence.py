@@ -8,12 +8,13 @@ from the instrumentation stream — the timestamp of the last
 route-affecting record — which matches how the paper measures it from
 BGP update logs, minus the sampling noise of a real testbed.
 
-Measurement is streaming: a :class:`ConvergenceTracker` subscribed to
-the instrumentation bus maintains the last route-affecting / last
-state-changing timestamps and the per-category activity counters in
-O(1) per record, so :func:`measure_event` needs no post-run trace scan
-and works with trace capture disabled entirely.  The scan of the
-retained trace it replaced lives on as the oracle in
+Measurement is streaming: the instrumentation bus stamps the time of
+each category's last record and counts every record in O(1), and a
+:class:`ConvergenceTracker` reads the last route-affecting / last
+state-changing timestamps and the activity counters from those tables,
+so :func:`measure_event` needs no post-run trace scan, no bus
+subscription, and works with trace capture disabled entirely.  The scan
+of the retained trace it replaced lives on as the oracle in
 ``tests/framework/test_streaming.py``, which the streaming path is
 tested bit-identical against.
 """
@@ -91,15 +92,22 @@ class ConvergenceMeasurement:
 
 
 class ConvergenceTracker:
-    """Streaming convergence state — O(1) per record, no trace needed.
+    """Streaming convergence state — a reader of the bus, no trace needed.
 
-    Subscribes to the instrumentation bus and maintains exactly the
-    state :func:`measure_event` reads after a run: the timestamp of the
-    last route-affecting record, the timestamp of the last
-    state-changing record, and per-category counters (which the bus
-    already keeps globally).  Because virtual time is monotonic, "last
-    seen" equals "maximum over records since any earlier instant", so
-    the streaming answers are bit-identical to a full trace scan.
+    Answers exactly what :func:`measure_event` reads after a run — the
+    timestamp of the last route-affecting record, the timestamp of the
+    last state-changing record, and per-category counters — from the
+    two tables the bus keeps for every record whoever is subscribed
+    (``bus.last_seen``, ``bus.counts``).  It holds no subscription, so
+    it adds nothing to the cost of a record and never makes the bus
+    build a payload.  Because virtual time is monotonic, "last seen"
+    equals "maximum over records since any earlier instant", so the
+    streaming answers are bit-identical to a full trace scan.
+
+    A member of either category set matches its own category and
+    everything nested under it (``"bgp.update"`` covers
+    ``bgp.update.tx`` and ``bgp.update.rx``) — the bus's one matching
+    rule, as in ``bus.count()`` and subscription filters.
     """
 
     def __init__(
@@ -112,27 +120,16 @@ class ConvergenceTracker:
         self.bus = bus
         self.route_affecting = frozenset(route_affecting)
         self.state_changing = frozenset(state_changing)
-        #: timestamp of the most recent route-affecting record, if any.
-        self.last_route_affecting: Optional[float] = None
-        #: timestamp of the most recent state-changing record, if any.
-        self.last_state_change: Optional[float] = None
-        self._subscription = bus.subscribe(
-            self._on_record,
-            categories=self.route_affecting | self.state_changing,
-            name="convergence-tracker",
-        )
 
-    def _on_record(self, record) -> None:
-        if record.category in self.route_affecting:
-            self.last_route_affecting = record.time
-        if record.category in self.state_changing:
-            self.last_state_change = record.time
+    @property
+    def last_route_affecting(self) -> Optional[float]:
+        """Timestamp of the most recent route-affecting record, if any."""
+        return self.bus.last_time(self.route_affecting)
 
-    def detach(self) -> None:
-        """Stop observing the bus."""
-        if self._subscription is not None:
-            self.bus.unsubscribe(self._subscription)
-            self._subscription = None
+    @property
+    def last_state_change(self) -> Optional[float]:
+        """Timestamp of the most recent state-changing record, if any."""
+        return self.bus.last_time(self.state_changing)
 
     # ------------------------------------------------------------------
     # the streaming equivalents of TraceLog.last_time / count deltas

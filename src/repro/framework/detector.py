@@ -57,7 +57,10 @@ class SilenceDetector:
 
     Subscribes directly to the instrumentation bus with a category
     filter, so it works with trace capture reduced or disabled — the
-    heuristic needs no retained records, only the live stream.
+    heuristic needs no retained records, only the live stream.  The
+    subscription's filter is the only category test: a member of
+    ``categories`` matches its own category and everything nested
+    under it.
     """
 
     def __init__(
@@ -82,7 +85,7 @@ class SilenceDetector:
 
     # ------------------------------------------------------------------
     def _tap(self, record: TraceRecord) -> None:
-        if not self._armed or record.category not in self.categories:
+        if not self._armed:
             return
         if (
             self._first_fire is None

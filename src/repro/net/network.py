@@ -9,9 +9,7 @@ physical graph for analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..eventsim import (
     ROUTE_AFFECTING,
@@ -24,6 +22,9 @@ from ..obs.spans import SpanTracker
 from .addr import IPv4Address
 from .link import Link
 from .node import Node
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Network", "PathTrace"]
 
@@ -237,6 +238,8 @@ class Network:
     # ------------------------------------------------------------------
     def to_graph(self, include_down: bool = False, kinds=("phys",)) -> nx.Graph:
         """The physical topology as a networkx graph (for analysis/viz)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for node in self.nodes.values():
             graph.add_node(node.name, kind=type(node).__name__)

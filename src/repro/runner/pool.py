@@ -18,12 +18,13 @@
 
 Fault semantics worth knowing: when a worker process dies, the executor
 marks *every* in-flight future broken, so each in-flight job is charged
-one attempt and requeued behind untouched work.  A persistently
-crashing job therefore ends up retried mostly alone (its innocent
-pool-mates complete in the rebuilt pool first) and drains only its own
-retry budget.  Per-job timeouts likewise kill the whole pool (there is
-no way to kill a single hung pool worker); jobs that were still within
-their deadline are requeued without being charged an attempt.
+one attempt and requeued behind untouched work — and, since the culprit
+cannot be told from its pool-mates, each of them runs alone from then
+on.  A persistently crashing job therefore drains only its own retry
+budget: an innocent pool-mate is charged once, never again.  Per-job
+timeouts likewise kill the whole pool (there is no way to kill a single
+hung pool worker); jobs that were still within their deadline are
+requeued without being charged an attempt.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class _Job:
     index: int
     spec: RunSpec
     attempts: int = 0  # executions started so far
+    #: was charged for a worker death (see ``_worker_died``): runs alone.
+    suspect: bool = False
 
 
 class ParallelRunner:
@@ -275,6 +278,11 @@ class ParallelRunner:
         try:
             while queue or inflight:
                 while queue and len(inflight) < self.n_workers:
+                    if inflight and (
+                        queue[0].suspect
+                        or any(job.suspect for job, _ in inflight.values())
+                    ):
+                        break  # a suspect shares the pool with nobody
                     job = queue.popleft()
                     if self._is_cancelled(job.spec):
                         self._finalize(
@@ -319,11 +327,7 @@ class ParallelRunner:
                     if exc is not None:
                         # The worker process died (os._exit, signal,
                         # OOM-kill...): the pool is broken.
-                        self._register_failure(
-                            job,
-                            f"worker process died: {exc!r}",
-                            queue, records,
-                        )
+                        self._worker_died(job, exc, queue, records)
                         broken = True
                         continue
                     record = future.result()
@@ -346,10 +350,8 @@ class ParallelRunner:
                     # them the attempt they never got to finish.
                     for future, (job, _) in list(inflight.items()):
                         if future.done() and future.exception() is not None:
-                            self._register_failure(
-                                job,
-                                f"worker process died: {future.exception()!r}",
-                                queue, records,
+                            self._worker_died(
+                                job, future.exception(), queue, records
                             )
                         elif future.done():
                             record = future.result()
@@ -387,9 +389,18 @@ class ParallelRunner:
                 queue.appendleft(job)
         inflight.clear()
 
+    def _worker_died(self, job: _Job, exc, queue, records) -> None:
+        """Charge a job whose future the broken pool failed, and make it
+        a suspect: whether its own worker died or a pool-mate's cannot
+        be told apart, so from here on it runs with nothing beside it."""
+        job.suspect = True
+        self._register_failure(
+            job, f"worker process died: {exc!r}", queue, records
+        )
+
     def _register_failure(self, job: _Job, error: str, queue, records) -> None:
-        """Charge a hard failure: retry (to the back of the queue, so a
-        persistent crasher mostly retries alone) or finalize as failed."""
+        """Charge a hard failure: retry (at the back of the queue,
+        behind untouched work) or finalize as failed."""
         if job.attempts > self.retries:
             self._finalize(
                 job,

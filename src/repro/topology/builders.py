@@ -10,10 +10,13 @@ experiment is reproducible.
 from __future__ import annotations
 
 import random
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..bgp.policy import Relationship
 from .model import Topology, TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "clique",
@@ -110,6 +113,8 @@ def erdos_renyi(
     """
     if not 0.0 <= p <= 1.0:
         raise TopologyError(f"p must be in [0, 1]: {p}")
+    import networkx as nx
+
     graph = nx.gnp_random_graph(n, p, seed=seed)
     if ensure_connected and n > 0:
         components = [sorted(c) for c in nx.connected_components(graph)]
@@ -131,6 +136,8 @@ def barabasi_albert(
     """Preferential-attachment graph — the classic AS-like degree model."""
     if n <= m:
         raise TopologyError(f"need n > m: n={n}, m={m}")
+    import networkx as nx
+
     graph = nx.barabasi_albert_graph(n, m, seed=seed)
     return from_networkx(graph, name=f"ba{n}-m{m}", latency=latency)
 

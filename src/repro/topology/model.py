@@ -10,11 +10,12 @@ produce them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..bgp.policy import Relationship
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ASSpec", "InterASLink", "Topology", "TopologyError"]
 
@@ -166,10 +167,14 @@ class Topology:
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """True when the AS graph is one component."""
+        import networkx as nx
+
         return len(self) > 0 and nx.is_connected(self.to_networkx())
 
     def to_networkx(self) -> nx.Graph:
         """Export as a networkx graph with attributes."""
+        import networkx as nx
+
         graph = nx.Graph()
         for spec in self.ases:
             graph.add_node(spec.asn, name=spec.label(), role=spec.role)
@@ -204,6 +209,8 @@ class Topology:
 
     def validate(self) -> None:
         """Raise :class:`TopologyError` on structural problems."""
+        import networkx as nx
+
         if not self._ases:
             raise TopologyError("empty topology")
         # provider cycles make Gao-Rexford ill-defined; detect them.

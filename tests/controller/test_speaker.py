@@ -3,6 +3,7 @@
 from repro.bgp.session import BGPTimers
 from repro.controller.idr import ControllerConfig
 from repro.framework.experiment import Experiment, ExperimentConfig
+from repro.net.addr import Prefix
 from repro.topology.builders import clique
 
 
@@ -28,6 +29,31 @@ class TestSpeakerRibs:
         prefix = exp.as_prefix(1)
         routes = exp.speaker.external_routes(prefix)
         assert routes and all(r.prefix == prefix for r in routes)
+
+    def test_prefix_query_equals_filtered_snapshot(self):
+        """One ``rib_in.get`` per peering answers what filtering the full
+        snapshot does — several prefixes per peering, a down session and
+        peerings that hold no route for the prefix included."""
+        exp = hybrid()
+        exp.fail_link(1, 3)
+        exp.wait_converged()
+        speaker = exp.speaker
+        snapshot = speaker.external_routes()
+        down = [s for s in speaker.sessions.values() if not s.established]
+        assert down
+        per_peering = {}
+        for route in snapshot:
+            per_peering.setdefault(route.peering, set()).add(route.prefix)
+        assert max(len(held) for held in per_peering.values()) > 1
+        known = speaker.known_external_prefixes()
+        assert any(
+            prefix not in held
+            for prefix in known for held in per_peering.values()
+        )
+        for prefix in known + [Prefix.parse("192.0.2.0/24")]:
+            assert speaker.external_routes(prefix) == [
+                r for r in snapshot if r.prefix == prefix
+            ]
 
     def test_member_asn_loop_check_on_import(self):
         """Paths containing the peering member's own ASN are dropped."""

@@ -57,7 +57,6 @@ class TestNonNestedTrackerSets:
         """A tracker whose activity set misses the state-changing
         categories entirely still yields a well-ordered measurement."""
         exp = experiment()
-        exp.tracker.detach()
         # activity = controller recomputes only; a pure-BGP run has none,
         # so every fib.change lands after the "last activity" (None).
         exp.tracker = ConvergenceTracker(
@@ -75,7 +74,6 @@ class TestNonNestedTrackerSets:
 class TestMeasurementWindow:
     def test_requires_tracker(self):
         exp = experiment()
-        exp.tracker.detach()
         exp.tracker = None
         with pytest.raises(ValueError, match="ConvergenceTracker"):
             MeasurementWindow(exp)

@@ -67,6 +67,27 @@ class TestCrashRetry:
         assert records[1].ok and records[2].ok
 
 
+    def test_repeat_crasher_takes_its_pool_mate_down_once(self):
+        """The last two jobs of a sweep, one a persistent crasher, the
+        other slower than the crash: they share the first pool and both
+        are charged (the bystander unless the runner looked before the
+        executor had failed its future too); after that each runs
+        alone, so the bystander finishes on its next attempt instead
+        of dying beside every retry of the crasher."""
+        specs = [
+            make_spec(scenario_factory=CrashScenario, seed=41),
+            make_spec(
+                scenario_factory=functools.partial(
+                    HangScenario, sleep_seconds=0.5
+                ),
+                seed=42,
+            ),
+        ]
+        crash, bystander = ParallelRunner(2, retries=3).run(specs)
+        assert not crash.ok and crash.attempts == 4
+        assert bystander.ok and bystander.attempts <= 2
+
+
 class TestSoftFailureRetry:
     def test_flaky_succeeds_on_second_attempt(self, tmp_path):
         factory = functools.partial(
