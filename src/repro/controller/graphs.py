@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -47,9 +46,6 @@ from typing import (
 from ..bgp.attrs import AsPath, Origin
 from ..bgp.policy import Relationship
 from ..net.addr import Prefix
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = [
     "Peering",
@@ -268,8 +264,8 @@ class ASTopologyGraph:
     )
 
     @property
-    def graph(self) -> "nx.DiGraph":
-        """The same graph as a networkx ``DiGraph`` (``weight`` / ``kind``
+    def graph(self):
+        """The same graph as a ``networkx.DiGraph`` (``weight`` / ``kind``
         edge attributes), derived on every access — for inspection and
         for checking Dijkstra against networkx, not for routing."""
         import networkx as nx
