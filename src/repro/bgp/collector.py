@@ -71,10 +71,12 @@ class RouteCollector(BGPRouter):
         timers = timers if timers is not None else BGPTimers(mrai=0.0)
         super().__init__(sim, instrument, name, asn=asn, timers=timers)
         self.feed: List[CollectedUpdate] = []
+        #: one policy object for every feed (shared means read-only).
+        self._feed_policy = collector_policy()
 
     def add_peer(self, link, **kwargs) -> BGPSession:
         """Configure an eBGP session over a link."""
-        kwargs.setdefault("policy", collector_policy())
+        kwargs.setdefault("policy", self._feed_policy)
         return super().add_peer(link, **kwargs)
 
     def enqueue_update(self, session: BGPSession, update: BGPUpdate) -> None:

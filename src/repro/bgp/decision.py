@@ -24,7 +24,6 @@ from .rib import LocRib, Route
 
 __all__ = [
     "DecisionConfig",
-    "DecisionDriver",
     "best_route",
     "rank_routes",
     "route_sort_key",
@@ -74,39 +73,6 @@ def rank_routes(
 ) -> List[Route]:
     """All candidates, best first (for diagnostics / 'show ip bgp')."""
     return sorted(candidates, key=lambda r: route_sort_key(r, config))
-
-
-class DecisionDriver:
-    """A per-prefix dirty set for the incremental decision process.
-
-    One UPDATE can touch the same prefix more than once (withdraw plus
-    re-announce, or an import rejection acting as implicit withdrawal
-    followed by a fresh announcement).  The driver records each touched
-    prefix once, in first-touch order, so the router re-runs best-path
-    selection exactly once per prefix per batch.  Because
-    :func:`route_sort_key` is a strict total order, the single run picks
-    the same winner the duplicated runs would have — the dedup changes
-    work done, never results.
-    """
-
-    __slots__ = ("_dirty",)
-
-    def __init__(self) -> None:
-        # dict-as-ordered-set: insertion order is first-touch order.
-        self._dirty: Dict[Prefix, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._dirty)
-
-    def mark(self, prefix: Prefix) -> None:
-        """Record that a prefix's candidate set may have changed."""
-        self._dirty[prefix] = None
-
-    def drain(self) -> List[Prefix]:
-        """All dirty prefixes in first-touch order; resets the set."""
-        dirty = list(self._dirty)
-        self._dirty.clear()
-        return dirty
 
 
 def full_scan_best(

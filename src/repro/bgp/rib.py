@@ -6,19 +6,18 @@ prefix; one :class:`AdjRibOut` per peer records what we last advertised,
 so UPDATE generation is a pure diff — no duplicate announcements, and
 withdrawals are only sent for prefixes the peer actually heard from us.
 
-For large topologies a router can additionally maintain a
-:class:`RouteIndex`: a prefix-major view (prefix → {link_id: route}) of
-all its Adj-RIB-In tables, kept in sync by the tables themselves.  The
-decision process then reads the candidates for one prefix directly
-instead of probing every session's table — O(routes for the prefix)
-instead of O(sessions) per decision, which is what makes 5k-AS
-withdrawal storms tractable (see ``docs/scaling.md``).
+Every router also maintains a :class:`RouteIndex`: a prefix-major view
+(prefix → {link_id: route}) of all its Adj-RIB-In tables, kept in sync
+by the tables themselves.  The decision process reads the candidates
+for one prefix directly instead of probing every session's table —
+O(routes for the prefix) instead of O(sessions) per decision, which is
+what makes 5k-AS withdrawal storms tractable (see ``docs/scaling.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..net.addr import Prefix
 from .attrs import PathAttributes
@@ -87,22 +86,6 @@ class RouteIndex:
         if not entry:
             del self._by_prefix[prefix]
 
-    def drop_link(self, link_id: int) -> List[Prefix]:
-        """Forget everything learned over one link (session replacement).
-
-        Returns the affected prefixes.  O(prefixes) — only used on the
-        rare session-establishment path, never per-UPDATE.
-        """
-        affected: List[Prefix] = []
-        for prefix in list(self._by_prefix):
-            entry = self._by_prefix[prefix]
-            if link_id in entry:
-                del entry[link_id]
-                affected.append(prefix)
-                if not entry:
-                    del self._by_prefix[prefix]
-        return affected
-
     def get(self, prefix: Prefix) -> Dict[int, Route]:
         """The ``{link_id: route}`` entries for one prefix (maybe empty)."""
         return self._by_prefix.get(prefix, {})
@@ -116,8 +99,8 @@ class AdjRibIn:
     """Routes received from one peer, post-import-policy.
 
     When constructed with ``link_id``/``index`` the table mirrors every
-    mutation into the router-wide :class:`RouteIndex` so the compact
-    decision process can read candidates per prefix.
+    mutation into the router-wide :class:`RouteIndex` so the decision
+    process can read candidates per prefix.
     """
 
     def __init__(

@@ -14,7 +14,7 @@ a single network device", paper §3).  It owns:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..eventsim import Simulator
 from ..net.addr import Prefix
@@ -22,15 +22,9 @@ from ..obs.spans import activation, last_span_activation
 from ..net.dataplane import FibEntry
 from ..net.link import Link
 from ..net.node import Node
-from .attrs import AsPath, Origin, PathAttributes
+from .attrs import DEFAULT_LOCAL_PREF, AsPath, Origin, PathAttributes
 from .damping import DampingConfig, RouteDamper
-from .decision import (
-    DecisionConfig,
-    DecisionDriver,
-    best_route,
-    rank_routes,
-    verify_loc_rib,
-)
+from .decision import DecisionConfig, best_route, rank_routes, verify_loc_rib
 from .messages import BGPMessage, BGPUpdate
 from .policy import LOCAL_COMMUNITY, PeerPolicy, add_community
 from .rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteIndex
@@ -52,7 +46,6 @@ class BGPRouter(Node):
         timers: Optional[BGPTimers] = None,
         decision: Optional[DecisionConfig] = None,
         damping: Optional[DampingConfig] = None,
-        compact: bool = False,
     ) -> None:
         super().__init__(sim, instrument, name)
         if asn <= 0:
@@ -60,15 +53,10 @@ class BGPRouter(Node):
         self.asn = asn
         self.timers = timers if timers is not None else BGPTimers()
         self.decision_config = decision if decision is not None else DecisionConfig()
-        #: compact mode: prefix-indexed candidate reads + a dirty-set
-        #: decision driver.  Provably result-identical to the full-scan
-        #: path (see :meth:`verify_decisions` and docs/scaling.md); kept
-        #: opt-in so the legacy code path stays byte-for-byte exercised.
-        self.compact = compact
-        self._index: Optional[RouteIndex] = RouteIndex() if compact else None
-        self._driver: Optional[DecisionDriver] = (
-            DecisionDriver() if compact else None
-        )
+        #: prefix-major view of every Adj-RIB-In, kept in sync by the
+        #: tables; :meth:`candidates` reads it, :meth:`verify_decisions`
+        #: checks it against a full scan (docs/scaling.md).
+        self._index = RouteIndex()
         #: optional RFC 2439 route-flap damping; keys are (link_id, prefix).
         self.damper: Optional[RouteDamper] = (
             RouteDamper(sim, damping, self._on_damping_reuse)
@@ -181,10 +169,9 @@ class BGPRouter(Node):
     def session_up(self, session: BGPSession) -> None:
         """Session reached ESTABLISHED: reset RIBs and resync."""
         link_id = session.link.link_id
-        if self._index is not None:
-            # The old per-peer table is replaced wholesale below; its
-            # entries must leave the prefix index with it.
-            self._index.drop_link(link_id)
+        # The old per-peer table is replaced wholesale below; its
+        # entries must leave the prefix index with it.
+        self._rib_in[link_id].clear()
         self._rib_in[link_id] = AdjRibIn(
             session.peer_asn, session.peer_name,
             link_id=link_id, index=self._index,
@@ -363,17 +350,11 @@ class BGPRouter(Node):
                 if had_before:
                     self._record_flap(link_id, prefix, "attribute_change")
                 affected.append(prefix)
-        if self._driver is not None:
-            # Incremental mode: one UPDATE may touch a prefix twice
-            # (withdraw + re-announce); the dirty set collapses those to
-            # a single best-path run per prefix, in first-touch order.
-            for prefix in affected:
-                self._driver.mark(prefix)
-            for prefix in self._driver.drain():
-                self._run_decision(prefix)
-        else:
-            for prefix in affected:
-                self._run_decision(prefix)
+        # One UPDATE may touch a prefix twice (withdraw + re-announce);
+        # every table change is already applied, so one best-path run
+        # per prefix, in first-touch order, decides the same.
+        for prefix in dict.fromkeys(affected):
+            self._run_decision(prefix)
 
     # ------------------------------------------------------------------
     # route-flap damping hooks (RFC 2439)
@@ -408,17 +389,11 @@ class BGPRouter(Node):
     # ------------------------------------------------------------------
     # decision process + FIB + advertisement scheduling
     # ------------------------------------------------------------------
-    def candidates(self, prefix: Prefix) -> List[Route]:
-        """All usable candidate routes for one prefix."""
-        if self._index is not None:
-            return self._indexed_candidates(prefix)
-        return self._scan_candidates(prefix)
-
     def _scan_candidates(self, prefix: Prefix) -> List[Route]:
-        """Legacy candidate enumeration: probe every session's table.
+        """Reference candidate enumeration: probe every session's table.
 
-        O(sessions) per call; also serves as the reference for
-        :meth:`verify_decisions` because it cannot be wrong about what
+        O(sessions) per call; the oracle :meth:`verify_decisions` holds
+        :meth:`candidates` to, because it cannot be wrong about what
         the tables hold.
         """
         routes: List[Route] = []
@@ -438,15 +413,15 @@ class BGPRouter(Node):
                 routes.append(route)
         return routes
 
-    def _indexed_candidates(self, prefix: Prefix) -> List[Route]:
-        """Compact candidate enumeration via the prefix index.
+    def candidates(self, prefix: Prefix) -> List[Route]:
+        """All usable candidate routes for one prefix, via the index.
 
         Yields exactly what :meth:`_scan_candidates` would: sessions are
         registered in link-creation order and link ids are globally
         monotone, so iterating the index entries in ascending link-id
-        order reproduces the legacy session-scan order (and the winner
-        is order-independent anyway — ``route_sort_key`` is a strict
-        total order).
+        order reproduces the session-scan order (and the winner is
+        order-independent anyway — ``route_sort_key`` is a strict total
+        order).
         """
         routes: List[Route] = []
         local = self.originated.get(prefix)
@@ -477,9 +452,8 @@ class BGPRouter(Node):
         """Differential oracle: compare Loc-RIB against a full rescan.
 
         Re-derives the best route for every known prefix with the
-        legacy full-scan enumeration and reports any disagreement with
-        the incrementally maintained Loc-RIB.  Empty list = identical.
-        Valid in either mode (in legacy mode it is a self-check).
+        full-scan enumeration and reports any disagreement with the
+        incrementally maintained Loc-RIB.  Empty list = identical.
         """
         return verify_loc_rib(
             self.loc_rib,
@@ -581,8 +555,6 @@ class BGPRouter(Node):
         exported = exported.with_path(exported.as_path.prepend(session.local_asn))
         # LOCAL_PREF is not carried across eBGP: reset to the default so
         # the receiver's import policy decides.
-        from .attrs import DEFAULT_LOCAL_PREF
-
         return exported.with_local_pref(DEFAULT_LOCAL_PREF)
 
     # ------------------------------------------------------------------
@@ -591,15 +563,7 @@ class BGPRouter(Node):
     def rib_dump(self, prefix: Optional[Prefix] = None) -> List[str]:
         """Human-readable dump of candidates, best-first."""
         lines: List[str] = []
-        prefixes: Iterable[Prefix]
-        if prefix is not None:
-            prefixes = [prefix]
-        else:
-            seen = set(self.loc_rib.prefixes())
-            for rib in self._rib_in.values():
-                seen.update(rib.prefixes())
-            seen.update(self.originated)
-            prefixes = sorted(seen)
+        prefixes = [prefix] if prefix is not None else self.known_prefixes()
         for pfx in prefixes:
             ranked = rank_routes(self.candidates(pfx), self.decision_config)
             for i, route in enumerate(ranked):

@@ -15,7 +15,7 @@ Public surface:
 """
 
 from .bus import InstrumentationBus, ROUTE_AFFECTING, Subscription, bus_of
-from .core import SCHEDULERS, CalendarQueue, Event, SimulationError, Simulator
+from .core import Event, SimulationError, Simulator
 from .metrics import (
     Counter,
     Gauge,
@@ -31,8 +31,6 @@ __all__ = [
     "Event",
     "SimulationError",
     "Simulator",
-    "CalendarQueue",
-    "SCHEDULERS",
     "Timer",
     "PeriodicTimer",
     "DebounceTimer",

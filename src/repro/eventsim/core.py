@@ -13,25 +13,12 @@ distinction is what lets :meth:`Simulator.run_until_settled` detect
 routing convergence exactly: the network has converged when no foreground
 event remains in the queue.
 
-Two interchangeable event queues back the loop (``scheduler=`` knob):
-
-- ``"heap"`` — the classic binary heap (``heapq``), O(log n) per
-  operation.  The default, and the reference for determinism.
-- ``"calendar"`` — a calendar queue (Brown 1988): events hash into
-  time-width buckets ("days"), each a small heap; pops scan forward from
-  the current day, so steady-state cost per event is O(1) when the bucket
-  width tracks the mean inter-event gap.  The queue resizes (doubling /
-  halving buckets, re-estimating the width from the earliest pending
-  gaps) deterministically — no wall clock, no randomness.
-
-Both keep ``(time, seq, event)`` tuples in their heaps: ``seq`` is
-unique, so ``heapq`` orders them in C and never calls ``Event.__lt__``
-(sixteen Python-level comparisons per event at 29k pending).
-
-Both schedulers pop events in the exact global ``(time, seq)`` order, so
-a run is bit-identical under either; the scheduler-equivalence test
-harness (``tests/properties/test_scheduler_equivalence.py`` and
-``tests/experiments/test_scheduler_differential.py``) holds them to that.
+The pending set is one binary heap (``heapq``) of ``(time, seq, event)``
+tuples: ``seq`` is unique, so ``heapq`` orders them in C and never calls
+``Event.__lt__`` (sixteen Python-level comparisons per event at 29k
+pending).  Events pop in exact ``(time, seq)`` order — same-time events
+run in scheduling order — which is what makes a run a function of its
+seed.
 """
 
 from __future__ import annotations
@@ -43,7 +30,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
-__all__ = ["Event", "Simulator", "SimulationError", "CalendarQueue", "SCHEDULERS"]
+__all__ = ["Event", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -56,7 +43,7 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker so same-time events run in scheduling order, which keeps
-    runs deterministic.  The queues do not call this ordering: they hold
+    runs deterministic.  The queue does not call this ordering: it holds
     :data:`Entry` tuples, which the C heap compares without entering
     Python.  Cancel through :meth:`Simulator.cancel` so the kernel's
     foreground bookkeeping stays exact.  ``slots=True`` because
@@ -73,186 +60,9 @@ class Event:
     cancelled: bool = field(default=False, compare=False)
 
 
-#: What both schedulers keep in their heaps.  ``seq`` is unique per
-#: simulator, so comparing two entries never reaches the event.
+#: What the queue holds.  ``seq`` is unique per simulator, so comparing
+#: two entries never reaches the event.
 Entry = Tuple[float, int, Event]
-
-
-#: Recognized ``scheduler=`` values for :class:`Simulator`.
-SCHEDULERS = ("heap", "calendar")
-
-
-class CalendarQueue:
-    """Calendar-queue priority queue over :class:`Event` (Brown 1988).
-
-    Virtual time is divided into fixed-width *days*; day ``d`` covers
-    ``[d*width, (d+1)*width)`` and hashes to bucket ``d % nbuckets``
-    (one *year* = ``nbuckets`` days).  Each bucket is a small heap of
-    ``(time, seq, event)`` entries, so same-day events — and days
-    colliding a year apart — still pop in exact ``(time, seq)`` order.
-    Day membership is always computed as ``int(event.time / width)``,
-    the same expression push uses for the bucket index, so float
-    rounding can never strand an event between a bucket and its day.
-
-    Determinism: pops yield the exact global ``(time, seq)`` order (the
-    scan visits days in order; within a day the bucket heap orders its
-    entries; a fruitless full-year scan falls back to the true
-    minimum over bucket heads and jumps the calendar there).  Resizes
-    are triggered purely by the queue length and re-estimate the bucket
-    width from the gaps between the earliest pending events — no wall
-    clock and no randomness, so a given push/pop/cancel sequence always
-    yields the same internal state.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_size", "_last", "_head")
-
-    #: never shrink below this many buckets.
-    MIN_BUCKETS = 16
-    #: width estimation looks at the gaps among this many earliest events.
-    SAMPLE = 64
-
-    def __init__(self, *, width: float = 0.001, nbuckets: int = MIN_BUCKETS) -> None:
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive: {width!r}")
-        self._buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
-        self._nbuckets = nbuckets
-        self._width = width
-        self._size = 0
-        #: time of the last popped event — the scan starts at its day.
-        self._last = 0.0
-        #: memoized ``(bucket, head_entry)`` from the last search, so
-        #: the peek-then-pop pattern of the run loop scans only once.
-        self._head: Optional[tuple] = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in virtual seconds."""
-        return self._width
-
-    @property
-    def nbuckets(self) -> int:
-        """Current bucket count (one year = nbuckets * width)."""
-        return self._nbuckets
-
-    def push(self, event: Event) -> None:
-        if self._size >= self._nbuckets * 2:
-            self._resize(self._nbuckets * 2)
-        bucket = self._buckets[int(event.time / self._width) % self._nbuckets]
-        entry = (event.time, event.seq, event)
-        heappush(bucket, entry)
-        self._size += 1
-        head = self._head
-        if head is not None and entry < head[1]:
-            # The new event outranks the memoized head; since it also
-            # outranks its own bucket's previous minimum it is now that
-            # bucket's top, so the memo can be updated in place.
-            self._head = (bucket, entry)
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest *live* event, or None.
-
-        Cancelled events are discarded on the way (the same lazy
-        deletion the heap scheduler uses).
-        """
-        while self._size:
-            head = self._head
-            if head is not None:
-                self._head = None
-                bucket = head[0]
-            else:
-                if (
-                    self._nbuckets > self.MIN_BUCKETS
-                    and self._size < self._nbuckets // 4
-                ):
-                    self._resize(self._nbuckets // 2)
-                    if not self._size:
-                        break
-                bucket = self._find()[0]
-            self._last, _, event = heappop(bucket)
-            self._size -= 1
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it, or None.
-
-        Discards cancelled events blocking the head, so a ``peek`` is
-        always consistent with the ``pop`` that follows it — even if a
-        resize (which purges cancelled events wholesale) runs between.
-        The located head is memoized, so the run loop's peek-then-pop
-        costs one bucket search, not two.
-        """
-        while self._size:
-            head = self._head
-            if head is None:
-                head = self._head = self._find()
-            event = head[1][2]
-            if not event.cancelled:
-                return event
-            self._head = None
-            heappop(head[0])
-            self._size -= 1
-            self._last = event.time
-        return None
-
-    def _find(self):
-        """Locate the earliest entry; returns ``(bucket, entry)``.
-
-        Scans days forward from the last popped time.  If a whole year
-        passes without a due event (sparse far-future queue), jump the
-        calendar straight to the true minimum over bucket heads.
-        """
-        width = self._width
-        nbuckets = self._nbuckets
-        buckets = self._buckets
-        day = int(self._last / width)
-        for _ in range(nbuckets):
-            bucket = buckets[day % nbuckets]
-            if bucket and int(bucket[0][0] / width) == day:
-                return bucket, bucket[0]
-            day += 1
-        # Nothing due within a year of the cursor: the earliest bucket
-        # head is the global minimum (heads are per-bucket minima and
-        # entries order by (time, seq)).
-        best = min(bucket[0] for bucket in buckets if bucket)
-        return buckets[int(best[0] / width) % nbuckets], best
-
-    def _resize(self, nbuckets: int) -> None:
-        """Re-bucket every pending event into ``nbuckets`` buckets.
-
-        Also purges cancelled events (the heap scheduler purges them
-        lazily on pop; a resize is the calendar's natural amnesty) and
-        re-estimates the bucket width as twice the mean gap between the
-        earliest pending events, clamped to a sane floor — the classic
-        calendar-queue heuristic, made deterministic by sorting.
-        """
-        entries = [
-            entry
-            for bucket in self._buckets
-            for entry in bucket
-            if not entry[2].cancelled
-        ]
-        entries.sort()
-        sample = [entry[0] for entry in entries[: self.SAMPLE]]
-        gaps = [
-            later - earlier
-            for earlier, later in zip(sample, sample[1:])
-            if later > earlier
-        ]
-        if gaps:
-            self._width = max(2.0 * sum(gaps) / len(gaps), 1e-9)
-        self._nbuckets = nbuckets
-        width = self._width
-        buckets: List[List[Entry]] = [[] for _ in range(nbuckets)]
-        for entry in entries:
-            heappush(buckets[int(entry[0] / width) % nbuckets], entry)
-        self._buckets = buckets
-        self._size = len(entries)
-        self._head = None
 
 
 class Simulator:
@@ -264,21 +74,10 @@ class Simulator:
         Seed for the simulation-wide random streams.  Component code asks
         for named sub-streams via :meth:`rng` so that adding a new
         randomness consumer does not perturb existing ones.
-    scheduler:
-        ``"heap"`` (default, binary heap) or ``"calendar"`` (calendar
-        queue).  Both pop in the exact same ``(time, seq)`` order, so
-        runs are bit-identical either way; the calendar amortizes to
-        O(1) per event on large steady workloads.
     """
 
-    def __init__(self, seed: int = 0, *, scheduler: str = "heap") -> None:
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-            )
+    def __init__(self, seed: int = 0) -> None:
         self._queue: List[Entry] = []
-        self._calendar = CalendarQueue() if scheduler == "calendar" else None
-        self.scheduler = scheduler
         self._seq = itertools.count()
         self._now = 0.0
         self._seed = seed
@@ -332,10 +131,7 @@ class Simulator:
         when = self._now + delay
         seq = next(self._seq)
         event = Event(when, seq, callback, background, label)
-        if self._calendar is not None:
-            self._calendar.push(event)
-        else:
-            heappush(self._queue, (when, seq, event))
+        heappush(self._queue, (when, seq, event))
         if not background:
             self._live_foreground += 1
         return event
@@ -453,9 +249,6 @@ class Simulator:
         return self._now
 
     def _pop_live(self) -> Optional[Event]:
-        calendar = self._calendar
-        if calendar is not None:
-            return calendar.pop()
         queue = self._queue
         while queue:
             event = heappop(queue)[2]
@@ -464,9 +257,6 @@ class Simulator:
         return None
 
     def _peek_live(self) -> Optional[Event]:
-        calendar = self._calendar
-        if calendar is not None:
-            return calendar.peek()
         queue = self._queue
         while queue and queue[0][2].cancelled:
             heappop(queue)

@@ -63,20 +63,26 @@ def paper_config(
     trace_level: str = "full",
     metrics: bool = False,
     spans: bool = False,
-    compact: bool = False,
+    compact: bool = True,
     lean: bool = False,
     scheduler: str = "heap",
 ) -> ExperimentConfig:
     """The configuration matching the paper's clique experiments.
 
-    ``compact`` turns on the interned/incremental route machinery
-    (result-identical, scale-oriented); ``lean`` drops the baseline
-    full-mesh originations and the route collector — the memory shape
-    Internet-scale trials need, where per-AS /24s would mean O(n²)
-    Adj-RIB entries; ``scheduler`` selects the event
-    kernel's pending-set structure ("heap" or "calendar";
-    digest-preserving either way).
+    ``lean`` drops the baseline full-mesh originations and the route
+    collector — the memory shape Internet-scale trials need, where
+    per-AS /24s would mean O(n²) Adj-RIB entries.
     """
+    # Not options: the frozen benchmark still passes both keywords
+    # (``benchmarks/ledger/workloads.py:361-362``); they are checked,
+    # forwarded nowhere, and deleted with those lines in the next
+    # ``benchmark``-archetype PR.
+    if compact is not True or scheduler != "heap":
+        raise ValueError(
+            "the engine has one route store (the prefix index) and one "
+            f"queue (the binary heap); got compact={compact!r}, "
+            f"scheduler={scheduler!r}"
+        )
     return ExperimentConfig(
         seed=seed,
         policy_mode=policy_mode,
@@ -85,10 +91,8 @@ def paper_config(
         trace_level=trace_level,
         metrics=metrics,
         spans=spans,
-        compact=compact,
         with_collector=not lean,
         originate_all=not lean,
-        scheduler=scheduler,
     )
 
 

@@ -61,21 +61,12 @@ def run_flap_storm(
     extend_on_burst: bool = False,
     mrai: float = 5.0,
     seed: int = 0,
-    compact: bool = False,
-    scheduler: str = "heap",
 ) -> FlapStormResult:
-    """Flap a prefix from AS1 and measure the controller's churn.
-
-    ``compact`` runs the legacy routers in the interned/incremental
-    route machinery; ``scheduler`` picks the event kernel's pending-set
-    structure — results must be (and are, per the differential oracle
-    suites) bit-identical to the default either way.
-    """
+    """Flap a prefix from AS1 and measure the controller's churn."""
     topology = clique(n)
     members = set(range(n - sdn_count + 1, n + 1))
     config = paper_config(seed=seed, mrai=mrai,
-                          recompute_delay=recompute_delay,
-                          compact=compact, scheduler=scheduler)
+                          recompute_delay=recompute_delay)
     config.controller = ControllerConfig(
         recompute_delay=recompute_delay, extend_on_burst=extend_on_burst
     )

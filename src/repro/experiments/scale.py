@@ -40,7 +40,7 @@ __all__ = [
 SCALE_MRAI = 2.0
 
 
-def scale_spec(n: int, seed: int = 0, *, scheduler: str = "heap") -> RunSpec:
+def scale_spec(n: int, seed: int = 0) -> RunSpec:
     """The one-trial spec at size ``n`` — a real RunSpec, so registry
     rows carry the same digests any sweep of it would."""
     return RunSpec(
@@ -52,9 +52,7 @@ def scale_spec(n: int, seed: int = 0, *, scheduler: str = "heap") -> RunSpec:
         mrai=SCALE_MRAI,
         policy_mode="gao_rexford",
         trace_level="off",
-        compact=True,
         lean=True,
-        scheduler=scheduler,
         label=f"scale n={n}",
     )
 

@@ -12,10 +12,14 @@ once more after the final settle — and reports violations of:
    learned routes by an ESTABLISHED session whose Adj-RIB-In still holds
    the same attributes — and every BGP-sourced FIB entry has a Loc-RIB
    best (and vice versa).
-3. **Controller/switch sync**: when the controller is active and
+3. **Decisions match the full scan**: every router's Loc-RIB best is
+   the one a scan of every session's table picks
+   (:meth:`~repro.bgp.router.BGPRouter.verify_decisions` — the oracle
+   the prefix index is held to).
+4. **Controller/switch sync**: when the controller is active and
    reachable, its compiled state matches the switches' flow tables
    (:meth:`~repro.controller.idr.IDRController.audit`).
-4. **Measurement ordering** per fault:
+5. **Measurement ordering** per fault:
    ``t_settled >= t_converged >= t_state_converged >= t_event``.
 
 Violations are data (:class:`InvariantViolation`), not exceptions;
@@ -68,6 +72,7 @@ class InvariantChecker:
         out: List[InvariantViolation] = []
         out.extend(self.check_forwarding_loops())
         out.extend(self.check_loc_rib_consistency())
+        out.extend(self.check_decisions())
         out.extend(self.check_controller_sync())
         return out
 
@@ -170,6 +175,18 @@ class InvariantChecker:
                 )
             )
         return out
+
+    # ------------------------------------------------------------------
+    def check_decisions(self) -> List[InvariantViolation]:
+        """Every router's Loc-RIB best equals the full-scan best."""
+        now = self.experiment.now
+        return [
+            InvariantViolation(
+                time=now, check="decision", node=node.name, detail=problem,
+            )
+            for node in self.experiment.net.nodes_of_type(BGPRouter)
+            for problem in node.verify_decisions()
+        ]
 
     # ------------------------------------------------------------------
     def check_controller_sync(self) -> List[InvariantViolation]:

@@ -151,16 +151,6 @@ class ExperimentConfig:
     #: route-affecting record becomes a span with (cause_id, parent_id)
     #: lineage.  Passive — results are bit-identical with spans on/off.
     spans: bool = False
-    #: build legacy BGP routers in compact mode: interned-route prefix
-    #: index + dirty-set incremental decision process.  Result-identical
-    #: to the default full-scan path (the differential-oracle suite
-    #: proves it); required for Internet-scale topologies.
-    compact: bool = False
-    #: event-kernel pending-set structure: "heap" (binary heap, the
-    #: historical default) or "calendar" (calendar queue; O(1) amortized
-    #: at depth).  Digest-preserving — both schedulers pop in the exact
-    #: same (time, seq) order, proven by the scheduler-equivalence suite.
-    scheduler: str = "heap"
 
     def session_timers(self) -> BGPTimers:
         """A private copy of the session timer config."""
@@ -224,7 +214,6 @@ class Experiment:
         self.net = Network(
             seed=self.config.seed,
             trace_level=self.config.trace_level,
-            scheduler=self.config.scheduler,
         )
         # imported here: framework.convergence imports this module for
         # its type annotations, so the dependency is lazy at import time.
@@ -260,28 +249,33 @@ class Experiment:
 
     def _build_as_nodes(self) -> None:
         for spec in self.topology.ases:
-            asn = spec.asn
-            node_name = spec.label()
-            if asn in self.sdn_asns:
-                node = SDNSwitch(self.net.sim, self.net.bus, node_name, asn=asn)
-                self.net.add_node(node)
-                control = self.net.add_link(
-                    self.controller, node,
-                    latency=CONTROL_LATENCY, kind="control",
-                    name=f"ctl-{node_name}",
-                )
-                node.set_control_link(control)
-                self.controller.register_member(node, control)
-            else:
-                node = BGPRouter(
-                    self.net.sim, self.net.bus, node_name,
-                    asn=asn, timers=self.config.session_timers(),
-                    damping=self.config.damping,
-                    compact=self.config.compact,
-                )
-                self.net.add_node(node)
-            node.address = self.allocator.router_address(asn)
-            self._as_node[asn] = node
+            self._make_as_node(spec)
+
+    def _make_as_node(self, spec) -> Node:
+        """The device for one AS: a cluster switch on its control link
+        if the AS is in ``sdn_asns``, a BGP router otherwise."""
+        asn = spec.asn
+        node_name = spec.label()
+        if asn in self.sdn_asns:
+            node = SDNSwitch(self.net.sim, self.net.bus, node_name, asn=asn)
+            self.net.add_node(node)
+            control = self.net.add_link(
+                self.controller, node,
+                latency=CONTROL_LATENCY, kind="control",
+                name=f"ctl-{node_name}",
+            )
+            node.set_control_link(control)
+            self.controller.register_member(node, control)
+        else:
+            node = BGPRouter(
+                self.net.sim, self.net.bus, node_name,
+                asn=asn, timers=self.config.session_timers(),
+                damping=self.config.damping,
+            )
+            self.net.add_node(node)
+        node.address = self.allocator.router_address(asn)
+        self._as_node[asn] = node
+        return node
 
     def _build_phys_links(self) -> None:
         for topo_link in self.topology.links:
@@ -750,28 +744,9 @@ class Experiment:
                 "core; include at least one SDN member at build time"
             )
         spec = self.topology.add_as(asn, name=name or "")
-        node_name = spec.label()
         if sdn:
             self.sdn_asns.add(asn)
-            node = SDNSwitch(self.net.sim, self.net.bus, node_name, asn=asn)
-            self.net.add_node(node)
-            control = self.net.add_link(
-                self.controller, node,
-                latency=CONTROL_LATENCY, kind="control",
-                name=f"ctl-{node_name}",
-            )
-            node.set_control_link(control)
-            self.controller.register_member(node, control)
-        else:
-            node = BGPRouter(
-                self.net.sim, self.net.bus, node_name,
-                asn=asn, timers=self.config.session_timers(),
-                damping=self.config.damping,
-                compact=self.config.compact,
-            )
-            self.net.add_node(node)
-        node.address = self.allocator.router_address(asn)
-        self._as_node[asn] = node
+        node = self._make_as_node(spec)
         if self.collector is not None and isinstance(node, BGPRouter):
             collector_link = self._attach_collector(node)
             if self._started:

@@ -68,17 +68,13 @@ class Network:
         seed: int = 0,
         *,
         trace_level: str = "full",
-        scheduler: str = "heap",
     ) -> None:
         if trace_level not in TRACE_LEVELS:
             raise ValueError(
                 f"unknown trace level {trace_level!r}; "
                 f"choose from {sorted(TRACE_LEVELS)}"
             )
-        self.sim = (
-            sim if sim is not None
-            else Simulator(seed=seed, scheduler=scheduler)
-        )
+        self.sim = sim if sim is not None else Simulator(seed=seed)
         self.bus = InstrumentationBus(self.sim)
         self.trace = TraceLog(
             self.bus,

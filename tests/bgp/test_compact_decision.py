@@ -1,21 +1,19 @@
-"""RouteIndex + DecisionDriver units: the compact decision machinery.
+"""RouteIndex + per-UPDATE decision dedup: how a router reads candidates.
 
 The experiment-level guarantees live in
 ``tests/experiments/test_compact_differential.py``; these tests pin the
-two building blocks in isolation — the prefix-major index stays exactly
-in sync with its Adj-RIB-In tables, and the dirty-set driver runs each
-touched prefix once, in first-touch order.
+building blocks — the prefix-major index stays exactly in sync with its
+Adj-RIB-In tables (across session replacement too), one UPDATE runs
+each touched prefix once, in first-touch order, and the full scan that
+checks both is itself right.
 """
 
 from repro.bgp.attrs import AsPath, PathAttributes
-from repro.bgp.decision import (
-    DecisionConfig,
-    DecisionDriver,
-    full_scan_best,
-    verify_loc_rib,
-)
+from repro.bgp.decision import DecisionConfig, full_scan_best, verify_loc_rib
+from repro.bgp.messages import BGPUpdate
 from repro.bgp.rib import AdjRibIn, LocRib, Route, RouteIndex
 from repro.net.addr import Prefix
+from tests.conftest import make_bgp_mesh
 
 P1 = Prefix.parse("10.0.1.0/24")
 P2 = Prefix.parse("10.0.2.0/24")
@@ -63,38 +61,81 @@ class TestRouteIndex:
         rib_a.withdraw(P1)
         assert set(index.get(P1)) == {2}
 
-    def test_drop_link_reports_affected_prefixes(self):
-        index = RouteIndex()
-        rib = AdjRibIn(2, "AS2", link_id=9, index=index)
-        rib.update(route(P1, 2, 1))
-        rib.update(route(P2, 2, 1))
-        assert sorted(index.drop_link(9), key=str) == sorted(
-            [P1, P2], key=str
-        )
-        assert len(index) == 0
-
     def test_unindexed_table_is_untouched_legacy(self):
         rib = AdjRibIn(2, "AS2")
         rib.update(route(P1, 2, 1))
         assert rib.get(P1) is not None
 
 
-class TestDecisionDriver:
-    def test_drain_returns_first_touch_order_once(self):
-        driver = DecisionDriver()
-        driver.mark(P2)
-        driver.mark(P1)
-        driver.mark(P2)  # duplicate: withdraw + re-announce in one UPDATE
-        assert len(driver) == 2
-        assert driver.drain() == [P2, P1]
-        assert driver.drain() == []
+def learning_pair(net):
+    """(a, b, b's session to a) with b holding a's P1 and P2."""
+    a, b = make_bgp_mesh(net, 2)
+    a.originate(P1)
+    a.originate(P2)
+    net.sim.run_until_settled()
+    (session,) = b.sessions.values()
+    assert b.adj_rib_in(session).get(P1) and b.adj_rib_in(session).get(P2)
+    return a, b, session
 
-    def test_driver_refills_after_drain(self):
-        driver = DecisionDriver()
-        driver.mark(P1)
-        driver.drain()
-        driver.mark(P1)
-        assert driver.drain() == [P1]
+
+class TestSessionReplacement:
+    def test_down_then_up_leaves_no_entry_for_the_link(self, net):
+        a, b, session = learning_pair(net)
+        link_id = session.link.link_id
+        b.session_down(session, reason="test")
+        b.session_up(session)
+        for prefix in (P1, P2):
+            assert link_id not in b._index.get(prefix)
+        assert b.verify_decisions() == []
+
+    def test_up_on_a_table_still_holding_routes(self, net):
+        # The FSM always passes through session_down first; replacing a
+        # populated table directly must still take its entries out of
+        # the index with it.
+        a, b, session = learning_pair(net)
+        b.session_up(session)
+        assert len(b.adj_rib_in(session)) == 0
+        assert b._index.get(P1) == {} and b._index.get(P2) == {}
+        for prefix in b.known_prefixes():
+            assert b.candidates(prefix) == b._scan_candidates(prefix)
+
+
+class TestOneDecisionPerTouchedPrefix:
+    def _apply(self, monkeypatch, router, session, update):
+        """Apply one UPDATE; returns the prefixes decided, in order."""
+        decided = []
+        run_decision = router._run_decision
+
+        def recording(prefix):
+            decided.append(prefix)
+            run_decision(prefix)
+
+        monkeypatch.setattr(router, "_run_decision", recording)
+        before = router.decisions_run
+        router._apply_update(session, update)
+        assert router.decisions_run - before == len(decided)
+        return decided
+
+    def test_withdraw_and_reannounce_decides_once(self, net, monkeypatch):
+        a, b, session = learning_pair(net)
+        longer = PathAttributes(as_path=AsPath.of(1, 9))
+        update = BGPUpdate(
+            sender_asn=1, withdrawn=(P1,), announced=((P1, longer),)
+        )
+        assert self._apply(monkeypatch, b, session, update) == [P1]
+        assert b.loc_rib.get(P1).attrs.as_path == AsPath.of(1, 9)
+        assert b.verify_decisions() == []
+
+    def test_two_prefixes_decide_in_first_touch_order(self, net, monkeypatch):
+        a, b, session = learning_pair(net)
+        longer = PathAttributes(as_path=AsPath.of(1, 9))
+        update = BGPUpdate(
+            sender_asn=1, withdrawn=(P2, P1), announced=((P1, longer),)
+        )
+        assert self._apply(monkeypatch, b, session, update) == [P2, P1]
+        assert b.loc_rib.get(P2) is None
+        assert b.loc_rib.get(P1).attrs.as_path == AsPath.of(1, 9)
+        assert b.verify_decisions() == []
 
 
 class TestFullScanOracle:

@@ -26,6 +26,7 @@ from repro.topology.builders import clique, ring
 from ..runner.test_jobs import make_spec, other_value
 
 BASE = {"scenario": "withdrawal", "n": 8, "sdn_count": 4, "seed": 7}
+GRID = {"scenario": "withdrawal", "n": 8, "sdn_counts": [0, 2], "runs": 1}
 
 
 def errors_of(payload) -> list:
@@ -226,41 +227,34 @@ class TestSpecPayload:
 
 
 class TestScaleKnobs:
-    """compact/lean ride specs and survive round trips,
-    without disturbing any legacy digest (docs/scaling.md)."""
+    """``lean`` rides specs and survives round trips without disturbing
+    any legacy digest; the engine itself has nothing to select, so
+    ``compact`` / ``scheduler`` are unknown fields (docs/scaling.md)."""
 
     def test_scale_fields_parse(self):
-        spec = runspec_from_json(
-            {**BASE, "compact": True, "lean": True}
-        )
-        assert spec.compact and spec.lean
+        assert runspec_from_json({**BASE, "lean": True}).lean
 
     def test_false_knobs_keep_legacy_digest(self):
         # Explicit False must digest identically to absent — old cache
         # entries and registry rows stay addressable.
         legacy = runspec_from_json(BASE)
-        explicit = runspec_from_json(
-            {**BASE, "compact": False, "lean": False}
-        )
+        explicit = runspec_from_json({**BASE, "lean": False})
         assert explicit.digest() == legacy.digest()
 
     def test_each_knob_changes_the_digest(self):
         base = runspec_from_json(BASE).digest()
-        for knob in ("compact", "lean"):
-            assert runspec_from_json({**BASE, knob: True}).digest() != base
+        assert runspec_from_json({**BASE, "lean": True}).digest() != base
 
     def test_payload_round_trip(self):
-        original = runspec_from_json({**BASE, "compact": True, "lean": True})
+        original = runspec_from_json({**BASE, "lean": True})
         payload = spec_payload(original)
-        assert payload["compact"] is True and payload["lean"] is True
-        assert "scheduler" not in payload  # unset knobs stay out
+        assert payload["lean"] is True
+        assert "compact" not in payload and "scheduler" not in payload
         clone = runspec_from_json(payload)
         assert clone.digest() == original.digest()
 
     def test_knobs_must_be_booleans(self):
-        assert any(
-            "compact" in e for e in errors_of({**BASE, "compact": "yes"})
-        )
+        assert any("lean" in e for e in errors_of({**BASE, "lean": "yes"}))
 
     def test_caida_topology_registered(self):
         from repro.topology import caida_hierarchy
@@ -270,17 +264,79 @@ class TestScaleKnobs:
         assert spec.topology_factory is caida_hierarchy
 
     def test_grid_accepts_scale_knobs(self):
-        specs = grid_from_json(
-            {
-                "scenario": "withdrawal",
-                "n": 8,
-                "sdn_counts": [0, 2],
-                "runs": 1,
-                "compact": True,
-                "lean": True,
-            }
+        specs = grid_from_json({**GRID, "lean": True})
+        assert specs and all(s.lean for s in specs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("compact", True), ("compact", False),
+         ("scheduler", "heap"), ("scheduler", "calendar")],
+    )
+    def test_engine_names_are_unknown_fields(self, field, value):
+        (error,) = errors_of({**BASE, field: value})
+        assert error.startswith(f"unknown field {field!r}")
+        with pytest.raises(SpecIngestError) as excinfo:
+            grid_from_json({**GRID, field: value})
+        assert f"unknown field {field!r}" in str(excinfo.value)
+
+
+class TestFrozenEngineNames:
+    """One route store, one queue: nothing constructs with either name,
+    and the two read-only names the ledger benchmark still reads
+    (``spec.compact`` / ``spec.scheduler`` into ``paper_config``) hold
+    the only value there is."""
+
+    def test_no_constructor_takes_the_names(self, net):
+        from repro.bgp.router import BGPRouter
+        from repro.eventsim import Simulator
+        from repro.framework.experiment import ExperimentConfig
+
+        for build in (
+            lambda: make_spec(compact=True),
+            lambda: make_spec(scheduler="heap"),
+            lambda: ExperimentConfig(compact=True),
+            lambda: ExperimentConfig(scheduler="heap"),
+            lambda: Simulator(scheduler="heap"),
+            lambda: BGPRouter(net.sim, net.bus, "r", asn=1, compact=True),
+        ):
+            with pytest.raises(TypeError, match="compact|scheduler"):
+                build()
+
+    def test_benchmark_call_shape_builds(self):
+        from repro.experiments.common import paper_config
+        from repro.experiments.scale import scale_spec
+
+        spec = scale_spec(300)
+        assert spec.compact is True and spec.scheduler == "heap"
+        config = paper_config(
+            seed=1, compact=spec.compact, lean=True, scheduler=spec.scheduler
         )
-        assert specs and all(s.compact and s.lean for s in specs)
+        assert not config.with_collector and not config.originate_all
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [{"compact": False}, {"compact": 1}, {"scheduler": "calendar"}],
+    )
+    def test_any_other_value_is_refused(self, keywords):
+        from repro.experiments.common import paper_config
+
+        with pytest.raises(ValueError, match="one route store.*one queue"):
+            paper_config(seed=1, **keywords)
+
+    def test_scale_spec_digests_without_the_names(self):
+        from repro.experiments.common import WithdrawalScenario
+        from repro.experiments.scale import SCALE_MRAI, scale_spec
+        from repro.topology import caida_hierarchy
+
+        plain = RunSpec(
+            scenario_factory=WithdrawalScenario,
+            topology_factory=caida_hierarchy,
+            n=300, sdn_count=0, seed=0, mrai=SCALE_MRAI,
+            policy_mode="gao_rexford", trace_level="off", lean=True,
+        )
+        described = scale_spec(300).describe()
+        assert "compact" not in described and "scheduler" not in described
+        assert scale_spec(300).digest() == plain.digest()
 
 
 class TestDeclaredOptions:

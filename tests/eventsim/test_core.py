@@ -2,20 +2,15 @@
 
 import pytest
 
-from repro.eventsim import (
-    SCHEDULERS,
-    CalendarQueue,
-    SimulationError,
-    Simulator,
-)
+from repro.eventsim import SimulationError, Simulator
 from repro.eventsim.core import Event
 
 
-@pytest.fixture(params=SCHEDULERS)
-def sim(request):
-    """Every kernel test runs under both pending-set structures —
-    behavior (not just results) must be scheduler-independent."""
-    return Simulator(seed=42, scheduler=request.param)
+# One param, not a choice: the heap is the queue.  The ``[heap]`` id is
+# kept so these tests keep the names earlier runs recorded them under.
+@pytest.fixture(params=["heap"])
+def sim():
+    return Simulator(seed=42)
 
 
 class TestScheduling:
@@ -165,25 +160,12 @@ class TestRunUntilSettled:
         assert sim.run_until_settled() == 0.0
 
 
-class TestSchedulerKnob:
-    def test_default_is_heap(self):
-        assert Simulator(seed=0).scheduler == "heap"
-
-    def test_calendar_selectable(self):
-        assert Simulator(seed=0, scheduler="calendar").scheduler == "calendar"
-
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(SimulationError, match="scheduler"):
-            Simulator(seed=0, scheduler="fibonacci")
-
-
 class TestTieBreak:
     """Regression pin: duplicate timestamps pop in scheduling order.
 
-    Both schedulers order events by ``(time, seq)``; this is the
+    The queue orders events by ``(time, seq)``; this is the
     determinism contract every digest fixture rests on, so the exact
-    pop order for a burst of same-time events is pinned here for each
-    scheduler independently (the shared ``sim`` fixture parametrizes).
+    pop order for a burst of same-time events is pinned here.
     """
 
     def test_duplicate_timestamps_pop_in_seq_order(self, sim):
@@ -216,7 +198,7 @@ class TestTieBreak:
 
 
 class TestQueueKeys:
-    """Both schedulers order ``(time, seq, event)`` entries, which the C
+    """The queue orders ``(time, seq, event)`` entries, which the C
     heap compares by itself; ``Event.__lt__`` (a tuple built per call,
     sixteen calls per event at depth) stays for users, not for queues."""
 
@@ -228,7 +210,7 @@ class TestQueueKeys:
             monkeypatch.setattr(Event, op, compared)
         order = []
         # duplicate-timestamp storm: three instants, scheduled
-        # interleaved, enough of them to resize the calendar.
+        # interleaved.
         handles = [
             sim.schedule((tag % 3) * 0.5, lambda t=tag: order.append(t))
             for tag in range(120)
@@ -236,7 +218,7 @@ class TestQueueKeys:
         for handle in handles[::7]:
             sim.cancel(handle)
 
-        # zero-delay cascade, a fruitless calendar year away.
+        # zero-delay cascade, far past everything else pending.
         def chain(tag, depth):
             order.append((tag, depth))
             if depth:
@@ -249,102 +231,6 @@ class TestQueueKeys:
         assert order == [
             tag for instant in range(3) for tag in live if tag % 3 == instant
         ] + [("a", 2), ("b", 2), ("a", 1), ("b", 1), ("a", 0), ("b", 0)]
-
-
-class TestCalendarQueue:
-    """Direct coverage of the calendar structure (resize, wrap, skip)."""
-
-    @staticmethod
-    def _events(times):
-        return [Event(t, seq, lambda: None) for seq, t in enumerate(times)]
-
-    def test_pops_in_time_seq_order(self):
-        queue = CalendarQueue()
-        events = self._events([3.0, 1.0, 2.0, 1.0, 2.0])
-        for event in events:
-            queue.push(event)
-        popped = [queue.pop() for _ in range(5)]
-        assert popped == sorted(events)
-        assert queue.pop() is None
-
-    def test_grow_resize_preserves_order(self):
-        queue = CalendarQueue(nbuckets=CalendarQueue.MIN_BUCKETS)
-        events = self._events([i * 0.37 % 7.0 for i in range(500)])
-        for event in events:
-            queue.push(event)
-        assert queue._nbuckets > CalendarQueue.MIN_BUCKETS
-        assert [queue.pop() for _ in range(500)] == sorted(events)
-
-    def test_shrink_resize_preserves_order(self):
-        queue = CalendarQueue()
-        events = self._events([i * 0.11 for i in range(400)])
-        for event in events:
-            queue.push(event)
-        drained = [queue.pop() for _ in range(400)]
-        assert drained == sorted(events)
-        # the drain shrank the bucket array back down
-        assert queue._nbuckets < 400
-
-    def test_far_future_event_found_after_fruitless_year(self):
-        queue = CalendarQueue(width=0.001)
-        near = Event(0.0005, 0, lambda: None)
-        far = Event(9_999.0, 1, lambda: None)
-        queue.push(near)
-        queue.push(far)
-        assert queue.pop() is near
-        # finding this one requires the full-scan fallback: its day is
-        # thousands of bucket-years past the last popped time.
-        assert queue.pop() is far
-
-    def test_cancelled_events_are_skipped(self):
-        queue = CalendarQueue()
-        keep = Event(2.0, 1, lambda: None)
-        drop = Event(1.0, 0, lambda: None)
-        queue.push(drop)
-        queue.push(keep)
-        drop.cancelled = True
-        assert queue.peek() is keep
-        assert queue.pop() is keep
-        assert queue.pop() is None
-
-    def test_resize_purges_cancelled_without_losing_live(self):
-        queue = CalendarQueue(nbuckets=CalendarQueue.MIN_BUCKETS)
-        events = self._events([i * 0.53 % 11.0 for i in range(300)])
-        for event in events:
-            queue.push(event)
-        cancelled = events[::3]
-        for event in cancelled:
-            event.cancelled = True
-        live = sorted(e for e in events if not e.cancelled)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event)
-        assert popped == live
-
-    def test_peek_matches_subsequent_pop(self):
-        queue = CalendarQueue()
-        for event in self._events([5.0, 1.0, 3.0]):
-            queue.push(event)
-        while True:
-            head = queue.peek()
-            if head is None:
-                assert queue.pop() is None
-                break
-            assert queue.pop() is head
-
-    def test_push_smaller_than_memoized_head(self):
-        queue = CalendarQueue()
-        late = Event(5.0, 0, lambda: None)
-        queue.push(late)
-        assert queue.peek() is late  # memoizes the head
-        early = Event(1.0, 1, lambda: None)
-        queue.push(early)
-        assert queue.peek() is early
-        assert queue.pop() is early
-        assert queue.pop() is late
 
 
 class TestRng:

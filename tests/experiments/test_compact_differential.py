@@ -1,14 +1,16 @@
-"""Differential oracle: compact mode is bit-identical to the default.
+"""Differential oracle: the indexed engine reproduces the full scan.
 
-``compact=True`` swaps the routers onto the interned/indexed/incremental
-route machinery (docs/scaling.md).  That machinery is only admissible
-because it changes *nothing observable*: these tests run the paper's
-experiments both ways and compare with exact equality — every
-measurement field, the full trace digest, and the registry row payload.
-The failover and flap-storm cases go further and compare compact runs
-against the pre-refactor oracles captured in
-``fixtures/fault_oracles.json``, tying the new machinery all the way
-back to the original implementation.
+Every router reads its candidates from the prefix index and decides
+once per touched prefix (docs/scaling.md).  That is only admissible
+because it changes *nothing observable*.  The last run-time comparison
+against the session-scan router on the binary heap is frozen as data in
+``fixtures/withdrawal_oracles.json`` — captured at the commit before the
+scan path and the calendar queue were deleted — and these tests hold
+the one remaining path to it with exact equality: every measurement
+field, the full trace digest, the bus's per-category counts and the
+kernel's event count.  The scan itself stays in ``src/`` as
+``BGPRouter.verify_decisions()``; the failover and flap-storm oracles
+are ``test_fault_differential``'s.
 """
 
 import hashlib
@@ -18,24 +20,18 @@ from dataclasses import fields
 
 import pytest
 
+from repro.bgp.router import BGPRouter
 from repro.experiments.common import (
-    FailoverScenario,
     WithdrawalScenario,
     paper_config,
-    run_scenario_once,
     sdn_set_for,
 )
-from repro.experiments.flapstorm import run_flap_storm
 from repro.framework.convergence import ConvergenceMeasurement, measure_event
 from repro.framework.experiment import Experiment
-from repro.obs.registry import RunRegistry
-from repro.runner.jobs import RunSpec, execute_spec
 from repro.topology.builders import clique
 
-from .test_fault_differential import FAILOVER_FIELDS, FLAPSTORM_FIELDS
-
-FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "fault_oracles.json"
-ORACLES = json.loads(FIXTURE.read_text())
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "withdrawal_oracles.json"
+ORACLES = json.loads(FIXTURE.read_text())["withdrawal"]
 
 
 def _trace_digest(exp):
@@ -49,13 +45,13 @@ def _trace_digest(exp):
     return hasher.hexdigest()
 
 
-def _run_withdrawal(*, n, sdn_count, seed, mrai, compact):
+def _run_withdrawal(*, n, sdn_count, seed, mrai):
     """One Fig. 2-style withdrawal run, keeping the live experiment so
     the trace and the routers stay inspectable."""
     scenario = WithdrawalScenario()
     topology = scenario.topology(n, clique)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
-    config = paper_config(seed=seed, mrai=mrai, compact=compact)
+    config = paper_config(seed=seed, mrai=mrai)
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name
     ).build()
@@ -67,96 +63,35 @@ def _run_withdrawal(*, n, sdn_count, seed, mrai, compact):
     return exp, measurement
 
 
-@pytest.mark.parametrize("sdn_count", [0, 3, 6])
-def test_withdrawal_measurement_and_trace_bit_identical(sdn_count):
-    default_exp, default_m = _run_withdrawal(
-        n=8, sdn_count=sdn_count, seed=42, mrai=2.0, compact=False
+@pytest.mark.parametrize(
+    "case", ORACLES, ids=[str(c["sdn_count"]) for c in ORACLES]
+)
+def test_withdrawal_measurement_and_trace_bit_identical(case):
+    exp, measurement = _run_withdrawal(
+        n=case["n"], sdn_count=case["sdn_count"], seed=case["seed"],
+        mrai=case["mrai"],
     )
-    compact_exp, compact_m = _run_withdrawal(
-        n=8, sdn_count=sdn_count, seed=42, mrai=2.0, compact=True
+    assert sorted(case["measurement"]) == sorted(
+        f.name for f in fields(ConvergenceMeasurement)
     )
-    for f in fields(ConvergenceMeasurement):
-        assert getattr(compact_m, f.name) == getattr(default_m, f.name), f.name
-    assert _trace_digest(compact_exp) == _trace_digest(default_exp)
+    for name, frozen in case["measurement"].items():
+        assert getattr(measurement, name) == frozen, name
+    assert _trace_digest(exp) == case["trace_digest"]
+    assert dict(exp.net.bus.counts) == case["bus_counts"]
+    assert exp.net.sim.events_processed == case["events_processed"]
+    # The scan-order invariant of docs/scaling.md: the index yields the
+    # scan's candidates as the same *list*, collector included.
+    for router in exp.net.nodes_of_type(BGPRouter):
+        for prefix in router.known_prefixes():
+            assert router.candidates(prefix) == router._scan_candidates(
+                prefix
+            ), (router.name, prefix)
 
 
 def test_withdrawal_incremental_decisions_match_full_scan():
-    # The oracle inside the router: after a converged compact run, a
-    # full legacy scan over every known prefix must agree with every
-    # Loc-RIB the incremental driver produced.
-    exp, _ = _run_withdrawal(n=8, sdn_count=3, seed=7, mrai=2.0, compact=True)
+    # The oracle inside the router: after a converged run, a full scan
+    # over every known prefix must agree with every Loc-RIB the
+    # once-per-touched-prefix decisions produced.
+    exp, _ = _run_withdrawal(n=8, sdn_count=3, seed=7, mrai=2.0)
     for asn in exp.legacy_asns():
         assert exp.node(asn).verify_decisions() == [], f"AS{asn}"
-
-
-def _spec(*, compact, seed=5):
-    return RunSpec(
-        scenario_factory=WithdrawalScenario,
-        topology_factory=clique,
-        n=6,
-        sdn_count=2,
-        seed=seed,
-        mrai=2.0,
-        trace_level="off",
-        metrics=True,
-        compact=compact,
-    )
-
-
-def test_registry_rows_bit_identical(tmp_path):
-    # Through the full worker + registry stack: execute both specs the
-    # way a sweep would, record them, and compare the JSON payloads the
-    # registry persisted.  Digests differ by design (compact trials get
-    # their own cache entries); the results may not.
-    registry = RunRegistry(tmp_path / "reg.sqlite")
-    rows = {}
-    for compact in (False, True):
-        spec = _spec(compact=compact)
-        record = execute_spec(spec)
-        assert record.ok, record.error
-        registry.record(spec, record)
-        rows[compact] = registry._conn.execute(
-            "SELECT measurement, metrics FROM runs WHERE spec_digest=?",
-            (spec.digest(),),
-        ).fetchone()
-    assert rows[True]["measurement"] == rows[False]["measurement"]
-    assert rows[True]["metrics"] == rows[False]["metrics"]
-    assert _spec(compact=True).digest() != _spec(compact=False).digest()
-
-
-@pytest.mark.parametrize(
-    "case",
-    ORACLES["failover"],
-    ids=[f"sdn{c['sdn_count']}-seed{c['seed']}" for c in ORACLES["failover"]],
-)
-def test_failover_compact_matches_prerefactor_oracle(case):
-    scenario = FailoverScenario()
-    topology = scenario.topology(case["n"], clique)
-    members = sdn_set_for(
-        topology, case["sdn_count"], scenario.reserved_legacy
-    )
-    measurement = run_scenario_once(
-        scenario, topology, members,
-        paper_config(
-            seed=case["seed"], mrai=case["mrai"],
-            recompute_delay=case["recompute_delay"],
-            compact=True,
-        ),
-    )
-    for field in FAILOVER_FIELDS:
-        assert getattr(measurement, field) == case[field], field
-
-
-@pytest.mark.parametrize(
-    "case",
-    ORACLES["flapstorm"],
-    ids=[
-        f"n{c['params']['n']}-sdn{c['params']['sdn_count']}"
-        f"-ext{int(c['params'].get('extend_on_burst', False))}"
-        for c in ORACLES["flapstorm"]
-    ],
-)
-def test_flapstorm_compact_matches_prerefactor_oracle(case):
-    result = run_flap_storm(**case["params"], compact=True)
-    for field in FLAPSTORM_FIELDS:
-        assert getattr(result, field) == case[field], field

@@ -14,6 +14,8 @@ from repro.faults import (
 from repro.framework.experiment import Experiment
 from repro.topology.builders import clique
 
+from .test_invariants import force_longer_path
+
 
 def build_exp(
     n=6,
@@ -235,6 +237,17 @@ class TestStrictMode:
         # its prefix while the Loc-RIB still holds the local best.
         del exp.node(1).originated[exp.as_prefix(1)]
         with pytest.raises(InvariantError, match="stale_loc_rib"):
+            injector.finalize()
+
+    def test_strict_raises_on_a_decision_the_full_scan_rejects(self):
+        exp = build_exp()
+        injector = FaultInjector(
+            exp, FaultSchedule().link_down(1, 2, at=1.0), strict=True
+        )
+        injector.inject()
+        exp.wait_converged()
+        force_longer_path(exp)
+        with pytest.raises(InvariantError, match="decision @ as3"):
             injector.finalize()
 
     def test_strict_passes_clean_run(self):

@@ -30,6 +30,20 @@ class TestCleanState:
         assert InvariantChecker(build_exp()).check_controller_sync() == []
 
 
+def force_longer_path(exp, asn=3):
+    """Behind the decision process's back, make AS ``asn`` prefer a
+    longer path to AS1's prefix than the one it holds."""
+    node = exp.node(asn)
+    prefix = exp.as_prefix(1)
+    best = node.loc_rib.get(prefix)
+    longer = next(
+        r for r in node.candidates(prefix)
+        if r.as_path_len > best.as_path_len
+    )
+    assert node.loc_rib.set_best(longer)
+    return node, prefix
+
+
 class TestCorruptedState:
     def test_forgotten_origination_is_stale(self):
         exp = build_exp()
@@ -65,6 +79,17 @@ class TestCorruptedState:
             v.check == "fib_sync" and "missing from FIB" in v.detail
             for v in violations
         )
+
+    def test_tampered_loc_rib_is_one_decision_violation(self):
+        exp = build_exp()
+        node, prefix = force_longer_path(exp)
+        # every other check still passes: the forced route is live in
+        # its peer's table and the prefix is in the FIB.
+        (violation,) = InvariantChecker(exp).check()
+        assert violation.check == "decision"
+        assert violation.node == node.name
+        assert str(prefix) in violation.detail
+        assert violation.time == exp.now
 
     def test_unreachability_is_not_a_loop_violation(self):
         exp = build_exp()

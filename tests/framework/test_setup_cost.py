@@ -29,7 +29,7 @@ def hierarchy(n=300, **options):
     """The scale trial's shape (``scale_spec``) at a tier-1 size."""
     config = paper_config(
         seed=1, policy_mode="gao_rexford", trace_level="off",
-        compact=True, lean=True, **options,
+        lean=True, **options,
     )
     return Experiment(caida_hierarchy(n), config=config)
 
@@ -59,6 +59,11 @@ class TestSharedPolicies:
             for link in node.links if link.kind == "collector"
         }
         assert len(feeds) == 1
+
+        def collector_side():
+            return {id(s.policy) for s in exp.collector.sessions.values()}
+
+        assert len(exp.collector.sessions) == 4 and len(collector_side()) == 1
         exp.start()
         added = exp.add_as(9, links=[1, 2])
         flat = exp.node(1).session_on(exp.phys_link(1, 2)).policy
@@ -66,6 +71,7 @@ class TestSharedPolicies:
             added.session_on(exp.phys_link(9, peer)).policy is flat
             for peer in (1, 2)
         )
+        assert len(exp.collector.sessions) == 5 and len(collector_side()) == 1
 
     def test_experiments_share_no_policy(self):
         first, second = hierarchy(60).build(), hierarchy(60).build()

@@ -1,11 +1,11 @@
-"""Property suite: the calendar queue is pop-for-pop identical to the heap.
+"""Property suite: the kernel pops event-for-event like a model of it.
 
-The calendar scheduler earns its digest-preserving claim here: for any
-randomized event program — duplicate timestamps on a lattice, zero-delay
-self-schedules, far-future events that force bucket-array resizes and
-the fruitless-year fallback scan, and cancellations — running the same
-program on a heap-scheduled and a calendar-scheduled simulator yields
-the exact same execution order, final clock, and processed-event count.
+For any randomized event program — duplicate timestamps on a lattice,
+zero-delay self-schedules, far-future outliers and cancellations —
+running the same program on the :class:`Simulator` and on
+:class:`ModelKernel`, a reference interpreter small enough to be read
+as the specification, yields the exact same execution log, final clock
+and processed-event count.
 
 Examples are bounded and derandomized (same discipline as
 ``test_fault_properties``) so the suite stays fast and reproducible.
@@ -17,23 +17,61 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.eventsim import SCHEDULERS, Simulator  # noqa: E402
+from repro.eventsim import Simulator  # noqa: E402
 
 pytestmark = pytest.mark.properties
 
 BOUNDED = settings(max_examples=25, deadline=None, derandomize=True)
 
 #: delay pools stressing distinct kernel regimes: an exact-collision
-#: lattice (many identical timestamps in one bucket), continuous values,
-#: zero delays (same-instant cascades), and far-future outliers whose
-#: day number is thousands of bucket-years ahead (exercising the
-#: calendar's full-scan fallback and width re-estimation on resize).
+#: lattice (many identical timestamps), continuous values, zero delays
+#: (same-instant cascades), and far-future outliers.
 LATTICE = st.sampled_from([0.0, 0.001, 0.01, 0.01, 0.5, 1.0])
 CONTINUOUS = st.floats(
     min_value=0.0, max_value=20.0, allow_nan=False, width=32
 )
 FAR_FUTURE = st.sampled_from([500.0, 9_999.0, 123_456.0])
 DELAYS = st.one_of(LATTICE, CONTINUOUS, FAR_FUTURE)
+
+
+class ModelKernel:
+    """The kernel's contract as a plain list: the pending entry with
+    the least ``(time, seq)`` runs next; cancelling removes an entry
+    and is a no-op on one that is gone (cancelled or fired)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._pending = []
+        self._seq = 0
+
+    def schedule(self, delay, callback):
+        entry = (self.now + delay, self._seq, callback)
+        self._seq += 1
+        self._pending.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        self._pending = [e for e in self._pending if e is not entry]
+
+    def run(self):
+        while self._pending:
+            entry = min(self._pending, key=lambda e: e[:2])
+            self.cancel(entry)
+            self.now = entry[0]
+            self.events_processed += 1
+            entry[2]()
+
+
+def on_both(program):
+    """Run ``program(kernel) -> log`` on the simulator and on the
+    model; each result is (log, final clock, events processed)."""
+    results = []
+    for kernel in (Simulator(seed=1), ModelKernel()):
+        log = program(kernel)
+        kernel.run()
+        results.append((log, kernel.now, kernel.events_processed))
+    return results
 
 
 @st.composite
@@ -51,9 +89,8 @@ def event_programs(draw):
     ]
 
 
-def run_program(program, scheduler):
-    """Execute one script; returns (execution log, final now, count)."""
-    sim = Simulator(seed=1, scheduler=scheduler)
+def load_program(program, sim):
+    """Schedule one script on ``sim``; returns its execution log."""
     log = []
 
     def make_callback(tag, children):
@@ -75,40 +112,35 @@ def run_program(program, scheduler):
         if item["cancel_prev"] and len(handles) >= 1:
             sim.cancel(handles[-1])
         handles.append(handle)
-    sim.run()
-    return log, sim.now, sim.events_processed
+    return log
 
 
-class TestSchedulerEquivalence:
+class TestKernelMatchesModel:
     @given(program=event_programs())
     @BOUNDED
-    def test_identical_execution_order(self, program):
-        results = {s: run_program(program, s) for s in SCHEDULERS}
-        assert results["heap"] == results["calendar"]
+    def test_program_execution_order(self, program):
+        simulated, model = on_both(lambda sim: load_program(program, sim))
+        assert simulated == model
 
     @given(delays=st.lists(LATTICE, min_size=1, max_size=60))
     @BOUNDED
-    def test_duplicate_timestamp_storm_pops_identically(self, delays):
-        def run(scheduler):
-            sim = Simulator(seed=0, scheduler=scheduler)
+    def test_duplicate_timestamp_storm(self, delays):
+        def storm(sim):
             order = []
             for index, delay in enumerate(delays):
                 sim.schedule(delay, lambda i=index: order.append((i, sim.now)))
-            sim.run()
             return order
 
-        assert run("heap") == run("calendar")
+        simulated, model = on_both(storm)
+        assert simulated == model
 
     @given(
         delays=st.lists(CONTINUOUS, min_size=2, max_size=40),
         cancel_stride=st.integers(min_value=2, max_value=5),
     )
     @BOUNDED
-    def test_cancellation_pattern_preserves_equivalence(
-        self, delays, cancel_stride
-    ):
-        def run(scheduler):
-            sim = Simulator(seed=0, scheduler=scheduler)
+    def test_cancellation_stride(self, delays, cancel_stride):
+        def strided(sim):
             order = []
             handles = [
                 sim.schedule(d, lambda i=i: order.append(i))
@@ -116,7 +148,7 @@ class TestSchedulerEquivalence:
             ]
             for handle in handles[::cancel_stride]:
                 sim.cancel(handle)
-            sim.run()
-            return order, sim.now, sim.events_processed
+            return order
 
-        assert run("heap") == run("calendar")
+        simulated, model = on_both(strided)
+        assert simulated == model
