@@ -61,7 +61,7 @@ class AsPath:
     §9.1.2 but O(1) per test.
     """
 
-    __slots__ = ("asns", "_hash", "_members", "__weakref__")
+    __slots__ = ("asns", "_hash", "_members", "_text", "__weakref__")
 
     _pool: "weakref.WeakValueDictionary[Tuple[int, ...], AsPath]" = (
         weakref.WeakValueDictionary()
@@ -157,7 +157,15 @@ class AsPath:
         return (AsPath, (self.asns,))
 
     def __str__(self) -> str:
-        return " ".join(str(a) for a in self.asns) if self.asns else "(empty)"
+        # Rendered once per pooled path: every trace payload naming this
+        # path shares the one string.  The slot stays unset until first
+        # asked, so constructing a path does nothing for it.
+        try:
+            return self._text
+        except AttributeError:
+            text = " ".join(map(str, self.asns)) if self.asns else "(empty)"
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self) -> str:
         return f"AsPath({self.asns!r})"

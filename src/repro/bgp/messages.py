@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Tuple
 
 from ..net.addr import Prefix
 from ..net.messages import Message
@@ -65,11 +65,31 @@ class BGPUpdate(BGPMessage):
     announced: Tuple[Tuple[Prefix, PathAttributes], ...] = ()
     withdrawn: Tuple[Prefix, ...] = ()
     update_id: int = field(default_factory=lambda: next(_update_ids))
+    #: memo of :meth:`rendered`; like ``Message._prov`` the slot stays
+    #: unset until used, so sending an UPDATE nobody traces never sets it.
+    _rendered: Tuple[List[List[str]], List[str]] = field(
+        init=False, repr=False, compare=False
+    )
 
     @property
     def empty(self) -> bool:
         """True when there is nothing to send/do."""
         return not self.announced and not self.withdrawn
+
+    def rendered(self) -> Tuple[List[List[str]], List[str]]:
+        """``(announced, withdrawn)`` as a trace payload carries them —
+        ``[[prefix, path], ...]`` and ``[prefix, ...]``, already in JSON
+        shape.  Rendered once per message: the tx record and every rx
+        record of one ``update_id`` share this pair of lists, which
+        (like every payload) is only ever read."""
+        try:
+            return self._rendered
+        except AttributeError:
+            self._rendered = pair = (
+                [[str(p), str(a.as_path)] for p, a in self.announced],
+                [str(p) for p in self.withdrawn],
+            )
+            return pair
 
     def describe(self) -> str:
         """Short human-readable summary."""

@@ -289,10 +289,8 @@ class BGPRouter(Node):
             "bgp.update.rx", self.name,
             lambda: {
                 "peer": session.link.other(self).name,
-                "announced": [
-                    (str(p), str(a.as_path)) for p, a in update.announced
-                ],
-                "withdrawn": [str(p) for p in update.withdrawn],
+                "announced": update.rendered()[0],
+                "withdrawn": update.rendered()[1],
                 "update_id": update.update_id,
             },
         )

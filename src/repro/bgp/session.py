@@ -485,10 +485,8 @@ class BGPSession:
             self.router.name,
             lambda: {
                 "peer": self.link.other(self.router).name,
-                "announced": [
-                    (str(p), str(a.as_path)) for p, a in update.announced
-                ],
-                "withdrawn": [str(p) for p in update.withdrawn],
+                "announced": update.rendered()[0],
+                "withdrawn": update.rendered()[1],
                 "update_id": update.update_id,
             },
         )

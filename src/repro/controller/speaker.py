@@ -272,10 +272,8 @@ class ClusterBGPSpeaker(Node):
             lambda: {
                 "peer": session.peer_name,
                 "peering": str(self.peering_of[session.link.link_id]),
-                "announced": [
-                    (str(p), str(a.as_path)) for p, a in update.announced
-                ],
-                "withdrawn": [str(p) for p in update.withdrawn],
+                "announced": update.rendered()[0],
+                "withdrawn": update.rendered()[1],
                 "update_id": update.update_id,
             },
         )

@@ -37,6 +37,12 @@ The contract for subscriber authors: a record's ``data`` dict is built
 at publish time whenever *any* taker exists, so every taker of the same
 occurrence sees the same payload, and payloads always reflect state at
 the publish instant — laziness is never observable, only cheaper.
+Ownership: a payload belongs to its occurrence.  Every taker is handed
+the one dict (parts of it may be shared wider still — the tx and rx
+records of an UPDATE share its rendered lists), so takers read it and
+never write; whoever needs more keys copies first
+(``SpanTracker.annotate_last``).  Publishers build it in JSON shape —
+lists, not tuples — so retaining or serializing it converts nothing.
 """
 
 from __future__ import annotations

@@ -209,6 +209,9 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: the bus callback's resolved counters, by category (or
+        #: ``(category, node)``) — see :meth:`observe_bus`.
+        self._record_counters: dict = {}
         self._subscription = None
         self._bus = None
         self._profiled_sim = None
@@ -258,16 +261,25 @@ class MetricsRegistry:
         if self._subscription is not None:
             raise RuntimeError("registry already observes a bus")
 
-        if per_node:
-            def on_record(rec) -> None:
-                self.counter("records_total", category=rec.category).inc()
-                self.counter(
-                    "node_records_total",
-                    category=rec.category, node=rec.node,
-                ).inc()
-        else:
-            def on_record(rec) -> None:
-                self.counter("records_total", category=rec.category).inc()
+        # A record's counters depend only on its category (and node):
+        # format their keys once, then count by lookup.  ``clear()``
+        # empties the memo together with the tables it points into.
+        memo = self._record_counters
+
+        def on_record(rec) -> None:
+            key = (rec.category, rec.node) if per_node else rec.category
+            counters = memo.get(key)
+            if counters is None:
+                counters = memo[key] = [
+                    self.counter("records_total", category=rec.category)
+                ]
+                if per_node:
+                    counters.append(self.counter(
+                        "node_records_total",
+                        category=rec.category, node=rec.node,
+                    ))
+            for counter in counters:
+                counter.inc()
 
         self._bus = bus
         self._subscription = bus.subscribe(
@@ -325,6 +337,7 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._record_counters.clear()
 
     def __repr__(self) -> str:
         return (

@@ -181,7 +181,14 @@ class Prefix:
         return self.contains(other.first_address) or other.contains(self.first_address)
 
     def __str__(self) -> str:
-        return f"{IPv4Address(self.network)}/{self.length}"
+        # Rendered once per instance (a frozen dataclass's fields never
+        # change); the text lives beside the fields, outside equality.
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{IPv4Address(self.network)}/{self.length}"
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"

@@ -56,7 +56,8 @@ class ProvenanceDAG:
 
     @classmethod
     def from_dicts(cls, payloads: Iterable[Dict[str, Any]]) -> "ProvenanceDAG":
-        """Build from JSON-ready span dicts (cache / JSONL form)."""
+        """Build from JSON-ready span dicts (cache / JSONL form); the
+        spans read the dicts' ``data`` in place, as every DAG query does."""
         return cls(Span.from_dict(p) for p in payloads)
 
     # ------------------------------------------------------------------

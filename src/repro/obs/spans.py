@@ -46,18 +46,30 @@ Context = Tuple[int, int]
 SPAN_CATEGORIES = frozenset(ROUTE_AFFECTING)
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_safe(value: Any) -> Any:
     """Canonicalize record data to its JSON shape (tuples become lists)
     so an in-memory snapshot equals its serialize/deserialize roundtrip
-    — cache hits and JSONL reloads compare equal to live captures."""
-    if isinstance(value, (list, tuple)):
+    — cache hits and JSONL reloads compare equal to live captures.
+
+    Returns ``value`` itself when it already has that shape: publishers
+    build JSON-shaped payloads, so for them this is a read-only check."""
+    if isinstance(value, tuple):
         return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        for v in value:
+            if type(v) not in _JSON_SCALARS and _json_safe(v) is not v:
+                return [_json_safe(v) for v in value]
+    elif isinstance(value, dict):
+        for v in value.values():
+            if type(v) not in _JSON_SCALARS and _json_safe(v) is not v:
+                return {k: _json_safe(v) for k, v in value.items()}
     return value
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One causally attributed event.
 
@@ -65,7 +77,10 @@ class Span:
     root span's id for every span in that root's tree (a root is its own
     cause).  ``t_start``/``t_end`` coincide for instantaneous events;
     spans covering an interval (an MRAI-gated send measured from the
-    instant its prefix went dirty) keep them distinct.
+    instant its prefix went dirty) keep them distinct.  ``data`` is the
+    occurrence's own payload dict — the one the bus hands every taker —
+    so it is read, never written (:meth:`SpanTracker.annotate_last`
+    replaces it with an extended copy).
     """
 
     span_id: int
@@ -87,7 +102,7 @@ class Span:
             "node": self.node,
             "t_start": self.t_start,
             "t_end": self.t_end,
-            "data": self.data,
+            "data": _json_safe(self.data),
         }
 
     @staticmethod
@@ -100,7 +115,7 @@ class Span:
             node=payload["node"],
             t_start=payload["t_start"],
             t_end=payload["t_end"],
-            data=dict(payload.get("data") or {}),
+            data=payload.get("data") or {},
         )
 
 
@@ -109,8 +124,8 @@ class SpanTracker:
 
     Attach with ``bus.obs = SpanTracker(sim)`` (or
     ``Network.enable_spans()``): the bus then calls :meth:`on_record`
-    for every published record, and records in :data:`SPAN_CATEGORIES`
-    become spans parented under :attr:`current`.  A record arriving with
+    for every published record in :data:`SPAN_CATEGORIES`, which
+    becomes a span parented under :attr:`current`.  A record arriving with
     no current context starts a new root cause — originations,
     withdrawals and fault injections are roots by construction because
     they fire from scenario code, outside any message context.
@@ -119,10 +134,9 @@ class SpanTracker:
     seed yields the same ids on every run.
     """
 
-    def __init__(self, sim, *, categories=SPAN_CATEGORIES) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         self.spans: List[Span] = []
-        self.categories = frozenset(categories)
         #: context of the causal tree being extended right now, or None.
         self.current: Optional[Context] = None
         #: context of the most recently created span (for hooks that
@@ -140,13 +154,13 @@ class SpanTracker:
         so non-spanned categories skip payload materialization entirely
         on the lazy publishing path.
         """
-        return category in self.categories
+        return category in SPAN_CATEGORIES
 
     def on_record(self, category: str, node: str, data: Dict[str, Any]) -> None:
-        """Bus hook: span every route-affecting record (see bus.record)."""
-        if category in self.categories:
-            now = self.sim.now
-            self._emit(category, node, now, now, dict(data))
+        """Bus hook for a record whose category :meth:`wants` accepted
+        (the bus's compiled route asked): the span holds ``data`` itself."""
+        now = self.sim.now
+        self._emit(category, node, now, now, data)
 
     def emit(
         self,
@@ -190,7 +204,7 @@ class SpanTracker:
             cause_id, parent_id = self.current[0], self.current[1]
         self.spans.append(
             Span(span_id, parent_id, cause_id, category, node,
-                 t_start, t_end, _json_safe(data))
+                 t_start, t_end, data)
         )
         self.last_ctx = (cause_id, span_id)
         return self.last_ctx
@@ -201,14 +215,16 @@ class SpanTracker:
         """Attach extra data to the most recently created span.
 
         ``t_start`` stretches the span's start earlier (never later) —
-        used for sends that waited in an MRAI gate.
+        used for sends that waited in an MRAI gate.  The span's payload
+        is the published record's, so ``extra`` goes into a copy: an
+        annotation never shows up in the trace.
         """
         if not self.spans:
             return
         span = self.spans[-1]
         if t_start is not None and t_start < span.t_start:
             span.t_start = t_start
-        span.data.update(_json_safe(extra))
+        span.data = {**span.data, **extra}
 
     # ------------------------------------------------------------------
     # context management

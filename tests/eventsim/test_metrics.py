@@ -106,6 +106,27 @@ class TestBusObservation:
             in snap["counters"]
         )
 
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_clear_while_observing_restarts_the_counters(self, sim, per_node):
+        """The callback finds its counters by lookup, not by key: a
+        ``clear()`` mid-run must drop that lookup with the tables, or the
+        second burst would be counted in counters nobody can see."""
+        bus = InstrumentationBus(sim)
+        reg = MetricsRegistry()
+        reg.observe_bus(bus, per_node=per_node)
+        for _ in range(3):
+            bus.record("fib.change", "as1")
+        reg.clear()
+        assert reg.snapshot()["counters"] == {}
+        bus.record("fib.change", "as1")
+        bus.record("fib.change", "as2")
+        expected = {"records_total{category=fib.change}": 2.0}
+        if per_node:
+            expected["node_records_total{category=fib.change,node=as1}"] = 1.0
+            expected["node_records_total{category=fib.change,node=as2}"] = 1.0
+        assert reg.snapshot()["counters"] == expected
+        assert reg.counter("records_total", category="fib.change").value == 2.0
+
     def test_double_observe_rejected(self, sim):
         bus = InstrumentationBus(sim)
         reg = MetricsRegistry()

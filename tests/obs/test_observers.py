@@ -1,0 +1,215 @@
+"""What watching a run may cost, and what it may never change.
+
+Every check here is a count or an equality, none a timing.
+
+*The work is done once*: with every observer on, an UPDATE is rendered
+once however many records name it, a pooled AS path is stringified once,
+and the metrics subscriber formats a counter key per category, not per
+record; with no observer at all, no payload is built in the first place.
+
+*Observers stay invisible*: trace capture, metrics, spans and anatomy
+together change no measurement, no bus count and no event, and the spans
+they produce are the ones the parent commit of ISSUE 22 produced
+(``golden/spans_clique5_sdn2_seed5.json``, captured there).
+"""
+
+import hashlib
+import json
+import pathlib
+from dataclasses import fields
+
+import pytest
+
+from repro.bgp.attrs import AsPath
+from repro.bgp.messages import BGPUpdate
+from repro.eventsim import InstrumentationBus
+from repro.eventsim import metrics as metrics_module
+from repro.experiments.common import (
+    WithdrawalScenario,
+    paper_config,
+    run_scenario_full,
+    sdn_set_for,
+)
+from repro.framework.convergence import ConvergenceMeasurement
+from repro.framework.experiment import Experiment
+from repro.runner.jobs import RunSpec, execute_spec, run_trial
+from repro.topology.builders import clique
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def experiments(monkeypatch):
+    """Every ``Experiment`` constructed during the test, in order — the
+    runner entry points build theirs internally and return only results."""
+    made = []
+    init = Experiment.__init__
+
+    def recording_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Experiment, "__init__", recording_init)
+    return made
+
+
+def withdrawal(n, sdn_count, **config):
+    scenario = WithdrawalScenario()
+    topology = scenario.topology(n, clique)
+    members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
+    return run_scenario_full(
+        scenario, topology, members, paper_config(**config)
+    )
+
+
+class Work:
+    """Counting wrappers around the places a payload gets made."""
+
+    def __init__(self, monkeypatch):
+        self.thunks = 0  # lazy payloads built
+        self.renders = 0  # BGPUpdate.rendered() calls that rendered
+        self.path_texts = 0  # AsPath.__str__ calls that built the text
+        self.keys = 0  # metric keys formatted
+        #: the paths stringified, held so none can die and be re-interned
+        #: (a second object for the same value would honestly count twice).
+        self.paths = []
+        work = self
+        rendered, path_str = BGPUpdate.rendered, AsPath.__str__
+        key, record_lazy = metrics_module._key, InstrumentationBus.record_lazy
+
+        def counting_rendered(update):
+            if not hasattr(update, "_rendered"):
+                work.renders += 1
+            return rendered(update)
+
+        def counting_str(path):
+            if not hasattr(path, "_text"):
+                work.path_texts += 1
+                work.paths.append(path)
+            return path_str(path)
+
+        def counting_key(name, labels):
+            work.keys += 1
+            return key(name, labels)
+
+        def counting_record_lazy(bus, category, node, thunk):
+            def counted():
+                work.thunks += 1
+                return thunk()
+
+            record_lazy(bus, category, node, counted)
+
+        monkeypatch.setattr(BGPUpdate, "rendered", counting_rendered)
+        monkeypatch.setattr(AsPath, "__str__", counting_str)
+        monkeypatch.setattr(metrics_module, "_key", counting_key)
+        monkeypatch.setattr(
+            InstrumentationBus, "record_lazy", counting_record_lazy
+        )
+
+
+class TestWorkIsDoneOnce:
+    def test_observed_trial_renders_each_update_and_path_once(
+        self, monkeypatch, experiments
+    ):
+        work = Work(monkeypatch)
+        withdrawal(
+            6, 2, seed=5, trace_level="full", metrics=True, spans=True
+        )
+        bus = experiments[-1].net.bus
+        sent = bus.counts["bgp.update.tx"]
+        assert bus.counts["bgp.update.rx"] > 0
+        # tx and rx records of one UPDATE share its one rendering.
+        assert 0 < work.renders <= sent
+        assert 0 < work.path_texts == len({path.asns for path in work.paths})
+        # One key per category for the record counters (and one for the
+        # gauge the snapshot adds) — against hundreds of records.
+        records = sum(bus.counts.values())
+        assert records > work.thunks > 500
+        assert work.keys <= len(bus.counts) + 2 < records // 10
+
+    def test_unobserved_trial_builds_no_payload(self, monkeypatch, experiments):
+        work = Work(monkeypatch)
+        withdrawal(6, 2, seed=5, trace_level="off")
+        exp = experiments[-1]
+        assert exp.net.bus.counts["bgp.update.tx"] > 0
+        assert (work.thunks, work.renders) == (0, 0)
+        # The route collector's feed is part of the emulation, not an
+        # observer: the paths it logs are the only text anyone made.
+        logged = {
+            path for update in exp.collector.feed
+            for _, path in update.announced
+        }
+        assert {str(path) for path in work.paths} <= logged
+
+
+def comparable(measurement):
+    """Every field of a measurement; ``extra`` less the one note the span
+    tracker leaves there (the id of the event's root span)."""
+    out = {
+        f.name: getattr(measurement, f.name)
+        for f in fields(ConvergenceMeasurement)
+    }
+    out["extra"] = {
+        k: v for k, v in out["extra"].items() if k != "event_root_span"
+    }
+    return out
+
+
+class TestObserversStayInvisible:
+    @pytest.mark.parametrize("sdn_count", range(8))
+    def test_every_fraction_measures_the_same(self, sdn_count, experiments):
+        """n = 8 has eight SDN counts (the origin stays legacy); the
+        nine Fig. 2 fractions of the 16-AS clique map onto all of them."""
+        spec = dict(
+            scenario_factory=WithdrawalScenario, topology_factory=clique,
+            n=8, sdn_count=sdn_count, seed=4200 + sdn_count, mrai=30.0,
+        )
+        record = execute_spec(RunSpec(
+            trace_level="full", metrics=True, spans=True, anatomy=True,
+            **spec,
+        ))
+        bare = run_trial(RunSpec(trace_level="off", **spec))
+        observed_exp, bare_exp = experiments
+        assert record.ok and record.anatomy is not None
+        assert comparable(record.measurement) == comparable(bare)
+        assert observed_exp.net.bus.counts == bare_exp.net.bus.counts
+        assert (
+            observed_exp.net.sim.events_processed
+            == bare_exp.net.sim.events_processed
+        )
+        # The metrics subscriber saw exactly what the bus counted.
+        counters = record.metrics["counters"]
+        for category, count in observed_exp.net.bus.counts.items():
+            assert counters[f"records_total{{category={category}}}"] == count
+
+    def test_spans_equal_the_parent_commits(self):
+        _, _, spans = withdrawal(5, 2, seed=5, spans=True)
+        golden = json.loads(
+            (GOLDEN / "spans_clique5_sdn2_seed5.json").read_text()
+        )
+        assert span_fixture(spans) == golden
+
+
+def span_fixture(spans):
+    """A span payload as the golden file stores it: one row of
+    ``[span_id, parent_id, cause_id, category, node, t_start, t_end]`` per
+    span, and per category the SHA-256 of its spans' ``data`` after a JSON
+    round trip (``update_id`` left out: a process-wide message counter)."""
+    rows, data = [], {}
+    for span in spans:
+        rows.append([
+            span["span_id"], span["parent_id"], span["cause_id"],
+            span["category"], span["node"], span["t_start"], span["t_end"],
+        ])
+        data.setdefault(span["category"], []).append(
+            {k: v for k, v in span["data"].items() if k != "update_id"}
+        )
+    return {
+        "rows": rows,
+        "data_sha256": {
+            category: hashlib.sha256(
+                json.dumps(payloads, sort_keys=True).encode()
+            ).hexdigest()
+            for category, payloads in sorted(data.items())
+        },
+    }

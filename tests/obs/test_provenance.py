@@ -7,6 +7,8 @@ paper's 16-AS clique, pure BGP and hybrid alike — while leaving every
 measured result bit-identical to a span-free run.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.common import (
@@ -18,7 +20,7 @@ from repro.experiments.common import (
 from repro.framework.convergence import STATE_CHANGING as FW_STATE_CHANGING
 from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment, ExperimentConfig
-from repro.obs import STATE_CHANGING, ProvenanceDAG
+from repro.obs import STATE_CHANGING, ProvenanceDAG, Span
 from repro.topology.builders import clique
 
 
@@ -280,3 +282,81 @@ class TestMultiRootFaultSchedules:
             assert anatomy.t_converged == dag.convergence_instant(
                 root.span_id
             )
+
+
+class TestLiveTrialPayloads:
+    """Payload ownership and shape on a live hybrid trial (clique n = 8,
+    3 SDN members) with trace capture, metrics and spans on — and, for
+    the cache round trip, anatomy."""
+
+    @pytest.fixture(scope="class")
+    def live(self):
+        scenario = WithdrawalScenario()
+        topology = scenario.topology(8, clique)
+        members = sdn_set_for(topology, 3, scenario.reserved_legacy)
+        exp = Experiment(
+            topology, sdn_members=members, name=scenario.name,
+            config=paper_config(
+                seed=7, trace_level="full", metrics=True, spans=True
+            ),
+        ).build()
+        scenario.configure(exp)
+        exp.start()
+        scenario.prepare(exp)
+        measure_event(exp, lambda: scenario.event(exp))
+        scenario.finish(exp)
+        return exp
+
+    def test_trace_records_carry_no_span_annotations(self, live):
+        annotated = [
+            s for s in live.spans.spans
+            if "mrai_wait" in s.data or "debounce_wait" in s.data
+        ]
+        assert {s.category for s in annotated} == {
+            "bgp.update.tx", "controller.recompute",
+        }
+        for record in live.net.trace:
+            assert "mrai_wait" not in record.data
+            assert "debounce_wait" not in record.data
+
+    def test_tx_and_rx_records_of_an_update_share_its_rendering(self, live):
+        by_update = {}
+        for record in live.net.trace:
+            if record.category in ("bgp.update.tx", "bgp.update.rx"):
+                by_update.setdefault(record.data["update_id"], []).append(
+                    record
+                )
+        received = 0
+        for records in by_update.values():
+            tx = records[0]
+            assert tx.category == "bgp.update.tx"
+            for rx in records[1:]:
+                assert rx.category == "bgp.update.rx"
+                assert rx.data["announced"] is tx.data["announced"]
+                assert rx.data["withdrawn"] is tx.data["withdrawn"]
+                received += 1
+        assert received == live.net.bus.counts["bgp.update.rx"]
+
+    def test_snapshot_is_its_own_json_round_trip(self, live):
+        snapshot = live.spans_snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
+    def test_span_dict_round_trip_is_the_span(self, live):
+        for span in live.spans.spans:
+            assert Span.from_dict(span.to_dict()) == span
+
+    def test_cached_record_equals_the_live_one(self, tmp_path):
+        from repro.runner.cache import ResultCache
+        from repro.runner.jobs import RunSpec, execute_spec
+
+        spec = RunSpec(
+            scenario_factory=WithdrawalScenario, topology_factory=clique,
+            n=8, sdn_count=3, seed=7, trace_level="full", metrics=True,
+            spans=True, anatomy=True,
+        )
+        record = execute_spec(spec)
+        cache = ResultCache(tmp_path)
+        cache.put(spec, record)
+        hit = cache.get(spec)
+        assert record.spans and hit.spans == record.spans
+        assert record.anatomy and hit.anatomy == record.anatomy

@@ -1,5 +1,9 @@
 """Unit tests for the span tracker and causal context plumbing."""
 
+import json
+
+import pytest
+
 from repro.eventsim import InstrumentationBus, Simulator
 from repro.obs import (
     SPAN_CATEGORIES,
@@ -102,6 +106,50 @@ class TestExplicitSpans:
         bus.record("bgp.update.tx", "as1")
         obs.annotate_last(t_start=99.0)
         assert obs.spans[-1].t_start == 0.0
+
+
+class TestPayloadOwnership:
+    """A payload belongs to its occurrence: takers read it, an
+    annotation copies it, JSON shape is checked where JSON is made."""
+
+    def test_span_holds_the_records_payload_until_annotated(self):
+        sim, bus, obs = make_bus()
+        seen = []
+        bus.subscribe(seen.append)
+        bus.record("bgp.update.tx", "as1", peer="as2")
+        assert obs.spans[-1].data is seen[-1].data
+        obs.annotate_last(mrai_wait=1.5)
+        assert obs.spans[-1].data == {"peer": "as2", "mrai_wait": 1.5}
+        assert seen[-1].data == {"peer": "as2"}
+
+    def test_eager_tuple_payload_snapshots_as_lists(self):
+        sim, bus, obs = make_bus()
+        bus.record(
+            "bgp.originate", "as1", path=(1, 2), hops={"via": [(3, 4)]}
+        )
+        snapshot = obs.snapshot()
+        assert snapshot[0]["data"] == {
+            "path": [1, 2], "hops": {"via": [[3, 4]]},
+        }
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert obs.spans[0].data["path"] == (1, 2)  # the record's, untouched
+
+    def test_json_shaped_payload_is_snapshotted_uncopied(self):
+        sim, bus, obs = make_bus()
+        bus.record("bgp.decision", "as1", prefix="p", paths=[["a", "b"]])
+        assert obs.snapshot()[0]["data"] is obs.spans[0].data
+
+    def test_categories_cannot_be_configured(self):
+        # annotate_last() trusts that the span just made is the
+        # caller's; a tracker skipping some categories would annotate a
+        # stranger's.
+        with pytest.raises(TypeError):
+            SpanTracker(Simulator(seed=0), categories={"bgp.decision"})
+
+    def test_annotating_publishers_are_spanned(self):
+        # BGPSession._send_update and IDRController._recompute_dirty
+        # publish these and annotate the span straight after.
+        assert {"bgp.update.tx", "controller.recompute"} <= SPAN_CATEGORIES
 
 
 class TestActivation:
