@@ -100,12 +100,6 @@ def _updates(exp: Experiment, since: float, top_talkers: int) -> List[str]:
     counts = update_counts_by_node(exp.net.trace, since=since)
     total = sum(counts.values())
     out = ["", f"update activity since t={since:.1f}s: {total} updates sent"]
-    dropped = getattr(exp.net.trace, "dropped_records", 0)
-    if dropped:
-        out.append(
-            f"  (trace ring buffer evicted {dropped} records; "
-            "counts above reflect retained records only)"
-        )
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:top_talkers]
     for node, count in ranked:
         out.append(f"  {node:<12} {count}")

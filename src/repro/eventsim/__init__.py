@@ -9,12 +9,18 @@ Public surface:
   the timer disciplines BGP and the IDR controller need.
 - :class:`InstrumentationBus` — the publish/subscribe hub every
   component emits typed records on.
-- :class:`TraceLog` / :class:`TraceRecord` — bounded record capture
-  (one bus subscriber) consumed by the analysis tools.
+- :class:`TraceLog` / :class:`TraceRecord` — record capture (one bus
+  subscriber) consumed by the analysis tools.
 - :class:`MetricsRegistry` — streaming counters/gauges/histograms.
 """
 
-from .bus import InstrumentationBus, ROUTE_AFFECTING, Subscription, bus_of
+from .bus import (
+    ROUTE_AFFECTING,
+    STATE_CHANGING,
+    InstrumentationBus,
+    Subscription,
+    bus_of,
+)
 from .core import Event, SimulationError, Simulator
 from .metrics import (
     Counter,
@@ -40,6 +46,7 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "ROUTE_AFFECTING",
+    "STATE_CHANGING",
     "Counter",
     "Gauge",
     "Histogram",

@@ -1,38 +1,40 @@
 """Streaming instrumentation bus — the framework's logging backbone.
 
 Every component publishes typed :class:`TraceRecord` events here instead
-of appending to a log directly; subscribers (the bounded
+of appending to a log directly; subscribers (the
 :class:`~repro.eventsim.trace.TraceLog`, the metrics registry, live
 visualizers) each receive exactly the records they asked for.  This is
-the publish/subscribe layer that lets large sweeps keep bounded — or
+the publish/subscribe layer that lets large sweeps keep filtered — or
 zero — trace memory while online consumers compute in O(1) per record
 what previously required full-trace scans.
 
 Records carry a dotted ``category`` (``bgp.update.rx``, ``fib.change``,
 ``controller.recompute`` ...), the node name, and a free-form payload
-dict.  Categories listed in :data:`ROUTE_AFFECTING` are the ones whose
-last occurrence after an injected event defines the convergence instant.
+dict.  The two category sets every convergence measurement reads are
+declared here, once: :data:`ROUTE_AFFECTING` (the last such record after
+an injected event is the convergence instant) and
+:data:`STATE_CHANGING` (the last actual routing-state change).
 
 Subscriptions take an optional category filter (dotted-prefix matching,
-same convention as :meth:`TraceRecord.matches`) and an optional sampling
-stride (deliver every Nth matching record), so a subscriber can bound
-its own cost independently of the publishing rate.  The bus itself
-maintains, in O(1) per record and regardless of who is subscribed, the
-two pieces of state every measurement needs: per-category record counts
+same convention as :meth:`TraceRecord.matches`) and receive every
+matching record.  The bus itself maintains, in O(1) per record and
+regardless of who is subscribed, the two pieces of state every
+measurement needs: per-category record counts
 (:attr:`InstrumentationBus.counts`) and the virtual time of each
-category's last record (:attr:`InstrumentationBus.last_seen`).  The
-convergence tracker reads those tables; it does not subscribe, so an
-unobserved run has no subscriber at all.
+category's last record (:attr:`InstrumentationBus.last_seen`).  A
+:class:`~repro.framework.convergence.MeasurementWindow` reads those
+tables; it does not subscribe, so an unobserved run has no subscriber
+at all.
 
 Lazy publishing (:meth:`InstrumentationBus.record_lazy`): hot emitters
 hand the bus a *payload thunk* instead of a built dict.  The bus first
 checks — against its compiled per-category route — whether anything will
-actually take this record (a subscriber whose sampling stride is due, or
-an attached provenance tracker that wants the category).  Only then does
-the thunk run and a :class:`TraceRecord` get built; otherwise the cost
-of the call is the unconditional count increment, the ``last_seen``
-stamp and a route lookup — a run with trace capture off and no observer
-attached evaluates no thunk at all.
+actually take this record (a matching subscriber, or an attached
+provenance tracker that wants the category).  Only then does the thunk
+run and a :class:`TraceRecord` get built; otherwise the cost of the
+call is the unconditional count increment, the ``last_seen`` stamp and
+a route lookup — a run with trace capture off and no observer attached
+evaluates no thunk at all.
 The contract for subscriber authors: a record's ``data`` dict is built
 at publish time whenever *any* taker exists, so every taker of the same
 occurrence sees the same payload, and payloads always reflect state at
@@ -47,7 +49,7 @@ lists, not tuples — so retaining or serializing it converts nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
@@ -55,6 +57,7 @@ __all__ = [
     "Subscription",
     "InstrumentationBus",
     "ROUTE_AFFECTING",
+    "STATE_CHANGING",
     "bus_of",
 ]
 
@@ -73,6 +76,14 @@ ROUTE_AFFECTING = frozenset(
         "controller.flow_install",
         "controller.advertise",
     }
+)
+
+#: Categories that represent an actual routing-state change, as opposed
+#: to update *activity* (which includes MRAI-paced re-advertisements of
+#: decisions already made).  A subset of :data:`ROUTE_AFFECTING`, so the
+#: last state change never follows the last route-affecting record.
+STATE_CHANGING = frozenset(
+    {"bgp.decision", "fib.change", "bgp.originate", "bgp.withdraw"}
 )
 
 #: Shared empty payload for records published without data.  Never
@@ -115,34 +126,16 @@ class Subscription:
 
     ``categories`` is None for "everything" or an iterable of dotted
     prefixes; a record is delivered when its category equals a prefix or
-    nests under it.  ``sample`` delivers every Nth matching record (the
-    first match always delivers, so short runs are never empty).
+    nests under it.
     """
 
     callback: Callable[[TraceRecord], None]
     categories: Optional[Tuple[str, ...]] = None
-    sample: int = 1
     name: str = ""
-    _seen: int = field(default=0, repr=False)
 
     def wants(self, category: str) -> bool:
-        """Category-filter check (prefix semantics, no sampling)."""
+        """Category-filter check (prefix semantics)."""
         return self.categories is None or _matches(category, self.categories)
-
-    def take(self) -> bool:
-        """Advance the sampling stride; True if this occurrence delivers.
-
-        Splitting the stride decision from the callback lets the bus ask
-        "will anyone retain this record?" *before* paying to build it.
-        """
-        seen = self._seen
-        self._seen = seen + 1
-        return self.sample <= 1 or seen % self.sample == 0
-
-    def deliver(self, record: TraceRecord) -> None:
-        """Hand one matching record to the callback, honoring sampling."""
-        if self.take():
-            self.callback(record)
 
 
 class InstrumentationBus:
@@ -168,8 +161,8 @@ class InstrumentationBus:
         #: virtual time of the last record published per exact category
         #: (survives :meth:`clear_counts`).
         self.last_seen: Dict[str, float] = {}
-        #: category -> compiled ``(eager, sampled, subs, obs_wants)``
-        #: route (see :meth:`_compile`).
+        #: category -> compiled ``(eager, callbacks)`` route (see
+        #: :meth:`_compile`).
         self._routes: Dict[str, tuple] = {}
         #: records counted before the last :meth:`clear_counts` — keeps
         #: :attr:`records_published` monotonic across count resets
@@ -213,14 +206,18 @@ class InstrumentationBus:
         """Attach a subscriber; returns the handle for :meth:`unsubscribe`.
 
         ``categories``: None (everything) or an iterable of dotted
-        prefixes.  ``sample``: deliver every Nth matching record.
+        prefixes.  Every matching record is delivered.  ``sample`` only
+        accepts 1: the ledger benchmark's frozen tracer still passes
+        ``sample=sample`` through its wrapper, and the keyword goes
+        together with that line.
         """
-        if sample < 1:
-            raise ValueError(f"sample stride must be >= 1: {sample!r}")
+        if sample != 1:
+            raise ValueError(
+                f"the bus delivers every matching record: sample={sample!r}"
+            )
         subscription = Subscription(
             callback=callback,
             categories=tuple(sorted(categories)) if categories is not None else None,
-            sample=sample,
             name=name,
         )
         self._subscriptions.append(subscription)
@@ -246,59 +243,45 @@ class InstrumentationBus:
     def _compile(self, category: str) -> tuple:
         """Build the dispatch route for one category.
 
-        Returns ``(eager, sampled, subs, obs_wants)``:
+        Returns ``(eager, callbacks)``:
 
         - ``eager`` — a prebound closure handling one occurrence end to
           end (observer hook, record construction, delivery, in that
           order), or None when nothing at all is attached — the lazy
           publishing path skips the payload thunk exactly when this is
-          None or sampling defers the decision;
-        - ``sampled`` — True when some matching subscription has a
-          stride > 1, so taker decisions are per-occurrence;
-        - ``subs`` — subscriptions whose filter matches, in subscribe
-          order (delivery order is part of the determinism contract);
-        - ``obs_wants`` — whether the attached tracker spans this
-          category (``obs.wants(category)``; trackers without a
-          ``wants`` method are assumed to want everything).
+          None;
+        - ``callbacks`` — the callbacks of the subscriptions whose filter
+          matches, in subscribe order (delivery order is part of the
+          determinism contract).
+
+        The attached tracker takes the category when
+        ``obs.wants(category)`` (trackers without a ``wants`` method are
+        assumed to want everything).
         """
-        subs = tuple(s for s in self._subscriptions if s.wants(category))
+        callbacks = tuple(
+            s.callback for s in self._subscriptions if s.wants(category)
+        )
         obs = self._obs
         if obs is None:
             obs_wants = False
         else:
             wants = getattr(obs, "wants", None)
             obs_wants = True if wants is None else bool(wants(category))
-        sampled = any(s.sample > 1 for s in subs)
         eager: Optional[Callable[[str, dict], None]]
-        if not subs and not obs_wants:
+        if not callbacks and not obs_wants:
             eager = None
-        elif not subs:
+        elif not callbacks:
 
             def eager(node, data, _hook=obs.on_record, _cat=category):
                 _hook(_cat, node, data)
 
-        elif sampled:
+        elif obs_wants or len(callbacks) > 1:
 
             def eager(
                 node, data,
                 _hook=obs.on_record if obs_wants else None,
                 _cat=category, _sim=self._sim, _new=tuple.__new__,
-                _cls=TraceRecord, _subs=subs,
-            ):
-                if _hook is not None:
-                    _hook(_cat, node, data)
-                rec = _new(_cls, (_sim._now, _cat, node, data))
-                for subscription in _subs:
-                    subscription.deliver(rec)
-
-        elif obs_wants or len(subs) > 1:
-
-            def eager(
-                node, data,
-                _hook=obs.on_record if obs_wants else None,
-                _cat=category, _sim=self._sim, _new=tuple.__new__,
-                _cls=TraceRecord,
-                _callbacks=tuple(s.callback for s in subs),
+                _cls=TraceRecord, _callbacks=callbacks,
             ):
                 if _hook is not None:
                     _hook(_cat, node, data)
@@ -307,17 +290,17 @@ class InstrumentationBus:
                     callback(rec)
 
         else:
-            # The common large-run shape: one unsampled subscriber, no
-            # tracker — e.g. the trace ring's bare ``deque.append``.
+            # The common large-run shape: one subscriber, no tracker —
+            # e.g. the trace log's bare ``deque.append``.
 
             def eager(
                 node, data,
                 _cat=category, _sim=self._sim, _new=tuple.__new__,
-                _cls=TraceRecord, _callback=subs[0].callback,
+                _cls=TraceRecord, _callback=callbacks[0],
             ):
                 _callback(_new(_cls, (_sim._now, _cat, node, data)))
 
-        route = (eager, sampled, subs, obs_wants)
+        route = (eager, callbacks)
         self._routes[category] = route
         return route
 
@@ -354,24 +337,8 @@ class InstrumentationBus:
         if route is None:
             route = self._compile(category)
         eager = route[0]
-        if eager is None:
-            return
-        if not route[1]:
+        if eager is not None:
             eager(node, thunk())
-            return
-        # Sampled subscribers: advance every stride, then materialize
-        # only if this occurrence actually delivers somewhere.
-        _, _, subs, obs_wants = route
-        takers = [s for s in subs if s.take()]
-        if not takers and not obs_wants:
-            return
-        data = thunk()
-        if obs_wants:
-            self._obs.on_record(category, node, data)
-        if takers:
-            rec = TraceRecord(self._sim._now, category, node, data)
-            for subscription in takers:
-                subscription.callback(rec)
 
     def publish(self, record: TraceRecord) -> None:
         """Publish a pre-built record (replay / testing entry point)."""
@@ -382,8 +349,8 @@ class InstrumentationBus:
         route = self._routes.get(category)
         if route is None:
             route = self._compile(category)
-        for subscription in route[2]:
-            subscription.deliver(record)
+        for callback in route[1]:
+            callback(record)
 
     # ------------------------------------------------------------------
     # counting

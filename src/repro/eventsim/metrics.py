@@ -209,8 +209,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: the bus callback's resolved counters, by category (or
-        #: ``(category, node)``) — see :meth:`observe_bus`.
+        #: the bus callback's resolved counters, by category — see
+        #: :meth:`observe_bus`.
         self._record_counters: dict = {}
         self._subscription = None
         self._bus = None
@@ -252,39 +252,27 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # bus + simulator integration
     # ------------------------------------------------------------------
-    def observe_bus(self, bus, *, per_node: bool = False, categories=None) -> None:
-        """Subscribe the built-in record counters to a bus.
-
-        Maintains ``records_total{category=...}`` and — when ``per_node``
-        — ``node_records_total{category=...,node=...}``.
-        """
+    def observe_bus(self, bus) -> None:
+        """Subscribe the built-in record counter to a bus: maintains
+        ``records_total{category=...}`` for every record published."""
         if self._subscription is not None:
             raise RuntimeError("registry already observes a bus")
 
-        # A record's counters depend only on its category (and node):
-        # format their keys once, then count by lookup.  ``clear()``
-        # empties the memo together with the tables it points into.
+        # A record's counter depends only on its category: format its
+        # key once, then count by lookup.  ``clear()`` empties the memo
+        # together with the table it points into.
         memo = self._record_counters
 
         def on_record(rec) -> None:
-            key = (rec.category, rec.node) if per_node else rec.category
-            counters = memo.get(key)
-            if counters is None:
-                counters = memo[key] = [
-                    self.counter("records_total", category=rec.category)
-                ]
-                if per_node:
-                    counters.append(self.counter(
-                        "node_records_total",
-                        category=rec.category, node=rec.node,
-                    ))
-            for counter in counters:
-                counter.inc()
+            counter = memo.get(rec.category)
+            if counter is None:
+                counter = memo[rec.category] = self.counter(
+                    "records_total", category=rec.category
+                )
+            counter.inc()
 
         self._bus = bus
-        self._subscription = bus.subscribe(
-            on_record, categories=categories, name="metrics",
-        )
+        self._subscription = bus.subscribe(on_record, name="metrics")
 
     def detach(self) -> None:
         """Stop observing the bus and/or simulator."""

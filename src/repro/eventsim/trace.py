@@ -1,16 +1,13 @@
-"""Bounded trace capture — one subscriber on the instrumentation bus.
+"""Trace capture — one subscriber on the instrumentation bus.
 
 Historically the ``TraceLog`` *was* the instrumentation layer: every
 component appended frozen records to one unbounded list, and the
 analysis package re-scanned it after the run.  Publishing now happens on
 the :class:`~repro.eventsim.bus.InstrumentationBus`; the trace log is
 just the subscriber that retains records for offline "log file
-analysis" (``repro.analysis``), with three capture controls for large
-runs:
-
-- ``categories`` — dotted-prefix filter; retain only matching records;
-- ``max_records`` — ring buffer bound; old records fall off the front;
-- ``sample`` — keep every Nth matching record.
+analysis" (``repro.analysis``).  Two capture controls serve large
+runs: ``categories`` (a dotted-prefix filter; retain only matching
+records) and ``capture=False`` (retain nothing).
 
 The full query API (``filter``/``last_time``/``count``) is unchanged.
 Per-category *counts* always reflect everything published on the bus —
@@ -28,7 +25,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Iterator, Optional
 
-from .bus import ROUTE_AFFECTING, InstrumentationBus, Subscription, TraceRecord
+from .bus import (
+    ROUTE_AFFECTING,
+    InstrumentationBus,
+    Subscription,
+    TraceRecord,
+    _matches,
+)
 
 __all__ = ["TraceRecord", "TraceLog", "ROUTE_AFFECTING"]
 
@@ -45,8 +48,6 @@ class TraceLog:
         source,
         *,
         categories=None,
-        max_records: Optional[int] = None,
-        sample: int = 1,
         capture: bool = True,
     ) -> None:
         if isinstance(source, InstrumentationBus):
@@ -54,51 +55,27 @@ class TraceLog:
         else:
             # legacy construction: TraceLog(sim) owns a private bus.
             self.bus = InstrumentationBus(source)
-        self._records: deque = deque(maxlen=max_records)
+        self._records: deque = deque()
         self._enabled = capture
-        #: records silently evicted from the front of the ring buffer.
-        #: Non-zero means queries over :attr:`records` saw a truncated
-        #: history — surfaced in run reports so bounded captures cannot
-        #: masquerade as complete ones.
-        self.dropped_records = 0
         self.categories = (
             tuple(sorted(categories)) if categories is not None else None
         )
-        self.max_records = max_records
-        self._sample = sample
         # A disabled trace does not subscribe at all: with no
         # subscription the bus's lazy publishing path skips building
         # records entirely, which is what makes ``trace_level="off"``
-        # runs approach the bare counting floor.
+        # runs approach the bare counting floor.  An enabled one hands
+        # the bus the deque's C-level append — no python frame per
+        # retained record.
         self._subscription: Optional[Subscription] = None
         if capture:
-            self._subscription = self._subscribe()
-
-    def _subscribe(self) -> Subscription:
-        # Unbounded ring: hand the bus the deque's C-level append — no
-        # python frame per retained record.  Bounded ring: go through
-        # _on_record, which maintains the dropped-records accounting.
-        callback = (
-            self._records.append
-            if self.max_records is None
-            else self._on_record
-        )
-        return self.bus.subscribe(
-            callback,
-            categories=self.categories,
-            sample=self._sample,
-            name="trace",
-        )
+            self._subscription = self.bus.subscribe(
+                self._records.append, categories=self.categories,
+                name="trace",
+            )
 
     # ------------------------------------------------------------------
     # subscriber side
     # ------------------------------------------------------------------
-    def _on_record(self, record: TraceRecord) -> None:
-        records = self._records
-        if records.maxlen is not None and len(records) == records.maxlen:
-            self.dropped_records += 1
-        records.append(record)
-
     def detach(self) -> None:
         """Stop receiving records from the bus entirely."""
         if self._subscription is not None:
@@ -158,10 +135,15 @@ class TraceLog:
     def last_time(
         self, categories=ROUTE_AFFECTING, since: float = 0.0
     ) -> Optional[float]:
-        """Timestamp of the last record in ``categories`` at/after ``since``."""
+        """Timestamp of the last record in ``categories`` at/after ``since``.
+
+        A member of ``categories`` matches its own category and everything
+        nested under it — the bus's one rule, as in :meth:`filter`,
+        :meth:`count` and ``bus.last_time``.
+        """
         latest: Optional[float] = None
         for rec in self._records:
-            if rec.time >= since and rec.category in categories:
+            if rec.time >= since and _matches(rec.category, categories):
                 if latest is None or rec.time > latest:
                     latest = rec.time
         return latest
@@ -170,19 +152,17 @@ class TraceLog:
         """Total published records equal to or nested under ``category``.
 
         Counts come from the bus, so they are complete even when capture
-        is filtered, sampled, bounded, or disabled.
+        is filtered or disabled.
         """
         return self.bus.count(category)
 
     def clear(self) -> None:
         """Drop retained records and reset the bus counters."""
         self._records.clear()
-        self.dropped_records = 0
         self.bus.clear_counts()
 
     def __repr__(self) -> str:
-        bound = self.max_records if self.max_records is not None else "inf"
         return (
-            f"<TraceLog records={len(self._records)} bound={bound} "
-            f"dropped={self.dropped_records} capture={self._enabled}>"
+            f"<TraceLog records={len(self._records)} "
+            f"capture={self._enabled}>"
         )

@@ -119,7 +119,7 @@ class FaultInjector:
         self.strict = strict
         self.reports: List[FaultReport] = []
         self.violations: List[InvariantViolation] = []
-        self._open: List[tuple] = []  # (report, MeasurementWindow | None)
+        self._open: List[tuple] = []  # (report, MeasurementWindow)
         self._unhealed = 0
         self._injected = False
         self._finalized = False
@@ -215,20 +215,16 @@ class FaultInjector:
             index=index, kind=event.kind, at=event.at, t_fired=sim.now
         )
         self.reports.append(report)
-        window = (
-            MeasurementWindow(exp, label=f"{index}:{event.kind}")
-            if exp.tracker is not None
-            else None
+        self._open.append(
+            (report, MeasurementWindow(exp, label=f"{index}:{event.kind}"))
         )
-        self._open.append((report, window))
         applier = getattr(self, f"_apply_{event.kind}")
         applier(index, event, dict(event.params))
 
     def _close_open_windows(self) -> None:
         now = self.experiment.now
         for report, window in self._open:
-            if window is not None and not window.closed:
-                report.measurement = window.close(now)
+            report.measurement = window.close(now)
         self._open = []
 
     def _run_checks(self) -> None:

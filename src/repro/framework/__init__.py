@@ -3,7 +3,6 @@
 from .convergence import (
     STATE_CHANGING,
     ConvergenceMeasurement,
-    ConvergenceTracker,
     MeasurementWindow,
     measure_event,
 )
@@ -14,7 +13,6 @@ from .traffic import LossReport, ProbeStream
 __all__ = [
     "STATE_CHANGING",
     "ConvergenceMeasurement",
-    "ConvergenceTracker",
     "MeasurementWindow",
     "measure_event",
     "SilenceDetection",

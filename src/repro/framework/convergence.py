@@ -10,7 +10,7 @@ BGP update logs, minus the sampling noise of a real testbed.
 
 Measurement is streaming: the instrumentation bus stamps the time of
 each category's last record and counts every record in O(1), and a
-:class:`ConvergenceTracker` reads the last route-affecting / last
+:class:`MeasurementWindow` reads the last route-affecting / last
 state-changing timestamps and the activity counters from those tables,
 so :func:`measure_event` needs no post-run trace scan, no bus
 subscription, and works with trace capture disabled entirely.  The scan
@@ -24,23 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from ..eventsim import ROUTE_AFFECTING
+from ..eventsim import ROUTE_AFFECTING, STATE_CHANGING
 from .experiment import Experiment
 
 __all__ = [
     "ConvergenceMeasurement",
-    "ConvergenceTracker",
     "MeasurementWindow",
     "measure_event",
     "STATE_CHANGING",
 ]
-
-#: Categories that represent an actual routing-state change, as opposed
-#: to update *activity* (which includes MRAI-paced re-advertisements of
-#: decisions already made).
-STATE_CHANGING = frozenset(
-    {"bgp.decision", "fib.change", "bgp.originate", "bgp.withdraw"}
-)
 
 
 @dataclass
@@ -91,128 +83,24 @@ class ConvergenceMeasurement:
         return self.t_state_converged - self.t_event
 
 
-class ConvergenceTracker:
-    """Streaming convergence state — a reader of the bus, no trace needed.
-
-    Answers exactly what :func:`measure_event` reads after a run — the
-    timestamp of the last route-affecting record, the timestamp of the
-    last state-changing record, and per-category counters — from the
-    two tables the bus keeps for every record whoever is subscribed
-    (``bus.last_seen``, ``bus.counts``).  It holds no subscription, so
-    it adds nothing to the cost of a record and never makes the bus
-    build a payload.  Because virtual time is monotonic, "last seen"
-    equals "maximum over records since any earlier instant", so the
-    streaming answers are bit-identical to a full trace scan.
-
-    A member of either category set matches its own category and
-    everything nested under it (``"bgp.update"`` covers
-    ``bgp.update.tx`` and ``bgp.update.rx``) — the bus's one matching
-    rule, as in ``bus.count()`` and subscription filters.
-    """
-
-    def __init__(
-        self,
-        bus,
-        *,
-        route_affecting=ROUTE_AFFECTING,
-        state_changing=STATE_CHANGING,
-    ) -> None:
-        self.bus = bus
-        self.route_affecting = frozenset(route_affecting)
-        self.state_changing = frozenset(state_changing)
-
-    @property
-    def last_route_affecting(self) -> Optional[float]:
-        """Timestamp of the most recent route-affecting record, if any."""
-        return self.bus.last_time(self.route_affecting)
-
-    @property
-    def last_state_change(self) -> Optional[float]:
-        """Timestamp of the most recent state-changing record, if any."""
-        return self.bus.last_time(self.state_changing)
-
-    # ------------------------------------------------------------------
-    # the streaming equivalents of TraceLog.last_time / count deltas
-    # ------------------------------------------------------------------
-    def last_activity_since(self, since: float) -> Optional[float]:
-        """Timestamp of the last route-affecting record at/after ``since``."""
-        last = self.last_route_affecting
-        return last if last is not None and last >= since else None
-
-    def last_state_change_since(self, since: float) -> Optional[float]:
-        """Timestamp of the last state-changing record at/after ``since``."""
-        last = self.last_state_change
-        return last if last is not None and last >= since else None
-
-    def counters(self) -> Dict[str, int]:
-        """A point-in-time copy of the bus's per-category totals."""
-        return dict(self.bus.counts)
-
-    def count(self, category: str) -> int:
-        """Prefix-aware total for one category (bus-backed, O(#cats))."""
-        return self.bus.count(category)
-
-
 def _finalize_instants(
     t_event: float,
     last_activity: Optional[float],
     last_state: Optional[float],
 ) -> tuple:
-    """Resolve raw tracker maxima into ``(t_converged, t_state_converged)``.
+    """Resolve a window's raw maxima into ``(t_converged, t_state_converged)``.
 
     ``None`` means nothing happened in the window and resolves to
-    ``t_event``.  When the tracker's category sets are not nested
-    (custom ``state_changing`` not a subset of ``route_affecting``), or
-    when a fault fires while a prior event is still converging and its
-    window only catches the tail of the earlier activity, the raw maxima
-    can place the last *state change* after the last tracked *activity*.
-    Convergence cannot precede the final state change, so ``t_converged``
-    is raised to match.  With the stock category sets (STATE_CHANGING is
-    a subset of ROUTE_AFFECTING) the clamp is a no-op, so existing
-    results stay bit-identical.
+    ``t_event``.  Were the last *state change* ever read after the last
+    *activity* — category sets that are not nested — convergence could
+    not precede the final state change, so ``t_converged`` is raised to
+    match.  STATE_CHANGING is a subset of ROUTE_AFFECTING, so for the
+    bus's readings the clamp is a no-op and keeps the ordering chain a
+    guarantee rather than a coincidence of the two declarations.
     """
     t_state = last_state if last_state is not None else t_event
     t_converged = last_activity if last_activity is not None else t_event
     return max(t_converged, t_state), t_state
-
-
-def _measure(
-    experiment: Experiment,
-    event: Callable[[], None],
-    *,
-    horizon: Optional[float],
-    check_reachability: bool,
-    counts,
-    last_activity_since: Callable[[float], Optional[float]],
-    last_state_since: Callable[[float], Optional[float]],
-) -> ConvergenceMeasurement:
-    t_event = experiment.now
-    counts_before = dict(counts())
-    event()
-    t_settled = experiment.wait_converged(horizon)
-    t_converged, t_state_converged = _finalize_instants(
-        t_event, last_activity_since(t_event), last_state_since(t_event)
-    )
-
-    counts_after = counts()
-
-    def delta(category: str) -> int:
-        return _count(counts_after, category) - _count(counts_before, category)
-
-    measurement = ConvergenceMeasurement(
-        t_event=t_event,
-        t_converged=t_converged,
-        t_settled=t_settled,
-        t_state_converged=t_state_converged,
-        updates_tx=delta("bgp.update.tx"),
-        updates_rx=delta("bgp.update.rx"),
-        decision_changes=delta("bgp.decision"),
-        fib_changes=delta("fib.change"),
-        recomputations=delta("controller.recompute"),
-    )
-    if check_reachability:
-        measurement.all_reachable = experiment.all_reachable()
-    return measurement
 
 
 def measure_event(
@@ -225,29 +113,31 @@ def measure_event(
     """Inject ``event`` on a converged experiment and measure the fallout.
 
     The experiment must already be started and settled; the function
-    runs the simulator until it settles again and reads the convergence
-    time and per-category activity counters from the experiment's
-    streaming :class:`ConvergenceTracker` — no trace scan, so it works
-    with trace capture disabled and its cost is independent of run size.
+    opens a :class:`MeasurementWindow`, fires the event, runs the
+    simulator until it settles again and closes the window there — no
+    trace scan, so it works with trace capture disabled and its cost is
+    independent of run size.
     """
-    tracker = experiment.tracker
-    return _measure(
-        experiment, event,
-        horizon=horizon, check_reachability=check_reachability,
-        counts=lambda: experiment.net.bus.counts,
-        last_activity_since=tracker.last_activity_since,
-        last_state_since=tracker.last_state_change_since,
+    window = MeasurementWindow(experiment)
+    event()
+    return window.close(
+        experiment.wait_converged(horizon),
+        check_reachability=check_reachability,
     )
 
 
 class MeasurementWindow:
-    """An open per-fault measurement interval over the streaming tracker.
+    """An open measurement interval over the bus's streaming tables.
 
-    Opening a window snapshots the bus counters at the fault instant;
-    :meth:`close` reads the tracker maxima filtered to the window and
-    produces a :class:`ConvergenceMeasurement` without advancing the
-    simulator or scanning the trace, so the fault engine can keep one
-    window per injected fault at O(1) cost each.
+    Opening a window snapshots the bus counters at the event instant;
+    :meth:`close` reads the bus's last route-affecting and last
+    state-changing timestamps filtered to the window and produces a
+    :class:`ConvergenceMeasurement` without advancing the simulator or
+    scanning the trace, so the fault engine can keep one window per
+    injected fault at O(1) cost each.  Because virtual time is
+    monotonic, "last seen" equals "maximum over records since any
+    earlier instant", so these readings are bit-identical to a full
+    trace scan.
 
     Windows may overlap — a second fault can fire while the first is
     still converging.  Each window measures from its own ``t_open``, so
@@ -259,18 +149,15 @@ class MeasurementWindow:
     """
 
     def __init__(self, experiment: Experiment, *, label: str = "") -> None:
-        tracker = experiment.tracker
-        if tracker is None:
-            raise ValueError(
-                "MeasurementWindow requires an experiment with a streaming "
-                "ConvergenceTracker (experiment.tracker)"
-            )
         self.experiment = experiment
-        self.tracker = tracker
         self.label = label
         self.t_open: float = experiment.now
         self._counts_before: Dict[str, int] = dict(experiment.net.bus.counts)
         self.closed = False
+
+    def _last_since_open(self, categories) -> Optional[float]:
+        last = self.experiment.net.bus.last_time(categories)
+        return last if last is not None and last >= self.t_open else None
 
     def close(
         self,
@@ -285,8 +172,8 @@ class MeasurementWindow:
         t_settled = self.experiment.now if t_close is None else t_close
         t_converged, t_state_converged = _finalize_instants(
             self.t_open,
-            self.tracker.last_activity_since(self.t_open),
-            self.tracker.last_state_change_since(self.t_open),
+            self._last_since_open(ROUTE_AFFECTING),
+            self._last_since_open(STATE_CHANGING),
         )
         counts_after = dict(self.experiment.net.bus.counts)
 

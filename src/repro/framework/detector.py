@@ -55,12 +55,10 @@ class SilenceDetection:
 class SilenceDetector:
     """Streaming bus subscriber that tracks route-affecting activity gaps.
 
-    Subscribes directly to the instrumentation bus with a category
-    filter, so it works with trace capture reduced or disabled — the
-    heuristic needs no retained records, only the live stream.  The
-    subscription's filter is the only category test: a member of
-    ``categories`` matches its own category and everything nested
-    under it.
+    Subscribes directly to the instrumentation bus, filtered to the
+    route-affecting categories, so it works with trace capture reduced
+    or disabled — the heuristic needs no retained records, only the live
+    stream.  The subscription's filter is the only category test.
     """
 
     def __init__(
@@ -68,19 +66,17 @@ class SilenceDetector:
         experiment: Experiment,
         *,
         silence_window: float = 60.0,
-        categories=ROUTE_AFFECTING,
     ) -> None:
         if silence_window <= 0:
             raise ValueError(f"window must be positive: {silence_window!r}")
         self.experiment = experiment
         self.silence_window = silence_window
-        self.categories = frozenset(categories)
         self._last_activity: Optional[float] = None
         self._first_fire: Optional[float] = None
         self._armed = False
         self._bus = experiment.net.bus
         self._subscription = self._bus.subscribe(
-            self._tap, categories=self.categories, name="silence-detector",
+            self._tap, categories=ROUTE_AFFECTING, name="silence-detector",
         )
 
     # ------------------------------------------------------------------

@@ -185,9 +185,6 @@ class Experiment:
         if unknown:
             raise ExperimentError(f"SDN members not in topology: {sorted(unknown)}")
         self.net: Optional[Network] = None
-        #: streaming convergence tracker, attached at build time; the
-        #: source measure_event reads instead of scanning the trace.
-        self.tracker = None
         self.allocator = PrefixAllocator()
         self.controller: Optional[IDRController] = None
         self.speaker: Optional[ClusterBGPSpeaker] = None
@@ -215,11 +212,6 @@ class Experiment:
             seed=self.config.seed,
             trace_level=self.config.trace_level,
         )
-        # imported here: framework.convergence imports this module for
-        # its type annotations, so the dependency is lazy at import time.
-        from .convergence import ConvergenceTracker
-
-        self.tracker = ConvergenceTracker(self.net.bus)
         if self.config.metrics:
             self.net.enable_metrics()
         if self.config.spans:
@@ -432,23 +424,9 @@ class Experiment:
         return self.net.metrics if self.net is not None else None
 
     def metrics_snapshot(self) -> Optional[dict]:
-        """JSON-ready metrics dump, or None when metrics are disabled.
-
-        Includes a ``trace.dropped_records`` gauge (ring-buffer
-        evictions) so capture loss is visible in every exported
-        snapshot and on the service ``/metrics`` page.  A gauge, not a
-        counter: run diffs compare counters exactly, and drop counts
-        depend on buffer sizing, not on the routing outcome.
-        """
+        """JSON-ready metrics dump, or None when metrics are disabled."""
         registry = self.metrics
-        if registry is None:
-            return None
-        trace = getattr(self.net, "trace", None)
-        if trace is not None:
-            registry.gauge("trace.dropped_records").set(
-                getattr(trace, "dropped_records", 0)
-            )
-        return registry.snapshot()
+        return registry.snapshot() if registry is not None else None
 
     @property
     def spans(self):

@@ -389,7 +389,7 @@ def check_anatomy(
     Every node's fixed-order category sum must equal its ``total``
     bit-exactly, every total must equal ``instant - t_event``, and the
     latest instant must equal the payload's ``t_converged`` (and the
-    measured one, when given — that is the ConvergenceTracker cross
+    measured one, when given — that is the MeasurementWindow cross
     check CI runs).  Returns human-readable problems; empty == exact.
     """
     problems: List[str] = []

@@ -13,26 +13,19 @@ answers the explanatory questions the paper's counters cannot:
 - how widely each transmitted update fanned out (``fanout``).
 
 Maxima over the route-affecting spans of a root's subtree equal the
-streaming :class:`~repro.framework.convergence.ConvergenceTracker`
-answers exactly — one span per route-affecting record is the tracker
-invariant, tested in ``tests/obs``.
+streaming :class:`~repro.framework.convergence.MeasurementWindow`
+readings exactly — one span per route-affecting record is the invariant
+that makes them agree, tested in ``tests/obs``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from ..eventsim.bus import ROUTE_AFFECTING
+from ..eventsim.bus import ROUTE_AFFECTING, STATE_CHANGING
 from .spans import Span
 
 __all__ = ["ProvenanceDAG", "STATE_CHANGING"]
-
-#: Mirrors ``repro.framework.convergence.STATE_CHANGING`` (kept local so
-#: ``repro.obs`` depends only on eventsim; equality is asserted in
-#: tests/obs so the two can never drift apart).
-STATE_CHANGING = frozenset(
-    {"bgp.decision", "fib.change", "bgp.originate", "bgp.withdraw"}
-)
 
 
 class ProvenanceDAG:
@@ -124,8 +117,8 @@ class ProvenanceDAG:
     def convergence_instant(self, root_id: int) -> float:
         """Timestamp of the last route-affecting consequence of a root.
 
-        Equals the streaming tracker's ``last_activity_since(t_event)``
-        when the root is the only event active in the window.
+        Equals the ``t_converged`` a measurement window opened at the
+        root reads, when the root is the only event active in it.
         """
         root = self.by_id[root_id]
         instants = self.per_node_instants(root_id)

@@ -42,7 +42,7 @@ Context = Tuple[int, int]
 #: Categories that become spans automatically when published on a bus
 #: with a tracker attached.  Exactly the route-affecting set — one span
 #: per route-affecting record is the invariant that makes DAG-derived
-#: convergence instants match the streaming ConvergenceTracker.
+#: convergence instants match the streaming MeasurementWindow.
 SPAN_CATEGORIES = frozenset(ROUTE_AFFECTING)
 
 

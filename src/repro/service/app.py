@@ -379,9 +379,6 @@ class ServiceApp:
         gauge("service.rejected", reason="queue").set(
             telemetry["rejected_queue"]
         )
-        gauge("service.trace_dropped_records").set(
-            telemetry["trace_dropped_records"]
-        )
         from ..bgp.attrs import intern_stats
 
         for key, value in intern_stats().items():

@@ -506,24 +506,13 @@ class JobManager:
         return bool(self._workers)
 
     def telemetry(self) -> Dict[str, Any]:
-        """Scrape-time operational readings (the ``/metrics`` gauges).
-
-        ``trace_dropped_records`` sums the ``trace.dropped_records``
-        gauge of every finished job's metrics snapshot — nonzero means
-        a bounded TraceLog overflowed and per-event records were shed.
-        """
+        """Scrape-time operational readings (the ``/metrics`` gauges)."""
         running = sum(1 for j in self.jobs.values() if j.state == RUNNING)
         queued = sum(1 for j in self.jobs.values() if j.state == QUEUED)
         subscribers = sum(len(j.subscribers) for j in self.jobs.values())
         dropped_frames = sum(
             j.dropped_frames for j in self.jobs.values()
         )
-        trace_dropped = 0.0
-        for job in self.jobs.values():
-            metrics = job.record.metrics if job.record is not None else None
-            gauges = (metrics or {}).get("gauges")
-            if isinstance(gauges, dict):
-                trace_dropped += gauges.get("trace.dropped_records", 0) or 0
         return {
             "in_flight": running,
             "queued": queued,
@@ -532,7 +521,6 @@ class JobManager:
             "dropped_frames": dropped_frames,
             "rejected_quota": self.rejected_quota,
             "rejected_queue": self.rejected_queue,
-            "trace_dropped_records": trace_dropped,
         }
 
     def stats(self) -> Dict[str, Any]:

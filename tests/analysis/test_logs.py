@@ -95,6 +95,16 @@ class TestConvergenceInstant:
         _, trace = populated
         assert convergence_instant(trace, since=5.0) is None
 
+    def test_category_prefix_covers_nested_categories(self, populated):
+        _, trace = populated
+        by_prefix = convergence_instant(
+            trace, 0.0, categories={"bgp.update"}
+        )
+        assert by_prefix == 1.3
+        assert by_prefix == convergence_instant(
+            trace, 0.0, categories={"bgp.update.tx", "bgp.update.rx"}
+        )
+
 
 class TestInterarrival:
     def test_gaps(self, populated):

@@ -95,37 +95,58 @@ class TestBusObservation:
         assert snap["counters"]["records_total{category=bgp.update.tx}"] == 2
         assert snap["counters"]["records_total{category=fib.change}"] == 1
 
-    def test_per_node_counters(self, sim):
-        bus = InstrumentationBus(sim)
-        reg = MetricsRegistry()
-        reg.observe_bus(bus, per_node=True)
-        bus.record("fib.change", "as1")
-        snap = reg.snapshot()
-        assert (
-            "node_records_total{category=fib.change,node=as1}"
-            in snap["counters"]
-        )
-
-    @pytest.mark.parametrize("per_node", [False, True])
-    def test_clear_while_observing_restarts_the_counters(self, sim, per_node):
-        """The callback finds its counters by lookup, not by key: a
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_clear_while_observing_restarts_the_counters(self, sim, lazy):
+        """The callback finds its counter by lookup, not by key: a
         ``clear()`` mid-run must drop that lookup with the tables, or the
-        second burst would be counted in counters nobody can see."""
+        second burst would be counted in a counter nobody can see —
+        whichever publishing entry point the records take."""
         bus = InstrumentationBus(sim)
         reg = MetricsRegistry()
-        reg.observe_bus(bus, per_node=per_node)
+        reg.observe_bus(bus)
+
+        def publish(node):
+            if lazy:
+                bus.record_lazy("fib.change", node, dict)
+            else:
+                bus.record("fib.change", node)
+
         for _ in range(3):
-            bus.record("fib.change", "as1")
+            publish("as1")
         reg.clear()
         assert reg.snapshot()["counters"] == {}
-        bus.record("fib.change", "as1")
-        bus.record("fib.change", "as2")
-        expected = {"records_total{category=fib.change}": 2.0}
-        if per_node:
-            expected["node_records_total{category=fib.change,node=as1}"] = 1.0
-            expected["node_records_total{category=fib.change,node=as2}"] = 1.0
-        assert reg.snapshot()["counters"] == expected
+        publish("as1")
+        publish("as2")
+        assert reg.snapshot()["counters"] == {
+            "records_total{category=fib.change}": 2.0
+        }
         assert reg.counter("records_total", category="fib.change").value == 2.0
+
+    def test_records_total_equals_bus_counts_after_a_hybrid_trial(self):
+        """After a full hybrid trial (BGP, cluster switches, controller)
+        the registry's per-category totals are the bus's own counts, and
+        the snapshot carries no gauges."""
+        from repro.experiments.common import paper_config
+        from repro.framework import Experiment, measure_event
+        from repro.topology.builders import clique
+
+        exp = Experiment(
+            clique(6), sdn_members={4, 5, 6},
+            config=paper_config(
+                seed=5, mrai=2.0, trace_level="off", metrics=True
+            ),
+        ).start()
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        measure_event(exp, lambda: exp.withdraw(1, prefix))
+        snapshot = exp.metrics_snapshot()
+        counts = exp.net.bus.counts
+        assert counts.get("controller.recompute", 0) > 0
+        assert snapshot["gauges"] == {}
+        assert snapshot["counters"] == {
+            f"records_total{{category={category}}}": float(n)
+            for category, n in counts.items()
+        }
 
     def test_double_observe_rejected(self, sim):
         bus = InstrumentationBus(sim)

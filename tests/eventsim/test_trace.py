@@ -39,45 +39,6 @@ class TestRecording:
         assert trace.counts == {}
 
 
-class TestRingBufferWraparound:
-    def test_dropped_records_counts_evictions(self, sim):
-        trace = TraceLog(sim, max_records=5)
-        for i in range(8):
-            trace.record("x", "n", i=i)
-        assert len(trace) == 5
-        assert trace.dropped_records == 3
-        # oldest three fell off the front; the tail survives intact
-        assert [r.data["i"] for r in trace.records] == [3, 4, 5, 6, 7]
-        # counts are unaffected by eviction
-        assert trace.counts["x"] == 8
-
-    def test_unbounded_log_never_drops(self, sim, trace):
-        for _ in range(100):
-            trace.record("x", "n")
-        assert trace.dropped_records == 0
-
-    def test_clear_resets_dropped_counter(self, sim):
-        trace = TraceLog(sim, max_records=2)
-        for _ in range(4):
-            trace.record("x", "n")
-        assert trace.dropped_records == 2
-        trace.clear()
-        assert trace.dropped_records == 0
-        assert len(trace) == 0
-
-    def test_repr_reports_dropped(self, sim):
-        trace = TraceLog(sim, max_records=1)
-        trace.record("x", "n")
-        trace.record("x", "n")
-        assert "dropped=1" in repr(trace)
-
-    def test_disabled_capture_does_not_drop(self, sim):
-        trace = TraceLog(sim, max_records=1, capture=False)
-        for _ in range(5):
-            trace.record("x", "n")
-        assert trace.dropped_records == 0
-
-
 class TestTaps:
     """Live observers are plain subscriptions on the trace's bus."""
 
@@ -139,6 +100,22 @@ class TestQueries:
     def test_last_time_respects_since(self, sim, trace):
         self._populate(sim, trace)
         assert trace.last_time(ROUTE_AFFECTING, since=3.5) is None
+
+    def test_last_time_matches_by_prefix_like_the_bus(self, sim, trace):
+        """The bus's one category rule: ``bgp.update`` covers
+        ``bgp.update.tx`` for ``last_time`` as it does for ``filter``,
+        ``count`` and ``bus.last_time``."""
+        self._populate(sim, trace)
+        assert trace.last_time({"bgp.update"}) == 2.0
+        assert trace.last_time({"bgp"}) == 2.0
+        assert trace.last_time({"bgp.update"}) == trace.last_time(
+            {"bgp.update.tx", "bgp.update.rx"}
+        )
+        assert trace.last_time({"bgp.update"}) == trace.bus.last_time(
+            {"bgp.update"}
+        )
+        assert trace.last_time({"bgp.update"}, since=1.5) == 2.0
+        assert trace.last_time({"bgp.updat"}) is None
 
     def test_route_affecting_includes_controller_categories(self):
         assert "controller.recompute" in ROUTE_AFFECTING

@@ -1,25 +1,31 @@
-"""MeasurementWindow and the overlapping-window/custom-set edge case.
+"""MeasurementWindow, measure_event's one implementation, and the
+ordering clamp.
 
 Regression coverage for the ``t_state_converged`` ordering bug: with
-custom tracker category sets that are not nested (state-changing events
-the activity set does not track), or with a window opened mid-flight of
-an earlier event, the raw tracker maxima could place the last state
-change *after* the last tracked activity — yielding
-``t_converged < t_state_converged``.  ``_finalize_instants`` now clamps
-``t_converged`` up; with the stock nested sets the clamp is a no-op.
+category sets that are not nested (state-changing events the activity
+set does not cover), or with a window opened mid-flight of an earlier
+event, raw maxima could place the last state change *after* the last
+activity — yielding ``t_converged < t_state_converged``.
+``_finalize_instants`` clamps ``t_converged`` up; with the bus's nested
+sets the clamp is a no-op.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.bgp.session import BGPTimers
+from repro.eventsim import STATE_CHANGING
 from repro.framework.convergence import (
-    STATE_CHANGING,
-    ConvergenceTracker,
     MeasurementWindow,
     _finalize_instants,
     measure_event,
 )
-from repro.framework.experiment import Experiment, ExperimentConfig
+from repro.framework.experiment import (
+    Experiment,
+    ExperimentConfig,
+    ExperimentError,
+)
 from repro.topology.builders import clique
 
 
@@ -54,29 +60,49 @@ class TestFinalizeInstants:
 
 class TestNonNestedTrackerSets:
     def test_untracked_activity_keeps_ordering_chain(self):
-        """A tracker whose activity set misses the state-changing
-        categories entirely still yields a well-ordered measurement."""
+        """Raw bus maxima over an activity set that misses the
+        state-changing categories entirely still resolve to a
+        well-ordered pair."""
         exp = experiment()
+        t_event = exp.now
+        exp.announce(1)
+        exp.wait_converged()
+        bus = exp.net.bus
         # activity = controller recomputes only; a pure-BGP run has none,
         # so every fib.change lands after the "last activity" (None).
-        exp.tracker = ConvergenceTracker(
-            exp.net.bus,
-            route_affecting=frozenset({"controller.recompute"}),
-            state_changing=STATE_CHANGING,
-        )
-        m = measure_event(exp, lambda: exp.announce(1))
-        assert m.fib_changes > 0
-        assert m.t_converged >= m.t_state_converged > m.t_event
+        assert bus.last_time({"controller.recompute"}) is None
+        last_state = bus.last_time(STATE_CHANGING)
+        assert last_state > t_event
+        t_converged, t_state = _finalize_instants(t_event, None, last_state)
         # the clamp raised t_converged to the final state change
-        assert m.t_converged == m.t_state_converged
+        assert t_converged == t_state == last_state
 
 
 class TestMeasurementWindow:
-    def test_requires_tracker(self):
-        exp = experiment()
-        exp.tracker = None
-        with pytest.raises(ValueError, match="ConvergenceTracker"):
+    def test_unbuilt_experiment_rejected(self):
+        exp = Experiment(clique(4), config=ExperimentConfig(seed=1))
+        with pytest.raises(ExperimentError):
             MeasurementWindow(exp)
+
+    def test_measure_event_is_a_window_closed_at_settling(self):
+        """Twin experiments, same seed: ``measure_event`` reads exactly
+        what a window opened before the event and closed at the settling
+        instant reads."""
+        measured = experiment(seed=3, mrai=5.0)
+        windowed = experiment(seed=3, mrai=5.0)
+        via_measure = measure_event(
+            measured, lambda: measured.announce(1), check_reachability=True
+        )
+        window = MeasurementWindow(windowed)
+        windowed.announce(1)
+        via_window = window.close(
+            windowed.wait_converged(), check_reachability=True
+        )
+        assert via_measure.updates_tx > 0
+        assert via_measure.all_reachable is True
+        assert dataclasses.asdict(via_measure) == dataclasses.asdict(
+            via_window
+        )
 
     def test_double_close_rejected(self):
         exp = experiment()

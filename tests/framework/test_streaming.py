@@ -1,13 +1,14 @@
-"""Acceptance tests for the streaming instrumentation refactor.
+"""Acceptance tests for the streaming measurement path.
 
-Three guarantees the refactor must keep:
+Three guarantees it must keep:
 
-1. the streaming :class:`ConvergenceTracker` produces bit-identical
-   measurements to the retained-trace scan (the oracle),
+1. :func:`measure_event` and the fault engine's
+   :class:`MeasurementWindow` produce bit-identical measurements to a
+   scan of the retained trace (the oracle, self-contained below),
 2. a metrics-only run (``trace_level="off"``) completes the paper's
    16-AS clique withdrawal experiment with the same convergence times
    while retaining zero trace records, and
-3. the tracker is a *reader* of the bus's ``last_seen`` table: it holds
+3. a window is a *reader* of the bus's ``last_seen`` table: it holds
    no subscription, so an unobserved run evaluates no payload thunk.
 """
 
@@ -16,6 +17,7 @@ import dataclasses
 import pytest
 
 from repro.experiments.common import (
+    FailoverScenario,
     WithdrawalScenario,
     paper_config,
     run_scenario_once,
@@ -23,46 +25,103 @@ from repro.experiments.common import (
 )
 from repro.eventsim import (
     ROUTE_AFFECTING,
+    STATE_CHANGING,
     InstrumentationBus,
     Simulator,
     TraceLog,
     TraceRecord,
 )
+from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import engine as fault_engine
 from repro.framework.convergence import (
-    STATE_CHANGING,
-    ConvergenceTracker,
-    _measure,
+    ConvergenceMeasurement,
+    MeasurementWindow,
     measure_event,
 )
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.bgp.session import BGPTimers
 from repro.topology.builders import clique
 
+#: measurement field -> the category (and everything nested under it)
+#: whose records it counts.
+COUNTED = {
+    "updates_tx": "bgp.update.tx",
+    "updates_rx": "bgp.update.rx",
+    "decision_changes": "bgp.decision",
+    "fib_changes": "fib.change",
+    "recomputations": "controller.recompute",
+}
 
-def measure_event_from_trace(
-    experiment, event, *, horizon=None, check_reachability=False
-):
-    """The scan oracle: :func:`measure_event` with the convergence
-    instants and counters re-read from the retained trace (requires
-    full trace capture) instead of the streaming tracker."""
-    trace = experiment.net.trace
-    return _measure(
-        experiment, event,
-        horizon=horizon, check_reachability=check_reachability,
-        counts=lambda: trace.counts,
-        last_activity_since=lambda since: trace.last_time(
-            ROUTE_AFFECTING, since=since
-        ),
-        last_state_since=lambda since: trace.last_time(
-            STATE_CHANGING, since=since
-        ),
+
+def _nested(category, prefix):
+    return category == prefix or category.startswith(prefix + ".")
+
+
+def _scanned(t_event, t_settled, last_activity, last_state, count):
+    """The measurement a scan found: maxima (None = nothing happened)
+    and ``count(category)``, the records counted in the scanned span."""
+    t_state = t_event if last_state is None else last_state
+    t_converged = t_event if last_activity is None else last_activity
+    return ConvergenceMeasurement(
+        t_event=t_event,
+        t_converged=max(t_converged, t_state),
+        t_settled=t_settled,
+        t_state_converged=t_state,
+        **{name: count(category) for name, category in COUNTED.items()},
     )
 
 
-def _one_withdrawal(sdn_count, seed, *, n=8, measurer=measure_event,
-                    **config_kwargs):
-    """One fig2-style withdrawal trial, with a pluggable measurer."""
-    scenario = WithdrawalScenario()
+def measure_event_from_trace(experiment, event):
+    """The scan oracle for :func:`measure_event`: fire ``event``, settle,
+    then read the convergence instants with ``trace.last_time`` and the
+    activity counters as ``trace.counts`` deltas (requires full trace
+    capture)."""
+    trace = experiment.net.trace
+    t_event = experiment.now
+    before = dict(trace.counts)
+    event()
+    t_settled = experiment.wait_converged()
+    after = trace.counts
+
+    def count(category):
+        return sum(
+            after[c] - before.get(c, 0) for c in after if _nested(c, category)
+        )
+
+    return _scanned(
+        t_event, t_settled,
+        trace.last_time(ROUTE_AFFECTING, since=t_event),
+        trace.last_time(STATE_CHANGING, since=t_event),
+        count,
+    )
+
+
+def window_from_trace(records, start, stop, t_open, t_close):
+    """The scan oracle for a window open while ``records[start:stop]``
+    were published: it counts those records, and its instants are the
+    last matching records at/after ``t_open`` published before it
+    closed."""
+    seen, inside = records[:stop], records[start:stop]
+
+    def last(categories):
+        return max(
+            (
+                r.time for r in seen
+                if r.time >= t_open
+                and any(_nested(r.category, c) for c in categories)
+            ),
+            default=None,
+        )
+
+    return _scanned(
+        t_open, t_close, last(ROUTE_AFFECTING), last(STATE_CHANGING),
+        lambda category: sum(1 for r in inside if _nested(r.category, category)),
+    )
+
+
+def _one_trial(scenario, sdn_count, seed, *, n=8, measurer=measure_event,
+               **config_kwargs):
+    """One fig2-style trial of ``scenario``, with a pluggable measurer."""
     topology = scenario.topology(n)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
     config = paper_config(seed=seed, mrai=5.0, **config_kwargs)
@@ -75,17 +134,87 @@ def _one_withdrawal(sdn_count, seed, *, n=8, measurer=measure_event,
     return exp, measurer(exp, lambda: scenario.event(exp))
 
 
-class TestTrackerMatchesTraceScan:
-    """Acceptance: streaming tracker bit-identical to the trace scan."""
+def _one_withdrawal(sdn_count, seed, **kwargs):
+    return _one_trial(WithdrawalScenario(), sdn_count, seed, **kwargs)
 
-    @pytest.mark.parametrize("sdn_count", [0, 3, 7])
+
+def last_since(bus, categories, since):
+    """A window's reading: the bus's last matching record, if at/after
+    ``since``."""
+    last = bus.last_time(categories)
+    return last if last is not None and last >= since else None
+
+
+class TestTrackerMatchesTraceScan:
+    """Acceptance: the streaming measurement bit-identical to the scan."""
+
+    @pytest.mark.parametrize("sdn_count", range(8))
     def test_fig2_withdrawal_sweep_equivalence(self, sdn_count):
+        """Every SDN fraction at n = 8 (the origin stays legacy)."""
         for seed in (100, 101):
             _, streaming = _one_withdrawal(sdn_count, seed)
             _, scanned = _one_withdrawal(
                 sdn_count, seed, measurer=measure_event_from_trace,
             )
             assert dataclasses.asdict(streaming) == dataclasses.asdict(scanned)
+
+    @pytest.mark.parametrize("sdn_count", [0, 3, 6])
+    def test_failover_equivalence(self, sdn_count):
+        _, streaming = _one_trial(FailoverScenario(), sdn_count, 100)
+        _, scanned = _one_trial(
+            FailoverScenario(), sdn_count, 100,
+            measurer=measure_event_from_trace,
+        )
+        assert streaming.updates_tx > 0
+        assert dataclasses.asdict(streaming) == dataclasses.asdict(scanned)
+
+    def test_overlapping_fault_windows_match_the_scan(self, monkeypatch):
+        """A fault schedule whose windows overlap: each fault's window
+        reads what a scan of the records published while it was open
+        reads."""
+        spans = []
+
+        class RecordedWindow(MeasurementWindow):
+            def __init__(self, experiment, **kwargs):
+                super().__init__(experiment, **kwargs)
+                self.start = len(experiment.net.trace)
+                spans.append(self)
+
+            def close(self, t_close=None, **kwargs):
+                self.stop = len(self.experiment.net.trace)
+                return super().close(t_close, **kwargs)
+
+        monkeypatch.setattr(fault_engine, "MeasurementWindow", RecordedWindow)
+        topology = clique(6)
+        exp = Experiment(
+            topology,
+            sdn_members=sdn_set_for(topology, 2, frozenset({1, 2})),
+            config=paper_config(seed=4, mrai=2.0),
+        ).start()
+        for asn in (1, 2):
+            exp.announce(asn, exp.as_prefix(asn))
+        exp.wait_converged()
+        schedule = (
+            FaultSchedule()
+            .link_down(1, 3, at=1.0)
+            .link_down(2, 3, at=1.5)
+            .link_up(1, 3, at=2.0)
+            .withdraw(1, at=60.0)
+        )
+        result = FaultInjector(exp, schedule).run()
+        records = exp.net.trace.records
+        assert len(spans) == len(result.reports) == 4
+        # the first three windows overlap: each opened before the
+        # previous one closed
+        assert spans[0].stop > spans[1].start and spans[1].stop > spans[2].start
+        for window, report in zip(spans, result.reports):
+            scanned = window_from_trace(
+                records, window.start, window.stop,
+                window.t_open, report.measurement.t_settled,
+            )
+            assert dataclasses.asdict(report.measurement) == (
+                dataclasses.asdict(scanned)
+            )
 
     def test_equivalence_on_same_experiment(self):
         """Scan and stream read the *same* run: identical, not just
@@ -103,15 +232,12 @@ class TestTrackerMatchesTraceScan:
         t_event = exp.now
         scenario.event(exp)
         exp.wait_converged()
-        tracker = exp.tracker
-        trace = exp.net.trace
-        assert tracker.last_activity_since(t_event) == trace.last_time(
-            ROUTE_AFFECTING, since=t_event
-        )
-        assert tracker.last_state_change_since(t_event) == trace.last_time(
-            STATE_CHANGING, since=t_event
-        )
-        assert tracker.counters() == trace.counts
+        bus, trace = exp.net.bus, exp.net.trace
+        for categories in (ROUTE_AFFECTING, STATE_CHANGING):
+            assert last_since(bus, categories, t_event) == trace.last_time(
+                categories, since=t_event
+            )
+        assert bus.counts == trace.counts
 
     def test_no_event_yields_none_since(self):
         exp = Experiment(
@@ -120,11 +246,14 @@ class TestTrackerMatchesTraceScan:
         ).start()
         exp.announce(1)
         exp.wait_converged()
-        assert exp.tracker.last_activity_since(exp.now + 1.0) is None
+        exp.net.sim.run(until=exp.now + 1.0)
+        assert last_since(exp.net.bus, ROUTE_AFFECTING, exp.now) is None
+        m = MeasurementWindow(exp).close()
+        assert m.t_converged == m.t_state_converged == m.t_event
 
 
 class TestTrackerReadsLastSeen:
-    """The reader against the trace-scan oracle, on a bare bus."""
+    """``bus.last_time`` against the trace-scan oracle, on a bare bus."""
 
     CUSTOM = frozenset({"controller.recompute", "x.custom"})
 
@@ -137,20 +266,13 @@ class TestTrackerReadsLastSeen:
         self.sim.schedule(delay, lambda: None)
         self.sim.run()
 
-    def assert_matches_scan(self, tracker, since):
-        trace = self.trace
-        assert tracker.last_activity_since(since) == trace.last_time(
-            tracker.route_affecting, since=since
-        )
-        assert tracker.last_state_change_since(since) == trace.last_time(
-            tracker.state_changing, since=since
+    def assert_matches_scan(self, categories, since):
+        assert last_since(self.bus, categories, since) == self.trace.last_time(
+            categories, since=since
         )
 
     def test_stock_and_custom_sets_match_the_scan(self):
-        stock = ConvergenceTracker(self.bus)
-        custom = ConvergenceTracker(
-            self.bus, route_affecting=self.CUSTOM, state_changing={"fib.change"}
-        )
+        sets = (ROUTE_AFFECTING, STATE_CHANGING, self.CUSTOM, {"fib.change"})
         program = [
             ("bgp.update.tx", 0.0), ("fib.change", 0.5), ("x.custom", 0.25),
             ("bgp.update.rx", 1.0), ("link.state", 2.0),
@@ -163,45 +285,42 @@ class TestTrackerReadsLastSeen:
                 self.bus.record_lazy(category, "n", lambda: {"lazy": True})
             else:
                 self.bus.record(category, "n", eager=True)
-            for tracker in (stock, custom):
+            for categories in sets:
                 for since in (0.0, 0.6, self.sim.now, self.sim.now + 1.0):
-                    self.assert_matches_scan(tracker, since)
-        assert stock.last_route_affecting == 3.875
-        assert stock.last_state_change == 3.875
-        assert custom.last_route_affecting == 3.75
-        assert custom.last_state_change == 0.5
+                    self.assert_matches_scan(categories, since)
+        assert self.bus.last_time(ROUTE_AFFECTING) == 3.875
+        assert self.bus.last_time(STATE_CHANGING) == 3.875
+        assert self.bus.last_time(self.CUSTOM) == 3.75
+        assert self.bus.last_time({"fib.change"}) == 0.5
 
     def test_published_records_carry_their_own_time(self):
-        tracker = ConvergenceTracker(self.bus)
         self.bus.publish(TraceRecord(4.0, "bgp.update.rx", "n"))
         self.bus.publish(TraceRecord(6.5, "fib.change", "n"))
         self.bus.publish(TraceRecord(7.0, "link.state", "n"))
         assert self.sim.now == 0.0
-        assert tracker.last_route_affecting == 6.5
+        assert self.bus.last_time(ROUTE_AFFECTING) == 6.5
         for since in (0.0, 4.0, 6.5, 6.6):
-            self.assert_matches_scan(tracker, since)
+            self.assert_matches_scan(ROUTE_AFFECTING, since)
 
     def test_survives_clear_counts(self):
-        tracker = ConvergenceTracker(self.bus)
         self.advance(1.5)
         self.bus.record("bgp.decision", "n")
         self.bus.clear_counts()
         assert self.bus.counts == {}
-        assert tracker.last_state_change == 1.5
-        self.assert_matches_scan(tracker, 0.0)
+        assert self.bus.last_time(STATE_CHANGING) == 1.5
+        self.assert_matches_scan(STATE_CHANGING, 0.0)
         self.advance(1.0)
         self.bus.record("bgp.update.tx", "n")
-        assert tracker.last_route_affecting == 2.5
-        self.assert_matches_scan(tracker, 2.0)
+        assert self.bus.last_time(ROUTE_AFFECTING) == 2.5
+        self.assert_matches_scan(ROUTE_AFFECTING, 2.0)
 
     def test_tracker_made_later_sees_nothing_since_now(self):
         self.bus.record("bgp.update.tx", "n")
         self.bus.record("fib.change", "n")
         self.advance(2.0)
-        tracker = ConvergenceTracker(self.bus)
-        assert tracker.last_activity_since(self.sim.now) is None
-        assert tracker.last_state_change_since(self.sim.now) is None
-        self.assert_matches_scan(tracker, self.sim.now)
+        for categories in (ROUTE_AFFECTING, STATE_CHANGING):
+            assert last_since(self.bus, categories, self.sim.now) is None
+            self.assert_matches_scan(categories, self.sim.now)
 
 
 class TestSetMembersMatchByPrefix:
@@ -209,41 +328,63 @@ class TestSetMembersMatchByPrefix:
     it — the bus's one rule (``bus.count``, subscription filters)."""
 
     def test_prefix_form_measures_the_spelled_out_instants(self):
-        measurements = []
-        for activity in ({"bgp.update"}, {"bgp.update.tx", "bgp.update.rx"}):
-            exp = Experiment(
-                clique(4),
-                config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
-            ).start()
-            exp.tracker = ConvergenceTracker(
-                exp.net.bus, route_affecting=activity,
-                state_changing=frozenset(),
-            )
-            measurements.append(measure_event(exp, lambda: exp.announce(1)))
-        prefix_form, spelled_out = measurements
-        assert prefix_form.updates_rx > 0
-        assert prefix_form.convergence_time > 0.0
-        assert dataclasses.asdict(prefix_form) == dataclasses.asdict(
-            spelled_out
+        exp = Experiment(
+            clique(4),
+            config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
+        ).start()
+        m = measure_event(exp, lambda: exp.announce(1))
+        bus, trace = exp.net.bus, exp.net.trace
+        prefix_form = {"bgp.update", "controller"}
+        spelled_out = {
+            "bgp.update.tx", "bgp.update.rx", "controller.recompute",
+            "controller.flow_install", "controller.advertise",
+        }
+        assert m.updates_rx > 0
+        assert bus.last_time({"bgp.update"}) > m.t_event
+        assert bus.last_time(prefix_form) == bus.last_time(spelled_out)
+        assert trace.last_time(prefix_form, since=m.t_event) == (
+            trace.last_time(spelled_out, since=m.t_event)
         )
+        assert trace.last_time(prefix_form) == bus.last_time(prefix_form)
 
     def test_silence_detector_takes_what_its_filter_delivers(self):
+        """The detector taps exactly the route-affecting records, and
+        only those published after ``arm()`` move its reading."""
         from repro.framework.detector import SilenceDetector
+
+        taken = []
+
+        class Recording(SilenceDetector):
+            def _tap(self, record):
+                taken.append(record)
+                super()._tap(record)
 
         exp = Experiment(
             clique(4),
             config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
         ).start()
-        by_prefix = SilenceDetector(exp, categories={"bgp.update"})
-        spelled = SilenceDetector(
-            exp, categories={"bgp.update.tx", "bgp.update.rx"}
-        )
-        by_prefix.arm()
-        spelled.arm()
-        t_event = exp.now
-        m = measure_event(exp, lambda: exp.announce(1))
-        assert by_prefix.result(m.t_converged) == spelled.result(m.t_converged)
-        assert by_prefix.result(m.t_converged).t_last_activity > t_event
+        trace = exp.net.trace
+        subscribed = len(trace)
+        detector = Recording(exp, silence_window=1000.0)
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        tapped_before_arm = len(taken)
+        start = len(trace)
+        detector.arm()
+        m = measure_event(exp, lambda: exp.withdraw(1, prefix))
+        exp.net.bus.record("link.state", "n")
+        def route_affecting(records):
+            return [
+                r for r in records
+                if any(_nested(r.category, c) for c in ROUTE_AFFECTING)
+            ]
+
+        assert taken == route_affecting(trace.records[subscribed:])
+        after_arm = taken[tapped_before_arm:]
+        assert after_arm == route_affecting(trace.records[start:])
+        assert detector.result(m.t_converged).t_last_activity == (
+            after_arm[-1].time
+        ) == m.t_converged
 
 
 class TestUnobservedRunBuildsNoPayload:
@@ -263,12 +404,12 @@ class TestUnobservedRunBuildsNoPayload:
     def test_thunks_never_run_with_trace_off(self):
         exp, _ = _one_withdrawal(2, 3, n=4, trace_level="off")
         bus = exp.net.bus
-        before = exp.tracker.last_route_affecting
+        before = bus.last_time(ROUTE_AFFECTING)
         exp.net.sim.schedule(1.0, lambda: None)
         exp.net.sim.run()
         for category in sorted(ROUTE_AFFECTING):
             bus.record_lazy(category, "n", self.explode)
-        assert exp.tracker.last_route_affecting == exp.now > before
+        assert bus.last_time(ROUTE_AFFECTING) == exp.now > before
 
     def test_thunks_run_again_once_someone_takes_records(self):
         exp, _ = _one_withdrawal(2, 3, n=4, trace_level="off")
@@ -314,8 +455,6 @@ class TestMetricsOnlyRun:
         assert exp.net.bus.count("bgp.update.tx") > 0
 
     def test_route_level_keeps_only_route_affecting(self):
-        from repro.eventsim import ROUTE_AFFECTING
-
         exp, _ = _one_withdrawal(4, 5, trace_level="route")
         records = exp.net.trace.records
         assert records

@@ -3,7 +3,7 @@
 The central claim: for every AS, the critical-path delay attribution is
 an *exact* decomposition — the fixed-order category sum equals the AS's
 convergence instant minus the event time, bit for bit, against the
-streaming :class:`ConvergenceTracker`'s answers — on the paper's 16-AS
+streaming :class:`MeasurementWindow`'s readings — on the paper's 16-AS
 clique, pure BGP and hybrid alike.  Everything else (reports,
 aggregation, record plumbing) is built on that invariant.
 """

@@ -2,7 +2,7 @@
 
 The central invariant: one span per route-affecting record, parented by
 causal context, so the DAG's derived per-AS convergence instants equal
-the streaming :class:`ConvergenceTracker`'s answers *exactly* — on the
+the streaming :class:`MeasurementWindow`'s readings *exactly* — on the
 paper's 16-AS clique, pure BGP and hybrid alike — while leaving every
 measured result bit-identical to a span-free run.
 """
@@ -17,7 +17,8 @@ from repro.experiments.common import (
     run_scenario_full,
     sdn_set_for,
 )
-from repro.framework.convergence import STATE_CHANGING as FW_STATE_CHANGING
+import repro.eventsim
+import repro.framework.convergence
 from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.obs import STATE_CHANGING, ProvenanceDAG, Span
@@ -34,9 +35,10 @@ def traced_withdrawal(n, sdn_count, *, seed=3, mrai=30.0):
 
 class TestStateChangingMirror:
     def test_local_set_matches_framework(self):
-        # repro.obs keeps its own copy so it depends only on eventsim;
-        # this pin means the two can never drift apart silently.
-        assert STATE_CHANGING == frozenset(FW_STATE_CHANGING)
+        # declared once, in eventsim/bus.py: obs and framework re-export
+        # that one object, so the sets cannot drift apart.
+        assert STATE_CHANGING is repro.eventsim.STATE_CHANGING
+        assert repro.framework.convergence.STATE_CHANGING is STATE_CHANGING
 
 
 class TestSixteenAsCliqueAcceptance:

@@ -1,22 +1,26 @@
-"""Property suite: bus sampling-stride and category-prefix semantics.
+"""Property suite: bus delivery and category-prefix semantics.
 
 The bus's compiled routes and the lazy publishing path both reimplement
-the subscription contract (prefix filters, sampling strides) for speed;
-these properties pin that contract against a straightforward reference
-model over randomized category streams, including the edge cases that
-bit the route compiler hardest: stride 1 (every record), strides larger
-than the whole stream (only the first match delivers), and the empty
+the subscription contract (prefix filters, every matching record
+delivered) for speed; these properties pin that contract against a
+straightforward reference model over randomized category streams,
+including the edge case that bit the route compiler hardest: the empty
 prefix (matches only the empty category or categories starting with
-``"."`` — *not* everything; ``categories=None`` is "everything").
+``"."`` — *not* everything; ``categories=None`` is "everything").  The
+trace log's ``last_time`` query follows the same rule as the bus's.
 """
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.eventsim import InstrumentationBus, Simulator  # noqa: E402
+from repro.eventsim import (  # noqa: E402
+    InstrumentationBus,
+    Simulator,
+    TraceLog,
+)
 
 pytestmark = pytest.mark.properties
 
@@ -33,11 +37,11 @@ def matches(category, prefix):
     return category == prefix or category.startswith(prefix + ".")
 
 
-def publish_stream(stream, *, categories=None, sample=1, lazy=False):
+def publish_stream(stream, *, categories=None, lazy=False):
     """Publish a stream against one subscriber; returns delivered records."""
     bus = InstrumentationBus(Simulator(seed=0))
     got = []
-    bus.subscribe(got.append, categories=categories, sample=sample)
+    bus.subscribe(got.append, categories=categories)
     for index, category in enumerate(stream):
         if lazy:
             bus.record_lazy(category, "n", lambda i=index: {"i": i})
@@ -50,50 +54,8 @@ class TestSamplingStride:
     @given(stream=STREAMS, lazy=st.booleans())
     @BOUNDED
     def test_stride_one_delivers_everything(self, stream, lazy):
-        _, got = publish_stream(stream, sample=1, lazy=lazy)
+        _, got = publish_stream(stream, lazy=lazy)
         assert [r.data["i"] for r in got] == list(range(len(stream)))
-
-    @given(stream=STREAMS, lazy=st.booleans())
-    @BOUNDED
-    def test_stride_beyond_stream_delivers_first_match_only(
-        self, stream, lazy
-    ):
-        _, got = publish_stream(stream, sample=len(stream) + 1, lazy=lazy)
-        expected = [0] if stream else []
-        assert [r.data["i"] for r in got] == expected
-
-    @given(
-        stream=STREAMS,
-        stride=st.integers(min_value=1, max_value=7),
-        lazy=st.booleans(),
-    )
-    @BOUNDED
-    def test_stride_keeps_every_nth_matching_record(
-        self, stream, stride, lazy
-    ):
-        _, got = publish_stream(stream, sample=stride, lazy=lazy)
-        assert [r.data["i"] for r in got] == list(
-            range(0, len(stream), stride)
-        )
-
-    @given(
-        stream=STREAMS,
-        prefix=st.sampled_from(["bgp", "bgp.update", ""]),
-        stride=st.integers(min_value=1, max_value=5),
-        lazy=st.booleans(),
-    )
-    @BOUNDED
-    def test_stride_counts_only_matching_records(
-        self, stream, prefix, stride, lazy
-    ):
-        """The stride advances per *matching* record, not per publish."""
-        _, got = publish_stream(
-            stream, categories=(prefix,), sample=stride, lazy=lazy
-        )
-        matching = [
-            i for i, c in enumerate(stream) if matches(c, prefix)
-        ]
-        assert [r.data["i"] for r in got] == matching[::stride]
 
 
 class TestPrefixFilter:
@@ -125,17 +87,49 @@ class TestLazyEagerAgreement:
     @given(
         stream=STREAMS,
         prefix=st.sampled_from([None, "bgp", "bgp.update", ""]),
-        stride=st.integers(min_value=1, max_value=6),
     )
     @BOUNDED
-    def test_lazy_and_eager_deliver_identical_records(
-        self, stream, prefix, stride
-    ):
+    def test_lazy_and_eager_deliver_identical_records(self, stream, prefix):
         categories = (prefix,) if prefix is not None else None
-        _, eager = publish_stream(
-            stream, categories=categories, sample=stride, lazy=False
-        )
-        _, lazy = publish_stream(
-            stream, categories=categories, sample=stride, lazy=True
-        )
+        _, eager = publish_stream(stream, categories=categories, lazy=False)
+        _, lazy = publish_stream(stream, categories=categories, lazy=True)
         assert eager == lazy
+
+
+class TestLastTimeAgreement:
+    @given(
+        steps=st.lists(
+            st.tuples(CATEGORIES, st.sampled_from([0.0, 0.25, 1.0])),
+            max_size=30,
+        ),
+        prefixes=st.sets(CATEGORIES, max_size=3),
+        since=st.sampled_from([0.0, 0.5, 2.0, 100.0]),
+    )
+    @example(
+        steps=[("bgp", 0.25), ("bgp.update.tx", 1.0), ("x", 0.0)],
+        prefixes={"bgp"},
+        since=0.5,
+    )
+    @BOUNDED
+    def test_prefix_and_spelled_out_forms_agree(self, steps, prefixes, since):
+        """For any category set: the prefix form reads what the set of
+        concrete categories it covers reads, and a trace that retains
+        everything reads what the bus's ``last_seen`` table reads."""
+        sim = Simulator(seed=0)
+        bus = InstrumentationBus(sim)
+        trace = TraceLog(bus)
+        for category, delay in steps:
+            sim.schedule(delay, lambda: None)
+            sim.run()
+            bus.record(category, "n")
+        spelled = {
+            category for category, _ in steps
+            if any(matches(category, p) for p in prefixes)
+        }
+        assert trace.last_time(prefixes, since=since) == trace.last_time(
+            spelled, since=since
+        )
+        assert bus.last_time(prefixes) == bus.last_time(spelled)
+        last = bus.last_time(prefixes)
+        expected = last if last is not None and last >= since else None
+        assert trace.last_time(prefixes, since=since) == expected

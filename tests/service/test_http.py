@@ -506,7 +506,7 @@ class TestTelemetryEndpoints:
             telemetry = json.loads(text)["telemetry"]
             assert telemetry["jobs"] == 1
             assert telemetry["dropped_frames"] == 0
-            assert telemetry["trace_dropped_records"] == 0
+            assert "trace_dropped_records" not in telemetry
             assert telemetry["rejected_quota"] == 0
 
         serve(tmp_path, body)
