@@ -216,9 +216,14 @@ def prepend_path(asn: int, count: int):
 # ----------------------------------------------------------------------
 # Per-peer policy bundles
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(eq=False)
 class PeerPolicy:
-    """Import and export route-maps for one BGP peer, plus its relationship."""
+    """Import and export route-maps for one BGP peer, plus its relationship.
+
+    Compared and hashed by identity: sessions sharing one policy object
+    form one update group (``BGPRouter._export_attrs``), so a policy is
+    read-only once handed out — change a session's by replacing it.
+    """
 
     relationship: Relationship
     import_map: RouteMap

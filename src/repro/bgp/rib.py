@@ -16,7 +16,7 @@ what makes 5k-AS withdrawal storms tractable (see ``docs/scaling.md``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..net.addr import Prefix
@@ -31,6 +31,9 @@ class Route:
 
     ``peer_asn`` is 0 for locally-originated routes.  ``learned_at`` is
     virtual time, used for diagnostics and the route-change visualizer.
+    ``link_id`` names the session a learned route came in on (-1: none),
+    so finding that session is one lookup; it is bookkeeping, not part
+    of the route's value.
     """
 
     prefix: Prefix
@@ -38,6 +41,7 @@ class Route:
     peer_asn: int = 0
     peer_name: str = ""
     learned_at: float = 0.0
+    link_id: int = field(default=-1, compare=False)
 
     @property
     def is_local(self) -> bool:

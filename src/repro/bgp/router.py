@@ -70,6 +70,17 @@ class BGPRouter(Node):
         self._rib_out: Dict[int, AdjRibOut] = {}
         self._update_queue: deque = deque()
         self._processing = False
+        # Bound once: every received UPDATE schedules a processing event.
+        self._process_callback = self._process_one
+        self._process_label = f"{name}:proc"
+        #: update groups: prefix -> (Loc-RIB best, {(export policy, local
+        #: ASN): exported attributes or None}).  Sessions sharing a policy
+        #: and an ASN export the same thing, so each pair evaluates once
+        #: per best; dropped when the best changes (docs/scaling.md).
+        self._export_memo: Dict[
+            Prefix,
+            Tuple[Route, Dict[Tuple[PeerPolicy, int], Optional[PathAttributes]]],
+        ] = {}
         self.updates_processed = 0
         self.decisions_run = 0
 
@@ -244,6 +255,7 @@ class BGPRouter(Node):
                 session.stop(notify_peer=False, reason="crash")
             self._update_queue.clear()
             self._processing = False
+            self._export_memo.clear()
             for link_id, rib_in in self._rib_in.items():
                 rib_in.clear()
                 self._rib_out[link_id].clear()
@@ -307,7 +319,9 @@ class BGPRouter(Node):
         self._processing = True
         rng = self.sim.rng("bgp.proc")
         delay = rng.uniform(self.timers.proc_delay_min, self.timers.proc_delay_max)
-        self.sim.schedule(delay, self._process_one, label=f"{self.name}:proc")
+        self.sim.schedule(
+            delay, self._process_callback, label=self._process_label
+        )
 
     def _process_one(self) -> None:
         self._processing = False
@@ -342,6 +356,7 @@ class BGPRouter(Node):
                 peer_asn=session.peer_asn,
                 peer_name=session.peer_name,
                 learned_at=self.sim.now,
+                link_id=link_id,
             )
             had_before = rib_in.get(prefix) is not None
             if rib_in.update(route):
@@ -482,8 +497,11 @@ class BGPRouter(Node):
                 "new": str(new.attrs.as_path) if new else None,
             },
         )
+        self._export_memo.pop(prefix, None)
         # Provenance: the FIB change and the advertisements this decision
         # schedules are consequences of the decision span just recorded.
+        # Every session is told, even one that will send nothing: its
+        # output run still draws an MRAI period (BGPSession._flush).
         with last_span_activation(self.bus.obs):
             self._install_fib(prefix, new)
             for session in self.sessions.values():
@@ -500,7 +518,7 @@ class BGPRouter(Node):
         if route.is_local:
             entry = FibEntry(prefix, None, via="local", source="bgp.local")
         else:
-            session = self._session_for_peer(route)
+            session = self.session_of(route)
             if session is None:
                 return
             entry = FibEntry(
@@ -512,14 +530,16 @@ class BGPRouter(Node):
                 lambda: {"prefix": str(prefix), "via": entry.via},
             )
 
-    def _session_for_peer(self, route: Route) -> Optional[BGPSession]:
-        for session in self.sessions.values():
-            if (
-                session.established
-                and session.peer_asn == route.peer_asn
-                and session.peer_name == route.peer_name
-            ):
-                return session
+    def session_of(self, route: Route) -> Optional[BGPSession]:
+        """The established session a learned route came in on, if any."""
+        session = self.sessions.get(route.link_id)
+        if (
+            session is not None
+            and session.established
+            and session.peer_asn == route.peer_asn
+            and session.peer_name == route.peer_name
+        ):
+            return session
         return None
 
     # ------------------------------------------------------------------
@@ -535,9 +555,13 @@ class BGPRouter(Node):
     def _export_attrs(
         self, session: BGPSession, prefix: Prefix
     ) -> Optional[PathAttributes]:
-        best = self.loc_rib.get(prefix)
-        if best is None:
-            return None
+        memo = self._export_memo.get(prefix)
+        if memo is None:
+            best = self.loc_rib.get(prefix)
+            if best is None:
+                return None
+            memo = self._export_memo[prefix] = (best, {})
+        best, group = memo
         # Do not advertise a route back over the session it came from
         # (split horizon; the peer would loop-reject it anyway, this just
         # reduces message noise like most real implementations).
@@ -547,13 +571,21 @@ class BGPRouter(Node):
             and best.peer_name == session.peer_name
         ):
             return None
+        # Everything below depends only on (policy, local ASN, best): one
+        # evaluation per update group, shared by its sessions.
+        key = (session.policy, session.local_asn)
+        if key in group:
+            return group[key]
         exported = session.policy.export_route(prefix, best.attrs)
-        if exported is None:
-            return None
-        exported = exported.with_path(exported.as_path.prepend(session.local_asn))
-        # LOCAL_PREF is not carried across eBGP: reset to the default so
-        # the receiver's import policy decides.
-        return exported.with_local_pref(DEFAULT_LOCAL_PREF)
+        if exported is not None:
+            exported = exported.with_path(
+                exported.as_path.prepend(session.local_asn)
+            )
+            # LOCAL_PREF is not carried across eBGP: reset to the default
+            # so the receiver's import policy decides.
+            exported = exported.with_local_pref(DEFAULT_LOCAL_PREF)
+        group[key] = exported
+        return exported
 
     # ------------------------------------------------------------------
     # diagnostics ("show ip bgp")

@@ -18,6 +18,7 @@ that matter for convergence dynamics live here:
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
@@ -97,22 +98,33 @@ class BGPSession:
         self.updates_received = 0
         sim = router.sim
         self._sim = sim
+        # Labels are per router, so its sessions share one copy of each.
+        name = router.name
         self._mrai_timer = Timer(
-            sim, self._on_mrai_expiry, label=f"{router.name}:mrai"
+            sim, self._on_mrai_expiry, label=sys.intern(f"{name}:mrai")
         )
         self._connect_timer = Timer(
-            sim, self._send_open, label=f"{router.name}:connect"
+            sim, self._send_open, label=sys.intern(f"{name}:connect")
         )
+        self._flush_label = sys.intern(f"{name}:flush")
         # Armed only under ``keepalives_enabled``, so made on first use:
         # most experiments run tens of thousands of sessions without.
         self._hold_timer: Optional[Timer] = None
         self._keepalive_timer: Optional[PeriodicTimer] = None
+        #: prefixes awaiting the next output run: one set for the
+        #: session's life, emptied in place.  A fresh set per run, or a
+        #: dict (which every full collection untracks while it is empty),
+        #: would re-enter the young generation once per session per storm.
         self._dirty: Set[Prefix] = set()
         #: provenance of pending advertisements: prefix -> (context, time
         #: it first went dirty).  First cause wins; consumed at send time
-        #: to parent the tx span and measure the pacing wait.
+        #: to parent the tx span and measure the pacing wait, and dropped
+        #: by an output run that did not send the prefix.
         self._pending_obs: dict = {}
         self._flush_event = None
+        # Bound once: every decision schedules an output run per session.
+        self._flush_callback = self._run_flush
+        self._mrai_rng = sim.rng("bgp.mrai")
         self._open_received = False
 
     # ------------------------------------------------------------------
@@ -386,8 +398,8 @@ class BGPSession:
             return
         self._flush_event = self._sim.schedule(
             self.timers.output_delay,
-            self._run_flush,
-            label=f"{self.router.name}:flush",
+            self._flush_callback,
+            label=self._flush_label,
         )
 
     def _run_flush(self) -> None:
@@ -408,18 +420,28 @@ class BGPSession:
         jitter = self.timers.mrai_jitter
         if jitter <= 0:
             return mrai
-        rng = self._sim.rng("bgp.mrai")
-        return rng.uniform(mrai * (1.0 - jitter), mrai)
+        return self._mrai_rng.uniform(mrai * (1.0 - jitter), mrai)
 
     def _flush(self) -> None:
-        """Send one UPDATE covering all dirty prefixes, then re-arm MRAI."""
-        dirty, self._dirty = self._dirty, set()
+        """Send one UPDATE covering all dirty prefixes, then re-arm MRAI.
+
+        A run that sends nothing still draws its MRAI period: the draw
+        order on ``bgp.mrai`` is part of every pinned result.
+        """
+        dirty = sorted(self._dirty)
+        self._dirty.clear()
         announced = []
         withdrawn = []
         rib_out = self.router.adj_rib_out(self)
-        for prefix in sorted(dirty):
+        pending_obs = self._pending_obs
+        for prefix in dirty:
             action = self.router.outbound_diff(self, prefix)
             if action is None:
+                # Not sent (split horizon, export deny, no diff): its
+                # cause is spent, so the prefix's next UPDATE must not
+                # be parented under it or timed from it.
+                if pending_obs:
+                    pending_obs.pop(prefix, None)
                 continue
             verb, attrs = action
             if verb == "announce":

@@ -314,7 +314,7 @@ class ClusterBGPSpeaker(Node):
             route = Route(
                 prefix=prefix, attrs=attrs,
                 peer_asn=session.peer_asn, peer_name=session.peer_name,
-                learned_at=self.sim.now,
+                learned_at=self.sim.now, link_id=link_id,
             )
             if rib_in.update(route):
                 affected.append(prefix)

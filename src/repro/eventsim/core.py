@@ -13,12 +13,12 @@ distinction is what lets :meth:`Simulator.run_until_settled` detect
 routing convergence exactly: the network has converged when no foreground
 event remains in the queue.
 
-The pending set is one binary heap (``heapq``) of ``(time, seq, event)``
-tuples: ``seq`` is unique, so ``heapq`` orders them in C and never calls
-``Event.__lt__`` (sixteen Python-level comparisons per event at 29k
-pending).  Events pop in exact ``(time, seq)`` order — same-time events
-run in scheduling order — which is what makes a run a function of its
-seed.
+The pending set is one binary heap (``heapq``) of events, and each
+event is its own heap entry: a ``list`` ``[time, seq, ...]`` that the C
+heap orders by ``(time, seq)`` without entering Python.  ``seq`` is
+unique, so no comparison reaches the callback slot.  Events pop in exact
+``(time, seq)`` order — same-time events run in scheduling order — which
+is what makes a run a function of its seed.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, List, Optional
 
 __all__ = ["Event", "Simulator", "SimulationError"]
 
@@ -37,32 +37,37 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (negative delays) or livelock detection."""
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and its own heap entry.
 
-    Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
-    tie-breaker so same-time events run in scheduling order, which keeps
-    runs deterministic.  The queue does not call this ordering: it holds
-    :data:`Entry` tuples, which the C heap compares without entering
-    Python.  Cancel through :meth:`Simulator.cancel` so the kernel's
-    foreground bookkeeping stays exact.  ``slots=True`` because
-    dense-graph runs keep hundreds of thousands of these alive in the
-    heap at once.
+    The layout is ``[time, seq, callback, background, label, cancelled]``.
+    Lists compare item by item in C, and ``seq`` is a monotonically
+    increasing, per-simulator unique tie-breaker, so two events order by
+    ``(time, seq)`` and a comparison never reaches the callback slot.
+    Same-time events therefore run in scheduling order, which keeps runs
+    deterministic.  One object per pending event, with no ``__dict__``,
+    because dense-graph runs keep hundreds of thousands of them alive in
+    the heap at once.  The fields read through properties; only the
+    kernel writes (``cancelled``, through :meth:`Simulator.cancel`, so
+    its foreground bookkeeping stays exact).
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    background: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
-    #: no longer pending: cancelled before it fired, or already fired.
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ()
 
+    time = property(itemgetter(0), doc="Virtual time the event fires at.")
+    seq = property(itemgetter(1), doc="Scheduling order (unique tie-breaker).")
+    callback = property(itemgetter(2), doc="What runs when it fires.")
+    background = property(
+        itemgetter(3), doc="Housekeeping that never changes routing state."
+    )
+    label = property(itemgetter(4), doc="Free-text name for diagnostics.")
+    cancelled = property(
+        itemgetter(5),
+        doc="No longer pending: cancelled before it fired, or already fired.",
+    )
 
-#: What the queue holds.  ``seq`` is unique per simulator, so comparing
-#: two entries never reaches the event.
-Entry = Tuple[float, int, Event]
+    def __repr__(self) -> str:
+        return f"<Event t={self[0]!r} seq={self[1]} {self[4]!r}>"
 
 
 class Simulator:
@@ -77,7 +82,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: List[Entry] = []
+        self._queue: List[Event] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._seed = seed
@@ -128,10 +133,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        when = self._now + delay
-        seq = next(self._seq)
-        event = Event(when, seq, callback, background, label)
-        heappush(self._queue, (when, seq, event))
+        event = Event(
+            (self._now + delay, next(self._seq), callback, background, label,
+             False)
+        )
+        heappush(self._queue, event)
         if not background:
             self._live_foreground += 1
         return event
@@ -152,10 +158,10 @@ class Simulator:
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent, and a no-op
         on one that already fired)."""
-        if event.cancelled:
+        if event[5]:  # cancelled
             return
-        event.cancelled = True
-        if not event.background:
+        event[5] = True
+        if not event[3]:  # background
             self._live_foreground -= 1
 
     def pending_foreground(self) -> int:
@@ -178,21 +184,25 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next live event.  Returns False if queue is empty."""
-        event = self._pop_live()
-        if event is None:
+        queue = self._queue
+        while queue:
+            event = heappop(queue)
+            if not event[5]:  # cancelled
+                break
+        else:
             return False
-        self._now = event.time
+        self._now = event[0]
         # Spent: a late cancel() must not count it down a second time.
-        event.cancelled = True
-        if not event.background:
+        event[5] = True
+        if not event[3]:  # background
             self._live_foreground -= 1
         self.events_processed += 1
         hook = self._dispatch_hook
         if hook is None:
-            event.callback()
+            event[2]()
         else:
             started = time.perf_counter()
-            event.callback()
+            event[2]()
             hook(event, time.perf_counter() - started)
         return True
 
@@ -206,7 +216,7 @@ class Simulator:
             head = self._peek_live()
             if head is None:
                 break
-            if until is not None and head.time > until:
+            if until is not None and head[0] > until:
                 break
             if processed >= max_events:
                 raise SimulationError(
@@ -236,9 +246,9 @@ class Simulator:
         while self._live_foreground > 0:
             head = self._peek_live()
             assert head is not None, "foreground counter out of sync"
-            if head.time > horizon:
+            if head[0] > horizon:
                 raise SimulationError(
-                    f"not settled by horizon t={horizon}: {head.label!r} pending"
+                    f"not settled by horizon t={horizon}: {head[4]!r} pending"
                 )
             if processed >= max_events:
                 raise SimulationError(
@@ -248,16 +258,8 @@ class Simulator:
             processed += 1
         return self._now
 
-    def _pop_live(self) -> Optional[Event]:
-        queue = self._queue
-        while queue:
-            event = heappop(queue)[2]
-            if not event.cancelled:
-                return event
-        return None
-
     def _peek_live(self) -> Optional[Event]:
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][5]:
             heappop(queue)
-        return queue[0][2] if queue else None
+        return queue[0] if queue else None

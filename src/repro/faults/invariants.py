@@ -118,7 +118,7 @@ class InvariantChecker:
                             )
                         )
                     continue
-                session = node._session_for_peer(route)
+                session = node.session_of(route)
                 if session is None:
                     out.append(
                         InvariantViolation(

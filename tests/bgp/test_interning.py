@@ -22,7 +22,7 @@ import pytest
 from repro.bgp.attrs import AsPath, Origin, PathAttributes, intern_stats
 from repro.bgp.messages import BGPKeepalive, BGPOpen, BGPUpdate
 from repro.bgp.rib import Route
-from repro.eventsim.core import Event
+from repro.eventsim import Simulator
 from repro.net.addr import IPv4Address, Prefix
 from repro.net.messages import Packet
 
@@ -134,7 +134,7 @@ class TestMemoryShape:
             BGPUpdate(sender_asn=1, withdrawn=(Prefix.parse("10.0.1.0/24"),)),
             Packet(IPv4Address.parse("10.0.1.1"),
                    IPv4Address.parse("10.0.2.1")),
-            Event(time=0.0, seq=0, callback=lambda: None),
+            Simulator(seed=0).schedule(0.0, lambda: None),  # an Event
         ]
 
     def test_no_instance_dicts(self):

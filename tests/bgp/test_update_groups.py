@@ -1,0 +1,204 @@
+"""Update groups: one export evaluation per (policy, local ASN, best).
+
+Sessions that share one ``PeerPolicy`` object and speak as one ASN
+export the same attributes for a prefix, so ``BGPRouter._export_attrs``
+evaluates the export route-map once per Loc-RIB best and hands every
+session of the group the same object.  Split horizon stays per session,
+and the per-session output runs stay too: a run that sends nothing still
+draws its MRAI period, which every pinned result depends on.
+"""
+
+import random
+
+from repro.bgp.attrs import DEFAULT_LOCAL_PREF
+from repro.bgp.policy import (
+    PeerPolicy,
+    Relationship,
+    RouteMap,
+    RouteMapEntry,
+    strip_learned_communities,
+)
+from repro.bgp.router import BGPRouter
+from repro.bgp.session import BGPTimers
+from repro.experiments.common import paper_config
+from repro.framework.experiment import Experiment
+from repro.net.addr import Prefix
+from repro.topology.builders import clique
+from repro.topology.caida import caida_hierarchy
+from tests.conftest import make_bgp_mesh
+
+PFX = Prefix.parse("192.168.0.0/24")
+
+
+class CountingPolicy:
+    """A shared transit-all policy whose export route-map counts its
+    evaluations."""
+
+    def __init__(self):
+        self.evaluations = 0
+
+        def count(attrs):
+            self.evaluations += 1
+            return attrs
+
+        self.policy = PeerPolicy(
+            Relationship.FLAT,
+            RouteMap([RouteMapEntry(permit=True)], name="in"),
+            RouteMap(
+                [RouteMapEntry(
+                    permit=True, actions=[count, strip_learned_communities()]
+                )],
+                name="out",
+            ),
+        )
+
+
+def star(net, spokes=4, policy=None):
+    """Hub ``hub`` (AS1) with spokes s2.. whose hub-side sessions all
+    hold ``policy``; returns ``(hub, [spoke, ...], {spoke: hub session})``."""
+    timers = BGPTimers(mrai=1.0)
+    hub = net.add_node(BGPRouter(net.sim, net.trace, "hub", asn=1, timers=timers))
+    nodes, toward = [], {}
+    for asn in range(2, spokes + 2):
+        spoke = net.add_node(
+            BGPRouter(net.sim, net.trace, f"s{asn}", asn=asn, timers=timers)
+        )
+        link = net.add_link(hub, spoke, latency=0.01)
+        toward[spoke] = hub.add_peer(link, policy=policy)
+        spoke.add_peer(link)
+        nodes.append(spoke)
+    for router in [hub] + nodes:
+        router.start()
+    net.sim.run_until_settled()
+    return hub, nodes, toward
+
+
+class TestOneEvaluationPerGroup:
+    def test_shared_policy_evaluates_once_per_best_change(self, net):
+        counting = CountingPolicy()
+        hub, spokes, toward = star(net, policy=counting.policy)
+        origin, others = spokes[0], spokes[1:]
+        origin.originate(PFX)
+        net.sim.run_until_settled()
+        # one best change at the hub, three sessions exporting it
+        assert counting.evaluations == 1
+        sent = [hub.adj_rib_out(toward[s]).get(PFX) for s in others]
+        assert sent[0] is not None
+        assert all(attrs is sent[0] for attrs in sent)
+        assert sent[0].as_path.asns == (1, origin.asn)
+        for spoke in others:
+            assert spoke.loc_rib.get(PFX).attrs.as_path.asns == (1, origin.asn)
+        # split horizon is still per session: nothing goes back to the origin
+        assert hub.adj_rib_out(toward[origin]).get(PFX) is None
+
+        origin.withdraw(PFX)
+        net.sim.run_until_settled()
+        assert counting.evaluations == 1  # no best, nothing to export
+        origin.originate(PFX)
+        net.sim.run_until_settled()
+        assert counting.evaluations == 2
+
+    def test_memo_equals_a_fresh_evaluation_everywhere(self):
+        """On a valley-free hierarchy (one policy object per relationship,
+        so groups of every size), every session's export equals the
+        policy evaluated afresh, split horizon included."""
+        exp = Experiment(
+            caida_hierarchy(60),
+            config=paper_config(seed=2, policy_mode="gao_rexford", mrai=1.0),
+        ).start()
+        prefix = exp.announce(7)
+        exp.wait_converged()
+        checked = 0
+        for node in exp.as_nodes():
+            best = node.loc_rib.get(prefix)
+            if best is None:
+                continue
+            for session in node.sessions.values():
+                got = node._export_attrs(session, prefix)
+                if best.peer_name == session.peer_name and not best.is_local:
+                    assert got is None
+                    continue
+                want = session.policy.export_route(prefix, best.attrs)
+                if want is not None:
+                    want = want.with_path(
+                        want.as_path.prepend(session.local_asn)
+                    ).with_local_pref(DEFAULT_LOCAL_PREF)
+                assert got is want
+                checked += 1
+        assert checked > 100
+
+
+class TestMemoLifetime:
+    def test_dropped_on_best_change(self, net):
+        hub, spokes, _ = star(net)
+        spokes[0].originate(PFX)
+        net.sim.run_until_settled()
+        assert PFX in hub._export_memo
+        spokes[0].withdraw(PFX)
+        net.sim.run_until_settled()
+        assert PFX not in hub._export_memo
+        assert hub.loc_rib.get(PFX) is None
+
+    def test_dropped_on_crash_and_rebuilt_after_restart(self):
+        exp = Experiment(
+            clique(4), config=paper_config(seed=1, mrai=1.0)
+        ).start()
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        origin = exp.node(1)
+        assert prefix in origin._export_memo
+        # The crash wipes an originated prefix's local best without a
+        # decision, so only crash() itself can drop its memo entry.
+        exp.crash_router(1)
+        assert origin._export_memo == {}
+        exp.wait_converged()
+        exp.restart_router(1)
+        exp.wait_converged()
+        for session in origin.sessions.values():
+            sent = origin.adj_rib_out(session).get(prefix)
+            assert sent is not None and sent.as_path.asns == (1,)
+        for asn in (2, 3, 4):
+            best = exp.node(asn).loc_rib.get(prefix)
+            assert best.attrs.as_path.asns == (1,)
+
+    def test_export_prepend_is_its_own_group(self):
+        exp = Experiment(clique(3), config=paper_config(seed=1, mrai=1.0))
+        exp.build()
+        exp.set_export_prepend(1, toward=2, count=3)
+        exp.start()
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        origin = exp.node(1)
+        to2 = origin.session_on(exp.phys_link(1, 2))
+        to3 = origin.session_on(exp.phys_link(1, 3))
+        # the prepended session holds a new policy object: its own group
+        assert to2.policy is not to3.policy
+        best, exports = origin._export_memo[prefix]
+        assert best is origin.loc_rib.get(prefix)
+        groups = {policy for policy, _ in exports}
+        assert {to2.policy, to3.policy} <= groups
+        assert origin.adj_rib_out(to2).get(prefix).as_path.asns == (1, 1, 1, 1)
+        assert origin.adj_rib_out(to3).get(prefix).as_path.asns == (1,)
+
+
+class TestOutputRunsStay:
+    def test_empty_output_run_draws_one_mrai_period(self, net):
+        """The draw order on ``bgp.mrai`` is part of every pinned result,
+        so a run that sends nothing must still consume its draw."""
+        a, b = make_bgp_mesh(net, 2, timers=BGPTimers(mrai=30.0))
+        a.originate(PFX)
+        net.sim.run_until_settled()
+        # b's best came from a: split horizon leaves b nothing to send a
+        session = next(iter(b.sessions.values()))
+        assert b.outbound_diff(session, PFX) is None
+        rng = net.sim.rng("bgp.mrai")
+        state = rng.getstate()
+        sent = session.updates_sent
+        session.schedule_route(PFX)  # an output run, through the kernel
+        net.sim.run_until_settled()
+        assert session.updates_sent == sent
+        assert not session._mrai_timer.running
+        one_draw = random.Random()
+        one_draw.setstate(state)
+        one_draw.uniform(22.5, 30.0)
+        assert rng.getstate() == one_draw.getstate()

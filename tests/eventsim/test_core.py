@@ -3,7 +3,6 @@
 import pytest
 
 from repro.eventsim import SimulationError, Simulator
-from repro.eventsim.core import Event
 
 
 # One param, not a choice: the heap is the queue.  The ``[heap]`` id is
@@ -177,10 +176,12 @@ class TestTieBreak:
         assert order == [0, 2, 4, 6, 1, 3, 5, 7]
 
     def test_event_ordering_is_time_then_seq(self):
-        a = Event(1.0, 5, lambda: None)
-        b = Event(1.0, 6, lambda: None)
-        c = Event(0.5, 7, lambda: None)
+        sim = Simulator(seed=0)
+        a = sim.schedule(1.0, lambda: None)
+        b = sim.schedule(1.0, lambda: None)
+        c = sim.schedule(0.5, lambda: None)
         assert a < b and c < a
+        assert (a.time, a.seq) < (b.time, b.seq)
 
     def test_zero_delay_self_schedules_run_fifo(self, sim):
         order = []
@@ -198,21 +199,42 @@ class TestTieBreak:
 
 
 class TestQueueKeys:
-    """The queue orders ``(time, seq, event)`` entries, which the C
-    heap compares by itself; ``Event.__lt__`` (a tuple built per call,
-    sixteen calls per event at depth) stays for users, not for queues."""
+    """Each event is its own heap entry, a list ``[time, seq, callback,
+    ...]`` the C heap compares item by item; ``seq`` is unique, so no
+    comparison ever reaches the callback slot."""
 
-    def test_queues_never_compare_events(self, sim, monkeypatch):
-        def compared(self, other):
-            raise AssertionError("a queue compared two Events")
+    def test_event_is_its_own_heap_entry(self, sim):
+        event = sim.schedule(1.0, lambda: None, label="x")
+        assert sim._queue == [event] and sim._queue[0] is event
+        assert (event.time, event.seq, event.label) == (1.0, 0, "x")
+        assert not event.background and not event.cancelled
+        with pytest.raises(AttributeError):
+            event.cancelled = True  # only the kernel writes
 
-        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
-            monkeypatch.setattr(Event, op, compared)
+    def test_queues_never_compare_events(self, sim):
+        class Uncomparable:
+            """A callback that fails any comparison made on it."""
+
+            def __init__(self, action):
+                self.action = action
+
+            def __call__(self):
+                self.action()
+
+            def _compared(self, other):
+                raise AssertionError("a queue compared two callbacks")
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__ = _compared
+            __hash__ = object.__hash__
+
         order = []
         # duplicate-timestamp storm: three instants, scheduled
         # interleaved.
         handles = [
-            sim.schedule((tag % 3) * 0.5, lambda t=tag: order.append(t))
+            sim.schedule(
+                (tag % 3) * 0.5,
+                Uncomparable(lambda t=tag: order.append(t)),
+            )
             for tag in range(120)
         ]
         for handle in handles[::7]:
@@ -222,10 +244,12 @@ class TestQueueKeys:
         def chain(tag, depth):
             order.append((tag, depth))
             if depth:
-                sim.schedule(0.0, lambda: chain(tag, depth - 1))
+                sim.schedule(
+                    0.0, Uncomparable(lambda: chain(tag, depth - 1))
+                )
 
-        sim.schedule(5000.0, lambda: chain("a", 2))
-        sim.schedule(5000.0, lambda: chain("b", 2))
+        sim.schedule(5000.0, Uncomparable(lambda: chain("a", 2)))
+        sim.schedule(5000.0, Uncomparable(lambda: chain("b", 2)))
         sim.run()
         live = [tag for tag in range(120) if tag % 7]
         assert order == [

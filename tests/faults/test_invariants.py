@@ -55,7 +55,7 @@ class TestCorruptedState:
         exp = build_exp()
         node = exp.node(3)
         route = node.loc_rib.get(exp.as_prefix(1))
-        session = node._session_for_peer(route)
+        session = node.sessions[route.link_id]
         node.adj_rib_in(session).withdraw(route.prefix)
         violations = InvariantChecker(exp).check_loc_rib_consistency()
         assert any(

@@ -9,8 +9,10 @@ record; with no observer at all, no payload is built in the first place.
 
 *Observers stay invisible*: trace capture, metrics, spans and anatomy
 together change no measurement, no bus count and no event, and the spans
-they produce are the ones the parent commit of ISSUE 22 produced
-(``golden/spans_clique5_sdn2_seed5.json``, captured there).
+they produce are pinned in ``golden/spans_clique5_sdn2_seed5.json``.  The
+file moves only with a deliberate provenance change: it was last
+recaptured when an output run that did not send a prefix began dropping
+that prefix's pending cause.
 """
 
 import hashlib

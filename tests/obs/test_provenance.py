@@ -21,8 +21,10 @@ import repro.eventsim
 import repro.framework.convergence
 from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment, ExperimentConfig
+from repro.net.addr import Prefix
 from repro.obs import STATE_CHANGING, ProvenanceDAG, Span
 from repro.topology.builders import clique
+from tests.conftest import make_bgp_mesh
 
 
 def traced_withdrawal(n, sdn_count, *, seed=3, mrai=30.0):
@@ -362,3 +364,40 @@ class TestLiveTrialPayloads:
         hit = cache.get(spec)
         assert record.spans and hit.spans == record.spans
         assert record.anatomy and hit.anatomy == record.anatomy
+
+
+class TestUnsentPrefixSpendsItsCause:
+    """An output run that leaves a dirty prefix unsent (split horizon, an
+    export deny, no diff) spends the cause that dirtied it: the prefix's
+    next UPDATE is parented under the cause that dirtied it next, and its
+    pacing wait is timed from there."""
+
+    def test_next_update_parented_under_the_new_cause(self, net):
+        tracker = net.enable_spans()
+        a, b = make_bgp_mesh(net, 2)
+        toward_a = next(iter(b.sessions.values()))
+        prefix = Prefix.parse("192.168.0.0/24")
+        # Cause A: b learns the prefix from a, so b's run toward a sends
+        # nothing about it (split horizon).
+        a.originate(prefix)
+        net.sim.run_until_settled()
+        assert b.loc_rib.get(prefix).peer_name == "as1"
+        assert toward_a._pending_obs == {}
+        # Cause B, later: b originates the prefix itself, and the local
+        # route goes to a.
+        net.sim.run(until=net.sim.now + 5.0)
+        t_b = net.sim.now
+        b.originate(prefix)
+        net.sim.run_until_settled()
+        (root_b,) = [
+            s for s in tracker.spans
+            if s.category == "bgp.originate" and s.node == "as2"
+        ]
+        (tx,) = [
+            s for s in tracker.spans
+            if s.category == "bgp.update.tx" and s.node == "as2"
+            and s.data["peer"] == "as1"
+        ]
+        assert tx.cause_id == root_b.span_id
+        assert tx.t_start == t_b
+        assert tx.data["mrai_wait"] == pytest.approx(tx.t_end - t_b)
