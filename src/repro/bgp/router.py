@@ -24,13 +24,22 @@ from ..net.link import Link
 from ..net.node import Node
 from .attrs import DEFAULT_LOCAL_PREF, AsPath, Origin, PathAttributes
 from .damping import DampingConfig, RouteDamper
-from .decision import DecisionConfig, best_route, rank_routes, verify_loc_rib
+from .decision import (
+    DecisionConfig,
+    best_route,
+    rank_routes,
+    route_sort_key,
+    verify_loc_rib,
+)
 from .messages import BGPMessage, BGPUpdate
 from .policy import LOCAL_COMMUNITY, PeerPolicy, add_community
 from .rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteIndex
 from .session import BGPSession, BGPTimers
 
 __all__ = ["BGPRouter"]
+
+#: :meth:`BGPRouter._incremental_best`'s "scan every candidate" answer.
+_RESCAN = object()
 
 
 class BGPRouter(Node):
@@ -367,7 +376,7 @@ class BGPRouter(Node):
         # every table change is already applied, so one best-path run
         # per prefix, in first-touch order, decides the same.
         for prefix in dict.fromkeys(affected):
-            self._run_decision(prefix)
+            self._run_decision(prefix, link_id)
 
     # ------------------------------------------------------------------
     # route-flap damping hooks (RFC 2439)
@@ -475,16 +484,58 @@ class BGPRouter(Node):
             self.decision_config,
         )
 
-    def _run_decision(self, prefix: Prefix) -> None:
+    def _run_decision(self, prefix: Prefix, link_id: int = -1) -> None:
+        """Re-decide ``prefix``.  ``link_id`` names the one Adj-RIB-In
+        whose route for it changed (-1: origination, withdrawal, session
+        loss, damping reuse, restart — rescan every candidate)."""
         self.decisions_run += 1
-        best = best_route(self.candidates(prefix), self.decision_config)
         old = self.loc_rib.get(prefix)
+        best = self._incremental_best(prefix, link_id, old)
+        if best is _RESCAN:
+            best = best_route(self.candidates(prefix), self.decision_config)
         if best is None:
             if self.loc_rib.remove(prefix):
                 self._on_best_changed(prefix, old, None)
         else:
             if self.loc_rib.set_best(best):
                 self._on_best_changed(prefix, old, best)
+
+    def _incremental_best(
+        self, prefix: Prefix, link_id: int, old: Optional[Route]
+    ):
+        """The new best when only link ``link_id``'s route changed, or
+        ``_RESCAN`` when that is not enough to decide.
+
+        Every other candidate is unchanged, and ``old`` beat all of them,
+        so if ``old`` still stands — local, or still the object its
+        link's table holds — the winner is ``old`` or that link's new
+        route, whichever sorts first; a withdrawal there changes
+        nothing.  A change to the best's own link fails the "still
+        held" test (its table now holds another route, or none), and it,
+        a damper (``is_suppressed`` decays penalties as it reads them)
+        and an exact key tie (which the scan breaks by link order)
+        rescan.
+        """
+        if link_id < 0 or self.damper is not None:
+            return _RESCAN
+        entry = self._index.get(prefix)
+        if (
+            old is not None
+            and not old.is_local
+            and entry.get(old.link_id) is not old
+        ):
+            return _RESCAN
+        new = entry.get(link_id)
+        if new is None or old is None:
+            return old if new is None else new
+        config = self.decision_config
+        new_key = route_sort_key(new, config)
+        old_key = route_sort_key(old, config)
+        if new_key < old_key:
+            return new
+        if old_key < new_key:
+            return old
+        return _RESCAN
 
     def _on_best_changed(
         self, prefix: Prefix, old: Optional[Route], new: Optional[Route]

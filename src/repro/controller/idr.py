@@ -80,6 +80,10 @@ class IDRController(Node):
         self._compiled: Dict[Prefix, Dict[str, CompiledRule]] = {}
         #: prefix -> set of originating member names
         self.originations: Dict[Prefix, Set[str]] = {}
+        #: prefix -> (SwitchGraphView, dest_edges, egress_choice) of its
+        #: last computed AS topology graph; an unchanged one skips the
+        #: recompute (:meth:`_recompute_prefix`).
+        self._last_topology: Dict[Prefix, tuple] = {}
         self._dirty: Set[Prefix] = set()
         #: provenance of pending recomputation: prefix -> (context, time
         #: it went dirty); first cause wins, consumed by the recompute.
@@ -208,6 +212,9 @@ class IDRController(Node):
         """
         for rules in self._compiled.values():
             rules.pop(member, None)
+        # The member's rules must be re-pushed even where nothing else
+        # changed.
+        self._last_topology.clear()
         self.bus.record("controller.member_reboot", self.name, member=member)
         if self.active:
             self.mark_dirty(self.known_prefixes())
@@ -377,6 +384,23 @@ class IDRController(Node):
             routes,
             self.originations.get(prefix, ()),
             egress_base_cost=self.config.egress_base_cost,
+        )
+        # The decisions are a function of the view (members, links,
+        # ASNs) and the edges to DEST.  If neither moved since this
+        # prefix was last computed, the decisions, the compiled rules,
+        # the FlowMods and the advertisements would all come out as
+        # they are: stop here.
+        view = self.switch_graph.view()
+        last = self._last_topology.get(prefix)
+        if (
+            last is not None
+            and last[0] is view
+            and last[1] == topo.dest_edges
+            and last[2] == topo.egress_choice
+        ):
+            return
+        self._last_topology[prefix] = (
+            view, topo.dest_edges, topo.egress_choice
         )
         decisions = compute_decisions(topo, self.switch_graph.member_asn)
         old_decisions = self.decisions.get(prefix, {})

@@ -19,11 +19,12 @@ paper's related-work comparison).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..bgp.attrs import PathAttributes
 from ..bgp.messages import BGPMessage, BGPUpdate
-from ..bgp.rib import AdjRibIn, AdjRibOut, Route
+from ..bgp.rib import AdjRibIn, AdjRibOut, Route, RouteIndex
 from ..bgp.session import BGPSession, BGPTimers
 from ..eventsim import Simulator
 from ..net.addr import Prefix
@@ -59,6 +60,34 @@ class _ControllerRibView:
         return controller.known_prefixes() if controller is not None else []
 
 
+class _ExternalRouteIndex(RouteIndex):
+    """The speaker's prefix index: each route its Adj-RIB-Ins hold, as
+    the :class:`ExternalRoute` the controller reads.
+
+    The tables feed it as they feed a router's :class:`RouteIndex`, so
+    an external route is made once, when its route is learned, and
+    leaves with it on withdraw or clear.
+    """
+
+    __slots__ = ("_peering_of",)
+
+    def __init__(self, peering_of: Dict[int, Peering]) -> None:
+        super().__init__()
+        self._peering_of = peering_of
+
+    def set(self, link_id: int, route: Route) -> None:
+        """Install/replace the external route for one peering's table."""
+        attrs = route.attrs
+        super().set(link_id, ExternalRoute(
+            peering=self._peering_of[link_id],
+            prefix=route.prefix,
+            as_path=attrs.as_path,
+            origin=attrs.origin,
+            med=attrs.med,
+            learned_at=route.learned_at,
+        ))
+
+
 class ClusterBGPSpeaker(Node):
     """BGP endpoint of the SDN cluster; one session per external peering."""
 
@@ -79,8 +108,17 @@ class ClusterBGPSpeaker(Node):
         self.loc_rib = _ControllerRibView(self)
         self.sessions: Dict[int, BGPSession] = {}       # relay link id ->
         self.peering_of: Dict[int, Peering] = {}        # relay link id ->
+        #: prefix -> {relay link id: ExternalRoute}, fed by the
+        #: Adj-RIB-Ins; :meth:`external_routes` reads it.
+        self._index = _ExternalRouteIndex(self.peering_of)
         self._rib_in: Dict[int, AdjRibIn] = {}
         self._rib_out: Dict[int, AdjRibOut] = {}
+        # Every UPDATE is applied a fixed delay after it arrives, so the
+        # processing events fire in arrival order: one FIFO and one
+        # bound callback instead of a closure per UPDATE.
+        self._update_queue: deque = deque()
+        self._process_callback = self._process_one
+        self._process_label = f"{name}:proc"
         self.updates_processed = 0
         #: False while the speaker-controller channel is partitioned:
         #: callbacks to the controller are dropped and advertisements
@@ -115,7 +153,9 @@ class ClusterBGPSpeaker(Node):
         )
         self.sessions[relay_link.link_id] = session
         self.peering_of[relay_link.link_id] = peering
-        self._rib_in[relay_link.link_id] = AdjRibIn(0)
+        self._rib_in[relay_link.link_id] = AdjRibIn(
+            0, link_id=relay_link.link_id, index=self._index
+        )
         self._rib_out[relay_link.link_id] = AdjRibOut(0)
         return session
 
@@ -214,7 +254,12 @@ class ClusterBGPSpeaker(Node):
     def session_up(self, session: BGPSession) -> None:
         """Session reached ESTABLISHED: reset RIBs and resync."""
         link_id = session.link.link_id
-        self._rib_in[link_id] = AdjRibIn(session.peer_asn, session.peer_name)
+        # The replaced table's entries leave the index with it.
+        self._rib_in[link_id].clear()
+        self._rib_in[link_id] = AdjRibIn(
+            session.peer_asn, session.peer_name,
+            link_id=link_id, index=self._index,
+        )
         self._rib_out[link_id] = AdjRibOut(session.peer_asn, session.peer_name)
         peering = self.peering_of[link_id]
         self.bus.record(
@@ -282,14 +327,13 @@ class ClusterBGPSpeaker(Node):
         # re-enters the rx span's causal context captured here.
         obs = self.bus.obs
         ctx = obs.last_ctx if obs is not None else None
+        self._update_queue.append((session, update, ctx))
         self.sim.schedule(
-            0.002, lambda: self._apply_in_context(session, update, ctx),
-            label=f"{self.name}:proc",
+            0.002, self._process_callback, label=self._process_label
         )
 
-    def _apply_in_context(
-        self, session: BGPSession, update: BGPUpdate, ctx
-    ) -> None:
+    def _process_one(self) -> None:
+        session, update, ctx = self._update_queue.popleft()
         with activation(self.bus.obs, ctx):
             self._apply_update(session, update)
 
@@ -343,37 +387,29 @@ class ClusterBGPSpeaker(Node):
     # controller-facing queries
     # ------------------------------------------------------------------
     def external_routes(self, prefix: Optional[Prefix] = None) -> List[ExternalRoute]:
-        """Snapshot of all usable external routes (per peering best)."""
+        """Snapshot of all usable external routes (per peering best).
+
+        Read from the index: one prefix's entries in ascending relay
+        link id, which is the order peerings were added (link ids are
+        globally monotone); every prefix, table by table.
+        """
+        index = self._index
+        sessions = self.sessions
+        if prefix is not None:
+            entry = index.get(prefix)
+            return [
+                entry[link_id] for link_id in sorted(entry)
+                if sessions[link_id].established
+            ]
         out: List[ExternalRoute] = []
         for link_id, rib_in in self._rib_in.items():
-            session = self.sessions[link_id]
-            if not session.established:
-                continue
-            peering = self.peering_of[link_id]
-            if prefix is None:
-                routes = rib_in
-            else:
-                route = rib_in.get(prefix)
-                routes = () if route is None else (route,)
-            for route in routes:
-                out.append(
-                    ExternalRoute(
-                        peering=peering,
-                        prefix=route.prefix,
-                        as_path=route.attrs.as_path,
-                        origin=route.attrs.origin,
-                        med=route.attrs.med,
-                        learned_at=route.learned_at,
-                    )
-                )
+            if sessions[link_id].established:
+                out.extend(index.get(p)[link_id] for p in rib_in.prefixes())
         return out
 
     def known_external_prefixes(self) -> List[Prefix]:
         """Sorted prefixes present in any Adj-RIB-In."""
-        seen = set()
-        for rib_in in self._rib_in.values():
-            seen.update(rib_in.prefixes())
-        return sorted(seen)
+        return sorted(self._index.prefixes())
 
     def schedule_all_sessions(self, prefix: Prefix) -> None:
         """Let every peering reconsider its advertisement for ``prefix``."""

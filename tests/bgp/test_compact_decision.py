@@ -106,9 +106,10 @@ class TestOneDecisionPerTouchedPrefix:
         decided = []
         run_decision = router._run_decision
 
-        def recording(prefix):
+        def recording(prefix, link_id=-1):
+            assert link_id == session.link.link_id
             decided.append(prefix)
-            run_decision(prefix)
+            run_decision(prefix, link_id)
 
         monkeypatch.setattr(router, "_run_decision", recording)
         before = router.decisions_run

@@ -42,6 +42,7 @@ class TestAsPathInterning:
 
     def test_pool_is_weak(self):
         probe = (91001, 91002, 91003)
+        gc.collect()  # earlier tests' cyclic garbage may still hold paths
         before = intern_stats()["as_paths"]
         path = AsPath.from_iterable(probe)
         assert intern_stats()["as_paths"] == before + 1
@@ -107,6 +108,7 @@ class TestPathAttributesInterning:
         assert PathAttributes(origin=1).origin is Origin.EGP
 
     def test_pool_is_weak(self):
+        gc.collect()
         before = intern_stats()["path_attributes"]
         attrs = PathAttributes(med=91234)
         assert intern_stats()["path_attributes"] == before + 1
