@@ -5,8 +5,6 @@ from .report import experiment_report, provenance_markdown, provenance_report
 from .logs import (
     RouteChange,
     churn_timeline,
-    convergence_instant,
-    interarrival_times,
     route_history,
     update_counts_by_node,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "summarize_topology",
     "RouteChange",
     "churn_timeline",
-    "convergence_instant",
-    "interarrival_times",
     "route_history",
     "update_counts_by_node",
     "BoxplotStats",

@@ -4,8 +4,9 @@
 convergence time and loss measurement."  These functions post-process a
 :class:`~repro.eventsim.TraceLog` (the emulator's structured log) into
 the quantities an experimenter reads off: update churn over time,
-per-node message counts, per-prefix route-change histories, and
-convergence instants.
+per-node message counts and per-prefix route-change histories.
+(Convergence instants are read once, by
+:class:`~repro.framework.convergence.MeasurementWindow`.)
 
 They scan retained trace records, so the run's trace level must keep
 the categories they read.
@@ -14,17 +15,15 @@ the categories they read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..eventsim import ROUTE_AFFECTING, TraceLog, TraceRecord
+from ..eventsim import TraceLog
 
 __all__ = [
     "RouteChange",
     "update_counts_by_node",
     "churn_timeline",
     "route_history",
-    "convergence_instant",
-    "interarrival_times",
 ]
 
 
@@ -103,16 +102,3 @@ def route_history(
             )
         )
     return changes
-
-
-def convergence_instant(
-    trace: TraceLog, since: float, categories=ROUTE_AFFECTING
-) -> Optional[float]:
-    """Timestamp of the last route-affecting record at/after ``since``."""
-    return trace.last_time(categories, since=since)
-
-
-def interarrival_times(records: Sequence[TraceRecord]) -> List[float]:
-    """Gaps between consecutive records (burstiness diagnostics)."""
-    times = sorted(rec.time for rec in records)
-    return [b - a for a, b in zip(times, times[1:])]

@@ -17,7 +17,7 @@ Usage (also ``python -m repro --help``)::
     python -m repro trace report spans.jsonl --markdown report.md
     python -m repro trace export spans.jsonl -o trace.json
     python -m repro dot --topology clique:8 --sdn 5,6,7,8
-    python -m repro fig2 --runs 2 --registry runs.sqlite --profile
+    python -m repro fig2 --runs 2 --registry runs.sqlite --metrics
     python -m repro runs list --registry runs.sqlite
     python -m repro runs diff 1 2 --sweeps
     python -m repro runs regressions
@@ -815,24 +815,14 @@ def cmd_runs_show(args) -> int:
                 value = run.resources.get(key)
                 if value is not None:
                     out.emit(f"    {label:22} {fmt.format(value)}")
-        if run.sample_stacks:
-            from .obs.sampler import top_frames
-
-            total = sum(run.sample_stacks.values())
-            out.emit(
-                f"  hottest sampled frames ({total} stack sample(s))"
-            )
-            for frame, count, share in top_frames(
-                run.sample_stacks, top=args.top
-            ):
-                out.emit(f"    {share:6.1%}  {count:>6}  {frame}")
-        if run.profile:
-            out.emit("  hottest functions (cumulative seconds)")
-            for row in run.profile[: args.top]:
-                out.emit(
-                    f"    {row['cumtime']:9.4f}  {row['ncalls']:>7}  "
-                    f"{row['func']}"
-                )
+            split = run.resources.get("wall_by_layer_s")
+            if split:
+                out.emit("    wall by layer")
+                for layer, seconds in sorted(
+                    split.items(), key=lambda kv: (-kv[1], kv[0])
+                ):
+                    share = seconds / run.wall_time if run.wall_time else 0.0
+                    out.emit(f"      {layer:20} {seconds:.4f}s {share:6.1%}")
     return 0
 
 
@@ -1230,19 +1220,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "route-affecting only, or none (streaming "
                             "measurement still sees everything)")
         p.add_argument("--metrics", action="store_true",
-                       help="collect per-run metric snapshots and print "
-                            "a merged summary")
-        p.add_argument("--profile", action="store_true",
-                       help="wrap each trial in cProfile and keep its "
-                            "hot-function table (see runs show)")
+                       help="collect per-run metric snapshots and wall "
+                            "time by layer (see runs show) and print a "
+                            "merged summary")
         p.add_argument("--registry", type=str, default=None,
                        help="record every trial into this SQLite telemetry "
                             f"registry (also via ${REGISTRY_ENV}; "
                             "inspect with the runs subcommands)")
-        p.add_argument("--sample-hz", type=float, default=0.0,
-                       help="attach a sampling profiler to every trial at "
-                            "this frequency (0 = off; collapsed stacks "
-                            "land in the registry and runs show)")
         p.add_argument("--anatomy", action="store_true",
                        help="keep spans and attribute every trial's "
                             "convergence delay to its critical causal "
@@ -1458,8 +1442,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp = rsub.add_parser("show", help="everything recorded about one run")
     registry_arg(rp)
     rp.add_argument("run_id", type=int)
-    rp.add_argument("--top", type=int, default=10,
-                    help="profile rows to show (for --profile runs)")
     rp.set_defaults(func=cmd_runs_show)
 
     rp = rsub.add_parser(

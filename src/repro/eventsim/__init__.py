@@ -11,7 +11,8 @@ Public surface:
   component emits typed records on.
 - :class:`TraceLog` / :class:`TraceRecord` — record capture (one bus
   subscriber) consumed by the analysis tools.
-- :class:`MetricsRegistry` — streaming counters/gauges/histograms.
+- :class:`MetricsRegistry` — streaming counters/gauges/histograms;
+  :func:`time_by_layer` — a run's dispatch wall time by layer.
 """
 
 from .bus import (
@@ -29,6 +30,7 @@ from .metrics import (
     MetricsRegistry,
     format_snapshot,
     merge_snapshots,
+    time_by_layer,
 )
 from .timer import DebounceTimer, PeriodicTimer, Timer
 from .trace import TraceLog, TraceRecord
@@ -53,4 +55,5 @@ __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
     "format_snapshot",
+    "time_by_layer",
 ]

@@ -173,14 +173,18 @@ class Simulator:
     # ------------------------------------------------------------------
     def set_dispatch_hook(
         self, hook: Optional[Callable[[Event, float], None]]
-    ) -> None:
-        """Install a wall-clock profiling hook around event dispatch.
+    ) -> Optional[Callable[[Event, float], None]]:
+        """Install a wall-clock hook around event dispatch and return
+        the one it replaces (so a new hook can chain it).
 
         ``hook(event, wall_seconds)`` runs after every processed event;
         pass None to uninstall.  With no hook the per-event overhead is
-        a single None check (see ``MetricsRegistry.profile_simulator``).
+        a single None check.  The per-layer wall-time reading of a
+        metrics-on trial (:func:`repro.eventsim.metrics.time_by_layer`,
+        ``resources["wall_by_layer_s"]``) is one such hook.
         """
-        self._dispatch_hook = hook
+        previous, self._dispatch_hook = self._dispatch_hook, hook
+        return previous
 
     def step(self) -> bool:
         """Run the single next live event.  Returns False if queue is empty."""

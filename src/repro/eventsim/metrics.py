@@ -9,17 +9,22 @@ raw trace.
 Metrics are keyed by name plus optional labels (``category=...``,
 ``node=...``), rendered Prometheus-style as ``name{k=v,...}``.  The
 registry can observe an :class:`~repro.eventsim.bus.InstrumentationBus`
-directly, which maintains ``records_total`` counters by category (and
-optionally by node) — the built-in instrumentation every run gets for
-free — and it can profile simulator event dispatch with a wall-clock
-histogram via :meth:`profile_simulator`.
+directly, which maintains ``records_total`` counters by category — the
+built-in instrumentation every run gets for free.
+
+Wall time is read once per run, by layer: :func:`time_by_layer` sums
+each dispatched event's wall seconds into the ``repro.<subpackage>``
+that owns the event (:func:`event_layer`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+from .timer import DebounceTimer, PeriodicTimer, Timer
 
 __all__ = [
     "Counter",
@@ -29,6 +34,9 @@ __all__ = [
     "merge_snapshots",
     "format_snapshot",
     "parse_key",
+    "layer_of_module",
+    "event_layer",
+    "time_by_layer",
 ]
 
 
@@ -214,7 +222,6 @@ class MetricsRegistry:
         self._record_counters: dict = {}
         self._subscription = None
         self._bus = None
-        self._profiled_sim = None
 
     # ------------------------------------------------------------------
     # metric accessors (get-or-create)
@@ -275,32 +282,11 @@ class MetricsRegistry:
         self._subscription = bus.subscribe(on_record, name="metrics")
 
     def detach(self) -> None:
-        """Stop observing the bus and/or simulator."""
+        """Stop observing the bus."""
         if self._subscription is not None and self._bus is not None:
             self._bus.unsubscribe(self._subscription)
             self._subscription = None
             self._bus = None
-        if self._profiled_sim is not None:
-            self._profiled_sim.set_dispatch_hook(None)
-            self._profiled_sim = None
-
-    def profile_simulator(self, sim) -> None:
-        """Install a wall-clock histogram around event dispatch.
-
-        Each processed simulator event contributes one observation to
-        ``sim.dispatch_seconds`` (and bumps ``sim.events_total``); the
-        hook is a single callback, so the overhead when disabled is one
-        ``None`` check per event.
-        """
-        events = self.counter("sim.events_total")
-        dispatch = self.histogram("sim.dispatch_seconds")
-
-        def hook(event, wall_seconds: float) -> None:
-            events.inc()
-            dispatch.observe(wall_seconds)
-
-        sim.set_dispatch_hook(hook)
-        self._profiled_sim = sim
 
     # ------------------------------------------------------------------
     # reporting
@@ -332,6 +318,77 @@ class MetricsRegistry:
             f"<MetricsRegistry counters={len(self._counters)} "
             f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
         )
+
+
+# ----------------------------------------------------------------------
+# wall time by layer
+# ----------------------------------------------------------------------
+#: timers schedule their own ``_fire``; the work is the callback they hold.
+_TIMERS = (Timer, PeriodicTimer, DebounceTimer)
+
+
+def layer_of_module(module: Optional[str]) -> str:
+    """The layer a module belongs to: its ``repro.<subpackage>`` name
+    (``repro.bgp.router`` is ``bgp``), ``"other"`` outside the emulator."""
+    package, _, rest = (module or "").partition(".")
+    if package != "repro" or not rest:
+        return "other"
+    return rest.partition(".")[0]
+
+
+def event_layer(callback: Callable) -> str:
+    """The layer that owns a scheduled event's callback.
+
+    The owner is the class of the object the callback is bound to, once
+    a timer's ``_fire`` is unwrapped to the callback the timer holds (a
+    fire is the work of whoever armed it) and any ``functools.partial``
+    to its function — so a link delivery, ``partial(receiver.receive,
+    ...)``, belongs to the receiving router, switch or controller.  An
+    unbound function belongs to its module.
+    """
+    while True:
+        if isinstance(callback, functools.partial):
+            callback = callback.func
+            continue
+        owner = getattr(callback, "__self__", None)
+        if not isinstance(owner, _TIMERS):
+            break
+        callback = owner._callback
+    target = callback if owner is None else type(owner)
+    return layer_of_module(getattr(target, "__module__", None))
+
+
+def time_by_layer(sim) -> Dict[str, float]:
+    """Sum every dispatched event's wall seconds into its layer.
+
+    Installs a dispatch hook on ``sim`` and returns the live ``layer ->
+    seconds`` dict it fills.  A hook installed before this one keeps
+    running, once per event.  Only wall clocks are read, so
+    virtual-time results are untouched.
+    """
+    walls: Dict[str, float] = {}
+    # A bound callback (a session's, a router's, a timer's, a link
+    # receiver's method) is resolved once: resolving it on every event
+    # made this hook about three times as costly on a 16-AS Fig. 2
+    # trial.  Closures are resolved each time, so no one-off callback
+    # is kept alive.
+    bound: Dict[Callable, str] = {}
+
+    def hook(event, wall: float) -> None:
+        callback = event[2]
+        if type(callback) is functools.partial:  # a link delivery
+            callback = callback.func
+        layer = bound.get(callback)
+        if layer is None:
+            layer = event_layer(callback)
+            if hasattr(callback, "__self__"):
+                bound[callback] = layer
+        walls[layer] = walls.get(layer, 0.0) + wall
+        if previous is not None:
+            previous(event, wall)
+
+    previous = sim.set_dispatch_hook(hook)
+    return walls
 
 
 def _bucket_sort_key(item: Tuple[str, int]) -> float:

@@ -19,6 +19,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.stats import BoxplotStats, LinearFit, boxplot_stats, linear_fit
 from ..bgp.session import BGPTimers
 from ..controller.idr import ControllerConfig
+from ..eventsim.metrics import time_by_layer
 from ..faults.engine import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..framework.convergence import ConvergenceMeasurement, measure_event
@@ -256,8 +257,6 @@ class RunResult:
     metrics: Optional[dict] = None
     #: per-run provenance spans (sweeps launched with ``spans=True``).
     spans: Optional[list] = None
-    #: per-run hot-function table (sweeps launched with ``profile=True``).
-    profile: Optional[list] = None
     #: per-run convergence anatomy (sweeps launched with
     #: ``anatomy=True``): the critical-path delay attribution payload.
     anatomy: Optional[dict] = None
@@ -424,14 +423,17 @@ def run_scenario_full(
     span id of the measured event's root cause — when spans are on, so
     downstream reports can find the event's causal tree without
     heuristics.  ``info``, when given, receives execution facts that
-    are not part of the result (``events_processed``) so worker-side
-    resource accounting can report events/s without touching the
-    measurement.
+    are not part of the result so worker-side resource accounting can
+    report them without touching the measurement: ``events_processed``
+    and, with ``config.metrics``, ``wall_by_layer_s`` (dispatch wall
+    seconds by layer, :func:`~repro.eventsim.metrics.time_by_layer`).
     """
     exp = Experiment(
         topology, sdn_members=sdn_members, config=config,
         name=scenario.name,
     ).build()
+    if config.metrics and info is not None:
+        info["wall_by_layer_s"] = time_by_layer(exp.net.sim)
     scenario.configure(exp)
     exp.start()
     scenario.prepare(exp)
@@ -554,14 +556,13 @@ def run_fraction_sweep(
 
     ``options`` are the :class:`~repro.runner.RunSpec` fields every
     trial shares (``mrai``, ``recompute_delay``, ``trace_level``,
-    ``metrics``, ``spans``, ``anatomy``, ``profile``, ``sample_hz``,
-    ``faults``, ... — whatever the spec declares grid-wide).
-    ``trace_level="off"`` retains zero records while measuring
-    identically; ``metrics``/``spans``/``profile`` attach the matching
-    payload to every :class:`RunResult`; ``anatomy=True`` additionally
-    derives each run's critical-path delay attribution from the spans
-    (implies ``spans=True``; digest-neutral, so cached span-collecting
-    trials are reused as-is).  ``faults`` (a
+    ``metrics``, ``spans``, ``anatomy``, ``faults``, ... — whatever
+    the spec declares grid-wide).  ``trace_level="off"`` retains zero
+    records while measuring identically; ``metrics``/``spans`` attach
+    the matching payload to every :class:`RunResult`; ``anatomy=True``
+    additionally derives each run's critical-path delay attribution
+    from the spans (implies ``spans=True``; digest-neutral, so cached
+    span-collecting trials are reused as-is).  ``faults`` (a
     :class:`~repro.faults.FaultSchedule` or its canonical tuple) is
     embedded in every spec — scenarios that understand fault schedules
     (``FaultSuiteScenario``) read it back from ``scenario.faults``.

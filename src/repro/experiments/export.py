@@ -23,10 +23,9 @@ def sweep_rows(result: SweepResult, *, payloads: bool = False) -> List[dict]:
 
     ``payloads`` attaches every per-run result payload as a
     ``run_<name>`` column (``run_metrics``: the metrics snapshot dict,
-    ``run_spans``: the provenance span list, ``run_profile``: the
-    cProfile hot-function table, ``run_anatomy``: the critical-path
-    delay attribution) — kept out of the CSV path, where a nested
-    value would not be a scalar cell.
+    ``run_spans``: the provenance span list, ``run_anatomy``: the
+    critical-path delay attribution) — kept out of the CSV path, where
+    a nested value would not be a scalar cell.
     """
     rows: List[dict] = []
     for point in result.points:

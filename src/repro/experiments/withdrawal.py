@@ -37,7 +37,7 @@ def withdrawal_sweep(
     ``retries``/``registry``; results are bit-identical at any worker
     count, see ``docs/runner.md``) and any grid-wide
     :class:`~repro.runner.RunSpec` option (``mrai``, ``metrics``,
-    ``profile``, ``anatomy``, ...).
+    ``spans``, ``anatomy``, ...).
     """
     if sdn_counts is None:
         max_sdn = n - 1

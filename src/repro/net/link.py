@@ -13,6 +13,7 @@ are assigned by the configuration layer (``repro.config``).
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from .addr import IPv4Address, Prefix
@@ -126,9 +127,11 @@ class Link:
             # Provenance: the in-flight message carries its sender's
             # causal context; the receiving node restores it on delivery.
             message._prov = obs.current
+        # A partial, not a lambda: the delivery's owner is the receiver
+        # (``repro.eventsim.metrics.event_layer``), not this module.
         self._sim.schedule(
             self.latency,
-            lambda: receiver.receive(self, message),
+            partial(receiver.receive, self, message),
             background=background,
             label=f"{self.name}:deliver",
         )

@@ -11,7 +11,7 @@ external assets — summarizing the registry's longitudinal record:
 - per-sweep trends of trial wall time and update counts;
 - cache hit rates and wall-time phase breakdowns per sweep;
 - currently open regressions (:func:`repro.obs.trends.detect_regressions`);
-- the hottest functions aggregated over profiled runs.
+- per-run resource accounting and wall time by layer (Ops).
 
 Output is deterministic for a registry recorded with an injected clock
 and git revision, which is how the golden test pins it.
@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.viz import svg_bar_chart, svg_line_chart
 from .anatomy import ANATOMY_CATEGORIES
-from .registry import RunRegistry, RunRow, SweepRow, aggregate_profiles
-from .sampler import merge_stacks, top_frames
+from .registry import RunRegistry, RunRow, SweepRow
 from .trends import detect_regressions
 
 __all__ = ["render_dashboard"]
@@ -298,83 +297,69 @@ def _regression_section(registry: RunRegistry) -> List[str]:
     return out
 
 
-def _profile_section(registry: RunRegistry, *, top: int) -> List[str]:
-    profiled = [r for r in registry.runs(ok=True) if r.profile]
-    if not profiled:
-        return []
-    merged = aggregate_profiles([r.profile for r in profiled], top=top)
-    out = [
-        "<h2>Hot functions (cProfile, aggregated over "
-        f"{len(profiled)} profiled run(s))</h2>",
-        "<table><tr><th class=l>function</th><th>calls</th>"
-        "<th>tottime s</th><th>cumtime s</th></tr>",
-    ]
-    for row in merged:
-        out.append(
-            f"<tr><td class=l>{escape(row['func'])}</td>"
-            f"<td>{row['ncalls']}</td><td>{row['tottime']:.4f}</td>"
-            f"<td>{row['cumtime']:.4f}</td></tr>"
-        )
-    out.append("</table>")
-    return out
-
-
-def _ops_section(registry: RunRegistry, *, top: int) -> List[str]:
-    """Resource accounting and sampled hot frames across recorded runs."""
+def _ops_section(registry: RunRegistry) -> List[str]:
+    """Resource accounting per run, and wall time by layer summed over
+    the runs that carry the split (metrics-on trials)."""
     runs = registry.runs(ok=True)
     accounted = [r for r in runs if r.resources]
-    sampled = [r for r in runs if r.sample_stacks]
-    if not accounted and not sampled:
+    if not accounted:
         if not runs:
             return []
-        # Runs exist but none carry resources/sample_stacks — rows
-        # recorded before the schema-2 telemetry columns.  Say so
-        # instead of silently omitting the section.
+        # Runs exist but none carry resources — rows recorded before
+        # the schema-2 telemetry columns.  Say so instead of silently
+        # omitting the section.
         return [
             "<h2>Ops — per-run resource accounting</h2>",
             f"<p>No resource accounting recorded for the {len(runs)} "
             "successful run(s) — recorded before schema 2 (re-run to "
             "populate).</p>",
         ]
-    out = ["<h2>Ops — per-run resource accounting</h2>"]
-    if accounted:
-        out.append(
-            "<table><tr><th class=l>run</th><th class=l>label</th>"
-            "<th>cpu user s</th><th>cpu sys s</th><th>peak RSS KB</th>"
-            "<th>gc pause s</th><th>events/s</th></tr>"
-        )
-        for run in accounted:
-            res = run.resources or {}
+    out = [
+        "<h2>Ops — per-run resource accounting</h2>",
+        "<table><tr><th class=l>run</th><th class=l>label</th>"
+        "<th>cpu user s</th><th>cpu sys s</th><th>peak RSS KB</th>"
+        "<th>gc pause s</th><th>events/s</th></tr>",
+    ]
+    layers: Dict[str, float] = {}
+    split_runs = 0
+    for run in accounted:
+        res = run.resources or {}
 
-            def cell(key: str, fmt: str) -> str:
-                value = res.get(key)
-                return format(value, fmt) if value is not None else "—"
+        def cell(key: str, fmt: str) -> str:
+            value = res.get(key)
+            return format(value, fmt) if value is not None else "—"
 
-            out.append(
-                f"<tr><td class=l>#{run.run_id}</td>"
-                f"<td class=l>{escape(run.label)}</td>"
-                f"<td>{cell('cpu_user_s', '.3f')}</td>"
-                f"<td>{cell('cpu_sys_s', '.3f')}</td>"
-                f"<td>{cell('max_rss_kb', '.0f')}</td>"
-                f"<td>{cell('gc_pause_s', '.4f')}</td>"
-                f"<td>{cell('events_per_s', '.1f')}</td></tr>"
-            )
-        out.append("</table>")
-    if sampled:
-        merged = merge_stacks([r.sample_stacks for r in sampled])
-        total = sum(merged.values())
         out.append(
-            f"<h2>Ops — hot frames (sampling profiler, {total} sample(s) "
-            f"over {len(sampled)} run(s))</h2>"
+            f"<tr><td class=l>#{run.run_id}</td>"
+            f"<td class=l>{escape(run.label)}</td>"
+            f"<td>{cell('cpu_user_s', '.3f')}</td>"
+            f"<td>{cell('cpu_sys_s', '.3f')}</td>"
+            f"<td>{cell('max_rss_kb', '.0f')}</td>"
+            f"<td>{cell('gc_pause_s', '.4f')}</td>"
+            f"<td>{cell('events_per_s', '.1f')}</td></tr>"
+        )
+        split = res.get("wall_by_layer_s")
+        if split:
+            split_runs += 1
+            for layer, seconds in split.items():
+                layers[layer] = layers.get(layer, 0.0) + seconds
+    out.append("</table>")
+    if layers:
+        wall = sum(layers.values())
+        out.append(
+            f"<h2>Ops — wall time by layer ({split_runs} run(s))</h2>"
         )
         out.append(
-            "<table><tr><th class=l>frame</th><th>samples</th>"
+            "<table><tr><th class=l>layer</th><th>seconds</th>"
             "<th>share</th></tr>"
         )
-        for frame, count, share in top_frames(merged, top=top):
+        for layer, seconds in sorted(
+            layers.items(), key=lambda kv: (-kv[1], kv[0])
+        ):
+            share = seconds / wall if wall else 0.0
             out.append(
-                f"<tr><td class=l>{escape(frame)}</td>"
-                f"<td>{count}</td><td>{share:.1%}</td></tr>"
+                f"<tr><td class=l>{escape(layer)}</td>"
+                f"<td>{seconds:.4f}</td><td>{share:.1%}</td></tr>"
             )
         out.append("</table>")
     return out
@@ -385,7 +370,6 @@ def render_dashboard(
     *,
     title: str = "repro telemetry",
     last_sweeps: int = 20,
-    profile_top: int = 15,
     generated_at: Optional[str] = None,
 ) -> str:
     """Render the registry as one self-contained HTML page.
@@ -420,8 +404,7 @@ def render_dashboard(
     parts.extend(_cache_section(sweeps))
     parts.extend(_phase_section(sweeps))
     parts.extend(_regression_section(registry))
-    parts.extend(_profile_section(registry, top=profile_top))
-    parts.extend(_ops_section(registry, top=profile_top))
+    parts.extend(_ops_section(registry))
     parts.append(
         f"<footer>generated {escape(stamp)} · registry "
         f"{escape(registry.path)} · repro {escape(registry.code_version)}"

@@ -10,9 +10,8 @@ so "the same trial, run last week" is one indexed lookup.
 Each run row carries the spec digest and parameters, the git revision
 and code version that produced it, the full deterministic measurement,
 the per-run metrics snapshot, per-AS convergence instants (when spans
-were collected), fault/span summaries, hot-path profile data
-(``profile=True`` sweeps) and execution metadata (wall time, worker,
-cache provenance, attempts).  Sweep rows aggregate the
+were collected), fault/span summaries, resource accounting and
+execution metadata (wall time, worker, cache provenance, attempts).  Sweep rows aggregate the
 :class:`~repro.runner.progress.SweepTiming` plus cache hit/miss stats.
 
 Recording is wired through the runner's progress-sink interface:
@@ -36,7 +35,7 @@ import pathlib
 import sqlite3
 import subprocess
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..runner.jobs import RECORD_PAYLOADS, RunRecord, RunSpec, callable_token
 from ..runner.progress import ProgressSink, SweepTiming
@@ -50,7 +49,6 @@ __all__ = [
     "RunRow",
     "SweepRow",
     "current_git_rev",
-    "aggregate_profiles",
     "resolve_registry",
 ]
 
@@ -175,9 +173,7 @@ class RunRow:
     instants: Optional[Dict[str, float]]
     span_count: Optional[int]
     fault_count: Optional[int]
-    profile: Optional[List[Dict[str, Any]]]
     resources: Optional[Dict[str, Any]] = None
-    sample_stacks: Optional[Dict[str, int]] = None
     anatomy: Optional[Dict[str, Any]] = None
 
 
@@ -214,37 +210,6 @@ class SweepRow:
     cache_hits: Optional[int]
     cache_misses: Optional[int]
     extra: Optional[Dict[str, Any]]
-
-
-def aggregate_profiles(
-    profiles: Sequence[Optional[List[Dict[str, Any]]]],
-    *,
-    top: int = 20,
-) -> List[Dict[str, Any]]:
-    """Merge per-run profile tables into one top-N-by-cumulative view.
-
-    Each input is the ``RunRecord.profile`` list of one run (``None``
-    entries are skipped); rows with the same function key sum their
-    call counts and times.
-    """
-    merged: Dict[str, Dict[str, Any]] = {}
-    for table in profiles:
-        if not table:
-            continue
-        for row in table:
-            func = row.get("func", "?")
-            slot = merged.setdefault(
-                func,
-                {"func": func, "ncalls": 0, "tottime": 0.0, "cumtime": 0.0},
-            )
-            slot["ncalls"] += int(row.get("ncalls", 0))
-            slot["tottime"] += float(row.get("tottime", 0.0))
-            slot["cumtime"] += float(row.get("cumtime", 0.0))
-    ranked = sorted(merged.values(), key=lambda r: -r["cumtime"])[:top]
-    for row in ranked:
-        row["tottime"] = round(row["tottime"], 6)
-        row["cumtime"] = round(row["cumtime"], 6)
-    return ranked
 
 
 class RunRegistry:
@@ -311,7 +276,9 @@ class RunRegistry:
         # Every schema bump so far only added payload columns, so a file
         # of any older schema (or a fresh one, whose CREATE TABLE lists
         # none) migrates in place by gaining the ones it lacks; existing
-        # rows read back with the new fields as None.
+        # rows read back with the new fields as None.  Columns of
+        # deleted payloads (``profile``, ``sample_stacks``) stay in old
+        # files, written as NULL and never read.
         present = {
             r["name"] for r in self._conn.execute("PRAGMA table_info(runs)")
         }

@@ -160,6 +160,18 @@ def _anatomy_values(anatomy: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
+def _resource_timings(resources) -> Dict[str, object]:
+    """A row's :data:`RESOURCE_TIMING_FIELDS` plus one
+    ``wall_by_layer_s.<layer>`` entry per layer of its split."""
+    resources = resources or {}
+    out: Dict[str, object] = {
+        name: resources.get(name) for name in RESOURCE_TIMING_FIELDS
+    }
+    for layer, seconds in (resources.get("wall_by_layer_s") or {}).items():
+        out[f"wall_by_layer_s.{layer}"] = seconds
+    return out
+
+
 def diff_runs(
     run_a: RunRow,
     run_b: RunRow,
@@ -226,10 +238,12 @@ def diff_runs(
 
     # machine-dependent resource readings (absent on pre-schema-2 rows
     # and telemetry-off runs) are compared only when both sides carry
-    # them — a one-sided reading is reported but never a mismatch.
-    resources_a = run_a.resources or {}
-    resources_b = run_b.resources or {}
-    for name in RESOURCE_TIMING_FIELDS:
+    # them — a one-sided reading is reported but never a mismatch.  The
+    # wall-by-layer split (metrics-on runs) follows the same rule, one
+    # row per layer.
+    resources_a = _resource_timings(run_a.resources)
+    resources_b = _resource_timings(run_b.resources)
+    for name in dict.fromkeys([*resources_a, *resources_b]):
         a, b = resources_a.get(name), resources_b.get(name)
         if a is None and b is None:
             continue

@@ -17,7 +17,6 @@ from .jobs import (
     callable_token,
     execute_spec,
     fraction_grid,
-    profile_table,
     run_trial,
     run_trial_full,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "callable_token",
     "execute_spec",
     "fraction_grid",
-    "profile_table",
     "run_trial",
     "run_trial_full",
     "ParallelRunner",

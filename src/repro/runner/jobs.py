@@ -50,7 +50,6 @@ __all__ = [
     "fraction_grid",
     "callable_token",
     "execute_spec",
-    "profile_table",
     "run_trial",
     "run_trial_full",
 ]
@@ -178,16 +177,10 @@ class RunSpec:
     #: cache-equivalent to its anatomy-off twin, and a hit on an
     #: anatomy-less entry re-derives it losslessly.
     anatomy: bool = _option(False, digest="never")
-    #: wrap the trial in cProfile and attach the hottest functions
-    #: (never changes virtual-time results; own cache entries).
-    profile: bool = _option(False)
     faults: Optional[Tuple] = _option(None, "faults")
     #: lean build: no baseline full-mesh originations, no collector.
     #: The only tractable shape at thousands of ASes.
     lean: bool = _option(False, config=True)
-    #: sampling wall-clock profiler rate (Hz); 0 disables.  Like
-    #: ``profile``, sampling never touches virtual-time results.
-    sample_hz: float = _option(0.0, "number", minimum=0.0)
     label: str = _option(
         "", "str", digest="never", grid=False, compare=False
     )
@@ -321,9 +314,6 @@ class RunRecord:
     metrics: Optional[Dict[str, Any]] = _payload(dict)
     #: per-run provenance spans (``spec.spans=True``), JSON-ready dicts.
     spans: Optional[list] = _payload(list)
-    #: hottest functions by cumulative time (``spec.profile=True``),
-    #: JSON-ready rows — see :func:`profile_table`.
-    profile: Optional[list] = _payload(list)
     error: Optional[str] = None
     #: wall-clock seconds the trial took inside its worker.
     wall_time: float = 0.0
@@ -337,12 +327,10 @@ class RunRecord:
     #: the record is never cached).
     cancelled: bool = False
     #: per-job resource accounting (CPU user/sys seconds, peak RSS,
-    #: GC pauses, events/s) — digest-neutral record payload, never part
-    #: of the measurement.  See :class:`ResourceAccounting`.
+    #: GC pauses, events/s, and with ``spec.metrics`` wall time by
+    #: layer) — digest-neutral record payload, never part of the
+    #: measurement.  See :class:`ResourceAccounting`.
     resources: Optional[Dict[str, Any]] = _payload(dict, result=False)
-    #: flamegraph collapsed stacks (``spec.sample_hz > 0``):
-    #: ``{"frame;frame;frame": samples}``.
-    sample_stacks: Optional[Dict[str, int]] = _payload(dict, result=False)
     #: per-AS convergence anatomy (``spec.anatomy=True``), the compact
     #: JSON payload of :meth:`repro.obs.anatomy.ConvergenceAnatomy.to_dict`
     #: — derived from ``spans``, never from wall clocks.
@@ -427,35 +415,6 @@ def run_trial_full(
     )
 
 
-#: profile rows kept per run (top cumulative-time functions).
-PROFILE_TOP = 25
-
-
-def profile_table(stats, *, top: int = PROFILE_TOP) -> list:
-    """The hottest functions of a ``pstats.Stats``, as JSON-ready rows.
-
-    Each row is ``{"func": "module:lineno(name)", "ncalls": int,
-    "tottime": float, "cumtime": float}``, sorted by cumulative time.
-    Rows from different workers merge by summing (see
-    :func:`repro.obs.registry.aggregate_profiles`).
-    """
-    rows = []
-    for (filename, lineno, name), (_, ncalls, tottime, cumtime, _) in (
-        stats.stats.items()
-    ):
-        short = os.path.basename(filename) if filename else "~"
-        rows.append(
-            {
-                "func": f"{short}:{lineno}({name})",
-                "ncalls": int(ncalls),
-                "tottime": round(float(tottime), 6),
-                "cumtime": round(float(cumtime), 6),
-            }
-        )
-    rows.sort(key=lambda r: (-r["cumtime"], r["func"]))
-    return rows[:top]
-
-
 class ResourceAccounting:
     """Per-trial resource meter: CPU time, peak RSS, GC pauses.
 
@@ -497,8 +456,16 @@ class ResourceAccounting:
         *,
         wall_time: float,
         events_processed: Optional[int] = None,
+        wall_by_layer: Optional[Dict[str, float]] = None,
     ) -> Dict[str, Any]:
-        """Detach and return the JSON-ready resources dict."""
+        """Detach and return the JSON-ready resources dict.
+
+        ``wall_by_layer`` (dispatch wall seconds by layer, see
+        :func:`~repro.eventsim.metrics.time_by_layer`) becomes
+        ``wall_by_layer_s``, closed by ``outside_events``: the trial's
+        wall time no dispatched event took (build, set-up, the queue,
+        the hooks), so the entries sum to ``wall_time``.
+        """
         try:
             self._gc.callbacks.remove(self._on_gc)
         except ValueError:  # pragma: no cover - double finish
@@ -521,6 +488,10 @@ class ResourceAccounting:
             out["events_processed"] = int(events_processed)
             if wall_time > 0:
                 out["events_per_s"] = round(events_processed / wall_time, 1)
+        if wall_by_layer is not None:
+            split = dict(sorted(wall_by_layer.items()))
+            split["outside_events"] = wall_time - sum(split.values())
+            out["wall_by_layer_s"] = split
         return out
 
 
@@ -530,13 +501,11 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
     Scenario exceptions come back as ``ok=False`` records (with the
     traceback) so the caller's retry policy sees soft and hard failures
     the same way; only interpreter death (crash/kill/timeout) surfaces
-    through the pool machinery itself.  ``spec.profile`` wraps the
-    trial in ``cProfile`` and attaches the hottest functions to the
-    record; ``spec.sample_hz`` runs the sampling profiler alongside
-    (virtual-time results are unaffected by either — the telemetry
-    differential test pins that).  Every record carries digest-neutral
-    resource accounting; ``cid`` is the caller's correlation id, echoed
-    into this worker's structured log lines.
+    through the pool machinery itself.  Every record carries
+    digest-neutral resource accounting (with ``spec.metrics``, wall
+    time by layer too — virtual-time results are unaffected, the
+    telemetry differential test pins that); ``cid`` is the caller's
+    correlation id, echoed into this worker's structured log lines.
     """
     from ..obs.logging import get_logger
 
@@ -545,60 +514,34 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
     log.info("trial_started", label=spec.display(), pid=os.getpid())
     started = time.perf_counter()
     worker = f"pid-{os.getpid()}"
-    profile = None
     accounting = ResourceAccounting()
-    sampler = None
-    if spec.sample_hz:
-        from ..obs.sampler import StackSampler
-
-        sampler = StackSampler(spec.sample_hz).start()
     info: Dict[str, Any] = {}
+    error = None
     try:
-        if spec.profile:
-            import cProfile
-            import pstats
-
-            profiler = cProfile.Profile()
-            try:
-                measurement, metrics, spans = profiler.runcall(
-                    run_trial_full, spec, info=info
-                )
-            finally:
-                profiler.disable()
-            profile = profile_table(pstats.Stats(profiler))
-        else:
-            measurement, metrics, spans = run_trial_full(spec, info=info)
+        measurement, metrics, spans = run_trial_full(spec, info=info)
     except Exception:
-        wall_time = time.perf_counter() - started
-        if sampler is not None:
-            sampler.stop()
-        resources = accounting.finish(
-            wall_time=wall_time,
-            events_processed=info.get("events_processed"),
-        )
+        error = traceback.format_exc(limit=20)
+    wall_time = time.perf_counter() - started
+    resources = accounting.finish(
+        wall_time=wall_time,
+        events_processed=info.get("events_processed"),
+        wall_by_layer=info.get("wall_by_layer_s"),
+    )
+    if error is not None:
         log.error("trial_failed", wall_time=round(wall_time, 3))
         return RunRecord(
             digest=digest,
             ok=False,
-            error=traceback.format_exc(limit=20),
+            error=error,
             wall_time=wall_time,
             worker=worker,
             resources=resources,
-            sample_stacks=dict(sampler.counts) if sampler else None,
         )
-    wall_time = time.perf_counter() - started
-    if sampler is not None:
-        sampler.stop()
-    resources = accounting.finish(
-        wall_time=wall_time,
-        events_processed=info.get("events_processed"),
-    )
     log.info(
         "trial_finished",
         wall_time=round(wall_time, 3),
         cpu_user_s=resources.get("cpu_user_s"),
         max_rss_kb=resources.get("max_rss_kb"),
-        samples=sampler.samples if sampler else None,
     )
     record = RunRecord(
         digest=digest,
@@ -606,11 +549,9 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
         measurement=measurement,
         metrics=metrics,
         spans=spans,
-        profile=profile,
         wall_time=wall_time,
         worker=worker,
         resources=resources,
-        sample_stacks=dict(sampler.counts) if sampler else None,
     )
     if spec.anatomy:
         # Derived after the trial from the span payload alone, so it can

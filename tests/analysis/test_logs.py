@@ -4,8 +4,6 @@ import pytest
 
 from repro.analysis.logs import (
     churn_timeline,
-    convergence_instant,
-    interarrival_times,
     route_history,
     update_counts_by_node,
 )
@@ -84,34 +82,3 @@ class TestRouteHistory:
         assert route_history(trace, "10.9.0.0/24", node="as2") == []
         gains = route_history(trace, "10.9.0.0/24", node="as3")
         assert len(gains) == 1 and gains[0].is_gain
-
-
-class TestConvergenceInstant:
-    def test_last_route_affecting(self, populated):
-        _, trace = populated
-        assert convergence_instant(trace, since=0.0) == 4.0
-
-    def test_since_cutoff(self, populated):
-        _, trace = populated
-        assert convergence_instant(trace, since=5.0) is None
-
-    def test_category_prefix_covers_nested_categories(self, populated):
-        _, trace = populated
-        by_prefix = convergence_instant(
-            trace, 0.0, categories={"bgp.update"}
-        )
-        assert by_prefix == 1.3
-        assert by_prefix == convergence_instant(
-            trace, 0.0, categories={"bgp.update.tx", "bgp.update.rx"}
-        )
-
-
-class TestInterarrival:
-    def test_gaps(self, populated):
-        _, trace = populated
-        records = trace.filter(category="bgp.update.tx")
-        gaps = interarrival_times(records)
-        assert gaps == pytest.approx([0.7, 0.1])
-
-    def test_empty(self):
-        assert interarrival_times([]) == []

@@ -398,3 +398,13 @@ class TestDeclaredOptions:
     def test_deleted_knob_is_an_ordinary_unknown_field(self):
         (error,) = errors_of({**BASE, "batch" + "_delivery": True})
         assert error.startswith("unknown field")
+
+    @pytest.mark.parametrize(
+        "field, value", [("profile", True), ("sample_hz", 100.0)]
+    )
+    def test_deleted_profilers_are_unknown_fields(self, field, value):
+        (error,) = errors_of({**BASE, field: value})
+        assert error.startswith(f"unknown field {field!r}")
+        with pytest.raises(SpecIngestError) as excinfo:
+            grid_from_json({**GRID, field: value})
+        assert f"unknown field {field!r}" in str(excinfo.value)

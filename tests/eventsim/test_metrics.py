@@ -1,18 +1,28 @@
-"""Unit tests for the online metrics registry."""
+"""Unit tests for the online metrics registry and the layer reading."""
+
+import functools
 
 import pytest
 
 from repro.eventsim import (
     Counter,
+    DebounceTimer,
     Gauge,
     Histogram,
     InstrumentationBus,
     MetricsRegistry,
-    Simulator,
+    PeriodicTimer,
+    Timer,
     format_snapshot,
     merge_snapshots,
+    time_by_layer,
 )
-from repro.eventsim.metrics import parse_key
+from repro.eventsim.metrics import event_layer, layer_of_module, parse_key
+from repro.experiments.common import paper_config
+from repro.framework.experiment import Experiment
+from repro.topology.builders import clique
+
+from tests.conftest import make_bgp_mesh
 
 
 class TestPrimitives:
@@ -167,29 +177,67 @@ class TestBusObservation:
         }
 
 
-class TestDispatchProfiling:
-    def test_profile_counts_every_event(self):
-        sim = Simulator(seed=1)
-        reg = MetricsRegistry()
-        reg.profile_simulator(sim)
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, lambda: None)
-        sim.run()
-        snap = reg.snapshot()
-        assert snap["counters"]["sim.events_total"] == 3
-        assert snap["histograms"]["sim.dispatch_seconds"]["count"] == 3
+class TestTimeByLayer:
+    """The per-layer wall reading: which layer owns a dispatched event."""
 
-    def test_detach_removes_hook(self):
-        sim = Simulator(seed=1)
-        reg = MetricsRegistry()
-        reg.profile_simulator(sim)
-        reg.detach()
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        # the metrics exist (created at install time) but saw no events
-        snap = reg.snapshot()
-        assert snap["counters"]["sim.events_total"] == 0
-        assert snap["histograms"]["sim.dispatch_seconds"]["count"] == 0
+    @pytest.fixture(scope="class")
+    def hybrid(self):
+        """A metrics-on 5-AS clique with two SDN members: an announcement
+        and its withdrawal under the reading, with an earlier hook that
+        keeps every dispatched event."""
+        exp = Experiment(
+            clique(5), sdn_members={4, 5},
+            config=paper_config(seed=3, mrai=1.0, metrics=True),
+        ).build()
+        seen = []
+        exp.net.sim.set_dispatch_hook(lambda event, wall: seen.append(event))
+        walls = time_by_layer(exp.net.sim)
+        exp.start()
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        exp.withdraw(1, prefix)
+        exp.wait_converged()
+        return exp, seen, walls
+
+    def test_layer_is_the_repro_subpackage(self):
+        assert layer_of_module("repro.bgp.router") == "bgp"
+        assert layer_of_module("repro.eventsim.bus") == "eventsim"
+        assert layer_of_module("repro.controller") == "controller"
+        for outside in ("repro", "json", "", None):
+            assert layer_of_module(outside) == "other"
+
+    def test_timer_fire_is_charged_to_the_component_that_armed_it(self, net):
+        router, _ = make_bgp_mesh(net, 2, start=False)
+        assert event_layer(Timer(net.sim, router.start)._fire) == "bgp"
+        debounce = DebounceTimer(net.sim, functools.partial(router.start), 1)
+        assert event_layer(debounce._fire) == "bgp"
+        # an unbound function belongs to its module
+        assert event_layer(Timer(net.sim, clique)._fire) == "topology"
+
+    def test_timer_fires_in_a_trial_leave_the_kernel(self, hybrid):
+        _, seen, _ = hybrid
+        timers = (Timer, PeriodicTimer, DebounceTimer)
+        fired = {
+            event_layer(e.callback) for e in seen
+            if isinstance(getattr(e.callback, "__self__", None), timers)
+        }
+        assert {"bgp", "controller"} <= fired
+        assert "eventsim" not in fired
+
+    def test_link_delivery_is_charged_to_the_receiver(self, hybrid):
+        _, seen, _ = hybrid
+        delivered = {
+            event_layer(e.callback) for e in seen
+            if e.label.endswith(":deliver")
+        }
+        assert delivered == {"bgp", "sdn", "controller"}
+
+    def test_earlier_hook_still_runs_once_per_event(self, hybrid):
+        exp, seen, walls = hybrid
+        assert len(seen) == exp.net.sim.events_processed
+        assert len(set(map(id, seen))) == len(seen)
+        assert set(walls) == {event_layer(e.callback) for e in seen}
+        assert all(seconds > 0 for seconds in walls.values())
 
 
 class TestSnapshotTools:

@@ -33,7 +33,7 @@ class TestRows:
     def test_every_result_payload_rides_runs_and_rows(self):
         observed = run_fraction_sweep(
             WithdrawalScenario, n=4, sdn_counts=[0, 2], runs=1, mrai=1.0,
-            metrics=True, profile=True, anatomy=True,
+            metrics=True, anatomy=True,
         )
         run = observed.points[0].runs[0]
         row = sweep_rows(observed, payloads=True)[0]

@@ -1,13 +1,13 @@
 """Differential oracle: the telemetry plane is invisible to results.
 
-Structured logging, the sampling profiler, and resource accounting are
-only admissible because they change *nothing observable* in the
-science: these tests run the paper's experiments with every telemetry
-knob on (``REPRO_LOG`` set, a sampler attached, metrics captured) and
-fully off, and compare with exact equality — every measurement field
-and the full trace digest.  The spec digests of the pre-telemetry
-construction are pinned so the ``sample_hz`` field can never leak into
-cache keys of existing sweeps.
+Structured logging, resource accounting and the per-layer wall-time
+reading are only admissible because they change *nothing observable*
+in the science: these tests run the paper's experiments with every
+telemetry knob on (``REPRO_LOG`` set, metrics captured, the layer
+reading's dispatch hook installed) and fully off, and compare with
+exact equality — every measurement field and the full trace digest.
+The spec digests of the pre-telemetry construction are pinned so no
+telemetry field can leak into cache keys of existing sweeps.
 """
 
 import hashlib
@@ -23,16 +23,16 @@ from repro.experiments.common import (
 )
 from repro.framework.convergence import ConvergenceMeasurement, measure_event
 from repro.framework.experiment import Experiment
+from repro.eventsim import time_by_layer
 from repro.obs.logging import LOG_ENV, get_logger
 from repro.obs import logging as obslog
-from repro.obs.sampler import StackSampler
 from repro.runner.jobs import RunSpec, execute_spec
 from repro.topology.builders import clique
 
 # Digests of specs built before the telemetry plane existed.  They are
-# content hashes of the spec's describe() payload: if adding
-# ``sample_hz`` (or any future telemetry field) changed them, every
-# cached trial and registry row in the wild would silently orphan.
+# content hashes of the spec's describe() payload: if a telemetry
+# field (or its deletion) changed them, every cached trial and
+# registry row in the wild would silently orphan.
 LEGACY_WITHDRAWAL_DIGEST = (
     "8ed4a262aeeac6077f051855eecc3e9cc070a8c41e4a46c909a1f301492d10f6"
 )
@@ -54,13 +54,16 @@ def _trace_digest(exp):
 
 def _run_scenario(scenario, *, n, sdn_count, seed, mrai, metrics):
     """One full scenario run, keeping the live experiment so the trace
-    stays inspectable."""
+    stays inspectable.  With ``metrics`` the layer reading is installed
+    where ``run_scenario_full`` installs it."""
     topology = scenario.topology(n, clique)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
     config = paper_config(seed=seed, mrai=mrai, metrics=metrics)
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name
     ).build()
+    if metrics:
+        exp.walls = time_by_layer(exp.net.sim)
     scenario.configure(exp)
     exp.start()
     scenario.prepare(exp)
@@ -81,20 +84,18 @@ def _reset_logging():
 def test_measurement_and_trace_identical_telemetry_on_vs_off(
     scenario_cls, tmp_path, monkeypatch
 ):
-    # off: no structured log sink, no sampler, no metrics capture
+    # off: no structured log sink, no metrics capture, no layer reading
     monkeypatch.delenv(LOG_ENV, raising=False)
     _reset_logging()
     off_exp, off_m = _run_scenario(
         scenario_cls(), n=8, sdn_count=3, seed=42, mrai=2.0, metrics=False
     )
 
-    # on: logging to a file, a live sampler interrupting the run, and
-    # the metrics registry recording every event
+    # on: logging to a file, the metrics registry recording every
+    # event, and the layer reading timing every dispatch
     monkeypatch.setenv(LOG_ENV, str(tmp_path / "repro.log"))
     _reset_logging()
     logger = get_logger("differential")
-    sampler = StackSampler(hz=300.0)
-    sampler.start()
     try:
         logger.info("run_started", scenario=scenario_cls.__name__)
         on_exp, on_m = _run_scenario(
@@ -102,9 +103,9 @@ def test_measurement_and_trace_identical_telemetry_on_vs_off(
         )
         logger.info("run_finished")
     finally:
-        sampler.stop()
         _reset_logging()
 
+    assert on_exp.walls, "the layer reading timed no event"
     for f in fields(ConvergenceMeasurement):
         assert getattr(on_m, f.name) == getattr(off_m, f.name), f.name
     assert _trace_digest(on_exp) == _trace_digest(off_exp)
@@ -137,14 +138,13 @@ def test_legacy_spec_digests_pinned():
     "scenario_cls", [WithdrawalScenario, FailoverScenario],
     ids=["withdrawal", "failover"],
 )
-def test_worker_results_identical_with_sampler_and_logging(
+def test_worker_results_identical_with_layer_reading_and_logging(
     scenario_cls, tmp_path, monkeypatch
 ):
     # Through the full worker stack: execute_spec with telemetry off
     # and fully on, compare the result payloads a cache or registry
-    # would persist.  ``sample_hz`` is an execution detail that earns
-    # its own digest (sampled trials are not cache-equivalent to
-    # unsampled ones), but the measurement may not move.
+    # would persist.  ``metrics`` earns its own digest (its record
+    # carries a snapshot), but the measurement may not move.
     def spec(**overrides):
         base = dict(
             scenario_factory=scenario_cls,
@@ -165,11 +165,12 @@ def test_worker_results_identical_with_sampler_and_logging(
     monkeypatch.setenv(LOG_ENV, str(tmp_path / "repro.log"))
     _reset_logging()
     try:
-        on = execute_spec(spec(sample_hz=300.0), cid="cafe0123dead")
+        on = execute_spec(spec(metrics=True), cid="cafe0123dead")
     finally:
         _reset_logging()
     assert on.ok, on.error
 
     assert on.measurement_dict() == off.measurement_dict()
+    assert on.resources["wall_by_layer_s"]
+    assert "wall_by_layer_s" not in off.resources
     assert spec().digest() == off.digest
-    assert spec(sample_hz=300.0).digest() != spec().digest()

@@ -115,6 +115,16 @@ class TestInstrumentationFlags:
         with pytest.raises(SystemExit):
             main(["demo", "--trace-level", "verbose"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2", "--profile"], ["fig2", "--sample-hz", "100"],
+         ["runs", "show", "1", "--top", "5"]],
+    )
+    def test_deleted_profiler_flags_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
 
 class TestTraceCommands:
     def _run_traced(self, tmp_path, capsys, **extra_flags):

@@ -55,14 +55,13 @@ def pinned_resources(i: int, wall: float) -> dict:
         "max_rss_kb": 51200 + 16 * i,
         "events_processed": 2000 + i,
         "events_per_s": 27000.5,
+        "wall_by_layer_s": {
+            "bgp": round(wall * 0.5, 6),
+            "controller": round(wall * 0.2, 6),
+            "sdn": round(wall * 0.05, 6),
+            "outside_events": round(wall * 0.25, 6),
+        },
     }
-
-
-#: pinned collapsed stacks exercising the dashboard Ops section.
-PINNED_STACKS = {
-    "repro.runner.jobs.run_trial_full;repro.framework.experiment.run": 7,
-    "repro.runner.jobs.run_trial_full;repro.eventsim.core.run": 3,
-}
 
 
 def record_pinned_sweep(registry, *, wall_base: float) -> int:
@@ -79,7 +78,6 @@ def record_pinned_sweep(registry, *, wall_base: float) -> int:
             dataclasses.replace(
                 record, wall_time=wall, worker="w0",
                 resources=pinned_resources(i, wall),
-                sample_stacks=dict(PINNED_STACKS),
             ),
             sweep_id=sweep_id,
         )
@@ -136,8 +134,9 @@ class TestDashboardStructure:
     def test_ops_section_present(self, recorded):
         html = render_dashboard(recorded)
         assert "Ops — per-run resource accounting" in html
-        assert "Ops — hot frames" in html
-        assert "repro.framework.experiment.run" in html
+        assert "Ops — wall time by layer (12 run(s))" in html
+        layers = html.split("Ops — wall time by layer")[1]
+        assert layers.index(">bgp<") < layers.index(">controller<")
 
 
 class TestAnatomySection:
@@ -185,18 +184,13 @@ class TestAnatomySection:
 
 class TestOpsEmptyState:
     def test_pre_schema2_rows_explained(self):
-        # runs exist but none carry resources/sample_stacks (the shape
-        # of a migrated pre-schema-2 registry): the Ops section says so
-        # instead of vanishing
+        # runs exist but none carry resources (the shape of a migrated
+        # pre-schema-2 registry): the Ops section says so instead of
+        # vanishing
         registry = make_registry()
         spec = make_spec()
         record = execute_spec(spec)
-        registry.record(
-            spec,
-            dataclasses.replace(
-                record, resources=None, sample_stacks=None
-            ),
-        )
+        registry.record(spec, dataclasses.replace(record, resources=None))
         html = render_dashboard(registry)
         assert "Ops — per-run resource accounting" in html
         assert "No resource accounting recorded" in html

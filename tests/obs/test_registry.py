@@ -9,7 +9,6 @@ from repro.obs.registry import (
     REGISTRY_SCHEMA,
     RegistrySink,
     RunRegistry,
-    aggregate_profiles,
     resolve_registry,
 )
 from repro.obs.registry import RunRow
@@ -186,13 +185,10 @@ class TestRecordAndQuery:
 
         with RunRegistry(path) as registry:
             # exactly the missing payload columns were added, in place
-            assert run_columns(path) == before + [
-                "resources", "sample_stacks", "anatomy",
-            ]
+            assert run_columns(path) == before + ["resources", "anatomy"]
             row = registry.runs()[0]
             assert row.spec_digest == "abc"
             assert row.resources is None
-            assert row.sample_stacks is None
             assert row.anatomy is None
             # and a current-schema record with resources now round-trips
             spec = make_spec(seed=99)
@@ -272,39 +268,69 @@ class TestRecordAndQuery:
         opened.close()
 
 
-class TestProfileStorage:
-    def test_profile_round_trips(self):
-        registry = make_registry()
-        spec = make_spec(profile=True)
-        record = execute_spec(spec)
-        assert record.profile, "profiled run must carry a table"
-        row = registry.run(registry.record(spec, record))
-        assert row.profile == record.profile
-        assert {"func", "ncalls", "tottime", "cumtime"} <= set(
-            row.profile[0]
-        )
+class TestDeletedPayloadColumns:
+    """Files written while ``profile`` and ``sample_stacks`` were record
+    payloads keep those columns; every reader ignores them."""
 
-    def test_profile_flag_changes_digest_but_default_does_not(self):
-        assert make_spec().digest() != make_spec(profile=True).digest()
-        # profile=False must not perturb pre-existing digests
-        assert "profile" not in make_spec().describe()
+    @pytest.fixture
+    def parent_written(self, tmp_path):
+        import json
+        import sqlite3
 
-    def test_aggregate_profiles_merges_by_function(self):
-        merged = aggregate_profiles(
-            [
-                [{"func": "a.py:1(f)", "ncalls": 2, "tottime": 0.1,
-                  "cumtime": 0.5}],
-                None,
-                [{"func": "a.py:1(f)", "ncalls": 3, "tottime": 0.2,
-                  "cumtime": 0.25},
-                 {"func": "b.py:2(g)", "ncalls": 1, "tottime": 0.0,
-                  "cumtime": 0.1}],
-            ]
+        path = tmp_path / "parent.sqlite"
+        with RunRegistry(path) as registry:
+            for wall in (0.1, 0.2):
+                spec = make_spec(metrics=True)
+                record = dataclasses.replace(
+                    execute_spec(spec), wall_time=wall
+                )
+                registry.record(spec, record)
+        conn = sqlite3.connect(path)
+        conn.execute("ALTER TABLE runs ADD COLUMN profile TEXT")
+        conn.execute("ALTER TABLE runs ADD COLUMN sample_stacks TEXT")
+        conn.execute(
+            "UPDATE runs SET profile=?, sample_stacks=?",
+            (
+                json.dumps([{"func": "a.py:1(f)", "ncalls": 2,
+                             "tottime": 0.1, "cumtime": 0.5}]),
+                json.dumps({"repro.a;repro.b": 7}),
+            ),
         )
-        assert merged[0]["func"] == "a.py:1(f)"
-        assert merged[0]["ncalls"] == 5
-        assert merged[0]["cumtime"] == pytest.approx(0.75)
-        assert merged[1]["func"] == "b.py:2(g)"
+        conn.commit()
+        conn.close()
+        return str(path)
+
+    def test_opens_lists_and_diffs(self, parent_written):
+        from repro.obs.trends import diff_runs
+
+        with RunRegistry(parent_written) as registry:
+            first, second = registry.runs()
+            assert first.resources["wall_by_layer_s"]
+            assert not hasattr(first, "profile")
+            diff = diff_runs(first, second)
+            assert diff.ok
+            # a new record writes NULL into the old columns
+            spec = make_spec(seed=99)
+            registry.record(spec, execute_spec(spec))
+            assert len(registry.runs()) == 3
+
+    def test_cli_shows_diffs_and_renders(
+        self, parent_written, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        for argv in (
+            ["runs", "list"],
+            ["runs", "show", "1"],
+            ["runs", "diff", "1", "2"],
+            ["runs", "dashboard", "-o", str(tmp_path / "d.html")],
+        ):
+            assert main(argv + ["--registry", parent_written]) == 0, argv
+        out = capsys.readouterr().out
+        assert "wall by layer" in out and "outside_events" in out
+        html = (tmp_path / "d.html").read_text()
+        assert "Ops — wall time by layer (2 run(s))" in html
+        assert "hot frames" not in html and "cProfile" not in html
 
 
 class TestSinkWiring:
@@ -396,23 +422,3 @@ class TestGC:
     def test_gc_rejects_negative(self):
         with pytest.raises(ValueError):
             make_registry().gc(keep_last=-1)
-
-
-class TestRunResultProfile:
-    def test_sweep_surfaces_profile_tables(self):
-        result = run_fraction_sweep(
-            WithdrawalScenario, n=4, sdn_counts=[0], runs=1, mrai=1.0,
-            profile=True,
-        )
-        (point,) = result.points
-        (run,) = point.runs
-        assert run.profile, "profile=True sweeps carry per-run tables"
-        assert all("cumtime" in row for row in run.profile)
-
-    def test_record_profile_survives_replace(self):
-        # dashboards/tests pin wall time via dataclasses.replace; the
-        # profile payload must ride along
-        spec = make_spec(profile=True)
-        record = execute_spec(spec)
-        pinned = dataclasses.replace(record, wall_time=0.5)
-        assert pinned.profile == record.profile

@@ -105,6 +105,30 @@ class TestDiffRuns:
         one_sided = [f for f in diff.fields if f.name == "anatomy"]
         assert len(one_sided) == 1 and one_sided[0].ok
 
+    def test_layer_split_rows_are_timing_and_one_sided_is_tolerated(self):
+        registry = make_registry()
+        spec = make_spec(metrics=True)
+        a = registry.run(registry.record(spec, execute_spec(spec)))
+        split = dict(a.resources["wall_by_layer_s"])
+        split["bgp"] *= 10  # far outside the band
+        split["extra"] = 1.0  # a layer only b has
+        b = dataclasses.replace(
+            a, resources=dict(a.resources, wall_by_layer_s=split)
+        )
+        diff = diff_runs(a, b)
+        assert diff.ok, "the layer split is informational"
+        rows = {
+            f.name: f for f in diff.fields
+            if f.name.startswith("resources.wall_by_layer_s.")
+        }
+        assert {f.kind for f in rows.values()} == {"timing"}
+        assert not rows["resources.wall_by_layer_s.bgp"].ok
+        extra = rows["resources.wall_by_layer_s.extra"]
+        assert extra.ok and extra.a is None and extra.b == 1.0
+        assert set(rows) == {
+            f"resources.wall_by_layer_s.{layer}" for layer in split
+        }
+
     def test_different_digests_not_ok(self):
         registry = make_registry()
         rows = []

@@ -263,14 +263,14 @@ class TestStatsAndPrune:
         assert (tmp_path / "README.txt").exists()
         assert (tmp_path / ".tmp-half.json").exists()
 
-    def test_profile_round_trips(self, tmp_path):
+    def test_anatomy_round_trips(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = make_spec(profile=True)
+        spec = make_spec(spans=True, anatomy=True)
         record = execute_spec(spec)
-        assert record.profile
+        assert record.anatomy
         cache.put(spec, record)
         hit = cache.get(spec)
-        assert hit.profile == record.profile
+        assert hit.anatomy == record.anatomy
 
     def test_sweep_timing_carries_cache_traffic(self, tmp_path):
         kwargs = dict(n=4, sdn_counts=[0], runs=2, mrai=1.0)

@@ -1,4 +1,4 @@
-"""Per-job resource accounting and sampler attachment on execute_spec."""
+"""Per-job resource accounting on execute_spec, wall time by layer included."""
 
 import json
 import time
@@ -50,6 +50,14 @@ class TestResourceAccounting:
         assert "events_processed" not in out
         assert "events_per_s" not in out
 
+    def test_outside_events_closes_the_layer_split(self):
+        out = ResourceAccounting().finish(
+            wall_time=1.0, wall_by_layer={"sdn": 0.25, "bgp": 0.5}
+        )
+        assert out["wall_by_layer_s"] == {
+            "bgp": 0.5, "sdn": 0.25, "outside_events": 0.25,
+        }
+
 
 class TestExecuteSpecResources:
     def test_record_carries_resources(self):
@@ -62,43 +70,39 @@ class TestExecuteSpecResources:
         # resources must be JSON round-trippable (cache + registry)
         assert json.loads(json.dumps(record.resources)) == record.resources
 
-    def test_no_sampler_by_default(self):
+    def test_no_layer_split_without_metrics(self):
         record = execute_spec(make_spec())
-        assert record.sample_stacks is None
+        assert "wall_by_layer_s" not in record.resources
 
-    def test_sampler_attaches_stacks(self):
-        # 4-AS trials finish in milliseconds; sample fast to be sure at
-        # least the slowest trials catch a frame.  An empty dict is
-        # still a pass — presence of the field is what is asserted.
-        record = execute_spec(make_spec(n=8, sample_hz=900.0))
-        assert record.ok
-        assert record.sample_stacks is not None
-        for stack, count in record.sample_stacks.items():
-            assert isinstance(stack, str) and isinstance(count, int)
-
-    def test_sample_hz_changes_digest_only_when_set(self):
-        base = make_spec()
-        explicit_off = make_spec(sample_hz=0.0)
-        sampled = make_spec(sample_hz=97.0)
-        assert base.digest() == explicit_off.digest()
-        assert base.digest() != sampled.digest()
+    def test_metrics_attach_a_closed_layer_split(self):
+        record = execute_spec(make_spec(n=6, sdn_count=3, metrics=True))
+        assert record.ok, record.error
+        split = record.resources["wall_by_layer_s"]
+        assert split["outside_events"] >= 0.0
+        assert sum(split.values()) == pytest.approx(
+            record.wall_time, rel=1e-9
+        )
+        # every dispatched event belongs to a repro layer: deliveries
+        # to their receivers, timer fires to whoever armed them
+        assert {"bgp", "sdn", "controller"} <= set(split)
+        assert not {"net", "other"} & set(split)
 
     def test_resources_do_not_change_measurement(self):
         a = execute_spec(make_spec())
-        b = execute_spec(make_spec(sample_hz=500.0))
+        b = execute_spec(make_spec(metrics=True))
         assert a.measurement_dict() == b.measurement_dict()
 
 
 class TestCacheRoundTrip:
-    def test_resources_and_stacks_survive_cache(self, tmp_path):
+    def test_resources_and_layer_split_survive_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = make_spec(sample_hz=900.0)
+        spec = make_spec(metrics=True)
         record = execute_spec(spec)
         cache.put(spec, record)
         hit = cache.get(spec)
         assert hit is not None and hit.cached
         assert hit.resources == record.resources
-        assert hit.sample_stacks == record.sample_stacks
+        assert hit.resources["wall_by_layer_s"]
 
     def test_old_cache_entries_without_resources_still_load(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -108,12 +112,29 @@ class TestCacheRoundTrip:
         path = cache._path(spec.digest())
         payload = json.loads(path.read_text())
         payload.pop("resources", None)
-        payload.pop("sample_stacks", None)
         path.write_text(json.dumps(payload))
         hit = cache.get(spec)
         assert hit is not None
         assert hit.resources is None
-        assert hit.sample_stacks is None
+
+    def test_entries_carrying_deleted_payloads_still_load(self, tmp_path):
+        """Entries written while ``profile`` and ``sample_stacks`` were
+        record payloads read back as hits; the keys are ignored."""
+        cache = ResultCache(tmp_path)
+        spec = make_spec()
+        record = execute_spec(spec)
+        cache.put(spec, record)
+        path = cache._path(spec.digest())
+        payload = json.loads(path.read_text())
+        payload["profile"] = [{"func": "a.py:1(f)", "ncalls": 1}]
+        payload["sample_stacks"] = {"a;b": 3}
+        path.write_text(json.dumps(payload))
+        hit = cache.get(spec)
+        assert hit is not None and hit.cached
+        assert hit.measurement_dict() == record.measurement_dict()
+        assert hit.resources == record.resources
+        assert not hasattr(hit, "profile")
+        assert not hasattr(hit, "sample_stacks")
 
 
 class TestRunnerPassThrough:

@@ -192,7 +192,7 @@ class TestRoutes:
             client = ServiceClient("127.0.0.1", port, client_id="t")
             spec = {
                 **QUICK_SPEC, "metrics": True, "spans": True,
-                "anatomy": True, "profile": True,
+                "anatomy": True,
             }
             (job,) = client.submit({"spec": spec})
             assert client.watch(job["digest"])["state"] == "done"
@@ -338,6 +338,24 @@ class TestErrors:
             detail = "\n".join(excinfo.value.detail)
             assert "unknown field 'junk'" in detail
             assert "field 'scenario'" in detail
+
+        serve(tmp_path, body)
+
+    def test_deleted_profiler_fields_are_unknown_field_400s(self, tmp_path):
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            grid = {"scenario": "withdrawal", "n": 4, "runs": 1}
+            for field, value in (("profile", True), ("sample_hz", 100.0)):
+                for payload in (
+                    {"spec": {**QUICK_SPEC, field: value}},
+                    {"grid": {**grid, field: value}},
+                ):
+                    with pytest.raises(ServiceClientError) as excinfo:
+                        client.submit(payload)
+                    assert excinfo.value.status == 400
+                    detail = "\n".join(excinfo.value.detail)
+                    assert f"unknown field {field!r}" in detail
+            assert client.jobs()["stats"]["jobs"] == 0
 
         serve(tmp_path, body)
 

@@ -119,9 +119,9 @@ class TestDedup:
         )
 
     def test_registry_hit_serves_the_payloads_the_row_stores(self, tmp_path):
-        """A registry-answered job used to come back with metrics only:
-        ``profile`` was null although the first execution served it."""
-        spec = spec_for(profile=True, metrics=True)
+        """A registry-answered job carries every payload its row stores:
+        the metrics snapshot and the resources, layer split included."""
+        spec = spec_for(metrics=True)
         registry_path = str(tmp_path / "runs.sqlite")
 
         async def body(manager):
@@ -132,11 +132,11 @@ class TestDedup:
         first = run(manager_session(body, registry_path=registry_path))
         again = run(manager_session(body, registry_path=registry_path))
         assert not first.from_cache and again.from_cache
-        assert first.record.profile and first.record.metrics
+        assert first.record.metrics
         served = again.record.payloads(result_only=True)
-        assert served["profile"] == first.record.profile
         assert served["metrics"] == first.record.metrics
         assert again.record.resources == first.record.resources
+        assert again.record.resources["wall_by_layer_s"]
 
     def test_registry_never_answers_a_spans_request(self, tmp_path):
         """Rows keep span counts, not spans: asking for them executes."""
