@@ -7,7 +7,7 @@ from repro.analysis.logs import (
     route_history,
     update_counts_by_node,
 )
-from repro.eventsim import Simulator, TraceLog
+from repro.eventsim import ROUTE_AFFECTING, Simulator, TraceLog
 
 
 @pytest.fixture
@@ -82,3 +82,24 @@ class TestRouteHistory:
         assert route_history(trace, "10.9.0.0/24", node="as2") == []
         gains = route_history(trace, "10.9.0.0/24", node="as3")
         assert len(gains) == 1 and gains[0].is_gain
+
+
+class TestConvergenceInstant:
+    """The convergence instant of a post-processed log is
+    ``TraceLog.last_time`` over the route-affecting categories."""
+
+    def test_last_route_affecting(self, populated):
+        _, trace = populated
+        assert trace.last_time(ROUTE_AFFECTING, since=0.0) == 4.0
+
+    def test_since_cutoff(self, populated):
+        _, trace = populated
+        assert trace.last_time(ROUTE_AFFECTING, since=5.0) is None
+
+    def test_category_prefix_covers_nested_categories(self, populated):
+        _, trace = populated
+        by_prefix = trace.last_time({"bgp.update"}, since=0.0)
+        assert by_prefix == 1.3
+        assert by_prefix == trace.last_time(
+            {"bgp.update.tx", "bgp.update.rx"}, since=0.0
+        )
