@@ -49,10 +49,10 @@ from .analysis import (
     provenance_report,
     topology_dot,
 )
+from .config import ServiceConfig
+from .config.specio import scenario_names, scenario_registry, topology_registry
 from .eventsim import format_snapshot
 from .experiments import (
-    AnnouncementScenario,
-    FailoverScenario,
     WithdrawalScenario,
     announcement_sweep,
     failover_sweep,
@@ -61,7 +61,6 @@ from .experiments import (
     run_fraction_sweep,
     run_subcluster_experiment,
     scenarios_sweep,
-    sdn_counts_for_fractions,
     sweep_to_csv,
     sweep_to_json,
     topology_family_sweep,
@@ -78,16 +77,14 @@ from .faults import (
 )
 from .framework import Experiment
 from .runner.jobs import SPEC_OPTIONS, RunSpec, run_trial_full
-from .topology import barabasi_albert, clique, line, ring, star
+from .topology import clique
 
 __all__ = ["main", "Output"]
 
 #: environment fallback for ``--cache-dir`` on every sweep command.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: ``--trace-level`` values: the ones the spec option itself declares.
-TRACE_LEVEL_CHOICES = next(
-    o.metadata["choices"] for o in SPEC_OPTIONS if o.name == "trace_level"
-)
+#: RunSpec options by field name: what every spec flag is built from.
+_OPTIONS = {option.name: option for option in SPEC_OPTIONS}
 
 
 class Output:
@@ -113,40 +110,111 @@ class Output:
         print(text, file=self.stream)
 
 
-def _ba8(n: int) -> object:
-    # module-level (not a lambda): sweep factories must be picklable.
-    return barabasi_albert(n, 2, seed=0)
-
-
 def _parse_sdn(text: Optional[str]) -> set:
-    if not text:
-        return set()
+    """``type=`` of ``--sdn``/``--origins``: ASNs and ranges (``1,4-6``)."""
     out = set()
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            out.update(range(int(lo), int(hi) + 1))
-        elif part:
-            out.add(int(part))
+    try:
+        for part in filter(None, map(str.strip, (text or "").split(","))):
+            lo, dash, hi = part.partition("-")
+            out.update(range(int(lo), int(hi if dash else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad AS list {text!r} (want e.g. 5,6,7 or 5-8)"
+        ) from None
     return out
 
 
 def _parse_topology(text: str):
-    kind, _, arg = text.partition(":")
-    size = int(arg) if arg else 8
-    builders = {
-        "clique": clique,
-        "line": line,
-        "ring": ring,
-        "star": star,
-        "ba": _ba8,
-    }
+    """``type=`` of ``dot --topology``: ``kind[:size]`` (size 8 when
+    omitted), any topology name a spec payload accepts."""
+    kind, _, size = text.partition(":")
+    builders = topology_registry()
     if kind not in builders:
-        raise SystemExit(
+        raise argparse.ArgumentTypeError(
             f"unknown topology {kind!r}; choose from {sorted(builders)}"
         )
-    return builders[kind](size)
+    try:
+        return builders[kind](int(size) if size else 8)
+    except ValueError as exc:  # a non-integer size, or a TopologyError
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _parse_fractions(text: str) -> List[float]:
+    """``type=`` of ``--fractions``: SDN fractions in [0, 1]."""
+    try:
+        fractions = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        fractions = []
+    if not fractions or any(not 0.0 <= f <= 1.0 for f in fractions):
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r} (want values in [0, 1], e.g. 0,0.5,1)"
+        )
+    return fractions
+
+
+def _at_least(convert, minimum):
+    """``convert``, then refuse values under ``minimum`` in specio's
+    words."""
+    def parse(text: str):
+        value = convert(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
+
+
+def _spec_flags(parser, *names: str, **defaults) -> None:
+    """Add ``--<name>`` for each named RunSpec option, read from its
+    declaration (``kind``, ``choices``, ``minimum``, ``help``, default);
+    ``defaults`` are this command's own (``n`` declares none)."""
+    for name in names:
+        option = _OPTIONS[name]
+        meta = option.metadata
+        if meta["kind"] == "bool":
+            kind = {"action": "store_true"}
+        else:
+            convert = {"int": int, "number": float}.get(meta["kind"])
+            if "minimum" in meta:
+                convert = _at_least(convert, meta["minimum"])
+            kind = {"type": convert, "choices": meta.get("choices")}
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            default=defaults.get(name, meta.get("json_default", option.default)),
+            help=meta["help"].replace("%", "%%"),  # argparse %-formats help
+            **kind,
+        )
+
+
+def _spec_values(args) -> dict:
+    """The RunSpec options this command has flags for, by field name."""
+    flags = vars(args)
+    return {name: flags[name] for name in _OPTIONS if name in flags}
+
+
+def _cache_dir(args) -> Optional[str]:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``; None on ``--no-cache``."""
+    if getattr(args, "no_cache", False):
+        return None
+    return getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
+
+
+def _registry_path(args, default=DEFAULT_REGISTRY_PATH) -> Optional[str]:
+    """``--registry``, else ``$REPRO_REGISTRY``, else ``default``."""
+    registry = getattr(args, "registry", None)
+    return registry or os.environ.get(REGISTRY_ENV) or default
+
+
+def _write(out: Output, path: str, text: str, note: str = "",
+           *, gap: bool = False) -> None:
+    """Write one artifact file and say so (after a blank line with
+    ``gap``); the line is informational, so ``--quiet`` drops it."""
+    with open(path, "w") as handle:
+        handle.write(text)
+    out.info(("\n" if gap else "") + f"wrote {path}{note}")
 
 
 def _print_sweep(result, title: str, out: Output) -> None:
@@ -208,36 +276,16 @@ def _print_anatomy(result, out: Output) -> None:
 def _runner_kwargs(args) -> dict:
     """Map the shared sweep flags onto the sweep functions' keywords:
     --runs, the runner options (--workers/--cache-dir/--no-cache/
-    --progress/--registry) and every grid-wide RunSpec option the
-    command has a flag for (--n, --mrai, --metrics, --anatomy, ...)."""
-    cache = getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
-    if getattr(args, "no_cache", False):
-        cache = None
-    registry = getattr(args, "registry", None) or os.environ.get(REGISTRY_ENV)
-    flags = vars(args)
+    --progress/--registry) and every RunSpec option the command has a
+    flag for (--n, --mrai, --metrics, --anatomy, ...)."""
     return {
         "runs": args.runs,
         "workers": getattr(args, "workers", 1),
-        "cache": cache,
+        "cache": _cache_dir(args),
         "progress": "log" if getattr(args, "progress", False) else None,
-        "registry": registry,
-        **{
-            option.name: flags[option.name]
-            for option in SPEC_OPTIONS
-            if option.metadata["grid"] and option.name in flags
-        },
+        "registry": _registry_path(args, default=None),
+        **_spec_values(args),
     }
-
-
-def _export_sweep(result, args, out: Output) -> None:
-    if getattr(args, "csv", None):
-        with open(args.csv, "w") as handle:
-            handle.write(sweep_to_csv(result))
-        out.info(f"\nwrote {args.csv}")
-    if getattr(args, "json", None):
-        with open(args.json, "w") as handle:
-            handle.write(sweep_to_json(result))
-        out.info(f"wrote {args.json}")
 
 
 def cmd_subcluster(args) -> int:
@@ -373,18 +421,11 @@ def cmd_sweep(args) -> int:
             f"with {t.workers} worker(s); "
             f"job time {t.total_job_wall:.1f}s (speedup {t.speedup:.2f}x)"
         )
-    _export_sweep(result, args, out)
+    if args.csv:
+        _write(out, args.csv, sweep_to_csv(result), gap=True)
+    if args.json:
+        _write(out, args.json, sweep_to_json(result))
     return status
-
-
-def _parse_fractions(text: str) -> List[float]:
-    try:
-        fractions = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(f"bad --fractions value {text!r} (want e.g. 0,0.5,1)")
-    if not fractions or any(not 0.0 <= f <= 1.0 for f in fractions):
-        raise SystemExit("--fractions must be values in [0, 1]")
-    return fractions
 
 
 def cmd_faults_list(args) -> int:
@@ -408,11 +449,14 @@ def cmd_faults_list(args) -> int:
 def cmd_faults_run(args) -> int:
     out = args.out
     if args.spec:
-        with open(args.spec) as handle:
-            schedule = FaultSchedule.from_spec(handle.read())
+        try:
+            with open(args.spec) as handle:
+                schedule = FaultSchedule.from_spec(handle.read())
+        except (OSError, ValueError) as exc:  # JSON and FaultSpecError too
+            raise SystemExit(f"fault spec {args.spec}: {exc}") from None
         schedule.fault_seed = args.fault_seed
         reserved: frozenset = frozenset()
-        origins = tuple(sorted(_parse_sdn(args.origins))) or (1,)
+        origins = tuple(sorted(args.origins)) or (1,)
         title = f"fault spec {args.spec}"
     else:
         canned = get_canned(args.scenario)
@@ -420,14 +464,13 @@ def cmd_faults_run(args) -> int:
         reserved = frozenset(canned.reserved)
         origins = canned.origins
         title = f"fault scenario {args.scenario!r}"
-    fractions = _parse_fractions(args.fractions)
     out.info(
         f"{title} on a {args.n}-AS clique "
         f"(fault-seed {args.fault_seed}, seed {args.seed}, "
         f"mrai {args.mrai:g}s)"
     )
     all_ok = True
-    for fraction in fractions:
+    for fraction in args.fractions:
         sdn_count = min(round(fraction * args.n), args.n - len(reserved))
         topo = clique(args.n)
         members = sdn_set_for(topo, sdn_count, reserved)
@@ -474,19 +517,20 @@ def cmd_faults_run(args) -> int:
             out.emit(f"    {violation}")
         all_ok = all_ok and result.ok
     out.emit(f"\n{'PASS' if all_ok else 'FAIL'}: {title}, "
-             f"{len(fractions)} fraction(s)")
+             f"{len(args.fractions)} fraction(s)")
     return 0 if all_ok else 1
 
 
 def cmd_scenarios(args) -> int:
     out = args.out
-    fractions = _parse_fractions(args.fractions)
     suites = args.suites.split(",") if args.suites else None
-    if suites:
-        for suite in suites:
+    try:
+        for suite in suites or ():
             get_canned(suite)  # fail fast on typos
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
     results = scenarios_sweep(
-        suites=suites, fractions=fractions, fault_seed=args.fault_seed,
+        suites=suites, fractions=args.fractions, fault_seed=args.fault_seed,
         **_runner_kwargs(args),
     )
     out.info(
@@ -513,17 +557,15 @@ def cmd_scenarios(args) -> int:
 
 def cmd_demo(args) -> int:
     out = args.out
-    sdn = _parse_sdn(args.sdn)
     m, snapshot, _ = run_trial_full(
         RunSpec(
             scenario_factory=WithdrawalScenario, topology_factory=clique,
-            n=args.n, sdn_count=len(sdn), sdn_members=tuple(sorted(sdn)),
-            seed=args.seed, mrai=args.mrai,
-            trace_level=args.trace_level, metrics=args.metrics,
+            sdn_count=len(args.sdn), sdn_members=tuple(sorted(args.sdn)),
+            **_spec_values(args),
         )
     )
     out.info(
-        f"{args.n}-AS clique, SDN members {sorted(sdn) or 'none'}: "
+        f"{args.n}-AS clique, SDN members {sorted(args.sdn) or 'none'}: "
         f"withdrawal converged in {m.convergence_time:.1f}s "
         f"({m.updates_tx} updates)"
     )
@@ -533,41 +575,9 @@ def cmd_demo(args) -> int:
     return 0
 
 
-#: scenario classes the ``trace run`` command can instrument.
-TRACE_SCENARIOS = {
-    "withdrawal": WithdrawalScenario,
-    "failover": FailoverScenario,
-    "announcement": AnnouncementScenario,
-}
-
-
-def _export_spans(spans, args, out: Output, *, root_id=None) -> None:
-    """Shared --jsonl/--chrome/--markdown export flags."""
-    if getattr(args, "jsonl", None):
-        with open(args.jsonl, "w") as handle:
-            handle.write(spans_to_jsonl(spans))
-        out.info(f"wrote {args.jsonl} ({len(spans)} spans)")
-    if getattr(args, "chrome", None):
-        with open(args.chrome, "w") as handle:
-            handle.write(chrome_trace_json(spans))
-        out.info(
-            f"wrote {args.chrome} (Chrome trace-event JSON; open in "
-            "Perfetto or chrome://tracing)"
-        )
-    if getattr(args, "markdown", None):
-        with open(args.markdown, "w") as handle:
-            handle.write(
-                provenance_markdown(
-                    spans, root_id=root_id,
-                    max_timeline=getattr(args, "timeline", 20),
-                )
-            )
-        out.info(f"wrote {args.markdown}")
-
-
 def cmd_trace_run(args) -> int:
     out = args.out
-    factory = TRACE_SCENARIOS[args.scenario]
+    factory = scenario_registry()[args.scenario]
     probe = factory()
     topology = probe.topology(args.n, clique)
     sdn_count = min(
@@ -579,20 +589,28 @@ def cmd_trace_run(args) -> int:
     )
     measurement, _, spans = run_trial_full(
         RunSpec(
-            scenario_factory=factory, topology_factory=clique,
-            n=args.n, sdn_count=sdn_count, seed=args.seed, mrai=args.mrai,
-            recompute_delay=args.recompute_delay, spans=True,
+            **{**_spec_values(args), "sdn_count": sdn_count},
+            scenario_factory=factory, topology_factory=clique, spans=True,
         )
     )
-    root_id = measurement.extra.get("event_root_span")
+    view = dict(
+        root_id=measurement.extra.get("event_root_span"),
+        max_timeline=args.timeline,
+    )
     out.info(
         f"converged in {measurement.convergence_time:.3f}s "
         f"({measurement.updates_tx} updates); {len(spans)} spans\n"
     )
-    out.emit(
-        provenance_report(spans, root_id=root_id, max_timeline=args.timeline)
-    )
-    _export_spans(spans, args, out, root_id=root_id)
+    out.emit(provenance_report(spans, **view))
+    if args.jsonl:
+        _write(out, args.jsonl, spans_to_jsonl(spans), f" ({len(spans)} spans)")
+    if args.chrome:
+        _write(
+            out, args.chrome, chrome_trace_json(spans),
+            " (Chrome trace-event JSON; open in Perfetto or chrome://tracing)",
+        )
+    if args.markdown:
+        _write(out, args.markdown, provenance_markdown(spans, **view))
     return 0
 
 
@@ -603,19 +621,13 @@ def _load_spans(path: str) -> list:
 
 def cmd_trace_report(args) -> int:
     spans = _load_spans(args.spans)
-    args.out.emit(
-        provenance_report(
-            spans, root_id=args.root, max_timeline=args.timeline
-        )
-    )
+    view = dict(root_id=args.root, max_timeline=args.timeline)
+    args.out.emit(provenance_report(spans, **view))
     if args.markdown:
-        with open(args.markdown, "w") as handle:
-            handle.write(
-                provenance_markdown(
-                    spans, root_id=args.root, max_timeline=args.timeline
-                )
-            )
-        args.out.info(f"\nwrote {args.markdown}")
+        _write(
+            args.out, args.markdown, provenance_markdown(spans, **view),
+            gap=True,
+        )
     return 0
 
 
@@ -623,11 +635,9 @@ def cmd_trace_export(args) -> int:
     spans = _load_spans(args.spans)
     text = chrome_trace_json(spans, indent=1 if args.pretty else None)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        args.out.info(
-            f"wrote {args.output} ({len(spans)} spans; open in Perfetto "
-            "or chrome://tracing)"
+        _write(
+            args.out, args.output, text,
+            f" ({len(spans)} spans; open in Perfetto or chrome://tracing)",
         )
     else:
         args.out.emit(text)
@@ -645,13 +655,9 @@ def cmd_trace_anatomy(args) -> int:
     anatomy = anatomy_of_spans(spans, root_id=args.root)
     out.emit(anatomy_report(anatomy, node=args.node))
     if args.markdown:
-        with open(args.markdown, "w") as handle:
-            handle.write(anatomy_markdown(anatomy))
-        out.info(f"\nwrote {args.markdown}")
+        _write(out, args.markdown, anatomy_markdown(anatomy), gap=True)
     if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(anatomy_json(anatomy))
-        out.info(f"wrote {args.json}")
+        _write(out, args.json, anatomy_json(anatomy))
     if args.check:
         problems = check_anatomy(anatomy.to_dict())
         if problems:
@@ -667,22 +673,13 @@ def cmd_trace_anatomy(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    topo = _parse_topology(args.topology)
-    args.out.emit(topology_dot(topo, sdn_members=sorted(_parse_sdn(args.sdn))))
+    args.out.emit(topology_dot(args.topology, sdn_members=sorted(args.sdn)))
     return 0
 
 
 # ----------------------------------------------------------------------
 # runs: the cross-run telemetry registry (docs/telemetry.md)
 # ----------------------------------------------------------------------
-def _registry_path(args) -> str:
-    return (
-        getattr(args, "registry", None)
-        or os.environ.get(REGISTRY_ENV)
-        or DEFAULT_REGISTRY_PATH
-    )
-
-
 def _open_registry(args) -> RunRegistry:
     path = _registry_path(args)
     if path != ":memory:" and not os.path.exists(path):
@@ -952,21 +949,13 @@ def cmd_runs_gc(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import ServiceConfig, run_service
+    from .service import run_service
 
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if args.no_cache:
-        cache_dir = None
-    registry = (
-        args.registry
-        or os.environ.get(REGISTRY_ENV)
-        or DEFAULT_REGISTRY_PATH
-    )
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        cache_dir=cache_dir,
-        registry_path=registry,
+        cache_dir=_cache_dir(args),
+        registry_path=_registry_path(args),
         concurrency=args.concurrency,
         max_queue=args.max_queue,
         quota=args.quota,
@@ -978,7 +967,8 @@ def cmd_serve(args) -> int:
         args.out.emit(f"serving on http://{host}:{port}")
         args.out.stream.flush()
         args.out.info(
-            f"cache: {cache_dir or 'off'}; registry: {registry}; "
+            f"cache: {config.cache_dir or 'off'}; "
+            f"registry: {config.registry_path}; "
             f"workers: {args.concurrency}; queue: {args.max_queue}; "
             f"quota: {args.quota}/client"
         )
@@ -1131,11 +1121,9 @@ def cmd_runs_dashboard(args) -> int:
             registry, title=args.title, last_sweeps=args.last_sweeps
         )
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(html)
-        args.out.info(
-            f"wrote {args.output} ({len(html)} bytes, self-contained — "
-            "open in any browser)"
+        _write(
+            args.out, args.output, html,
+            f" ({len(html)} bytes, self-contained — open in any browser)",
         )
     else:
         args.out.emit(html)
@@ -1148,9 +1136,7 @@ def cmd_runs_dashboard(args) -> int:
 def _open_cache(args):
     from .runner import ResultCache
 
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(
-        CACHE_DIR_ENV
-    )
+    cache_dir = _cache_dir(args)
     if not cache_dir:
         raise SystemExit(
             f"no cache directory: pass --cache-dir or set ${CACHE_DIR_ENV}"
@@ -1194,11 +1180,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def sweep_args(p):
-        p.add_argument("--n", type=int, default=16, help="clique size")
+    def sweep_args(p, **defaults):
+        _spec_flags(
+            p, "n", "mrai", "recompute_delay", "trace_level", "metrics",
+            "anatomy", n=16, **defaults,
+        )
         p.add_argument("--runs", type=int, default=10, help="runs per point")
-        p.add_argument("--mrai", type=float, default=30.0)
-        p.add_argument("--recompute-delay", type=float, default=0.5)
         p.add_argument("--csv", type=str, default=None,
                        help="write per-run results as CSV")
         p.add_argument("--json", type=str, default=None,
@@ -1214,24 +1201,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore any result cache for this run")
         p.add_argument("--progress", action="store_true",
                        help="log one line per trial to stderr")
-        p.add_argument("--trace-level", choices=TRACE_LEVEL_CHOICES,
-                       default="full",
-                       help="per-run trace retention: full trace, "
-                            "route-affecting only, or none (streaming "
-                            "measurement still sees everything)")
-        p.add_argument("--metrics", action="store_true",
-                       help="collect per-run metric snapshots and wall "
-                            "time by layer (see runs show) and print a "
-                            "merged summary")
         p.add_argument("--registry", type=str, default=None,
                        help="record every trial into this SQLite telemetry "
                             f"registry (also via ${REGISTRY_ENV}; "
                             "inspect with the runs subcommands)")
-        p.add_argument("--anatomy", action="store_true",
-                       help="keep spans and attribute every trial's "
-                            "convergence delay to its critical causal "
-                            "path (per-category summary prints after "
-                            "the sweep; does not change spec digests)")
 
     for name, scenario, title, summary in (
         ("fig2", "withdrawal", "Fig. 2 — withdrawal on a {n}-AS clique",
@@ -1262,21 +1235,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, title="{scenario} sweep ({n}-AS clique)")
 
     p = sub.add_parser("subcluster", help="sub-cluster split experiment")
-    p.add_argument("--seed", type=int, default=0)
+    _spec_flags(p, "seed")
     p.set_defaults(func=cmd_subcluster)
 
     p = sub.add_parser("topologies", help="topology-family comparison")
-    p.add_argument("--n", type=int, default=16)
+    _spec_flags(p, "n", "mrai", n=16)
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--mrai", type=float, default=30.0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_topologies)
 
     p = sub.add_parser("flapstorm", help="bursty-input controller ablation")
-    p.add_argument("--n", type=int, default=8)
+    _spec_flags(p, "n", "seed", n=8)
     p.add_argument("--flaps", type=int, default=10)
     p.add_argument("--delays", type=float, nargs="+", default=[0.1, 0.5, 2.0])
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_flapstorm)
 
     p = sub.add_parser(
@@ -1298,19 +1269,17 @@ def build_parser() -> argparse.ArgumentParser:
                     default="gateway-outage")
     fp.add_argument("--spec", type=str, default=None,
                     help="JSON fault-schedule file (overrides --scenario)")
-    fp.add_argument("--origins", type=str, default="1",
+    fp.add_argument("--origins", type=_parse_sdn, default="1",
                     help="with --spec: ASes that announce their /24 "
                          "before the faults start (comma list / ranges)")
-    fp.add_argument("--n", type=int, default=16, help="clique size")
-    fp.add_argument("--fractions", type=str, default="0,0.5,1",
+    fp.add_argument("--fractions", type=_parse_fractions, default="0,0.5,1",
                     help="SDN deployment fractions to compare")
     fp.add_argument("--fault-seed", type=int, default=0,
                     help="seed for fault timing jitter; same schedule + "
                          "seed reproduces the identical trace")
-    fp.add_argument("--seed", type=int, default=1,
-                    help="experiment base seed")
-    fp.add_argument("--mrai", type=float, default=5.0)
-    fp.add_argument("--recompute-delay", type=float, default=0.5)
+    _spec_flags(
+        fp, "n", "seed", "mrai", "recompute_delay", n=16, seed=1, mrai=5.0
+    )
     fp.add_argument("--no-invariants", action="store_true",
                     help="skip invariant checking (timing only)")
     fp.set_defaults(func=cmd_faults_run)
@@ -1321,21 +1290,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suites", type=str, default="",
                    help="comma list of canned suites (default: all)")
-    p.add_argument("--fractions", type=str, default="0,0.5,1")
+    p.add_argument("--fractions", type=_parse_fractions, default="0,0.5,1")
     p.add_argument("--fault-seed", type=int, default=0)
-    sweep_args(p)
-    p.set_defaults(func=cmd_scenarios, mrai=5.0, runs=3)
+    sweep_args(p, mrai=5.0)
+    p.set_defaults(func=cmd_scenarios, runs=3)
 
     p = sub.add_parser("demo", help="one withdrawal run, custom SDN set")
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--sdn", type=str, default="",
+    p.add_argument("--sdn", type=_parse_sdn, default="",
                    help="comma list / ranges, e.g. 5,6,7 or 5-8")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mrai", type=float, default=30.0)
-    p.add_argument("--trace-level", choices=TRACE_LEVEL_CHOICES,
-                   default="full")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the run's metrics snapshot")
+    _spec_flags(p, "n", "seed", "mrai", "trace_level", "metrics", n=8)
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser(
@@ -1348,14 +1311,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one scenario with spans on and print its causal report",
     )
-    tp.add_argument("--scenario", choices=sorted(TRACE_SCENARIOS),
+    tp.add_argument("--scenario", choices=scenario_names(),
                     default="withdrawal")
-    tp.add_argument("--n", type=int, default=16, help="clique size")
-    tp.add_argument("--sdn-count", type=int, default=0,
-                    help="ASes converted to SDN (highest ASNs first)")
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--mrai", type=float, default=30.0)
-    tp.add_argument("--recompute-delay", type=float, default=0.5)
+    _spec_flags(
+        tp, "n", "sdn_count", "seed", "mrai", "recompute_delay", n=16
+    )
     tp.add_argument("--timeline", type=int, default=20,
                     help="causal-timeline rows to show")
     tp.add_argument("--jsonl", type=str, default=None,
@@ -1411,9 +1371,9 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(func=cmd_trace_anatomy)
 
     p = sub.add_parser("dot", help="Graphviz export of a topology")
-    p.add_argument("--topology", type=str, default="clique:8",
+    p.add_argument("--topology", type=_parse_topology, default="clique:8",
                    help="kind:size, e.g. clique:16, ba:20, ring:6")
-    p.add_argument("--sdn", type=str, default="")
+    p.add_argument("--sdn", type=_parse_sdn, default="")
     p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser(
@@ -1504,8 +1464,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the emulation service (HTTP control plane over the "
              "sweep runner; see docs/service.md)",
     )
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8351,
+    p.add_argument("--host", type=str, default=ServiceConfig.host)
+    p.add_argument("--port", type=int, default=ServiceConfig.port,
                    help="listen port (0 picks an ephemeral port, "
                         "announced on stdout)")
     p.add_argument("--cache-dir", type=str, default=None,
@@ -1517,11 +1477,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="telemetry registry every run records into "
                         f"(default: ${REGISTRY_ENV} or "
                         f"{DEFAULT_REGISTRY_PATH})")
-    p.add_argument("--concurrency", type=int, default=1,
+    p.add_argument("--concurrency", type=int,
+                   default=ServiceConfig.concurrency,
                    help="jobs executed at once (worker threads)")
-    p.add_argument("--max-queue", type=int, default=64,
+    p.add_argument("--max-queue", type=int, default=ServiceConfig.max_queue,
                    help="queued jobs before submissions get 429")
-    p.add_argument("--quota", type=int, default=8,
+    p.add_argument("--quota", type=int, default=ServiceConfig.quota,
                    help="active jobs allowed per client id")
     p.set_defaults(func=cmd_serve)
 
@@ -1529,8 +1490,8 @@ def build_parser() -> argparse.ArgumentParser:
         "client",
         help="talk to a running service: submit, watch, fetch results",
     )
-    p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8351)
+    p.add_argument("--host", type=str, default=ServiceConfig.host)
+    p.add_argument("--port", type=int, default=ServiceConfig.port)
     p.add_argument("--client-id", type=str, default="cli",
                    help="client identity for quota accounting "
                         "(X-Repro-Client header)")

@@ -1,8 +1,27 @@
-"""Configuration management: address allocation, config rendering, and
-JSON spec ingestion for the service API."""
+"""Configuration management: address allocation, config rendering,
+JSON spec ingestion for the service API, and the service's tunables."""
+
+from dataclasses import dataclass
+from typing import Optional
 
 from .allocator import AllocationError, PrefixAllocator
 from .templates import render_bgpd_conf, render_exabgp_conf, render_route_map
+
+
+# Here rather than in repro.service, whose import pulls in asyncio: the
+# CLI reads these defaults for its serve/client flags on every start.
+@dataclass
+class ServiceConfig:
+    """Tunables of one service instance."""
+
+    host: str = "127.0.0.1"
+    port: int = 8351
+    cache_dir: Optional[str] = None
+    registry_path: Optional[str] = None
+    concurrency: int = 1
+    max_queue: int = 64
+    quota: int = 8
+
 
 # Spec ingestion resolves scenario/topology names against
 # repro.experiments, which imports repro.framework, which imports this
@@ -38,6 +57,7 @@ __all__ = [
     "render_bgpd_conf",
     "render_exabgp_conf",
     "render_route_map",
+    "ServiceConfig",
     "SpecIngestError",
     "runspec_from_json",
     "grid_from_json",

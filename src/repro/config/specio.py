@@ -34,6 +34,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "SpecIngestError",
+    "scenario_registry",
+    "topology_registry",
     "scenario_names",
     "topology_names",
     "runspec_from_json",
@@ -72,7 +74,8 @@ def _ba(n: int):
 # repro.experiments imports repro.framework which imports repro.config,
 # so eager imports here would be circular.
 @functools.lru_cache(maxsize=None)
-def _scenario_registry() -> Dict[str, Callable]:
+def scenario_registry() -> Dict[str, Callable]:
+    """Scenario name -> class, for payloads and the CLI (do not mutate)."""
     from ..experiments import (
         AnnouncementScenario,
         FailoverScenario,
@@ -87,7 +90,8 @@ def _scenario_registry() -> Dict[str, Callable]:
 
 
 @functools.lru_cache(maxsize=None)
-def _topology_registry() -> Dict[str, Callable]:
+def topology_registry() -> Dict[str, Callable]:
+    """Topology name -> sized builder ``builder(n)``, likewise."""
     from ..topology import caida_hierarchy, clique, line, ring, star
 
     return {
@@ -102,12 +106,12 @@ def _topology_registry() -> Dict[str, Callable]:
 
 def scenario_names() -> List[str]:
     """The scenario names a payload may reference."""
-    return sorted(_scenario_registry())
+    return sorted(scenario_registry())
 
 
 def topology_names() -> List[str]:
     """The topology names a payload may reference."""
-    return sorted(_topology_registry())
+    return sorted(topology_registry())
 
 
 def _show(value: Any) -> str:
@@ -341,7 +345,7 @@ def _ensure_dict(payload, what: str) -> Dict[str, Any]:
 
 
 #: JSON factory field -> the closed name registry it resolves against.
-_FACTORIES = {"scenario": _scenario_registry, "topology": _topology_registry}
+_FACTORIES = {"scenario": scenario_registry, "topology": topology_registry}
 
 
 @functools.lru_cache(maxsize=None)

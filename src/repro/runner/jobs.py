@@ -98,7 +98,8 @@ def _option(
 
     ``kind`` (with the extras ``json``: its JSON name when that is not
     the field name, ``json_default``, ``minimum``, ``choices``) is how
-    :mod:`repro.config.specio` reads and writes it; ``digest`` is
+    :mod:`repro.config.specio` reads and writes it, and with ``help``
+    how the CLI's ``--<name>`` flag reads it; ``digest`` is
     ``"always"``, ``"when_set"`` (in the digest only when it differs
     from the default, so specs that predate the field keep their
     digests and cache entries) or ``"never"``; ``grid`` says whether a
@@ -138,18 +139,24 @@ class RunSpec:
         kind="factory", json="topology", json_default="clique",
         digest="always",
     )
-    n: int = _option(kind="int", minimum=2, digest="always")
+    n: int = _option(
+        kind="int", minimum=2, digest="always", help="ASes (clique size)"
+    )
     sdn_count: int = _option(
-        kind="int", minimum=0, json_default=0, digest="always", grid=False
+        kind="int", minimum=0, json_default=0, digest="always", grid=False,
+        help="ASes converted to SDN (highest ASNs first)",
     )
     seed: int = _option(
-        kind="int", json_default=0, digest="always", grid=False, config=True
+        kind="int", json_default=0, digest="always", grid=False, config=True,
+        help="experiment base seed",
     )
     mrai: float = _option(
-        30.0, "number", minimum=0.0, digest="always", config=True
+        30.0, "number", minimum=0.0, digest="always", config=True,
+        help="BGP MRAI timer in seconds",
     )
     recompute_delay: float = _option(
-        0.5, "number", minimum=0.0, digest="always", config=True
+        0.5, "number", minimum=0.0, digest="always", config=True,
+        help="controller recompute debounce in seconds",
     )
     policy_mode: str = _option(
         "flat", "str", choices=tuple(POLICY_MODES), digest="always",
@@ -164,8 +171,12 @@ class RunSpec:
     trace_level: str = _option(
         "full", "str", choices=tuple(TRACE_LEVELS), digest="always",
         config=True,
+        help="per-run trace retention (measurement still sees every record)",
     )
-    metrics: bool = _option(False, digest="always", config=True)
+    metrics: bool = _option(
+        False, digest="always", config=True,
+        help="collect and print metric snapshots and wall time by layer",
+    )
     #: collect causal provenance spans and attach them to the record.
     #: Passive (results are bit-identical), but the record payload
     #: differs, so span-collecting trials get their own cache entries.
@@ -176,7 +187,10 @@ class RunSpec:
     #: function of the span payload — an anatomy-on trial is
     #: cache-equivalent to its anatomy-off twin, and a hit on an
     #: anatomy-less entry re-derives it losslessly.
-    anatomy: bool = _option(False, digest="never")
+    anatomy: bool = _option(
+        False, digest="never",
+        help="attribute each trial's convergence delay to its critical path",
+    )
     faults: Optional[Tuple] = _option(None, "faults")
     #: lean build: no baseline full-mesh originations, no collector.
     #: The only tractable shape at thousands of ASes.

@@ -35,9 +35,9 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from ..config import ServiceConfig
 from ..eventsim.metrics import MetricsRegistry
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord
@@ -57,19 +57,6 @@ __all__ = ["ServiceConfig", "ServiceApp", "start_service", "run_service"]
 
 #: keep-alive comment frame cadence on idle SSE streams (seconds).
 SSE_HEARTBEAT = 15.0
-
-
-@dataclass
-class ServiceConfig:
-    """Tunables of one service instance."""
-
-    host: str = "127.0.0.1"
-    port: int = 8351
-    cache_dir: Optional[str] = None
-    registry_path: Optional[str] = None
-    concurrency: int = 1
-    max_queue: int = 64
-    quota: int = 8
 
 
 def record_payload(record: RunRecord) -> Dict[str, Any]:

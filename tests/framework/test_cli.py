@@ -1,9 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import _parse_sdn, _parse_topology, main
+from repro.cli import _parse_sdn, _parse_topology, build_parser, main
 from repro.obs.registry import RunRegistry
+from repro.runner.jobs import SPEC_OPTIONS
 
 from ..obs.test_trends import record_twice
 from ..runner.test_jobs import make_spec
@@ -28,8 +31,30 @@ class TestArgHelpers:
         assert topo.name == "ring6" and len(topo) == 6
 
     def test_parse_topology_unknown(self):
-        with pytest.raises(SystemExit):
-            _parse_topology("torus:4")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dot", "--topology", "torus:4"])
+        assert exit_info.value.code == 2
+
+    def test_parse_topology_accepts_every_payload_name(self):
+        from repro.config.specio import topology_names
+
+        for name in topology_names():
+            assert len(_parse_topology(f"{name}:6")) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--sdn", "5-"],
+        ["demo", "--sdn", "x"],
+        ["dot", "--topology", "clique:x"],
+        ["dot", "--topology", "ring:2"],
+        ["faults", "run", "--origins", "1,,y"],
+        ["scenarios", "--fractions", "0,2"],
+    ])
+    def test_malformed_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {argv[-2]}" in err
 
 
 class TestCommands:
@@ -212,3 +237,114 @@ class TestRunsRegressions:
                 "--candidate", str(tmp_path),
             ])
         assert exit_info.value.code == 2
+
+
+class TestFaultInputs:
+    """Bad suite names and fault-spec files end in one line naming the
+    problem, not a traceback."""
+
+    def test_unknown_suite(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenarios", "--suites", "gateway-outage,nope"])
+        assert "unknown fault scenario 'nope'" in str(exit_info.value.code)
+
+    @pytest.mark.parametrize("content, problem", [
+        (None, "No such file"),
+        ("not json", "Expecting value"),
+        ('{"events": [{"kind": "meteor"}]}', "unknown fault kind 'meteor'"),
+    ])
+    def test_bad_spec_file(self, tmp_path, content, problem):
+        path = tmp_path / "faults.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "run", "--spec", str(path)])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"fault spec {path}: ") and problem in message
+
+
+def _leaves(parser, path=()):
+    """``(command path, parser)`` of every leaf subcommand."""
+    subs = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+LEAVES = list(_leaves(build_parser()))
+#: per-command defaults that deliberately differ from the declaration.
+OVERRIDES = {
+    ("faults", "run"): {"seed": 1, "mrai": 5.0},
+    ("scenarios",): {"mrai": 5.0},
+}
+
+
+def _spec_flags_of(path, parser):
+    for option in SPEC_OPTIONS:
+        flag = "--" + option.name.replace("_", "-")
+        for action in parser._actions:
+            if flag in action.option_strings:
+                yield pytest.param(
+                    path, option, action, id=f"{' '.join(path)} {flag}"
+                )
+
+
+class TestDeclaredFlags:
+    """Every RunSpec option a command exposes, walked from its
+    declaration, as ``TestDeclaredOptions`` walks the JSON dialect."""
+
+    @pytest.mark.parametrize(
+        "path, option, action",
+        [case for path, parser in LEAVES for case in _spec_flags_of(path, parser)],
+    )
+    def test_flag_matches_declaration(self, path, option, action):
+        meta = option.metadata
+        declared = meta.get("json_default", option.default)
+        expected = OVERRIDES.get(path, {}).get(option.name, declared)
+        assert action.help and "%" not in action.help.replace("%%", "")
+        if meta["kind"] == "bool":
+            assert (action.nargs, action.const, action.default) == (0, True, False)
+            return
+        assert action.choices == meta.get("choices")
+        if option.name == "n":  # declares no default: each command picks
+            assert action.default >= meta["minimum"]
+        else:
+            assert action.default == expected
+        if action.choices:
+            return
+        python_type = {"int": int, "number": float}[meta["kind"]]
+        parsed = action.type(str(meta.get("minimum", 3)))
+        assert type(parsed) is python_type
+        if "minimum" in meta:
+            below = str(python_type(meta["minimum"] - 1))
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([*path, action.option_strings[0], below])
+            assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--mrai", "-1"],
+        ["fig2", "--n", "1"],
+        ["demo", "--n", "1"],
+        ["trace", "run", "--n", "1"],
+    ])
+    def test_out_of_bounds_exits_2_like_a_spec_payload(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, _ in LEAVES], ids=lambda path: " ".join(path)
+)
+def test_every_leaf_help_renders(path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*path, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
