@@ -2,7 +2,7 @@
 
 Every component publishes typed :class:`TraceRecord` events here instead
 of appending to a log directly; subscribers (the
-:class:`~repro.eventsim.trace.TraceLog`, the metrics registry, live
+:class:`~repro.eventsim.trace.TraceLog`, the span tracker, live
 visualizers) each receive exactly the records they asked for.  This is
 the publish/subscribe layer that lets large sweeps keep filtered — or
 zero — trace memory while online consumers compute in O(1) per record
@@ -29,12 +29,11 @@ at all.
 Lazy publishing (:meth:`InstrumentationBus.record_lazy`): hot emitters
 hand the bus a *payload thunk* instead of a built dict.  The bus first
 checks — against its compiled per-category route — whether anything will
-actually take this record (a matching subscriber, or an attached
-provenance tracker that wants the category).  Only then does the thunk
-run and a :class:`TraceRecord` get built; otherwise the cost of the
-call is the unconditional count increment, the ``last_seen`` stamp and
-a route lookup — a run with trace capture off and no observer attached
-evaluates no thunk at all.
+actually take this record (a subscriber whose filter matches).  Only
+then does the thunk run and a :class:`TraceRecord` get built; otherwise
+the cost of the call is the unconditional count increment, the
+``last_seen`` stamp and a route lookup — a run with trace capture off
+and no observer attached evaluates no thunk at all.
 The contract for subscriber authors: a record's ``data`` dict is built
 at publish time whenever *any* taker exists, so every taker of the same
 occurrence sees the same payload, and payloads always reflect state at
@@ -108,7 +107,7 @@ class TraceRecord(NamedTuple):
 
     def matches(self, prefix: str) -> bool:
         """True if this record's category equals or is nested under ``prefix``."""
-        return self.category == prefix or self.category.startswith(prefix + ".")
+        return _matches(self.category, (prefix,))
 
 
 def _matches(category: str, prefixes) -> bool:
@@ -118,6 +117,12 @@ def _matches(category: str, prefixes) -> bool:
         if category == prefix or category.startswith(prefix + "."):
             return True
     return False
+
+
+def _count(counts: Dict[str, int], category: str) -> int:
+    """Total of the per-category ``counts`` whose category equals or
+    nests under ``category``."""
+    return sum(n for cat, n in counts.items() if _matches(cat, (category,)))
 
 
 @dataclass
@@ -132,10 +137,6 @@ class Subscription:
     callback: Callable[[TraceRecord], None]
     categories: Optional[Tuple[str, ...]] = None
     name: str = ""
-
-    def wants(self, category: str) -> bool:
-        """Category-filter check (prefix semantics)."""
-        return self.categories is None or _matches(category, self.categories)
 
 
 class InstrumentationBus:
@@ -156,19 +157,18 @@ class InstrumentationBus:
     def __init__(self, sim) -> None:
         self._sim = sim
         self._subscriptions: List[Subscription] = []
-        #: total records published per exact category.
+        #: total records published per exact category; never reset.
         self.counts: Dict[str, int] = {}
-        #: virtual time of the last record published per exact category
-        #: (survives :meth:`clear_counts`).
+        #: virtual time of the last record published per exact category.
         self.last_seen: Dict[str, float] = {}
         #: category -> compiled ``(eager, callbacks)`` route (see
         #: :meth:`_compile`).
         self._routes: Dict[str, tuple] = {}
-        #: records counted before the last :meth:`clear_counts` — keeps
-        #: :attr:`records_published` monotonic across count resets
-        #: without a per-record increment on the hot path.
-        self._published_base = 0
-        self._obs = None
+        #: the causal context slot: the span tracker
+        #: (:class:`repro.obs.SpanTracker`) whose ``current`` context
+        #: components read and swap, or None.  Records reach the tracker
+        #: through its subscription, not through this attribute.
+        self.obs = None
 
     @property
     def now(self) -> float:
@@ -178,19 +178,7 @@ class InstrumentationBus:
     @property
     def records_published(self) -> int:
         """Total records ever published (derived from the counts)."""
-        return self._published_base + sum(self.counts.values())
-
-    @property
-    def obs(self):
-        """Attached provenance tracker (repro.obs.SpanTracker) or None."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, tracker) -> None:
-        # Compiled routes bake in whether the tracker wants each
-        # category, so attaching/detaching one invalidates them.
-        self._obs = tracker
-        self._routes.clear()
+        return sum(self.counts.values())
 
     # ------------------------------------------------------------------
     # subscription management
@@ -246,52 +234,34 @@ class InstrumentationBus:
         Returns ``(eager, callbacks)``:
 
         - ``eager`` — a prebound closure handling one occurrence end to
-          end (observer hook, record construction, delivery, in that
-          order), or None when nothing at all is attached — the lazy
-          publishing path skips the payload thunk exactly when this is
-          None;
+          end (record construction, then delivery), or None when no
+          subscription matches — the lazy publishing path skips the
+          payload thunk exactly when this is None;
         - ``callbacks`` — the callbacks of the subscriptions whose filter
           matches, in subscribe order (delivery order is part of the
           determinism contract).
-
-        The attached tracker takes the category when
-        ``obs.wants(category)`` (trackers without a ``wants`` method are
-        assumed to want everything).
         """
         callbacks = tuple(
-            s.callback for s in self._subscriptions if s.wants(category)
+            s.callback for s in self._subscriptions
+            if s.categories is None or _matches(category, s.categories)
         )
-        obs = self._obs
-        if obs is None:
-            obs_wants = False
-        else:
-            wants = getattr(obs, "wants", None)
-            obs_wants = True if wants is None else bool(wants(category))
         eager: Optional[Callable[[str, dict], None]]
-        if not callbacks and not obs_wants:
+        if not callbacks:
             eager = None
-        elif not callbacks:
-
-            def eager(node, data, _hook=obs.on_record, _cat=category):
-                _hook(_cat, node, data)
-
-        elif obs_wants or len(callbacks) > 1:
+        elif len(callbacks) > 1:
 
             def eager(
                 node, data,
-                _hook=obs.on_record if obs_wants else None,
                 _cat=category, _sim=self._sim, _new=tuple.__new__,
                 _cls=TraceRecord, _callbacks=callbacks,
             ):
-                if _hook is not None:
-                    _hook(_cat, node, data)
                 rec = _new(_cls, (_sim._now, _cat, node, data))
                 for callback in _callbacks:
                     callback(rec)
 
         else:
-            # The common large-run shape: one subscriber, no tracker —
-            # e.g. the trace log's bare ``deque.append``.
+            # The common large-run shape: one subscriber — e.g. the
+            # trace log's bare ``deque.append``.
 
             def eager(
                 node, data,
@@ -357,10 +327,7 @@ class InstrumentationBus:
     # ------------------------------------------------------------------
     def count(self, category: str) -> int:
         """Total records whose category equals or nests under ``category``."""
-        return sum(
-            n for cat, n in self.counts.items()
-            if cat == category or cat.startswith(category + ".")
-        )
+        return _count(self.counts, category)
 
     def last_time(self, categories) -> Optional[float]:
         """Virtual time of the last record whose category equals or
@@ -372,11 +339,6 @@ class InstrumentationBus:
             ),
             default=None,
         )
-
-    def clear_counts(self) -> None:
-        """Reset the per-category totals (subscribers are untouched)."""
-        self._published_base += sum(self.counts.values())
-        self.counts.clear()
 
     def __repr__(self) -> str:
         return (

@@ -1,16 +1,14 @@
-"""Online metrics: counters, gauges, histograms over the bus.
-
-The registry is the streaming replacement for "re-scan the trace and
-count": components (or the bus itself) update metrics in O(1) per
-record, and a run-end :meth:`MetricsRegistry.snapshot` travels with
-every sweep artifact (JSON export, CLI summary) instead of megabytes of
-raw trace.
+"""Metrics: counters, gauges, histograms, and the per-run payload.
 
 Metrics are keyed by name plus optional labels (``category=...``,
-``node=...``), rendered Prometheus-style as ``name{k=v,...}``.  The
-registry can observe an :class:`~repro.eventsim.bus.InstrumentationBus`
-directly, which maintains ``records_total`` counters by category — the
-built-in instrumentation every run gets for free.
+``node=...``), rendered Prometheus-style as ``name{k=v,...}``.  A
+:class:`MetricsRegistry` holds live metrics updated in O(1) (the
+service's ``/metrics``).  A run's payload needs no registry: the
+:class:`~repro.eventsim.bus.InstrumentationBus` already counts every
+record by category, and :func:`records_snapshot` renders those counts as
+``records_total`` counters in the registry's snapshot shape — the
+summary that travels with every sweep artifact (JSON export, CLI
+summary) instead of megabytes of raw trace.
 
 Wall time is read once per run, by layer: :func:`time_by_layer` sums
 each dispatched event's wall seconds into the ``repro.<subpackage>``
@@ -31,6 +29,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "records_snapshot",
     "merge_snapshots",
     "format_snapshot",
     "parse_key",
@@ -205,23 +204,16 @@ def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
 class MetricsRegistry:
     """Get-or-create store of named metrics with label support.
 
-    One registry serves a whole run; components reach it through
-    ``network.metrics`` (when enabled) and register custom metrics with
-    plain calls — no declaration step::
+    Metrics are registered with plain calls — no declaration step::
 
-        registry.counter("controller.recompute.skipped", node="ctl").inc()
-        registry.histogram("bgp.rib.size").observe(len(rib))
+        registry.counter("service.requests", route=route).inc()
+        registry.histogram("service.request_seconds").observe(elapsed)
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: the bus callback's resolved counters, by category — see
-        #: :meth:`observe_bus`.
-        self._record_counters: dict = {}
-        self._subscription = None
-        self._bus = None
 
     # ------------------------------------------------------------------
     # metric accessors (get-or-create)
@@ -257,38 +249,6 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    # bus + simulator integration
-    # ------------------------------------------------------------------
-    def observe_bus(self, bus) -> None:
-        """Subscribe the built-in record counter to a bus: maintains
-        ``records_total{category=...}`` for every record published."""
-        if self._subscription is not None:
-            raise RuntimeError("registry already observes a bus")
-
-        # A record's counter depends only on its category: format its
-        # key once, then count by lookup.  ``clear()`` empties the memo
-        # together with the table it points into.
-        memo = self._record_counters
-
-        def on_record(rec) -> None:
-            counter = memo.get(rec.category)
-            if counter is None:
-                counter = memo[rec.category] = self.counter(
-                    "records_total", category=rec.category
-                )
-            counter.inc()
-
-        self._bus = bus
-        self._subscription = bus.subscribe(on_record, name="metrics")
-
-    def detach(self) -> None:
-        """Stop observing the bus."""
-        if self._subscription is not None and self._bus is not None:
-            self._bus.unsubscribe(self._subscription)
-            self._subscription = None
-            self._bus = None
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -306,18 +266,26 @@ class MetricsRegistry:
             },
         }
 
-    def clear(self) -> None:
-        """Drop every metric (subscriptions stay attached)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._record_counters.clear()
-
     def __repr__(self) -> str:
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
             f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
         )
+
+
+def records_snapshot(counts: Dict[str, int]) -> dict:
+    """A run's metrics payload from the bus's per-category ``counts``:
+    one ``records_total{category=...}`` counter each, in the shape (and
+    key order) of :meth:`MetricsRegistry.snapshot`."""
+    counters = {
+        _key("records_total", {"category": category}): float(n)
+        for category, n in counts.items()
+    }
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": {},
+        "histograms": {},
+    }
 
 
 # ----------------------------------------------------------------------

@@ -156,11 +156,6 @@ class TraceLog:
         """
         return self.bus.count(category)
 
-    def clear(self) -> None:
-        """Drop retained records and reset the bus counters."""
-        self._records.clear()
-        self.bus.clear_counts()
-
     def __repr__(self) -> str:
         return (
             f"<TraceLog records={len(self._records)} "

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from ..eventsim import ROUTE_AFFECTING, STATE_CHANGING
+from ..eventsim.bus import _count
 from .experiment import Experiment
 
 __all__ = [
@@ -196,10 +197,3 @@ class MeasurementWindow:
         if check_reachability:
             measurement.all_reachable = self.experiment.all_reachable()
         return measurement
-
-
-def _count(counts: Dict[str, int], category: str) -> int:
-    return sum(
-        n for cat, n in counts.items()
-        if cat == category or cat.startswith(category + ".")
-    )

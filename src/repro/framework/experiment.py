@@ -33,6 +33,7 @@ from ..config.allocator import PrefixAllocator
 from ..controller.graphs import Peering
 from ..controller.idr import ControllerConfig, IDRController
 from ..controller.speaker import ClusterBGPSpeaker
+from ..eventsim.metrics import records_snapshot
 from ..net.addr import Prefix
 from ..net.dataplane import FibEntry
 from ..net.link import Link
@@ -144,8 +145,9 @@ class ExperimentConfig:
     #: route-affecting categories), or "off" (zero trace memory —
     #: streaming subscribers still see everything).
     trace_level: str = "full"
-    #: attach a MetricsRegistry to the bus (per-category counters plus
-    #: any custom metrics components register).
+    #: give the run a metrics payload (:meth:`Experiment.metrics_snapshot`:
+    #: the bus's per-category record counts as ``records_total``
+    #: counters); the runner also reads wall time by layer.
     metrics: bool = False
     #: attach a causal-provenance SpanTracker to the bus: every
     #: route-affecting record becomes a span with (cause_id, parent_id)
@@ -212,8 +214,6 @@ class Experiment:
             seed=self.config.seed,
             trace_level=self.config.trace_level,
         )
-        if self.config.metrics:
-            self.net.enable_metrics()
         if self.config.spans:
             self.net.enable_spans()
         self._build_cluster_core()
@@ -418,15 +418,12 @@ class Experiment:
         self._require_built()
         return self.net.sim.now
 
-    @property
-    def metrics(self):
-        """The metrics registry (None unless ``config.metrics``)."""
-        return self.net.metrics if self.net is not None else None
-
     def metrics_snapshot(self) -> Optional[dict]:
-        """JSON-ready metrics dump, or None when metrics are disabled."""
-        registry = self.metrics
-        return registry.snapshot() if registry is not None else None
+        """JSON-ready metrics payload (the bus's record counts), or None
+        when metrics are disabled."""
+        if not self.config.metrics or self.net is None:
+            return None
+        return records_snapshot(self.net.bus.counts)
 
     @property
     def spans(self):

@@ -11,14 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from ..eventsim import (
-    ROUTE_AFFECTING,
-    InstrumentationBus,
-    MetricsRegistry,
-    Simulator,
-    TraceLog,
-)
-from ..obs.spans import SpanTracker
+from ..eventsim import ROUTE_AFFECTING, InstrumentationBus, Simulator, TraceLog
+from ..obs.spans import SPAN_CATEGORIES, SpanTracker
 from .addr import IPv4Address
 from .link import Link
 from .node import Node
@@ -53,9 +47,9 @@ class Network:
     """Inventory of emulated devices sharing one event loop and bus.
 
     The network owns the :class:`InstrumentationBus` every device
-    publishes on, plus the default subscribers: a :class:`TraceLog`
-    (record capture, tunable via ``trace_level``) and — opt-in via
-    :meth:`enable_metrics` — a :class:`MetricsRegistry`.
+    publishes on, plus its subscribers: a :class:`TraceLog` (record
+    capture, tunable via ``trace_level``) and — opt-in via
+    :meth:`enable_spans` — a :class:`SpanTracker`.
 
     ``trace_level``: ``"full"`` retains every record, ``"route"``
     retains only route-affecting categories, ``"off"`` retains nothing
@@ -82,20 +76,13 @@ class Network:
             capture=trace_level != "off",
         )
         self.trace_level = trace_level
-        self.metrics: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanTracker] = None
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []
 
-    def enable_metrics(self) -> MetricsRegistry:
-        """Attach a metrics registry to the bus (idempotent)."""
-        if self.metrics is None:
-            self.metrics = MetricsRegistry()
-            self.metrics.observe_bus(self.bus)
-        return self.metrics
-
     def enable_spans(self) -> SpanTracker:
-        """Attach a causal-provenance span tracker to the bus (idempotent).
+        """Subscribe a causal-provenance span tracker to the bus and make
+        it the bus's causal context slot, ``bus.obs`` (idempotent).
 
         Every route-affecting record then becomes a :class:`Span` with a
         ``(cause_id, parent_id)`` lineage; components propagate causal
@@ -106,6 +93,10 @@ class Network:
         if self.spans is None:
             self.spans = SpanTracker(self.sim)
             self.bus.obs = self.spans
+            self.bus.subscribe(
+                self.spans.on_record, categories=SPAN_CATEGORIES,
+                name="spans",
+            )
         return self.spans
 
     # ------------------------------------------------------------------
@@ -123,7 +114,7 @@ class Network:
         return self.add_node(factory(self.sim, self.bus, name, **kwargs))
 
     def get(self, name: str) -> Node:
-        """Exact-match lookup; None if absent."""
+        """Exact-match lookup; raises ``KeyError`` if absent."""
         try:
             return self.nodes[name]
         except KeyError:

@@ -1,11 +1,11 @@
 """Causal provenance spans — message lineage for every routing change.
 
 The instrumentation bus answers *what* happened (counts, records); this
-module answers *why*.  A :class:`SpanTracker` attached to a bus
-(``bus.obs``) turns every route-affecting record into a :class:`Span`
-carrying a ``(cause_id, parent_id)`` pair, where ``cause_id`` names the
-root event (an originated announcement or withdrawal, a link failure, a
-router crash) whose causal tree the span belongs to.  Components
+module answers *why*.  A :class:`SpanTracker` subscribed to a bus turns
+every route-affecting record into a :class:`Span` carrying a
+``(cause_id, parent_id)`` pair, where ``cause_id`` names the root event
+(an originated announcement or withdrawal, a link failure, a router
+crash) whose causal tree the span belongs to.  Components
 propagate the *current* causal context explicitly:
 
 - a sender stamps its context onto each in-flight message
@@ -17,8 +17,9 @@ propagate the *current* causal context explicitly:
 The tracker is deliberately passive: it never schedules events, never
 touches the simulator RNG, and never publishes bus records, so enabling
 it cannot perturb a run — convergence results are bit-identical with
-spans on or off.  When no tracker is attached the only cost on the
-record hot path is one attribute load and a ``None`` check.
+spans on or off.  The bus's ``obs`` slot holds the tracker whose context
+components read and swap; when it is None, context propagation costs
+one attribute load and a ``None`` check per site.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..eventsim.bus import ROUTE_AFFECTING
+from ..eventsim.bus import ROUTE_AFFECTING, TraceRecord
 
 __all__ = [
     "Span",
@@ -40,7 +41,7 @@ __all__ = [
 Context = Tuple[int, int]
 
 #: Categories that become spans automatically when published on a bus
-#: with a tracker attached.  Exactly the route-affecting set — one span
+#: with a tracker subscribed.  Exactly the route-affecting set — one span
 #: per route-affecting record is the invariant that makes DAG-derived
 #: convergence instants match the streaming MeasurementWindow.
 SPAN_CATEGORIES = frozenset(ROUTE_AFFECTING)
@@ -122,13 +123,13 @@ class Span:
 class SpanTracker:
     """Collects spans and carries the current causal context.
 
-    Attach with ``bus.obs = SpanTracker(sim)`` (or
-    ``Network.enable_spans()``): the bus then calls :meth:`on_record`
-    for every published record in :data:`SPAN_CATEGORIES`, which
-    becomes a span parented under :attr:`current`.  A record arriving with
-    no current context starts a new root cause — originations,
-    withdrawals and fault injections are roots by construction because
-    they fire from scenario code, outside any message context.
+    Attach with ``Network.enable_spans()``, which subscribes
+    :meth:`on_record` to :data:`SPAN_CATEGORIES` and sets ``bus.obs``
+    to the tracker: every such record becomes a span parented under
+    :attr:`current`.  A record arriving with no current context
+    starts a new root cause — originations, withdrawals and fault
+    injections are roots by construction because they fire from
+    scenario code, outside any message context.
 
     Span ids are a plain monotonic counter (starting at 1), so a given
     seed yields the same ids on every run.
@@ -147,20 +148,11 @@ class SpanTracker:
     # ------------------------------------------------------------------
     # span creation
     # ------------------------------------------------------------------
-    def wants(self, category: str) -> bool:
-        """Bus interest check: does this category become a span?
-
-        The bus bakes the answer into its compiled per-category routes,
-        so non-spanned categories skip payload materialization entirely
-        on the lazy publishing path.
-        """
-        return category in SPAN_CATEGORIES
-
-    def on_record(self, category: str, node: str, data: Dict[str, Any]) -> None:
-        """Bus hook for a record whose category :meth:`wants` accepted
-        (the bus's compiled route asked): the span holds ``data`` itself."""
-        now = self.sim.now
-        self._emit(category, node, now, now, data)
+    def on_record(self, record: TraceRecord) -> None:
+        """Subscription callback: the record becomes a span holding the
+        record's ``data`` itself."""
+        time = record.time
+        self._emit(record.category, record.node, time, time, record.data)
 
     def emit(
         self,
@@ -244,11 +236,6 @@ class SpanTracker:
     def snapshot(self) -> List[Dict[str, Any]]:
         """All spans as JSON-ready dicts (RunRecord / cache payload)."""
         return [span.to_dict() for span in self.spans]
-
-    def clear(self) -> None:
-        """Drop collected spans; ids keep counting (never reused)."""
-        self.spans.clear()
-        self.last_ctx = None
 
     def __repr__(self) -> str:
         return (

@@ -175,7 +175,8 @@ class RunSpec:
     )
     metrics: bool = _option(
         False, digest="always", config=True,
-        help="collect and print metric snapshots and wall time by layer",
+        help="print record counts per category; wall time by layer goes "
+        "into registry rows (shown by `runs show`)",
     )
     #: collect causal provenance spans and attach them to the record.
     #: Passive (results are bit-identical), but the record payload

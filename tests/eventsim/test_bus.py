@@ -64,15 +64,6 @@ class TestPublishing:
         assert got == [rec]
         assert bus.counts["bgp.decision"] == 1
 
-    def test_clear_counts_keeps_subscribers(self, bus):
-        got = []
-        bus.subscribe(got.append)
-        bus.record("fib.change", "as1")
-        bus.clear_counts()
-        assert bus.counts == {}
-        bus.record("fib.change", "as1")
-        assert len(got) == 2
-
 
 class TestFiltering:
     def test_category_prefix_filter(self, bus):

@@ -1,6 +1,19 @@
 """Unit tests for the structured trace log."""
 
 from repro.eventsim import ROUTE_AFFECTING, TraceLog
+from repro.framework.convergence import MeasurementWindow
+
+
+class _Run:
+    """What a :class:`MeasurementWindow` reads of an experiment."""
+
+    def __init__(self, sim, bus):
+        self._sim = sim
+        self.net = type("Net", (), {"bus": bus})()
+
+    @property
+    def now(self):
+        return self._sim.now
 
 
 class TestRecording:
@@ -31,12 +44,6 @@ class TestRecording:
         trace.record("x", "n")
         assert len(trace) == 0
         assert trace.counts["x"] == 1
-
-    def test_clear(self, trace):
-        trace.record("x", "n")
-        trace.clear()
-        assert len(trace) == 0
-        assert trace.counts == {}
 
 
 class TestTaps:
@@ -89,9 +96,25 @@ class TestQueries:
         assert len(trace.filter(since=2.0, until=3.0)) == 2
 
     def test_exact_category_does_not_match_prefix_sibling(self, sim, trace):
-        trace.record("bgp.update", "n")
-        trace.record("bgp.updates", "n")  # not nested under bgp.update
-        assert len(trace.filter(category="bgp.update")) == 1
+        """``bgp.updates`` does not nest under ``bgp.update`` — for the
+        trace, the bus and a measurement window alike."""
+        window = MeasurementWindow(_Run(sim, trace.bus))
+        for t, category in [
+            (1.0, "bgp.update"),
+            (2.0, "bgp.updates"),  # not nested under bgp.update
+            (3.0, "bgp.update.tx"),
+            (4.0, "bgp.update.tx.retry"),  # nested under bgp.update.tx
+            (5.0, "bgp.update.txs"),  # not nested under bgp.update.tx
+        ]:
+            sim.schedule(t, lambda c=category: trace.record(c, "n"))
+        sim.run()
+        assert len(trace.filter(category="bgp.update")) == 4
+        assert trace.bus.count("bgp.update") == 4
+        assert trace.bus.count("bgp.update.tx") == 2
+        assert trace.bus.last_time({"bgp.update"}) == 5.0
+        assert trace.bus.last_time({"bgp.update.tx"}) == 4.0
+        assert trace.bus.last_time({"bgp.updat"}) is None
+        assert window.close().updates_tx == 2
 
     def test_last_time_over_route_affecting(self, sim, trace):
         self._populate(sim, trace)

@@ -302,18 +302,6 @@ class TestTrackerReadsLastSeen:
         for since in (0.0, 4.0, 6.5, 6.6):
             self.assert_matches_scan(ROUTE_AFFECTING, since)
 
-    def test_survives_clear_counts(self):
-        self.advance(1.5)
-        self.bus.record("bgp.decision", "n")
-        self.bus.clear_counts()
-        assert self.bus.counts == {}
-        assert self.bus.last_time(STATE_CHANGING) == 1.5
-        self.assert_matches_scan(STATE_CHANGING, 0.0)
-        self.advance(1.0)
-        self.bus.record("bgp.update.tx", "n")
-        assert self.bus.last_time(ROUTE_AFFECTING) == 2.5
-        self.assert_matches_scan(ROUTE_AFFECTING, 2.0)
-
     def test_tracker_made_later_sees_nothing_since_now(self):
         self.bus.record("bgp.update.tx", "n")
         self.bus.record("fib.change", "n")

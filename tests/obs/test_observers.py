@@ -4,15 +4,16 @@ Every check here is a count or an equality, none a timing.
 
 *The work is done once*: with every observer on, an UPDATE is rendered
 once however many records name it, a pooled AS path is stringified once,
-and the metrics subscriber formats a counter key per category, not per
+and the metrics payload formats a counter key per category, not per
 record; with no observer at all, no payload is built in the first place.
 
 *Observers stay invisible*: trace capture, metrics, spans and anatomy
-together change no measurement, no bus count and no event, and the spans
-they produce are pinned in ``golden/spans_clique5_sdn2_seed5.json``.  The
-file moves only with a deliberate provenance change: it was last
+together change no measurement, no bus count and no event.  The spans
+they produce are pinned in ``golden/spans_clique5_sdn2_seed5.json``: the
+file moves only with a deliberate provenance change, and was last
 recaptured when an output run that did not send a prefix began dropping
-that prefix's pending cause.
+that prefix's pending cause.  The metrics payload of one hybrid trial is
+pinned byte for byte in ``golden/metrics_clique6_sdn3_seed5.json``.
 """
 
 import hashlib
@@ -123,11 +124,11 @@ class TestWorkIsDoneOnce:
         # tx and rx records of one UPDATE share its one rendering.
         assert 0 < work.renders <= sent
         assert 0 < work.path_texts == len({path.asns for path in work.paths})
-        # One key per category for the record counters (and one for the
-        # gauge the snapshot adds) — against hundreds of records.
+        # One key per category for the record counters — against
+        # hundreds of records.
         records = sum(bus.counts.values())
         assert records > work.thunks > 500
-        assert work.keys <= len(bus.counts) + 2 < records // 10
+        assert work.keys == len(bus.counts) < records // 10
 
     def test_unobserved_trial_builds_no_payload(self, monkeypatch, experiments):
         work = Work(monkeypatch)
@@ -179,10 +180,18 @@ class TestObserversStayInvisible:
             observed_exp.net.sim.events_processed
             == bare_exp.net.sim.events_processed
         )
-        # The metrics subscriber saw exactly what the bus counted.
+        # The payload carries the bus's count of every category.
         counters = record.metrics["counters"]
         for category, count in observed_exp.net.bus.counts.items():
             assert counters[f"records_total{{category={category}}}"] == count
+
+    def test_metrics_payload_equals_the_parent_commits(self):
+        record = execute_spec(RunSpec(
+            scenario_factory=WithdrawalScenario, topology_factory=clique,
+            n=6, sdn_count=3, seed=5, mrai=2.0, metrics=True,
+        ))
+        golden = (GOLDEN / "metrics_clique6_sdn3_seed5.json").read_bytes()
+        assert (json.dumps(record.metrics) + "\n").encode() == golden
 
     def test_spans_equal_the_parent_commits(self):
         _, _, spans = withdrawal(5, 2, seed=5, spans=True)

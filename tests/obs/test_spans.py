@@ -15,10 +15,13 @@ from repro.obs import (
 
 
 def make_bus():
+    """A bus with a tracker attached as ``Network.enable_spans`` does:
+    the context slot plus a subscription."""
     sim = Simulator(seed=0)
     bus = InstrumentationBus(sim)
     obs = SpanTracker(sim)
     bus.obs = obs
+    bus.subscribe(obs.on_record, categories=SPAN_CATEGORIES, name="spans")
     return sim, bus, obs
 
 
@@ -182,14 +185,6 @@ class TestSnapshotAndClear:
         restored = [Span.from_dict(d) for d in dumped]
         assert restored == obs.spans
 
-    def test_clear_keeps_id_counter(self):
-        sim, bus, obs = make_bus()
-        bus.record("bgp.decision", "as1")
-        obs.clear()
-        assert len(obs) == 0 and obs.last_ctx is None
-        bus.record("bgp.decision", "as1")
-        assert obs.spans[0].span_id == 2  # ids never reused
-
     def test_span_categories_is_route_affecting(self):
         from repro.eventsim import ROUTE_AFFECTING
 
@@ -201,3 +196,13 @@ class TestSnapshotAndClear:
         assert bus.obs is None
         bus.record("bgp.update.tx", "as1")  # must not raise
         assert bus.counts["bgp.update.tx"] == 1
+
+    def test_records_reach_the_tracker_only_by_subscription(self):
+        sim = Simulator(seed=0)
+        bus = InstrumentationBus(sim)
+        obs = bus.obs = SpanTracker(sim)
+        bus.record("bgp.update.tx", "as1")
+        assert obs.spans == []
+        bus.subscribe(obs.on_record, categories=SPAN_CATEGORIES)
+        bus.record("bgp.update.tx", "as1")
+        assert [s.category for s in obs.spans] == ["bgp.update.tx"]
