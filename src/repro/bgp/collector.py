@@ -62,14 +62,13 @@ class RouteCollector(BGPRouter):
     def __init__(
         self,
         sim: Simulator,
-        instrument,
         name: str = "collector",
         *,
         asn: int = COLLECTOR_ASN,
         timers: Optional[BGPTimers] = None,
     ) -> None:
         timers = timers if timers is not None else BGPTimers(mrai=0.0)
-        super().__init__(sim, instrument, name, asn=asn, timers=timers)
+        super().__init__(sim, name, asn=asn, timers=timers)
         self.feed: List[CollectedUpdate] = []
         #: one policy object for every feed (shared means read-only).
         self._feed_policy = collector_policy()

@@ -48,7 +48,6 @@ class BGPRouter(Node):
     def __init__(
         self,
         sim: Simulator,
-        instrument,
         name: str,
         *,
         asn: int,
@@ -56,7 +55,7 @@ class BGPRouter(Node):
         decision: Optional[DecisionConfig] = None,
         damping: Optional[DampingConfig] = None,
     ) -> None:
-        super().__init__(sim, instrument, name)
+        super().__init__(sim, name)
         if asn <= 0:
             raise ValueError(f"ASN must be positive: {asn!r}")
         self.asn = asn
@@ -105,8 +104,7 @@ class BGPRouter(Node):
         local_asn: Optional[int] = None,
     ) -> BGPSession:
         """Configure an eBGP session over ``link`` (must attach to us)."""
-        if link.other(self) is None:  # raises if we're not an endpoint
-            raise ValueError("link does not attach to this router")
+        link.other(self)  # raises ValueError if we're not an endpoint
         if link.link_id in self.sessions:
             raise ValueError(f"session already configured on {link.name}")
         session = BGPSession(

@@ -63,12 +63,11 @@ class IDRController(Node):
     def __init__(
         self,
         sim: Simulator,
-        instrument,
         name: str = "controller",
         *,
         config: Optional[ControllerConfig] = None,
     ) -> None:
-        super().__init__(sim, instrument, name)
+        super().__init__(sim, name)
         self.config = config if config is not None else ControllerConfig()
         self.switch_graph = SwitchGraph()
         self.speaker: Optional[ClusterBGPSpeaker] = None

@@ -94,12 +94,11 @@ class ClusterBGPSpeaker(Node):
     def __init__(
         self,
         sim: Simulator,
-        instrument,
         name: str = "speaker",
         *,
         timers: Optional[BGPTimers] = None,
     ) -> None:
-        super().__init__(sim, instrument, name)
+        super().__init__(sim, name)
         self.asn = SPEAKER_ASN
         #: ExaBGP applies no MRAI; the controller's delayed recomputation
         #: is the cluster's rate limiter (paper §3).

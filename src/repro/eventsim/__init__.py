@@ -8,7 +8,7 @@ Public surface:
 - :class:`Timer`, :class:`PeriodicTimer`, :class:`DebounceTimer` —
   the timer disciplines BGP and the IDR controller need.
 - :class:`InstrumentationBus` — the publish/subscribe hub every
-  component emits typed records on.
+  component emits typed records on; each simulator owns one, ``sim.bus``.
 - :class:`TraceLog` / :class:`TraceRecord` — record capture (one bus
   subscriber) consumed by the analysis tools.
 - :class:`MetricsRegistry` — streaming counters/gauges/histograms;
@@ -20,7 +20,6 @@ from .bus import (
     STATE_CHANGING,
     InstrumentationBus,
     Subscription,
-    bus_of,
 )
 from .core import Event, SimulationError, Simulator
 from .metrics import (
@@ -44,7 +43,6 @@ __all__ = [
     "DebounceTimer",
     "InstrumentationBus",
     "Subscription",
-    "bus_of",
     "TraceLog",
     "TraceRecord",
     "ROUTE_AFFECTING",

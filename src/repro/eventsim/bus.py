@@ -1,9 +1,11 @@
 """Streaming instrumentation bus — the framework's logging backbone.
 
-Every component publishes typed :class:`TraceRecord` events here instead
-of appending to a log directly; subscribers (the
-:class:`~repro.eventsim.trace.TraceLog`, the span tracker, live
-visualizers) each receive exactly the records they asked for.  This is
+Each :class:`~repro.eventsim.core.Simulator` owns exactly one bus,
+``sim.bus``, and every component built on that simulator publishes
+typed :class:`TraceRecord` events on it instead of appending to a log
+directly; subscribers (the :class:`~repro.eventsim.trace.TraceLog`, the
+span tracker, live visualizers) each receive exactly the records they
+asked for.  This is
 the publish/subscribe layer that lets large sweeps keep filtered — or
 zero — trace memory while online consumers compute in O(1) per record
 what previously required full-trace scans.
@@ -57,7 +59,6 @@ __all__ = [
     "InstrumentationBus",
     "ROUTE_AFFECTING",
     "STATE_CHANGING",
-    "bus_of",
 ]
 
 #: Categories that indicate routing state is still in flux.  The
@@ -169,11 +170,6 @@ class InstrumentationBus:
         #: components read and swap, or None.  Records reach the tracker
         #: through its subscription, not through this attribute.
         self.obs = None
-
-    @property
-    def now(self) -> float:
-        """Current virtual time of the owning simulator."""
-        return self._sim.now
 
     @property
     def records_published(self) -> int:
@@ -345,20 +341,3 @@ class InstrumentationBus:
             f"<InstrumentationBus subscribers={len(self._subscriptions)} "
             f"published={self.records_published}>"
         )
-
-
-def bus_of(instrument) -> InstrumentationBus:
-    """Normalize a bus-or-trace handle to the underlying bus.
-
-    Emitting layers accept either an :class:`InstrumentationBus` or a
-    legacy :class:`~repro.eventsim.trace.TraceLog` (which owns a bus),
-    so existing construction code keeps working.
-    """
-    if isinstance(instrument, InstrumentationBus):
-        return instrument
-    bus = getattr(instrument, "bus", None)
-    if isinstance(bus, InstrumentationBus):
-        return bus
-    raise TypeError(
-        f"expected an InstrumentationBus or TraceLog, got {instrument!r}"
-    )

@@ -30,6 +30,8 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Callable, List, Optional
 
+from .bus import InstrumentationBus
+
 __all__ = ["Event", "Simulator", "SimulationError"]
 
 
@@ -90,6 +92,9 @@ class Simulator:
         self._live_foreground = 0
         self.events_processed = 0
         self._dispatch_hook: Optional[Callable[[Event, float], None]] = None
+        #: the one instrumentation bus every component on this simulator
+        #: publishes on.
+        self.bus = InstrumentationBus(self)
 
     # ------------------------------------------------------------------
     # clock & randomness

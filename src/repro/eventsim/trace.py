@@ -3,27 +3,23 @@
 Historically the ``TraceLog`` *was* the instrumentation layer: every
 component appended frozen records to one unbounded list, and the
 analysis package re-scanned it after the run.  Publishing now happens on
-the :class:`~repro.eventsim.bus.InstrumentationBus`; the trace log is
-just the subscriber that retains records for offline "log file
-analysis" (``repro.analysis``).  Two capture controls serve large
-runs: ``categories`` (a dotted-prefix filter; retain only matching
-records) and ``capture=False`` (retain nothing).
+the simulator's :class:`~repro.eventsim.bus.InstrumentationBus`
+(``sim.bus``); the trace log is just the subscriber that retains records
+for offline "log file analysis" (``repro.analysis``).  Two capture
+controls serve large runs: ``categories`` (a dotted-prefix filter;
+retain only matching records) and ``capture=False`` (retain nothing).
 
-The full query API (``filter``/``last_time``/``count``) is unchanged.
-Per-category *counts* always reflect everything published on the bus —
-even with capture disabled or filtered — because the bus maintains them
-in O(1) independent of any subscriber.
-
-For backward compatibility ``TraceLog(sim)`` still works: given a
-:class:`~repro.eventsim.core.Simulator` it creates a private bus, so
-unit-level code (build a router, pass a trace) needs no changes, and
-``TraceLog.record`` republishes through the bus.
+The query API (``filter``/``last_time``) reads the retained records.
+Per-category *counts* are the bus's own (``bus.counts``/``bus.count``):
+they reflect everything published — even with capture disabled or
+filtered — because the bus maintains them in O(1) independent of any
+subscriber.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from .bus import (
     ROUTE_AFFECTING,
@@ -45,16 +41,12 @@ class TraceLog:
 
     def __init__(
         self,
-        source,
+        bus: InstrumentationBus,
         *,
         categories=None,
         capture: bool = True,
     ) -> None:
-        if isinstance(source, InstrumentationBus):
-            self.bus = source
-        else:
-            # legacy construction: TraceLog(sim) owns a private bus.
-            self.bus = InstrumentationBus(source)
+        self.bus = bus
         self._records: deque = deque()
         self._enabled = capture
         self.categories = (
@@ -73,26 +65,11 @@ class TraceLog:
                 name="trace",
             )
 
-    # ------------------------------------------------------------------
-    # subscriber side
-    # ------------------------------------------------------------------
     def detach(self) -> None:
         """Stop receiving records from the bus entirely."""
         if self._subscription is not None:
             self.bus.unsubscribe(self._subscription)
             self._subscription = None
-
-    # ------------------------------------------------------------------
-    # publisher compatibility (records go through the bus)
-    # ------------------------------------------------------------------
-    def record(self, category: str, node: str, **data: Any) -> None:
-        """Publish a record on the underlying bus."""
-        self.bus.record(category, node, **data)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Per-category totals of everything published (bus-maintained)."""
-        return self.bus.counts
 
     # ------------------------------------------------------------------
     # retained records
@@ -139,7 +116,7 @@ class TraceLog:
 
         A member of ``categories`` matches its own category and everything
         nested under it — the bus's one rule, as in :meth:`filter`,
-        :meth:`count` and ``bus.last_time``.
+        ``bus.count`` and ``bus.last_time``.
         """
         latest: Optional[float] = None
         for rec in self._records:
@@ -147,14 +124,6 @@ class TraceLog:
                 if latest is None or rec.time > latest:
                     latest = rec.time
         return latest
-
-    def count(self, category: str) -> int:
-        """Total published records equal to or nested under ``category``.
-
-        Counts come from the bus, so they are complete even when capture
-        is filtered or disabled.
-        """
-        return self.bus.count(category)
 
     def __repr__(self) -> str:
         return (

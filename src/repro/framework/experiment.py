@@ -227,13 +227,13 @@ class Experiment:
             return
         self.controller = self.net.add_node(
             IDRController(
-                self.net.sim, self.net.bus, "controller",
+                self.net.sim, "controller",
                 config=self.config.controller,
             )
         )
         self.speaker = self.net.add_node(
             ClusterBGPSpeaker(
-                self.net.sim, self.net.bus, "speaker",
+                self.net.sim, "speaker",
                 timers=self.config.speaker_timers(),
             )
         )
@@ -249,7 +249,7 @@ class Experiment:
         asn = spec.asn
         node_name = spec.label()
         if asn in self.sdn_asns:
-            node = SDNSwitch(self.net.sim, self.net.bus, node_name, asn=asn)
+            node = SDNSwitch(self.net.sim, node_name, asn=asn)
             self.net.add_node(node)
             control = self.net.add_link(
                 self.controller, node,
@@ -260,7 +260,7 @@ class Experiment:
             self.controller.register_member(node, control)
         else:
             node = BGPRouter(
-                self.net.sim, self.net.bus, node_name,
+                self.net.sim, node_name,
                 asn=asn, timers=self.config.session_timers(),
                 damping=self.config.damping,
             )
@@ -335,7 +335,7 @@ class Experiment:
         if not self.config.with_collector:
             return
         self.collector = self.net.add_node(
-            RouteCollector(self.net.sim, self.net.bus, "collector")
+            RouteCollector(self.net.sim, "collector")
         )
         for asn, node in sorted(self._as_node.items()):
             if isinstance(node, BGPRouter):
@@ -726,9 +726,7 @@ class Experiment:
             collector_link = self._attach_collector(node)
             if self._started:
                 node.session_on(collector_link).start()
-                for session in self.collector.sessions.values():
-                    if session.link is collector_link:
-                        session.start()
+                self.collector.session_on(collector_link).start()
         for entry in links:
             neighbor, relationship = (
                 entry if isinstance(entry, tuple)
@@ -748,7 +746,7 @@ class Experiment:
         as_node = self.node(asn)
         address = self.allocator.host_address(asn)
         host_name = name or f"h{asn}-{len(self.hosts.get(asn, [])) + 1}"
-        host = Host(self.net.sim, self.net.bus, host_name)
+        host = Host(self.net.sim, host_name)
         host.address = address
         self.net.add_node(host)
         stub = self.net.add_link(

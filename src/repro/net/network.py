@@ -9,9 +9,9 @@ physical graph for analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..eventsim import ROUTE_AFFECTING, InstrumentationBus, Simulator, TraceLog
+from ..eventsim import ROUTE_AFFECTING, Simulator, TraceLog
 from ..obs.spans import SPAN_CATEGORIES, SpanTracker
 from .addr import IPv4Address
 from .link import Link
@@ -46,8 +46,9 @@ TRACE_LEVELS = {
 class Network:
     """Inventory of emulated devices sharing one event loop and bus.
 
-    The network owns the :class:`InstrumentationBus` every device
-    publishes on, plus its subscribers: a :class:`TraceLog` (record
+    The network builds the :class:`Simulator`, whose bus (``sim.bus``,
+    also reachable as :attr:`bus`) every device publishes on, and
+    attaches the bus's subscribers: a :class:`TraceLog` (record
     capture, tunable via ``trace_level``) and — opt-in via
     :meth:`enable_spans` — a :class:`SpanTracker`.
 
@@ -56,20 +57,14 @@ class Network:
     (counters and streaming subscribers still see everything).
     """
 
-    def __init__(
-        self,
-        sim: Optional[Simulator] = None,
-        seed: int = 0,
-        *,
-        trace_level: str = "full",
-    ) -> None:
+    def __init__(self, seed: int = 0, *, trace_level: str = "full") -> None:
         if trace_level not in TRACE_LEVELS:
             raise ValueError(
                 f"unknown trace level {trace_level!r}; "
                 f"choose from {sorted(TRACE_LEVELS)}"
             )
-        self.sim = sim if sim is not None else Simulator(seed=seed)
-        self.bus = InstrumentationBus(self.sim)
+        self.sim = Simulator(seed=seed)
+        self.bus = self.sim.bus
         self.trace = TraceLog(
             self.bus,
             categories=TRACE_LEVELS[trace_level],
@@ -108,10 +103,6 @@ class Network:
             raise ValueError(f"duplicate node name: {node.name!r}")
         self.nodes[node.name] = node
         return node
-
-    def create(self, factory: Callable[..., Node], name: str, **kwargs) -> Node:
-        """Instantiate ``factory(sim, bus, name, **kwargs)`` and register it."""
-        return self.add_node(factory(self.sim, self.bus, name, **kwargs))
 
     def get(self, name: str) -> Node:
         """Exact-match lookup; raises ``KeyError`` if absent."""

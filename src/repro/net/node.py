@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..eventsim import InstrumentationBus, Simulator, bus_of
+from ..eventsim import InstrumentationBus, Simulator
 from .addr import IPv4Address, Prefix
 from .dataplane import Fib, FibEntry
 from .link import Link
@@ -31,15 +31,11 @@ class Node:
     to one of the node's own prefixes.
     """
 
-    def __init__(self, sim: Simulator, instrument, name: str) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
-        #: the bus all instrumentation records are published on.
-        #: ``instrument`` may be the bus itself or a legacy
-        #: :class:`~repro.eventsim.trace.TraceLog` (which owns a bus).
-        self.bus: InstrumentationBus = bus_of(instrument)
-        #: kept for callers that still reach node.trace for queries;
-        #: identical to ``instrument`` as passed in.
-        self.trace = instrument
+        #: the simulator's bus, which every record is published on; a
+        #: plain attribute because the hot emitters read it per record.
+        self.bus: InstrumentationBus = sim.bus
         self.name = name
         self.links: list[Link] = []
         self.fib = Fib()
@@ -229,8 +225,8 @@ class Host(Node):
     application" stand-in consume.
     """
 
-    def __init__(self, sim: Simulator, instrument, name: str) -> None:
-        super().__init__(sim, instrument, name)
+    def __init__(self, sim: Simulator, name: str) -> None:
+        super().__init__(sim, name)
         self.probes_received: list[Packet] = []
 
     def handle_local_packet(self, link: Optional[Link], packet: Packet) -> None:

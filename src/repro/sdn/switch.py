@@ -47,13 +47,12 @@ class SDNSwitch(Node):
     def __init__(
         self,
         sim: Simulator,
-        instrument,
         name: str,
         *,
         asn: int,
         packet_in_enabled: bool = False,
     ) -> None:
-        super().__init__(sim, instrument, name)
+        super().__init__(sim, name)
         if asn <= 0:
             raise ValueError(f"ASN must be positive: {asn!r}")
         self.asn = asn
@@ -71,15 +70,13 @@ class SDNSwitch(Node):
     # ------------------------------------------------------------------
     def set_control_link(self, link: Link) -> None:
         """Attach the out-of-band channel to the IDR controller."""
-        if link.other(self) is None:
-            raise ValueError("control link does not attach to this switch")
+        link.other(self)  # raises ValueError if we're not an endpoint
         self.control_link = link
 
     def add_border_relay(self, phys_link: Link, relay_link: Link) -> None:
         """Pair a physical peering link with its speaker relay link."""
         for link in (phys_link, relay_link):
-            if link.other(self) is None:
-                raise ValueError(f"{link.name} does not attach to this switch")
+            link.other(self)  # raises ValueError if we're not an endpoint
         self._relay_by_phys[phys_link.link_id] = relay_link
         self._phys_by_relay[relay_link.link_id] = phys_link
 

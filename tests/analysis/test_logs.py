@@ -13,7 +13,7 @@ from repro.eventsim import ROUTE_AFFECTING, Simulator, TraceLog
 @pytest.fixture
 def populated():
     sim = Simulator()
-    trace = TraceLog(sim)
+    trace = TraceLog(sim.bus)
     events = [
         (0.5, "bgp.update.tx", "as1", {}),
         (0.6, "bgp.update.rx", "as2", {}),
@@ -28,7 +28,7 @@ def populated():
         (4.0, "fib.change", "as2", {}),
     ]
     for t, cat, node, data in events:
-        sim.schedule(t, lambda c=cat, n=node, d=data: trace.record(c, n, **d))
+        sim.schedule(t, lambda c=cat, n=node, d=data: sim.bus.record(c, n, **d))
     sim.run()
     return sim, trace
 

@@ -13,7 +13,7 @@ def build(net, n=2):
     routers = []
     for i in range(1, n + 1):
         router = net.add_node(
-            BGPRouter(net.sim, net.trace, f"as{i}", asn=i, timers=timers)
+            BGPRouter(net.sim, f"as{i}", asn=i, timers=timers)
         )
         routers.append(router)
     for i in range(n):
@@ -21,7 +21,7 @@ def build(net, n=2):
             link = net.add_link(routers[i], routers[j])
             routers[i].add_peer(link)
             routers[j].add_peer(link)
-    collector = net.add_node(RouteCollector(net.sim, net.trace))
+    collector = net.add_node(RouteCollector(net.sim))
     for router in routers:
         link = net.add_link(router, collector, kind="collector")
         router.add_peer(link, timers=BGPTimers(mrai=0.0))

@@ -113,10 +113,10 @@ class TestRouteDamper:
 def make_damped_pair(net):
     timers = BGPTimers(mrai=0.5)
     a = net.add_node(
-        BGPRouter(net.sim, net.trace, "a", asn=1, timers=timers)
+        BGPRouter(net.sim, "a", asn=1, timers=timers)
     )
     b = net.add_node(
-        BGPRouter(net.sim, net.trace, "b", asn=2, timers=timers, damping=FAST)
+        BGPRouter(net.sim, "b", asn=2, timers=timers, damping=FAST)
     )
     link = net.add_link(a, b, latency=0.01)
     a.add_peer(link)
@@ -148,7 +148,7 @@ class TestRouterIntegration:
         net.sim.run(until=net.sim.now + 1.0)
         # the route is present in Adj-RIB-In but suppressed from Loc-RIB
         assert b.loc_rib.get(PFX) is None
-        assert net.trace.count("bgp.damping.suppress") >= 1
+        assert net.bus.count("bgp.damping.suppress") >= 1
 
     def test_suppressed_route_reused_after_decay(self, net):
         a, b = make_damped_pair(net)
@@ -156,7 +156,7 @@ class TestRouterIntegration:
         a.originate(PFX)
         net.sim.run_until_settled()  # waits out the reuse timer
         assert b.loc_rib.get(PFX) is not None
-        assert net.trace.count("bgp.damping.reuse") >= 1
+        assert net.bus.count("bgp.damping.reuse") >= 1
 
     def test_session_reset_clears_damping(self, net):
         a, b = make_damped_pair(net)

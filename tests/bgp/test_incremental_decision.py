@@ -33,13 +33,13 @@ def hub_network(peers, *, parallel=(), damping=None, seed=42):
     net = Network(seed=seed)
     timers = BGPTimers(mrai=1.0)
     hub = BGPRouter(
-        net.sim, net.trace, "hub", asn=HUB_ASN, timers=timers, damping=damping
+        net.sim, "hub", asn=HUB_ASN, timers=timers, damping=damping
     )
     net.add_node(hub)
     others = {}
     for asn in peers:
         other = others[asn] = BGPRouter(
-            net.sim, net.trace, f"as{asn}", asn=asn, timers=timers
+            net.sim, f"as{asn}", asn=asn, timers=timers
         )
         net.add_node(other)
     for asn in list(peers) + list(parallel):

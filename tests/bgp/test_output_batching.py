@@ -13,8 +13,8 @@ from repro.net.addr import Prefix
 
 def make_pair(net, mrai=30.0):
     timers = BGPTimers(mrai=mrai, mrai_jitter=0.0)
-    a = net.add_node(BGPRouter(net.sim, net.trace, "a", asn=1, timers=timers))
-    b = net.add_node(BGPRouter(net.sim, net.trace, "b", asn=2, timers=timers))
+    a = net.add_node(BGPRouter(net.sim, "a", asn=1, timers=timers))
+    b = net.add_node(BGPRouter(net.sim, "b", asn=2, timers=timers))
     link = net.add_link(a, b, latency=0.01)
     a.add_peer(link)
     b.add_peer(link)
@@ -68,7 +68,7 @@ class TestBatching:
         nodes = []
         for i in (1, 2, 3):
             node = net.add_node(
-                BGPRouter(net.sim, net.trace, f"r{i}", asn=i, timers=timers)
+                BGPRouter(net.sim, f"r{i}", asn=i, timers=timers)
             )
             nodes.append(node)
         links = {}

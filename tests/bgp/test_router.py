@@ -44,7 +44,12 @@ class TestOrigination:
 
     def test_bad_asn_rejected(self, net):
         with pytest.raises(ValueError):
-            BGPRouter(net.sim, net.trace, "x", asn=0)
+            BGPRouter(net.sim, "x", asn=0)
+
+    def test_peer_link_must_attach(self, net):
+        a, b, c = make_bgp_mesh(net, 3, start=False)
+        with pytest.raises(ValueError, match="not an endpoint"):
+            a.add_peer(net.link_between(b, c))
 
 
 class TestPropagation:
@@ -52,7 +57,7 @@ class TestPropagation:
         routers = []
         timers = BGPTimers(mrai=0.5)
         for i in range(1, 4):
-            router = BGPRouter(net.sim, net.trace, f"as{i}", asn=i, timers=timers)
+            router = BGPRouter(net.sim, f"as{i}", asn=i, timers=timers)
             net.add_node(router)
             routers.append(router)
         for i in range(2):  # line: as1 - as2 - as3
@@ -133,7 +138,7 @@ class TestGaoRexfordIntegration:
         routers = {}
         for asn in (1, 2, 3, 4, 5):
             routers[asn] = net.add_node(
-                BGPRouter(net.sim, net.trace, f"as{asn}", asn=asn, timers=timers)
+                BGPRouter(net.sim, f"as{asn}", asn=asn, timers=timers)
             )
 
         def connect(up, down, rel_down):

@@ -11,11 +11,11 @@ PFX = Prefix.parse("192.168.0.0/24")
 
 def make_pair(net, timers_a=None, timers_b=None, *, start=True):
     a = net.add_node(
-        BGPRouter(net.sim, net.trace, "a", asn=1,
+        BGPRouter(net.sim, "a", asn=1,
                   timers=timers_a or BGPTimers(mrai=10.0))
     )
     b = net.add_node(
-        BGPRouter(net.sim, net.trace, "b", asn=2,
+        BGPRouter(net.sim, "b", asn=2,
                   timers=timers_b or BGPTimers(mrai=10.0))
     )
     link = net.add_link(a, b, latency=0.01)

@@ -49,10 +49,10 @@ actions = st.lists(
 def test_fsm_never_crashes_or_corrupts(sequence):
     net = Network(seed=7)
     a = net.add_node(
-        BGPRouter(net.sim, net.trace, "a", asn=1, timers=BGPTimers(mrai=1.0))
+        BGPRouter(net.sim, "a", asn=1, timers=BGPTimers(mrai=1.0))
     )
     b = net.add_node(
-        BGPRouter(net.sim, net.trace, "b", asn=2, timers=BGPTimers(mrai=1.0))
+        BGPRouter(net.sim, "b", asn=2, timers=BGPTimers(mrai=1.0))
     )
     link = net.add_link(a, b, latency=0.01)
     session = a.add_peer(link)

@@ -57,11 +57,11 @@ def star(net, spokes=4, policy=None):
     """Hub ``hub`` (AS1) with spokes s2.. whose hub-side sessions all
     hold ``policy``; returns ``(hub, [spoke, ...], {spoke: hub session})``."""
     timers = BGPTimers(mrai=1.0)
-    hub = net.add_node(BGPRouter(net.sim, net.trace, "hub", asn=1, timers=timers))
+    hub = net.add_node(BGPRouter(net.sim, "hub", asn=1, timers=timers))
     nodes, toward = [], {}
     for asn in range(2, spokes + 2):
         spoke = net.add_node(
-            BGPRouter(net.sim, net.trace, f"s{asn}", asn=asn, timers=timers)
+            BGPRouter(net.sim, f"s{asn}", asn=asn, timers=timers)
         )
         link = net.add_link(hub, spoke, latency=0.01)
         toward[spoke] = hub.add_peer(link, policy=policy)

@@ -297,7 +297,7 @@ class TestFrozenEngineNames:
             lambda: ExperimentConfig(compact=True),
             lambda: ExperimentConfig(scheduler="heap"),
             lambda: Simulator(scheduler="heap"),
-            lambda: BGPRouter(net.sim, net.bus, "r", asn=1, compact=True),
+            lambda: BGPRouter(net.sim, "r", asn=1, compact=True),
         ):
             with pytest.raises(TypeError, match="compact|scheduler"):
                 build()

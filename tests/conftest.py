@@ -15,7 +15,7 @@ def sim():
 
 @pytest.fixture
 def trace(sim):
-    return TraceLog(sim)
+    return TraceLog(sim.bus)
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def make_bgp_mesh(net, n, *, timers=None, start=True):
     timers = timers or BGPTimers(mrai=1.0)
     routers = []
     for i in range(1, n + 1):
-        router = BGPRouter(net.sim, net.trace, f"as{i}", asn=i, timers=timers)
+        router = BGPRouter(net.sim, f"as{i}", asn=i, timers=timers)
         net.add_node(router)
         routers.append(router)
     for i in range(n):

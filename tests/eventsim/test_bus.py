@@ -2,18 +2,12 @@
 
 import pytest
 
-from repro.eventsim import (
-    InstrumentationBus,
-    Simulator,
-    TraceLog,
-    TraceRecord,
-    bus_of,
-)
+from repro.eventsim import TraceRecord
 
 
 @pytest.fixture
 def bus(sim):
-    return InstrumentationBus(sim)
+    return sim.bus
 
 
 class TestPublishing:
@@ -125,15 +119,3 @@ class TestSampling:
             bus.record("fib.change", "as1")
         assert len(got) == 3
 
-
-class TestBusOf:
-    def test_bus_passthrough(self, bus):
-        assert bus_of(bus) is bus
-
-    def test_tracelog_unwraps_to_bus(self, sim):
-        trace = TraceLog(sim)
-        assert bus_of(trace) is trace.bus
-
-    def test_rejects_other_objects(self):
-        with pytest.raises(TypeError):
-            bus_of(object())

@@ -9,7 +9,6 @@ from repro.eventsim import (
     DebounceTimer,
     Gauge,
     Histogram,
-    InstrumentationBus,
     MetricsRegistry,
     PeriodicTimer,
     Timer,
@@ -96,7 +95,7 @@ class TestBusObservation:
     def test_records_total_by_category(self, sim):
         """The payload is the bus's own counts, in the registry's shape
         and key order."""
-        bus = InstrumentationBus(sim)
+        bus = sim.bus
         bus.record("fib.change", "as1")
         bus.record("bgp.update.tx", "as1")
         bus.record("bgp.update.tx", "as2")

@@ -7,9 +7,9 @@ from repro.framework.convergence import MeasurementWindow
 class _Run:
     """What a :class:`MeasurementWindow` reads of an experiment."""
 
-    def __init__(self, sim, bus):
+    def __init__(self, sim):
         self._sim = sim
-        self.net = type("Net", (), {"bus": bus})()
+        self.net = type("Net", (), {"bus": sim.bus})()
 
     @property
     def now(self):
@@ -18,56 +18,56 @@ class _Run:
 
 class TestRecording:
     def test_records_carry_current_time(self, sim, trace):
-        sim.schedule(3.0, lambda: trace.record("x", "node1"))
+        sim.schedule(3.0, lambda: sim.bus.record("x", "node1"))
         sim.run()
         assert trace.records[0].time == 3.0
 
-    def test_record_data_payload(self, trace):
-        trace.record("bgp.update.tx", "as1", prefix="10.0.0.0/24")
+    def test_record_data_payload(self, sim, trace):
+        sim.bus.record("bgp.update.tx", "as1", prefix="10.0.0.0/24")
         assert trace.records[0].data["prefix"] == "10.0.0.0/24"
 
-    def test_counts_by_category(self, trace):
-        trace.record("a.b", "n")
-        trace.record("a.b", "n")
-        trace.record("a.c", "n")
-        assert trace.counts == {"a.b": 2, "a.c": 1}
+    def test_counts_by_category(self, sim):
+        sim.bus.record("a.b", "n")
+        sim.bus.record("a.b", "n")
+        sim.bus.record("a.c", "n")
+        assert sim.bus.counts == {"a.b": 2, "a.c": 1}
 
-    def test_count_matches_category_prefix(self, trace):
-        trace.record("bgp.update.tx", "n")
-        trace.record("bgp.update.rx", "n")
-        trace.record("bgp.decision", "n")
-        assert trace.count("bgp.update") == 2
-        assert trace.count("bgp") == 3
+    def test_count_matches_category_prefix(self, sim):
+        sim.bus.record("bgp.update.tx", "n")
+        sim.bus.record("bgp.update.rx", "n")
+        sim.bus.record("bgp.decision", "n")
+        assert sim.bus.count("bgp.update") == 2
+        assert sim.bus.count("bgp") == 3
 
     def test_disabled_log_still_counts(self, sim):
-        trace = TraceLog(sim, capture=False)
-        trace.record("x", "n")
+        trace = TraceLog(sim.bus, capture=False)
+        sim.bus.record("x", "n")
         assert len(trace) == 0
-        assert trace.counts["x"] == 1
+        assert sim.bus.counts["x"] == 1
 
 
 class TestTaps:
     """Live observers are plain subscriptions on the trace's bus."""
 
-    def test_tap_sees_records_live(self, trace):
+    def test_tap_sees_records_live(self, sim, trace):
         seen = []
         trace.bus.subscribe(seen.append)
-        trace.record("x", "n")
+        sim.bus.record("x", "n")
         assert len(seen) == 1
 
     def test_tap_fires_even_when_disabled(self, sim):
-        trace = TraceLog(sim, capture=False)
+        trace = TraceLog(sim.bus, capture=False)
         seen = []
         trace.bus.subscribe(seen.append)
-        trace.record("x", "n")
+        sim.bus.record("x", "n")
         assert len(seen) == 1
         assert len(trace) == 0
 
-    def test_remove_tap(self, trace):
+    def test_remove_tap(self, sim, trace):
         seen = []
         tap = trace.bus.subscribe(seen.append)
         trace.bus.unsubscribe(tap)
-        trace.record("x", "n")
+        sim.bus.record("x", "n")
         assert seen == []
 
 
@@ -79,7 +79,7 @@ class TestQueries:
             (3.0, "fib.change", "as1"),
             (4.0, "ping.reply", "h1"),
         ]:
-            sim.schedule(t, lambda c=cat, n=node: trace.record(c, n))
+            sim.schedule(t, lambda c=cat, n=node: sim.bus.record(c, n))
         sim.run()
 
     def test_filter_by_category_prefix(self, sim, trace):
@@ -98,7 +98,7 @@ class TestQueries:
     def test_exact_category_does_not_match_prefix_sibling(self, sim, trace):
         """``bgp.updates`` does not nest under ``bgp.update`` — for the
         trace, the bus and a measurement window alike."""
-        window = MeasurementWindow(_Run(sim, trace.bus))
+        window = MeasurementWindow(_Run(sim))
         for t, category in [
             (1.0, "bgp.update"),
             (2.0, "bgp.updates"),  # not nested under bgp.update
@@ -106,14 +106,14 @@ class TestQueries:
             (4.0, "bgp.update.tx.retry"),  # nested under bgp.update.tx
             (5.0, "bgp.update.txs"),  # not nested under bgp.update.tx
         ]:
-            sim.schedule(t, lambda c=category: trace.record(c, "n"))
+            sim.schedule(t, lambda c=category: sim.bus.record(c, "n"))
         sim.run()
         assert len(trace.filter(category="bgp.update")) == 4
-        assert trace.bus.count("bgp.update") == 4
-        assert trace.bus.count("bgp.update.tx") == 2
-        assert trace.bus.last_time({"bgp.update"}) == 5.0
-        assert trace.bus.last_time({"bgp.update.tx"}) == 4.0
-        assert trace.bus.last_time({"bgp.updat"}) is None
+        assert sim.bus.count("bgp.update") == 4
+        assert sim.bus.count("bgp.update.tx") == 2
+        assert sim.bus.last_time({"bgp.update"}) == 5.0
+        assert sim.bus.last_time({"bgp.update.tx"}) == 4.0
+        assert sim.bus.last_time({"bgp.updat"}) is None
         assert window.close().updates_tx == 2
 
     def test_last_time_over_route_affecting(self, sim, trace):
@@ -134,7 +134,7 @@ class TestQueries:
         assert trace.last_time({"bgp.update"}) == trace.last_time(
             {"bgp.update.tx", "bgp.update.rx"}
         )
-        assert trace.last_time({"bgp.update"}) == trace.bus.last_time(
+        assert trace.last_time({"bgp.update"}) == sim.bus.last_time(
             {"bgp.update"}
         )
         assert trace.last_time({"bgp.update"}, since=1.5) == 2.0

@@ -8,15 +8,15 @@ from repro.net.node import Node
 
 
 def make_pair(net, latency=0.5, **kwargs):
-    a = net.add_node(Node(net.sim, net.trace, "a"))
-    b = net.add_node(Node(net.sim, net.trace, "b"))
+    a = net.add_node(Node(net.sim, "a"))
+    b = net.add_node(Node(net.sim, "b"))
     link = net.add_link(a, b, latency=latency, **kwargs)
     return a, b, link
 
 
 class Probe(Node):
-    def __init__(self, sim, trace, name):
-        super().__init__(sim, trace, name)
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
         self.inbox = []
 
     def handle_message(self, link, message):
@@ -24,8 +24,8 @@ class Probe(Node):
 
 
 def make_probe_pair(net, **kwargs):
-    a = net.add_node(Probe(net.sim, net.trace, "a"))
-    b = net.add_node(Probe(net.sim, net.trace, "b"))
+    a = net.add_node(Probe(net.sim, "a"))
+    b = net.add_node(Probe(net.sim, "b"))
     link = net.add_link(a, b, **kwargs)
     return a, b, link
 
@@ -75,19 +75,19 @@ class TestTransmit:
 
 class TestTopologyChecks:
     def test_self_loop_rejected(self, net):
-        a = net.add_node(Node(net.sim, net.trace, "a"))
+        a = net.add_node(Node(net.sim, "a"))
         with pytest.raises(ValueError):
             Link(a, a)
 
     def test_negative_latency_rejected(self, net):
-        a = net.add_node(Node(net.sim, net.trace, "a"))
-        b = net.add_node(Node(net.sim, net.trace, "b"))
+        a = net.add_node(Node(net.sim, "a"))
+        b = net.add_node(Node(net.sim, "b"))
         with pytest.raises(ValueError):
             Link(a, b, latency=-1.0)
 
     def test_invalid_loss_rejected(self, net):
-        a = net.add_node(Node(net.sim, net.trace, "a"))
-        b = net.add_node(Node(net.sim, net.trace, "b"))
+        a = net.add_node(Node(net.sim, "a"))
+        b = net.add_node(Node(net.sim, "b"))
         with pytest.raises(ValueError):
             Link(a, b, loss=1.0)
 
@@ -97,7 +97,7 @@ class TestTopologyChecks:
 
     def test_other_rejects_stranger(self, net):
         a, b, link = make_pair(net)
-        c = net.add_node(Node(net.sim, net.trace, "c"))
+        c = net.add_node(Node(net.sim, "c"))
         with pytest.raises(ValueError):
             link.other(c)
 
@@ -114,8 +114,8 @@ class TestUpDown:
             def link_state_changed(self, link):
                 notified.append(self.name)
 
-        a = net.add_node(Watcher(net.sim, net.trace, "a"))
-        b = net.add_node(Watcher(net.sim, net.trace, "b"))
+        a = net.add_node(Watcher(net.sim, "a"))
+        b = net.add_node(Watcher(net.sim, "b"))
         link = net.add_link(a, b)
         link.fail()
         assert sorted(notified) == ["a", "b"]

@@ -10,23 +10,7 @@ instant, or a zero-latency reply sent from inside ``receive``.
 
 from repro.net.link import LinkDown
 from repro.net.messages import Message
-from repro.net.node import Node
-
-
-class Probe(Node):
-    def __init__(self, sim, trace, name):
-        super().__init__(sim, trace, name)
-        self.inbox = []
-
-    def handle_message(self, link, message):
-        self.inbox.append((self.sim.now, message))
-
-
-def make_probe_pair(net, **kwargs):
-    a = net.add_node(Probe(net.sim, net.trace, "a"))
-    b = net.add_node(Probe(net.sim, net.trace, "b"))
-    link = net.add_link(a, b, **kwargs)
-    return a, b, link
+from tests.net.test_link import Probe, make_probe_pair
 
 
 class TestDefaultOff:
@@ -112,8 +96,8 @@ class TestLegacyInvariants:
                 if self.name == "b":
                     link.transmit(self, Message())
 
-        a = net.add_node(Echo(net.sim, net.trace, "a"))
-        b = net.add_node(Echo(net.sim, net.trace, "b"))
+        a = net.add_node(Echo(net.sim, "a"))
+        b = net.add_node(Echo(net.sim, "b"))
         link = net.add_link(a, b, latency=0.0)
         link.transmit(a, Message())
         net.sim.run()

@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import IPv4Address, Prefix
 from repro.net.dataplane import FibEntry
 from repro.net.node import Node
+from repro.topology.builders import clique
 
 
 def build_line(net, n=3):
     nodes = []
     for i in range(1, n + 1):
-        node = net.add_node(Node(net.sim, net.trace, f"n{i}"))
+        node = net.add_node(Node(net.sim, f"n{i}"))
         node.address = IPv4Address.parse(f"10.0.{i}.1")
         node.add_local_prefix(Prefix.parse(f"10.0.{i}.0/24"))
         nodes.append(node)
@@ -28,17 +30,17 @@ def build_line(net, n=3):
 
 class TestInventory:
     def test_duplicate_node_name_rejected(self, net):
-        net.add_node(Node(net.sim, net.trace, "x"))
+        net.add_node(Node(net.sim, "x"))
         with pytest.raises(ValueError):
-            net.add_node(Node(net.sim, net.trace, "x"))
+            net.add_node(Node(net.sim, "x"))
 
     def test_get_unknown_raises(self, net):
         with pytest.raises(KeyError):
             net.get("ghost")
 
     def test_add_link_by_name(self, net):
-        net.add_node(Node(net.sim, net.trace, "a"))
-        net.add_node(Node(net.sim, net.trace, "b"))
+        net.add_node(Node(net.sim, "a"))
+        net.add_node(Node(net.sim, "b"))
         link = net.add_link("a", "b")
         assert link.connects(net.get("a"), net.get("b"))
 
@@ -50,6 +52,17 @@ class TestInventory:
     def test_nodes_of_type(self, net):
         build_line(net, 2)
         assert len(net.nodes_of_type(Node)) == 2
+
+    def test_every_node_publishes_on_the_simulators_bus(self):
+        exp = Experiment(
+            clique(4), sdn_members={3, 4},
+            config=ExperimentConfig(seed=1, spans=True),
+        ).build()
+        bus = exp.net.sim.bus
+        assert exp.net.bus is bus
+        assert exp.controller is not None and exp.collector is not None
+        assert all(node.bus is bus for node in exp.net.nodes.values())
+        assert [s.name for s in bus.subscriptions] == ["trace", "spans"]
 
 
 class TestTracePath:
@@ -78,8 +91,8 @@ class TestTracePath:
         assert "link down" in result.reason
 
     def test_loop_detected(self, net):
-        a = net.add_node(Node(net.sim, net.trace, "a"))
-        b = net.add_node(Node(net.sim, net.trace, "b"))
+        a = net.add_node(Node(net.sim, "a"))
+        b = net.add_node(Node(net.sim, "b"))
         link = net.add_link(a, b)
         dest = Prefix.parse("10.9.0.0/16")
         a.fib.install(FibEntry(dest, link, via="b"))
@@ -102,7 +115,7 @@ class TestAllPairs:
 
     def test_unaddressed_nodes_skipped(self, net):
         nodes, _ = build_line(net, 2)
-        net.add_node(Node(net.sim, net.trace, "unaddressed"))
+        net.add_node(Node(net.sim, "unaddressed"))
         matrix = net.all_pairs_reachable()
         assert len(matrix) == 2
 
@@ -122,7 +135,7 @@ class TestGraphExport:
 
     def test_kind_filter(self, net):
         nodes, _ = build_line(net, 2)
-        net.add_node(Node(net.sim, net.trace, "c"))
+        net.add_node(Node(net.sim, "c"))
         net.add_link("n1", "c", kind="control")
         assert net.to_graph().number_of_edges() == 1
         assert net.to_graph(kinds=("phys", "control")).number_of_edges() == 2

@@ -12,7 +12,7 @@ def addr(text):
 
 def make_chain(net, n=3):
     """a line of nodes n1 - n2 - ... with addresses 10.0.i.1."""
-    nodes = [net.add_node(Node(net.sim, net.trace, f"n{i}")) for i in range(1, n + 1)]
+    nodes = [net.add_node(Node(net.sim, f"n{i}")) for i in range(1, n + 1)]
     for i, node in enumerate(nodes):
         node.address = addr(f"10.0.{i + 1}.1")
         node.add_local_prefix(Prefix.parse(f"10.0.{i + 1}.0/24"))
@@ -57,7 +57,7 @@ class TestForwarding:
         assert drops and drops[0].data["reason"] == "ttl_expired"
 
     def test_no_route_drops(self, net):
-        node = net.add_node(Node(net.sim, net.trace, "lone"))
+        node = net.add_node(Node(net.sim, "lone"))
         node.address = addr("10.0.1.1")
         packet = Packet(src=node.address, dst=addr("203.0.113.1"), proto="raw")
         node.send_packet(packet)
@@ -93,8 +93,8 @@ class TestLocalDelivery:
 
     def test_more_specific_route_beats_owned_prefix(self, net):
         """An owned /24 must not swallow traffic for an attached /32."""
-        a = net.add_node(Node(net.sim, net.trace, "a"))
-        h = net.add_node(Node(net.sim, net.trace, "h"))
+        a = net.add_node(Node(net.sim, "a"))
+        h = net.add_node(Node(net.sim, "h"))
         a.address = addr("10.0.1.1")
         a.add_local_prefix(Prefix.parse("10.0.1.0/24"))
         h.address = addr("10.0.1.50")
@@ -108,7 +108,7 @@ class TestLocalDelivery:
         assert len(got) == 1
 
     def test_local_fib_entry_delivers(self, net):
-        node = net.add_node(Node(net.sim, net.trace, "n"))
+        node = net.add_node(Node(net.sim, "n"))
         node.address = addr("10.0.0.1")
         node.fib.install(FibEntry(Prefix.parse("10.9.0.0/16"), None, via="local"))
         got = []
@@ -131,7 +131,7 @@ class TestPing:
         assert abs(nodes[0].echo_replies_received[7] - 0.04) < 1e-9
 
     def test_ping_to_self(self, net):
-        node = net.add_node(Node(net.sim, net.trace, "n"))
+        node = net.add_node(Node(net.sim, "n"))
         node.address = addr("10.0.0.1")
         node.send_packet(
             Packet(src=node.address, dst=node.address, proto=PING_PROTO, seq=1)
@@ -143,7 +143,7 @@ class TestPing:
 class TestHost:
     def test_host_counts_probes(self, net):
         nodes, _ = make_chain(net, 2)
-        host = net.add_node(Host(net.sim, net.trace, "h"))
+        host = net.add_node(Host(net.sim, "h"))
         host.address = addr("10.0.2.99")
         link = net.add_link(nodes[1], host)
         nodes[1].fib.install(
@@ -156,7 +156,7 @@ class TestHost:
         assert [p.seq for p in host.probes_received] == [3]
 
     def test_host_still_answers_ping(self, net):
-        host = net.add_node(Host(net.sim, net.trace, "h"))
+        host = net.add_node(Host(net.sim, "h"))
         host.address = addr("10.0.0.5")
         host.send_packet(
             Packet(src=host.address, dst=host.address, proto=PING_PROTO, seq=2)

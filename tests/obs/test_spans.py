@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.eventsim import InstrumentationBus, Simulator
+from repro.eventsim import Simulator
 from repro.obs import (
     SPAN_CATEGORIES,
     Span,
@@ -18,7 +18,7 @@ def make_bus():
     """A bus with a tracker attached as ``Network.enable_spans`` does:
     the context slot plus a subscription."""
     sim = Simulator(seed=0)
-    bus = InstrumentationBus(sim)
+    bus = sim.bus
     obs = SpanTracker(sim)
     bus.obs = obs
     bus.subscribe(obs.on_record, categories=SPAN_CATEGORIES, name="spans")
@@ -192,14 +192,14 @@ class TestSnapshotAndClear:
 
     def test_detached_bus_has_zero_span_path(self):
         sim = Simulator(seed=0)
-        bus = InstrumentationBus(sim)
+        bus = sim.bus
         assert bus.obs is None
         bus.record("bgp.update.tx", "as1")  # must not raise
         assert bus.counts["bgp.update.tx"] == 1
 
     def test_records_reach_the_tracker_only_by_subscription(self):
         sim = Simulator(seed=0)
-        bus = InstrumentationBus(sim)
+        bus = sim.bus
         obs = bus.obs = SpanTracker(sim)
         bus.record("bgp.update.tx", "as1")
         assert obs.spans == []

@@ -17,7 +17,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.eventsim import (  # noqa: E402
-    InstrumentationBus,
     Simulator,
     TraceLog,
 )
@@ -39,7 +38,7 @@ def matches(category, prefix):
 
 def publish_stream(stream, *, categories=None, lazy=False):
     """Publish a stream against one subscriber; returns delivered records."""
-    bus = InstrumentationBus(Simulator(seed=0))
+    bus = Simulator(seed=0).bus
     got = []
     bus.subscribe(got.append, categories=categories)
     for index, category in enumerate(stream):
@@ -116,7 +115,7 @@ class TestLastTimeAgreement:
         concrete categories it covers reads, and a trace that retains
         everything reads what the bus's ``last_seen`` table reads."""
         sim = Simulator(seed=0)
-        bus = InstrumentationBus(sim)
+        bus = sim.bus
         trace = TraceLog(bus)
         for category, delay in steps:
             sim.schedule(delay, lambda: None)

@@ -18,8 +18,8 @@ from repro.sdn.switch import SDNSwitch
 
 
 class Sink(Node):
-    def __init__(self, sim, trace, name):
-        super().__init__(sim, trace, name)
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
         self.inbox = []
 
     def handle_message(self, link, message):
@@ -28,10 +28,10 @@ class Sink(Node):
 
 def build(net):
     """switch with controller stub, one peer, one relay target."""
-    switch = net.add_node(SDNSwitch(net.sim, net.trace, "sw", asn=10))
-    controller = net.add_node(Sink(net.sim, net.trace, "ctl"))
-    external = net.add_node(Sink(net.sim, net.trace, "ext"))
-    speaker = net.add_node(Sink(net.sim, net.trace, "spk"))
+    switch = net.add_node(SDNSwitch(net.sim, "sw", asn=10))
+    controller = net.add_node(Sink(net.sim, "ctl"))
+    external = net.add_node(Sink(net.sim, "ext"))
+    speaker = net.add_node(Sink(net.sim, "spk"))
     ctl_link = net.add_link(switch, controller, kind="control")
     phys = net.add_link(switch, external, kind="phys")
     relay = net.add_link(switch, speaker, kind="relay")
@@ -62,7 +62,7 @@ class TestFlowMods:
         )
         switch._handle_control(mod)
         assert len(switch.flow_table) == 0
-        assert net.trace.count("switch.flowmod.bad_port") == 1
+        assert net.bus.count("switch.flowmod.bad_port") == 1
 
     def test_flow_remove(self, net):
         switch, *_, phys, relay = build(net)
@@ -149,11 +149,11 @@ class TestBgpRelay:
 
     def test_unmapped_bgp_is_logged(self, net):
         switch, controller, external, speaker, ctl, phys, relay = build(net)
-        other = net.add_node(Sink(net.sim, net.trace, "other"))
+        other = net.add_node(Sink(net.sim, "other"))
         stray = net.add_link(switch, other, kind="phys")
         stray.transmit(other, BGPKeepalive(sender_asn=1))
         net.sim.run()
-        assert net.trace.count("switch.bgp.unrelayable") == 1
+        assert net.bus.count("switch.bgp.unrelayable") == 1
 
     def test_relay_drops_when_phys_down(self, net):
         switch, controller, external, speaker, ctl, phys, relay = build(net)
@@ -194,7 +194,19 @@ class TestStatusReporting:
 class TestValidation:
     def test_bad_asn(self, net):
         with pytest.raises(ValueError):
-            SDNSwitch(net.sim, net.trace, "x", asn=-1)
+            SDNSwitch(net.sim, "x", asn=-1)
+
+    def test_control_link_must_attach(self, net):
+        switch, controller, external, *_ = build(net)
+        elsewhere = net.add_link(controller, external)
+        with pytest.raises(ValueError, match="not an endpoint"):
+            switch.set_control_link(elsewhere)
+
+    def test_border_relay_must_attach(self, net):
+        switch, controller, external, speaker, ctl, phys, relay = build(net)
+        elsewhere = net.add_link(controller, speaker)
+        with pytest.raises(ValueError, match="not an endpoint"):
+            switch.add_border_relay(phys, elsewhere)
 
     def test_peering_links_listing(self, net):
         switch, controller, external, speaker, ctl, phys, relay = build(net)
