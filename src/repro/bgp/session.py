@@ -71,7 +71,18 @@ class BGPTimers:
 
 
 class BGPSession:
-    """One eBGP session over one link."""
+    """One eBGP session over one link.
+
+    Slotted: a 5000-AS storm holds about 50k sessions.
+    """
+
+    __slots__ = (
+        "router", "link", "local_asn", "policy", "timers", "state",
+        "peer_asn", "peer_name", "updates_sent", "updates_received",
+        "_sim", "_mrai_timer", "_connect_timer", "_flush_label",
+        "_hold_timer", "_keepalive_timer", "_dirty", "_pending_obs",
+        "_flush_event", "_flush_callback", "_mrai_rng", "_open_received",
+    )
 
     def __init__(
         self,
@@ -393,14 +404,17 @@ class BGPSession:
             self._request_flush()
 
     def _request_flush(self) -> None:
-        """Schedule an output run shortly, coalescing concurrent changes."""
+        """Schedule an output run shortly, coalescing concurrent changes.
+
+        Every output run is scheduled the same fixed delay ahead, so it
+        goes on that delay's FIFO lane: same event, same pop order, no
+        heap push or pop (most of a storm's events are output runs).
+        """
         if self._flush_event is not None and not self._flush_event.cancelled:
             return
-        self._flush_event = self._sim.schedule(
-            self.timers.output_delay,
-            self._flush_callback,
-            label=self._flush_label,
-        )
+        self._flush_event = self._sim.fifo_lane(
+            self.timers.output_delay
+        ).schedule(self._flush_callback, label=self._flush_label)
 
     def _run_flush(self) -> None:
         self._flush_event = None
@@ -414,13 +428,17 @@ class BGPSession:
         # is sent immediately (RFC behaviour after a quiet interval).
 
     def _mrai_period(self) -> float:
-        mrai = self.timers.mrai
+        timers = self.timers
+        mrai = timers.mrai
         if mrai <= 0:
             return 0.0
-        jitter = self.timers.mrai_jitter
+        jitter = timers.mrai_jitter
         if jitter <= 0:
             return mrai
-        return self._mrai_rng.uniform(mrai * (1.0 - jitter), mrai)
+        # random.uniform(low, mrai)'s own formula, inlined: the same one
+        # draw on "bgp.mrai", bit for bit, without the method call.
+        low = mrai * (1.0 - jitter)
+        return low + (mrai - low) * self._mrai_rng.random()
 
     def _flush(self) -> None:
         """Send one UPDATE covering all dirty prefixes, then re-arm MRAI.
@@ -428,14 +446,23 @@ class BGPSession:
         A run that sends nothing still draws its MRAI period: the draw
         order on ``bgp.mrai`` is part of every pinned result.
         """
-        dirty = sorted(self._dirty)
-        self._dirty.clear()
+        pending = self._dirty
+        dirty = sorted(pending) if len(pending) > 1 else list(pending)
+        pending.clear()
         announced = []
         withdrawn = []
-        rib_out = self.router.adj_rib_out(self)
+        router = self.router
+        rib_out = router.adj_rib_out(self)
+        # A BGP router's export is its own update-group memo, diffed
+        # against the one Adj-RIB-Out looked up above; the cluster
+        # speaker asks its controller, through its outbound_diff.
+        export = getattr(router, "_export_attrs", None)
         pending_obs = self._pending_obs
         for prefix in dirty:
-            action = self.router.outbound_diff(self, prefix)
+            if export is None:
+                action = router.outbound_diff(self, prefix)
+            else:
+                action = rib_out.diff(prefix, export(self, prefix))
             if action is None:
                 # Not sent (split horizon, export deny, no diff): its
                 # cause is spent, so the prefix's next UPDATE must not

@@ -4,7 +4,9 @@ Public surface:
 
 - :class:`Simulator` — deterministic event loop with virtual time,
   seeded random sub-streams, and exact convergence detection via
-  foreground/background event classification.
+  foreground/background event classification; :class:`FifoLane` — its
+  O(1) queue for events always scheduled one fixed delay ahead
+  (``sim.fifo_lane(delay)``).
 - :class:`Timer`, :class:`PeriodicTimer`, :class:`DebounceTimer` —
   the timer disciplines BGP and the IDR controller need.
 - :class:`InstrumentationBus` — the publish/subscribe hub every
@@ -21,7 +23,7 @@ from .bus import (
     InstrumentationBus,
     Subscription,
 )
-from .core import Event, SimulationError, Simulator
+from .core import Event, FifoLane, SimulationError, Simulator
 from .metrics import (
     Counter,
     Gauge,
@@ -36,6 +38,7 @@ from .trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
+    "FifoLane",
     "SimulationError",
     "Simulator",
     "Timer",

@@ -13,11 +13,17 @@ distinction is what lets :meth:`Simulator.run_until_settled` detect
 routing convergence exactly: the network has converged when no foreground
 event remains in the queue.
 
-The pending set is one binary heap (``heapq``) of events, and each
-event is its own heap entry: a ``list`` ``[time, seq, ...]`` that the C
-heap orders by ``(time, seq)`` without entering Python.  ``seq`` is
-unique, so no comparison reaches the callback slot.  Events pop in exact
-``(time, seq)`` order — same-time events run in scheduling order — which
+The pending set is one binary heap (``heapq``) of events plus one FIFO
+lane per fixed delay (:meth:`Simulator.fifo_lane`).  Each event is its
+own entry: a ``list`` ``[time, seq, ...]`` that the C heap orders by
+``(time, seq)`` without entering Python.  ``seq`` is unique, so no
+comparison reaches the callback slot.  A lane holds the events scheduled
+through it at ``now + delay``; with the delay fixed, ``(time, seq)``
+never decreases along it, so a plain deque is already in pop order and
+an event costs an append and a popleft instead of a heap push and pop.
+The next event is the least ``(time, seq)`` among the heap head and the
+lane heads.  Events pop in exact ``(time, seq)`` order — same-time
+events run in scheduling order, whichever structure holds them — which
 is what makes a run a function of its seed.
 """
 
@@ -26,13 +32,15 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .bus import InstrumentationBus
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Event", "FifoLane", "Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -72,6 +80,43 @@ class Event(list):
         return f"<Event t={self[0]!r} seq={self[1]} {self[4]!r}>"
 
 
+class FifoLane:
+    """Foreground events at one fixed delay, kept in a deque.
+
+    Every event scheduled here fires at ``now + delay`` and takes the
+    next ``seq``.  The clock never goes back, so ``(time, seq)`` never
+    decreases along the lane: appending keeps it in pop order.  The
+    events are ordinary :class:`Event` handles — same layout, same
+    ``seq`` counter, counted as pending foreground, cancelled through
+    :meth:`Simulator.cancel` — so a run pops exactly what it would pop
+    had every one of them gone through :meth:`Simulator.schedule`.
+    Made by :meth:`Simulator.fifo_lane`, one per distinct delay.
+    """
+
+    __slots__ = ("_sim", "delay", "_events")
+
+    def __init__(self, sim: "Simulator", delay: float) -> None:
+        self._sim = sim
+        #: seconds from scheduling to firing, for every event here.
+        self.delay = delay
+        self._events: Deque[Event] = deque()
+
+    def schedule(
+        self, callback: Callable[[], None], *, label: str = ""
+    ) -> Event:
+        """Schedule foreground ``callback`` to run ``delay`` seconds from
+        now.  Returns the :class:`Event` handle for
+        :meth:`Simulator.cancel`."""
+        sim = self._sim
+        event = Event(
+            (sim._now + self.delay, next(sim._seq), callback, False, label,
+             False)
+        )
+        self._events.append(event)
+        sim._live_foreground += 1
+        return event
+
+
 class Simulator:
     """Deterministic discrete-event loop with a virtual clock.
 
@@ -85,6 +130,13 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._queue: List[Event] = []
+        self._heap_pop = partial(heappop, self._queue)
+        self._lanes: Dict[float, FifoLane] = {}
+        #: each lane's deque and its popleft, in creation order.
+        self._lane_heads: List[Tuple[Deque[Event], Callable[[], Event]]] = []
+        #: how to pop the event :meth:`_peek_live` just found; the step
+        #: right after it takes it, so the heads are scanned once.
+        self._next_pop: Optional[Callable[[], Event]] = None
         self._seq = itertools.count()
         self._now = 0.0
         self._seed = seed
@@ -160,6 +212,22 @@ class Simulator:
             time - self._now, callback, background=background, label=label
         )
 
+    def fifo_lane(self, delay: float) -> FifoLane:
+        """The :class:`FifoLane` for ``delay`` (one per distinct delay).
+
+        Use it for foreground events that are always scheduled the same
+        fixed delay ahead; they pop in the same order as through
+        :meth:`schedule`, at O(1) each.
+        """
+        lane = self._lanes.get(delay)
+        if lane is None:
+            if not delay >= 0:
+                raise SimulationError(f"negative delay: {delay!r}")
+            lane = self._lanes[delay] = FifoLane(self, delay)
+            events = lane._events
+            self._lane_heads.append((events, events.popleft))
+        return lane
+
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent, and a no-op
         on one that already fired)."""
@@ -193,13 +261,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next live event.  Returns False if queue is empty."""
-        queue = self._queue
-        while queue:
-            event = heappop(queue)
-            if not event[5]:  # cancelled
-                break
-        else:
-            return False
+        pop = self._next_pop
+        if pop is None:
+            if self._peek_live() is None:
+                return False
+            pop = self._next_pop
+        self._next_pop = None
+        event = pop()
         self._now = event[0]
         # Spent: a late cancel() must not count it down a second time.
         event[5] = True
@@ -226,8 +294,10 @@ class Simulator:
             if head is None:
                 break
             if until is not None and head[0] > until:
+                self._next_pop = None
                 break
             if processed >= max_events:
+                self._next_pop = None
                 raise SimulationError(
                     f"exceeded max_events={max_events}; likely livelock"
                 )
@@ -254,12 +324,18 @@ class Simulator:
         processed = 0
         while self._live_foreground > 0:
             head = self._peek_live()
-            assert head is not None, "foreground counter out of sync"
+            if head is None:
+                raise SimulationError(
+                    f"foreground counter out of sync: "
+                    f"{self._live_foreground} counted, none queued"
+                )
             if head[0] > horizon:
+                self._next_pop = None
                 raise SimulationError(
                     f"not settled by horizon t={horizon}: {head[4]!r} pending"
                 )
             if processed >= max_events:
+                self._next_pop = None
                 raise SimulationError(
                     f"exceeded max_events={max_events}; likely livelock"
                 )
@@ -268,7 +344,23 @@ class Simulator:
         return self._now
 
     def _peek_live(self) -> Optional[Event]:
+        """The next live event: the least ``(time, seq)`` among the heap
+        head and the lane heads, spent or cancelled heads dropped on the
+        way.  Remembers where it lives for the :meth:`step` that follows
+        (callers that do not step must reset ``_next_pop``)."""
         queue = self._queue
         while queue and queue[0][5]:
             heappop(queue)
-        return queue[0] if queue else None
+        if queue:
+            head, pop = queue[0], self._heap_pop
+        else:
+            head = pop = None
+        for events, popleft in self._lane_heads:
+            while events and events[0][5]:
+                popleft()
+            if events:
+                first = events[0]
+                if head is None or first < head:
+                    head, pop = first, popleft
+        self._next_pop = pop
+        return head

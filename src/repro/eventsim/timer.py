@@ -20,8 +20,11 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` arms (or re-arms) the timer; ``stop`` disarms it.  The
-    callback fires once per arming.
+    callback fires once per arming.  Slotted: every BGP session holds
+    two, and a 5000-AS storm has tens of thousands of sessions.
     """
+
+    __slots__ = ("_sim", "_callback", "_background", "_label", "_event")
 
     def __init__(
         self,

@@ -3,14 +3,18 @@
 The emulation framework auto-assigns addresses to every AS, link, and
 host (the paper's "configuration management such as IP prefixes"), so we
 need a small, fast, hashable address model.  Addresses are wrapped
-integers; prefixes are ``(network_int, length)`` pairs with the host bits
-forced to zero, which makes longest-prefix match a simple mask-and-compare.
+integers; prefixes are ``(network_int, length)`` tuples with the host
+bits forced to zero, which makes longest-prefix match a simple
+mask-and-compare.  Every RIB, Adj-RIB-Out, dirty set and export memo is
+keyed by :class:`Prefix`, so its hash and equality run in C (the
+tuple's own): a 5000-AS storm cycle hashes about 600k prefixes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
+from operator import itemgetter
 from typing import Iterator, Union
 
 __all__ = ["IPv4Address", "Prefix", "AddressError"]
@@ -20,6 +24,10 @@ _MAX32 = 0xFFFFFFFF
 
 class AddressError(ValueError):
     """Malformed address or prefix text / out-of-range value."""
+
+
+def _mask(length: int) -> int:
+    return (_MAX32 << (32 - length)) & _MAX32 if length else 0
 
 
 def _parse_quad(text: str) -> int:
@@ -70,26 +78,43 @@ class IPv4Address:
         return IPv4Address(self.value + offset)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(tuple):
     """An IPv4 prefix (network + mask length), host bits forced clear.
 
-    Orders by ``(network, length)`` so sorted prefix lists are stable and
+    A ``tuple`` ``(network, length)``, as
+    :class:`~repro.eventsim.core.Event` is a list: the fields read
+    through properties, and hashing, equality and ordering are the
+    tuple's own, in C.  The hash is ``hash((network, length))`` and the
+    order ``(network, length)``, which every pinned set and dict
+    iteration order rests on: sorted prefix lists are stable and
     more-specifics of the same network sort after the covering prefix.
+    Immutable: assigning an attribute raises.  The instance dict only
+    ever holds the rendered text, made on the first ``str()`` (most
+    prefixes in a large build are never rendered).
     """
 
-    network: int
-    length: int
+    network = property(itemgetter(0), doc="Network address as an integer.")
+    length = property(itemgetter(1), doc="Mask length in bits.")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= 32:
-            raise AddressError(f"prefix length out of range: {self.length!r}")
-        if not 0 <= self.network <= _MAX32:
-            raise AddressError(f"network out of range: {self.network!r}")
-        masked = self.network & self.mask
-        if masked != self.network:
-            object.__setattr__(self, "network", masked)
+    def __new__(cls, network: int, length: int) -> "Prefix":
+        if not 0 <= length <= 32:
+            raise AddressError(f"prefix length out of range: {length!r}")
+        if not 0 <= network <= _MAX32:
+            raise AddressError(f"network out of range: {network!r}")
+        return tuple.__new__(cls, (network & _mask(length), length))
+
+    def __getnewargs__(self):
+        return (self[0], self[1])
+
+    def __getstate__(self):
+        # The cached text is not state: a pickle carries the two fields.
+        return None
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -111,9 +136,7 @@ class Prefix:
     @property
     def mask(self) -> int:
         """Netmask as an integer."""
-        if self.length == 0:
-            return 0
-        return (_MAX32 << (32 - self.length)) & _MAX32
+        return _mask(self[1])
 
     @property
     def num_addresses(self) -> int:
@@ -181,17 +204,15 @@ class Prefix:
         return self.contains(other.first_address) or other.contains(self.first_address)
 
     def __str__(self) -> str:
-        # Rendered once per instance (a frozen dataclass's fields never
-        # change); the text lives beside the fields, outside equality.
+        # Rendered once per instance (the fields never change); the text
+        # lives in the instance dict, outside equality and hashing.
         try:
             return self._text
         except AttributeError:
-            text = f"{IPv4Address(self.network)}/{self.length}"
-            object.__setattr__(self, "_text", text)
+            text = self.__dict__["_text"] = (
+                f"{IPv4Address(self[0])}/{self[1]}"
+            )
             return text
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
-
-    def __lt__(self, other: "Prefix") -> bool:
-        return (self.network, self.length) < (other.network, other.length)

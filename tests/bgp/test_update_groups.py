@@ -21,6 +21,8 @@ from repro.bgp.policy import (
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.experiments.common import paper_config
+from repro.experiments.scale import SCALE_MRAI
+from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
@@ -202,3 +204,31 @@ class TestOutputRunsStay:
         one_draw.setstate(state)
         one_draw.uniform(22.5, 30.0)
         assert rng.getstate() == one_draw.getstate()
+
+    def test_storm_cycle_event_count_is_pinned(self):
+        """Kernel events are the unit of the storm benchmark's
+        ``events_per_s``, and most of them are output runs, most of
+        which send nothing.  One announce + withdraw cycle on a lean
+        300-AS hierarchy pins both counts, so a change that drops events
+        (or output runs) has to re-pin them on purpose."""
+        exp = Experiment(
+            caida_hierarchy(300),
+            sdn_members=frozenset(),
+            config=paper_config(
+                seed=7, mrai=SCALE_MRAI, policy_mode="gao_rexford",
+                trace_level="off", lean=True,
+            ),
+        ).build()
+        exp.start()
+        sim = exp.net.sim
+        output_runs = []
+        sim.set_dispatch_hook(
+            lambda event, wall: event.label.endswith(":flush")
+            and output_runs.append(event)
+        )
+        before = sim.events_processed
+        prefix = {}
+        measure_event(exp, lambda: prefix.setdefault("p", exp.announce(1)))
+        measure_event(exp, lambda: exp.withdraw(1, prefix["p"]))
+        assert sim.events_processed - before == 4550
+        assert len(output_runs) == 2120

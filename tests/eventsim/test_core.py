@@ -257,6 +257,101 @@ class TestQueueKeys:
         ] + [("a", 2), ("b", 2), ("a", 1), ("b", 1), ("a", 0), ("b", 0)]
 
 
+class TestFifoLane:
+    """A lane holds foreground events at one fixed delay in a deque; the
+    kernel pops the least ``(time, seq)`` of the heap head and the lane
+    heads, so a lane event runs exactly where ``schedule(delay)`` would
+    have put it."""
+
+    def test_heap_and_lane_events_at_one_time_run_in_seq_order(self, sim):
+        order = []
+        lane = sim.fifo_lane(1.0)
+        lane.schedule(lambda: order.append("lane0"))
+        sim.schedule(1.0, lambda: order.append("heap1"))
+        lane.schedule(lambda: order.append("lane2"))
+        sim.schedule(
+            0.5, lambda: sim.schedule(0.5, lambda: order.append("heap3"))
+        )
+        sim.run()
+        assert order == ["lane0", "heap1", "lane2", "heap3"]
+
+    def test_lane_event_is_an_ordinary_event(self, sim):
+        event = sim.fifo_lane(0.25).schedule(lambda: None, label="out")
+        assert (event.time, event.seq, event.label) == (0.25, 0, "out")
+        assert not event.background and not event.cancelled
+        assert sim.schedule(0.25, lambda: None).seq == 1
+
+    def test_cancelled_lane_head_is_skipped(self, sim):
+        ran = []
+        lane = sim.fifo_lane(1.0)
+        head = lane.schedule(lambda: ran.append("head"))
+        lane.schedule(lambda: ran.append("next"))
+        sim.cancel(head)
+        assert sim.pending_foreground() == 1
+        assert sim.run_until_settled() == 1.0
+        assert ran == ["next"] and sim.events_processed == 1
+
+    def test_pending_foreground_counts_lane_events(self, sim):
+        lane = sim.fifo_lane(0.01)
+        lane.schedule(lambda: None)
+        lane.schedule(lambda: None)
+        sim.schedule(1.0, lambda: None)
+        assert sim.pending_foreground() == 3
+        assert sim.step()
+        assert sim.pending_foreground() == 2
+
+    def test_run_until_stops_at_a_lane_head(self, sim):
+        seen = []
+        sim.fifo_lane(5.0).schedule(lambda: seen.append(sim.now))
+        sim.run(until=2.0)
+        assert seen == [] and sim.now == 2.0
+        # a heap event scheduled now, due before the lane head, runs
+        # first: the stopped run left no stale head behind.
+        sim.schedule(1.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [3.0, 5.0]
+
+    def test_horizon_error_names_the_lane_head(self, sim):
+        sim.fifo_lane(1000.0).schedule(lambda: None, label="slow-lane")
+        with pytest.raises(SimulationError, match="slow-lane"):
+            sim.run_until_settled(horizon=10.0)
+        assert sim.pending_foreground() == 1
+
+    def test_one_lane_per_delay(self, sim):
+        assert sim.fifo_lane(0.01) is sim.fifo_lane(0.01)
+        assert sim.fifo_lane(0.01) is not sim.fifo_lane(0.02)
+        assert sim.fifo_lane(0.01).delay == 0.01
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.fifo_lane(-0.5)
+
+    def test_lanes_follow_the_clock(self, sim):
+        order = []
+        lane = sim.fifo_lane(0.5)
+
+        def tick(tag, depth):
+            order.append((tag, sim.now))
+            if depth:
+                lane.schedule(lambda: tick(tag, depth - 1))
+
+        lane.schedule(lambda: tick("lane", 2))
+        sim.schedule(0.75, lambda: order.append(("heap", sim.now)))
+        sim.run()
+        assert order == [
+            ("lane", 0.5), ("heap", 0.75), ("lane", 1.0), ("lane", 1.5)
+        ]
+
+
+class TestCounterDesync:
+    def test_out_of_sync_foreground_counter_raises(self, sim):
+        # Not an assert: under ``python -O`` that would become a
+        # TypeError on the missing head.
+        sim._live_foreground += 1
+        with pytest.raises(SimulationError, match="out of sync"):
+            sim.run_until_settled()
+
+
 class TestRng:
     def test_streams_are_deterministic_across_instances(self):
         a = Simulator(seed=7).rng("x").random()

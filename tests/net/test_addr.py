@@ -1,5 +1,7 @@
 """Unit + property tests for IPv4 addresses and prefixes."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -114,6 +116,65 @@ class TestPrefix:
         assert [str(p) for p in sorted(prefixes)] == [
             "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16",
         ]
+
+
+class TestPrefixContract:
+    """``Prefix`` is a ``(network, length)`` tuple whose hash, equality
+    and order are the tuple's own; their values equal those of the frozen
+    dataclass it replaced, so set and dict iteration orders — and every
+    pinned result built on them — do not move."""
+
+    SAMPLES = ["10.0.0.0/8", "10.1.0.0/16", "192.168.7.0/24",
+               "0.0.0.0/0", "255.255.255.255/32", "172.16.4.8/30"]
+
+    def test_hash_is_the_field_tuples(self):
+        for text in self.SAMPLES:
+            prefix = Prefix.parse(text)
+            assert hash(prefix) == hash((prefix.network, prefix.length))
+
+    def test_sorted_order_is_network_then_length(self):
+        prefixes = [Prefix.parse(t) for t in self.SAMPLES]
+        prefixes += [Prefix.parse("10.0.0.0/16"), Prefix.parse("9.0.0.0/8")]
+        assert sorted(prefixes) == sorted(
+            prefixes, key=lambda p: (p.network, p.length)
+        )
+
+    def test_pickle_round_trip(self):
+        for text in self.SAMPLES:
+            prefix = Prefix.parse(text)
+            str(prefix)  # the cached text is not part of the pickle
+            again = pickle.loads(pickle.dumps(prefix))
+            assert again == prefix and type(again) is Prefix
+            assert hash(again) == hash(prefix)
+            assert pickle.dumps(again) == pickle.dumps(Prefix.parse(text))
+
+    def test_host_bits_are_masked_on_construction(self):
+        prefix = Prefix(0x0A0102FF, 24)
+        assert prefix.network == 0x0A010200
+        assert prefix == Prefix.parse("10.1.2.0/24")
+        assert Prefix(0xFFFFFFFF, 0) == Prefix(0, 0)
+
+    def test_out_of_range_fields_rejected(self):
+        with pytest.raises(AddressError):
+            Prefix(0, 33)
+        with pytest.raises(AddressError):
+            Prefix(-1, 8)
+
+    def test_assigning_an_attribute_raises(self):
+        prefix = Prefix.parse("10.0.0.0/8")
+        for name in ("network", "length", "_text", "other"):
+            with pytest.raises(AttributeError):
+                setattr(prefix, name, 1)
+        with pytest.raises(AttributeError):
+            del prefix.network
+        assert prefix == Prefix.parse("10.0.0.0/8")
+
+    def test_text_matches_the_dataclass_rendering(self):
+        assert [str(Prefix.parse(t)) for t in self.SAMPLES] == self.SAMPLES
+        assert str(Prefix(0x0A0102FF, 24)) == "10.1.2.0/24"
+        assert repr(Prefix.parse("10.1.0.0/16")) == "Prefix('10.1.0.0/16')"
+        prefix = Prefix.parse("192.168.7.0/24")
+        assert str(prefix) is str(prefix)  # rendered once
 
 
 # ----------------------------------------------------------------------

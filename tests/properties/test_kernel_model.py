@@ -5,7 +5,9 @@ zero-delay self-schedules, far-future outliers and cancellations —
 running the same program on the :class:`Simulator` and on
 :class:`ModelKernel`, a reference interpreter small enough to be read
 as the specification, yields the exact same execution log, final clock
-and processed-event count.
+and processed-event count.  Programs may route any event through a
+FIFO lane (``sim.fifo_lane(d).schedule``); to the model that is just
+``schedule(d)``.
 
 Examples are bounded and derandomized (same discipline as
 ``test_fault_properties``) so the suite stays fast and reproducible.
@@ -115,11 +117,72 @@ def load_program(program, sim):
     return log
 
 
+def schedule_via(kernel, lane, delay, callback):
+    """Schedule on ``kernel``, through the FIFO lane for ``delay`` when
+    ``lane`` is set and the kernel has lanes (the model has none)."""
+    if lane and isinstance(kernel, Simulator):
+        return kernel.fifo_lane(delay).schedule(callback)
+    return kernel.schedule(delay, callback)
+
+
+@st.composite
+def lane_programs(draw):
+    """A script whose events, children included, each go through the
+    heap or a lane, on the collision lattice, cancelling some."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    routed = st.tuples(LATTICE, st.booleans())
+    return [
+        {
+            "delay": draw(LATTICE),
+            "lane": draw(st.booleans()),
+            "children": draw(st.lists(routed, max_size=3)),
+            "cancel": draw(st.sampled_from(["none", "prev", "self"])),
+        }
+        for _ in range(n)
+    ]
+
+
+def load_lane_program(program, kernel):
+    """Schedule one lane script on ``kernel``; returns its log."""
+    log = []
+
+    def make_callback(tag, children):
+        def callback():
+            log.append((tag, kernel.now))
+            for branch, (delay, lane) in enumerate(children):
+                schedule_via(
+                    kernel, lane, delay, make_callback((tag, branch), ())
+                )
+
+        return callback
+
+    handles = []
+    for index, item in enumerate(program):
+        handle = schedule_via(
+            kernel, item["lane"], item["delay"],
+            make_callback(index, tuple(item["children"])),
+        )
+        if item["cancel"] == "prev" and handles:
+            kernel.cancel(handles[-1])
+        elif item["cancel"] == "self":
+            kernel.cancel(handle)
+        handles.append(handle)
+    return log
+
+
 class TestKernelMatchesModel:
     @given(program=event_programs())
     @BOUNDED
     def test_program_execution_order(self, program):
         simulated, model = on_both(lambda sim: load_program(program, sim))
+        assert simulated == model
+
+    @given(program=lane_programs())
+    @BOUNDED
+    def test_lane_program_execution_order(self, program):
+        simulated, model = on_both(
+            lambda kernel: load_lane_program(program, kernel)
+        )
         assert simulated == model
 
     @given(delays=st.lists(LATTICE, min_size=1, max_size=60))
