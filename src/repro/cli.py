@@ -76,6 +76,7 @@ from .faults import (
     get_canned,
 )
 from .framework import Experiment
+from .runner.cache import DEFAULT_CACHE_DIR
 from .runner.jobs import SPEC_OPTIONS, RunSpec, run_trial_full
 from .topology import clique
 
@@ -195,11 +196,13 @@ def _spec_values(args) -> dict:
     return {name: flags[name] for name in _OPTIONS if name in flags}
 
 
-def _cache_dir(args) -> Optional[str]:
-    """``--cache-dir``, else ``$REPRO_CACHE_DIR``; None on ``--no-cache``."""
+def _cache_dir(args, default=None) -> Optional[str]:
+    """``--cache-dir``, else ``$REPRO_CACHE_DIR``, else ``default``;
+    None on ``--no-cache``."""
     if getattr(args, "no_cache", False):
         return None
-    return getattr(args, "cache_dir", None) or os.environ.get(CACHE_DIR_ENV)
+    cache_dir = getattr(args, "cache_dir", None)
+    return cache_dir or os.environ.get(CACHE_DIR_ENV) or default
 
 
 def _registry_path(args, default=DEFAULT_REGISTRY_PATH) -> Optional[str]:
@@ -954,7 +957,7 @@ def cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        cache_dir=_cache_dir(args),
+        cache_dir=_cache_dir(args, default=DEFAULT_CACHE_DIR),
         registry_path=_registry_path(args),
         concurrency=args.concurrency,
         max_queue=args.max_queue,
@@ -1469,7 +1472,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 picks an ephemeral port, "
                         "announced on stdout)")
     p.add_argument("--cache-dir", type=str, default=None,
-                   help=f"result-cache directory (also via ${CACHE_DIR_ENV})")
+                   help="result-cache directory every answer comes from "
+                        f"(default: ${CACHE_DIR_ENV} or {DEFAULT_CACHE_DIR})")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without a result cache (every submission "
                         "executes)")

@@ -256,7 +256,7 @@ class RunRegistry:
         if row is None:
             # Two connections can initialise a fresh file concurrently
             # (the service opens one registry per worker thread plus
-            # dedup lookups on the loop thread); OR IGNORE makes the
+            # /api/runs reads on the loop thread); OR IGNORE makes the
             # losing writer a no-op and the re-read settles the value.
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value)"

@@ -22,10 +22,15 @@ from typing import Optional, Union
 
 from .jobs import RECORD_PAYLOADS, RunRecord, RunSpec
 
-__all__ = ["ResultCache", "CacheStats", "current_code_version", "CACHE_SCHEMA"]
+__all__ = [
+    "ResultCache", "CacheStats", "current_code_version", "CACHE_SCHEMA",
+    "DEFAULT_CACHE_DIR",
+]
 
 #: bump when the cache file format itself changes.
 CACHE_SCHEMA = 1
+#: where ``repro serve`` keeps results when no directory is given.
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 def current_code_version() -> str:
@@ -86,26 +91,37 @@ class ResultCache:
             self.hits += 1
         return record
 
-    def _load(self, spec: RunSpec) -> Optional[RunRecord]:
-        path = self._path(spec.digest())
+    def _read(self, path: pathlib.Path) -> Optional[dict]:
+        """The entry at ``path`` if this code version can serve it.
+
+        The one validity rule: the file parses to a dict with this
+        :data:`CACHE_SCHEMA`, this code version and a dict
+        ``measurement``.  Anything else is None — a miss for
+        :meth:`get`, a stale file for :meth:`prune`.
+        """
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != CACHE_SCHEMA
+            or payload.get("code_version") != self.code_version
+            or not isinstance(payload.get("measurement"), dict)
+        ):
             return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            return None
-        if payload.get("code_version") != self.code_version:
-            return None
-        measurement_data = payload.get("measurement")
-        if not isinstance(measurement_data, dict):
+        return payload
+
+    def _load(self, spec: RunSpec) -> Optional[RunRecord]:
+        payload = self._read(self._path(spec.digest()))
+        if payload is None:
             return None
         meta = payload.get("record", {})
+        measurement = RunRecord.measurement_from_dict(payload["measurement"])
         return RunRecord(
             digest=spec.digest(),
             ok=True,
-            measurement=RunRecord.measurement_from_dict(measurement_data),
+            measurement=measurement,
             wall_time=float(meta.get("wall_time", 0.0)),
             worker=str(meta.get("worker", "")),
             attempts=int(meta.get("attempts", 1)),
@@ -189,42 +205,17 @@ class ResultCache:
         """
         removed = 0
         for path in self._entries():
-            stale = False
+            if self._read(path) is not None:
+                continue
             try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                stale = True
-            else:
-                stale = (
-                    not isinstance(payload, dict)
-                    or payload.get("schema") != CACHE_SCHEMA
-                    or payload.get("code_version") != self.code_version
-                    or not isinstance(payload.get("measurement"), dict)
-                )
-            if stale:
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.iterdir():
-            if path.suffix == ".json" and not path.name.startswith("."):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
     def __repr__(self) -> str:
         return (

@@ -42,6 +42,7 @@ from ..eventsim.metrics import MetricsRegistry
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord
 from .http import (
+    MAX_HEADER_BYTES,
     HttpError,
     Request,
     error_payload,
@@ -112,6 +113,12 @@ class ServiceApp:
     # connection handling
     # ------------------------------------------------------------------
     async def handle_connection(self, reader, writer) -> None:
+        # The selector transport reads up to 256 KiB per recv and then
+        # shrinks the buffer to the few hundred bytes a request has; on
+        # some heap layouts each shrink trims the heap top and the next
+        # read grows it again, page faults on every request.
+        # Header-sized reads stay below malloc's trim threshold.
+        writer.transport.max_size = MAX_HEADER_BYTES
         try:
             try:
                 request = await read_request(reader)
@@ -433,7 +440,7 @@ class ServiceApp:
             )
         from ..obs.registry import RunRegistry
 
-        return RunRegistry(path)
+        return RunRegistry(path, git_rev=self.manager._git_rev)
 
     def _dashboard(self, writer) -> None:
         from ..obs.dashboard import render_dashboard
@@ -460,7 +467,9 @@ class ServiceApp:
 
         self._reply(writer, 200, {"runs": [asdict(row) for row in rows]})
 
-    def _run_row(self, writer, run_id: str) -> None:
+    def _recorded_run(self, run_id: str):
+        """The registry row ``run_id`` names (400 unless an integer,
+        404 when no such run was recorded)."""
         try:
             wanted = int(run_id)
         except ValueError:
@@ -469,9 +478,12 @@ class ServiceApp:
             row = registry.run(wanted)
         if row is None:
             raise HttpError(404, f"no recorded run {wanted}")
+        return row
+
+    def _run_row(self, writer, run_id: str) -> None:
         from dataclasses import asdict
 
-        self._reply(writer, 200, asdict(row))
+        self._reply(writer, 200, asdict(self._recorded_run(run_id)))
 
     def _run_anatomy(self, writer, run_id: str) -> None:
         """Critical-path delay attribution of one recorded run.
@@ -481,21 +493,16 @@ class ServiceApp:
         Rows recorded before schema 3 — or without spans — have nothing
         to attribute and answer 404.
         """
-        try:
-            wanted = int(run_id)
-        except ValueError:
-            raise HttpError(400, f"run id must be an integer, got {run_id!r}")
-        with self._open_registry() as registry:
-            row = registry.run(wanted)
-        if row is None:
-            raise HttpError(404, f"no recorded run {wanted}")
+        row = self._recorded_run(run_id)
         if row.anatomy is None:
             raise HttpError(
                 404,
-                f"run {wanted} carries no anatomy; record it with "
+                f"run {row.run_id} carries no anatomy; record it with "
                 "spans enabled to attribute its convergence delay",
             )
-        self._reply(writer, 200, {"run_id": wanted, "anatomy": row.anatomy})
+        self._reply(
+            writer, 200, {"run_id": row.run_id, "anatomy": row.anatomy}
+        )
 
 
 async def start_service(

@@ -8,9 +8,8 @@ runner executes on.  Its invariants:
   attach to one :class:`Job`; exactly one trial executes and every
   attached client reads the same record;
 - **content-addressed dedup** — a digest already answered by the
-  :class:`~repro.runner.cache.ResultCache` (or recorded ok in the
-  :class:`~repro.obs.registry.RunRegistry`) becomes an already-done job
-  without touching the queue;
+  :class:`~repro.runner.cache.ResultCache`, the one result store,
+  becomes an already-done job without touching the queue;
 - **explicit backpressure** — per-client quotas and a bounded queue;
   violations raise :class:`QuotaExceeded` / :class:`QueueFull` carrying
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
@@ -21,7 +20,8 @@ runner executes on.  Its invariants:
   (``put_nowait`` on a bounded queue) instead of stalling the worker;
 - **everything recorded** — each executed job opens the registry
   *inside its worker thread* (sqlite connections are thread-bound) and
-  records through the ordinary :class:`RegistrySink` event path.
+  records through the ordinary :class:`RegistrySink` event path.  The
+  registry is the run log: nothing reads it to answer a job.
 
 All public methods must be called from the event-loop thread.
 ``submit_many`` contains no awaits, so a whole batch admission is
@@ -31,14 +31,13 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..obs.logging import new_cid
 from ..runner.cache import ResultCache
-from ..runner.jobs import RECORD_PAYLOADS, RunRecord, RunSpec
+from ..runner.jobs import RunRecord, RunSpec
 from ..runner.pool import ParallelRunner
 from ..runner.progress import AsyncQueueProgress, TeeProgress, record_summary
 
@@ -96,7 +95,7 @@ class Job:
     subscribers: Set[asyncio.Queue] = field(default_factory=set)
     runner: Optional[ParallelRunner] = None
     done: asyncio.Event = field(default_factory=asyncio.Event)
-    #: True when the job was answered by cache/registry, not execution.
+    #: True when the job was answered by the cache, not execution.
     from_cache: bool = False
     #: SSE frames dropped across all subscribers (observability).
     dropped_frames: int = 0
@@ -142,6 +141,13 @@ class JobManager:
             raise ValueError(f"quota must be >= 1: {quota}")
         self.cache = cache
         self.registry_path = registry_path
+        #: the revision every registry row of this process names:
+        #: resolved once, so rows name the code this process imported.
+        self._git_rev = ""
+        if registry_path:
+            from ..obs import registry
+
+            self._git_rev = registry.current_git_rev()
         self.concurrency = concurrency
         self.max_queue = max_queue
         self.quota = quota
@@ -212,15 +218,15 @@ class JobManager:
 
         Returns one :class:`Job` per spec (order preserved): a fresh
         queued job, an existing job the client attached to (dedup), or
-        an already-done job answered from cache/registry.  Raises
+        an already-done job answered from the cache.  Raises
         :class:`QuotaExceeded` / :class:`QueueFull` without admitting
         anything when the batch does not fit.  No awaits — the whole
         admission decision is atomic on the event loop.
         """
         digests = [spec.digest() for spec in specs]
 
-        # Pass 1 (nothing admitted yet): probe cache + registry once for
-        # every digest the job table does not know; the ones with no
+        # Pass 1 (nothing admitted yet): probe the cache once for every
+        # digest the job table does not know; the ones with no
         # answer are the genuinely new jobs.  Does the whole batch fit?
         seen: Set[str] = set(digests)
         found: Dict[str, Optional[RunRecord]] = {}
@@ -290,43 +296,8 @@ class JobManager:
             excess -= 1
 
     def _lookup_record(self, spec: RunSpec) -> Optional[RunRecord]:
-        """Dedup: an existing ok result for this digest, if any."""
-        if self.cache is not None:
-            record = self.cache.get(spec)
-            if record is not None:
-                return record
-        if self.registry_path and os.path.exists(self.registry_path):
-            from ..obs.registry import RunRegistry, RunRow
-
-            # The registry answers only what it stored: a spec asking
-            # for a payload the rows have no column for (spans) executes.
-            stored = {f.name for f in fields(RunRow)} & set(RECORD_PAYLOADS)
-            if any(
-                getattr(spec, name, False)
-                for name in set(RECORD_PAYLOADS) - stored
-            ):
-                return None
-            with RunRegistry(self.registry_path) as registry:
-                rows = registry.runs(
-                    digest=spec.digest(), ok=True,
-                    limit=1, newest_first=True,
-                )
-            if rows:
-                row = rows[0]
-                return RunRecord(
-                    digest=row.spec_digest,
-                    ok=True,
-                    measurement=(
-                        RunRecord.measurement_from_dict(row.measurement)
-                        if row.measurement else None
-                    ),
-                    wall_time=row.wall_time,
-                    worker=row.worker,
-                    attempts=row.attempts,
-                    cached=True,
-                    **{name: getattr(row, name) for name in stored},
-                )
-        return None
+        """Dedup: the cached ok result for this digest, if any."""
+        return self.cache.get(spec) if self.cache is not None else None
 
     def _adopt_record(
         self, spec: RunSpec, digest: str, record: RunRecord
@@ -413,7 +384,7 @@ class JobManager:
         if self.registry_path:
             from ..obs.registry import RegistrySink, RunRegistry
 
-            registry = RunRegistry(self.registry_path)
+            registry = RunRegistry(self.registry_path, git_rev=self._git_rev)
             runner.progress = TeeProgress(
                 runner.progress, RegistrySink(registry, label="service")
             )

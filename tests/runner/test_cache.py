@@ -116,6 +116,20 @@ class TestHitMiss:
         assert cache.get(spec) is None
 
 
+#: every kind of stale entry, as an edit of a good entry's JSON.
+STALE_EDITS = {
+    "corrupt": lambda entry: "{not json",
+    "not-a-dict": lambda entry: json.dumps([entry]),
+    "wrong-schema": lambda entry: json.dumps({**entry, "schema": 0}),
+    "other-version": lambda entry: json.dumps(
+        {**entry, "code_version": "0.0-old"}
+    ),
+    "measurement-not-a-dict": lambda entry: json.dumps(
+        {**entry, "measurement": [entry["measurement"]]}
+    ),
+}
+
+
 class TestInvalidation:
     def test_code_version_mismatch_is_a_miss(self, tmp_path):
         spec = make_spec()
@@ -137,14 +151,20 @@ class TestInvalidation:
         (tmp_path / f"{spec.digest()}.json").write_text("{not json")
         assert cache.get(spec) is None
 
-    def test_clear(self, tmp_path):
+    @pytest.mark.parametrize("kind", [None, *STALE_EDITS])
+    def test_get_misses_exactly_when_prune_removes(self, tmp_path, kind):
+        """One validity rule: an entry ``get`` cannot serve is the
+        entry ``prune`` deletes, and a servable one survives."""
         cache = ResultCache(tmp_path)
-        for seed in (1, 2, 3):
-            spec = make_spec(seed=seed)
-            cache.put(spec, execute_spec(spec))
-        assert len(cache) == 3
-        assert cache.clear() == 3
-        assert len(cache) == 0
+        spec = make_spec()
+        cache.put(spec, execute_spec(spec))
+        path = tmp_path / f"{spec.digest()}.json"
+        if kind is not None:
+            path.write_text(STALE_EDITS[kind](json.loads(path.read_text())))
+        missed = cache.get(spec) is None
+        assert missed == (kind is not None)
+        assert cache.prune() == int(missed)
+        assert path.exists() == (not missed)
 
 
 def _schedule_built_forward() -> FaultSchedule:

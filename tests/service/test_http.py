@@ -313,6 +313,32 @@ class TestRoutes:
 
         serve(tmp_path, body)
 
+    def test_registry_reads_reuse_the_process_revision(
+        self, tmp_path, monkeypatch
+    ):
+        """Serving the run log resolves no git revision of its own."""
+        from repro.obs import registry as registry_module
+
+        calls = []
+
+        def counting_rev(cwd=None):
+            calls.append(cwd)
+            return "abc1234"
+
+        monkeypatch.setattr(registry_module, "current_git_rev", counting_rev)
+
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            (job,) = client.submit({"spec": QUICK_SPEC})
+            client.watch(job["digest"])
+            (row,) = client.runs()
+            assert row["git_rev"] == "abc1234"
+            client._json("GET", f"/api/runs/{row['run_id']}")
+            assert "<html" in client.dashboard().lower()
+
+        serve(tmp_path, body)
+        assert len(calls) == 1
+
     def test_registry_persists_after_service(self, tmp_path):
         def body(port, app, loop):
             client = ServiceClient("127.0.0.1", port, client_id="t")
@@ -326,7 +352,51 @@ class TestRoutes:
             assert len(rows) == 1 and rows[0].ok
 
 
+class TestConnections:
+    def test_requests_are_read_in_header_sized_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        """No request allocates the transport's default 256 KiB read
+        buffer."""
+        from repro.service.app import ServiceApp
+        from repro.service.http import MAX_HEADER_BYTES
+
+        seen = []
+        dispatch = ServiceApp._timed_dispatch
+
+        async def spy(self, request, writer):
+            seen.append(writer.transport.max_size)
+            return await dispatch(self, request, writer)
+
+        monkeypatch.setattr(ServiceApp, "_timed_dispatch", spy)
+
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            client.healthz()
+            client.jobs()
+
+        serve(tmp_path, body)
+        assert seen == [MAX_HEADER_BYTES] * 2
+
+
 class TestErrors:
+    @pytest.mark.parametrize("suffix", ["", "/anatomy"])
+    def test_run_routes_reject_bad_and_unknown_ids(self, tmp_path, suffix):
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            (job,) = client.submit({"spec": QUICK_SPEC})
+            client.watch(job["digest"])
+            with pytest.raises(ServiceClientError) as excinfo:
+                client._json("GET", f"/api/runs/one{suffix}")
+            assert excinfo.value.status == 400
+            assert "must be an integer" in str(excinfo.value)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client._json("GET", f"/api/runs/999{suffix}")
+            assert excinfo.value.status == 404
+            assert "no recorded run 999" in str(excinfo.value)
+
+        serve(tmp_path, body)
+
     def test_bad_payload_is_clean_400_with_details(self, tmp_path):
         def body(port, app, loop):
             client = ServiceClient("127.0.0.1", port, client_id="t")

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.config import runspec_from_json
+from repro.obs import registry as registry_module
 from repro.obs.registry import RunRegistry
 from repro.runner import ParallelRunner, ResultCache
 from repro.service.manager import (
@@ -22,6 +23,17 @@ def spec_for(seed: int = 7, **overrides):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def finish_one(spec):
+    """A session body: submit ``spec`` as alice, wait for its job."""
+
+    async def body(manager):
+        (job,) = manager.submit_many([spec], "alice")
+        await asyncio.wait_for(job.done.wait(), 60)
+        return job
+
+    return body
 
 
 async def manager_session(body, **kwargs):
@@ -98,61 +110,64 @@ class TestDedup:
             == baseline.measurement.convergence_time
         )
 
-    def test_registry_hit_is_immediately_done(self, tmp_path):
+    def test_stale_registry_row_does_not_answer(self, tmp_path):
+        """An ok row (and cache entry) written by another code version
+        is history, not an answer: the job executes."""
+        spec = spec_for()
+        registry_path = str(tmp_path / "runs.sqlite")
+        old = ParallelRunner(
+            1,
+            cache=ResultCache(tmp_path / "cache", code_version="0.0-old"),
+            registry=RunRegistry(registry_path, code_version="0.0-old"),
+        )
+        assert old.run([spec])[0].ok
+        old.registry_sink.registry.close()
+
+        job = run(manager_session(
+            finish_one(spec),
+            cache=ResultCache(tmp_path / "cache"),
+            registry_path=registry_path,
+        ))
+        assert job.state == "done"
+        assert not job.from_cache and not job.record.cached
+
+    def test_no_cache_executes_despite_an_ok_registry_row(self, tmp_path):
+        """``repro serve --no-cache``: every submission executes."""
         spec = spec_for()
         registry_path = str(tmp_path / "runs.sqlite")
         runner = ParallelRunner(1, registry=registry_path)
-        baseline = runner.run([spec])[0]
+        assert runner.run([spec])[0].ok
         runner.registry_sink.registry.close()
-        assert baseline.ok
 
-        async def body(manager):
-            (job,) = manager.submit_many([spec], "alice")
-            return job
-
-        job = run(manager_session(body, registry_path=registry_path))
+        job = run(manager_session(
+            finish_one(spec), cache=None, registry_path=registry_path,
+        ))
         assert job.state == "done"
-        assert job.from_cache
-        assert (
-            job.record.measurement.convergence_time
-            == baseline.measurement.convergence_time
-        )
+        assert not job.from_cache and not job.record.cached
+        with RunRegistry(registry_path) as registry:
+            assert len(registry.runs(digest=spec.digest())) == 2
 
-    def test_registry_hit_serves_the_payloads_the_row_stores(self, tmp_path):
-        """A registry-answered job carries every payload its row stores:
-        the metrics snapshot and the resources, layer split included."""
-        spec = spec_for(metrics=True)
-        registry_path = str(tmp_path / "runs.sqlite")
-
-        async def body(manager):
-            (job,) = manager.submit_many([spec], "alice")
-            await asyncio.wait_for(job.done.wait(), 60)
-            return job
-
-        first = run(manager_session(body, registry_path=registry_path))
-        again = run(manager_session(body, registry_path=registry_path))
+    def test_cache_answers_across_a_restart(self, tmp_path):
+        """A new manager on the same cache dir and a fresh registry
+        serves a spans+metrics run with every payload the first run
+        carried."""
+        spec = spec_for(spans=True, metrics=True)
+        first = run(manager_session(
+            finish_one(spec),
+            cache=ResultCache(tmp_path / "cache"),
+            registry_path=str(tmp_path / "first.sqlite"),
+        ))
+        again = run(manager_session(
+            finish_one(spec),
+            cache=ResultCache(tmp_path / "cache"),
+            registry_path=str(tmp_path / "second.sqlite"),
+        ))
         assert not first.from_cache and again.from_cache
-        assert first.record.metrics
-        served = again.record.payloads(result_only=True)
-        assert served["metrics"] == first.record.metrics
+        assert again.state == "done" and again.record.cached
+        assert first.record.spans and first.record.metrics
+        assert again.record.spans == first.record.spans
+        assert again.record.metrics == first.record.metrics
         assert again.record.resources == first.record.resources
-        assert again.record.resources["wall_by_layer_s"]
-
-    def test_registry_never_answers_a_spans_request(self, tmp_path):
-        """Rows keep span counts, not spans: asking for them executes."""
-        spec = spec_for(spans=True)
-        registry_path = str(tmp_path / "runs.sqlite")
-
-        async def body(manager):
-            (job,) = manager.submit_many([spec], "alice")
-            await asyncio.wait_for(job.done.wait(), 60)
-            return job
-
-        first = run(manager_session(body, registry_path=registry_path))
-        again = run(manager_session(body, registry_path=registry_path))
-        assert not again.from_cache
-        assert again.record.spans
-        assert len(again.record.spans) == len(first.record.spans)
 
     def test_fresh_submit_probes_the_cache_once(self, tmp_path):
         """One dedup probe at admission plus the runner's own lookup;
@@ -281,3 +296,31 @@ class TestRecording:
             assert len(rows) == 1
             assert rows[0].ok
             assert rows[0].measurement is not None
+
+    def test_git_revision_is_resolved_once(self, tmp_path, monkeypatch):
+        """Rows name the revision the process resolved when it started:
+        three executed jobs cost one ``git rev-parse``."""
+        calls = []
+
+        def counting_rev(cwd=None):
+            calls.append(cwd)
+            return "abc1234"
+
+        monkeypatch.setattr(registry_module, "current_git_rev", counting_rev)
+        registry_path = str(tmp_path / "runs.sqlite")
+
+        async def body(manager):
+            jobs = manager.submit_many(
+                [spec_for(seed=seed) for seed in (1, 2, 3)], "alice"
+            )
+            for job in jobs:
+                await asyncio.wait_for(job.done.wait(), 60)
+            return jobs
+
+        jobs = run(manager_session(body, registry_path=registry_path))
+        assert [job.state for job in jobs] == ["done"] * 3
+        assert len(calls) == 1
+        with RunRegistry(registry_path, git_rev="") as registry:
+            rows = registry.runs()
+        assert len(rows) == 3
+        assert {row.git_rev for row in rows} == {"abc1234"}
