@@ -424,9 +424,12 @@ def run_scenario_full(
     downstream reports can find the event's causal tree without
     heuristics.  ``info``, when given, receives execution facts that
     are not part of the result so worker-side resource accounting can
-    report them without touching the measurement: ``events_processed``
-    and, with ``config.metrics``, ``wall_by_layer_s`` (dispatch wall
-    seconds by layer, :func:`~repro.eventsim.metrics.time_by_layer`).
+    report them without touching the measurement: ``events_processed``;
+    with ``config.metrics``, ``wall_by_layer_s`` (dispatch wall seconds
+    by layer, :func:`~repro.eventsim.metrics.time_by_layer`); with
+    ``config.spans``, ``live_spans`` (the tracker's own
+    :class:`~repro.obs.spans.Span` list, which ``spans`` snapshots, so
+    the worker derives anatomy without reading the dicts back).
     """
     exp = Experiment(
         topology, sdn_members=sdn_members, config=config,
@@ -453,6 +456,8 @@ def run_scenario_full(
                 break
     if info is not None:
         info["events_processed"] = exp.net.sim.events_processed
+        if exp.spans is not None:
+            info["live_spans"] = exp.spans.spans
     return measurement, exp.metrics_snapshot(), spans
 
 

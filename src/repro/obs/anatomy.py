@@ -274,16 +274,24 @@ def _close_residual(named: Dict[str, float], total: float) -> float:
 
 
 def anatomize(dag: ProvenanceDAG, root_id: int) -> ConvergenceAnatomy:
-    """Full per-AS delay attribution for one convergence root."""
+    """Full per-AS delay attribution for one convergence root.
+
+    One walk of the root's subtree: ``t_converged`` is the latest
+    critical span's ``t_end`` (the root's own without any), which is
+    :meth:`ProvenanceDAG.convergence_instant` by construction.
+    """
     root = dag.by_id[root_id]
+    critical = critical_spans(dag, root_id)
     anatomy = ConvergenceAnatomy(
         root_id=root_id,
         root_category=root.category,
         root_node=root.node,
         t_event=root.t_start,
-        t_converged=dag.convergence_instant(root_id),
+        t_converged=max(
+            (span.t_end for span in critical.values()), default=root.t_end
+        ),
     )
-    for node, span in critical_spans(dag, root_id).items():
+    for node, span in critical.items():
         chain = list(reversed(dag.parent_chain(span.span_id)))
         categories, steps = _attribute_chain(
             chain, anatomy.t_event, span.t_end
@@ -315,19 +323,28 @@ def anatomy_payload(
     """
     if root_id is None:
         return None
-    dag = ProvenanceDAG.from_dicts(spans)
-    if int(root_id) not in dag.by_id:
+    return _dag_payload(ProvenanceDAG.from_dicts(spans), int(root_id))
+
+
+def _dag_payload(dag: ProvenanceDAG, root_id: int) -> Optional[Dict[str, Any]]:
+    if root_id not in dag.by_id:
         return None
-    return anatomize(dag, int(root_id)).to_dict()
+    return anatomize(dag, root_id).to_dict()
 
 
-def ensure_record_anatomy(record) -> None:
+def ensure_record_anatomy(
+    record, live_spans: Optional[Sequence[Span]] = None
+) -> None:
     """Fill ``record.anatomy`` in place when it is derivable.
 
     Anatomy is a pure function of the record's spans, so a cached
     record written before anatomy existed (or by an anatomy-off run of
-    the same digest) gains it losslessly on the way out of the cache.
-    No-op when already present or when spans/measurement are missing.
+    the same digest) gains it losslessly on the way out of the cache,
+    and a registry write derives it from the stored dicts.  The worker
+    that just ran the trial passes ``live_spans`` — the tracker's own
+    :class:`Span` list, of which ``record.spans`` is the snapshot — and
+    the DAG is built from those directly.  No-op when already present
+    or when spans/measurement are missing.
     """
     if record.anatomy is not None or not record.spans:
         return
@@ -335,7 +352,13 @@ def ensure_record_anatomy(record) -> None:
     if measurement is None:
         return
     root_id = measurement.extra.get("event_root_span")
-    record.anatomy = anatomy_payload(record.spans, root_id)
+    if root_id is None:
+        return
+    dag = (
+        ProvenanceDAG.from_dicts(record.spans) if live_spans is None
+        else ProvenanceDAG(live_spans)
+    )
+    record.anatomy = _dag_payload(dag, int(root_id))
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,9 @@ class ProvenanceDAG:
     """
 
     def __init__(self, spans: Iterable[Span]) -> None:
-        self.spans: List[Span] = sorted(spans, key=lambda s: s.span_id)
+        """``spans`` come in span-id order, as a
+        :class:`~repro.obs.spans.SpanTracker` collects them."""
+        self.spans: List[Span] = list(spans)
         self.by_id: Dict[int, Span] = {s.span_id: s for s in self.spans}
         self.children: Dict[int, List[int]] = {}
         for span in self.spans:
@@ -49,9 +51,12 @@ class ProvenanceDAG:
 
     @classmethod
     def from_dicts(cls, payloads: Iterable[Dict[str, Any]]) -> "ProvenanceDAG":
-        """Build from JSON-ready span dicts (cache / JSONL form); the
-        spans read the dicts' ``data`` in place, as every DAG query does."""
-        return cls(Span.from_dict(p) for p in payloads)
+        """Build from JSON-ready span dicts (cache / JSONL form), in any
+        order; the spans read the dicts' ``data`` in place, as every DAG
+        query does."""
+        return cls(
+            sorted(map(Span.from_dict, payloads), key=lambda s: s.span_id)
+        )
 
     # ------------------------------------------------------------------
     # structure

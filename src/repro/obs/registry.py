@@ -355,22 +355,28 @@ class RunRegistry:
 
         Derives the queryable columns from the spec, serializes the
         deterministic measurement/metrics payloads, and summarizes
-        spans into per-AS convergence instants (via the provenance DAG)
+        spans into per-AS convergence instants (via the anatomy)
         rather than storing every span.
         """
         instants: Optional[Dict[str, float]] = None
         span_count: Optional[int] = None
         if record.spans is not None:
             span_count = len(record.spans)
-            instants = self._instants_from_spans(record)
-            # Like ``instants``, anatomy is derivable from the span
-            # payload alone — every spans-on trial gets its delay
-            # attribution recorded, flag or no flag (on a copy: the
-            # caller's record is not ours to fill in).
+            # Anatomy is derivable from the span payload alone — every
+            # spans-on trial gets its delay attribution recorded, flag
+            # or no flag (on a copy: the caller's record is not ours to
+            # fill in).  Its per-node instants are the per-AS
+            # convergence instants, so a record that already carries
+            # anatomy costs no provenance DAG and any other costs one.
             from .anatomy import ensure_record_anatomy
 
             record = replace(record)
             ensure_record_anatomy(record)
+            if record.spans and record.anatomy is not None:
+                instants = {
+                    name: node["instant"]
+                    for name, node in record.anatomy["nodes"].items()
+                }
         values = {
             "sweep_id": sweep_id,
             "recorded_at": self.clock(),
@@ -407,22 +413,6 @@ class RunRegistry:
         )
         self._conn.commit()
         return int(cursor.lastrowid)
-
-    @staticmethod
-    def _instants_from_spans(record: RunRecord) -> Optional[Dict[str, float]]:
-        """Per-AS convergence instants of the measured event's tree."""
-        measurement = record.measurement
-        if measurement is None or not record.spans:
-            return None
-        root_id = measurement.extra.get("event_root_span")
-        if root_id is None:
-            return None
-        from .dag import ProvenanceDAG
-
-        dag = ProvenanceDAG.from_dicts(record.spans)
-        if int(root_id) not in dag.by_id:
-            return None
-        return dag.per_node_instants(int(root_id))
 
     # ------------------------------------------------------------------
     # queries

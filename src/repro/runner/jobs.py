@@ -405,7 +405,8 @@ def run_trial_full(
     ``metrics`` is None unless ``spec.metrics``; ``spans`` (JSON-ready
     provenance span dicts) is None unless ``spec.spans``.  ``info``,
     when given, is filled with execution facts that are not part of the
-    result (``events_processed``) for resource accounting.
+    result (see :func:`~repro.experiments.common.run_scenario_full`) for
+    resource accounting and anatomy.
     """
     # Imported here, not at module top: repro.experiments.common imports
     # the runner package, so the dependency must stay one-directional at
@@ -569,9 +570,10 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
         resources=resources,
     )
     if spec.anatomy:
-        # Derived after the trial from the span payload alone, so it can
-        # never perturb virtual-time results (and needs ``spec.spans``).
+        # Derived after the trial from the spans alone, so it can never
+        # perturb virtual-time results (and needs ``spec.spans``); the
+        # tracker's live list spares a dict -> Span round trip.
         from ..obs.anatomy import ensure_record_anatomy
 
-        ensure_record_anatomy(record)
+        ensure_record_anatomy(record, info.get("live_spans"))
     return record

@@ -8,22 +8,33 @@ exact equality — every measurement field, the full trace digest, and
 point: an anatomy-on run and an anatomy-off run of the same trial are
 the same cache entry and the same registry lineage, with the
 attribution re-derivable losslessly from the stored spans.
+
+The worker derives anatomy from the tracker's live spans; cache hits
+and registry writes re-derive it from the stored span dicts.  The two
+derivations must agree byte for byte.
 """
 
 import hashlib
+import json
 from dataclasses import fields
 
 import pytest
 
 from repro.experiments.common import (
+    AnnouncementScenario,
     FailoverScenario,
     WithdrawalScenario,
     paper_config,
     sdn_set_for,
 )
+from repro.experiments.scenarios import fault_suite_scenario
 from repro.framework.convergence import ConvergenceMeasurement, measure_event
 from repro.framework.experiment import Experiment
-from repro.obs.anatomy import check_anatomy, ensure_record_anatomy
+from repro.obs.anatomy import (
+    anatomy_payload,
+    check_anatomy,
+    ensure_record_anatomy,
+)
 from repro.runner.jobs import RunSpec, execute_spec
 from repro.topology.builders import clique
 
@@ -130,3 +141,46 @@ def test_worker_results_identical_anatomy_on_vs_off(scenario_cls):
     # cache-hit upgrade path in ParallelRunner.run
     ensure_record_anatomy(off)
     assert off.anatomy == on.anatomy
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+#: withdrawal, failover and announcement at sdn 0, mid and n-1 of the
+#: 6-AS clique, plus one canned fault suite.
+DERIVATION_CASES = [
+    pytest.param(factory, sdn_count, id=f"{name}-sdn{sdn_count}")
+    for name, factory in (
+        ("withdrawal", WithdrawalScenario),
+        ("failover", FailoverScenario),
+        ("announcement", AnnouncementScenario),
+    )
+    for sdn_count in (0, 3, 5)
+] + [pytest.param(fault_suite_scenario, 2, id="gateway-outage-sdn2")]
+
+
+@pytest.mark.parametrize("scenario_factory, sdn_count", DERIVATION_CASES)
+def test_live_derived_anatomy_equals_the_stored_spans_derivation(
+    scenario_factory, sdn_count
+):
+    def spec(**overrides):
+        return RunSpec(
+            scenario_factory=scenario_factory, topology_factory=clique,
+            n=6, sdn_count=sdn_count, seed=11 + sdn_count, mrai=1.0,
+            spans=True, **overrides,
+        )
+
+    on = execute_spec(spec(anatomy=True))
+    assert on.ok, on.error
+    assert on.anatomy is not None
+    root = on.measurement.extra["event_root_span"]
+    stored = anatomy_payload(on.spans, root)
+    assert _canonical(on.anatomy) == _canonical(stored)
+
+    # the anatomy-off twin, upgraded the way a cache hit is
+    off = execute_spec(spec())
+    assert off.ok, off.error
+    assert off.anatomy is None
+    ensure_record_anatomy(off)
+    assert _canonical(off.anatomy) == _canonical(on.anatomy)

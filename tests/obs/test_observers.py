@@ -7,6 +7,9 @@ once however many records name it, a pooled AS path is stringified once,
 and the metrics payload formats a counter key per category, not per
 record; with no observer at all, no payload is built in the first place.
 
+An anatomy-on trial builds one provenance DAG, straight from the
+tracker's spans, and never reads its own span dicts back.
+
 *Observers stay invisible*: trace capture, metrics, spans and anatomy
 together change no measurement, no bus count and no event.  The spans
 they produce are pinned in ``golden/spans_clique5_sdn2_seed5.json``: the
@@ -35,6 +38,9 @@ from repro.experiments.common import (
 )
 from repro.framework.convergence import ConvergenceMeasurement
 from repro.framework.experiment import Experiment
+from repro.obs import anatomy as anatomy_module
+from repro.obs.dag import ProvenanceDAG
+from repro.obs.spans import Span
 from repro.runner.jobs import RunSpec, execute_spec, run_trial
 from repro.topology.builders import clique
 
@@ -143,6 +149,42 @@ class TestWorkIsDoneOnce:
             for _, path in update.announced
         }
         assert {str(path) for path in work.paths} <= logged
+
+    def test_observed_trial_derives_anatomy_from_the_live_spans(
+        self, monkeypatch
+    ):
+        calls = {"from_dict": 0, "dag": 0, "ensure": 0}
+        from_dict, init = Span.from_dict, ProvenanceDAG.__init__
+        ensure = anatomy_module.ensure_record_anatomy
+
+        def counting_from_dict(payload):
+            calls["from_dict"] += 1
+            return from_dict(payload)
+
+        def counting_init(dag, *args, **kwargs):
+            calls["dag"] += 1
+            init(dag, *args, **kwargs)
+
+        def counting_ensure(*args, **kwargs):
+            calls["ensure"] += 1
+            return ensure(*args, **kwargs)
+
+        monkeypatch.setattr(
+            Span, "from_dict", staticmethod(counting_from_dict)
+        )
+        monkeypatch.setattr(ProvenanceDAG, "__init__", counting_init)
+        monkeypatch.setattr(
+            anatomy_module, "ensure_record_anatomy", counting_ensure
+        )
+        record = execute_spec(RunSpec(
+            scenario_factory=WithdrawalScenario, topology_factory=clique,
+            n=6, sdn_count=3, seed=5, mrai=2.0, trace_level="full",
+            metrics=True, spans=True, anatomy=True,
+        ))
+        assert record.ok and record.anatomy is not None
+        # The snapshot dicts are the record's payload; the DAG is built
+        # once, from the tracker's spans, never from the dicts.
+        assert calls == {"from_dict": 0, "dag": 1, "ensure": 1}
 
 
 def comparable(measurement):

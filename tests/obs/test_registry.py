@@ -113,6 +113,36 @@ class TestRecordAndQuery:
         assert row.instants, "per-AS convergence instants expected"
         assert all(isinstance(t, float) for t in row.instants.values())
 
+    @pytest.mark.parametrize(
+        "anatomy", [False, True], ids=["spans", "anatomy"]
+    )
+    def test_one_provenance_dag_per_record_at_most(
+        self, monkeypatch, anatomy
+    ):
+        from repro.obs.dag import ProvenanceDAG
+
+        spec = make_spec(n=6, spans=True, anatomy=anatomy)
+        record = execute_spec(spec)
+        root = record.measurement.extra["event_root_span"]
+        oracle = ProvenanceDAG.from_dicts(record.spans)
+        instants = oracle.per_node_instants(root)
+
+        built = []
+        init = ProvenanceDAG.__init__
+
+        def counting_init(dag, *args, **kwargs):
+            built.append(dag)
+            init(dag, *args, **kwargs)
+
+        monkeypatch.setattr(ProvenanceDAG, "__init__", counting_init)
+        registry = make_registry()
+        row = registry.run(registry.record(spec, record))
+        # A record that carries anatomy already needs no DAG; any other
+        # spans-carrying record needs one, shared by both columns.
+        assert len(built) == (0 if anatomy else 1)
+        assert row.instants == instants
+        assert row.anatomy is not None
+
     def test_runs_filtering(self):
         registry = make_registry()
         for seed in (7, 8):
