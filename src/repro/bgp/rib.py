@@ -206,7 +206,12 @@ class LocRib:
 
 
 class AdjRibOut:
-    """What we last sent to one peer; UPDATE generation diffs against it."""
+    """What we last sent to one peer; UPDATE generation diffs against it.
+
+    Slotted: one per session, and every output run reads it.
+    """
+
+    __slots__ = ("peer_asn", "peer_name", "_sent")
 
     def __init__(self, peer_asn: int, peer_name: str = "") -> None:
         self.peer_asn = peer_asn

@@ -81,6 +81,7 @@ class BGPRouter(Node):
         # Bound once: every received UPDATE schedules a processing event.
         self._process_callback = self._process_one
         self._process_label = f"{name}:proc"
+        self._proc_rng = sim.rng("bgp.proc")
         #: update groups: prefix -> (Loc-RIB best, {(export policy, local
         #: ASN): exported attributes or None}).  Sessions sharing a policy
         #: and an ASN export the same thing, so each pair evaluates once
@@ -324,8 +325,10 @@ class BGPRouter(Node):
         if self._processing or not self._update_queue:
             return
         self._processing = True
-        rng = self.sim.rng("bgp.proc")
-        delay = rng.uniform(self.timers.proc_delay_min, self.timers.proc_delay_max)
+        timers = self.timers
+        delay = self._proc_rng.uniform(
+            timers.proc_delay_min, timers.proc_delay_max
+        )
         self.sim.schedule(
             delay, self._process_callback, label=self._process_label
         )

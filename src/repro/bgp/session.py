@@ -42,6 +42,9 @@ class SessionState(enum.Enum):
     ESTABLISHED = "established"
 
 
+_ESTABLISHED = SessionState.ESTABLISHED
+
+
 @dataclass
 class BGPTimers:
     """Timer/behaviour configuration for a speaker's sessions.
@@ -81,7 +84,8 @@ class BGPSession:
         "peer_asn", "peer_name", "updates_sent", "updates_received",
         "_sim", "_mrai_timer", "_connect_timer", "_flush_label",
         "_hold_timer", "_keepalive_timer", "_dirty", "_pending_obs",
-        "_flush_event", "_flush_callback", "_mrai_rng", "_open_received",
+        "_flush_event", "_flush_callback", "_output_lane", "_mrai_rng",
+        "_open_received",
     )
 
     def __init__(
@@ -109,11 +113,12 @@ class BGPSession:
         self.updates_received = 0
         sim = router.sim
         self._sim = sim
+        # Bound once, and shared by the output lane and the MRAI timer:
+        # every decision schedules an output run per session.
+        self._flush_callback = flush = self._flush
         # Labels are per router, so its sessions share one copy of each.
         name = router.name
-        self._mrai_timer = Timer(
-            sim, self._on_mrai_expiry, label=sys.intern(f"{name}:mrai")
-        )
+        self._mrai_timer = Timer(sim, flush, label=sys.intern(f"{name}:mrai"))
         self._connect_timer = Timer(
             sim, self._send_open, label=sys.intern(f"{name}:connect")
         )
@@ -133,8 +138,10 @@ class BGPSession:
         #: by an output run that did not send the prefix.
         self._pending_obs: dict = {}
         self._flush_event = None
-        # Bound once: every decision schedules an output run per session.
-        self._flush_callback = self._run_flush
+        #: every output run goes the same fixed delay ahead, so on that
+        #: delay's FIFO lane: same event, same pop order, no heap push
+        #: or pop (most of a storm's events are output runs).
+        self._output_lane = sim.fifo_lane(self.timers.output_delay)
         self._mrai_rng = sim.rng("bgp.mrai")
         self._open_received = False
 
@@ -366,13 +373,25 @@ class BGPSession:
 
         The actual content is computed at send time by diffing Loc-RIB
         (through export policy) against Adj-RIB-Out, so intermediate flaps
-        within one MRAI round collapse naturally.
+        within one MRAI round collapse naturally.  Every decision change
+        calls this once per session, so it reads the MRAI timer's and the
+        pending run's events directly instead of through helpers.
         """
-        if not self.established:
+        if self.state is not _ESTABLISHED:
             return
-        self._note_dirty(prefix)
-        if not self._mrai_timer.running:
-            self._request_flush()
+        self._dirty.add(prefix)
+        obs = self.router.bus.obs
+        if obs is not None and prefix not in self._pending_obs:
+            # The causal context that dirtied it (first cause wins).
+            self._pending_obs[prefix] = (obs.current, self._sim.now)
+        armed = self._mrai_timer._event
+        if armed is None or armed.cancelled:
+            # One output run shortly, coalescing concurrent changes.
+            run = self._flush_event
+            if run is None or run.cancelled:
+                self._flush_event = self._output_lane.schedule(
+                    self._flush_callback, label=self._flush_label
+                )
             return
         if not self.timers.withdrawal_rate_limited:
             # RFC default: withdrawals escape the MRAI gate.
@@ -382,50 +401,24 @@ class BGPSession:
                 self._send_update(announced=(), withdrawn=(prefix,))
                 self.router.adj_rib_out(self).mark_sent(prefix, None)
 
-    def _note_dirty(self, prefix: Prefix) -> None:
-        """Mark a prefix dirty, capturing the causal context that did it."""
-        self._dirty.add(prefix)
-        obs = self.router.bus.obs
-        if obs is not None and prefix not in self._pending_obs:
-            self._pending_obs[prefix] = (obs.current, self._sim.now)
-
     def resync(self) -> None:
         """Mark every Loc-RIB prefix (plus stale Adj-RIB-Out entries) dirty.
 
         Called on session establishment to send the initial full table.
+        A session comes up with MRAI stopped and no run pending
+        (``_to_idle``), so its first output run is scheduled here, empty
+        table or not, and every prefix joins it.
         """
         if not self.established:
             return
+        if self._flush_event is None and not self._mrai_timer.running:
+            self._flush_event = self._output_lane.schedule(
+                self._flush_callback, label=self._flush_label
+            )
         for prefix in self.router.loc_rib.prefixes():
-            self._note_dirty(prefix)
+            self.schedule_route(prefix)
         for prefix in self.router.adj_rib_out(self).prefixes():
-            self._note_dirty(prefix)
-        if not self._mrai_timer.running:
-            self._request_flush()
-
-    def _request_flush(self) -> None:
-        """Schedule an output run shortly, coalescing concurrent changes.
-
-        Every output run is scheduled the same fixed delay ahead, so it
-        goes on that delay's FIFO lane: same event, same pop order, no
-        heap push or pop (most of a storm's events are output runs).
-        """
-        if self._flush_event is not None and not self._flush_event.cancelled:
-            return
-        self._flush_event = self._sim.fifo_lane(
-            self.timers.output_delay
-        ).schedule(self._flush_callback, label=self._flush_label)
-
-    def _run_flush(self) -> None:
-        self._flush_event = None
-        if self._dirty and not self._mrai_timer.running:
-            self._flush()
-
-    def _on_mrai_expiry(self) -> None:
-        if self._dirty:
-            self._flush()
-        # If nothing was pending the timer simply stops: the next change
-        # is sent immediately (RFC behaviour after a quiet interval).
+            self.schedule_route(prefix)
 
     def _mrai_period(self) -> float:
         timers = self.timers
@@ -441,46 +434,67 @@ class BGPSession:
         return low + (mrai - low) * self._mrai_rng.random()
 
     def _flush(self) -> None:
-        """Send one UPDATE covering all dirty prefixes, then re-arm MRAI.
+        """The output run: send one UPDATE covering the dirty prefixes
+        that need one, then re-arm MRAI.
 
-        A run that sends nothing still draws its MRAI period: the draw
-        order on ``bgp.mrai`` is part of every pinned result.
+        Fired from the output lane and on MRAI expiry.  A lane run is
+        only scheduled while MRAI is not armed, and only this method arms
+        it, so a lane run never finds it armed.  Most runs send nothing
+        (split horizon, export deny, peer already up to date): one pass
+        over the dirty set decides that without building, sorting or
+        diffing anything.  Every run with dirty prefixes, sent or not,
+        draws its MRAI period: the draw order on ``bgp.mrai`` is part of
+        every pinned result.
         """
+        self._flush_event = None
         pending = self._dirty
-        dirty = sorted(pending) if len(pending) > 1 else list(pending)
-        pending.clear()
-        announced = []
-        withdrawn = []
+        if not pending:
+            # On MRAI expiry the timer simply stops: the next change is
+            # sent at once (RFC behaviour after a quiet interval).
+            return
         router = self.router
         rib_out = router.adj_rib_out(self)
-        # A BGP router's export is its own update-group memo, diffed
-        # against the one Adj-RIB-Out looked up above; the cluster
-        # speaker asks its controller, through its outbound_diff.
+        # A BGP router's export is its own update-group memo, compared
+        # with the Adj-RIB-Out entry (the interned attributes make a
+        # match usually the same object); the cluster speaker asks its
+        # controller, through its outbound_diff.
         export = getattr(router, "_export_attrs", None)
         pending_obs = self._pending_obs
-        for prefix in dirty:
+        sends = None
+        for prefix in pending:
             if export is None:
                 action = router.outbound_diff(self, prefix)
+                send = action is not None
+                attrs = action[1] if send else None
             else:
-                action = rib_out.diff(prefix, export(self, prefix))
-            if action is None:
-                # Not sent (split horizon, export deny, no diff): its
-                # cause is spent, so the prefix's next UPDATE must not
-                # be parented under it or timed from it.
-                if pending_obs:
-                    pending_obs.pop(prefix, None)
-                continue
-            verb, attrs = action
-            if verb == "announce":
-                announced.append((prefix, attrs))
-                rib_out.mark_sent(prefix, attrs)
-            else:
+                attrs = export(self, prefix)
+                held = rib_out.get(prefix)
+                send = held is not attrs and held != attrs
+            if send:
+                if sends is None:
+                    sends = []
+                sends.append((prefix, attrs))
+            elif pending_obs:
+                # Not sent: its cause is spent, so the prefix's next
+                # UPDATE must not be parented under it or timed from it.
+                pending_obs.pop(prefix, None)
+        pending.clear()
+        if sends is None:
+            self._mrai_period()
+            return
+        # Prefixes are unique, so this orders by prefix alone.
+        sends.sort()
+        announced = []
+        withdrawn = []
+        for prefix, attrs in sends:
+            if attrs is None:
                 withdrawn.append(prefix)
-                rib_out.mark_sent(prefix, None)
-        if announced or withdrawn:
-            self._send_update(tuple(announced), tuple(withdrawn))
+            else:
+                announced.append((prefix, attrs))
+            rib_out.mark_sent(prefix, attrs)
+        self._send_update(announced, withdrawn)
         period = self._mrai_period()
-        if period > 0 and (announced or withdrawn):
+        if period > 0:
             self._mrai_timer.start(period)
 
     def _send_update(self, announced, withdrawn) -> None:

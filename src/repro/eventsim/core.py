@@ -30,6 +30,7 @@ is what makes a run a function of its seed.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from collections import deque
@@ -260,7 +261,12 @@ class Simulator:
         return previous
 
     def step(self) -> bool:
-        """Run the single next live event.  Returns False if queue is empty."""
+        """Run the single next live event.  Returns False if queue is empty.
+
+        The one per-event dispatch: :meth:`run` and
+        :meth:`run_until_settled` call it once per event, after their
+        loop found the event, so a wrapper around it sees every event.
+        """
         pop = self._next_pop
         if pop is None:
             if self._peek_live() is None:
@@ -288,21 +294,12 @@ class Simulator:
 
         Returns the virtual time at which the loop stopped.
         """
-        processed = 0
-        while True:
-            head = self._peek_live()
-            if head is None:
-                break
-            if until is not None and head[0] > until:
-                self._next_pop = None
-                break
-            if processed >= max_events:
-                self._next_pop = None
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely livelock"
-                )
-            self.step()
-            processed += 1
+        limit = math.inf if until is None else until
+        head = self._loop(max_events, limit, False)
+        if head is not None and head[0] <= limit:
+            raise SimulationError(
+                f"exceeded max_events={max_events}; likely livelock"
+            )
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -321,27 +318,43 @@ class Simulator:
         protocol under test is livelocked (e.g. a persistent route
         oscillation, cf. BGP "wedgies").
         """
-        processed = 0
-        while self._live_foreground > 0:
-            head = self._peek_live()
+        head = self._loop(max_events, horizon, True)
+        if self._live_foreground > 0:
             if head is None:
                 raise SimulationError(
                     f"foreground counter out of sync: "
                     f"{self._live_foreground} counted, none queued"
                 )
             if head[0] > horizon:
-                self._next_pop = None
                 raise SimulationError(
                     f"not settled by horizon t={horizon}: {head[4]!r} pending"
                 )
-            if processed >= max_events:
-                self._next_pop = None
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely livelock"
-                )
-            self.step()
-            processed += 1
+            raise SimulationError(
+                f"exceeded max_events={max_events}; likely livelock"
+            )
         return self._now
+
+    def _loop(
+        self, max_events: int, until: float, settle: bool
+    ) -> Optional[Event]:
+        """The one loop behind :meth:`run` and :meth:`run_until_settled`.
+
+        Steps while the next live event is due by ``until`` and fewer
+        than ``max_events`` ran, and with ``settle`` only while a
+        foreground event is pending.  Returns the live event it stopped
+        at (None: the queue, or the foreground, ran out).
+        """
+        peek = self._peek_live
+        step = self.step
+        processed = 0
+        while not settle or self._live_foreground > 0:
+            head = peek()
+            if head is None or head[0] > until or processed >= max_events:
+                self._next_pop = None
+                return head
+            step()
+            processed += 1
+        return None
 
     def _peek_live(self) -> Optional[Event]:
         """The next live event: the least ``(time, seq)`` among the heap

@@ -72,6 +72,8 @@ class Link:
         self.loss = loss
         self.kind = kind
         self.name = name or f"link{self.link_id}"
+        #: every delivery's event label, made once (labels are diagnostics).
+        self._deliver_label = f"{self.name}:deliver"
         self.up = True
         self.prefix: Optional[Prefix] = None
         self.addresses: dict[str, IPv4Address] = {}
@@ -133,7 +135,7 @@ class Link:
             self.latency,
             partial(receiver.receive, self, message),
             background=background,
-            label=f"{self.name}:deliver",
+            label=self._deliver_label,
         )
         return True
 

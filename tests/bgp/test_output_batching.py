@@ -6,9 +6,19 @@ keeps multi-prefix events (session loss, node failure) from burning one
 MRAI round per prefix.
 """
 
+import random
+
+import pytest
+
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
+from repro.experiments.common import paper_config
+from repro.framework.experiment import Experiment
 from repro.net.addr import Prefix
+from repro.topology.builders import clique
+from tests.conftest import make_bgp_mesh
+
+PFX = Prefix.parse("192.168.0.0/24")
 
 
 def make_pair(net, mrai=30.0):
@@ -98,3 +108,95 @@ class TestBatching:
         assert len(withdrawal_updates) >= 1
         first = withdrawal_updates[0]
         assert len(first.data["withdrawn"]) + len(first.data["announced"]) >= 4
+
+
+def advanced(state, draws):
+    """The ``random.Random`` state ``draws`` values after ``state``."""
+    rng = random.Random()
+    rng.setstate(state)
+    for _ in range(draws):
+        rng.random()
+    return rng.getstate()
+
+
+#: (mrai, mrai_jitter, bgp.mrai draws per output run)
+DRAW_CASES = [(30.0, 0.25, 1), (30.0, 0.0, 0), (0.0, 0.25, 0)]
+
+
+class TestMraiDrawContract:
+    """Every output run draws its jittered MRAI period, sent or not,
+    and a fixed or zero MRAI draws nothing: the draw order on the one
+    ``bgp.mrai`` stream all sessions share is part of every pinned
+    result."""
+
+    @pytest.mark.parametrize("mrai, jitter, draws", DRAW_CASES)
+    def test_run_that_sends_nothing(self, net, mrai, jitter, draws):
+        a, b = make_bgp_mesh(
+            net, 2, timers=BGPTimers(mrai=mrai, mrai_jitter=jitter)
+        )
+        a.originate(PFX)
+        net.sim.run_until_settled()
+        # b's best came from a: split horizon leaves b nothing to send a
+        session = next(iter(b.sessions.values()))
+        rng = net.sim.rng("bgp.mrai")
+        state = rng.getstate()
+        sent = session.updates_sent
+        session.schedule_route(PFX)  # an output run, through the kernel
+        net.sim.run_until_settled()
+        assert session.updates_sent == sent
+        assert not session._mrai_timer.running
+        assert rng.getstate() == advanced(state, draws)
+
+    @pytest.mark.parametrize("mrai, jitter, draws", DRAW_CASES)
+    def test_run_that_sends(self, net, mrai, jitter, draws):
+        timers = BGPTimers(mrai=mrai, mrai_jitter=jitter)
+        a, b = make_bgp_mesh(net, 2, timers=timers)
+        session = next(iter(a.sessions.values()))
+        rng = net.sim.rng("bgp.mrai")
+        state = rng.getstate()
+        a.originate(PFX)
+        # up to a's output run, before b hears of it (and draws too)
+        net.sim.run(until=net.sim.now + timers.output_delay)
+        assert session.updates_sent == 1
+        assert rng.getstate() == advanced(state, draws)
+        if mrai == 0:
+            assert not session._mrai_timer.running
+            return
+        replay = random.Random()
+        replay.setstate(state)
+        low = mrai * (1.0 - jitter)
+        period = low + (mrai - low) * replay.random() if draws else mrai
+        assert session._mrai_timer.expires_at == net.sim.now + period
+
+    def test_cluster_speaker_sessions_draw_nothing(self):
+        """The speaker's sessions run with MRAI 0: its output runs, sent
+        or not, leave ``bgp.mrai`` alone."""
+        exp = Experiment(
+            clique(5), sdn_members={4, 5},
+            config=paper_config(seed=3, mrai=30.0),
+        ).start()
+        prefix = exp.announce(1)
+        exp.wait_converged()
+        sim = exp.net.sim
+        speaker = exp.speaker
+        toward = [
+            s for s in speaker.sessions.values()
+            if speaker.adj_rib_out(s).get(prefix) is not None
+        ]
+        assert len(toward) > 1 and all(s.timers.mrai == 0 for s in toward)
+        rng = sim.rng("bgp.mrai")
+        state = rng.getstate()
+        quiet, resent = toward[0], toward[-1]
+        # a run with nothing to send, and one that re-sends a route
+        # Adj-RIB-Out no longer holds
+        speaker.adj_rib_out(resent).mark_sent(prefix, None)
+        before = quiet.updates_sent, resent.updates_sent
+        quiet.schedule_route(prefix)
+        resent.schedule_route(prefix)
+        assert quiet._flush_event is not None
+        sim.run(until=sim.now + quiet.timers.output_delay)
+        assert quiet._flush_event is None
+        assert quiet.updates_sent == before[0]
+        assert resent.updates_sent == before[1] + 1
+        assert not resent._mrai_timer.running
+        assert rng.getstate() == state

@@ -210,7 +210,9 @@ class TestOutputRunsStay:
         ``events_per_s``, and most of them are output runs, most of
         which send nothing.  One announce + withdraw cycle on a lean
         300-AS hierarchy pins both counts, so a change that drops events
-        (or output runs) has to re-pin them on purpose."""
+        (or output runs) has to re-pin them on purpose.  The next
+        ``bgp.mrai`` value pins the draws: a dropped or extra draw
+        moves it even when the counts hold."""
         exp = Experiment(
             caida_hierarchy(300),
             sdn_members=frozenset(),
@@ -232,3 +234,4 @@ class TestOutputRunsStay:
         measure_event(exp, lambda: exp.withdraw(1, prefix["p"]))
         assert sim.events_processed - before == 4550
         assert len(output_runs) == 2120
+        assert sim.rng("bgp.mrai").random() == 0.7816131704624171

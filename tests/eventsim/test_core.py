@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import random
+
 import pytest
 
 from repro.eventsim import SimulationError, Simulator
+from repro.eventsim.metrics import time_by_layer
 
 
 # One param, not a choice: the heap is the queue.  The ``[heap]`` id is
@@ -370,3 +373,80 @@ class TestRng:
 
     def test_same_stream_is_cached(self, sim):
         assert sim.rng("x") is sim.rng("x")
+
+
+def mixed_schedule(sim):
+    """Heap events (foreground and background) and two lanes, some
+    cancelled before the run and some from callbacks, which also
+    schedule more; one foreground event last, so settling runs it all."""
+    rng = random.Random(11)
+    lanes = (sim.fifo_lane(0.01), sim.fifo_lane(0.25))
+    handles = []
+
+    def callback(depth):
+        def fire():
+            for _ in range(rng.randrange(3) if depth else 0):
+                add(depth - 1)
+            if rng.random() < 0.3:
+                sim.cancel(rng.choice(handles))  # pending or spent
+        return fire
+
+    def add(depth):
+        kind = rng.randrange(4)
+        if kind == 0:
+            delay = rng.choice((0.0, 0.01, 0.25, 0.5))
+            handles.append(sim.schedule(delay, callback(depth)))
+        elif kind == 1:
+            handles.append(
+                sim.schedule(rng.random(), callback(depth), background=True)
+            )
+        else:
+            handles.append(lanes[kind - 2].schedule(callback(depth)))
+
+    for _ in range(40):
+        add(4)
+    for handle in handles[::7]:
+        sim.cancel(handle)
+    sim.schedule(100.0, lambda: None, label="last")
+
+
+RUN_MODES = {
+    "run": lambda sim: sim.run(),
+    "run_until_settled": lambda sim: sim.run_until_settled(),
+    "step": lambda sim: list(iter(sim.step, False)),
+}
+
+
+class TestOneDispatchLoop:
+    """``step`` is the one per-event dispatch and ``run`` and
+    ``run_until_settled`` share one loop around it: on one schedule all
+    three pop the same events in the same order and show the dispatch
+    hook each exactly once."""
+
+    @staticmethod
+    def drive(name):
+        sim = Simulator(seed=3)
+        popped = []
+        hooked = [0.0]
+
+        def hook(event, wall):
+            popped.append((event.time, event.seq))
+            hooked[0] += wall
+
+        sim.set_dispatch_hook(hook)
+        walls = time_by_layer(sim)  # chains the hook above
+        mixed_schedule(sim)
+        RUN_MODES[name](sim)
+        return sim, popped, hooked[0], walls
+
+    def test_every_run_mode_dispatches_the_same_events(self):
+        reference = self.drive("run")[1]
+        assert len(reference) > 100
+        assert reference == sorted(reference)
+        for name in RUN_MODES:
+            sim, popped, hooked, walls = self.drive(name)
+            assert popped == reference, name
+            assert sim.events_processed == len(popped)
+            assert len({seq for _, seq in popped}) == len(popped)
+            assert sim.pending_foreground() == 0 and sim.now == 100.0
+            assert sum(walls.values()) == pytest.approx(hooked)
