@@ -20,7 +20,6 @@ Usage (also ``python -m repro --help``)::
     python -m repro fig2 --runs 2 --registry runs.sqlite --metrics
     python -m repro runs list --registry runs.sqlite
     python -m repro runs diff 1 2 --sweeps
-    python -m repro runs regressions
     python -m repro runs dashboard -o dashboard.html
     python -m repro cache stats --cache-dir .cache
 
@@ -883,9 +882,7 @@ def cmd_runs_diff(args) -> int:
     out = args.out
     with _open_registry(args) as registry:
         if args.sweeps:
-            diff = diff_sweeps(
-                registry, args.a, args.b, timing_tolerance=args.tolerance
-            )
+            diff = diff_sweeps(registry, args.a, args.b)
             out.info(
                 f"sweep {args.a} vs sweep {args.b}: "
                 f"{len(diff.pairs)} digest-matched pair(s)"
@@ -908,7 +905,7 @@ def cmd_runs_diff(args) -> int:
             if missing:
                 out.emit(f"no run(s) {', '.join(missing)} in the registry")
                 return 1
-            diff = diff_runs(run_a, run_b, timing_tolerance=args.tolerance)
+            diff = diff_runs(run_a, run_b)
             _print_run_diff(diff, out, verbose=args.verbose)
             ok = diff.ok
     out.emit(
@@ -1088,32 +1085,6 @@ def cmd_client_cancel(args) -> int:
         _json.dumps(_service_client(args).cancel(args.digest), sort_keys=True)
     )
     return 0
-
-
-def cmd_runs_regressions(args) -> int:
-    out = args.out
-    from .obs.trends import detect_regressions
-
-    with _open_registry(args) as registry:
-        regressions = detect_regressions(
-            registry,
-            last=args.last,
-            min_history=args.min_history,
-            mad_sigma=args.mad_sigma,
-            min_rel=args.min_rel,
-            min_abs=args.min_abs,
-        )
-        digests = len(registry.digests())
-    if not regressions:
-        out.emit(
-            f"PASS: no regressions across {digests} spec digest(s) "
-            f"in {_registry_path(args)}"
-        )
-        return 0
-    out.emit(f"FAIL: {len(regressions)} regression(s) flagged:")
-    for regression in regressions:
-        out.emit(f"  {regression.describe()}")
-    return 1
 
 
 def cmd_runs_dashboard(args) -> int:
@@ -1381,7 +1352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "runs",
-        help="cross-run telemetry registry: list, diff, gate, dashboard",
+        help="cross-run telemetry registry: list, show, diff, gc, dashboard",
     )
     rsub = p.add_subparsers(dest="runs_command", required=True)
 
@@ -1418,28 +1389,9 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--sweeps", action="store_true",
                     help="treat A and B as sweep ids and diff every "
                          "digest-matched run pair")
-    rp.add_argument("--tolerance", type=float, default=0.5,
-                    help="relative wall-time band (informational)")
     rp.add_argument("-v", "--verbose", action="store_true",
                     help="also list the fields that matched")
     rp.set_defaults(func=cmd_runs_diff)
-
-    rp = rsub.add_parser(
-        "regressions",
-        help="gate the newest run of every digest against its history",
-    )
-    registry_arg(rp)
-    rp.add_argument("--last", type=int, default=10,
-                    help="history window per spec digest")
-    rp.add_argument("--min-history", type=int, default=3,
-                    help="non-cached runs needed before wall-time gating")
-    rp.add_argument("--mad-sigma", type=float, default=4.0,
-                    help="robust sigmas of MAD above the median")
-    rp.add_argument("--min-rel", type=float, default=0.25,
-                    help="minimum relative headroom above the median")
-    rp.add_argument("--min-abs", type=float, default=0.005,
-                    help="minimum absolute headroom in seconds")
-    rp.set_defaults(func=cmd_runs_regressions)
 
     rp = rsub.add_parser(
         "dashboard", help="render the registry as one static HTML page"

@@ -6,7 +6,6 @@ from .convergence import (
     MeasurementWindow,
     measure_event,
 )
-from .detector import SilenceDetection, SilenceDetector, compare_with_oracle
 from .experiment import Experiment, ExperimentConfig, ExperimentError
 from .traffic import LossReport, ProbeStream
 
@@ -15,9 +14,6 @@ __all__ = [
     "ConvergenceMeasurement",
     "MeasurementWindow",
     "measure_event",
-    "SilenceDetection",
-    "SilenceDetector",
-    "compare_with_oracle",
     "Experiment",
     "ExperimentConfig",
     "ExperimentError",

@@ -7,9 +7,9 @@ Perfetto-loadable Chrome traces and JSONL.  See docs/observability.md.
 
 The telemetry layer persists across processes: :mod:`~repro.obs.registry`
 is the append-only SQLite run registry every sweep can record into,
-:mod:`~repro.obs.trends` diffs runs/sweeps and gates regressions over
-the recorded history, and :mod:`~repro.obs.dashboard` renders the
-registry as a static HTML page.  See docs/telemetry.md.  Those modules
+:mod:`~repro.obs.trends` diffs recorded runs and sweeps, and
+:mod:`~repro.obs.dashboard` renders the registry as a static HTML
+page.  See docs/telemetry.md.  Those modules
 (and ``runtime``/``logging``) pull in repro.runner, whose
 simulator imports come back here for spans — import them by module
 path; this package exports only the cycle-free span/DAG/anatomy names.

@@ -10,7 +10,6 @@ external assets — summarizing the registry's longitudinal record:
   code revisions at a glance;
 - per-sweep trends of trial wall time and update counts;
 - cache hit rates and wall-time phase breakdowns per sweep;
-- currently open regressions (:func:`repro.obs.trends.detect_regressions`);
 - per-run resource accounting and wall time by layer (Ops).
 
 Output is deterministic for a registry recorded with an injected clock
@@ -26,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.viz import svg_bar_chart, svg_line_chart
 from .anatomy import ANATOMY_CATEGORIES
 from .registry import RunRegistry, RunRow, SweepRow
-from .trends import detect_regressions
 
 __all__ = ["render_dashboard"]
 
@@ -282,21 +280,6 @@ def _phase_section(sweeps: List[SweepRow]) -> List[str]:
     return out
 
 
-def _regression_section(registry: RunRegistry) -> List[str]:
-    regressions = detect_regressions(registry)
-    out = ["<h2>Regression gate</h2>"]
-    if not regressions:
-        out.append('<p class="ok">No regressions detected.</p>')
-        return out
-    out.append(
-        f'<p class="bad">{len(regressions)} regression(s) flagged:</p><ul>'
-    )
-    for regression in regressions:
-        out.append(f"<li>{escape(regression.describe())}</li>")
-    out.append("</ul>")
-    return out
-
-
 def _ops_section(registry: RunRegistry) -> List[str]:
     """Resource accounting per run, and wall time by layer summed over
     the runs that carry the split (metrics-on trials)."""
@@ -403,7 +386,6 @@ def render_dashboard(
     parts.extend(_trend_section(registry, sweeps))
     parts.extend(_cache_section(sweeps))
     parts.extend(_phase_section(sweeps))
-    parts.extend(_regression_section(registry))
     parts.extend(_ops_section(registry))
     parts.append(
         f"<footer>generated {escape(stamp)} · registry "

@@ -21,9 +21,8 @@ events, so the serial and parallel execution paths record *identically*
 ``registry=`` to :class:`~repro.runner.ParallelRunner` or any sweep
 function and every trial lands in the store.
 
-On top of the store sit :mod:`repro.obs.trends` (run/sweep diffing and
-statistical regression gating) and :mod:`repro.obs.dashboard` (static
-HTML).  See ``docs/telemetry.md``.
+On top of the store sit :mod:`repro.obs.trends` (run/sweep diffing)
+and :mod:`repro.obs.dashboard` (static HTML).  See ``docs/telemetry.md``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,16 @@
-"""Run diffing and statistical regression detection over the registry.
+"""Run and sweep diffing over the registry.
 
-Two families of checks, both stdlib-only:
-
-- **Diffing** (:func:`diff_runs`, :func:`diff_sweeps`): compare two
-  recorded runs — or every digest-matched run pair of two sweeps —
-  separating *deterministic* fields (measurement values, update counts,
-  per-AS convergence instants: the simulator is virtual-time
-  deterministic, so these must match exactly between runs of the same
-  spec digest) from *timing* fields (wall-clock readings, which only
-  need to agree within a tolerance band).
-
-- **Trend gating** (:func:`detect_regressions`): for every spec digest
-  with enough history, compare the newest run's wall time against a
-  robust median/MAD envelope of the preceding runs, and flag both
-  wall-time inflation and any deterministic drift.
+:func:`diff_runs` and :func:`diff_sweeps` compare two recorded runs —
+or every digest-matched run pair of two sweeps — separating
+*deterministic* fields (measurement values, update counts, per-AS
+convergence instants: the simulator is virtual-time deterministic, so
+these must match exactly between runs of the same spec digest) from
+*timing* fields (wall-clock readings, reported against
+:data:`TIMING_TOLERANCE` but never failing a diff).
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -27,14 +19,17 @@ from .registry import RunRegistry, RunRow
 __all__ = [
     "DETERMINISTIC_MEASUREMENT_FIELDS",
     "RESOURCE_TIMING_FIELDS",
+    "TIMING_TOLERANCE",
     "FieldDiff",
     "RunDiff",
     "SweepDiff",
-    "Regression",
     "diff_runs",
     "diff_sweeps",
-    "detect_regressions",
 ]
+
+#: relative band a timing field must stay within to read as matched.
+#: Timing rows are informational: a miss is reported, never a failure.
+TIMING_TOLERANCE = 0.5
 
 #: per-run resource readings (schema-2 registries) that vary with the
 #: machine — compared like wall time, within a tolerance band.
@@ -172,17 +167,12 @@ def _resource_timings(resources) -> Dict[str, object]:
     return out
 
 
-def diff_runs(
-    run_a: RunRow,
-    run_b: RunRow,
-    *,
-    timing_tolerance: float = 0.5,
-) -> RunDiff:
+def diff_runs(run_a: RunRow, run_b: RunRow) -> RunDiff:
     """Field-by-field comparison of two recorded runs.
 
     Deterministic fields must be byte-equal (their JSON round-trips
     through the registry preserve exact values); ``wall_time`` passes
-    within ``timing_tolerance`` relative error.
+    within :data:`TIMING_TOLERANCE` relative error.
     """
     diff = RunDiff(
         run_a=run_a.run_id, run_b=run_b.run_id,
@@ -232,7 +222,7 @@ def diff_runs(
         diff.fields.append(
             FieldDiff(
                 name=name, a=a, b=b,
-                kind="timing", ok=rel <= timing_tolerance, rel_error=rel,
+                kind="timing", ok=rel <= TIMING_TOLERANCE, rel_error=rel,
             )
         )
 
@@ -259,162 +249,34 @@ def diff_runs(
     return diff
 
 
-def diff_sweeps(
-    registry: RunRegistry,
-    sweep_a: int,
-    sweep_b: int,
-    *,
-    timing_tolerance: float = 0.5,
-) -> SweepDiff:
-    """Pair the runs of two sweeps by spec digest and diff each pair.
-
-    Within a sweep a digest is unique (the grid never repeats a spec),
-    so digest-matching recovers the positional pairing regardless of
-    execution order.
-    """
-    runs_a = {r.spec_digest: r for r in registry.runs(sweep_id=sweep_a)}
-    runs_b = {r.spec_digest: r for r in registry.runs(sweep_id=sweep_b)}
-    out = SweepDiff(sweep_a=sweep_a, sweep_b=sweep_b)
-    out.only_in_a = sorted(set(runs_a) - set(runs_b))
-    out.only_in_b = sorted(set(runs_b) - set(runs_a))
-    for digest in sorted(set(runs_a) & set(runs_b)):
-        out.pairs.append(
-            diff_runs(
-                runs_a[digest], runs_b[digest],
-                timing_tolerance=timing_tolerance,
-            )
-        )
+def _runs_by_digest(
+    registry: RunRegistry, sweep_id: int
+) -> Dict[str, List[RunRow]]:
+    """A sweep's runs grouped by spec digest, each group in run_id order."""
+    out: Dict[str, List[RunRow]] = {}
+    for run in registry.runs(sweep_id=sweep_id):
+        out.setdefault(run.spec_digest, []).append(run)
     return out
 
 
-# ----------------------------------------------------------------------
-# trend gating
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Regression:
-    """One flagged spec digest."""
+def diff_sweeps(
+    registry: RunRegistry, sweep_a: int, sweep_b: int
+) -> SweepDiff:
+    """Pair the runs of two sweeps by spec digest and diff each pair.
 
-    spec_digest: str
-    label: str
-    kind: str  # "wall_time" | "max_rss" | "deterministic"
-    latest_run: int
-    latest_value: float
-    baseline_median: float
-    threshold: float
-    detail: str = ""
-
-    def describe(self) -> str:
-        if self.kind == "wall_time":
-            return (
-                f"{self.label or self.spec_digest[:12]}: wall time "
-                f"{self.latest_value:.3f}s exceeds gate {self.threshold:.3f}s "
-                f"(baseline median {self.baseline_median:.3f}s over history)"
-            )
-        if self.kind == "max_rss":
-            return (
-                f"{self.label or self.spec_digest[:12]}: peak RSS "
-                f"{self.latest_value:.0f} KB exceeds gate "
-                f"{self.threshold:.0f} KB "
-                f"(baseline median {self.baseline_median:.0f} KB over history)"
-            )
-        return (
-            f"{self.label or self.spec_digest[:12]}: deterministic drift "
-            f"in run {self.latest_run}: {self.detail}"
-        )
-
-
-def detect_regressions(
-    registry: RunRegistry,
-    *,
-    last: int = 10,
-    min_history: int = 3,
-    mad_sigma: float = 4.0,
-    min_rel: float = 0.25,
-    min_abs: float = 0.005,
-) -> List[Regression]:
-    """Gate the newest run of every digest against its own history.
-
-    For each spec digest with at least ``min_history`` earlier
-    successful runs (within the last ``last + 1``), the newest run is
-    flagged when
-
-    - its wall time exceeds ``median + max(mad_sigma * 1.4826 * MAD,
-      min_rel * median, min_abs)`` of the preceding runs — a robust
-      envelope that ignores a single historical outlier but catches
-      sustained inflation; or
-    - any deterministic field differs from the immediately preceding
-      run of the same digest (virtual-time results can never
-      legitimately drift).
+    Digest-matching recovers the positional pairing regardless of
+    execution order.  A sweep may repeat a spec, so within one digest
+    the k-th run of each sweep (in run_id order) pairs with the k-th
+    of the other; a digest's surplus runs on either side are listed
+    once each in ``only_in_a``/``only_in_b`` and fail the diff.
     """
-    out: List[Regression] = []
-    for digest in registry.digests():
-        history = registry.runs(
-            digest=digest, ok=True, limit=last + 1, newest_first=True
-        )
-        if len(history) < 2:
-            continue
-        latest, previous = history[0], history[1:]
-
-        drift = diff_runs(previous[0], latest).deterministic_mismatches
-        if drift:
-            names = ", ".join(f.name for f in drift[:5])
-            out.append(
-                Regression(
-                    spec_digest=digest,
-                    label=latest.label,
-                    kind="deterministic",
-                    latest_run=latest.run_id,
-                    latest_value=float(len(drift)),
-                    baseline_median=0.0,
-                    threshold=0.0,
-                    detail=f"{len(drift)} field(s) drifted: {names}",
-                )
-            )
-
-        if latest.cached:
-            continue
-
-        def gate(kind: str, latest_value, baseline, floor: float) -> None:
-            if latest_value is None or len(baseline) < min_history:
-                return
-            median = statistics.median(baseline)
-            mad = statistics.median(abs(v - median) for v in baseline)
-            threshold = median + max(
-                mad_sigma * 1.4826 * mad, min_rel * median, floor
-            )
-            if latest_value > threshold:
-                out.append(
-                    Regression(
-                        spec_digest=digest,
-                        label=latest.label,
-                        kind=kind,
-                        latest_run=latest.run_id,
-                        latest_value=float(latest_value),
-                        baseline_median=median,
-                        threshold=threshold,
-                        detail=f"history of {len(baseline)} run(s)",
-                    )
-                )
-
-        gate(
-            "wall_time",
-            latest.wall_time,
-            [r.wall_time for r in previous if not r.cached],
-            min_abs,
-        )
-        # peak-RSS inflation (resource accounting, schema-2 registries).
-        # The absolute floor is wider than wall time's: RSS is reported
-        # in KB and legitimately jitters by allocator page granularity.
-        gate(
-            "max_rss",
-            (latest.resources or {}).get("max_rss_kb"),
-            [
-                r.resources["max_rss_kb"]
-                for r in previous
-                if not r.cached
-                and r.resources is not None
-                and r.resources.get("max_rss_kb") is not None
-            ],
-            1024.0,
-        )
+    runs_a = _runs_by_digest(registry, sweep_a)
+    runs_b = _runs_by_digest(registry, sweep_b)
+    out = SweepDiff(sweep_a=sweep_a, sweep_b=sweep_b)
+    for digest in sorted(set(runs_a) | set(runs_b)):
+        rows_a, rows_b = runs_a.get(digest, []), runs_b.get(digest, [])
+        out.pairs.extend(diff_runs(a, b) for a, b in zip(rows_a, rows_b))
+        paired = min(len(rows_a), len(rows_b))
+        out.only_in_a.extend([digest] * (len(rows_a) - paired))
+        out.only_in_b.extend([digest] * (len(rows_b) - paired))
     return out

@@ -5,11 +5,7 @@ import argparse
 import pytest
 
 from repro.cli import _parse_sdn, _parse_topology, build_parser, main
-from repro.obs.registry import RunRegistry
 from repro.runner.jobs import SPEC_OPTIONS
-
-from ..obs.test_trends import record_twice
-from ..runner.test_jobs import make_spec
 
 
 class TestArgHelpers:
@@ -209,33 +205,20 @@ class TestTraceCommands:
             main(["trace", "run", "--scenario", "meteor"])
 
 
-class TestRunsRegressions:
-    def _history(self, tmp_path, wall_times):
-        """A registry file holding one spec recorded once per wall time."""
-        path = str(tmp_path / "runs.sqlite")
-        with RunRegistry(path) as registry:
-            record_twice(registry, make_spec(), wall_times=wall_times)
-        return path
-
-    def test_stable_history_passes(self, tmp_path, capsys):
-        path = self._history(tmp_path, (0.1, 0.11, 0.09, 0.1))
-        assert main(["runs", "regressions", "--registry", path]) == 0
-        assert "PASS: no regressions" in capsys.readouterr().out
-
-    def test_inflated_wall_time_fails(self, tmp_path, capsys):
-        path = self._history(tmp_path, (0.1, 0.11, 0.09, 0.5))
-        assert main(["runs", "regressions", "--registry", path]) == 1
-        assert "FAIL: 1 regression(s) flagged" in capsys.readouterr().out
-
-    def test_against_baseline_mode_is_gone(self, tmp_path):
-        """The report-directory gate was retired with the prose
-        baselines; the registry is the only history the gate reads."""
+class TestRetiredRunsOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["runs", "regressions"],
+            ["runs", "diff", "1", "2", "--tolerance", "0.1"],
+        ],
+        ids=["regressions", "diff-tolerance"],
+    )
+    def test_retired_option_exits_2(self, argv):
+        """The registry's wall-time gate and the diff's tolerance knob
+        are gone: ``runs diff --sweeps`` is the registry's one gate."""
         with pytest.raises(SystemExit) as exit_info:
-            main([
-                "runs", "regressions",
-                "--against-baseline", str(tmp_path),
-                "--candidate", str(tmp_path),
-            ])
+            main(argv)
         assert exit_info.value.code == 2
 
 

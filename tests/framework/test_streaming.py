@@ -333,44 +333,28 @@ class TestSetMembersMatchByPrefix:
         )
         assert trace.last_time(prefix_form) == bus.last_time(prefix_form)
 
-    def test_silence_detector_takes_what_its_filter_delivers(self):
-        """The detector taps exactly the route-affecting records, and
-        only those published after ``arm()`` move its reading."""
-        from repro.framework.detector import SilenceDetector
-
-        taken = []
-
-        class Recording(SilenceDetector):
-            def _tap(self, record):
-                taken.append(record)
-                super()._tap(record)
-
+    def test_plain_subscriber_takes_its_filter(self):
+        """A plain route-affecting subscription gets exactly those
+        records, in trace order, and its last one is the convergence
+        instant."""
         exp = Experiment(
             clique(4),
             config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
         ).start()
         trace = exp.net.trace
+        taken = []
+        exp.net.bus.subscribe(taken.append, categories=ROUTE_AFFECTING)
         subscribed = len(trace)
-        detector = Recording(exp, silence_window=1000.0)
         prefix = exp.announce(1)
         exp.wait_converged()
-        tapped_before_arm = len(taken)
-        start = len(trace)
-        detector.arm()
         m = measure_event(exp, lambda: exp.withdraw(1, prefix))
         exp.net.bus.record("link.state", "n")
-        def route_affecting(records):
-            return [
-                r for r in records
-                if any(_nested(r.category, c) for c in ROUTE_AFFECTING)
-            ]
 
-        assert taken == route_affecting(trace.records[subscribed:])
-        after_arm = taken[tapped_before_arm:]
-        assert after_arm == route_affecting(trace.records[start:])
-        assert detector.result(m.t_converged).t_last_activity == (
-            after_arm[-1].time
-        ) == m.t_converged
+        assert taken == [
+            r for r in trace.records[subscribed:]
+            if any(_nested(r.category, c) for c in ROUTE_AFFECTING)
+        ]
+        assert taken[-1].time == m.t_converged
 
 
 class TestUnobservedRunBuildsNoPayload:

@@ -117,14 +117,14 @@ class TestDashboardStructure:
         assert "Convergence vs SDN fraction — WithdrawalScenario" in html
         assert "Metrics trends across sweeps" in html
         assert "Wall-time breakdown per sweep" in html
-        assert "Regression gate" in html
-        assert "No regressions detected" in html
+        assert "Regression gate" not in html
+        assert "No regressions detected" not in html
         assert "<svg" in html
 
     def test_empty_registry_renders(self):
         html = render_dashboard(make_registry())
         assert html.startswith("<!DOCTYPE html>")
-        assert "Regression gate" in html
+        assert "Regression gate" not in html
 
     def test_injected_provenance_shown(self, recorded):
         html = render_dashboard(recorded)

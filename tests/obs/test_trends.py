@@ -1,14 +1,10 @@
-"""Run diffing and regression gating."""
+"""Run and sweep diffing."""
 
 import dataclasses
 
 import pytest
 
-from repro.obs.trends import (
-    detect_regressions,
-    diff_runs,
-    diff_sweeps,
-)
+from repro.obs.trends import diff_runs, diff_sweeps
 from repro.runner import ParallelRunner, execute_spec
 
 from ..runner.test_jobs import make_spec
@@ -165,56 +161,33 @@ class TestDiffSweeps:
         assert diff.only_in_b == [make_spec(seed=3).digest()]
         assert len(diff.pairs) == 1 and diff.pairs[0].ok
 
-
-class TestDetectRegressions:
-    def test_stable_history_stays_quiet(self):
-        registry = make_registry()
-        record_twice(
-            registry, make_spec(), wall_times=(0.1, 0.11, 0.09, 0.1)
-        )
-        assert detect_regressions(registry) == []
-
-    def test_inflated_wall_time_flagged(self):
-        registry = make_registry()
-        record_twice(
-            registry, make_spec(), wall_times=(0.1, 0.11, 0.09, 0.5)
-        )
-        (regression,) = detect_regressions(registry)
-        assert regression.kind == "wall_time"
-        assert regression.latest_value == pytest.approx(0.5)
-        assert regression.baseline_median == pytest.approx(0.1)
-        assert "wall time" in regression.describe()
-
-    def test_short_history_never_gates_wall_time(self):
-        registry = make_registry()
-        record_twice(registry, make_spec(), wall_times=(0.1, 9.9))
-        assert detect_regressions(registry, min_history=3) == []
-
-    def test_cached_runs_excluded_from_baseline_and_gate(self):
+    def test_repeated_spec_pairs_kth_with_kth(self):
         registry = make_registry()
         spec = make_spec()
-        record = execute_spec(spec)
-        for wall in (0.1, 0.11, 0.09):
-            registry.record(
-                spec, dataclasses.replace(record, wall_time=wall)
-            )
-        # a cache hit is near-instant but must never be gated (nor
-        # poison the baseline for later executed runs)
-        hit = dataclasses.replace(record, wall_time=9.0, cached=True)
-        registry.record(spec, hit)
-        assert detect_regressions(registry) == []
+        for _ in range(2):
+            ParallelRunner(1, registry=registry).run([spec, spec])
+        a, b = [s.sweep_id for s in registry.sweeps()]
+        diff = diff_sweeps(registry, a, b)
+        ids_a = [r.run_id for r in registry.runs(sweep_id=a)]
+        ids_b = [r.run_id for r in registry.runs(sweep_id=b)]
+        assert [(p.run_a, p.run_b) for p in diff.pairs] == list(
+            zip(ids_a, ids_b)
+        )
+        assert len(diff.pairs) == 2
+        assert diff.ok
 
-    def test_deterministic_drift_flagged(self):
+    def test_repeated_spec_surplus_fails_the_diff(self):
         registry = make_registry()
         spec = make_spec()
-        record = execute_spec(spec)
-        registry.record(spec, record)
-        tampered = dataclasses.replace(record)
-        tampered.measurement = dataclasses.replace(
-            record.measurement,
-            t_converged=record.measurement.t_converged + 1.0,
-        )
-        registry.record(spec, tampered)
-        flagged = detect_regressions(registry)
-        assert [r.kind for r in flagged] == ["deterministic"]
-        assert "measurement.t_converged" in flagged[0].detail
+        ParallelRunner(1, registry=registry).run([spec, spec])
+        ParallelRunner(1, registry=registry).run([spec])
+        a, b = [s.sweep_id for s in registry.sweeps()]
+        assert len(registry.runs(sweep_id=a)) == 2
+        diff = diff_sweeps(registry, a, b)
+        first_a = registry.runs(sweep_id=a)[0].run_id
+        assert [p.run_a for p in diff.pairs] == [first_a]
+        assert diff.only_in_a == [spec.digest()] and diff.only_in_b == []
+        assert not diff.ok
+        reverse = diff_sweeps(registry, b, a)
+        assert reverse.only_in_a == [] and reverse.only_in_b == [spec.digest()]
+        assert not reverse.ok
