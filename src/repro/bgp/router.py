@@ -123,6 +123,14 @@ class BGPRouter(Node):
         for session in self.sessions.values():
             session.start()
 
+    def close(self) -> None:
+        """Close every session and drop the callbacks bound to this
+        router: the processing callback and the damper's reuse hook."""
+        for session in self.sessions.values():
+            session.close()
+        self._process_callback = self.damper = None
+        super().close()
+
     def session_on(self, link: Link) -> Optional[BGPSession]:
         """The session configured on one link, if any."""
         return self.sessions.get(link.link_id)

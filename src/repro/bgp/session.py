@@ -191,6 +191,16 @@ class BGPSession:
         self.stop(notify_peer=True, reason=reason)
         self.start(delay=self.timers.reconnect_delay)
 
+    def close(self) -> None:
+        """Drop the session's edges into the trial graph (its router's
+        :meth:`~repro.bgp.router.BGPRouter.close` calls it): router,
+        link, timers, output lane and the bound flush callback, which
+        the MRAI timer shares."""
+        self.router = self.link = None
+        self._mrai_timer = self._connect_timer = None
+        self._hold_timer = self._keepalive_timer = None
+        self._flush_callback = self._output_lane = None
+
     def link_state_changed(self) -> None:
         """Called by the router when the session's link flips state."""
         if not self.link.up:

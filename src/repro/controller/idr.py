@@ -111,6 +111,13 @@ class IDRController(Node):
         self.speaker = speaker
         speaker.attach_controller(self)
 
+    def close(self) -> None:
+        """Drop the recompute timer, whose callback is bound to this
+        controller (the end of a trial, see
+        :meth:`~repro.net.network.Network.close`)."""
+        self._recompute_timer = None
+        super().close()
+
     def register_member(self, switch: SDNSwitch, control_link: Link) -> None:
         """Add a member switch reachable over ``control_link``."""
         self._members[switch.name] = switch

@@ -163,6 +163,14 @@ class ClusterBGPSpeaker(Node):
         for session in self.sessions.values():
             session.start()
 
+    def close(self) -> None:
+        """Close every session and drop what points back here: the
+        controller, the Loc-RIB view and the processing callback."""
+        for session in self.sessions.values():
+            session.close()
+        self.controller = self.loc_rib = self._process_callback = None
+        super().close()
+
     # ------------------------------------------------------------------
     # controller-speaker partition (fault-injection semantics)
     # ------------------------------------------------------------------

@@ -221,6 +221,15 @@ class InstrumentationBus:
         """The live subscriptions (read-only view)."""
         return list(self._subscriptions)
 
+    def close(self) -> None:
+        """Detach every subscriber and the causal slot and let go of
+        the simulator (:meth:`Simulator.close` calls it).  The counts
+        and last-seen times stay readable; nothing can publish again."""
+        self._subscriptions.clear()
+        self._routes.clear()
+        self.obs = None
+        self._sim = None
+
     # ------------------------------------------------------------------
     # route compilation
     # ------------------------------------------------------------------

@@ -242,6 +242,29 @@ class Simulator:
         """Number of live foreground events still queued."""
         return self._live_foreground
 
+    def close(self) -> None:
+        """End of the simulator's life: drop every pending event, lane
+        and hook, and close the bus (idempotent).
+
+        A pending event's callback is how the simulator reaches the
+        nodes, sessions and timers that reach it back, and how a timer
+        reaches the event it armed; blanking it cuts both.  Afterwards
+        the simulator is a leaf of its trial's object graph.  Nothing
+        can run on it again.
+        """
+        for event in self._queue:
+            event[2] = None
+        self._queue.clear()
+        for events, _ in self._lane_heads:
+            for event in events:
+                event[2] = None
+            events.clear()
+        self._lanes.clear()
+        self._lane_heads.clear()
+        self._next_pop = None
+        self._dispatch_hook = None
+        self.bus.close()
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -23,7 +23,11 @@ from ..eventsim.metrics import time_by_layer
 from ..faults.engine import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..framework.convergence import ConvergenceMeasurement, measure_event
-from ..framework.experiment import Experiment, ExperimentConfig
+from ..framework.experiment import (
+    Experiment,
+    ExperimentConfig,
+    _full_collections_held,
+)
 from ..net.addr import Prefix
 from ..runner import ParallelRunner, RunSpec, SweepTiming, fraction_grid
 from ..topology.builders import clique
@@ -406,6 +410,7 @@ def run_scenario_once(
     return measurement
 
 
+@_full_collections_held()
 def run_scenario_full(
     scenario: Scenario,
     topology: Topology,
@@ -430,35 +435,49 @@ def run_scenario_full(
     ``config.spans``, ``live_spans`` (the tracker's own
     :class:`~repro.obs.spans.Span` list, which ``spans`` snapshots, so
     the worker derives anatomy without reading the dicts back).
+
+    The experiment is closed on the way out, result or exception
+    (:meth:`~repro.framework.experiment.Experiment.close`): none of the
+    outputs holds a device, so the trial is freed the moment this
+    returns.  No automatic collection runs from build to close (see
+    ``_full_collections_held``).
     """
     exp = Experiment(
         topology, sdn_members=sdn_members, config=config,
         name=scenario.name,
-    ).build()
-    if config.metrics and info is not None:
-        info["wall_by_layer_s"] = time_by_layer(exp.net.sim)
-    scenario.configure(exp)
-    exp.start()
-    scenario.prepare(exp)
-    spans_before = len(exp.spans.spans) if exp.spans is not None else 0
-    measurement = measure_event(
-        exp, lambda: scenario.event(exp), horizon=horizon
     )
-    scenario.finish(exp)
-    spans = exp.spans_snapshot()
-    if spans is not None:
-        # The event's root is the first new root-cause span created at
-        # or after injection (scenario events fire outside any message
-        # context, so the event always opens a fresh causal tree).
-        for span in spans[spans_before:]:
-            if span["parent_id"] is None and span["t_end"] >= measurement.t_event:
-                measurement.extra["event_root_span"] = span["span_id"]
-                break
-    if info is not None:
-        info["events_processed"] = exp.net.sim.events_processed
-        if exp.spans is not None:
-            info["live_spans"] = exp.spans.spans
-    return measurement, exp.metrics_snapshot(), spans
+    try:
+        exp.build()
+        if config.metrics and info is not None:
+            info["wall_by_layer_s"] = time_by_layer(exp.net.sim)
+        scenario.configure(exp)
+        exp.start()
+        scenario.prepare(exp)
+        spans_before = len(exp.spans.spans) if exp.spans is not None else 0
+        measurement = measure_event(
+            exp, lambda: scenario.event(exp), horizon=horizon
+        )
+        scenario.finish(exp)
+        spans = exp.spans_snapshot()
+        if spans is not None:
+            # The event's root is the first new root-cause span created
+            # at or after injection (scenario events fire outside any
+            # message context, so the event always opens a fresh causal
+            # tree).
+            for span in spans[spans_before:]:
+                if (
+                    span["parent_id"] is None
+                    and span["t_end"] >= measurement.t_event
+                ):
+                    measurement.extra["event_root_span"] = span["span_id"]
+                    break
+        if info is not None:
+            info["events_processed"] = exp.net.sim.events_processed
+            if exp.spans is not None:
+                info["live_spans"] = exp.spans.spans
+        return measurement, exp.metrics_snapshot(), spans
+    finally:
+        exp.close()
 
 
 def seeded_specs(runs: int, seed: int, label: str, **fields) -> List[RunSpec]:

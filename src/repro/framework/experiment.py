@@ -81,45 +81,68 @@ class ExperimentError(RuntimeError):
     """Misuse of the experiment API (unknown AS, event before build...)."""
 
 
-#: generation-2 threshold while a graph is under construction: never
-#: reached (it counts generation-1 collections).
-_HELD_GEN2_THRESHOLD = 1 << 30
 #: the thresholds are the process's, so the hold is too: how many
-#: ``build()``/``start()`` calls are inside it (``repro serve`` runs
-#: trials on threads) and what the first one in found.
+#: threads are inside it (``repro serve`` runs trials on threads) and
+#: what the first one in found.
 _hold_lock = threading.Lock()
 _hold_depth = 0
 _hold_saved: Tuple[int, int, int] = (0, 0, 0)
+#: ``inside`` is True on a thread within a block: a nested block
+#: (``build()`` in ``start()`` in a trial) changes nothing.
+_hold_thread = threading.local()
 
 
 @contextlib.contextmanager
 def _full_collections_held() -> Iterator[None]:
-    """Keep CPython from running *full* collections inside the block.
+    """Keep CPython from running any automatic collection inside the
+    block: every generation is held (threshold 0 switches them off).
 
-    ``build()`` and ``start()`` allocate a large graph that is all
-    live: every full pass re-walks it and frees nothing (13 passes,
-    3 s of a 7 s set-up at 5000 ASes).  Young collections keep
-    running — ``start()`` on a clique makes plenty of cyclic garbage —
-    so only the generation-2 threshold is raised.  The last block out
+    A trial makes no cyclic garbage of its own: what it allocates is
+    live until :meth:`Experiment.close` cuts its one reference cycle,
+    and then refcounting frees all of it.  So every pass inside a
+    trial walks live objects and frees nothing — a 5000-AS ``build()``
+    + ``start()`` ran 1,606 young passes, and an observed Fig. 2 round
+    five full ones over 115k-154k objects.  ``build()``, ``start()``
+    and :func:`~repro.experiments.common.run_scenario_full` (build to
+    close) hold it; blocks nest within a thread.  The last thread out
     restores what the first one in saved, exception or not; a caller
     who disabled the collector is left alone.
+
+    Trials on threads can overlap without a gap, and then the hold
+    never lifts while garbage made outside trials (the service's event
+    loop) still needs collecting.  So a thread that leaves while others
+    are still inside runs the collection the saved thresholds call for:
+    a young one, or an older generation once the one below it has been
+    collected more often than its threshold, as CPython would.
     """
     global _hold_depth, _hold_saved
-    if not gc.isenabled():
+    if not gc.isenabled() or getattr(_hold_thread, "inside", False):
         yield
         return
+    _hold_thread.inside = True
     with _hold_lock:
         if _hold_depth == 0:
             _hold_saved = gc.get_threshold()
-            gc.set_threshold(*_hold_saved[:2], _HELD_GEN2_THRESHOLD)
+            gc.set_threshold(0, *_hold_saved[1:])
         _hold_depth += 1
     try:
         yield
     finally:
+        _hold_thread.inside = False
         with _hold_lock:
             _hold_depth -= 1
-            if _hold_depth == 0:
+            overlapped = _hold_depth > 0
+            if not overlapped:
                 gc.set_threshold(*_hold_saved)
+            thresholds = _hold_saved
+        if overlapped and thresholds[0]:
+            # The count of each older generation is how often the one
+            # below it was collected since it last was.
+            _, middle, old = gc.get_count()
+            generation = 0
+            if middle > thresholds[1]:
+                generation = 2 if old > thresholds[2] else 1
+            gc.collect(generation)
 
 
 @dataclass
@@ -399,6 +422,15 @@ class Experiment:
         if settle:
             self.wait_converged()
         return self
+
+    def close(self) -> None:
+        """The end of the trial's lifetime: cut its network's reference
+        cycles (:meth:`Network.close`), so refcounting frees the whole
+        experiment once its last reference goes, with no collector
+        pass.  Idempotent; nothing can run on the experiment afterwards.
+        """
+        if self.net is not None:
+            self.net.close()
 
     def wait_converged(self, horizon: Optional[float] = None) -> float:
         """Run until no routing work remains; returns the virtual time.

@@ -197,6 +197,13 @@ class Link:
         """Convenience: bring the link back up."""
         self.set_up(True)
 
+    def close(self) -> None:
+        """Let go of both endpoints (the end of a trial, see
+        :meth:`~repro.net.network.Network.close`): every way from a
+        node through a link (its link list, a FIB entry, a session, the
+        controller's control links) back to a node passes here."""
+        self.a = self.b = None
+
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
         return f"<Link {self.name} {self.a.name}<->{self.b.name} {state}>"

@@ -94,6 +94,21 @@ class Network:
             )
         return self.spans
 
+    def close(self) -> None:
+        """The end of the network's life: cut the references that make
+        its object graph cyclic, so refcounting frees it (idempotent).
+
+        Every node drops its wiring (:meth:`Node.close`), every link
+        its endpoints, and the simulator its pending events, hooks and
+        subscribers (:meth:`Simulator.close`).  Counters, RIBs and the
+        bus's counts stay readable; nothing can run again.
+        """
+        for node in self.nodes.values():
+            node.close()
+        for link in self.links:
+            link.close()
+        self.sim.close()
+
     # ------------------------------------------------------------------
     # inventory
     # ------------------------------------------------------------------

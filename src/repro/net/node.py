@@ -74,6 +74,14 @@ class Node:
     def link_state_changed(self, link: Link) -> None:
         """Hook: called when an attached link changes up/down state."""
 
+    def close(self) -> None:
+        """Drop this node's wiring (the end of a trial, see
+        :meth:`~repro.net.network.Network.close`): its links and FIB.
+        Subclasses with sessions, timers or callbacks bound to
+        themselves extend it."""
+        self.links = []
+        self.fib = Fib()
+
     # ------------------------------------------------------------------
     # local addressing
     # ------------------------------------------------------------------

@@ -537,12 +537,15 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
         measurement, metrics, spans = run_trial_full(spec, info=info)
     except Exception:
         error = traceback.format_exc(limit=20)
-    wall_time = time.perf_counter() - started
-    resources = accounting.finish(
-        wall_time=wall_time,
-        events_processed=info.get("events_processed"),
-        wall_by_layer=info.get("wall_by_layer_s"),
-    )
+    finally:
+        # Detaches the gc callback even when KeyboardInterrupt or
+        # SystemExit passes through.
+        wall_time = time.perf_counter() - started
+        resources = accounting.finish(
+            wall_time=wall_time,
+            events_processed=info.get("events_processed"),
+            wall_by_layer=info.get("wall_by_layer_s"),
+        )
     if error is not None:
         log.error("trial_failed", wall_time=round(wall_time, 3))
         return RunRecord(

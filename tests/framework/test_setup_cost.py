@@ -1,16 +1,22 @@
 """What keeps a large build cheap: one policy object per relationship,
-a bounded object count per session, and no full collections while the
-graph is under construction (docs/scaling.md, "Set-up cost")."""
+a bounded object count per session, and no collections while a trial
+is alive (docs/scaling.md, "Set-up cost")."""
 
 import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro.bgp.attrs import AsPath, PathAttributes
 from repro.bgp.policy import LOCAL_COMMUNITY, Relationship
-from repro.experiments.common import paper_config
+from repro.experiments.common import (
+    WithdrawalScenario,
+    paper_config,
+    run_scenario_full,
+    sdn_set_for,
+)
 from repro.framework import experiment as experiment_module
 from repro.framework.experiment import (
     Experiment,
@@ -138,6 +144,23 @@ def collector_state():
         (gc.enable if enabled else gc.disable)()
 
 
+@pytest.fixture
+def held_passes():
+    """The generation of every collection CPython starts while the hold
+    is taken."""
+    passes = []
+
+    def record(phase, info):
+        if phase == "start" and experiment_module._hold_depth:
+            passes.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(record)
+
+
 class TestFullCollectionsHeld:
     def test_thresholds_restored_after_build_and_start(self, collector_state):
         exp = Experiment(clique(4))
@@ -153,23 +176,37 @@ class TestFullCollectionsHeld:
                 exp.build()
             assert gc.get_threshold() == collector_state
 
-    def test_only_full_collections_are_held(self, collector_state):
-        young, middle, _ = collector_state
+    def test_every_generation_is_held(self, collector_state, held_passes):
         with _full_collections_held():
-            held = gc.get_threshold()
-            with _full_collections_held():  # start() builds when unbuilt
-                assert gc.get_threshold() == held
-            assert gc.get_threshold() == held
-        assert held[:2] == (young, middle) and held[2] > 10**6
+            assert gc.get_threshold() == (0, *collector_state[1:])
+        assert gc.get_threshold() == collector_state
+        hierarchy().start()
+        assert held_passes == []
+
+    def test_thresholds_restored_after_a_trial(self, collector_state):
+        seen = []
+        trial(finish=lambda exp: seen.append(gc.get_threshold()))
+        assert seen == [(0, *collector_state[1:])]
         assert gc.get_threshold() == collector_state
 
-    def test_young_collections_still_run(self, collector_state):
-        exp = hierarchy()
-        young_before = gc.get_stats()[0]["collections"]
-        full_before = gc.get_stats()[2]["collections"]
-        exp.build()
-        assert gc.get_stats()[0]["collections"] > young_before
-        assert gc.get_stats()[2]["collections"] == full_before
+    def test_thresholds_restored_when_a_trial_raises(self, collector_state):
+        def fail(exp):
+            raise RuntimeError("scenario failed")
+
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="scenario failed"):
+                trial(finish=fail)
+            assert gc.get_threshold() == collector_state
+
+    def test_build_and_start_nest_inside_the_trial(
+        self, collector_state, held_passes
+    ):
+        """``build()`` and ``start()`` inside a trial's hold leave it
+        held and run no collection on the way out."""
+        seen = []
+        trial(finish=lambda exp: seen.append(gc.get_threshold()))
+        assert seen == [(0, *collector_state[1:])]
+        assert held_passes == []
 
     def test_callers_own_thresholds_come_back(self, collector_state):
         gc.set_threshold(900, 7, 5)
@@ -215,3 +252,100 @@ class TestFullCollectionsHeld:
         assert not errors and not lifted_early
         assert experiment_module._hold_depth == 0
         assert gc.get_threshold() == collector_state
+
+    def test_overlapping_trials_never_see_the_hold_lifted(
+        self, collector_state
+    ):
+        """Four threads running whole trials: every one sees every
+        generation held from inside its scenario, and the last one out
+        restores."""
+        seen = []
+        errors = []
+
+        def trials():
+            try:
+                for _ in range(8):
+                    trial(finish=lambda exp: seen.append(gc.get_threshold()))
+            except Exception as exc:  # surfaced below, not lost in a thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=trials) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert seen == [(0, *collector_state[1:])] * 32
+        assert experiment_module._hold_depth == 0
+        assert gc.get_threshold() == collector_state
+
+    def test_garbage_outside_trials_is_collected_while_they_overlap(
+        self, collector_state
+    ):
+        """While trials overlap without a gap the hold never lifts, so
+        the thread leaving one runs the collection the thresholds call
+        for: young garbage goes at the next trial's end, garbage that
+        reached the oldest generation once that generation is due."""
+        gc.set_threshold(700, 1, 1)
+
+        class Cycle:
+            def __init__(self):
+                self.me = self
+
+        old = Cycle()
+        gc.collect()  # ``old`` is alive, so now in the oldest generation
+        old_ref = weakref.ref(old)
+        del old
+        inside, done = threading.Event(), threading.Event()
+        lifted, errors = [], []
+
+        def keep_holding():
+            with _full_collections_held():
+                inside.set()
+                done.wait(60)
+
+        def trials():
+            try:
+                while not done.is_set():
+                    trial()
+                    # The holder leaves only after ``done`` is set.
+                    if gc.get_threshold()[0] != 0 and not done.is_set():
+                        lifted.append(1)
+            except Exception as exc:  # surfaced below, not lost in a thread
+                errors.append(exc)
+
+        holder = threading.Thread(target=keep_holding)
+        holder.start()
+        inside.wait(60)
+        young_ref = weakref.ref(Cycle())
+        workers = [threading.Thread(target=trials) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        try:
+            for _ in range(600):
+                if young_ref() is None and old_ref() is None:
+                    break
+                done.wait(0.05)
+        finally:
+            done.set()
+            holder.join(60)
+            for worker in workers:
+                worker.join(60)
+        assert not errors and not lifted
+        assert young_ref() is None and old_ref() is None
+        assert experiment_module._hold_depth == 0
+        assert gc.get_threshold() == (700, 1, 1)
+
+
+def trial(finish=None):
+    """One whole 4-AS withdrawal trial; ``finish(exp)`` runs inside it."""
+    scenario = WithdrawalScenario()
+    if finish is not None:
+        scenario.finish = finish
+    topology = scenario.topology(4, clique)
+    members = sdn_set_for(topology, 2, scenario.reserved_legacy)
+    return run_scenario_full(
+        scenario, topology, members, paper_config(seed=1, mrai=1.0)
+    )
+

@@ -70,6 +70,23 @@ class TestExecuteSpecResources:
         # resources must be JSON round-trippable (cache + registry)
         assert json.loads(json.dumps(record.resources)) == record.resources
 
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_gc_callback_removed_when_the_trial_is_interrupted(
+        self, monkeypatch, interrupt
+    ):
+        import gc
+
+        from repro.runner import jobs
+
+        def interrupted(spec, **_):
+            raise interrupt()
+
+        monkeypatch.setattr(jobs, "run_trial_full", interrupted)
+        before = list(gc.callbacks)
+        with pytest.raises(interrupt):
+            execute_spec(make_spec())
+        assert gc.callbacks == before
+
     def test_no_layer_split_without_metrics(self):
         record = execute_spec(make_spec())
         assert "wall_by_layer_s" not in record.resources
