@@ -1021,49 +1021,50 @@ def cmd_client_submit(args) -> int:
 
     from .service import ServiceClientError
 
-    client = _service_client(args)
     payload = _load_payload(args.payload)
     if "spec" not in payload and "grid" not in payload:
         payload = {"spec": payload}
-    try:
-        jobs = client.submit(payload)
-    except ServiceClientError as exc:
-        args.out.emit(f"submission rejected: {exc}")
-        if exc.retry_after is not None:
-            args.out.emit(f"retry after {exc.retry_after:.0f}s")
-        if exc.detail:
-            for line in exc.detail:
-                args.out.emit(f"  - {line}")
-        return 1
-    for job in jobs:
-        args.out.emit(f"{job['digest']}  {job['state']}  {job['label']}")
-    if not args.watch:
-        return 0
-    failed = 0
-    for job in jobs:
-        final = _watch_job(client, job["digest"], args.out)
-        record = final.get("record", {})
-        if not record.get("ok"):
-            failed += 1
-        args.out.emit(
-            _json.dumps(
-                {"digest": job["digest"], **record}, sort_keys=True
+    with _service_client(args) as client:
+        try:
+            jobs = client.submit(payload)
+        except ServiceClientError as exc:
+            args.out.emit(f"submission rejected: {exc}")
+            if exc.retry_after is not None:
+                args.out.emit(f"retry after {exc.retry_after:.0f}s")
+            if exc.detail:
+                for line in exc.detail:
+                    args.out.emit(f"  - {line}")
+            return 1
+        for job in jobs:
+            args.out.emit(f"{job['digest']}  {job['state']}  {job['label']}")
+        if not args.watch:
+            return 0
+        failed = 0
+        for job in jobs:
+            final = _watch_job(client, job["digest"], args.out)
+            record = final.get("record", {})
+            if not record.get("ok"):
+                failed += 1
+            args.out.emit(
+                _json.dumps(
+                    {"digest": job["digest"], **record}, sort_keys=True
+                )
             )
-        )
     return 1 if failed else 0
 
 
 def cmd_client_status(args) -> int:
     import json as _json
 
-    args.out.emit(
-        _json.dumps(_service_client(args).status(args.digest), sort_keys=True)
-    )
+    with _service_client(args) as client:
+        status = client.status(args.digest)
+    args.out.emit(_json.dumps(status, sort_keys=True))
     return 0
 
 
 def cmd_client_result(args) -> int:
-    body = _service_client(args).result_bytes(args.digest)
+    with _service_client(args) as client:
+        body = client.result_bytes(args.digest)
     args.out.stream.write(body.decode("utf-8"))
     return 0
 
@@ -1071,8 +1072,8 @@ def cmd_client_result(args) -> int:
 def cmd_client_watch(args) -> int:
     import json as _json
 
-    client = _service_client(args)
-    final = _watch_job(client, args.digest, args.out)
+    with _service_client(args) as client:
+        final = _watch_job(client, args.digest, args.out)
     args.out.emit(_json.dumps(final, sort_keys=True))
     record = final.get("record", {})
     return 0 if record.get("ok") else 1
@@ -1081,9 +1082,9 @@ def cmd_client_watch(args) -> int:
 def cmd_client_cancel(args) -> int:
     import json as _json
 
-    args.out.emit(
-        _json.dumps(_service_client(args).cancel(args.digest), sort_keys=True)
-    )
+    with _service_client(args) as client:
+        cancelled = client.cancel(args.digest)
+    args.out.emit(_json.dumps(cancelled, sort_keys=True))
     return 0
 
 

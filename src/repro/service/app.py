@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..config import ServiceConfig
 from ..eventsim.metrics import MetricsRegistry
@@ -45,19 +45,25 @@ from .http import (
     MAX_HEADER_BYTES,
     HttpError,
     Request,
-    error_payload,
+    Response,
+    error_response,
     json_response,
     read_request,
-    response_bytes,
     sse_frame,
     sse_headers,
 )
 from .manager import JobManager, SubmitRejected
 
-__all__ = ["ServiceConfig", "ServiceApp", "start_service", "run_service"]
+__all__ = [
+    "ServiceConfig", "ServiceApp", "ServiceServer", "start_service",
+    "run_service",
+]
 
 #: keep-alive comment frame cadence on idle SSE streams (seconds).
 SSE_HEARTBEAT = 15.0
+#: a persistent connection with no request for this long is closed
+#: (seconds); a client that comes back later opens a new one.
+IDLE_CLOSE_S = 30.0
 
 
 def record_payload(record: RunRecord) -> Dict[str, Any]:
@@ -107,32 +113,67 @@ class ServiceApp:
         #: request counters + per-route latency histograms, exposed on
         #: ``/metrics`` alongside the scrape-time service gauges.
         self.metrics = MetricsRegistry()
+        self._connections = self.metrics.counter("service.connections_total")
         self._started_monotonic = time.monotonic()
+        #: writers of the connections waiting for their next request;
+        #: closing one ends its connection at once.
+        self._idle: Set[asyncio.StreamWriter] = set()
+        #: set once the server stops listening: every connection ends
+        #: after the reply it is sending.
+        self._closing = False
 
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
     async def handle_connection(self, reader, writer) -> None:
+        """Answer requests on one connection until either side ends it.
+
+        The connection closes after a request that asks for it
+        (``Connection: close`` or HTTP/1.0), after any error reading a
+        request (the stream's framing is then unknown), after a 500,
+        after an SSE stream, and after :data:`IDLE_CLOSE_S` without a
+        request.
+        """
         # The selector transport reads up to 256 KiB per recv and then
         # shrinks the buffer to the few hundred bytes a request has; on
         # some heap layouts each shrink trims the heap top and the next
         # read grows it again, page faults on every request.
         # Header-sized reads stay below malloc's trim threshold.
         writer.transport.max_size = MAX_HEADER_BYTES
+        self._connections.inc()
+        loop = asyncio.get_running_loop()
         try:
-            try:
-                request = await read_request(reader)
+            while not self._closing:
+                idle_timer = loop.call_later(IDLE_CLOSE_S, writer.close)
+                self._idle.add(writer)
+                try:
+                    request = await read_request(reader)
+                except HttpError as exc:
+                    writer.write(error_response(exc).encode(close=True))
+                    await writer.drain()
+                    return
+                finally:
+                    self._idle.discard(writer)
+                    idle_timer.cancel()
                 if request is None:
                     return
-                await self._timed_dispatch(request, writer)
-            except HttpError as exc:
-                status, payload, headers = error_payload(exc)
-                writer.write(json_response(status, payload, headers=headers))
-            except Exception as exc:  # pragma: no cover - defensive
-                writer.write(
-                    json_response(500, {"error": f"internal error: {exc!r}"})
-                )
-            await writer.drain()
+                close = not request.keep_alive
+                try:
+                    response = await self._timed_dispatch(request, writer)
+                except HttpError as exc:
+                    response = error_response(exc)
+                except Exception as exc:  # pragma: no cover - defensive
+                    response = json_response(
+                        500, {"error": f"internal error: {exc!r}"}
+                    )
+                    close = True
+                if response is None:
+                    return  # an SSE stream: it ended its connection
+                close = close or self._closing
+                writer.write(response.encode(close=close))
+                await writer.drain()
+                if close:
+                    return
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -141,6 +182,13 @@ class ServiceApp:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+    def close_connections(self) -> None:
+        """Stop taking requests: close every idle connection now; a
+        busy one closes after the reply it is sending."""
+        self._closing = True
+        for writer in list(self._idle):
+            writer.close()
 
     @staticmethod
     def route_template(method: str, parts: List[str]) -> str:
@@ -158,7 +206,9 @@ class ServiceApp:
             return "/api/runs/{id}" + tail
         return "/" + "/".join(parts) if parts else "/"
 
-    async def _timed_dispatch(self, request: Request, writer) -> None:
+    async def _timed_dispatch(
+        self, request: Request, writer
+    ) -> Optional[Response]:
         """Dispatch wrapped in request/error counters and a latency
         histogram, labelled by route template and method."""
         parts = [p for p in request.path.split("/") if p]
@@ -168,7 +218,7 @@ class ServiceApp:
         ).inc()
         start = time.perf_counter()
         try:
-            await self.dispatch(request, writer)
+            return await self.dispatch(request, writer)
         except HttpError as exc:
             self.metrics.counter(
                 "service.errors", route=route, status=str(exc.status)
@@ -184,62 +234,60 @@ class ServiceApp:
                 "service.request_seconds", route=route
             ).observe(time.perf_counter() - start)
 
-    async def dispatch(self, request: Request, writer) -> None:
+    async def dispatch(self, request: Request, writer) -> Optional[Response]:
+        """The reply to ``request``; None once an SSE route has streamed
+        its own."""
         parts = [p for p in request.path.split("/") if p]
         method = request.method
 
         if parts == ["metrics"] and method == "GET":
-            return self._metrics(writer)
+            return self._metrics()
         if parts == ["api", "status"] and method == "GET":
-            return self._status(writer)
+            return self._status()
         if parts == ["healthz"] and method == "GET":
-            return self._reply(writer, 200, {
+            return json_response(200, {
                 "ok": True, **self.manager.stats(),
             })
         if parts == ["dashboard"] and method == "GET":
-            return self._dashboard(writer)
+            return self._dashboard()
         if parts == ["api", "jobs"]:
             if method == "GET":
-                return self._jobs_index(writer)
+                return self._jobs_index()
             if method == "POST":
-                return self._submit(request, writer)
+                return self._submit(request)
             raise HttpError(405, f"{method} not allowed on /api/jobs")
         if len(parts) >= 3 and parts[:2] == ["api", "jobs"]:
             digest = parts[2]
             tail = parts[3:]
             if not tail:
                 if method == "GET":
-                    return self._job_status(writer, digest)
+                    return self._job_status(digest)
                 if method == "DELETE":
-                    return self._cancel(writer, digest)
+                    return self._cancel(digest)
                 raise HttpError(405, f"{method} not allowed on a job")
             if tail == ["result"] and method == "GET":
-                return self._result(writer, digest)
+                return self._result(digest)
             if tail == ["events"] and method == "GET":
                 return await self._events(writer, digest)
             if tail == ["provenance"] and method == "GET":
-                return self._provenance(writer, digest)
+                return self._provenance(digest)
         if parts == ["api", "runs"] and method == "GET":
-            return self._runs_index(request, writer)
+            return self._runs_index(request)
         if len(parts) == 3 and parts[:2] == ["api", "runs"] and method == "GET":
-            return self._run_row(writer, parts[2])
+            return self._run_row(parts[2])
         if (
             len(parts) == 4
             and parts[:2] == ["api", "runs"]
             and parts[3] == "anatomy"
             and method == "GET"
         ):
-            return self._run_anatomy(writer, parts[2])
+            return self._run_anatomy(parts[2])
         raise HttpError(404, f"no route for {method} {request.path}")
-
-    @staticmethod
-    def _reply(writer, status: int, payload: Any, **kw) -> None:
-        writer.write(json_response(status, payload, **kw))
 
     # ------------------------------------------------------------------
     # job routes
     # ------------------------------------------------------------------
-    def _submit(self, request: Request, writer) -> None:
+    def _submit(self, request: Request) -> Response:
         from ..config.specio import SpecIngestError, specs_from_json
 
         payload = request.json()
@@ -262,10 +310,10 @@ class ServiceApp:
             "jobs": [job.status_payload() for job in jobs],
         }
         status = 200 if all(not job.active() for job in jobs) else 202
-        self._reply(writer, status, body)
+        return json_response(status, body)
 
-    def _jobs_index(self, writer) -> None:
-        self._reply(writer, 200, {
+    def _jobs_index(self) -> Response:
+        return json_response(200, {
             "stats": self.manager.stats(),
             "jobs": [
                 job.status_payload() for job in self.manager.jobs.values()
@@ -278,23 +326,23 @@ class ServiceApp:
         except KeyError:
             raise HttpError(404, f"no job with digest {digest}")
 
-    def _job_status(self, writer, digest: str) -> None:
-        self._reply(writer, 200, self._job(digest).status_payload())
+    def _job_status(self, digest: str) -> Response:
+        return json_response(200, self._job(digest).status_payload())
 
-    def _cancel(self, writer, digest: str) -> None:
+    def _cancel(self, digest: str) -> Response:
         job = self.manager.cancel(self._job(digest).digest)
-        self._reply(writer, 202, job.status_payload())
+        return json_response(202, job.status_payload())
 
-    def _result(self, writer, digest: str) -> None:
+    def _result(self, digest: str) -> Response:
         job = self._job(digest)
         if job.record is None:
             raise HttpError(
                 409,
                 f"job {digest} is {job.state}; result not available yet",
             )
-        self._reply(writer, 200, record_payload(job.record))
+        return json_response(200, record_payload(job.record))
 
-    def _provenance(self, writer, digest: str) -> None:
+    def _provenance(self, digest: str) -> Response:
         job = self._job(digest)
         if job.record is None:
             raise HttpError(
@@ -313,15 +361,13 @@ class ServiceApp:
         if job.record.measurement is not None:
             root_id = job.record.measurement.extra.get("event_root_span")
         text = provenance_report(job.record.spans, root_id=root_id)
-        writer.write(
-            response_bytes(
-                200, text.encode("utf-8"),
-                content_type="text/plain; charset=utf-8",
-            )
+        return Response(
+            200, text.encode("utf-8"), "text/plain; charset=utf-8"
         )
 
     async def _events(self, writer, digest: str) -> None:
-        """Stream a job's progress as SSE until its ``done`` frame.
+        """Stream a job's progress as SSE until its ``done`` frame; the
+        connection closes after it (the head says ``Connection: close``).
 
         A vanished client surfaces as a ConnectionError on drain; the
         subscription is dropped and the job runs on unaffected.
@@ -350,7 +396,7 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # obs routes
     # ------------------------------------------------------------------
-    def _metrics(self, writer) -> None:
+    def _metrics(self) -> Response:
         """Prometheus text exposition of the service's operational state.
 
         Request counters and latency histograms accumulate in
@@ -388,13 +434,9 @@ class ServiceApp:
             gauge("service.cache_lookups", outcome="miss").set(stats.misses)
             gauge("service.cache_hit_ratio").set(stats.hit_rate)
         body = render_prometheus(self.metrics.snapshot(), prefix="repro_")
-        writer.write(
-            response_bytes(
-                200, body.encode("utf-8"), content_type=CONTENT_TYPE
-            )
-        )
+        return Response(200, body.encode("utf-8"), CONTENT_TYPE)
 
-    def _status(self, writer) -> None:
+    def _status(self) -> Response:
         """Consolidated health: liveness, readiness, and drop counters.
 
         Liveness is implicit (a reply at all means the loop is alive);
@@ -427,7 +469,7 @@ class ServiceApp:
                 "misses": stats.misses,
                 "hit_rate": round(stats.hit_rate, 4),
             }
-        self._reply(writer, 200 if not reasons else 503, payload)
+        return json_response(200 if not reasons else 503, payload)
 
     def _open_registry(self):
         import os
@@ -442,19 +484,14 @@ class ServiceApp:
 
         return RunRegistry(path, git_rev=self.manager._git_rev)
 
-    def _dashboard(self, writer) -> None:
+    def _dashboard(self) -> Response:
         from ..obs.dashboard import render_dashboard
 
         with self._open_registry() as registry:
             html = render_dashboard(registry)
-        writer.write(
-            response_bytes(
-                200, html.encode("utf-8"),
-                content_type="text/html; charset=utf-8",
-            )
-        )
+        return Response(200, html.encode("utf-8"), "text/html; charset=utf-8")
 
-    def _runs_index(self, request: Request, writer) -> None:
+    def _runs_index(self, request: Request) -> Response:
         limit = request.query_int("limit", 50)
         digest = None
         if request.query.get("digest"):
@@ -465,7 +502,7 @@ class ServiceApp:
             )
         from dataclasses import asdict
 
-        self._reply(writer, 200, {"runs": [asdict(row) for row in rows]})
+        return json_response(200, {"runs": [asdict(row) for row in rows]})
 
     def _recorded_run(self, run_id: str):
         """The registry row ``run_id`` names (400 unless an integer,
@@ -480,12 +517,12 @@ class ServiceApp:
             raise HttpError(404, f"no recorded run {wanted}")
         return row
 
-    def _run_row(self, writer, run_id: str) -> None:
+    def _run_row(self, run_id: str) -> Response:
         from dataclasses import asdict
 
-        self._reply(writer, 200, asdict(self._recorded_run(run_id)))
+        return json_response(200, asdict(self._recorded_run(run_id)))
 
-    def _run_anatomy(self, writer, run_id: str) -> None:
+    def _run_anatomy(self, run_id: str) -> Response:
         """Critical-path delay attribution of one recorded run.
 
         Served from the stored ``anatomy`` column (the registry derives
@@ -500,9 +537,41 @@ class ServiceApp:
                 f"run {row.run_id} carries no anatomy; record it with "
                 "spans enabled to attribute its convergence delay",
             )
-        self._reply(
-            writer, 200, {"run_id": row.run_id, "anatomy": row.anatomy}
+        return json_response(
+            200, {"run_id": row.run_id, "anatomy": row.anatomy}
         )
+
+
+class ServiceServer:
+    """The listening socket of one :class:`ServiceApp`.
+
+    ``close()`` stops listening *and* closes the app's idle persistent
+    connections.  From Python 3.12.1 on, ``asyncio.Server.wait_closed()``
+    waits for every open connection, so a client merely holding one
+    would otherwise keep shutdown waiting for :data:`IDLE_CLOSE_S`.
+    """
+
+    def __init__(self, server: asyncio.AbstractServer, app: ServiceApp):
+        self._server = server
+        self._app = app
+
+    @property
+    def sockets(self):
+        return self._server.sockets
+
+    def close(self) -> None:
+        self._server.close()
+        self._app.close_connections()
+
+    async def wait_closed(self) -> None:
+        await self._server.wait_closed()
+
+    async def __aenter__(self) -> "ServiceServer":
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        self.close()
+        await self.wait_closed()
 
 
 async def start_service(
@@ -510,15 +579,19 @@ async def start_service(
     *,
     announce: Optional[Callable[[str, int], None]] = None,
 ):
-    """Start the server; returns ``(server, app)``.
+    """Start the server; returns ``(server, app)``, ``server`` a
+    :class:`ServiceServer`.
 
     ``announce(host, port)`` is called with the *bound* address — with
     ``port=0`` that is the ephemeral port the OS picked, which is what
     the smoke harness parses from stdout.
     """
     app = ServiceApp(config)
-    server = await asyncio.start_server(
-        app.handle_connection, config.host, config.port
+    server = ServiceServer(
+        await asyncio.start_server(
+            app.handle_connection, config.host, config.port
+        ),
+        app,
     )
     app.manager.start()
     host, port = server.sockets[0].getsockname()[:2]
@@ -537,8 +610,8 @@ def run_service(
     async def main() -> None:
         server, app = await start_service(config, announce=announce)
         try:
-            async with server:
-                await server.serve_forever()
+            async with server:  # Ctrl-C cancels the wait below
+                await asyncio.Event().wait()
         finally:
             await app.manager.aclose()
 

@@ -10,8 +10,9 @@ fetch results/dashboards.  Errors come back as
 from __future__ import annotations
 
 import json
-from http.client import HTTPConnection
-from typing import Any, Callable, Dict, Iterator, List, Optional
+import threading
+from http.client import HTTPConnection, HTTPResponse, RemoteDisconnected
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ServiceClient", "ServiceClientError"]
 
@@ -33,8 +34,22 @@ class ServiceClientError(Exception):
         super().__init__(f"HTTP {status}: {message}")
 
 
+#: what a reused connection the server already dropped raises.
+_DROPPED = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+
 class ServiceClient:
-    """Talk to one service instance as one named client."""
+    """Talk to one service instance as one named client.
+
+    The client holds one persistent connection and sends every request
+    but the SSE stream (:meth:`events`, which gets its own) over it, one
+    exchange at a time, so threads may share a client.  When the server
+    has dropped the connection while it sat idle, the request is sent
+    once more on a new one; a request that fails on a fresh connection,
+    or times out, is not retried.  Resending ``POST /api/jobs`` is safe:
+    the service dedups jobs by digest.  :meth:`close` (or leaving a
+    ``with`` block) hangs up.
+    """
 
     def __init__(
         self,
@@ -48,37 +63,62 @@ class ServiceClient:
         self.port = port
         self.client_id = client_id
         self.timeout = timeout
+        self._conn = HTTPConnection(host, port, timeout=timeout)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the held connection (the next request reopens it)."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
-    def _request(
-        self,
-        method: str,
-        path: str,
-        *,
-        body: Any = None,
-        timeout: Optional[float] = None,
-    ):
-        conn = HTTPConnection(
-            self.host, self.port,
-            timeout=timeout if timeout is not None else self.timeout,
-        )
+    def _send(
+        self, conn: HTTPConnection, method: str, path: str, body: Any
+    ) -> HTTPResponse:
         headers = {"X-Repro-Client": self.client_id}
         encoded = None
         if body is not None:
             encoded = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
         conn.request(method, path, body=encoded, headers=headers)
-        return conn, conn.getresponse()
+        return conn.getresponse()
+
+    def _round_trip(
+        self, method: str, path: str, body: Any
+    ) -> Tuple[HTTPResponse, bytes]:
+        """Send on the held connection and read the whole response; a
+        failure leaves the connection closed."""
+        try:
+            response = self._send(self._conn, method, path, body)
+            return response, response.read()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _exchange(self, method: str, path: str, *, body: Any = None) -> bytes:
+        """The body of one reply (:class:`ServiceClientError` on a
+        non-2xx)."""
+        with self._lock:
+            reused = self._conn.sock is not None
+            try:
+                response, raw = self._round_trip(method, path, body)
+            except _DROPPED:
+                if not reused:
+                    raise
+                response, raw = self._round_trip(method, path, body)
+        if response.status >= 400:
+            raise self._error(response, raw)
+        return raw
 
     def _json(self, method: str, path: str, *, body: Any = None) -> Any:
-        conn, response = self._request(method, path, body=body)
-        try:
-            raw = response.read()
-            if response.status >= 400:
-                raise self._error(response, raw)
-            return json.loads(raw.decode("utf-8")) if raw else None
-        finally:
-            conn.close()
+        raw = self._exchange(method, path, body=body)
+        return json.loads(raw.decode("utf-8")) if raw else None
 
     @staticmethod
     def _error(response, raw: bytes) -> ServiceClientError:
@@ -119,14 +159,7 @@ class ServiceClient:
 
     def result_bytes(self, digest: str) -> bytes:
         """The raw (canonical-JSON) result body, byte-exact."""
-        conn, response = self._request("GET", f"/api/jobs/{digest}/result")
-        try:
-            raw = response.read()
-            if response.status >= 400:
-                raise self._error(response, raw)
-            return raw
-        finally:
-            conn.close()
+        return self._exchange("GET", f"/api/jobs/{digest}/result")
 
     def cancel(self, digest: str) -> Dict[str, Any]:
         return self._json("DELETE", f"/api/jobs/{digest}")
@@ -143,26 +176,11 @@ class ServiceClient:
         return self._json("GET", path)["runs"]
 
     def dashboard(self) -> str:
-        conn, response = self._request("GET", "/dashboard")
-        try:
-            raw = response.read()
-            if response.status >= 400:
-                raise self._error(response, raw)
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        return self._exchange("GET", "/dashboard").decode("utf-8")
 
     def provenance(self, digest: str) -> str:
-        conn, response = self._request(
-            "GET", f"/api/jobs/{digest}/provenance"
-        )
-        try:
-            raw = response.read()
-            if response.status >= 400:
-                raise self._error(response, raw)
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        path = f"/api/jobs/{digest}/provenance"
+        return self._exchange("GET", path).decode("utf-8")
 
     # ------------------------------------------------------------------
     def watch(
@@ -193,11 +211,15 @@ class ServiceClient:
     def events(
         self, digest: str, *, timeout: float = 300.0
     ) -> Iterator[tuple]:
-        """Yield ``(event_name, payload)`` pairs off the SSE stream."""
-        conn, response = self._request(
-            "GET", f"/api/jobs/{digest}/events", timeout=timeout
-        )
+        """Yield ``(event_name, payload)`` pairs off the SSE stream.
+
+        The stream runs on a connection of its own, closed when the
+        stream ends."""
+        conn = HTTPConnection(self.host, self.port, timeout=timeout)
         try:
+            response = self._send(
+                conn, "GET", f"/api/jobs/{digest}/events", None
+            )
             if response.status >= 400:
                 raise self._error(response, response.read())
             name, data_lines = "message", []

@@ -3,7 +3,9 @@ concurrent-clients acceptance scenario."""
 
 import asyncio
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -51,19 +53,36 @@ def serve(tmp_path, body, **overrides):
     return asyncio.run(main())
 
 
-def raw_request(port: int, payload: bytes) -> bytes:
-    """One raw TCP request/response against the service."""
-    import socket
-
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(payload)
-        chunks = []
+def read_response(sock) -> bytes:
+    """One whole response off ``sock``: its ``Content-Length`` body, or
+    everything up to EOF when it says ``Connection: close``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head = data.partition(b"\r\n\r\n")[0].lower()
+    if b"\r\nconnection: close" in head:
         while True:
             chunk = sock.recv(65536)
             if not chunk:
-                break
-            chunks.append(chunk)
-    return b"".join(chunks)
+                return data
+            data += chunk
+    length = int(head.partition(b"content-length: ")[2].split(b"\r\n")[0])
+    while len(data) < len(head) + 4 + length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def raw_request(port: int, payload: bytes) -> bytes:
+    """One raw TCP request/response against the service."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        return read_response(sock)
 
 
 class TestAcceptance:
@@ -222,8 +241,6 @@ class TestRoutes:
         prevent the job from completing (satellite: SSE bridge)."""
 
         def body(port, app, loop):
-            import socket
-
             client = ServiceClient("127.0.0.1", port, client_id="t")
             (job,) = client.submit({"spec": QUICK_SPEC})
             digest = job["digest"]
@@ -377,6 +394,159 @@ class TestConnections:
 
         serve(tmp_path, body)
         assert seen == [MAX_HEADER_BYTES] * 2
+
+    def test_two_requests_on_one_socket_get_two_responses(self, tmp_path):
+        def body(port, app, loop):
+            with socket.create_connection(("127.0.0.1", port), 30) as sock:
+                for path in ("/healthz", "/api/jobs"):
+                    sock.sendall(
+                        f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+                    )
+                    head, _, text = read_response(sock).partition(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 200 OK")
+                    assert b"Connection" not in head
+                    assert json.loads(text)
+            assert connections(app) == 1
+
+        serve(tmp_path, body)
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ])
+    def test_close_request_and_http10_end_the_connection(
+        self, tmp_path, request_head
+    ):
+        def body(port, app, loop):
+            assert_closing_reply(port, request_head, b"200 OK")
+
+        serve(tmp_path, body)
+
+    @pytest.mark.parametrize("request_head, status", [
+        (b"GET /healthz\r\nHost: x\r\n\r\n", b"400 Bad Request"),
+        (
+            b"POST /api/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 10000000\r\n\r\n",
+            b"413 Payload Too Large",
+        ),
+        (
+            b"POST /api/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 20\r\n\r\n{}",
+            b"400 Bad Request",
+        ),
+    ])
+    def test_unreadable_request_gets_its_error_then_eof(
+        self, tmp_path, request_head, status
+    ):
+        def body(port, app, loop):
+            assert_closing_reply(port, request_head, status)
+
+        serve(tmp_path, body)
+
+    def test_chunked_body_is_not_parsed_as_the_next_request(self, tmp_path):
+        """A chunked POST is refused and its connection closed: the
+        request smuggled in its body and the GET after it get no
+        reply."""
+
+        def body(port, app, loop):
+            smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (len(smuggled), smuggled)
+            reply = assert_closing_reply(
+                port,
+                b"POST /api/jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n" + chunk + smuggled,
+                b"501 Not Implemented",
+            )
+            assert reply.count(b"HTTP/1.1 ") == 1
+            assert b"Transfer-Encoding" in reply
+
+        serve(tmp_path, body)
+
+    def test_one_client_holds_one_connection(self, tmp_path):
+        def body(port, app, loop):
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                while client.status(job["digest"])["state"] != "done":
+                    time.sleep(0.02)
+                for _ in range(5):
+                    client.result_bytes(job["digest"])
+                    client.submit({"spec": QUICK_SPEC})
+                client.jobs()
+                assert connections(app) == 1
+                client.watch(job["digest"])  # SSE: a connection of its own
+                client.healthz()
+            assert connections(app) == 2
+
+        serve(tmp_path, body)
+
+    def test_client_reconnects_after_the_server_drops_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_CLOSE_S", 0.1)
+
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            assert client.healthz()["ok"] is True
+            time.sleep(0.5)  # the server closes the idle connection
+            assert client.healthz()["ok"] is True
+            assert connections(app) == 2
+            client.close()
+
+        serve(tmp_path, body)
+
+    def test_teardown_closes_an_idle_client_connection(self, tmp_path):
+        """``server.close()`` + ``wait_closed()`` returns while a client
+        holds an idle connection (Python 3.12.1 on waits for every open
+        connection in ``wait_closed``)."""
+        clients = []
+
+        def body(port, app, loop):
+            clients.append(ServiceClient("127.0.0.1", port, client_id="t"))
+            clients[0].healthz()
+            return time.monotonic()
+
+        returned = serve(tmp_path, body)
+        assert time.monotonic() - returned < 1.0
+        clients[0].close()
+
+    def test_sse_stream_closes_after_done(self, tmp_path):
+        def body(port, app, loop):
+            client = ServiceClient("127.0.0.1", port, client_id="t")
+            (job,) = client.submit({"spec": QUICK_SPEC})
+            client.watch(job["digest"])
+            with socket.create_connection(("127.0.0.1", port), 30) as sock:
+                sock.sendall(
+                    f"GET /api/jobs/{job['digest']}/events HTTP/1.1\r\n"
+                    f"Host: x\r\n\r\n".encode()
+                )
+                stream = read_response(sock)  # to EOF
+            head, _, frames = stream.partition(b"\r\n\r\n")
+            assert b"Connection: close" in head
+            assert frames.rstrip().split(b"\n\n")[-1].startswith(
+                b"event: done"
+            )
+
+        serve(tmp_path, body)
+
+
+def connections(app) -> int:
+    """Connections the service has accepted so far."""
+    return int(app.metrics.counter("service.connections_total").value)
+
+
+def assert_closing_reply(port: int, payload: bytes, status: bytes) -> bytes:
+    """Send ``payload`` on a fresh socket: the one reply carries
+    ``status`` and ``Connection: close``, then the server hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        reply = read_response(sock)
+        assert sock.recv(1) == b""
+    head = reply.partition(b"\r\n\r\n")[0]
+    assert head.startswith(b"HTTP/1.1 " + status), reply
+    assert b"\r\nConnection: close" in head
+    return reply
 
 
 class TestErrors:
@@ -539,6 +709,9 @@ class TestTelemetryEndpoints:
                 "repro_service_request_seconds_count", route="/api/jobs"
             ) >= 1
             assert scrape.value("repro_service_cache_entries") == 1
+            # the client's held connection, its SSE stream, the 404
+            # and this scrape
+            assert scrape.value("repro_service_connections_total") == 4
             assert scrape.value("repro_service_uptime_seconds") > 0
             # execution-strategy gauges: intern pools are warm after a run
             assert scrape.value("repro_intern_as_paths") > 0
