@@ -507,10 +507,16 @@ def run_groups(
     ``runs`` in spec order.  A trial that fails for good lands in its
     own group's ``failures`` and nowhere else; the other groups are
     unaffected.  A point's ``sdn_count``/``fraction`` are its first
-    spec's (a group shares one deployment).
+    spec's (a group shares one deployment).  The returned timing carries
+    the cache directory's totals, read once after the sweep (0 without
+    a cache); the runner itself never lists the directory.
     """
     pool = ParallelRunner(workers, **runner)
     records = iter(pool.run([s for group in groups.values() for s in group]))
+    timing = pool.last_timing
+    stats = pool.cache.stats() if pool.cache is not None else None
+    timing.cache_entries = stats.entries if stats else 0
+    timing.cache_bytes = stats.total_bytes if stats else 0
     points: Dict[Hashable, SweepPoint] = {}
     for label, group in groups.items():
         head = group[0] if group else None
@@ -541,7 +547,7 @@ def run_groups(
                 point.failures.append(
                     FailedRun(error=record.error or "unknown failure", **where)
                 )
-    return points, pool.last_timing
+    return points, timing
 
 
 def run_fraction_sweep(

@@ -316,7 +316,13 @@ class RunRegistry:
         label: str = "",
         extra: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Open a sweep row; returns its id for per-run attribution."""
+        """Open a sweep row; returns its id for per-run attribution.
+
+        The row is inserted but not committed: the next :meth:`record`
+        (or :meth:`finish_sweep`) commits it in the same transaction,
+        so a sweep row becomes visible with its first run and no reader
+        ever sees one without runs.
+        """
         cursor = self._conn.execute(
             "INSERT INTO sweeps (recorded_at, scenario, n_ases, label, "
             "git_rev, code_version, extra) VALUES (?, ?, ?, ?, ?, ?, ?)",
@@ -326,7 +332,6 @@ class RunRegistry:
                 json.dumps(extra) if extra else None,
             ),
         )
-        self._conn.commit()
         return int(cursor.lastrowid)
 
     def finish_sweep(self, sweep_id: int, timing: SweepTiming) -> None:
@@ -355,7 +360,8 @@ class RunRegistry:
         Derives the queryable columns from the spec, serializes the
         deterministic measurement/metrics payloads, and summarizes
         spans into per-AS convergence instants (via the anatomy)
-        rather than storing every span.
+        rather than storing every span.  Its commit also publishes a
+        sweep row that :meth:`begin_sweep` left open.
         """
         instants: Optional[Dict[str, float]] = None
         span_count: Optional[int] = None
@@ -615,8 +621,9 @@ class RegistrySink(ProgressSink):
     through the same ``job_finished`` events, so attaching this sink is
     all it takes for both paths to record identically.  The sweep row
     is opened lazily on the first finished job (that is the first
-    moment a spec — and thus the scenario name — is visible) and closed
-    by ``sweep_finished`` with the final timing aggregate.
+    moment a spec — and thus the scenario name — is visible), commits
+    with that job's run row, and is closed by ``sweep_finished`` with
+    the final timing aggregate: a one-trial sweep costs two commits.
     """
 
     def __init__(self, registry: RunRegistry, *, label: str = "") -> None:

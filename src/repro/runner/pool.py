@@ -198,7 +198,6 @@ class ParallelRunner:
         done = [r for r in records if r is not None]
         assert len(done) == len(specs), "runner lost a job"
         executed = [r for r in done if not r.cached]
-        cache_stats = self.cache.stats() if self.cache is not None else None
         timing = SweepTiming(
             elapsed=time.perf_counter() - started,
             jobs=len(specs),
@@ -214,8 +213,6 @@ class ParallelRunner:
                 self.cache.misses - misses_before
                 if self.cache is not None else 0
             ),
-            cache_entries=cache_stats.entries if cache_stats else 0,
-            cache_bytes=cache_stats.total_bytes if cache_stats else 0,
         )
         self.last_timing = timing
         self._logger.info(

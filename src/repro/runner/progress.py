@@ -61,9 +61,12 @@ class SweepTiming:
     #: trials that had to execute).  Both stay 0 without a cache.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: cache directory totals after the sweep (entries / bytes on disk).
-    cache_entries: int = 0
-    cache_bytes: int = 0
+    #: cache directory totals after the sweep (entries / bytes on
+    #: disk); None means "not read".  The runner never lists the cache
+    #: directory (that costs O(entries) per run): ``run_groups`` reads
+    #: them once per sweep, and they are 0 there without a cache.
+    cache_entries: Optional[int] = None
+    cache_bytes: Optional[int] = None
 
     @property
     def executed(self) -> int:

@@ -31,6 +31,7 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
@@ -151,8 +152,10 @@ class JobManager:
         self.concurrency = concurrency
         self.max_queue = max_queue
         self.quota = quota
-        self.jobs: Dict[str, Job] = {}
-        self._order: List[str] = []  # insertion order, for eviction
+        #: digest -> job, oldest first.  An OrderedDict, so eviction
+        #: walks only the head it drops (a plain dict's iteration also
+        #: walks the slots earlier deletions left behind).
+        self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=concurrency, thread_name_prefix="repro-job"
@@ -279,21 +282,25 @@ class JobManager:
 
     def _remember(self, job: Job) -> None:
         self.jobs[job.digest] = job
-        self._order.append(job.digest)
         self._evict()
 
     def _evict(self) -> None:
-        """Drop the oldest terminal jobs past the history limit."""
-        terminal = [d for d in self._order if not self.jobs[d].active()]
+        """Drop the oldest terminal jobs past the history limit.
+
+        Active and watched jobs are skipped, so the walk costs the jobs
+        dropped plus those few, not the whole history.
+        """
         excess = len(self.jobs) - HISTORY_LIMIT
-        for digest in terminal:
-            if excess <= 0:
-                break
-            if self.jobs[digest].subscribers:
-                continue
+        if excess <= 0:
+            return
+        doomed = []
+        for digest, job in self.jobs.items():
+            if not job.active() and not job.subscribers:
+                doomed.append(digest)
+                if len(doomed) == excess:
+                    break
+        for digest in doomed:
             del self.jobs[digest]
-            self._order.remove(digest)
-            excess -= 1
 
     def _lookup_record(self, spec: RunSpec) -> Optional[RunRecord]:
         """Dedup: the cached ok result for this digest, if any."""

@@ -417,6 +417,65 @@ class TestSinkWiring:
         assert registry.sweeps()[0].label == "custom"
 
 
+def visible_rows(path) -> tuple:
+    """(sweep rows, run rows) a second connection to ``path`` sees."""
+    import sqlite3
+
+    conn = sqlite3.connect(path)
+    try:
+        return tuple(
+            conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+            for table in ("sweeps", "runs")
+        )
+    finally:
+        conn.close()
+
+
+class TestCommits:
+    """A sweep row becomes visible with its first run, in one commit."""
+
+    @pytest.mark.parametrize("ok", [True, False])
+    def test_sweep_row_commits_with_its_first_run(self, tmp_path, ok):
+        from repro.runner import RunRecord
+
+        path = str(tmp_path / "runs.sqlite")
+        registry = make_registry(path=path)
+        spec = make_spec()
+        record = (
+            execute_spec(spec) if ok
+            else RunRecord(digest=spec.digest(), ok=False, error="boom")
+        )
+        sweep_id = registry.begin_sweep(scenario="WithdrawalScenario")
+        assert visible_rows(path) == (0, 0)
+        registry.record(spec, record, sweep_id=sweep_id)
+        assert visible_rows(path) == (1, 1)
+        registry.close()
+        with RunRegistry(path) as reopened:
+            (row,) = reopened.runs()
+            assert row.sweep_id == sweep_id and row.ok is ok
+
+    def test_one_trial_sweep_commits_twice(self, tmp_path):
+        """The sink path: no reader sees the sweep before its run, and
+        the run commits with it (then ``finish_sweep`` commits)."""
+        path = str(tmp_path / "runs.sqlite")
+        registry = make_registry(path=path)
+        statements = []
+        registry._conn.set_trace_callback(statements.append)
+        seen_before_record = []
+        record = registry.record
+
+        def checking_record(*args, **kwargs):
+            seen_before_record.append(visible_rows(path))
+            return record(*args, **kwargs)
+
+        registry.record = checking_record
+        ParallelRunner(1, registry=registry).run([make_spec()])
+        assert seen_before_record == [(0, 0)]
+        assert visible_rows(path) == (1, 1)
+        assert statements.count("COMMIT") == 2
+        assert registry.sweeps()[0].jobs == 1
+
+
 class TestGC:
     def _fill(self, registry, seeds):
         for seed in seeds:

@@ -316,6 +316,41 @@ class TestStatsAndPrune:
         assert result.timing.cache_misses == 0
         assert result.timing.cache_entries == 0
 
+    def test_runner_never_lists_the_cache_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """A run costs no walk that grows with the cache: the runner
+        leaves the directory totals unread (None), and ``run_groups``
+        reads them once per sweep."""
+        from repro.runner import ParallelRunner
+
+        walks = []
+        stats, entries = ResultCache.stats, ResultCache._entries
+
+        def counting_stats(self):
+            walks.append("stats")
+            return stats(self)
+
+        def counting_entries(self):
+            walks.append("_entries")
+            return entries(self)
+
+        monkeypatch.setattr(ResultCache, "stats", counting_stats)
+        monkeypatch.setattr(ResultCache, "_entries", counting_entries)
+        runner = ParallelRunner(1, cache=ResultCache(tmp_path))
+        runner.run([make_spec(seed=seed) for seed in (1, 2)])
+        assert walks == []
+        assert runner.last_timing.cache_misses == 2
+        assert runner.last_timing.cache_entries is None
+        assert runner.last_timing.cache_bytes is None
+
+        result = run_fraction_sweep(
+            WithdrawalScenario, n=4, sdn_counts=[0], runs=2, mrai=1.0,
+            cache=str(tmp_path),
+        )
+        assert walks == ["stats", "_entries"]
+        assert result.timing.cache_entries == len(ResultCache(tmp_path))
+
 
 class TestSweepIntegration:
     def test_warm_cache_executes_zero_trials(self, tmp_path):

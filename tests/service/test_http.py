@@ -676,6 +676,77 @@ def http_get(port: int, path: str):
     return lines[0], lines[1:], body.decode("utf-8")
 
 
+class TestMissCost:
+    def test_misses_make_no_walk_that_grows_with_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """A miss pays for its trial, not for the cache's size: with
+        500 entries on disk, N distinct misses list the cache directory
+        0 times (``/metrics`` still does, at scrape time), their
+        ``sweep_finished`` frames leave the totals unread, and the
+        registry holds exactly N runs."""
+        import dataclasses
+
+        from repro.config import runspec_from_json
+        from repro.runner import ResultCache, execute_spec
+
+        cache = ResultCache(tmp_path / "cache")
+        spec = runspec_from_json(QUICK_SPEC)
+        record = execute_spec(spec)
+        for i in range(500):
+            cache.put(spec, dataclasses.replace(record, digest=f"{i:064x}"))
+
+        walks = []
+        stats, entries = ResultCache.stats, ResultCache._entries
+
+        def counting_stats(self):
+            walks.append("stats")
+            return stats(self)
+
+        def counting_entries(self):
+            walks.append("_entries")
+            return entries(self)
+
+        monkeypatch.setattr(ResultCache, "stats", counting_stats)
+        monkeypatch.setattr(ResultCache, "_entries", counting_entries)
+        seeds = (101, 102, 103)
+
+        def body(port, app, loop):
+            from repro.obs.runtime import parse_prometheus
+
+            timings = []
+
+            def keep_timing(name, payload):
+                if name == "sweep_finished":
+                    timings.append(payload["timing"])
+
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                for seed in seeds:
+                    (job,) = client.submit(
+                        {"spec": {**QUICK_SPEC, "seed": seed}}
+                    )
+                    final = client.watch(job["digest"], on_event=keep_timing)
+                    assert final["state"] == "done"
+                    assert final["record"]["cached"] is False
+            assert walks == []
+            assert [
+                (t["cache_misses"], t["cache_entries"], t["cache_bytes"])
+                for t in timings
+            ] == [(1, None, None)] * len(seeds)
+
+            _, _, text = http_get(port, "/metrics")
+            assert walks == ["stats", "_entries"]
+            assert parse_prometheus(text).value(
+                "repro_service_cache_entries"
+            ) == 500 + len(seeds)
+
+        serve(tmp_path, body)
+        with RunRegistry(str(tmp_path / "runs.sqlite")) as registry:
+            runs = registry.runs()
+            assert sorted(row.seed for row in runs) == list(seeds)
+            assert len(registry.sweeps()) == len(seeds)
+
+
 class TestTelemetryEndpoints:
     def test_metrics_exposition_mid_service(self, tmp_path):
         """Scrape /metrics after real traffic: request counters,
@@ -713,9 +784,14 @@ class TestTelemetryEndpoints:
             # and this scrape
             assert scrape.value("repro_service_connections_total") == 4
             assert scrape.value("repro_service_uptime_seconds") > 0
-            # execution-strategy gauges: intern pools are warm after a run
-            assert scrape.value("repro_intern_as_paths") > 0
-            assert scrape.value("repro_intern_as_path_hits") >= 0
+            # execution-strategy gauges.  The pool sizes shrink to 0
+            # once a finished trial frees its routes, so only their
+            # presence holds in any test order; the hit counters are
+            # cumulative per process, so a run leaves them above 0.
+            assert scrape.value("repro_intern_as_paths") >= 0
+            assert scrape.value("repro_intern_path_attributes") >= 0
+            assert scrape.value("repro_intern_as_path_hits") > 0
+            assert scrape.value("repro_intern_path_attribute_hits") > 0
             assert (
                 scrape.types["repro_service_request_seconds"] == "histogram"
             )

@@ -324,3 +324,122 @@ class TestRecording:
             rows = registry.runs()
         assert len(rows) == 3
         assert {row.git_rev for row in rows} == {"abc1234"}
+
+    def test_failed_job_row_is_committed(self, tmp_path):
+        """A failed trial still commits its run row, together with the
+        sweep row it opened: a fresh connection reads both."""
+        registry_path = str(tmp_path / "runs.sqlite")
+
+        async def body(manager):
+            spec = spec_for(seed=3)
+            object.__setattr__(spec, "sdn_members", (999,))
+            (job,) = manager.submit_many([spec], "alice")
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        job = run(manager_session(body, registry_path=registry_path))
+        assert job.state == "failed"
+        with RunRegistry(registry_path) as registry:
+            (row,) = registry.runs(digest=job.digest)
+            assert not row.ok and row.error
+            (sweep,) = registry.sweeps()
+            assert sweep.sweep_id == row.sweep_id
+            assert sweep.failed == 1
+
+    def test_sweep_finished_frame_leaves_cache_totals_unread(self, tmp_path):
+        """A job never lists the cache directory, so its
+        ``sweep_finished`` frame says None (JSON null), not a false 0."""
+        job = run(
+            manager_session(
+                finish_one(spec_for()), cache=ResultCache(tmp_path)
+            )
+        )
+        (finished,) = [
+            e for e in job.events if e["event"] == "sweep_finished"
+        ]
+        timing = finished["timing"]
+        assert timing["cache_misses"] == 1
+        assert timing["cache_entries"] is None
+        assert timing["cache_bytes"] is None
+
+
+def history_scan_evict(order, jobs, limit):
+    """The eviction rule as a full history scan: drop the oldest
+    terminal, unwatched jobs until at most ``limit`` remain."""
+    excess = len(jobs) - limit
+    for digest in [d for d in order if not jobs[d].active()]:
+        if excess <= 0:
+            break
+        if jobs[digest].subscribers:
+            continue
+        del jobs[digest]
+        order.remove(digest)
+        excess -= 1
+
+
+class TestEviction:
+    def test_evicts_the_same_jobs_in_the_same_order_as_a_full_scan(
+        self, monkeypatch
+    ):
+        import random
+
+        from repro.service import manager as manager_module
+        from repro.service.manager import Job
+
+        monkeypatch.setattr(manager_module, "HISTORY_LIMIT", 5)
+        manager = JobManager()
+        order, shadow = [], {}
+        rng = random.Random(7)
+        evicted, expected = [], []
+        for seed in range(200):
+            # finish or watch some of the jobs already remembered
+            for job in list(manager.jobs.values()):
+                roll = rng.random()
+                if job.active() and roll < 0.3:
+                    job.state = rng.choice(["done", "failed", "cancelled"])
+                elif roll < 0.05:
+                    job.subscribers.add(object())
+                elif roll < 0.15:
+                    job.subscribers.clear()
+            job = Job(
+                digest=f"{seed:064x}", spec=spec_for(seed=seed),
+                state=rng.choice(["queued", "running", "done", "done"]),
+            )
+            before = [*manager.jobs, job.digest]
+            manager._remember(job)
+            evicted += [d for d in before if d not in manager.jobs]
+
+            shadow[job.digest] = job
+            order.append(job.digest)
+            kept = list(order)
+            history_scan_evict(order, shadow, 5)
+            expected += [d for d in kept if d not in shadow]
+            assert list(manager.jobs) == order
+        assert evicted == expected
+        assert len(evicted) > 100
+
+    def test_walk_stops_at_the_jobs_it_drops(self, monkeypatch):
+        """Past the limit, one submit visits one old job, not the
+        whole history."""
+        from repro.service import manager as manager_module
+        from repro.service.manager import Job
+
+        monkeypatch.setattr(manager_module, "HISTORY_LIMIT", 100)
+        manager = JobManager()
+        for seed in range(300):
+            manager._remember(
+                Job(digest=f"{seed:064x}", spec=spec_for(), state="done")
+            )
+        visits = []
+        active = Job.active
+
+        def counting_active(job):
+            visits.append(job.digest)
+            return active(job)
+
+        monkeypatch.setattr(Job, "active", counting_active)
+        manager._remember(
+            Job(digest="f" * 64, spec=spec_for(), state="done")
+        )
+        assert visits == [f"{200:064x}"]
+        assert len(manager.jobs) == 100
