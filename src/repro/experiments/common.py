@@ -576,9 +576,9 @@ def run_fraction_sweep(
     The trials are independent, so the grid routes through
     :func:`run_groups` (one group per SDN count): ``workers`` processes,
     ``cache`` (a directory path or :class:`~repro.runner.ResultCache`)
-    to skip already-computed trials, ``progress`` (``'log'``, a
-    callable, or a sink) for reporting, and ``timeout``/``retries`` for
-    fault tolerance.  ``registry`` (a
+    to skip already-computed trials, ``progress`` (``'log'`` or a
+    :class:`~repro.runner.ProgressSink`) for reporting, and
+    ``timeout``/``retries`` for fault tolerance.  ``registry`` (a
     :class:`~repro.obs.registry.RunRegistry`, a path, or a prepared
     :class:`~repro.obs.registry.RegistrySink`) records every trial —
     including cache hits and failures — into the cross-run telemetry

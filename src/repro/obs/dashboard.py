@@ -41,7 +41,6 @@ h1 { font-size: 22px; } h2 { font-size: 17px; margin-top: 28px;
 table { border-collapse: collapse; font-size: 12px; margin-top: 8px; }
 th, td { border: 1px solid #ddd; padding: 3px 8px; text-align: right; }
 th { background: #f0f0f0; } td.l, th.l { text-align: left; }
-.ok { color: #1b7e3c; } .bad { color: #b22222; font-weight: bold; }
 .chart { margin: 12px 0; }
 footer { margin-top: 32px; font-size: 11px; color: #888; }
 """

@@ -12,9 +12,9 @@ tests until the ``REPRO_LOG`` environment variable (or an explicit
 :func:`configure` call) names a destination: ``stderr``, ``stdout``, or
 a file path (opened append; worker processes inherit the environment so
 their lines land in the same file).  Correlation ids are opaque hex
-strings: the service mints one per HTTP request (honoring an
-``X-Request-Id`` header) and one per job, the runner threads the job id
-into every worker via ``execute_spec(spec, cid=...)``.
+strings: the service mints one per job; the runner writes its progress
+events under it (its log is one sink of that stream) and threads
+``<cid>/<index>`` into every worker via ``execute_spec(spec, cid=...)``.
 
 See docs/operations.md for the log schema and the correlation-id flow.
 """

@@ -22,8 +22,6 @@ from .jobs import (
 )
 from .pool import ParallelRunner, default_workers
 from .progress import (
-    AsyncQueueProgress,
-    CallbackProgress,
     JsonProgress,
     LogProgress,
     ProgressSink,
@@ -48,8 +46,6 @@ __all__ = [
     "run_trial_full",
     "ParallelRunner",
     "default_workers",
-    "AsyncQueueProgress",
-    "CallbackProgress",
     "JsonProgress",
     "LogProgress",
     "ProgressSink",

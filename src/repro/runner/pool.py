@@ -36,12 +36,18 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..obs.logging import NULL_LOGGER, get_logger, log_enabled, new_cid
+from ..obs.logging import get_logger, log_enabled, new_cid
 from .cache import ResultCache
 from .jobs import RunRecord, RunSpec, execute_spec
-from .progress import ProgressSink, SweepTiming, TeeProgress, resolve_progress
+from .progress import (
+    JsonProgress,
+    ProgressSink,
+    SweepTiming,
+    TeeProgress,
+    resolve_progress,
+)
 
 __all__ = ["ParallelRunner", "default_workers"]
 
@@ -49,6 +55,21 @@ __all__ = ["ParallelRunner", "default_workers"]
 def default_workers() -> int:
     """A sensible worker count for this machine (``os.cpu_count()``)."""
     return max(1, os.cpu_count() or 1)
+
+
+def _log_sink(cid: str) -> JsonProgress:
+    """The structured log as a sink: each event's JSON payload is one
+    ``runner`` line under the sweep ``cid``; a failed ``job_finished``
+    is a warning."""
+    logger = get_logger("runner", cid=cid)
+
+    def emit(payload: Dict[str, Any]) -> None:
+        fields = dict(payload)
+        event = fields.pop("event")
+        failed = not fields.get("record", {}).get("ok", True)
+        logger.log(event, level="warning" if failed else "info", **fields)
+
+    return JsonProgress(emit)
 
 
 @dataclass
@@ -72,7 +93,7 @@ class ParallelRunner:
         timeout: Optional[float] = None,
         retries: int = 1,
         cache: Union[ResultCache, str, os.PathLike, None] = None,
-        progress: Union[None, str, Callable, ProgressSink] = None,
+        progress: Union[None, str, ProgressSink] = None,
         registry=None,
         cid: Optional[str] = None,
     ) -> None:
@@ -87,7 +108,6 @@ class ParallelRunner:
         #: and flow into the workers' structured logs.  Minted lazily
         #: when structured logging is enabled and none was given.
         self.cid = cid or ""
-        self._logger = NULL_LOGGER
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache: Optional[ResultCache] = cache
@@ -109,6 +129,9 @@ class ParallelRunner:
             self.progress = TeeProgress(self.progress, self.registry_sink)
         #: timing stats of the most recent :meth:`run`.
         self.last_timing: Optional[SweepTiming] = None
+        #: the sink :meth:`run` announces to: ``progress``, plus the
+        #: structured log when logging is enabled.
+        self._events: ProgressSink = self.progress
         self._cancelled: set = set()
         self._cancel_lock = threading.Lock()
 
@@ -154,9 +177,10 @@ class ParallelRunner:
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Run every spec; the i-th record describes the i-th spec."""
         specs = list(specs)
-        if not self.cid and log_enabled():
-            self.cid = new_cid()
-        self._logger = get_logger("runner", cid=self.cid or None)
+        self._events = self.progress
+        if log_enabled():
+            self.cid = self.cid or new_cid()
+            self._events = TeeProgress(self.progress, _log_sink(self.cid))
         started = time.perf_counter()
         hits_before = self.cache.hits if self.cache is not None else 0
         misses_before = self.cache.misses if self.cache is not None else 0
@@ -180,14 +204,10 @@ class ParallelRunner:
             else:
                 pending.append(_Job(index, spec))
 
-        self._logger.info(
-            "sweep_started",
-            jobs=len(specs), cached=n_cached, workers=self.n_workers,
-        )
-        self.progress.sweep_started(len(specs), n_cached, self.n_workers)
+        self._events.sweep_started(len(specs), n_cached, self.n_workers)
         for index, record in enumerate(records):
             if record is not None:
-                self.progress.job_finished(index, specs[index], record)
+                self._events.job_finished(index, specs[index], record)
 
         if pending:
             if self.n_workers == 1:
@@ -215,12 +235,7 @@ class ParallelRunner:
             ),
         )
         self.last_timing = timing
-        self._logger.info(
-            "sweep_finished",
-            elapsed=round(timing.elapsed, 3),
-            failed=timing.failed, cached=timing.cached,
-        )
-        self.progress.sweep_finished(timing)
+        self._events.sweep_finished(timing)
         return done
 
     # ------------------------------------------------------------------
@@ -239,11 +254,7 @@ class ParallelRunner:
                     self._finalize(job, self._cancelled_record(job), records)
                     break
                 job.attempts += 1
-                self.progress.job_started(job.index, job.spec, job.attempts)
-                self._logger.info(
-                    "job_started", cid=self._job_cid(job),
-                    index=job.index, attempt=job.attempts,
-                )
+                self._events.job_started(job.index, job.spec, job.attempts)
                 record = execute_spec(job.spec, self._job_cid(job))
                 record.worker = "serial"
                 if self._is_cancelled(job.spec):
@@ -287,11 +298,7 @@ class ParallelRunner:
                         )
                         continue
                     job.attempts += 1
-                    self.progress.job_started(job.index, job.spec, job.attempts)
-                    self._logger.info(
-                        "job_started", cid=self._job_cid(job),
-                        index=job.index, attempt=job.attempts,
-                    )
+                    self._events.job_started(job.index, job.spec, job.attempts)
                     future = executor.submit(
                         execute_spec, job.spec, self._job_cid(job)
                     )
@@ -416,15 +423,7 @@ class ParallelRunner:
         records[job.index] = record
         if self.cache is not None and record.ok:
             self.cache.put(job.spec, record)
-        self._logger.log(
-            "job_finished",
-            level="info" if record.ok else "warning",
-            cid=self._job_cid(job),
-            index=job.index, digest=record.digest[:12], ok=record.ok,
-            cached=record.cached, cancelled=record.cancelled,
-            wall_time=round(record.wall_time, 3),
-        )
-        self.progress.job_finished(job.index, job.spec, record)
+        self._events.job_finished(job.index, job.spec, record)
 
     @staticmethod
     def _kill_executor(executor: ProcessPoolExecutor) -> None:

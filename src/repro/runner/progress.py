@@ -1,23 +1,21 @@
 """Pluggable progress reporting for sweep execution.
 
-The runner emits a small, fixed set of events; a sink decides what to
-do with them.  Three built-ins cover the common cases:
+The runner announces a small, fixed set of events through one
+:class:`ProgressSink`, and that stream is its only output: the
+human-readable log, the structured JSON log, the registry and the
+service's SSE feed are all sinks of it.
 
 - :class:`ProgressSink` — the no-op base class (quiet mode);
 - :class:`LogProgress` — one log line per event to a stream;
-- :class:`CallbackProgress` — forwards ``(event, payload)`` pairs to a
-  callable (GUIs, notebooks, tests).
-
-Two more sinks serve machine consumers: :class:`JsonProgress` turns
-every event into one JSON-ready dict (the wire shape of the service
-API's SSE stream), and :class:`AsyncQueueProgress` bridges the runner's
-synchronous event stream into an :class:`asyncio.Queue` without ever
-blocking the worker thread.
+- :class:`JsonProgress` — every event as one JSON-ready dict handed to
+  an ``emit`` callable (the wire shape of the service API's SSE stream
+  and of the runner's structured log lines);
+- :class:`TeeProgress` — fans the stream out to several sinks.
 
 :func:`resolve_progress` maps the user-facing shorthand (``None``,
-``"quiet"``, ``"log"``, a callable, or a sink instance) onto a sink.
-:class:`SweepTiming` is the aggregate the runner hands to
-``sweep_finished`` and that sweeps surface on ``SweepResult.timing``.
+``"log"``, or a sink instance) onto a sink.  :class:`SweepTiming` is
+the aggregate the runner hands to ``sweep_finished`` and that sweeps
+surface on ``SweepResult.timing``.
 """
 
 from __future__ import annotations
@@ -32,10 +30,8 @@ from .jobs import RunRecord, RunSpec
 __all__ = [
     "ProgressSink",
     "LogProgress",
-    "CallbackProgress",
     "TeeProgress",
     "JsonProgress",
-    "AsyncQueueProgress",
     "SweepTiming",
     "record_summary",
     "resolve_progress",
@@ -197,32 +193,6 @@ class LogProgress(ProgressSink):
         )
 
 
-class CallbackProgress(ProgressSink):
-    """Forward every event as ``callback(event_name, payload_dict)``."""
-
-    def __init__(self, callback: Callable[[str, Dict[str, Any]], None]) -> None:
-        self.callback = callback
-
-    def sweep_started(self, total: int, cached: int, workers: int) -> None:
-        self.callback(
-            "sweep_started",
-            {"total": total, "cached": cached, "workers": workers},
-        )
-
-    def job_started(self, index: int, spec: RunSpec, attempt: int) -> None:
-        self.callback(
-            "job_started", {"index": index, "spec": spec, "attempt": attempt}
-        )
-
-    def job_finished(self, index: int, spec: RunSpec, record: RunRecord) -> None:
-        self.callback(
-            "job_finished", {"index": index, "spec": spec, "record": record}
-        )
-
-    def sweep_finished(self, timing: SweepTiming) -> None:
-        self.callback("sweep_finished", {"timing": timing})
-
-
 class TeeProgress(ProgressSink):
     """Fan every event out to several sinks (log + registry recorder)."""
 
@@ -274,20 +244,14 @@ def record_summary(record: RunRecord) -> Dict[str, Any]:
 class JsonProgress(ProgressSink):
     """Every event as one JSON-ready dict, via ``emit(payload)``.
 
-    The payloads are the wire shape of the service API's SSE stream:
+    The payloads are the wire shape of the service API's SSE stream
+    and the fields of the runner's structured log lines:
     ``{"event": <name>, ...}`` with specs reduced to digest/label and
-    records to :func:`record_summary`.  Subclass and override
-    :meth:`emit`, or pass a callable.
+    records to :func:`record_summary`.
     """
 
-    def __init__(
-        self, emit: Optional[Callable[[Dict[str, Any]], None]] = None
-    ) -> None:
-        if emit is not None:
-            self.emit = emit  # type: ignore[method-assign]
-
-    def emit(self, payload: Dict[str, Any]) -> None:
-        """Receive one JSON-ready event payload (override me)."""
+    def __init__(self, emit: Callable[[Dict[str, Any]], None]) -> None:
+        self.emit = emit
 
     def sweep_started(self, total: int, cached: int, workers: int) -> None:
         self.emit(
@@ -325,64 +289,17 @@ class JsonProgress(ProgressSink):
         self.emit({"event": "sweep_finished", "timing": asdict(timing)})
 
 
-class AsyncQueueProgress(JsonProgress):
-    """Bridge runner progress into an :class:`asyncio.Queue`.
-
-    The runner executes in a worker thread; consumers await the queue on
-    the event loop.  Every event is posted with
-    ``loop.call_soon_threadsafe`` + ``put_nowait`` so the worker thread
-    **never blocks** on a slow or gone consumer: if the queue is full or
-    the loop already closed, the event is counted in ``dropped`` and the
-    sweep carries on.  ``call_soon_threadsafe`` callbacks run in
-    scheduling order, so consumers observe events in exactly the order
-    the runner emitted them.
-    """
-
-    def __init__(self, loop, queue, *, on_drop: Optional[Callable] = None):
-        self.loop = loop
-        self.queue = queue
-        self.dropped = 0
-        self.on_drop = on_drop
-
-    def emit(self, payload: Dict[str, Any]) -> None:
-        try:
-            self.loop.call_soon_threadsafe(self._put, payload)
-        except RuntimeError:
-            # Event loop closed under us — nobody is listening.
-            self._drop()
-
-    def _put(self, payload: Dict[str, Any]) -> None:
-        try:
-            self.queue.put_nowait(payload)
-        except Exception:
-            self._drop()
-
-    def _drop(self) -> None:
-        self.dropped += 1
-        if self.on_drop is not None:
-            try:
-                self.on_drop()
-            except Exception:
-                pass
-
-
 def resolve_progress(
-    progress: Union[None, str, Callable, ProgressSink]
+    progress: Union[None, str, ProgressSink]
 ) -> ProgressSink:
-    """Map the user-facing ``progress=`` shorthand onto a sink."""
+    """Map the user-facing ``progress=`` shorthand onto a sink:
+    ``None`` is quiet, ``"log"`` is :class:`LogProgress`."""
     if progress is None:
         return ProgressSink()
     if isinstance(progress, ProgressSink):
         return progress
-    if isinstance(progress, str):
-        if progress in ("quiet", "none", ""):
-            return ProgressSink()
-        if progress == "log":
-            return LogProgress()
-        raise ValueError(
-            f"unknown progress mode {progress!r}; use 'quiet', 'log', "
-            "a callable, or a ProgressSink"
-        )
-    if callable(progress):
-        return CallbackProgress(progress)
-    raise TypeError(f"cannot interpret progress={progress!r}")
+    if progress == "log":
+        return LogProgress()
+    raise ValueError(
+        f"unknown progress={progress!r}; use None, 'log' or a ProgressSink"
+    )

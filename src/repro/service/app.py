@@ -118,8 +118,10 @@ class ServiceApp:
         #: writers of the connections waiting for their next request;
         #: closing one ends its connection at once.
         self._idle: Set[asyncio.StreamWriter] = set()
+        #: the subscriber queues of the open SSE streams.
+        self._streams: Set[asyncio.Queue] = set()
         #: set once the server stops listening: every connection ends
-        #: after the reply it is sending.
+        #: after the reply or SSE frame it is sending.
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -180,15 +182,25 @@ class ServiceApp:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # Cancelled here only by the loop's teardown, as the
+                # body above may be: ending quietly keeps Python 3.11's
+                # stream callback from logging a cancelled handler.
                 pass
 
     def close_connections(self) -> None:
         """Stop taking requests: close every idle connection now; a
-        busy one closes after the reply it is sending."""
+        busy one closes after the reply it is sending, and an SSE
+        stream after the frame it is writing (its watcher sees the
+        stream end without a ``done`` frame)."""
         self._closing = True
         for writer in list(self._idle):
             writer.close()
+        for queue in list(self._streams):
+            try:
+                queue.put_nowait(None)  # wakes a stream awaiting a frame
+            except asyncio.QueueFull:
+                pass  # its next get() returns at once; it checks _closing
 
     @staticmethod
     def route_template(method: str, parts: List[str]) -> str:
@@ -366,17 +378,19 @@ class ServiceApp:
         )
 
     async def _events(self, writer, digest: str) -> None:
-        """Stream a job's progress as SSE until its ``done`` frame; the
-        connection closes after it (the head says ``Connection: close``).
+        """Stream a job's progress as SSE until its ``done`` frame, or
+        until the server closes; the connection closes after it (the
+        head says ``Connection: close``).
 
         A vanished client surfaces as a ConnectionError on drain; the
         subscription is dropped and the job runs on unaffected.
         """
         job = self._job(digest)
         queue = self.manager.subscribe(digest)
+        self._streams.add(queue)
         writer.write(sse_headers())
         try:
-            while True:
+            while not self._closing:
                 try:
                     payload = await asyncio.wait_for(
                         queue.get(), timeout=SSE_HEARTBEAT
@@ -385,12 +399,15 @@ class ServiceApp:
                     writer.write(b": keep-alive\n\n")
                     await writer.drain()
                     continue
+                if payload is None:
+                    return  # close_connections: the server is closing
                 name = payload.get("event", "message")
                 writer.write(sse_frame(name, payload))
                 await writer.drain()
                 if name == "done":
                     return
         finally:
+            self._streams.discard(queue)
             self.manager.unsubscribe(digest, queue)
 
     # ------------------------------------------------------------------
@@ -546,9 +563,10 @@ class ServiceServer:
     """The listening socket of one :class:`ServiceApp`.
 
     ``close()`` stops listening *and* closes the app's idle persistent
-    connections.  From Python 3.12.1 on, ``asyncio.Server.wait_closed()``
-    waits for every open connection, so a client merely holding one
-    would otherwise keep shutdown waiting for :data:`IDLE_CLOSE_S`.
+    connections and open SSE streams.  From Python 3.12.1 on,
+    ``asyncio.Server.wait_closed()`` waits for every open connection, so
+    a client merely holding one would otherwise keep shutdown waiting
+    for :data:`IDLE_CLOSE_S`, and a watcher for its job's ``done``.
     """
 
     def __init__(self, server: asyncio.AbstractServer, app: ServiceApp):

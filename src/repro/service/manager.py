@@ -14,10 +14,11 @@ runner executes on.  Its invariants:
   violations raise :class:`QuotaExceeded` / :class:`QueueFull` carrying
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
   ``Retry-After``), and a batch submission is all-or-nothing;
-- **never block the loop** — the runner executes in a thread, progress
-  crosses back via :class:`~repro.runner.progress.AsyncQueueProgress`,
-  and slow/vanished SSE subscribers just drop frames
-  (``put_nowait`` on a bounded queue) instead of stalling the worker;
+- **never block the loop** — the runner executes in a thread, each of
+  its progress events crosses back with one
+  ``loop.call_soon_threadsafe``, and slow/vanished SSE subscribers just
+  drop frames (``put_nowait`` on a bounded queue) instead of stalling
+  the worker;
 - **everything recorded** — each executed job opens the registry
   *inside its worker thread* (sqlite connections are thread-bound) and
   records through the ordinary :class:`RegistrySink` event path.  The
@@ -40,7 +41,7 @@ from ..obs.logging import new_cid
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord, RunSpec
 from ..runner.pool import ParallelRunner
-from ..runner.progress import AsyncQueueProgress, TeeProgress, record_summary
+from ..runner.progress import JsonProgress, TeeProgress, record_summary
 
 __all__ = [
     "Job",
@@ -313,15 +314,7 @@ class JobManager:
             digest=digest, spec=spec, state=DONE,
             record=record, from_cache=True,
         )
-        job.events.append(
-            {
-                "event": "job_finished",
-                "index": 0,
-                "digest": digest,
-                "label": spec.display(),
-                "record": record_summary(record),
-            }
-        )
+        JsonProgress(job.events.append).job_finished(0, spec, record)
         job.done.set()
         self._remember(job)
         return job
@@ -344,14 +337,21 @@ class JobManager:
         loop = asyncio.get_running_loop()
         job.state = RUNNING
         job.cid = new_cid()
-        bridge: asyncio.Queue = asyncio.Queue()
-        progress = AsyncQueueProgress(loop, bridge)
+
+        def emit(payload: Dict[str, Any]) -> None:
+            try:
+                loop.call_soon_threadsafe(self._deliver, job, payload)
+            except RuntimeError:
+                pass  # the loop has closed: nobody is listening
+
         runner = ParallelRunner(
-            1, cache=self.cache, progress=progress, cid=job.cid
+            1, cache=self.cache, progress=JsonProgress(emit), cid=job.cid
         )
         job.runner = runner
-        pump = loop.create_task(self._pump(job, bridge))
         try:
+            # The executor future resolves through call_soon_threadsafe
+            # too, after every _deliver the thread queued: the job's
+            # events are all in before it finishes.
             record = await loop.run_in_executor(
                 self._executor, self._run_in_thread, runner, job.spec
             )
@@ -361,12 +361,6 @@ class JobManager:
                 error=f"service execution error: {exc!r}",
             )
         finally:
-            # All progress callbacks the worker thread scheduled are
-            # already queued ahead of this sentinel (call_soon_threadsafe
-            # preserves scheduling order), so the pump drains every real
-            # event before it sees None.
-            bridge.put_nowait(None)
-            await pump
             job.runner = None
         job.record = record
         if record.cancelled:
@@ -401,16 +395,12 @@ class JobManager:
             if registry is not None:
                 registry.close()
 
-    async def _pump(self, job: Job, bridge: asyncio.Queue) -> None:
-        """Forward runner progress to history + subscribers until the
-        end-of-run sentinel."""
-        while True:
-            payload = await bridge.get()
-            if payload is None:
-                return
-            if len(job.events) < EVENT_HISTORY:
-                job.events.append(payload)
-            self._broadcast(job, payload)
+    def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
+        """One runner event, on the loop: into the job's history and
+        out to its subscribers."""
+        if len(job.events) < EVENT_HISTORY:
+            job.events.append(payload)
+        self._broadcast(job, payload)
 
     def _broadcast(self, job: Job, payload: Dict[str, Any]) -> None:
         for queue in list(job.subscribers):

@@ -21,6 +21,7 @@ from repro.experiments.common import (
     seeded_specs,
 )
 from repro.obs.registry import RunRegistry
+from repro.runner import JsonProgress
 from repro.topology.builders import clique
 from tests.experiments.grids import PINNED, group_values
 from tests.runner.scenarios import (
@@ -84,7 +85,7 @@ class TestRunGroups:
         run_groups(groups, cache=tmp_path / "cache")
         points, timing = run_groups(
             groups, workers=2, cache=tmp_path / "cache",
-            progress=lambda event, payload: events.append(event),
+            progress=JsonProgress(lambda p: events.append(p["event"])),
         )
         assert timing.executed == 0 and timing.workers == 2
         assert all(r.cached for r in points["only"].runs)

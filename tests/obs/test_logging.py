@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -19,11 +20,17 @@ from repro.obs.logging import (
 
 @pytest.fixture(autouse=True)
 def reset_logging_state(monkeypatch):
-    """Each test starts unconfigured and leaves no module state behind."""
+    """Each test starts unconfigured and leaves no module state behind
+    (a log file it configured is closed)."""
     monkeypatch.delenv(LOG_ENV, raising=False)
     obslog._configured = False
     obslog._root = None
     yield
+    stream = getattr(obslog._root, "stream", None)
+    if isinstance(getattr(stream, "name", None), str) and os.path.isabs(
+        stream.name
+    ):
+        stream.close()
     obslog._configured = False
     obslog._root = None
 
@@ -132,3 +139,80 @@ class TestConfiguration:
         monkeypatch.setenv(LOG_ENV, "")
         assert get_logger("c") is NULL_LOGGER
         assert not log_enabled()
+
+
+@pytest.fixture
+def log_file(tmp_path, monkeypatch):
+    """``REPRO_LOG`` names a file (pool workers inherit it); yields a
+    reader of the lines written so far."""
+    path = tmp_path / "repro.log"
+    monkeypatch.setenv(LOG_ENV, str(path))
+    yield lambda: [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestRunnerLog:
+    """The runner's structured log is one sink of its event stream."""
+
+    def test_two_worker_sweep_logs_each_event_once(self, log_file):
+        from repro.runner import ParallelRunner
+        from tests.runner.scenarios import ExplodingWithdrawal
+        from tests.runner.test_jobs import make_spec
+
+        specs = [
+            make_spec(seed=71),
+            make_spec(seed=72, scenario_factory=ExplodingWithdrawal),
+        ]
+        runner = ParallelRunner(2, retries=0, timeout=60.0)
+        records = runner.run(specs)
+        assert [r.ok for r in records] == [True, False]
+        entries = log_file()
+        cid = runner.cid
+        assert len(cid) == 12
+
+        runner_lines = [e for e in entries if e["component"] == "runner"]
+        assert sorted(e["event"] for e in runner_lines) == sorted([
+            "sweep_started", "job_started", "job_started",
+            "job_finished", "job_finished", "sweep_finished",
+        ])
+        assert {e["cid"] for e in runner_lines} == {cid}
+        # the lines carry the SSE frame's fields
+        (started,) = [e for e in runner_lines if e["event"] == "sweep_started"]
+        assert (started["total"], started["workers"]) == (2, 2)
+        finished = {
+            e["index"]: e for e in runner_lines if e["event"] == "job_finished"
+        }
+        assert finished[0]["level"] == "info"
+        assert finished[0]["digest"] == specs[0].digest()
+        assert finished[1]["level"] == "warning"
+        assert finished[1]["record"]["ok"] is False
+        assert "exploded on purpose" in finished[1]["record"]["error"]
+
+        worker_lines = [e for e in entries if e["component"] == "worker"]
+        assert {
+            e["cid"] for e in worker_lines if e["event"] == "trial_started"
+        } == {f"{cid}/0", f"{cid}/1"}
+        (failed,) = [e for e in worker_lines if e["event"] == "trial_failed"]
+        assert failed["cid"] == f"{cid}/1"
+
+    def test_service_job_lines_carry_the_echoed_cid(self, tmp_path, log_file):
+        from repro.service import ServiceClient
+        from tests.service.test_http import QUICK_SPEC, serve
+
+        def body(port, app, loop):
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                assert client.watch(job["digest"])["state"] == "done"
+                return client.status(job["digest"])["cid"]
+
+        cid = serve(tmp_path, body)
+        entries = log_file()
+        runner_lines = [
+            e for e in entries
+            if e["component"] == "runner" and e.get("cid") == cid
+        ]
+        assert [e["event"] for e in runner_lines] == [
+            "sweep_started", "job_started", "job_finished", "sweep_finished",
+        ]
+        assert {
+            e["cid"] for e in entries if e["component"] == "worker"
+        } == {f"{cid}/0"}

@@ -83,15 +83,15 @@ class TestCancelSerial:
     def test_cancel_mid_sweep_from_another_thread(self):
         """Cancel later jobs from a second thread while the first runs
         (the service's running-job cancellation path, minus the HTTP)."""
-        from repro.runner.progress import CallbackProgress
+        from repro.runner.progress import JsonProgress
 
         first = make_spec(seed=1)
         rest = [make_spec(seed=s) for s in (2, 3)]
         runner = ParallelRunner(1)
         done = threading.Event()
 
-        def cancel_rest(event, payload):
-            if event == "job_started" and not done.is_set():
+        def cancel_rest(payload):
+            if payload["event"] == "job_started" and not done.is_set():
                 done.set()
                 thread = threading.Thread(
                     target=lambda: [
@@ -101,7 +101,7 @@ class TestCancelSerial:
                 thread.start()
                 thread.join()
 
-        runner.progress = CallbackProgress(cancel_rest)
+        runner.progress = JsonProgress(cancel_rest)
         records = runner.run([first] + rest)
         assert records[0].ok
         assert all(r.cancelled for r in records[1:])
@@ -129,16 +129,16 @@ class TestCancelParallel:
     def test_inflight_cancel_discards_completed_result(self):
         """Cancelling while a job executes in the pool discards its
         eventual (successful) result at the completion boundary."""
-        from repro.runner.progress import CallbackProgress
+        from repro.runner.progress import JsonProgress
 
         spec = make_spec(seed=1)
         runner = ParallelRunner(2, timeout=60.0)
 
-        def on_event(event, payload):
-            if event == "job_started":
+        def on_event(payload):
+            if payload["event"] == "job_started":
                 runner.cancel(spec.digest())
 
-        runner.progress = CallbackProgress(on_event)
+        runner.progress = JsonProgress(on_event)
         record = runner.run([spec])[0]
         assert not record.ok
         assert record.cancelled

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.common import WithdrawalScenario, run_fraction_sweep
 from repro.experiments.export import sweep_rows, sweep_to_json
+from repro.runner import ProgressSink
 from tests.experiments.grids import PINNED, group_values
 
 SWEEP_KWARGS = dict(n=4, sdn_counts=[0, 2, 3], runs=3, mrai=1.0)
@@ -103,10 +104,11 @@ class TestGroupedSweepEquivalence:
         sweep, kwargs, trials, _ = PINNED[name]
         timings = []
 
-        def progress(event, payload):
-            if event == "sweep_finished":
-                timings.append(payload["timing"])
+        class KeepTiming(ProgressSink):
+            def sweep_finished(self, timing):
+                timings.append(timing)
 
+        progress = KeepTiming()
         cold = sweep(cache=tmp_path, progress=progress, **kwargs)
         warm = sweep(cache=tmp_path, progress=progress, **kwargs)
         assert [t.executed for t in timings] == [trials, 0]

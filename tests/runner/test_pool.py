@@ -4,7 +4,7 @@ import functools
 
 import pytest
 
-from repro.runner import ParallelRunner, ProgressSink, CallbackProgress
+from repro.runner import JsonProgress, ParallelRunner, ProgressSink
 
 from .scenarios import CrashScenario, FlakyScenario, HangScenario, RaisingScenario
 from .test_jobs import make_spec
@@ -137,7 +137,7 @@ class TestProgress:
     def test_callback_sink_sees_every_event(self):
         events = []
         runner = ParallelRunner(
-            1, progress=lambda name, payload: events.append(name)
+            1, progress=JsonProgress(lambda p: events.append(p["event"]))
         )
         runner.run([make_spec()])
         assert events[0] == "sweep_started"
@@ -166,14 +166,14 @@ class TestProgress:
     def test_callback_payload_carries_records(self):
         seen = {}
 
-        def collect(name, payload):
-            seen.setdefault(name, []).append(payload)
+        def collect(payload):
+            seen.setdefault(payload["event"], []).append(payload)
 
-        ParallelRunner(1, progress=CallbackProgress(collect)).run([make_spec()])
+        ParallelRunner(1, progress=JsonProgress(collect)).run([make_spec()])
         (finished,) = seen["job_finished"]
-        assert finished["record"].ok
+        assert finished["record"]["ok"]
         (done,) = seen["sweep_finished"]
-        assert done["timing"].jobs == 1
+        assert done["timing"]["jobs"] == 1
 
     def test_log_lines_carry_pace_and_eta(self, capsys):
         import re
@@ -194,9 +194,9 @@ class TestProgress:
 
         seen_a, seen_b = [], []
         tee = TeeProgress(
-            CallbackProgress(lambda name, _: seen_a.append(name)),
+            JsonProgress(lambda p: seen_a.append(p["event"])),
             None,  # None sinks are dropped, not called
-            CallbackProgress(lambda name, _: seen_b.append(name)),
+            JsonProgress(lambda p: seen_b.append(p["event"])),
         )
         ParallelRunner(1, progress=tee).run([make_spec()])
         assert seen_a == seen_b

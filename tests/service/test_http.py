@@ -101,16 +101,16 @@ class TestAcceptance:
             barrier = threading.Barrier(2)
 
             def client_thread(name):
-                client = ServiceClient(
+                with ServiceClient(
                     "127.0.0.1", port, client_id=name
-                )
-                barrier.wait()  # submit as close to simultaneous as we can
-                (job,) = client.submit(payload)
-                final = client.watch(job["digest"])
-                assert final["state"] == "done"
-                results[name] = (
-                    job["digest"], client.result_bytes(job["digest"])
-                )
+                ) as client:
+                    barrier.wait()  # submit as near-simultaneously as we can
+                    (job,) = client.submit(payload)
+                    final = client.watch(job["digest"])
+                    assert final["state"] == "done"
+                    results[name] = (
+                        job["digest"], client.result_bytes(job["digest"])
+                    )
 
             threads = [
                 threading.Thread(target=client_thread, args=(name,))
@@ -139,14 +139,14 @@ class TestAcceptance:
             assert job.clients == {"alice", "bob"}
 
             # the run appears once in the registry
-            client = ServiceClient("127.0.0.1", port, client_id="check")
-            rows = client.runs(digest=digest_a)
+            with ServiceClient("127.0.0.1", port, client_id="check") as client:
+                rows = client.runs(digest=digest_a)
             assert len(rows) == 1
             assert rows[0]["ok"] is True
 
             # a submission past the quota limit: 429 + Retry-After
             greedy = ServiceClient("127.0.0.1", port, client_id="greedy")
-            with pytest.raises(ServiceClientError) as excinfo:
+            with greedy, pytest.raises(ServiceClientError) as excinfo:
                 greedy.submit(
                     {
                         "grid": {
@@ -166,39 +166,39 @@ class TestAcceptance:
 class TestRoutes:
     def test_submit_watch_result_dashboard(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            assert client.healthz()["ok"] is True
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                assert client.healthz()["ok"] is True
 
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            digest = job["digest"]
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                digest = job["digest"]
 
-            events = []
-            final = client.watch(
-                digest, on_event=lambda n, p: events.append(n)
-            )
-            assert final["state"] == "done"
-            assert events == [
-                "sweep_started", "job_started", "job_finished",
-                "sweep_finished", "done",
-            ]
+                events = []
+                final = client.watch(
+                    digest, on_event=lambda n, p: events.append(n)
+                )
+                assert final["state"] == "done"
+                assert events == [
+                    "sweep_started", "job_started", "job_finished",
+                    "sweep_finished", "done",
+                ]
 
-            result = client.result(digest)
-            assert result["ok"] and result["convergence_time"] > 0
+                result = client.result(digest)
+                assert result["ok"] and result["convergence_time"] > 0
 
-            status = client.status(digest)
-            assert status["state"] == "done"
-            assert status["record"]["ok"] is True
+                status = client.status(digest)
+                assert status["state"] == "done"
+                assert status["record"]["ok"] is True
 
-            # resubmission dedups instantly (same job, no new execution)
-            (again,) = client.submit({"spec": QUICK_SPEC})
-            assert again["state"] == "done"
+                # resubmission dedups instantly (same job, no new execution)
+                (again,) = client.submit({"spec": QUICK_SPEC})
+                assert again["state"] == "done"
 
-            html = client.dashboard()
-            assert html.startswith("<!DOCTYPE html>")
-            assert "WithdrawalScenario" in html  # the recorded scenario
+                html = client.dashboard()
+                assert html.startswith("<!DOCTYPE html>")
+                assert "WithdrawalScenario" in html  # the recorded scenario
 
-            jobs = client.jobs()
-            assert jobs["stats"]["jobs"] == 1
+                jobs = client.jobs()
+                assert jobs["stats"]["jobs"] == 1
 
         serve(tmp_path, body)
 
@@ -208,31 +208,32 @@ class TestRoutes:
         from repro.runner.jobs import RECORD_PAYLOADS, RESULT_PAYLOADS
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            spec = {
-                **QUICK_SPEC, "metrics": True, "spans": True,
-                "anatomy": True,
-            }
-            (job,) = client.submit({"spec": spec})
-            assert client.watch(job["digest"])["state"] == "done"
-            result = client.result(job["digest"])
-            for name in RESULT_PAYLOADS:
-                assert isinstance(result[name], RECORD_PAYLOADS[name]), name
-            # execution accounting stays out of the canonical body
-            accounting = set(RECORD_PAYLOADS) - set(RESULT_PAYLOADS)
-            assert accounting and not accounting & set(result)
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                spec = {
+                    **QUICK_SPEC, "metrics": True, "spans": True,
+                    "anatomy": True,
+                }
+                (job,) = client.submit({"spec": spec})
+                assert client.watch(job["digest"])["state"] == "done"
+                result = client.result(job["digest"])
+                for name in RESULT_PAYLOADS:
+                    expected = RECORD_PAYLOADS[name]
+                    assert isinstance(result[name], expected), name
+                # execution accounting stays out of the canonical body
+                accounting = set(RECORD_PAYLOADS) - set(RESULT_PAYLOADS)
+                assert accounting and not accounting & set(result)
 
         serve(tmp_path, body)
 
     def test_sse_late_subscriber_replays_history(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            # job finished; a late watcher still sees the whole story
-            names = [n for n, _ in client.events(job["digest"])]
-            assert names[0] == "sweep_started"
-            assert names[-1] == "done"
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                # job finished; a late watcher still sees the whole story
+                names = [n for n, _ in client.events(job["digest"])]
+                assert names[0] == "sweep_started"
+                assert names[-1] == "done"
 
         serve(tmp_path, body)
 
@@ -241,59 +242,59 @@ class TestRoutes:
         prevent the job from completing (satellite: SSE bridge)."""
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            digest = job["digest"]
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                digest = job["digest"]
 
-            # open the SSE stream raw, read a little, hang up mid-run
-            sock = socket.create_connection(("127.0.0.1", port), timeout=30)
-            sock.sendall(
-                f"GET /api/jobs/{digest}/events HTTP/1.1\r\n"
-                f"Host: x\r\n\r\n".encode()
-            )
-            sock.recv(64)
-            sock.close()
+                # open the SSE stream raw, read a little, hang up mid-run
+                sock = socket.create_connection(("127.0.0.1", port), 30)
+                sock.sendall(
+                    f"GET /api/jobs/{digest}/events HTTP/1.1\r\n"
+                    f"Host: x\r\n\r\n".encode()
+                )
+                sock.recv(64)
+                sock.close()
 
-            final = client.watch(digest)
-            assert final["state"] == "done"
-            assert final["record"]["ok"] is True
+                final = client.watch(digest)
+                assert final["state"] == "done"
+                assert final["record"]["ok"] is True
 
         serve(tmp_path, body)
 
     def test_cancel_endpoint(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            # concurrency 1: second job queues behind the first
-            (first,) = client.submit(
-                {"spec": {**QUICK_SPEC, "seed": 1}}
-            )
-            (queued,) = client.submit(
-                {"spec": {**QUICK_SPEC, "seed": 2}}
-            )
-            # a queued job cancels instantly; one that already started
-            # stays "running" until its trial lands (or even "done" if
-            # it finished before the cancel arrived)
-            cancelled = client.cancel(queued["digest"])
-            assert cancelled["state"] in ("cancelled", "running", "done")
-            final = client.watch(queued["digest"])
-            assert final["state"] in ("cancelled", "done")
-            if final["state"] == "cancelled":
-                assert final["record"]["cancelled"] is True
-            # the other job is unaffected
-            assert client.watch(first["digest"])["state"] == "done"
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                # concurrency 1: second job queues behind the first
+                (first,) = client.submit(
+                    {"spec": {**QUICK_SPEC, "seed": 1}}
+                )
+                (queued,) = client.submit(
+                    {"spec": {**QUICK_SPEC, "seed": 2}}
+                )
+                # a queued job cancels instantly; one that already started
+                # stays "running" until its trial lands (or even "done" if
+                # it finished before the cancel arrived)
+                cancelled = client.cancel(queued["digest"])
+                assert cancelled["state"] in ("cancelled", "running", "done")
+                final = client.watch(queued["digest"])
+                assert final["state"] in ("cancelled", "done")
+                if final["state"] == "cancelled":
+                    assert final["record"]["cancelled"] is True
+                # the other job is unaffected
+                assert client.watch(first["digest"])["state"] == "done"
 
         serve(tmp_path, body, concurrency=1)
 
     def test_registry_endpoints(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            rows = client.runs()
-            assert len(rows) == 1
-            run_id = rows[0]["run_id"]
-            row = client._json("GET", f"/api/runs/{run_id}")
-            assert row["spec_digest"] == job["digest"]
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                rows = client.runs()
+                assert len(rows) == 1
+                run_id = rows[0]["run_id"]
+                row = client._json("GET", f"/api/runs/{run_id}")
+                assert row["spec_digest"] == job["digest"]
 
         serve(tmp_path, body)
 
@@ -301,32 +302,32 @@ class TestRoutes:
         from repro.obs.anatomy import check_anatomy
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            # a traced run: the registry derives and stores anatomy
-            (job,) = client.submit({"spec": {**QUICK_SPEC, "spans": True}})
-            client.watch(job["digest"])
-            (traced_row,) = client.runs()
-            run_id = traced_row["run_id"]
-            payload = client._json("GET", f"/api/runs/{run_id}/anatomy")
-            assert payload["run_id"] == run_id
-            anatomy = payload["anatomy"]
-            assert anatomy["nodes"]
-            assert check_anatomy(anatomy) == []
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                # a traced run: the registry derives and stores anatomy
+                (job,) = client.submit({"spec": {**QUICK_SPEC, "spans": True}})
+                client.watch(job["digest"])
+                (traced_row,) = client.runs()
+                run_id = traced_row["run_id"]
+                payload = client._json("GET", f"/api/runs/{run_id}/anatomy")
+                assert payload["run_id"] == run_id
+                anatomy = payload["anatomy"]
+                assert anatomy["nodes"]
+                assert check_anatomy(anatomy) == []
 
-            # a span-free run carries no attribution: explicit 404
-            (job2,) = client.submit(
-                {"spec": {**QUICK_SPEC, "seed": 8}}
-            )
-            client.watch(job2["digest"])
-            bare = next(
-                row for row in client.runs()
-                if row["spec_digest"] == job2["digest"]
-            )
-            with pytest.raises(ServiceClientError) as excinfo:
-                client._json(
-                    "GET", f"/api/runs/{bare['run_id']}/anatomy"
+                # a span-free run carries no attribution: explicit 404
+                (job2,) = client.submit(
+                    {"spec": {**QUICK_SPEC, "seed": 8}}
                 )
-            assert "404" in str(excinfo.value)
+                client.watch(job2["digest"])
+                bare = next(
+                    row for row in client.runs()
+                    if row["spec_digest"] == job2["digest"]
+                )
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client._json(
+                        "GET", f"/api/runs/{bare['run_id']}/anatomy"
+                    )
+                assert "404" in str(excinfo.value)
 
         serve(tmp_path, body)
 
@@ -345,23 +346,23 @@ class TestRoutes:
         monkeypatch.setattr(registry_module, "current_git_rev", counting_rev)
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            (row,) = client.runs()
-            assert row["git_rev"] == "abc1234"
-            client._json("GET", f"/api/runs/{row['run_id']}")
-            assert "<html" in client.dashboard().lower()
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                (row,) = client.runs()
+                assert row["git_rev"] == "abc1234"
+                client._json("GET", f"/api/runs/{row['run_id']}")
+                assert "<html" in client.dashboard().lower()
 
         serve(tmp_path, body)
         assert len(calls) == 1
 
     def test_registry_persists_after_service(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            return job["digest"]
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                return job["digest"]
 
         digest = serve(tmp_path, body)
         with RunRegistry(str(tmp_path / "runs.sqlite")) as registry:
@@ -388,9 +389,9 @@ class TestConnections:
         monkeypatch.setattr(ServiceApp, "_timed_dispatch", spy)
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            client.healthz()
-            client.jobs()
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                client.healthz()
+                client.jobs()
 
         serve(tmp_path, body)
         assert seen == [MAX_HEADER_BYTES] * 2
@@ -511,22 +512,81 @@ class TestConnections:
         assert time.monotonic() - returned < 1.0
         clients[0].close()
 
+    def test_teardown_ends_a_watched_unfinished_job_stream(
+        self, tmp_path, monkeypatch
+    ):
+        """``server.close()`` ends an open SSE stream whose job cannot
+        finish (its trial is blocked): the watcher sees the stream end
+        without a ``done`` frame, and ``wait_closed()`` returns at once
+        (Python 3.12.1 on waits for the stream's connection there)."""
+        from repro.runner import pool as pool_module
+
+        release = threading.Event()
+        execute_spec = pool_module.execute_spec
+
+        def blocked_execute(spec, cid=""):
+            release.wait(60)
+            return execute_spec(spec, cid)
+
+        monkeypatch.setattr(pool_module, "execute_spec", blocked_execute)
+        config = ServiceConfig(
+            host="127.0.0.1", port=0, cache_dir=str(tmp_path / "cache"),
+        )
+
+        def watch(client, digest):
+            try:
+                client.watch(digest, timeout=30)
+            except ServiceClientError as exc:
+                return exc
+            return None
+
+        async def main():
+            server, app = await start_service(config)
+            port = server.sockets[0].getsockname()[1]
+            loop = asyncio.get_running_loop()
+            try:
+                with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                    (job,) = await loop.run_in_executor(
+                        None, client.submit, {"spec": QUICK_SPEC}
+                    )
+                    watcher = loop.run_in_executor(
+                        None, watch, client, job["digest"]
+                    )
+                    while not app.manager.telemetry()["subscribers"]:
+                        await asyncio.sleep(0.01)
+                    start = time.monotonic()
+                    server.close()
+                    await asyncio.wait_for(server.wait_closed(), 5)
+                    error = await asyncio.wait_for(watcher, 5)
+                    elapsed = time.monotonic() - start
+                    state = app.manager.jobs[job["digest"]].state
+            finally:
+                release.set()
+                await app.manager.aclose()
+            return error, elapsed, state
+
+        error, elapsed, state = asyncio.run(main())
+        assert state == "running"  # the job could not finish
+        assert isinstance(error, ServiceClientError)
+        assert "ended without a done event" in str(error)
+        assert elapsed < 1.0
+
     def test_sse_stream_closes_after_done(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            with socket.create_connection(("127.0.0.1", port), 30) as sock:
-                sock.sendall(
-                    f"GET /api/jobs/{job['digest']}/events HTTP/1.1\r\n"
-                    f"Host: x\r\n\r\n".encode()
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                with socket.create_connection(("127.0.0.1", port), 30) as sock:
+                    sock.sendall(
+                        f"GET /api/jobs/{job['digest']}/events HTTP/1.1\r\n"
+                        f"Host: x\r\n\r\n".encode()
+                    )
+                    stream = read_response(sock)  # to EOF
+                head, _, frames = stream.partition(b"\r\n\r\n")
+                assert b"Connection: close" in head
+                assert frames.rstrip().split(b"\n\n")[-1].startswith(
+                    b"event: done"
                 )
-                stream = read_response(sock)  # to EOF
-            head, _, frames = stream.partition(b"\r\n\r\n")
-            assert b"Connection: close" in head
-            assert frames.rstrip().split(b"\n\n")[-1].startswith(
-                b"event: done"
-            )
 
         serve(tmp_path, body)
 
@@ -553,61 +613,63 @@ class TestErrors:
     @pytest.mark.parametrize("suffix", ["", "/anatomy"])
     def test_run_routes_reject_bad_and_unknown_ids(self, tmp_path, suffix):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            with pytest.raises(ServiceClientError) as excinfo:
-                client._json("GET", f"/api/runs/one{suffix}")
-            assert excinfo.value.status == 400
-            assert "must be an integer" in str(excinfo.value)
-            with pytest.raises(ServiceClientError) as excinfo:
-                client._json("GET", f"/api/runs/999{suffix}")
-            assert excinfo.value.status == 404
-            assert "no recorded run 999" in str(excinfo.value)
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client._json("GET", f"/api/runs/one{suffix}")
+                assert excinfo.value.status == 400
+                assert "must be an integer" in str(excinfo.value)
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client._json("GET", f"/api/runs/999{suffix}")
+                assert excinfo.value.status == 404
+                assert "no recorded run 999" in str(excinfo.value)
 
         serve(tmp_path, body)
 
     def test_bad_payload_is_clean_400_with_details(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            with pytest.raises(ServiceClientError) as excinfo:
-                client.submit(
-                    {"spec": {"scenario": "nope", "n": 1, "junk": True}}
-                )
-            assert excinfo.value.status == 400
-            detail = "\n".join(excinfo.value.detail)
-            assert "unknown field 'junk'" in detail
-            assert "field 'scenario'" in detail
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client.submit(
+                        {"spec": {"scenario": "nope", "n": 1, "junk": True}}
+                    )
+                assert excinfo.value.status == 400
+                detail = "\n".join(excinfo.value.detail)
+                assert "unknown field 'junk'" in detail
+                assert "field 'scenario'" in detail
 
         serve(tmp_path, body)
 
     def test_deleted_profiler_fields_are_unknown_field_400s(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            grid = {"scenario": "withdrawal", "n": 4, "runs": 1}
-            for field, value in (("profile", True), ("sample_hz", 100.0)):
-                for payload in (
-                    {"spec": {**QUICK_SPEC, field: value}},
-                    {"grid": {**grid, field: value}},
-                ):
-                    with pytest.raises(ServiceClientError) as excinfo:
-                        client.submit(payload)
-                    assert excinfo.value.status == 400
-                    detail = "\n".join(excinfo.value.detail)
-                    assert f"unknown field {field!r}" in detail
-            assert client.jobs()["stats"]["jobs"] == 0
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                grid = {"scenario": "withdrawal", "n": 4, "runs": 1}
+                for field, value in (("profile", True), ("sample_hz", 100.0)):
+                    for payload in (
+                        {"spec": {**QUICK_SPEC, field: value}},
+                        {"grid": {**grid, field: value}},
+                    ):
+                        with pytest.raises(ServiceClientError) as excinfo:
+                            client.submit(payload)
+                        assert excinfo.value.status == 400
+                        detail = "\n".join(excinfo.value.detail)
+                        assert f"unknown field {field!r}" in detail
+                assert client.jobs()["stats"]["jobs"] == 0
 
         serve(tmp_path, body)
 
     def test_unimplemented_policy_mode_is_400_not_a_failed_job(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            with pytest.raises(ServiceClientError) as excinfo:
-                client.submit({"spec": {**QUICK_SPEC, "policy_mode": "bogus"}})
-            assert excinfo.value.status == 400
-            detail = "\n".join(excinfo.value.detail)
-            assert "flat" in detail and "gao_rexford" in detail
-            assert client.jobs()["stats"]["jobs"] == 0
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client.submit(
+                        {"spec": {**QUICK_SPEC, "policy_mode": "bogus"}}
+                    )
+                assert excinfo.value.status == 400
+                detail = "\n".join(excinfo.value.detail)
+                assert "flat" in detail and "gao_rexford" in detail
+                assert client.jobs()["stats"]["jobs"] == 0
 
         serve(tmp_path, body)
 
@@ -640,16 +702,16 @@ class TestErrors:
 
     def test_result_before_completion_is_409(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (first,) = client.submit({"spec": {**QUICK_SPEC, "seed": 1}})
-            (queued,) = client.submit({"spec": {**QUICK_SPEC, "seed": 2}})
-            # the queued job cannot have a result yet
-            if queued["state"] in ("queued", "running"):
-                with pytest.raises(ServiceClientError) as excinfo:
-                    client.result(queued["digest"])
-                assert excinfo.value.status == 409
-            client.watch(first["digest"])
-            client.watch(queued["digest"])
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (first,) = client.submit({"spec": {**QUICK_SPEC, "seed": 1}})
+                (queued,) = client.submit({"spec": {**QUICK_SPEC, "seed": 2}})
+                # the queued job cannot have a result yet
+                if queued["state"] in ("queued", "running"):
+                    with pytest.raises(ServiceClientError) as excinfo:
+                        client.result(queued["digest"])
+                    assert excinfo.value.status == 409
+                client.watch(first["digest"])
+                client.watch(queued["digest"])
 
         serve(tmp_path, body, concurrency=1)
 
@@ -755,53 +817,53 @@ class TestTelemetryEndpoints:
         from repro.obs.runtime import CONTENT_TYPE, parse_prometheus
 
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            raw_request(port, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                raw_request(port, b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
 
-            status, headers, text = http_get(port, "/metrics")
-            assert " 200 " in status
-            assert any(
-                h.lower() == f"content-type: {CONTENT_TYPE}"
-                for h in headers
-            )
-            scrape = parse_prometheus(text)
+                status, headers, text = http_get(port, "/metrics")
+                assert " 200 " in status
+                assert any(
+                    h.lower() == f"content-type: {CONTENT_TYPE}"
+                    for h in headers
+                )
+                scrape = parse_prometheus(text)
 
-            assert scrape.value("repro_service_jobs_tracked") == 1
-            assert scrape.value("repro_service_jobs_in_flight") == 0
-            assert scrape.value(
-                "repro_service_requests", route="/api/jobs", method="POST"
-            ) >= 1
-            assert scrape.value(
-                "repro_service_errors", route="/nope", status="404"
-            ) == 1
-            assert scrape.value(
-                "repro_service_request_seconds_count", route="/api/jobs"
-            ) >= 1
-            assert scrape.value("repro_service_cache_entries") == 1
-            # the client's held connection, its SSE stream, the 404
-            # and this scrape
-            assert scrape.value("repro_service_connections_total") == 4
-            assert scrape.value("repro_service_uptime_seconds") > 0
-            # execution-strategy gauges.  The pool sizes shrink to 0
-            # once a finished trial frees its routes, so only their
-            # presence holds in any test order; the hit counters are
-            # cumulative per process, so a run leaves them above 0.
-            assert scrape.value("repro_intern_as_paths") >= 0
-            assert scrape.value("repro_intern_path_attributes") >= 0
-            assert scrape.value("repro_intern_as_path_hits") > 0
-            assert scrape.value("repro_intern_path_attribute_hits") > 0
-            assert (
-                scrape.types["repro_service_request_seconds"] == "histogram"
-            )
+                assert scrape.value("repro_service_jobs_tracked") == 1
+                assert scrape.value("repro_service_jobs_in_flight") == 0
+                assert scrape.value(
+                    "repro_service_requests", route="/api/jobs", method="POST"
+                ) >= 1
+                assert scrape.value(
+                    "repro_service_errors", route="/nope", status="404"
+                ) == 1
+                assert scrape.value(
+                    "repro_service_request_seconds_count", route="/api/jobs"
+                ) >= 1
+                assert scrape.value("repro_service_cache_entries") == 1
+                # the client's held connection, its SSE stream, the 404
+                # and this scrape
+                assert scrape.value("repro_service_connections_total") == 4
+                assert scrape.value("repro_service_uptime_seconds") > 0
+                # execution-strategy gauges.  The pool sizes shrink to 0
+                # once a finished trial frees its routes, so only their
+                # presence holds in any test order; the hit counters are
+                # cumulative per process, so a run leaves them above 0.
+                assert scrape.value("repro_intern_as_paths") >= 0
+                assert scrape.value("repro_intern_path_attributes") >= 0
+                assert scrape.value("repro_intern_as_path_hits") > 0
+                assert scrape.value("repro_intern_path_attribute_hits") > 0
+                assert scrape.types["repro_service_request_seconds"] == (
+                    "histogram"
+                )
 
-            # a second scrape observes the first: the exposition route
-            # meters itself like any other
-            _, _, text2 = http_get(port, "/metrics")
-            assert parse_prometheus(text2).value(
-                "repro_service_requests", route="/metrics", method="GET"
-            ) >= 1
+                # a second scrape observes the first: the exposition route
+                # meters itself like any other
+                _, _, text2 = http_get(port, "/metrics")
+                assert parse_prometheus(text2).value(
+                    "repro_service_requests", route="/metrics", method="GET"
+                ) >= 1
 
         serve(tmp_path, body)
 
@@ -836,14 +898,14 @@ class TestTelemetryEndpoints:
 
     def test_status_reports_drops_after_job(self, tmp_path):
         def body(port, app, loop):
-            client = ServiceClient("127.0.0.1", port, client_id="t")
-            (job,) = client.submit({"spec": QUICK_SPEC})
-            client.watch(job["digest"])
-            _, _, text = http_get(port, "/api/status")
-            telemetry = json.loads(text)["telemetry"]
-            assert telemetry["jobs"] == 1
-            assert telemetry["dropped_frames"] == 0
-            assert "trace_dropped_records" not in telemetry
-            assert telemetry["rejected_quota"] == 0
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                _, _, text = http_get(port, "/api/status")
+                telemetry = json.loads(text)["telemetry"]
+                assert telemetry["jobs"] == 1
+                assert telemetry["dropped_frames"] == 0
+                assert "trace_dropped_records" not in telemetry
+                assert telemetry["rejected_quota"] == 0
 
         serve(tmp_path, body)

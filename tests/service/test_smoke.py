@@ -87,6 +87,8 @@ class ServeProcess:
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait(10)
+        self._reader.join(10)  # the pipe is at EOF once serve exits
+        self.process.stdout.close()
 
 
 @pytest.fixture
@@ -100,45 +102,45 @@ def serve_process(tmp_path):
 
 def test_serve_smoke(tmp_path, serve_process):
     port = serve_process.wait_for_port()
-    client = ServiceClient("127.0.0.1", port, client_id="smoke")
+    with ServiceClient("127.0.0.1", port, client_id="smoke") as client:
 
-    health = client.healthz()
-    assert health["ok"] is True
+        health = client.healthz()
+        assert health["ok"] is True
 
-    jobs = client.submit(FIG2_QUICK)
-    assert len(jobs) == 2
-    digests = [job["digest"] for job in jobs]
+        jobs = client.submit(FIG2_QUICK)
+        assert len(jobs) == 2
+        digests = [job["digest"] for job in jobs]
 
-    # watch each job via SSE to completion
-    for digest in digests:
-        names = []
-        final = client.watch(
-            digest, on_event=lambda n, p: names.append(n)
-        )
-        assert final["state"] == "done", final
-        assert final["record"]["ok"] is True
-        assert "job_finished" in names and names[-1] == "done"
+        # watch each job via SSE to completion
+        for digest in digests:
+            names = []
+            final = client.watch(
+                digest, on_event=lambda n, p: names.append(n)
+            )
+            assert final["state"] == "done", final
+            assert final["record"]["ok"] is True
+            assert "job_finished" in names and names[-1] == "done"
 
-    # results are served and carry the measurement
-    for digest in digests:
-        result = client.result(digest)
-        assert result["ok"] is True
-        assert result["convergence_time"] > 0
+        # results are served and carry the measurement
+        for digest in digests:
+            result = client.result(digest)
+            assert result["ok"] is True
+            assert result["convergence_time"] > 0
 
-    # the dashboard renders from the recorded registry
-    html = client.dashboard()
-    assert html.startswith("<!DOCTYPE html>")
-    artifacts = os.environ.get("REPRO_SMOKE_ARTIFACTS")
-    if artifacts:
-        os.makedirs(artifacts, exist_ok=True)
-        with open(os.path.join(artifacts, "dashboard.html"), "w") as fh:
-            fh.write(html)
+        # the dashboard renders from the recorded registry
+        html = client.dashboard()
+        assert html.startswith("<!DOCTYPE html>")
+        artifacts = os.environ.get("REPRO_SMOKE_ARTIFACTS")
+        if artifacts:
+            os.makedirs(artifacts, exist_ok=True)
+            with open(os.path.join(artifacts, "dashboard.html"), "w") as fh:
+                fh.write(html)
 
-    # the registry recorded each run exactly once (service-side view...)
-    for digest in digests:
-        rows = client.runs(digest=digest)
-        assert len(rows) == 1
-        assert rows[0]["ok"] is True
+        # the registry recorded each run exactly once (service-side view...)
+        for digest in digests:
+            rows = client.runs(digest=digest)
+            assert len(rows) == 1
+            assert rows[0]["ok"] is True
 
     # ...and on-disk truth agrees after shutdown
     serve_process.stop()

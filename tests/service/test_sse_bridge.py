@@ -1,20 +1,21 @@
-"""The ProgressSink → asyncio bridge behind the service's SSE streams.
+"""The runner → event loop path behind the service's SSE streams.
 
-Two properties matter: the bridged stream carries the *same ordered
-events* the synchronous sinks see, and a slow or vanished consumer
-never blocks the sweep (frames drop; execution is unaffected).
+A served job's runner hands every event to the loop with one
+``call_soon_threadsafe``.  Three properties matter: the job's event
+history is the *same ordered stream* a synchronous sink sees, a slow
+subscriber never blocks the job (its frames drop), and an event emitted
+after the loop has gone never raises into the runner.
 """
 
 import asyncio
 import io
+import threading
 
 from repro.config import runspec_from_json
-from repro.runner import (
-    AsyncQueueProgress,
-    JsonProgress,
-    LogProgress,
-    ParallelRunner,
-)
+from repro.runner import JsonProgress, LogProgress, ParallelRunner
+from repro.runner import pool as pool_module
+from repro.service import manager as manager_module
+from repro.service.manager import JobManager
 
 BASE = {"scenario": "withdrawal", "n": 5, "sdn_count": 2, "mrai": 1.0}
 
@@ -28,32 +29,22 @@ def event_keys(payloads):
     return [(p["event"], p.get("digest")) for p in payloads]
 
 
-async def run_bridged(specs, *, queue_size=0, drain=True):
-    """Run a sweep in a thread with the bridge attached; return
-    (records, received payloads, sink)."""
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
-    sink = AsyncQueueProgress(loop, queue)
-    runner = ParallelRunner(1, progress=sink)
+def serve_jobs(specs):
+    """Submit every spec to a one-worker manager and wait for each job;
+    return the jobs in submission order."""
 
-    received = []
+    async def session():
+        manager = JobManager(concurrency=1)
+        manager.start()
+        try:
+            jobs = manager.submit_many(specs, "alice")
+            for job in jobs:
+                await asyncio.wait_for(job.done.wait(), 60)
+            return jobs
+        finally:
+            await manager.aclose()
 
-    async def consume():
-        while True:
-            payload = await queue.get()
-            if payload is None:
-                return
-            received.append(payload)
-
-    consumer = asyncio.create_task(consume()) if drain else None
-    records = await loop.run_in_executor(None, runner.run, specs)
-    if consumer is not None:
-        # Every progress callback was scheduled before the executor
-        # future resolved, so the sentinel lands strictly after the
-        # real events.
-        queue.put_nowait(None)
-        await asyncio.wait_for(consumer, 30)
-    return records, received, sink
+    return asyncio.run(session())
 
 
 def deterministic(payloads):
@@ -81,89 +72,126 @@ def deterministic(payloads):
 class TestOrdering:
     def test_bridge_emits_same_ordered_events_as_sync_sinks(self):
         specs = specs_for([1, 2, 3])
-
-        # Reference: the synchronous JSON sink, in-thread.
-        sync_events = []
-        ParallelRunner(1, progress=JsonProgress(sync_events.append)).run(specs)
-
-        records, bridged, _ = asyncio.run(run_bridged(specs))
-        assert all(r.ok for r in records)
-        assert event_keys(bridged) == event_keys(sync_events)
-        # identical payloads too, once wall-clock noise is stripped
-        assert deterministic(bridged) == deterministic(sync_events)
+        jobs = serve_jobs(specs)
+        assert all(job.record.ok for job in jobs)
+        for spec, job in zip(specs, jobs):
+            # Reference: the synchronous JSON sink, in-thread.
+            sync_events = []
+            ParallelRunner(1, progress=JsonProgress(sync_events.append)).run(
+                [spec]
+            )
+            assert event_keys(job.events) == event_keys(sync_events)
+            # identical payloads too, once wall-clock noise is stripped
+            assert deterministic(job.events) == deterministic(sync_events)
 
     def test_bridge_matches_log_progress_line_order(self):
-        """The SSE stream narrates the sweep in the same order as the
-        human-facing log (one start/finish pair per trial, same
-        sequence)."""
+        """The SSE history narrates a job in the same order as the
+        human-facing log (header, one start/finish pair, done line)."""
         specs = specs_for([4, 5])
-
-        stream = io.StringIO()
-        ParallelRunner(1, progress=LogProgress(stream)).run(specs)
-        log_lines = [
-            line for line in stream.getvalue().splitlines()
-            if line.startswith("[runner]")
-        ]
-
-        _, bridged, _ = asyncio.run(run_bridged(specs))
-        names = [p["event"] for p in bridged]
-        # log: header, then >/< per trial, then the done line
-        assert len(log_lines) == len(names)
-        assert names[0] == "sweep_started" and log_lines[0].startswith(
-            "[runner] "
-        )
-        for name, line in zip(names[1:-1], log_lines[1:-1]):
-            marker = "[runner] >" if name == "job_started" else "[runner] <"
-            assert line.startswith(marker), (name, line)
-        assert names[-1] == "sweep_finished"
+        jobs = serve_jobs(specs)
+        for spec, job in zip(specs, jobs):
+            stream = io.StringIO()
+            ParallelRunner(1, progress=LogProgress(stream)).run([spec])
+            log_lines = [
+                line for line in stream.getvalue().splitlines()
+                if line.startswith("[runner]")
+            ]
+            names = [p["event"] for p in job.events]
+            assert len(log_lines) == len(names)
+            assert names[0] == "sweep_started"
+            for name, line in zip(names[1:-1], log_lines[1:-1]):
+                marker = (
+                    "[runner] >" if name == "job_started" else "[runner] <"
+                )
+                assert line.startswith(marker), (name, line)
+            assert names[-1] == "sweep_finished"
+            assert log_lines[-1].startswith("[runner] done:")
 
     def test_per_job_event_pairing(self):
         specs = specs_for([1, 2])
-        _, bridged, _ = asyncio.run(run_bridged(specs))
-        digests = [spec.digest() for spec in specs]
-        starts = [p["digest"] for p in bridged if p["event"] == "job_started"]
-        finishes = [
-            p["digest"] for p in bridged if p["event"] == "job_finished"
-        ]
-        assert starts == digests  # serial order preserved
-        assert finishes == digests
-        for payload in bridged:
-            if payload["event"] == "job_finished":
-                assert payload["record"]["ok"] is True
+        jobs = serve_jobs(specs)
+        for job in jobs:
+            starts = [
+                p["digest"] for p in job.events if p["event"] == "job_started"
+            ]
+            finishes = [
+                p for p in job.events if p["event"] == "job_finished"
+            ]
+            assert starts == [job.digest]
+            assert [p["digest"] for p in finishes] == [job.digest]
+            assert finishes[0]["record"]["ok"] is True
 
 
 class TestNonBlocking:
-    def test_full_queue_never_stalls_the_sweep(self):
-        """A consumer that never drains (queue size 1) must not block
-        the worker thread: the sweep completes and frames are counted
-        as dropped."""
-        specs = specs_for([1, 2, 3])
-        records, received, sink = asyncio.run(
-            run_bridged(specs, queue_size=1, drain=False)
-        )
-        assert all(r.ok for r in records)
-        assert sink.dropped > 0
-        # 3 trials emit 8 events; a 1-slot queue kept at most 1.
+    def test_full_queue_never_stalls_the_sweep(self, monkeypatch):
+        """A subscriber that never drains (a 2-frame buffer) must not
+        block the job: it completes, and the frames past the buffer are
+        counted as dropped."""
+        monkeypatch.setattr(manager_module, "SUBSCRIBER_BUFFER", 2)
+        (spec,) = specs_for([1])
 
-    def test_closed_loop_never_stalls_the_sweep(self):
-        """Events emitted after the loop is gone (client vanished, loop
-        torn down) are dropped, not raised into the runner."""
-        loop = asyncio.new_event_loop()
-        queue = asyncio.Queue()
-        sink = AsyncQueueProgress(loop, queue)
-        loop.close()
+        async def session():
+            manager = JobManager(concurrency=1)
+            manager.start()
+            try:
+                (job,) = manager.submit_many([spec], "alice")
+                queue = manager.subscribe(job.digest)  # never read
+                await asyncio.wait_for(job.done.wait(), 60)
+                return job, queue, manager.telemetry()
+            finally:
+                await manager.aclose()
 
-        specs = specs_for([1])
-        records = ParallelRunner(1, progress=sink).run(specs)
-        assert records[0].ok
-        assert sink.dropped == 4  # every event of the 1-trial sweep
+        job, queue, telemetry = asyncio.run(session())
+        assert job.state == "done" and job.record.ok
+        assert len(job.events) == 4  # the history is not the subscriber's
+        assert queue.qsize() == 2
+        # 4 runner events + the done frame, 2 of them buffered
+        assert job.dropped_frames == 3
+        assert telemetry["dropped_frames"] == 3
 
-    def test_drop_callback_observes_losses(self):
-        drops = []
-        loop = asyncio.new_event_loop()
-        sink = AsyncQueueProgress(
-            loop, asyncio.Queue(), on_drop=lambda: drops.append(1)
-        )
-        loop.close()
-        ParallelRunner(1, progress=sink).run(specs_for([1]))
-        assert len(drops) == sink.dropped > 0
+    def test_closed_loop_never_stalls_the_sweep(self, monkeypatch):
+        """Events emitted after the loop is gone (service torn down
+        mid-trial) are dropped, not raised into the runner."""
+        release = threading.Event()
+        outcome = {}
+        finished = threading.Event()
+        execute_spec = pool_module.execute_spec
+        run_in_thread = JobManager._run_in_thread
+
+        def blocked_execute(spec, cid=""):
+            release.wait(60)
+            return execute_spec(spec, cid)
+
+        def watched_run(self, runner, spec):
+            try:
+                outcome["record"] = run_in_thread(self, runner, spec)
+            except BaseException as exc:  # what the runner would see
+                outcome["error"] = exc
+                raise
+            finally:
+                finished.set()
+
+        monkeypatch.setattr(pool_module, "execute_spec", blocked_execute)
+        monkeypatch.setattr(JobManager, "_run_in_thread", watched_run)
+        (spec,) = specs_for([1])
+
+        async def session():
+            manager = JobManager(concurrency=1)
+            manager.start()
+            try:
+                (job,) = manager.submit_many([spec], "alice")
+                while len(job.events) < 2:  # sweep_started, job_started
+                    await asyncio.sleep(0.01)
+                return job
+            finally:
+                await manager.aclose()
+
+        job = asyncio.run(session())  # the loop is closed from here on
+        release.set()
+        assert finished.wait(60)
+        assert "error" not in outcome
+        assert outcome["record"].ok
+        # job_finished and sweep_finished had no loop to land on
+        assert [p["event"] for p in job.events] == [
+            "sweep_started", "job_started",
+        ]
