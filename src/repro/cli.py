@@ -25,10 +25,11 @@ Usage (also ``python -m repro --help``)::
 
 Every sweep command accepts ``--workers/--cache-dir/--no-cache`` (see
 ``docs/runner.md``): parallel execution is bit-identical to serial, and
-a warm cache re-runs only missing trials.  ``--trace-level`` bounds
-per-run trace memory (``off`` keeps zero records), ``--metrics``
-collects per-run metric snapshots, and a global ``--quiet`` silences
-informational output (primary artifacts and warnings still print).
+a warm cache re-runs only missing trials.  No trial retains a trace:
+``--trace-level`` is kept because spec digests include it, and changes
+nothing a trial does.  ``--metrics`` collects per-run metric
+snapshots, and a global ``--quiet`` silences informational output
+(primary artifacts and warnings still print).
 
 Every command prints the same rows/series the corresponding paper
 artifact reports; the benchmarks under ``benchmarks/`` are the

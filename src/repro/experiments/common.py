@@ -13,7 +13,7 @@ whole output queue), controller recompute delay 0.5 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import BoxplotStats, LinearFit, boxplot_stats, linear_fit
@@ -36,6 +36,7 @@ from ..topology.model import Topology
 __all__ = [
     "paper_timers",
     "paper_config",
+    "batch_config",
     "Scenario",
     "WithdrawalScenario",
     "FailoverScenario",
@@ -99,6 +100,20 @@ def paper_config(
         with_collector=not lean,
         originate_all=not lean,
     )
+
+
+def batch_config(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` as a batch trial runs it: with no trace capture.
+
+    A batch trial hands back its measurement, metrics and span dicts,
+    never its trace, so a retained trace would be built record by
+    record and dropped unread.  Nothing a trial returns reads it: the
+    measurement reads the bus's own tables, metrics are the bus's
+    counts and spans have their own subscription.  Interactive
+    :class:`~repro.framework.experiment.Experiment` users, who can read
+    ``exp.net.trace``, keep ``config.trace_level``.
+    """
+    return replace(config, trace_level="off")
 
 
 # ----------------------------------------------------------------------
@@ -436,14 +451,16 @@ def run_scenario_full(
     :class:`~repro.obs.spans.Span` list, which ``spans`` snapshots, so
     the worker derives anatomy without reading the dicts back).
 
-    The experiment is closed on the way out, result or exception
-    (:meth:`~repro.framework.experiment.Experiment.close`): none of the
-    outputs holds a device, so the trial is freed the moment this
-    returns.  No automatic collection runs from build to close (see
-    ``_full_collections_held``).
+    The experiment runs with :func:`batch_config`: no trace is
+    retained, whatever ``config.trace_level`` says, because none of the
+    outputs carries it.  It is closed on the way out, result or
+    exception (:meth:`~repro.framework.experiment.Experiment.close`):
+    none of the outputs holds a device, so the trial is freed the
+    moment this returns.  No automatic collection runs from build to
+    close (see ``_full_collections_held``).
     """
     exp = Experiment(
-        topology, sdn_members=sdn_members, config=config,
+        topology, sdn_members=sdn_members, config=batch_config(config),
         name=scenario.name,
     )
     try:
@@ -587,12 +604,13 @@ def run_fraction_sweep(
     ``options`` are the :class:`~repro.runner.RunSpec` fields every
     trial shares (``mrai``, ``recompute_delay``, ``trace_level``,
     ``metrics``, ``spans``, ``anatomy``, ``faults``, ... — whatever
-    the spec declares grid-wide).  ``trace_level="off"`` retains zero
-    records while measuring identically; ``metrics``/``spans`` attach
-    the matching payload to every :class:`RunResult`; ``anatomy=True``
-    additionally derives each run's critical-path delay attribution
-    from the spans (implies ``spans=True``; digest-neutral, so cached
-    span-collecting trials are reused as-is).  ``faults`` (a
+    the spec declares grid-wide).  ``trace_level`` only sets the
+    digest: no trial retains a trace (:func:`batch_config`).
+    ``metrics``/``spans`` attach the matching payload to every
+    :class:`RunResult`; ``anatomy=True`` additionally derives each
+    run's critical-path delay attribution from the spans (implies
+    ``spans=True``; digest-neutral, so cached span-collecting trials
+    are reused as-is).  ``faults`` (a
     :class:`~repro.faults.FaultSchedule` or its canonical tuple) is
     embedded in every spec — scenarios that understand fault schedules
     (``FaultSuiteScenario``) read it back from ``scenario.faults``.

@@ -26,7 +26,12 @@ from ..framework.convergence import measure_event
 from ..framework.experiment import Experiment
 from ..runner.jobs import RunSpec
 from ..topology import caida_hierarchy
-from .common import WithdrawalScenario, paper_config, sdn_set_for
+from .common import (
+    WithdrawalScenario,
+    batch_config,
+    paper_config,
+    sdn_set_for,
+)
 
 __all__ = [
     "SCALE_MRAI",
@@ -59,11 +64,12 @@ def scale_spec(n: int, seed: int = 0) -> RunSpec:
 
 def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
     """Mirror of ``run_trial_full`` that keeps the live experiment in
-    scope, so kernel counters and intern pools can be read directly."""
+    scope, so kernel counters and intern pools can be read directly.
+    Like every batch trial it retains no trace (:func:`batch_config`)."""
     scenario = spec.scenario_factory()
     topology = scenario.topology(spec.n, spec.topology_factory)
     members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
-    config = paper_config(**spec.config_options())
+    config = batch_config(paper_config(**spec.config_options()))
     t_start = time.perf_counter()
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name

@@ -47,29 +47,6 @@ Context = Tuple[int, int]
 SPAN_CATEGORIES = frozenset(ROUTE_AFFECTING)
 
 
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _json_safe(value: Any) -> Any:
-    """Canonicalize record data to its JSON shape (tuples become lists)
-    so an in-memory snapshot equals its serialize/deserialize roundtrip
-    — cache hits and JSONL reloads compare equal to live captures.
-
-    Returns ``value`` itself when it already has that shape: publishers
-    build JSON-shaped payloads, so for them this is a read-only check."""
-    if isinstance(value, tuple):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, list):
-        for v in value:
-            if type(v) not in _JSON_SCALARS and _json_safe(v) is not v:
-                return [_json_safe(v) for v in value]
-    elif isinstance(value, dict):
-        for v in value.values():
-            if type(v) not in _JSON_SCALARS and _json_safe(v) is not v:
-                return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 @dataclass(slots=True)
 class Span:
     """One causally attributed event.
@@ -94,7 +71,13 @@ class Span:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (cache payloads, JSONL export)."""
+        """JSON-ready form (cache payloads, JSONL export).
+
+        ``data`` goes out as published: publishers build payloads in
+        JSON shape (lists, never tuples), so a snapshot equals its
+        serialize → deserialize round trip without a conversion pass
+        (checked over every trial family by
+        ``tests/experiments/test_batch_trial.py``)."""
         return {
             "span_id": self.span_id,
             "parent_id": self.parent_id,
@@ -103,7 +86,7 @@ class Span:
             "node": self.node,
             "t_start": self.t_start,
             "t_end": self.t_end,
-            "data": _json_safe(self.data),
+            "data": self.data,
         }
 
     @staticmethod

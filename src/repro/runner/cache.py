@@ -155,6 +155,10 @@ class ResultCache:
             (name, value) for name, value in record.payloads().items()
             if value is not None
         )
+        # One compact string: ``json.dumps`` without ``indent`` runs the
+        # C encoder, ``json.dump`` never does, and a trial's span
+        # payload can be megabytes.  Readers parse either layout.
+        text = json.dumps(payload, separators=(",", ":"))
         # Atomic publish: a reader either sees the old entry or the new
         # complete one, never a torn write.
         fd, tmp_name = tempfile.mkstemp(
@@ -162,7 +166,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=1)
+                handle.write(text)
             os.replace(tmp_name, self._path(record.digest))
         except BaseException:
             try:

@@ -168,10 +168,14 @@ class RunSpec:
     horizon: Optional[float] = _option(
         None, "number", minimum=0.0, digest="always"
     )
+    #: changes no trial: ``run_scenario_full`` retains no trace at any
+    #: level (``batch_config``).  Kept because every digest and cache
+    #: entry includes it; deleting it is a digest re-pin.
     trace_level: str = _option(
         "full", "str", choices=tuple(TRACE_LEVELS), digest="always",
         config=True,
-        help="per-run trace retention (measurement still sees every record)",
+        help="accepted for spec digests only: no trial retains a trace "
+        "at any level (measurements, metrics and spans are unaffected)",
     )
     metrics: bool = _option(
         False, digest="always", config=True,

@@ -2,8 +2,10 @@
 cuts the trial's one reference cycle, so refcounting frees all of it,
 and ``build()`` + ``start()`` make no cyclic garbage of their own —
 which is what makes holding every generation from build to close safe
-(docs/scaling.md, "Set-up cost")."""
+(docs/scaling.md, "Set-up cost").  Nor does a trial take a trace:
+nothing it returns carries one."""
 
+import dataclasses
 import functools
 import gc
 import weakref
@@ -94,6 +96,35 @@ def test_a_finished_trial_frees_itself(family, observers, collector_off, built):
     assert gc.collect() == 0
 
 
+@pytest.fixture
+def closing(monkeypatch):
+    """What every experiment held as it closed: its bus's subscription
+    names and the number of trace records it retained."""
+    seen = []
+    close = Experiment.close
+
+    def tracked(self):
+        if self.net is not None:
+            seen.append((
+                [s.name for s in self.net.bus.subscriptions],
+                len(self.net.trace),
+            ))
+        close(self)
+
+    monkeypatch.setattr(Experiment, "close", tracked)
+    return seen
+
+
+@pytest.mark.parametrize("observers", sorted(OBSERVERS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_batch_trial_retains_no_trace(family, observers, closing):
+    """Nothing a trial returns carries its trace, so none is taken, at
+    any ``trace_level`` ("on" asks for the full trace)."""
+    run_dropping_outputs(spec(family, observers))
+    spans = ["spans"] if observers == "on" else []
+    assert closing == [(spans, 0)]
+
+
 def test_outputs_hold_no_device(collector_off, built):
     """What a trial hands back (measurement, metrics, span dicts, the
     live span list, the layer split) keeps none of the trial alive."""
@@ -139,3 +170,23 @@ def test_build_and_start_make_no_cyclic_garbage(collector_off):
     exp = Experiment(caida_hierarchy(300), config=config).build().start()
     assert gc.collect() == 0
     assert len(exp.as_nodes()) == 300
+
+
+def test_the_scale_trial_retains_no_trace(monkeypatch):
+    """``scale._measure_trial``, which keeps its experiment live, takes
+    no trace either."""
+    from repro.experiments.scale import _measure_trial, scale_spec
+
+    built_exps = []
+    build = Experiment.build
+
+    def tracked(self):
+        built_exps.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Experiment, "build", tracked)
+    _measure_trial(dataclasses.replace(scale_spec(60), trace_level="full"))
+    [exp] = built_exps
+    assert exp.net.bus.subscriptions == []
+    assert len(exp.net.trace) == 0
+    exp.close()

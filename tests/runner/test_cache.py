@@ -102,6 +102,26 @@ class TestHitMiss:
         path.write_text(json.dumps(entry))
         assert getattr(cache.get(spec), name) is None
 
+    def test_put_writes_compact_json_and_an_indented_entry_still_hits(
+        self, tmp_path
+    ):
+        # Caches written before puts went compact hold ``indent=1``
+        # files; they must keep serving as hits.
+        cache = ResultCache(tmp_path)
+        spec = make_spec(metrics=True, spans=True, anatomy=True)
+        cache.put(spec, execute_spec(spec))
+        path = tmp_path / f"{spec.digest()}.json"
+        text = path.read_text()
+        entry = json.loads(text)
+        assert text == json.dumps(entry, separators=(",", ":"))
+        compact = cache.get(spec)
+        path.write_text(json.dumps(entry, indent=1))
+        indented = cache.get(spec)
+        assert cache.hits == 2 and cache.misses == 0
+        assert indented.measurement_dict() == compact.measurement_dict()
+        assert indented.payloads() == compact.payloads()
+        assert indented.spans and indented.anatomy and indented.metrics
+
     def test_different_spec_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = make_spec()
