@@ -1,35 +1,24 @@
-"""What a batch trial hands back does not depend on ``trace_level``,
+"""A batch trial's results do not depend on whether it takes a trace,
 and its span payloads are JSON-shaped as published.
 
 ``run_scenario_full`` retains no trace at any level (``batch_config``),
-so ``RunSpec.trace_level`` only moves the digest.  Spans are snapshotted
-without a conversion pass, so every publisher must build its payload in
-JSON shape (lists, never tuples); the round trip below is that check,
-over every trial family at k = 0 and k > 0.
+so ``RunSpec.trace_level`` only moves the digest.  The differential
+below runs every trial family again with ``batch_config`` passed
+through, so the trace is taken as an interactive ``Experiment`` takes
+it, and every lazy payload is built: nothing a trial returns may move.
+Spans are snapshotted without a conversion pass, so every publisher
+must build its payload in JSON shape (lists, never tuples); the round
+trip below is that check, over every trial family at k = 0 and k > 0.
 """
 
-import functools
 import json
 
 import pytest
 
-from repro.experiments.announcement import AnnouncementScenario
-from repro.experiments.failover import FailoverScenario
-from repro.experiments.scenarios import fault_suite_scenario
-from repro.experiments.withdrawal import WithdrawalScenario
-from repro.faults.scenarios import canned_names
-from repro.runner.jobs import RunSpec, execute_spec
-from repro.topology.builders import clique
+from repro.experiments import common
+from repro.runner.jobs import execute_spec
+from tests.framework.trial_families import FAMILIES, family_spec
 
-FAMILIES = {
-    "withdrawal": (WithdrawalScenario, 6),
-    "failover": (FailoverScenario, 6),
-    "announcement": (AnnouncementScenario, 6),
-    **{
-        suite: (functools.partial(fault_suite_scenario, suite=suite), 8)
-        for suite in canned_names()
-    },
-}
 CASES = [
     (family, k)
     for family, (_, n) in sorted(FAMILIES.items())
@@ -37,22 +26,29 @@ CASES = [
 ]
 
 
+def taking_the_trace(config):
+    assert config.trace_level == "full"
+    return config
+
+
 @pytest.fixture(scope="module")
 def observed():
-    """``observed(family, sdn_count, trace_level)``: the trial's record
-    with every payload on, run once per module and dropped after it."""
+    """``observed(family, sdn_count, traced)``: the trial's record at
+    ``trace_level="full"`` with every payload on, run once per module;
+    ``traced`` takes the trace the batch path leaves out."""
     records = {}
 
-    def record_of(family, sdn_count, trace_level):
-        key = (family, sdn_count, trace_level)
+    def record_of(family, sdn_count, traced=False):
+        key = (family, sdn_count, traced)
         if key not in records:
-            factory, n = FAMILIES[family]
-            records[key] = execute_spec(RunSpec(
-                scenario_factory=factory, topology_factory=clique, n=n,
-                sdn_count=sdn_count, seed=3, mrai=1.0,
-                trace_level=trace_level,
+            spec = family_spec(
+                family, sdn_count, trace_level="full",
                 metrics=True, spans=True, anatomy=True,
-            ))
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                if traced:
+                    patch.setattr(common, "batch_config", taking_the_trace)
+                records[key] = execute_spec(spec)
             assert records[key].ok, records[key].error
         return records[key]
 
@@ -72,20 +68,19 @@ def without_update_ids(spans):
 
 
 @pytest.mark.parametrize("family,sdn_count", CASES)
-def test_trace_level_changes_no_result(observed, family, sdn_count):
-    full = observed(family, sdn_count, "full")
-    off = observed(family, sdn_count, "off")
-    assert full.digest != off.digest
-    assert full.measurement_dict() == off.measurement_dict()
-    assert full.metrics == off.metrics
-    assert without_update_ids(full.spans) == without_update_ids(off.spans)
-    assert full.anatomy == off.anatomy
+def test_taking_the_trace_changes_no_result(observed, family, sdn_count):
+    batch = observed(family, sdn_count)
+    traced = observed(family, sdn_count, traced=True)
+    assert batch.measurement_dict() == traced.measurement_dict()
+    assert batch.metrics == traced.metrics
+    assert without_update_ids(batch.spans) == without_update_ids(traced.spans)
+    assert batch.anatomy == traced.anatomy
 
 
 @pytest.mark.parametrize("family,sdn_count", CASES)
 def test_published_span_payloads_are_json_shaped(
     observed, family, sdn_count
 ):
-    spans = observed(family, sdn_count, "full").spans
+    spans = observed(family, sdn_count).spans
     assert spans
     assert json.loads(json.dumps(spans)) == spans

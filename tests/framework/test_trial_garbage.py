@@ -6,37 +6,22 @@ which is what makes holding every generation from build to close safe
 nothing it returns carries one."""
 
 import dataclasses
-import functools
 import gc
 import weakref
 
 import pytest
 
-from repro.experiments.announcement import AnnouncementScenario
 from repro.experiments.common import paper_config
-from repro.experiments.failover import FailoverScenario
-from repro.experiments.scenarios import fault_suite_scenario
-from repro.experiments.withdrawal import WithdrawalScenario
 from repro.faults.invariants import (
     InvariantChecker,
     InvariantError,
     InvariantViolation,
 )
-from repro.faults.scenarios import canned_names
 from repro.framework.experiment import Experiment
-from repro.runner.jobs import RunSpec, run_trial_full
-from repro.topology.builders import clique
+from repro.runner.jobs import run_trial_full
 from repro.topology.caida import caida_hierarchy
+from tests.framework.trial_families import FAMILIES, family_spec
 
-FAMILIES = {
-    "withdrawal": (WithdrawalScenario, 6),
-    "failover": (FailoverScenario, 6),
-    "announcement": (AnnouncementScenario, 6),
-    **{
-        suite: (functools.partial(fault_suite_scenario, suite=suite), 8)
-        for suite in canned_names()
-    },
-}
 OBSERVERS = {
     "off": dict(trace_level="off"),
     "on": dict(trace_level="full", metrics=True, spans=True),
@@ -73,12 +58,7 @@ def built(monkeypatch):
 
 
 def spec(family, observers):
-    factory, n = FAMILIES[family]
-    return RunSpec(
-        scenario_factory=factory, topology_factory=clique, n=n,
-        sdn_count=n // 2, seed=3, mrai=1.0,
-        **OBSERVERS[observers],
-    )
+    return family_spec(family, **OBSERVERS[observers])
 
 
 def run_dropping_outputs(spec, **info):
