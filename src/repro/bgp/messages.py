@@ -9,7 +9,6 @@ convergence the way it does in Quagga.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -24,9 +23,6 @@ __all__ = [
     "BGPUpdate",
     "BGPNotification",
 ]
-
-_update_ids = itertools.count(1)
-
 
 @dataclass(slots=True)
 class BGPMessage(Message):
@@ -64,7 +60,11 @@ class BGPUpdate(BGPMessage):
 
     announced: Tuple[Tuple[Prefix, PathAttributes], ...] = ()
     withdrawn: Tuple[Prefix, ...] = ()
-    update_id: int = field(default_factory=lambda: next(_update_ids))
+    #: the message's number in its run, from the sending simulator's
+    #: ``"bgp.update"`` serial (:meth:`~repro.eventsim.Simulator.serial`),
+    #: so a trial's ids do not depend on what ran before it in the
+    #: process; 0 on an UPDATE built outside a session.
+    update_id: int = 0
     #: memo of :meth:`rendered`; like ``Message._prov`` the slot stays
     #: unset until used, so sending an UPDATE nobody traces never sets it.
     _rendered: Tuple[List[List[str]], List[str]] = field(

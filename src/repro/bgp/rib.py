@@ -17,12 +17,16 @@ what makes 5k-AS withdrawal storms tractable (see ``docs/scaling.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..net.addr import Prefix
 from .attrs import PathAttributes
 
-__all__ = ["Route", "RouteIndex", "AdjRibIn", "LocRib", "AdjRibOut"]
+__all__ = [
+    "Route", "RouteIndex", "AdjRibIn", "LocRib", "AdjRibOut",
+    "NO_RIB_IN", "NO_RIB_OUT",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,3 +258,13 @@ class AdjRibOut:
     def prefixes(self) -> list:
         """All prefixes currently held, as a list."""
         return list(self._sent)
+
+
+#: what a session that has never come up reads as its tables: its
+#: speaker makes them in ``session_up``.  Shared and read-only — a write
+#: fails (no item assignment, no ``pop``/``clear``) instead of leaking
+#: into every such session.
+NO_RIB_IN = AdjRibIn(0)
+NO_RIB_IN._routes = MappingProxyType({})
+NO_RIB_OUT = AdjRibOut(0)
+NO_RIB_OUT._sent = MappingProxyType({})

@@ -33,7 +33,15 @@ from .decision import (
 )
 from .messages import BGPMessage, BGPUpdate
 from .policy import LOCAL_COMMUNITY, PeerPolicy, add_community
-from .rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteIndex
+from .rib import (
+    NO_RIB_IN,
+    NO_RIB_OUT,
+    AdjRibIn,
+    AdjRibOut,
+    LocRib,
+    Route,
+    RouteIndex,
+)
 from .session import BGPSession, BGPTimers
 
 __all__ = ["BGPRouter"]
@@ -74,8 +82,10 @@ class BGPRouter(Node):
         self.loc_rib = LocRib()
         self.originated: Dict[Prefix, PathAttributes] = {}
         self.sessions: Dict[int, BGPSession] = {}  # link_id -> session
-        self._rib_in: Dict[int, AdjRibIn] = {}  # link_id -> per-peer RIB
-        self._rib_out: Dict[int, AdjRibOut] = {}
+        #: link_id -> per-peer RIB, keyed in link order from
+        #: :meth:`add_peer`; None until the session first comes up.
+        self._rib_in: Dict[int, Optional[AdjRibIn]] = {}
+        self._rib_out: Dict[int, Optional[AdjRibOut]] = {}
         self._update_queue: deque = deque()
         self._processing = False
         # Bound once: every received UPDATE schedules a processing event.
@@ -112,10 +122,9 @@ class BGPRouter(Node):
             self, link, policy=policy, timers=timers, local_asn=local_asn
         )
         self.sessions[link.link_id] = session
-        self._rib_in[link.link_id] = AdjRibIn(
-            0, link_id=link.link_id, index=self._index
-        )
-        self._rib_out[link.link_id] = AdjRibOut(0)
+        # The session's first ``session_up`` makes its tables; the
+        # placeholders keep link order as the tables' key order.
+        self._rib_in[link.link_id] = self._rib_out[link.link_id] = None
         return session
 
     def start(self) -> None:
@@ -140,12 +149,16 @@ class BGPRouter(Node):
         return [s for s in self.sessions.values() if s.established]
 
     def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
-        """Per-peer Adj-RIB-In for a session."""
-        return self._rib_in[session.link.link_id]
+        """Per-peer Adj-RIB-In for a session (an empty read-only one
+        until the session first comes up)."""
+        rib = self._rib_in[session.link.link_id]
+        return NO_RIB_IN if rib is None else rib
 
     def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
-        """Per-peer Adj-RIB-Out for a session."""
-        return self._rib_out[session.link.link_id]
+        """Per-peer Adj-RIB-Out for a session (an empty read-only one
+        until the session first comes up)."""
+        rib = self._rib_out[session.link.link_id]
+        return NO_RIB_OUT if rib is None else rib
 
     # ------------------------------------------------------------------
     # node hooks
@@ -196,9 +209,11 @@ class BGPRouter(Node):
     def session_up(self, session: BGPSession) -> None:
         """Session reached ESTABLISHED: reset RIBs and resync."""
         link_id = session.link.link_id
-        # The old per-peer table is replaced wholesale below; its
-        # entries must leave the prefix index with it.
-        self._rib_in[link_id].clear()
+        # The old per-peer table, if any, is replaced wholesale below;
+        # its entries must leave the prefix index with it.
+        old = self._rib_in[link_id]
+        if old is not None:
+            old.clear()
         self._rib_in[link_id] = AdjRibIn(
             session.peer_asn, session.peer_name,
             link_id=link_id, index=self._index,
@@ -273,8 +288,9 @@ class BGPRouter(Node):
             self._processing = False
             self._export_memo.clear()
             for link_id, rib_in in self._rib_in.items():
-                rib_in.clear()
-                self._rib_out[link_id].clear()
+                if rib_in is not None:
+                    rib_in.clear()
+                    self._rib_out[link_id].clear()
                 if self.damper is not None:
                     self.damper.clear_peer(link_id)
             lost = 0
@@ -475,7 +491,8 @@ class BGPRouter(Node):
         """Every prefix this router holds any state for, sorted."""
         seen = set(self.loc_rib.prefixes())
         for rib in self._rib_in.values():
-            seen.update(rib.prefixes())
+            if rib is not None:
+                seen.update(rib.prefixes())
         seen.update(self.originated)
         return sorted(seen)
 

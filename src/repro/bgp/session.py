@@ -135,8 +135,9 @@ class BGPSession:
         #: provenance of pending advertisements: prefix -> (context, time
         #: it first went dirty).  First cause wins; consumed at send time
         #: to parent the tx span and measure the pacing wait, and dropped
-        #: by an output run that did not send the prefix.
-        self._pending_obs: dict = {}
+        #: by an output run that did not send the prefix.  Made by the
+        #: first write, which only a span tracker makes.
+        self._pending_obs: Optional[dict] = None
         self._flush_event = None
         #: every output run goes the same fixed delay ahead, so on that
         #: delay's FIFO lane: same event, same pop order, no heap push
@@ -239,7 +240,8 @@ class BGPSession:
         self.peer_name = ""
         self._open_received = False
         self._dirty.clear()
-        self._pending_obs.clear()
+        if self._pending_obs is not None:
+            self._pending_obs.clear()
         if self._flush_event is not None:
             self._sim.cancel(self._flush_event)
             self._flush_event = None
@@ -391,9 +393,13 @@ class BGPSession:
             return
         self._dirty.add(prefix)
         obs = self.router.bus.obs
-        if obs is not None and prefix not in self._pending_obs:
-            # The causal context that dirtied it (first cause wins).
-            self._pending_obs[prefix] = (obs.current, self._sim.now)
+        if obs is not None:
+            pending_obs = self._pending_obs
+            if pending_obs is None:
+                pending_obs = self._pending_obs = {}
+            if prefix not in pending_obs:
+                # The causal context that dirtied it (first cause wins).
+                pending_obs[prefix] = (obs.current, self._sim.now)
         armed = self._mrai_timer._event
         if armed is None or armed.cancelled:
             # One output run shortly, coalescing concurrent changes.
@@ -512,6 +518,7 @@ class BGPSession:
             sender_asn=self.local_asn,
             announced=tuple(announced),
             withdrawn=tuple(withdrawn),
+            update_id=next(self._sim.serial("bgp.update")),
         )
         self.updates_sent += 1
         obs = self.router.bus.obs
@@ -524,14 +531,16 @@ class BGPSession:
         # by span id), stretch it back to that dirty instant, and make
         # it current while transmitting so the message carries it.
         pending = []
-        for prefix, _attrs in update.announced:
-            entry = self._pending_obs.pop(prefix, None)
-            if entry is not None:
-                pending.append(entry)
-        for prefix in update.withdrawn:
-            entry = self._pending_obs.pop(prefix, None)
-            if entry is not None:
-                pending.append(entry)
+        pending_obs = self._pending_obs
+        if pending_obs:
+            for prefix, _attrs in update.announced:
+                entry = pending_obs.pop(prefix, None)
+                if entry is not None:
+                    pending.append(entry)
+            for prefix in update.withdrawn:
+                entry = pending_obs.pop(prefix, None)
+                if entry is not None:
+                    pending.append(entry)
         if pending:
             ctx, t_dirty = min(
                 pending,

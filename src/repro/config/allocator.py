@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from ..net.addr import AddressError, IPv4Address, Prefix
 
-__all__ = ["PrefixAllocator", "AllocationError"]
+__all__ = ["PrefixAllocator", "AllocationError", "transfer_net"]
 
 AS_POOL = Prefix.parse("10.0.0.0/8")
 LINK_POOL = Prefix.parse("172.16.0.0/12")
@@ -27,6 +27,15 @@ LINK_PREFIX_LEN = 30
 
 class AllocationError(RuntimeError):
     """Pool exhausted or conflicting assignment."""
+
+
+def transfer_net(index: int) -> Tuple[Prefix, IPv4Address, IPv4Address]:
+    """The ``index``-th /30 transfer net of the link pool:
+    ``(prefix, addr_a, addr_b)``.  A link keeps only its index
+    (:meth:`PrefixAllocator.link_index`) and derives these on demand."""
+    network = LINK_POOL.network + (index << (32 - LINK_PREFIX_LEN))
+    prefix = Prefix(network, LINK_PREFIX_LEN)
+    return prefix, prefix.host(0), prefix.host(1)
 
 
 class PrefixAllocator:
@@ -71,15 +80,18 @@ class PrefixAllocator:
         except AddressError:
             raise AllocationError(f"host pool of AS{asn} exhausted") from None
 
-    def link_net(self) -> Tuple[Prefix, IPv4Address, IPv4Address]:
-        """Allocate the next /30 transfer net: (prefix, addr_a, addr_b)."""
+    def link_index(self) -> int:
+        """Allocate the next /30 transfer net; its index in the pool
+        (:func:`transfer_net` turns it into addresses)."""
         if self._next_link_index >= self._max_links:
             raise AllocationError("link pool exhausted")
         index = self._next_link_index
         self._next_link_index += 1
-        network = LINK_POOL.network + (index << (32 - LINK_PREFIX_LEN))
-        prefix = Prefix(network, LINK_PREFIX_LEN)
-        return prefix, prefix.host(0), prefix.host(1)
+        return index
+
+    def link_net(self) -> Tuple[Prefix, IPv4Address, IPv4Address]:
+        """Allocate the next /30 transfer net: (prefix, addr_a, addr_b)."""
+        return transfer_net(self.link_index())
 
     # ------------------------------------------------------------------
     def allocations(self) -> Dict[int, Prefix]:

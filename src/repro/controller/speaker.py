@@ -24,7 +24,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..bgp.attrs import PathAttributes
 from ..bgp.messages import BGPMessage, BGPUpdate
-from ..bgp.rib import AdjRibIn, AdjRibOut, Route, RouteIndex
+from ..bgp.rib import (
+    NO_RIB_IN,
+    NO_RIB_OUT,
+    AdjRibIn,
+    AdjRibOut,
+    Route,
+    RouteIndex,
+)
 from ..bgp.session import BGPSession, BGPTimers
 from ..eventsim import Simulator
 from ..net.addr import Prefix
@@ -110,8 +117,10 @@ class ClusterBGPSpeaker(Node):
         #: prefix -> {relay link id: ExternalRoute}, fed by the
         #: Adj-RIB-Ins; :meth:`external_routes` reads it.
         self._index = _ExternalRouteIndex(self.peering_of)
-        self._rib_in: Dict[int, AdjRibIn] = {}
-        self._rib_out: Dict[int, AdjRibOut] = {}
+        #: relay link id -> per-peer RIB, keyed in link order from
+        #: :meth:`add_peering`; None until the session first comes up.
+        self._rib_in: Dict[int, Optional[AdjRibIn]] = {}
+        self._rib_out: Dict[int, Optional[AdjRibOut]] = {}
         # Every UPDATE is applied a fixed delay after it arrives, so the
         # processing events fire in arrival order: one FIFO and one
         # bound callback instead of a closure per UPDATE.
@@ -152,10 +161,9 @@ class ClusterBGPSpeaker(Node):
         )
         self.sessions[relay_link.link_id] = session
         self.peering_of[relay_link.link_id] = peering
-        self._rib_in[relay_link.link_id] = AdjRibIn(
-            0, link_id=relay_link.link_id, index=self._index
-        )
-        self._rib_out[relay_link.link_id] = AdjRibOut(0)
+        # Made by the session's first ``session_up``, as on a router.
+        self._rib_in[relay_link.link_id] = None
+        self._rib_out[relay_link.link_id] = None
         return session
 
     def start(self) -> None:
@@ -216,12 +224,16 @@ class ClusterBGPSpeaker(Node):
         return None
 
     def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
-        """Per-peer Adj-RIB-In for a session."""
-        return self._rib_in[session.link.link_id]
+        """Per-peer Adj-RIB-In for a session (an empty read-only one
+        until the session first comes up)."""
+        rib = self._rib_in[session.link.link_id]
+        return NO_RIB_IN if rib is None else rib
 
     def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
-        """Per-peer Adj-RIB-Out for a session."""
-        return self._rib_out[session.link.link_id]
+        """Per-peer Adj-RIB-Out for a session (an empty read-only one
+        until the session first comes up)."""
+        rib = self._rib_out[session.link.link_id]
+        return NO_RIB_OUT if rib is None else rib
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -262,7 +274,9 @@ class ClusterBGPSpeaker(Node):
         """Session reached ESTABLISHED: reset RIBs and resync."""
         link_id = session.link.link_id
         # The replaced table's entries leave the index with it.
-        self._rib_in[link_id].clear()
+        old = self._rib_in[link_id]
+        if old is not None:
+            old.clear()
         self._rib_in[link_id] = AdjRibIn(
             session.peer_asn, session.peer_name,
             link_id=link_id, index=self._index,

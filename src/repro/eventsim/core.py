@@ -37,7 +37,7 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .bus import InstrumentationBus
 
@@ -142,6 +142,7 @@ class Simulator:
         self._now = 0.0
         self._seed = seed
         self._rngs: dict[str, Any] = {}
+        self._serials: dict[str, Iterator[int]] = {}
         self._live_foreground = 0
         self.events_processed = 0
         self._dispatch_hook: Optional[Callable[[Event, float], None]] = None
@@ -173,6 +174,18 @@ class Simulator:
         if rng is None:
             rng = self._rngs[stream] = random.Random(f"{self._seed}:{stream}")
         return rng
+
+    def serial(self, stream: str) -> Iterator[int]:
+        """Return a named serial-number stream: 1, 2, 3, ...
+
+        Private to this simulator, like :meth:`rng`'s streams, so the
+        ids a run hands out (``BGPUpdate.update_id``) depend only on the
+        run, not on what ran before it in the same process.
+        """
+        serial = self._serials.get(stream)
+        if serial is None:
+            serial = self._serials[stream] = itertools.count(1)
+        return serial
 
     # ------------------------------------------------------------------
     # scheduling

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional
 
 from ..eventsim import ROUTE_AFFECTING, STATE_CHANGING
 from ..eventsim.bus import _count
-from .experiment import Experiment
+from .experiment import Experiment, _full_collections_held
 
 __all__ = [
     "ConvergenceMeasurement",
@@ -104,6 +104,7 @@ def _finalize_instants(
     return max(t_converged, t_state), t_state
 
 
+@_full_collections_held()
 def measure_event(
     experiment: Experiment,
     event: Callable[[], None],
@@ -118,6 +119,11 @@ def measure_event(
     simulator until it settles again and closes the window there — no
     trace scan, so it works with trace capture disabled and its cost is
     independent of run size.
+
+    The collector is held from the event to the settle, as in a trial
+    (``_full_collections_held``): an event on a long-lived experiment
+    (a storm phase) makes no cyclic garbage, and its allocations would
+    otherwise trigger full passes over the whole network's heap.
     """
     window = MeasurementWindow(experiment)
     event()

@@ -102,11 +102,16 @@ def _full_collections_held() -> Iterator[None]:
     and then refcounting frees all of it.  So every pass inside a
     trial walks live objects and frees nothing — a 5000-AS ``build()``
     + ``start()`` ran 1,606 young passes, and an observed Fig. 2 round
-    five full ones over 115k-154k objects.  ``build()``, ``start()``
-    and :func:`~repro.experiments.common.run_scenario_full` (build to
-    close) hold it; blocks nest within a thread.  The last thread out
-    restores what the first one in saved, exception or not; a caller
-    who disabled the collector is left alone.
+    five full ones over 115k-154k objects.  ``build()``, ``start()``,
+    :func:`~repro.framework.convergence.measure_event` (event to
+    settle) and :func:`~repro.experiments.common.run_scenario_full`
+    (build to close) hold it; blocks nest within a thread.  A measured
+    event on a long-lived experiment — a storm phase, outside any
+    trial — makes no cyclic garbage either, but its allocations would
+    trigger full passes over the whole network's heap (about 0.4 s
+    each at 5000 ASes).  The last thread out restores what the first
+    one in saved, exception or not; a caller who disabled the
+    collector is left alone.
 
     Trials on threads can overlap without a gap, and then the hold
     never lifts while garbage made outside trials (the service's event
@@ -310,10 +315,7 @@ class Experiment:
             node_a, node_b, latency=latency, kind="phys",
             name=f"{node_a.name}--{node_b.name}",
         )
-        prefix, addr_a, addr_b = self.allocator.link_net()
-        link.prefix = prefix
-        link.addresses[node_a.name] = addr_a
-        link.addresses[node_b.name] = addr_b
+        link.net_index = self.allocator.link_index()
         self._phys_link[(min(a, b), max(a, b))] = link
         a_sdn, b_sdn = a in self.sdn_asns, b in self.sdn_asns
         if not a_sdn and not b_sdn:

@@ -6,8 +6,10 @@ state.  Nodes are notified synchronously of state changes so BGP "fast
 fallover" (Quagga's interface-down session reset) can be emulated; a
 configurable detection delay covers the slower hold-timer path.
 
-Each link owns an optional /30-style transfer network; endpoint addresses
-are assigned by the configuration layer (``repro.config``).
+A topology ("phys") link owns a /30 transfer network out of the
+configuration layer's pool (``repro.config.allocator``).  It keeps only
+the net's allocation index; its prefix and endpoint addresses are
+derived on demand, since only rendered router configs read them.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class Link:
         #: every delivery's event label, made once (labels are diagnostics).
         self._deliver_label = f"{self.name}:deliver"
         self.up = True
-        self.prefix: Optional[Prefix] = None
-        self.addresses: dict[str, IPv4Address] = {}
+        #: index of the link's /30 transfer net in the allocator's pool
+        #: (None: unaddressed — every link but a topology one).
+        self.net_index: Optional[int] = None
         self.tx_count = 0
         self.drop_count = 0
         self._sim = a.sim
@@ -97,6 +100,28 @@ class Link:
     def connects(self, x: "Node", y: "Node") -> bool:
         """True when the link joins exactly these two nodes."""
         return {x, y} == {self.a, self.b}
+
+    def _transfer_net(self):
+        # ``repro.config`` sits above this layer (its templates import
+        # the BGP layer, which imports this module): import at call time.
+        from ..config.allocator import transfer_net
+
+        return transfer_net(self.net_index)
+
+    @property
+    def prefix(self) -> Optional[Prefix]:
+        """The link's /30 transfer net, if it has one."""
+        if self.net_index is None:
+            return None
+        return self._transfer_net()[0]
+
+    @property
+    def addresses(self) -> dict[str, IPv4Address]:
+        """Endpoint name -> link address (empty when unaddressed)."""
+        if self.net_index is None:
+            return {}
+        _, addr_a, addr_b = self._transfer_net()
+        return {self.a.name: addr_a, self.b.name: addr_b}
 
     def address_of(self, node: "Node") -> Optional[IPv4Address]:
         """The link address assigned to one endpoint."""

@@ -7,7 +7,10 @@ from repro.bgp.messages import (
     BGPOpen,
     BGPUpdate,
 )
+from repro.bgp.router import BGPRouter
+from repro.bgp.session import BGPSession
 from repro.net.addr import Prefix
+from repro.net.network import Network
 
 PFX = Prefix.parse("10.0.0.0/24")
 
@@ -17,10 +20,44 @@ class TestUpdate:
         assert BGPUpdate(sender_asn=1).empty
         assert not BGPUpdate(sender_asn=1, withdrawn=(PFX,)).empty
 
-    def test_update_ids_unique_and_increasing(self):
-        a = BGPUpdate(sender_asn=1)
-        b = BGPUpdate(sender_asn=1)
-        assert b.update_id > a.update_id
+    def test_update_ids_unique_and_increasing(self, monkeypatch):
+        """Within one simulator, every UPDATE sessions send gets the next
+        id of its run, from 1; a second simulator starts over."""
+        ids = []
+        send = BGPSession._send
+
+        def recording(session, message):
+            if isinstance(message, BGPUpdate):
+                ids.append(message.update_id)
+            send(session, message)
+
+        monkeypatch.setattr(BGPSession, "_send", recording)
+
+        def sent_ids():
+            ids.clear()
+            net = Network(seed=1)
+            routers = [
+                net.add_node(BGPRouter(net.sim, f"r{i}", asn=i))
+                for i in (1, 2, 3)
+            ]
+            for i, a in enumerate(routers):
+                for b in routers[i + 1:]:
+                    link = net.add_link(a, b)
+                    a.add_peer(link)
+                    b.add_peer(link)
+            for router in routers:
+                router.start()
+            routers[0].originate(PFX)
+            net.sim.run_until_settled()
+            return list(ids)
+
+        first = sent_ids()
+        assert len(first) > 2
+        assert first == list(range(1, len(first) + 1))
+        assert sent_ids() == first
+
+    def test_update_built_outside_a_session_has_id_0(self):
+        assert BGPUpdate(sender_asn=1).update_id == 0
 
     def test_describe_mentions_content(self):
         update = BGPUpdate(

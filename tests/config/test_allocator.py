@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config.allocator import AllocationError, PrefixAllocator
+from repro.config.allocator import (
+    AllocationError,
+    PrefixAllocator,
+    transfer_net,
+)
 from repro.net.addr import Prefix
 
 
@@ -63,6 +67,23 @@ class TestLinkNets:
         for i, x in enumerate(nets):
             for y in nets[i + 1:]:
                 assert not x.overlaps(y)
+
+
+    def test_index_and_net_share_one_sequence(self):
+        alloc = PrefixAllocator()
+        assert alloc.link_index() == 0
+        assert alloc.link_net() == transfer_net(1)
+        assert alloc.link_index() == 2
+        assert str(transfer_net(0)[0]) == "172.16.0.0/30"
+
+    def test_link_pool_exhaustion(self):
+        alloc = PrefixAllocator()
+        alloc._next_link_index = alloc._max_links - 1
+        alloc.link_index()
+        with pytest.raises(AllocationError):
+            alloc.link_index()
+        with pytest.raises(AllocationError):
+            alloc.link_net()
 
 
 class TestOwnership:

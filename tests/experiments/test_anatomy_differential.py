@@ -65,15 +65,6 @@ def _run_scenario(scenario, *, n, sdn_count, seed, mrai):
     return exp, measurement
 
 
-def _normalized_spans(spans):
-    """Spans with the process-global ``update_id`` counter removed."""
-    out = []
-    for span in spans or []:
-        data = {k: v for k, v in span["data"].items() if k != "update_id"}
-        out.append({**span, "data": data})
-    return out
-
-
 @pytest.mark.parametrize(
     "scenario_cls", [WithdrawalScenario, FailoverScenario],
     ids=["withdrawal", "failover"],
@@ -126,7 +117,7 @@ def test_worker_results_identical_anatomy_on_vs_off(scenario_cls):
     assert on.ok, on.error
 
     assert on.measurement_dict() == off.measurement_dict()
-    assert _normalized_spans(on.spans) == _normalized_spans(off.spans)
+    assert on.spans == off.spans
     # anatomy shares the spec digest: it is NOT a new cache identity
     assert spec(anatomy=True).digest() == spec().digest()
     assert on.digest == off.digest

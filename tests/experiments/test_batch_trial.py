@@ -9,6 +9,8 @@ it, and every lazy payload is built: nothing a trial returns may move.
 Spans are snapshotted without a conversion pass, so every publisher
 must build its payload in JSON shape (lists, never tuples); the round
 trip below is that check, over every trial family at k = 0 and k > 0.
+UPDATEs are numbered per trial, so a trial's spans, ``update_id``
+included, do not depend on what the process ran before it.
 """
 
 import json
@@ -56,24 +58,13 @@ def observed():
     records.clear()
 
 
-def without_update_ids(spans):
-    """Spans with ``update_id`` left out: it is a process-wide message
-    counter, so a trial's ids depend on the trials run before it."""
-    return [
-        {**span, "data": {
-            k: v for k, v in span["data"].items() if k != "update_id"
-        }}
-        for span in spans
-    ]
-
-
 @pytest.mark.parametrize("family,sdn_count", CASES)
 def test_taking_the_trace_changes_no_result(observed, family, sdn_count):
     batch = observed(family, sdn_count)
     traced = observed(family, sdn_count, traced=True)
     assert batch.measurement_dict() == traced.measurement_dict()
     assert batch.metrics == traced.metrics
-    assert without_update_ids(batch.spans) == without_update_ids(traced.spans)
+    assert batch.spans == traced.spans
     assert batch.anatomy == traced.anatomy
 
 
@@ -84,3 +75,19 @@ def test_published_span_payloads_are_json_shaped(
     spans = observed(family, sdn_count).spans
     assert spans
     assert json.loads(json.dumps(spans)) == spans
+
+
+def test_spans_do_not_depend_on_the_trials_run_before():
+    """The same spec twice in one process, an unrelated trial between
+    the two runs: equal spans, ``update_id`` included, numbered from 1."""
+    spec = family_spec("withdrawal", spans=True)
+    first = execute_spec(spec)
+    between = execute_spec(family_spec("failover", 2, spans=True))
+    again = execute_spec(spec)
+    assert first.ok and between.ok and again.ok
+    assert first.spans == again.spans
+    sent = [
+        span["data"]["update_id"] for span in first.spans
+        if span["category"] == "bgp.update.tx"
+    ]
+    assert sent == list(range(1, len(sent) + 1))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
+from repro.config.allocator import PrefixAllocator
 from repro.controller.idr import ControllerConfig
 from repro.framework.experiment import (
     Experiment,
@@ -12,6 +13,7 @@ from repro.framework.experiment import (
 )
 from repro.sdn.switch import SDNSwitch
 from repro.topology.builders import clique, line
+from repro.topology.caida import caida_hierarchy
 
 
 def config(seed=1, mrai=1.0, **kwargs):
@@ -61,6 +63,30 @@ class TestBuild:
             if link.kind == "phys":
                 assert link.prefix is not None
                 assert len(link.addresses) == 2
+
+    @pytest.mark.parametrize(
+        "topology", [clique(16), caida_hierarchy(300)],
+        ids=["clique16", "caida300"],
+    )
+    def test_link_addresses_derive_the_allocators_plan(self, topology):
+        """A link keeps only its transfer net's index; what it derives
+        is what the allocator hands out, called once per phys link in
+        link order.  Other links stay unaddressed."""
+        exp = Experiment(topology, sdn_members={3, 4}, config=config()).build()
+        plan = PrefixAllocator()
+        phys = 0
+        for link in exp.net.links:
+            if link.kind != "phys":
+                assert link.prefix is None and link.addresses == {}
+                assert link.address_of(link.a) is None
+                continue
+            phys += 1
+            prefix, addr_a, addr_b = plan.link_net()
+            assert link.prefix == prefix
+            assert link.address_of(link.a) == addr_a
+            assert link.address_of(link.b) == addr_b
+            assert link.addresses == {link.a.name: addr_a, link.b.name: addr_b}
+        assert phys == len(topology.links)
 
     def test_intra_cluster_links_registered(self):
         exp = Experiment(clique(4), sdn_members={3, 4}, config=config()).build()

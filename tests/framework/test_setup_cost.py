@@ -11,6 +11,9 @@ import pytest
 
 from repro.bgp.attrs import AsPath, PathAttributes
 from repro.bgp.policy import LOCAL_COMMUNITY, Relationship
+from repro.bgp.rib import AdjRibIn, AdjRibOut
+from repro.bgp.router import BGPRouter
+from repro.controller.speaker import ClusterBGPSpeaker
 from repro.experiments.common import (
     WithdrawalScenario,
     paper_config,
@@ -18,12 +21,13 @@ from repro.experiments.common import (
     sdn_set_for,
 )
 from repro.framework import experiment as experiment_module
+from repro.framework.convergence import measure_event
 from repro.framework.experiment import (
     Experiment,
     ExperimentError,
     _full_collections_held,
 )
-from repro.net.addr import Prefix
+from repro.net.addr import IPv4Address, Prefix
 from repro.topology.builders import clique
 from repro.topology.caida import caida_hierarchy
 
@@ -116,9 +120,11 @@ class TestSharedPolicies:
 class TestAllocationBudget:
     #: GC-tracked objects ``build()`` may add per session at 300 ASes.
     #: A private policy graph per session read 41.4 here (40.1 at 5000
-    #: ASes), shared policies read 15.3 (12.0); the ceiling sits midway
-    #: so the graph coming back fails here, not in the 5k benchmark.
-    CEILING = 28.0
+    #: ASes), shared policies read 15.3 (12.0).  Building no Adj-RIB
+    #: pair per session and no address objects per link read 10.7; the
+    #: ceiling sits midway between the last two readings, so either
+    #: coming back fails here, not in the 5k benchmark.
+    CEILING = 13.0
 
     def test_build_objects_per_session(self):
         exp = hierarchy()
@@ -130,6 +136,56 @@ class TestAllocationBudget:
         sessions = len(sessions_of(exp))
         assert sessions == 960
         assert added / sessions < self.CEILING
+
+
+def instances(*types):
+    """How many GC-tracked objects of each type are alive."""
+    gc.collect()
+    counts = dict.fromkeys(types, 0)
+    for obj in gc.get_objects():
+        if type(obj) in counts:
+            counts[type(obj)] += 1
+    return [counts[t] for t in types]
+
+
+class TestNothingBuiltAheadOfUse:
+    """A session's tables are made when it comes up, and a link keeps
+    its transfer net as an index (docs/scaling.md, "Set-up cost")."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: hierarchy(60),
+            lambda: Experiment(clique(6), sdn_members={4, 5}),
+        ],
+        ids=["hierarchy", "hybrid"],
+    )
+    def test_tables_come_with_the_session(self, make):
+        exp = make()
+        before = instances(AdjRibIn, AdjRibOut)
+        exp.build()
+        assert instances(AdjRibIn, AdjRibOut) == before
+        for link in exp.net.links:
+            assert not [
+                value for value in vars(link).values()
+                if isinstance(value, (IPv4Address, Prefix, dict))
+            ], link
+        exp.start()
+        sessions = [
+            (node, session)
+            for node in (*exp.as_nodes(), exp.collector, exp.speaker)
+            if isinstance(node, (BGPRouter, ClusterBGPSpeaker))
+            for session in node.sessions.values()
+        ]
+        assert sessions and all(s.established for _, s in sessions)
+        # One table of each per session, and no other.
+        for tables in (
+            {id(node.adj_rib_in(s)) for node, s in sessions},
+            {id(node.adj_rib_out(s)) for node, s in sessions},
+        ):
+            assert len(tables) == len(sessions)
+        after = instances(AdjRibIn, AdjRibOut)
+        assert [n - b for n, b in zip(after, before)] == [len(sessions)] * 2
 
 
 @pytest.fixture
@@ -207,6 +263,46 @@ class TestFullCollectionsHeld:
         trial(finish=lambda exp: seen.append(gc.get_threshold()))
         assert seen == [(0, *collector_state[1:])]
         assert held_passes == []
+
+    def test_a_measured_event_is_held(self, collector_state, held_passes):
+        exp = Experiment(clique(4)).start()
+        seen = []
+
+        def event():
+            seen.append(gc.get_threshold())
+            exp.announce(1)
+
+        measure_event(exp, event)
+        assert seen == [(0, *collector_state[1:])]
+        assert gc.get_threshold() == collector_state
+        assert held_passes == []
+
+    def test_thresholds_restored_when_a_measured_event_raises(
+        self, collector_state
+    ):
+        exp = Experiment(clique(3)).start()
+
+        def fail():
+            raise RuntimeError("event failed")
+
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="event failed"):
+                measure_event(exp, fail)
+            assert gc.get_threshold() == collector_state
+
+    def test_a_measured_event_nests_inside_the_trial(
+        self, collector_state, held_passes
+    ):
+        """The trial's own ``measure_event`` leaves its hold as it was
+        and runs no collection on the way out."""
+        seen = []
+        trial(
+            event=lambda exp: seen.append(gc.get_threshold()),
+            finish=lambda exp: seen.append(gc.get_threshold()),
+        )
+        assert seen == [(0, *collector_state[1:])] * 2
+        assert held_passes == []
+        assert gc.get_threshold() == collector_state
 
     def test_callers_own_thresholds_come_back(self, collector_state):
         gc.set_threshold(900, 7, 5)
@@ -338,11 +434,20 @@ class TestFullCollectionsHeld:
         assert gc.get_threshold() == (700, 1, 1)
 
 
-def trial(finish=None):
-    """One whole 4-AS withdrawal trial; ``finish(exp)`` runs inside it."""
+def trial(finish=None, event=None):
+    """One whole 4-AS withdrawal trial; ``event(exp)`` runs as its
+    measured event starts, ``finish(exp)`` after it, both inside it."""
     scenario = WithdrawalScenario()
     if finish is not None:
         scenario.finish = finish
+    if event is not None:
+        withdraw = scenario.event
+
+        def measured(exp):
+            event(exp)
+            withdraw(exp)
+
+        scenario.event = measured
     topology = scenario.topology(4, clique)
     members = sdn_set_for(topology, 2, scenario.reserved_legacy)
     return run_scenario_full(

@@ -2,8 +2,9 @@
 cuts the trial's one reference cycle, so refcounting frees all of it,
 and ``build()`` + ``start()`` make no cyclic garbage of their own —
 which is what makes holding every generation from build to close safe
-(docs/scaling.md, "Set-up cost").  Nor does a trial take a trace:
-nothing it returns carries one."""
+(docs/scaling.md, "Set-up cost"), and a measured event on a long-lived
+experiment makes none either.  Nor does a trial take a trace: nothing
+it returns carries one."""
 
 import dataclasses
 import gc
@@ -17,6 +18,7 @@ from repro.faults.invariants import (
     InvariantError,
     InvariantViolation,
 )
+from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment
 from repro.runner.jobs import run_trial_full
 from repro.topology.caida import caida_hierarchy
@@ -150,6 +152,30 @@ def test_build_and_start_make_no_cyclic_garbage(collector_off):
     exp = Experiment(caida_hierarchy(300), config=config).build().start()
     assert gc.collect() == 0
     assert len(exp.as_nodes()) == 300
+
+
+def test_storm_phases_make_no_cyclic_garbage(collector_off):
+    """What lets ``measure_event`` hold the collector on a long-lived
+    experiment: announce and withdraw phases on a 300-AS hierarchy, as
+    the storm benchmark runs them, leave nothing for it."""
+    config = paper_config(
+        seed=1, policy_mode="gao_rexford", trace_level="off", lean=True,
+    )
+    exp = Experiment(caida_hierarchy(300), config=config).build().start()
+    gc.collect()
+    for _ in range(2):
+        announced = []
+        measurement = measure_event(
+            exp, lambda: announced.append(exp.announce(1))
+        )
+        assert measurement.updates_rx > 0
+        assert gc.collect() == 0
+        measurement = measure_event(
+            exp, lambda: exp.withdraw(1, announced[0])
+        )
+        assert measurement.updates_rx > 0
+        assert gc.collect() == 0
+    exp.close()
 
 
 def test_the_scale_trial_retains_no_trace(monkeypatch):

@@ -241,13 +241,25 @@ class TestObserversStayInvisible:
             (GOLDEN / "spans_clique5_sdn2_seed5.json").read_text()
         )
         assert span_fixture(spans) == golden
+        # The ids the golden's hashes leave out: every UPDATE sent is a
+        # tx span, numbered from 1 in sending order within the trial,
+        # and every rx span names one of them.
+        ids = {"bgp.update.tx": [], "bgp.update.rx": []}
+        for span in spans:
+            if span["category"] in ids:
+                ids[span["category"]].append(span["data"]["update_id"])
+        sent, received = ids["bgp.update.tx"], ids["bgp.update.rx"]
+        assert sent == list(range(1, len(sent) + 1))
+        assert received and set(received) <= set(sent)
 
 
 def span_fixture(spans):
     """A span payload as the golden file stores it: one row of
     ``[span_id, parent_id, cause_id, category, node, t_start, t_end]`` per
     span, and per category the SHA-256 of its spans' ``data`` after a JSON
-    round trip (``update_id`` left out: a process-wide message counter)."""
+    round trip.  ``update_id`` is left out of the hashes: the file was
+    captured while UPDATEs were numbered process-wide, and the test
+    pins the per-trial ids beside it."""
     rows, data = [], {}
     for span in spans:
         rows.append([
