@@ -4,7 +4,7 @@
 Runs the paper's route-withdrawal sweep on a smaller clique (so it
 finishes in ~30s) and renders the boxplots as ASCII art plus a linear
 fit.  For the full 16-AS / 10-run reproduction, run
-``pytest benchmarks/bench_fig2_withdrawal.py --benchmark-only -s``.
+``python -m repro reproduce fig2_withdrawal``.
 
 Run:  python examples/withdrawal_study.py
 """

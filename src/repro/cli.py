@@ -9,6 +9,7 @@ Usage (also ``python -m repro --help``)::
     python -m repro sweep --self-check
     python -m repro subcluster
     python -m repro topologies --runs 3
+    python -m repro reproduce fig2_withdrawal --workers 2
     python -m repro faults list
     python -m repro faults run --scenario gateway-outage --fault-seed 3
     python -m repro scenarios --suites gateway-outage,router-crash
@@ -32,8 +33,8 @@ snapshots, and a global ``--quiet`` silences informational output
 (primary artifacts and warnings still print).
 
 Every command prints the same rows/series the corresponding paper
-artifact reports; the benchmarks under ``benchmarks/`` are the
-pytest-integrated equivalents.
+artifact reports; ``reproduce`` regenerates the committed
+``benchmarks/results/`` files at full size and checks their shapes.
 """
 
 from __future__ import annotations
@@ -292,15 +293,12 @@ def _runner_kwargs(args) -> dict:
 
 
 def cmd_subcluster(args) -> int:
-    out = args.out
+    # the results table is imported on use, so `repro serve` and the
+    # other commands never load it
+    from .experiments.reproduce import RESULTS
+
     result = run_subcluster_experiment(seed=args.seed)
-    out.info("Sub-cluster split experiment (bar-bell cluster)")
-    out.info(f"  sub-clusters before: {result.sub_clusters_before}")
-    out.info(f"  sub-clusters after : {result.sub_clusters_after}")
-    out.info(f"  reachable after    : {result.reachable_after}")
-    out.info(f"  cross-cluster path : {' -> '.join(result.cross_path_after)}")
-    out.info(f"  convergence        : "
-             f"{result.measurement.convergence_time:.2f}s")
+    args.out.info(RESULTS["subcluster"].report([result]))
     return 0 if result.reachable_after else 1
 
 
@@ -318,16 +316,49 @@ def _warn_failures(failures, out: Output) -> int:
 
 
 def cmd_topologies(args) -> int:
+    from .experiments.reproduce import RESULTS
+
     results = topology_family_sweep(**_runner_kwargs(args))
-    args.out.info("Topology families — withdrawal, 0% vs 50% SDN")
-    for r in results:
-        if not (r.baseline.runs and r.deployed.runs):
-            continue  # nothing to summarise; its trials are named below
-        args.out.info(
-            f"  {r.family:>16}: pure {r.pure_bgp.median:7.1f}s  "
-            f"hybrid {r.hybrid.median:7.1f}s  reduction {r.reduction:.0%}"
-        )
+    args.out.info(RESULTS["topologies"].report(results))
     return _warn_failures([f for r in results for f in r.failures], args.out)
+
+
+def _result_name(text: str) -> str:
+    """``type=`` of ``reproduce``'s names: a key of ``RESULTS``."""
+    from .experiments.reproduce import RESULTS
+
+    if text not in RESULTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown result {text!r} (choose from {', '.join(RESULTS)})"
+        )
+    return text
+
+
+def cmd_reproduce(args) -> int:
+    """Regenerate ``benchmarks/results/<name>.txt`` at the committed
+    size and check each result's shape; 1 if a check or trial failed.
+    A result that lost trials is not written."""
+    from .experiments.reproduce import RESULTS, RESULTS_DIR
+
+    out = args.out
+    runner = {"workers": args.workers, "cache": _cache_dir(args)}
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    status = 0
+    for name in args.names or RESULTS:
+        entry = RESULTS[name]
+        data, failures = entry.run(**runner)
+        if _warn_failures(failures, out):
+            out.emit(f"FAIL {name}: not written")
+            status = 1
+            continue
+        text = entry.report(data)
+        out.info(text)
+        _write(out, os.path.join(RESULTS_DIR, f"{name}.txt"), text + "\n")
+        for problem in entry.check(data):
+            out.emit(f"FAIL {name}: {problem}")
+            status = 1
+        out.info()
+    return status
 
 
 def cmd_flapstorm(args) -> int:
@@ -514,7 +545,7 @@ def cmd_faults_run(args) -> int:
         out.emit(
             f"  invariants: {status}  "
             f"settled t={result.t_end:.3f}  "
-            f"trace digest {result.trace_digest[:16]}"
+            f"trace digest {injector.trace_digest()[:16]}"
         )
         for violation in result.violations:
             out.emit(f"    {violation}")
@@ -1156,6 +1187,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def runner_args(p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (1 = serial; results are "
+                            "identical at any count)")
+        p.add_argument("--cache-dir", type=str, default=None,
+                       help="result-cache directory (also via "
+                            f"${CACHE_DIR_ENV}); re-runs only execute "
+                            "missing trials")
+        p.add_argument("--no-cache", action="store_true",
+                       help="ignore any result cache for this run")
+
     def sweep_args(p, **defaults):
         _spec_flags(
             p, "n", "mrai", "recompute_delay", "trace_level", "metrics",
@@ -1166,15 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write per-run results as CSV")
         p.add_argument("--json", type=str, default=None,
                        help="write summary + runs as JSON")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = serial; results are "
-                            "identical at any count)")
-        p.add_argument("--cache-dir", type=str, default=None,
-                       help="result-cache directory (also via "
-                            f"${CACHE_DIR_ENV}); re-runs only execute "
-                            "missing trials")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore any result cache for this run")
+        runner_args(p)
         p.add_argument("--progress", action="store_true",
                        help="log one line per trial to stderr")
         p.add_argument("--registry", type=str, default=None,
@@ -1219,6 +1253,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_topologies)
+
+    p = sub.add_parser(
+        "reproduce",
+        help="regenerate and check the committed benchmarks/results files",
+    )
+    p.add_argument("names", nargs="*", type=_result_name, metavar="NAME",
+                   help="results to regenerate, by file name without "
+                        ".txt (default: all)")
+    runner_args(p)
+    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("flapstorm", help="bursty-input controller ablation")
     _spec_flags(p, "n", "seed", n=8)

@@ -26,8 +26,8 @@ t_state_converged >= t_event``.
 Determinism: flap jitter draws from the named random stream
 ``fault.jitter.<fault_seed>``, so (a) it never perturbs the streams
 existing components use, and (b) the same schedule + seeds reproduce
-the identical event trace — ``ScenarioResult.trace_digest`` makes that
-checkable from the CLI.
+the identical event trace — :meth:`FaultInjector.trace_digest` makes
+that checkable from the CLI.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class ScenarioResult:
     violations: List[InvariantViolation]
     t_start: float
     t_end: float
-    #: sha256 over the retained event trace (falls back to the bus's
-    #: per-category counts when capture is off) — equal digests mean
-    #: bit-identical runs.
-    trace_digest: str = ""
 
     @property
     def ok(self) -> bool:
@@ -173,16 +169,15 @@ class FaultInjector:
             violations=self.violations,
             t_start=t_start if t_start is not None else now,
             t_end=t_end if t_end is not None else now,
-            trace_digest=self.trace_digest(),
         )
         if self.strict and not result.ok:
             raise InvariantError(result.violations)
         return result
 
     def trace_digest(self) -> str:
-        """Digest of the run's observable behaviour (for reproducibility
-        checks): retained trace records, or bus counts when capture is
-        off."""
+        """sha256 of the run's observable behaviour (for reproducibility
+        checks): retained trace records, or the bus's per-category counts
+        when capture is off — equal digests mean bit-identical runs."""
         hasher = hashlib.sha256()
         trace = self.experiment.net.trace
         records = list(trace)

@@ -1,7 +1,10 @@
 """Scaled-down versions of the paper's headline results.
 
-The full reproductions live in ``benchmarks/``; these tests assert the
-qualitative *shapes* on smaller instances so they run in CI time:
+The full-size reproductions are ``repro reproduce``
+(:mod:`repro.experiments.reproduce`), which rewrites and checks
+``benchmarks/results/``; these tests pin that table to the committed
+files and assert the qualitative *shapes* on smaller instances so they
+run in CI time:
 
 - Fig. 2: withdrawal convergence falls ~linearly with the SDN fraction;
 - §4: announcement shows no such improvement;
@@ -9,11 +12,16 @@ qualitative *shapes* on smaller instances so they run in CI time:
   the primary/backup path-length gap).
 """
 
+import pathlib
+
 import pytest
 
-from repro.analysis.stats import linear_fit
+from repro.analysis.stats import boxplot_stats, linear_fit
+from repro.cli import main
+from repro.experiments import reproduce
 from repro.experiments.common import (
     AnnouncementScenario,
+    FailedRun,
     WithdrawalScenario,
     paper_config,
     run_fraction_sweep,
@@ -95,3 +103,52 @@ class TestWithdrawalVsAnnouncement:
             an, topo2, frozenset(), paper_config(seed=5, mrai=MRAI)
         )
         assert wd_m.convergence_time > 3 * an_m.convergence_time
+
+
+COMMITTED = pathlib.Path(__file__).parents[2] / reproduce.RESULTS_DIR
+
+
+class TestReproduce:
+    def test_one_entry_per_committed_result(self):
+        assert set(reproduce.RESULTS) == {
+            path.stem for path in COMMITTED.glob("*.txt")
+        }
+
+    def test_rewrites_committed_files_byte_for_byte(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        names = ["fig1_components", "subcluster"]
+        assert main(["-q", "reproduce", *names]) == 0
+        for name in names:
+            written = tmp_path / reproduce.RESULTS_DIR / f"{name}.txt"
+            assert written.read_bytes() == (
+                COMMITTED / f"{name}.txt"
+            ).read_bytes(), name
+
+    def test_a_broken_shape_or_a_lost_trial_fails(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Damping that changes nothing breaks Mao et al.'s claim; a
+        result that lost a trial is named and not written."""
+        monkeypatch.chdir(tmp_path)
+        flat = boxplot_stats([10.0])
+        cells = {
+            (damped, k): flat
+            for damped in (False, True) for k in (0, reproduce.N - 1)
+        }
+        lost = FailedRun(sdn_count=0, fraction=0.0, seed=0, error="boom")
+        for name, returned in (
+            ("ablation_damping", (cells, [])), ("subcluster", (None, [lost])),
+        ):
+            monkeypatch.setitem(reproduce.RESULTS, name, reproduce.RESULTS[
+                name]._replace(run=lambda returned=returned, **_: returned))
+        assert main(["reproduce", "ablation_damping", "subcluster"]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL ablation_damping: damping slows pure-BGP fail-over" in out
+        )
+        assert "WARNING: 1 run(s) failed" in out
+        assert "FAIL subcluster: not written" in out
+        assert not (tmp_path / reproduce.RESULTS_DIR).joinpath(
+            "subcluster.txt").exists()
