@@ -40,13 +40,6 @@ class BoxplotStats:
         """Interquartile range (q3 - q1)."""
         return self.q3 - self.q1
 
-    def row(self) -> str:
-        """One formatted table row (used by the benchmark harness)."""
-        return (
-            f"min={self.minimum:8.2f} q1={self.q1:8.2f} "
-            f"med={self.median:8.2f} q3={self.q3:8.2f} max={self.maximum:8.2f}"
-        )
-
 
 def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     """Five-number summary with 1.5-IQR whiskers (matplotlib convention)."""

@@ -1251,7 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topologies", help="topology-family comparison")
     _spec_flags(p, "n", "mrai", n=16)
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    runner_args(p)
     p.set_defaults(func=cmd_topologies)
 
     p = sub.add_parser(

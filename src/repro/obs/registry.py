@@ -33,6 +33,7 @@ import os
 import pathlib
 import sqlite3
 import subprocess
+import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -130,6 +131,25 @@ def _utc_now() -> str:
     return _datetime.datetime.now(_datetime.timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
     )
+
+
+def _journal_to_wal(conn: sqlite3.Connection) -> None:
+    """Put ``conn``'s file in WAL mode, waiting out concurrent openers.
+
+    Switching a fresh file takes an exclusive lock, and SQLite answers
+    a conflict with "database is locked" at once instead of calling its
+    busy handler: two processes opening one new registry race here.
+    The wait is the connection's own busy timeout (5 s).
+    """
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.005)
 
 
 def _scenario_name(spec: RunSpec) -> str:
@@ -235,6 +255,14 @@ class RunRegistry:
                 parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path)
         self._conn.row_factory = sqlite3.Row
+        # Write-ahead log: a commit appends to ``<path>-wal`` without an
+        # fsync (NORMAL), readers never block the writer, and only a
+        # checkpoint syncs.  A process crash loses no committed row; an
+        # OS crash may lose the last few commits; the file never
+        # corrupts.  journal_mode persists in the file, so an older
+        # rollback-journal registry switches over on its first open.
+        _journal_to_wal(self._conn)
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA_SQL)
         self._check_schema()
         if git_rev is None:
@@ -254,8 +282,9 @@ class RunRegistry:
         ).fetchone()
         if row is None:
             # Two connections can initialise a fresh file concurrently
-            # (the service opens one registry per worker thread plus
-            # /api/runs reads on the loop thread); OR IGNORE makes the
+            # (the service keeps one registry per worker thread and
+            # opens more for /api/runs reads on the loop thread, and
+            # other processes may append too); OR IGNORE makes the
             # losing writer a no-op and the re-read settles the value.
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value)"
@@ -298,6 +327,12 @@ class RunRegistry:
 
     def close(self) -> None:
         self._conn.close()
+
+    def rollback(self) -> None:
+        """Discard what is not committed: a :meth:`begin_sweep` row
+        whose first :meth:`record` never came.  A connection kept across
+        sweeps calls this after each, so an aborted one holds no lock."""
+        self._conn.rollback()
 
     def __enter__(self) -> "RunRegistry":
         return self

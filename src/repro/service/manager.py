@@ -19,10 +19,12 @@ runner executes on.  Its invariants:
   ``loop.call_soon_threadsafe``, and slow/vanished SSE subscribers just
   drop frames (``put_nowait`` on a bounded queue) instead of stalling
   the worker;
-- **everything recorded** — each executed job opens the registry
-  *inside its worker thread* (sqlite connections are thread-bound) and
-  records through the ordinary :class:`RegistrySink` event path.  The
-  registry is the run log: nothing reads it to answer a job.
+- **everything recorded** — each worker coroutine runs its jobs on
+  one thread of its own, and that thread keeps one registry connection
+  (sqlite connections are thread-bound) from its first executed job
+  until :meth:`JobManager.aclose`; every job records through the
+  ordinary :class:`RegistrySink` event path.  The registry is the run
+  log: nothing reads it to answer a job.
 
 All public methods must be called from the event-loop thread.
 ``submit_many`` contains no awaits, so a whole batch admission is
@@ -32,8 +34,9 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
@@ -158,9 +161,18 @@ class JobManager:
         #: walks the slots earlier deletions left behind).
         self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: asyncio.Queue = asyncio.Queue()
-        self._executor = ThreadPoolExecutor(
-            max_workers=concurrency, thread_name_prefix="repro-job"
-        )
+        #: one single-thread executor per worker coroutine, so worker
+        #: i's jobs always run on thread i and that thread's registry
+        #: connection (``self._local.registry``) serves all of them.
+        self._executors = [
+            ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=f"repro-job-{index}"
+            )
+            for index in range(concurrency)
+        ]
+        #: each executor's latest job future (None before its first).
+        self._last_jobs: List[Optional[Future]] = [None] * concurrency
+        self._local = threading.local()
         self._workers: List[asyncio.Task] = []
         self._wall_times: List[float] = []  # recent executed wall clocks
         #: admission rejections since start (telemetry counters).
@@ -177,11 +189,17 @@ class JobManager:
         for index in range(self.concurrency):
             self._workers.append(
                 asyncio.get_running_loop().create_task(
-                    self._worker(), name=f"repro-worker-{index}"
+                    self._worker(index), name=f"repro-worker-{index}"
                 )
             )
 
     async def aclose(self) -> None:
+        """Stop the workers and close each thread's registry connection.
+
+        Every connection is closed by its own thread: an idle worker's
+        before this returns, a worker still running a trial's right
+        after that trial lands (shutdown never waits on a trial).
+        """
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -190,7 +208,16 @@ class JobManager:
             except (asyncio.CancelledError, Exception):
                 pass
         self._workers.clear()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        closing = []
+        for index, executor in enumerate(self._executors):
+            last = self._last_jobs[index]
+            if last is not None and self.registry_path:
+                closed = executor.submit(self._close_registry)
+                if last.done():
+                    closing.append(asyncio.wrap_future(closed))
+            self._last_jobs[index] = None
+            executor.shutdown(wait=False)
+        await asyncio.gather(*closing)
 
     # ------------------------------------------------------------------
     # admission
@@ -322,18 +349,18 @@ class JobManager:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
+    async def _worker(self, index: int) -> None:
         while True:
             digest = await self._queue.get()
             job = self.jobs.get(digest)
             try:
                 if job is None or job.state != QUEUED:
                     continue  # cancelled (or evicted) while queued
-                await self._execute(job)
+                await self._execute(job, index)
             finally:
                 self._queue.task_done()
 
-    async def _execute(self, job: Job) -> None:
+    async def _execute(self, job: Job, index: int) -> None:
         loop = asyncio.get_running_loop()
         job.state = RUNNING
         job.cid = new_cid()
@@ -352,9 +379,11 @@ class JobManager:
             # The executor future resolves through call_soon_threadsafe
             # too, after every _deliver the thread queued: the job's
             # events are all in before it finishes.
-            record = await loop.run_in_executor(
-                self._executor, self._run_in_thread, runner, job.spec
+            future = self._executors[index].submit(
+                self._run_in_thread, runner, job.spec
             )
+            self._last_jobs[index] = future
+            record = await asyncio.wrap_future(future)
         except Exception as exc:  # defensive: run() should not raise
             record = RunRecord(
                 digest=job.digest, ok=False,
@@ -375,17 +404,21 @@ class JobManager:
         self._finish(job)
 
     def _run_in_thread(self, runner: ParallelRunner, spec: RunSpec):
-        """Blocking runner invocation (thread-pool side).
+        """Blocking runner invocation (worker-thread side).
 
-        The registry connection must be opened here — sqlite3 objects
-        are bound to their creating thread — and recording rides the
-        standard RegistrySink progress path.
+        Recording rides the standard RegistrySink progress path, into
+        this thread's registry connection — opened by its first job,
+        since sqlite3 objects are bound to their creating thread.
         """
         registry = None
         if self.registry_path:
             from ..obs.registry import RegistrySink, RunRegistry
 
-            registry = RunRegistry(self.registry_path, git_rev=self._git_rev)
+            registry = getattr(self._local, "registry", None)
+            if registry is None:
+                registry = self._local.registry = RunRegistry(
+                    self.registry_path, git_rev=self._git_rev
+                )
             runner.progress = TeeProgress(
                 runner.progress, RegistrySink(registry, label="service")
             )
@@ -393,7 +426,16 @@ class JobManager:
             return runner.run([spec])[0]
         finally:
             if registry is not None:
-                registry.close()
+                # a run that raised between begin_sweep and its commit
+                # must not leave the kept connection holding the lock
+                registry.rollback()
+
+    def _close_registry(self) -> None:
+        """Close this thread's registry connection (worker-thread side)."""
+        registry = getattr(self._local, "registry", None)
+        if registry is not None:
+            self._local.registry = None
+            registry.close()
 
     def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
         """One runner event, on the loop: into the job's history and

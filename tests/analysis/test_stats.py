@@ -34,10 +34,6 @@ class TestBoxplotStats:
         assert stats.whisker_low == 1
         assert stats.whisker_high == 5
 
-    def test_row_formatting(self):
-        row = boxplot_stats([1, 2, 3]).row()
-        assert "med=" in row and "q1=" in row
-
 
 class TestLinearFit:
     def test_perfect_line(self):

@@ -323,6 +323,34 @@ class TestDeclaredFlags:
         assert "must be >= " in capsys.readouterr().err
 
 
+def _flags(parser) -> set:
+    return {flag for a in parser._actions for flag in a.option_strings}
+
+
+RUNNER_LEAVES = [
+    (path, parser) for path, parser in LEAVES if "--workers" in _flags(parser)
+]
+
+
+@pytest.mark.parametrize(
+    "path, parser", RUNNER_LEAVES, ids=[" ".join(p) for p, _ in RUNNER_LEAVES]
+)
+def test_runner_commands_take_the_cache_flags(path, parser):
+    """A command that takes ``--workers`` runs trials through the
+    runner, so ``--cache-dir`` and ``--no-cache`` must work there too."""
+    assert {"--cache-dir", "--no-cache"} <= _flags(parser)
+
+
+def test_topologies_no_cache_ignores_the_env_cache(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    argv = ["-q", "topologies", "--n", "6", "--runs", "1", "--mrai", "1"]
+    assert main(argv + ["--no-cache"]) == 0
+    assert not cache.exists() or not any(cache.iterdir())
+    assert main(argv) == 0  # without the flag, the env cache is filled
+    assert any(cache.iterdir())
+
+
 @pytest.mark.parametrize(
     "path", [path for path, _ in LEAVES], ids=lambda path: " ".join(path)
 )

@@ -363,6 +363,176 @@ class TestRecording:
         assert timing["cache_bytes"] is None
 
 
+#: row fields that read the wall clock, not the simulation.
+WALL_CLOCK_FIELDS = {"recorded_at", "wall_time", "worker"}
+WALL_CLOCK_RESOURCES = {
+    "cpu_user_s", "cpu_sys_s", "max_rss_kb", "events_per_s",
+    "gc_collections", "gc_pause_s", "wall_by_layer_s",
+}
+WALL_CLOCK_SWEEP_FIELDS = {
+    "recorded_at", "elapsed", "total_job_wall", "max_job_wall",
+}
+
+
+def comparable(registry):
+    """(runs, sweeps) of ``registry`` without the wall-clock fields."""
+    runs = []
+    for row in registry.runs():
+        fields = {
+            k: v for k, v in vars(row).items() if k not in WALL_CLOCK_FIELDS
+        }
+        fields["resources"] = {
+            k: v for k, v in (row.resources or {}).items()
+            if k not in WALL_CLOCK_RESOURCES
+        }
+        runs.append(fields)
+    sweeps = [
+        {k: v for k, v in vars(row).items()
+         if k not in WALL_CLOCK_SWEEP_FIELDS}
+        for row in registry.sweeps()
+    ]
+    return runs, sweeps
+
+
+class TestRegistryConnection:
+    """One registry connection per worker thread, for the manager's
+    whole life, closed at shutdown by the thread that opened it."""
+
+    @pytest.fixture
+    def connections(self, monkeypatch):
+        """Each opened RunRegistry: its opening and closing thread."""
+        import threading
+
+        opened = []
+        init, close = RunRegistry.__init__, RunRegistry.close
+
+        def tracking_init(registry, *args, **kwargs):
+            init(registry, *args, **kwargs)
+            registry.threads = [threading.get_ident()]
+            opened.append(registry)
+
+        def tracking_close(registry):
+            if hasattr(registry, "threads"):
+                registry.threads.append(threading.get_ident())
+            close(registry)
+
+        monkeypatch.setattr(RunRegistry, "__init__", tracking_init)
+        monkeypatch.setattr(RunRegistry, "close", tracking_close)
+        return opened
+
+    def jobs(self, registry_path, count=5, **kwargs):
+        async def body(manager):
+            jobs = manager.submit_many(
+                [spec_for(seed=seed) for seed in range(1, count + 1)],
+                "alice",
+            )
+            for job in jobs:
+                await asyncio.wait_for(job.done.wait(), 60)
+            return jobs
+
+        jobs = run(manager_session(
+            body, registry_path=registry_path, quota=count, **kwargs
+        ))
+        assert [job.state for job in jobs] == ["done"] * count
+        return jobs
+
+    def test_five_jobs_share_one_connection(self, tmp_path, connections):
+        self.jobs(str(tmp_path / "runs.sqlite"))
+        (registry,) = connections
+        opener, closer = registry.threads
+        assert opener == closer  # closed at shutdown, on its own thread
+        with RunRegistry(str(tmp_path / "runs.sqlite")) as reader:
+            assert len(reader.runs()) == 5 and len(reader.sweeps()) == 5
+
+    def test_one_connection_per_worker_thread(self, tmp_path, connections):
+        """More workers than cores, switching threads every few
+        bytecodes: every commit lands, one connection per thread."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self.jobs(str(tmp_path / "runs.sqlite"), count=8, concurrency=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(connections) <= 4
+        for registry in connections:
+            opener, closer = registry.threads
+            assert opener == closer
+        assert len({r.threads[0] for r in connections}) == len(connections)
+        with RunRegistry(str(tmp_path / "runs.sqlite")) as reader:
+            runs = reader.runs()
+            assert len({row.run_id for row in runs}) == 8
+            assert len({row.spec_digest for row in runs}) == 8
+            assert len(reader.sweeps()) == 8
+
+    def test_no_executed_job_opens_no_connection(self, tmp_path, connections):
+        run(manager_session(
+            lambda manager: asyncio.sleep(0),
+            registry_path=str(tmp_path / "runs.sqlite"),
+        ))
+        assert connections == []
+
+    def test_rows_equal_per_job_connections(self, tmp_path):
+        """The kept connection writes what a connection per job wrote,
+        up to the wall clock."""
+        from repro.obs.registry import RegistrySink
+
+        kept = str(tmp_path / "kept.sqlite")
+        jobs = self.jobs(kept)
+        per_job = str(tmp_path / "per-job.sqlite")
+        for job in jobs:
+            with RunRegistry(per_job) as registry:
+                ParallelRunner(
+                    1, registry=RegistrySink(registry, label="service")
+                ).run([job.spec])
+        with RunRegistry(kept) as a, RunRegistry(per_job) as b:
+            assert comparable(a) == comparable(b)
+            assert len(a.runs()) == 5
+
+    def test_a_record_that_raises_leaves_no_open_write(
+        self, tmp_path, monkeypatch
+    ):
+        """A job whose registry write fails rolls back its uncommitted
+        sweep row: other writers are not locked out, and the next job
+        records normally."""
+        import sqlite3
+
+        path = str(tmp_path / "runs.sqlite")
+        record = RunRegistry.record
+        failures = []
+
+        def failing_once(registry, *args, **kwargs):
+            if not failures:
+                failures.append(1)
+                raise RuntimeError("disk trouble")
+            return record(registry, *args, **kwargs)
+
+        monkeypatch.setattr(RunRegistry, "record", failing_once)
+
+        async def body(manager):
+            (first,) = manager.submit_many([spec_for(seed=1)], "alice")
+            await asyncio.wait_for(first.done.wait(), 60)
+            other = sqlite3.connect(path, timeout=0)
+            try:
+                other.execute("BEGIN IMMEDIATE")  # the write lock is free
+                other.rollback()
+            finally:
+                other.close()
+            (second,) = manager.submit_many([spec_for(seed=2)], "alice")
+            await asyncio.wait_for(second.done.wait(), 60)
+            return first, second
+
+        first, second = run(manager_session(body, registry_path=path))
+        assert first.state == "failed" and "disk trouble" in first.record.error
+        assert second.state == "done"
+        with RunRegistry(path) as registry:
+            (row,) = registry.runs()
+            (sweep,) = registry.sweeps()
+        assert row.spec_digest == second.digest
+        assert row.sweep_id == sweep.sweep_id and sweep.jobs == 1
+
+
 def history_scan_evict(order, jobs, limit):
     """The eviction rule as a full history scan: drop the oldest
     terminal, unwatched jobs until at most ``limit`` remain."""
