@@ -136,10 +136,10 @@ def _utc_now() -> str:
 def _journal_to_wal(conn: sqlite3.Connection) -> None:
     """Put ``conn``'s file in WAL mode, waiting out concurrent openers.
 
-    Switching a fresh file takes an exclusive lock, and SQLite answers
-    a conflict with "database is locked" at once instead of calling its
-    busy handler: two processes opening one new registry race here.
-    The wait is the connection's own busy timeout (5 s).
+    While another connection holds the write lock (say, a second
+    process creating the same new registry), SQLite refuses the switch
+    with "database is locked" at once, without calling its busy
+    handler.  The wait is the connection's own busy timeout (5 s).
     """
     deadline = time.monotonic() + 5.0
     while True:

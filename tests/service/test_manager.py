@@ -364,7 +364,7 @@ class TestRecording:
 
 
 #: row fields that read the wall clock, not the simulation.
-WALL_CLOCK_FIELDS = {"recorded_at", "wall_time", "worker"}
+WALL_CLOCK_FIELDS = {"recorded_at", "wall_time"}
 WALL_CLOCK_RESOURCES = {
     "cpu_user_s", "cpu_sys_s", "max_rss_kb", "events_per_s",
     "gc_collections", "gc_pause_s", "wall_by_layer_s",
