@@ -1481,7 +1481,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_REGISTRY_PATH})")
     p.add_argument("--concurrency", type=int,
                    default=ServiceConfig.concurrency,
-                   help="jobs executed at once (worker threads)")
+                   help="jobs executed at once (worker processes)")
     p.add_argument("--max-queue", type=int, default=ServiceConfig.max_queue,
                    help="queued jobs before submissions get 429")
     p.add_argument("--quota", type=int, default=ServiceConfig.quota,

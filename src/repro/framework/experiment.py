@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -81,17 +80,6 @@ class ExperimentError(RuntimeError):
     """Misuse of the experiment API (unknown AS, event before build...)."""
 
 
-#: the thresholds are the process's, so the hold is too: how many
-#: threads are inside it (``repro serve`` runs trials on threads) and
-#: what the first one in found.
-_hold_lock = threading.Lock()
-_hold_depth = 0
-_hold_saved: Tuple[int, int, int] = (0, 0, 0)
-#: ``inside`` is True on a thread within a block: a nested block
-#: (``build()`` in ``start()`` in a trial) changes nothing.
-_hold_thread = threading.local()
-
-
 @contextlib.contextmanager
 def _full_collections_held() -> Iterator[None]:
     """Keep CPython from running any automatic collection inside the
@@ -105,49 +93,27 @@ def _full_collections_held() -> Iterator[None]:
     five full ones over 115k-154k objects.  ``build()``, ``start()``,
     :func:`~repro.framework.convergence.measure_event` (event to
     settle) and :func:`~repro.experiments.common.run_scenario_full`
-    (build to close) hold it; blocks nest within a thread.  A measured
-    event on a long-lived experiment — a storm phase, outside any
-    trial — makes no cyclic garbage either, but its allocations would
-    trigger full passes over the whole network's heap (about 0.4 s
-    each at 5000 ASes).  The last thread out restores what the first
-    one in saved, exception or not; a caller who disabled the
-    collector is left alone.
+    (build to close) hold it.  A measured event on a long-lived
+    experiment — a storm phase, outside any trial — makes no cyclic
+    garbage either, but its allocations would trigger full passes over
+    the whole network's heap (about 0.4 s each at 5000 ASes).
 
-    Trials on threads can overlap without a gap, and then the hold
-    never lifts while garbage made outside trials (the service's event
-    loop) still needs collecting.  So a thread that leaves while others
-    are still inside runs the collection the saved thresholds call for:
-    a young one, or an older generation once the one below it has been
-    collected more often than its threshold, as CPython would.
+    A block entered with the young threshold already 0 (a nested
+    block: ``build()`` in ``start()`` in a trial) or with the collector
+    off changes nothing; otherwise the thresholds it saved come back
+    on the way out, exception or not.  The process runs one trial at a
+    time (``repro serve`` runs its trials in worker processes), so
+    nothing else is inside the hold when it lifts.
     """
-    global _hold_depth, _hold_saved
-    if not gc.isenabled() or getattr(_hold_thread, "inside", False):
+    saved = gc.get_threshold()
+    if saved[0] == 0 or not gc.isenabled():
         yield
         return
-    _hold_thread.inside = True
-    with _hold_lock:
-        if _hold_depth == 0:
-            _hold_saved = gc.get_threshold()
-            gc.set_threshold(0, *_hold_saved[1:])
-        _hold_depth += 1
+    gc.set_threshold(0, *saved[1:])
     try:
         yield
     finally:
-        _hold_thread.inside = False
-        with _hold_lock:
-            _hold_depth -= 1
-            overlapped = _hold_depth > 0
-            if not overlapped:
-                gc.set_threshold(*_hold_saved)
-            thresholds = _hold_saved
-        if overlapped and thresholds[0]:
-            # The count of each older generation is how often the one
-            # below it was collected since it last was.
-            _, middle, old = gc.get_count()
-            generation = 0
-            if middle > thresholds[1]:
-                generation = 2 if old > thresholds[2] else 1
-            gc.collect(generation)
+        gc.set_threshold(*saved)
 
 
 @dataclass

@@ -282,10 +282,10 @@ class RunRegistry:
         ).fetchone()
         if row is None:
             # Two connections can initialise a fresh file concurrently
-            # (the service keeps one registry per worker thread and
-            # opens more for /api/runs reads on the loop thread, and
-            # other processes may append too); OR IGNORE makes the
-            # losing writer a no-op and the re-read settles the value.
+            # (the service keeps one for its jobs and opens more for
+            # /api/runs reads, and other processes may append too);
+            # OR IGNORE makes the losing writer a no-op and the re-read
+            # settles the value.
             self._conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value)"
                 " VALUES ('schema', ?)",

@@ -77,6 +77,8 @@ class ResultCache:
         #: lifetime lookup counters of this instance (see :meth:`stats`).
         self.hits = 0
         self.misses = 0
+        #: :meth:`put` calls the disk refused (full, read-only, ...).
+        self.put_errors = 0
 
     # ------------------------------------------------------------------
     def _path(self, digest: str) -> pathlib.Path:
@@ -135,10 +137,15 @@ class ResultCache:
         )
 
     def put(self, spec: RunSpec, record: RunRecord) -> None:
-        """Store a successful record (failed records are never cached)."""
+        """Store a successful record (failed records are never cached).
+
+        Never raises on a disk that refuses the write (full, read-only,
+        gone): the entry is skipped — the next lookup of this digest is
+        a miss — the failure is counted in ``put_errors`` and logged as
+        one warning, and the caller's results stand.
+        """
         if not record.ok or record.measurement is None:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
             "code_version": self.code_version,
@@ -159,21 +166,31 @@ class ResultCache:
         # C encoder, ``json.dump`` never does, and a trial's span
         # payload can be megabytes.  Readers parse either layout.
         text = json.dumps(payload, separators=(",", ":"))
-        # Atomic publish: a reader either sees the old entry or the new
-        # complete one, never a torn write.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, self._path(record.digest))
-        except BaseException:
+            # Atomic publish: a reader either sees the old entry or the
+            # new complete one, never a torn write.
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=self.directory, prefix=".tmp-", suffix=".json"
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+                os.replace(tmp_name, self._path(record.digest))
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
+        except OSError as exc:
+            self.put_errors += 1
+            from ..obs.logging import get_logger
+
+            get_logger("cache").warning(
+                "cache_put_failed", digest=record.digest[:12],
+                directory=str(self.directory), error=repr(exc),
+            )
 
     # ------------------------------------------------------------------
     def _entries(self):

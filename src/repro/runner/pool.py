@@ -30,7 +30,6 @@ requeued without being charged an attempt.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
@@ -49,7 +48,7 @@ from .progress import (
     resolve_progress,
 )
 
-__all__ = ["ParallelRunner", "default_workers"]
+__all__ = ["ParallelRunner", "default_workers", "kill_executor", "log_sink"]
 
 
 def default_workers() -> int:
@@ -57,7 +56,7 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _log_sink(cid: str) -> JsonProgress:
+def log_sink(cid: str) -> JsonProgress:
     """The structured log as a sink: each event's JSON payload is one
     ``runner`` line under the sweep ``cid``; a failed ``job_finished``
     is a warning."""
@@ -132,43 +131,6 @@ class ParallelRunner:
         #: the sink :meth:`run` announces to: ``progress``, plus the
         #: structured log when logging is enabled.
         self._events: ProgressSink = self.progress
-        self._cancelled: set = set()
-        self._cancel_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # cancellation
-    # ------------------------------------------------------------------
-    def cancel(self, digest: str) -> bool:
-        """Request cancellation of every job with this spec digest.
-
-        Safe to call from any thread while :meth:`run` executes in
-        another.  Cancellation takes effect at scheduling boundaries: a
-        queued job is never started, an in-flight job's result is
-        discarded when it lands (its worker is not interrupted
-        mid-trial).  Cache hits and already-finalized records are
-        unaffected — a cancelled job yields an ``ok=False`` record with
-        ``cancelled=True`` that is **never** written to the cache.
-
-        Returns True (the request is recorded; whether a matching job is
-        still pending is for the caller's bookkeeping).
-        """
-        with self._cancel_lock:
-            self._cancelled.add(digest)
-        return True
-
-    def _is_cancelled(self, spec: RunSpec) -> bool:
-        with self._cancel_lock:
-            return spec.digest() in self._cancelled
-
-    @staticmethod
-    def _cancelled_record(job: _Job) -> RunRecord:
-        return RunRecord(
-            digest=job.spec.digest(),
-            ok=False,
-            cancelled=True,
-            error="cancelled by request before completion",
-            attempts=job.attempts,
-        )
 
     # ------------------------------------------------------------------
     def _job_cid(self, job: "_Job") -> str:
@@ -180,7 +142,7 @@ class ParallelRunner:
         self._events = self.progress
         if log_enabled():
             self.cid = self.cid or new_cid()
-            self._events = TeeProgress(self.progress, _log_sink(self.cid))
+            self._events = TeeProgress(self.progress, log_sink(self.cid))
         started = time.perf_counter()
         hits_before = self.cache.hits if self.cache is not None else 0
         misses_before = self.cache.misses if self.cache is not None else 0
@@ -250,18 +212,10 @@ class ParallelRunner:
         """
         for job in jobs:
             while True:
-                if self._is_cancelled(job.spec):
-                    self._finalize(job, self._cancelled_record(job), records)
-                    break
                 job.attempts += 1
                 self._events.job_started(job.index, job.spec, job.attempts)
                 record = execute_spec(job.spec, self._job_cid(job))
                 record.worker = "serial"
-                if self._is_cancelled(job.spec):
-                    # Cancelled mid-trial: discard the result (never
-                    # cache it) and report the cancellation.
-                    self._finalize(job, self._cancelled_record(job), records)
-                    break
                 if record.ok or job.attempts > self.retries:
                     record.attempts = job.attempts
                     self._finalize(job, record, records)
@@ -292,11 +246,6 @@ class ParallelRunner:
                     ):
                         break  # a suspect shares the pool with nobody
                     job = queue.popleft()
-                    if self._is_cancelled(job.spec):
-                        self._finalize(
-                            job, self._cancelled_record(job), records
-                        )
-                        continue
                     job.attempts += 1
                     self._events.job_started(job.index, job.spec, job.attempts)
                     future = executor.submit(
@@ -307,10 +256,6 @@ class ParallelRunner:
                         if self.timeout is not None else None
                     )
                     inflight[future] = (job, deadline)
-
-                if not inflight:
-                    # Everything left in the queue was cancelled.
-                    continue
 
                 wait_for = None
                 if self.timeout is not None:
@@ -335,11 +280,7 @@ class ParallelRunner:
                         broken = True
                         continue
                     record = future.result()
-                    if self._is_cancelled(job.spec):
-                        self._finalize(
-                            job, self._cancelled_record(job), records
-                        )
-                    elif record.ok:
+                    if record.ok:
                         record.attempts = job.attempts
                         self._finalize(job, record, records)
                     elif job.attempts > self.retries:
@@ -368,7 +309,7 @@ class ParallelRunner:
                     return
         finally:
             if broken or inflight:
-                self._kill_executor(executor)
+                kill_executor(executor)
             else:
                 executor.shutdown(wait=True)
 
@@ -425,21 +366,22 @@ class ParallelRunner:
             self.cache.put(job.spec, record)
         self._events.job_finished(job.index, job.spec, record)
 
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Tear an executor down hard, including hung workers.
 
-        ``shutdown()`` alone never reaps a worker stuck in C code or a
-        sleep, so the processes are killed first (via the private
-        ``_processes`` map — there is no public API for this).
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except Exception:
-                pass
+def kill_executor(executor: ProcessPoolExecutor) -> None:
+    """Tear an executor down hard, hung or busy workers included, and
+    reap its processes before returning.
+
+    ``shutdown()`` alone never reaps a worker stuck in C code or a
+    sleep, so the processes are killed first (via the private
+    ``_processes`` map — there is no public API for this).
+    """
+    processes = getattr(executor, "_processes", None) or {}
+    for process in list(processes.values()):
         try:
-            executor.shutdown(wait=False, cancel_futures=True)
+            process.kill()
         except Exception:
             pass
+    try:
+        executor.shutdown(wait=True, cancel_futures=True)
+    except Exception:
+        pass

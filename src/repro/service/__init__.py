@@ -3,11 +3,10 @@
 A stdlib-only asyncio control plane: clients POST RunSpec/sweep-grid
 JSON, the service canonicalizes it to the existing content digest,
 dedups against the result cache, queues it under per-client quotas
-with explicit 429/Retry-After backpressure, executes through
-:class:`~repro.runner.ParallelRunner` on worker threads, streams live
-progress as Server-Sent Events, and records every completed run into
-the telemetry registry it also serves back as the HTML dashboard.  See
-``docs/service.md``.
+with explicit 429/Retry-After backpressure, executes each trial in a
+pool of worker processes, streams live progress as Server-Sent
+Events, and records every completed run into the telemetry registry
+it also serves back as the HTML dashboard.  See ``docs/service.md``.
 """
 
 from .app import (

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import time
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -436,10 +437,6 @@ class ServiceApp:
         gauge("service.rejected", reason="queue").set(
             telemetry["rejected_queue"]
         )
-        from ..bgp.attrs import intern_stats
-
-        for key, value in intern_stats().items():
-            gauge(f"intern.{key}").set(value)
         gauge("service.uptime_seconds").set(
             time.monotonic() - self._started_monotonic
         )
@@ -627,9 +624,15 @@ def run_service(
 
     async def main() -> None:
         server, app = await start_service(config, announce=announce)
+        # Ctrl-C cancels the wait below; SIGTERM ends it.  Either way
+        # the shutdown kills the worker processes.
+        stop = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, stop.set
+        )
         try:
-            async with server:  # Ctrl-C cancels the wait below
-                await asyncio.Event().wait()
+            async with server:
+                await stop.wait()
         finally:
             await app.manager.aclose()
 

@@ -10,7 +10,6 @@ fetch results/dashboards.  Errors come back as
 from __future__ import annotations
 
 import json
-import threading
 from http.client import HTTPConnection, HTTPResponse, RemoteDisconnected
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -43,12 +42,12 @@ class ServiceClient:
 
     The client holds one persistent connection and sends every request
     but the SSE stream (:meth:`events`, which gets its own) over it, one
-    exchange at a time, so threads may share a client.  When the server
-    has dropped the connection while it sat idle, the request is sent
-    once more on a new one; a request that fails on a fresh connection,
-    or times out, is not retried.  Resending ``POST /api/jobs`` is safe:
-    the service dedups jobs by digest.  :meth:`close` (or leaving a
-    ``with`` block) hangs up.
+    exchange at a time: a client is not shared between threads.  When
+    the server has dropped the connection while it sat idle, the request
+    is sent once more on a new one; a request that fails on a fresh
+    connection, or times out, is not retried.  Resending ``POST
+    /api/jobs`` is safe: the service dedups jobs by digest.
+    :meth:`close` (or leaving a ``with`` block) hangs up.
     """
 
     def __init__(
@@ -64,12 +63,10 @@ class ServiceClient:
         self.client_id = client_id
         self.timeout = timeout
         self._conn = HTTPConnection(host, port, timeout=timeout)
-        self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close the held connection (the next request reopens it)."""
-        with self._lock:
-            self._conn.close()
+        self._conn.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -104,14 +101,13 @@ class ServiceClient:
     def _exchange(self, method: str, path: str, *, body: Any = None) -> bytes:
         """The body of one reply (:class:`ServiceClientError` on a
         non-2xx)."""
-        with self._lock:
-            reused = self._conn.sock is not None
-            try:
-                response, raw = self._round_trip(method, path, body)
-            except _DROPPED:
-                if not reused:
-                    raise
-                response, raw = self._round_trip(method, path, body)
+        reused = self._conn.sock is not None
+        try:
+            response, raw = self._round_trip(method, path, body)
+        except _DROPPED:
+            if not reused:
+                raise
+            response, raw = self._round_trip(method, path, body)
         if response.status >= 400:
             raise self._error(response, raw)
         return raw

@@ -1,8 +1,8 @@
-"""Async job management over the sweep runner.
+"""Async job management over a pool of worker processes.
 
 :class:`JobManager` is the service's brain: it owns the job table, the
-FIFO queue, the worker coroutines and the thread pool the blocking
-runner executes on.  Its invariants:
+FIFO queue, the worker coroutines and the process pool the trials
+execute in.  Its invariants:
 
 - **one job per digest** — concurrent submissions of the same spec
   attach to one :class:`Job`; exactly one trial executes and every
@@ -14,17 +14,21 @@ runner executes on.  Its invariants:
   violations raise :class:`QuotaExceeded` / :class:`QueueFull` carrying
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
   ``Retry-After``), and a batch submission is all-or-nothing;
-- **never block the loop** — the runner executes in a thread, each of
-  its progress events crosses back with one
-  ``loop.call_soon_threadsafe``, and slow/vanished SSE subscribers just
-  drop frames (``put_nowait`` on a bounded queue) instead of stalling
-  the worker;
-- **everything recorded** — each worker coroutine runs its jobs on
-  one thread of its own, and that thread keeps one registry connection
-  (sqlite connections are thread-bound) from its first executed job
-  until :meth:`JobManager.aclose`; every job records through the
-  ordinary :class:`RegistrySink` event path.  The registry is the run
-  log: nothing reads it to answer a job.
+- **never block the loop** — every trial runs in one of
+  ``concurrency`` worker processes, forked at the first dispatch (and
+  again only when a worker died and broke the pool); the loop awaits
+  the trial's future, emits the job's progress events itself, and
+  slow/vanished SSE subscribers just drop frames (``put_nowait`` on a
+  bounded queue) instead of stalling the worker;
+- **a dead worker costs one attempt** — each job in flight when the
+  pool broke is charged an attempt and retried once with nothing
+  beside it (which of them killed the worker cannot be told), so a
+  trial that always kills its worker fails alone;
+- **everything recorded** — one registry connection, opened on the
+  loop by the first executed job and closed by
+  :meth:`JobManager.aclose`; every job records through the ordinary
+  :class:`RegistrySink` event path.  The registry is the run log:
+  nothing reads it to answer a job.
 
 All public methods must be called from the event-loop thread.
 ``submit_many`` contains no awaits, so a whole batch admission is
@@ -34,17 +38,26 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
-import threading
+import multiprocessing
+import signal
+import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from ..obs.logging import new_cid
+from ..obs.logging import log_enabled, new_cid
 from ..runner.cache import ResultCache
-from ..runner.jobs import RunRecord, RunSpec
-from ..runner.pool import ParallelRunner
-from ..runner.progress import JsonProgress, TeeProgress, record_summary
+from ..runner.jobs import RunRecord, RunSpec, execute_spec
+from ..runner.pool import kill_executor, log_sink
+from ..runner.progress import (
+    JsonProgress,
+    ProgressSink,
+    SweepTiming,
+    TeeProgress,
+    record_summary,
+)
 
 __all__ = [
     "Job",
@@ -67,6 +80,8 @@ SUBSCRIBER_BUFFER = 256
 EVENT_HISTORY = 512
 #: terminal jobs kept in the table before eviction (FIFO).
 HISTORY_LIMIT = 1024
+#: extra attempts a job gets after a failed trial or a dead worker.
+RETRIES = 1
 
 
 class SubmitRejected(Exception):
@@ -98,7 +113,8 @@ class Job:
     #: progress payloads so far (replayed to late subscribers).
     events: List[Dict[str, Any]] = field(default_factory=list)
     subscribers: Set[asyncio.Queue] = field(default_factory=set)
-    runner: Optional[ParallelRunner] = None
+    #: cancel requested while running: the trial's result is discarded.
+    cancelling: bool = False
     done: asyncio.Event = field(default_factory=asyncio.Event)
     #: True when the job was answered by the cache, not execution.
     from_cache: bool = False
@@ -127,7 +143,7 @@ class Job:
 
 
 class JobManager:
-    """Owns jobs, queue, quotas, and the runner thread pool."""
+    """Owns jobs, queue, quotas, and the trials' process pool."""
 
     def __init__(
         self,
@@ -161,18 +177,16 @@ class JobManager:
         #: walks the slots earlier deletions left behind).
         self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: asyncio.Queue = asyncio.Queue()
-        #: one single-thread executor per worker coroutine, so worker
-        #: i's jobs always run on thread i and that thread's registry
-        #: connection (``self._local.registry``) serves all of them.
-        self._executors = [
-            ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"repro-job-{index}"
-            )
-            for index in range(concurrency)
-        ]
-        #: each executor's latest job future (None before its first).
-        self._last_jobs: List[Optional[Future]] = [None] * concurrency
-        self._local = threading.local()
+        #: the trials' worker processes (None until the first dispatch,
+        #: and again from a break until the next).
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: trials in the pool now, and suspects waiting for or holding
+        #: the pool to themselves (see :meth:`_trial`).
+        self._running = 0
+        self._suspects = 0
+        #: resolved when a trial lands (made on demand by a waiter).
+        self._landed: Optional[asyncio.Future] = None
+        self._registry = None  # RunRegistry, opened by the first job
         self._workers: List[asyncio.Task] = []
         self._wall_times: List[float] = []  # recent executed wall clocks
         #: admission rejections since start (telemetry counters).
@@ -189,17 +203,14 @@ class JobManager:
         for index in range(self.concurrency):
             self._workers.append(
                 asyncio.get_running_loop().create_task(
-                    self._worker(index), name=f"repro-worker-{index}"
+                    self._worker(), name=f"repro-worker-{index}"
                 )
             )
 
     async def aclose(self) -> None:
-        """Stop the workers and close each thread's registry connection.
-
-        Every connection is closed by its own thread: an idle worker's
-        before this returns, a worker still running a trial's right
-        after that trial lands (shutdown never waits on a trial).
-        """
+        """Stop the workers, kill the pool's processes — one still
+        running a trial too, so shutdown never waits on a trial — and
+        close the registry connection."""
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -208,16 +219,12 @@ class JobManager:
             except (asyncio.CancelledError, Exception):
                 pass
         self._workers.clear()
-        closing = []
-        for index, executor in enumerate(self._executors):
-            last = self._last_jobs[index]
-            if last is not None and self.registry_path:
-                closed = executor.submit(self._close_registry)
-                if last.done():
-                    closing.append(asyncio.wrap_future(closed))
-            self._last_jobs[index] = None
-            executor.shutdown(wait=False)
-        await asyncio.gather(*closing)
+        if self._pool is not None:
+            kill_executor(self._pool)
+            self._pool = None
+        if self._registry is not None:
+            self._registry.close()
+            self._registry = None
 
     # ------------------------------------------------------------------
     # admission
@@ -349,48 +356,32 @@ class JobManager:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    async def _worker(self, index: int) -> None:
+    async def _worker(self) -> None:
         while True:
             digest = await self._queue.get()
             job = self.jobs.get(digest)
             try:
                 if job is None or job.state != QUEUED:
                     continue  # cancelled (or evicted) while queued
-                await self._execute(job, index)
+                await self._execute(job)
             finally:
                 self._queue.task_done()
 
-    async def _execute(self, job: Job, index: int) -> None:
-        loop = asyncio.get_running_loop()
+    async def _execute(self, job: Job) -> None:
         job.state = RUNNING
         job.cid = new_cid()
-
-        def emit(payload: Dict[str, Any]) -> None:
-            try:
-                loop.call_soon_threadsafe(self._deliver, job, payload)
-            except RuntimeError:
-                pass  # the loop has closed: nobody is listening
-
-        runner = ParallelRunner(
-            1, cache=self.cache, progress=JsonProgress(emit), cid=job.cid
-        )
-        job.runner = runner
         try:
-            # The executor future resolves through call_soon_threadsafe
-            # too, after every _deliver the thread queued: the job's
-            # events are all in before it finishes.
-            future = self._executors[index].submit(
-                self._run_in_thread, runner, job.spec
-            )
-            self._last_jobs[index] = future
-            record = await asyncio.wrap_future(future)
-        except Exception as exc:  # defensive: run() should not raise
+            record = await self._sweep(job, self._progress(job))
+        except Exception as exc:  # a sink raised (a registry write)
             record = RunRecord(
                 digest=job.digest, ok=False,
                 error=f"service execution error: {exc!r}",
             )
         finally:
-            job.runner = None
+            if self._registry is not None:
+                # a job that raised between begin_sweep and its commit
+                # must not leave the kept connection holding the lock
+                self._registry.rollback()
         job.record = record
         if record.cancelled:
             job.state = CANCELLED
@@ -398,44 +389,111 @@ class JobManager:
             job.state = DONE
         else:
             job.state = FAILED
-        if record.ok and not record.cached:
+        if record.ok:
             self._wall_times.append(record.wall_time)
             del self._wall_times[:-50]
         self._finish(job)
 
-    def _run_in_thread(self, runner: ParallelRunner, spec: RunSpec):
-        """Blocking runner invocation (worker-thread side).
-
-        Recording rides the standard RegistrySink progress path, into
-        this thread's registry connection — opened by its first job,
-        since sqlite3 objects are bound to their creating thread.
-        """
-        registry = None
+    def _progress(self, job: Job) -> ProgressSink:
+        """The job's event stream: its history and subscribers, the
+        registry, and with logging on the ``runner`` log lines."""
+        sinks: List[ProgressSink] = [
+            JsonProgress(lambda payload: self._deliver(job, payload))
+        ]
         if self.registry_path:
             from ..obs.registry import RegistrySink, RunRegistry
 
-            registry = getattr(self._local, "registry", None)
-            if registry is None:
-                registry = self._local.registry = RunRegistry(
+            if self._registry is None:
+                self._registry = RunRegistry(
                     self.registry_path, git_rev=self._git_rev
                 )
-            runner.progress = TeeProgress(
-                runner.progress, RegistrySink(registry, label="service")
-            )
-        try:
-            return runner.run([spec])[0]
-        finally:
-            if registry is not None:
-                # a run that raised between begin_sweep and its commit
-                # must not leave the kept connection holding the lock
-                registry.rollback()
+            sinks.append(RegistrySink(self._registry, label="service"))
+        if log_enabled():
+            sinks.append(log_sink(job.cid))
+        return TeeProgress(*sinks)
 
-    def _close_registry(self) -> None:
-        """Close this thread's registry connection (worker-thread side)."""
-        registry = getattr(self._local, "registry", None)
-        if registry is not None:
-            self._local.registry = None
-            registry.close()
+    async def _sweep(self, job: Job, events: ProgressSink) -> RunRecord:
+        """The job as the runner's one-spec sweep of a cache miss (its
+        admission probed the cache): the same events, with the trial
+        run in the pool and the cache written on the loop."""
+        started = time.perf_counter()
+        events.sweep_started(1, 0, 1)
+        record = await self._attempts(job, events)
+        if self.cache is not None:
+            self.cache.put(job.spec, record)  # stores ok records only
+        events.job_finished(0, job.spec, record)
+        events.sweep_finished(SweepTiming(
+            elapsed=time.perf_counter() - started,
+            jobs=1,
+            failed=int(not record.ok),
+            total_job_wall=record.wall_time,
+            max_job_wall=record.wall_time,
+            cache_misses=int(self.cache is not None),
+        ))
+        return record
+
+    async def _attempts(self, job: Job, events: ProgressSink) -> RunRecord:
+        """Run the trial until it succeeds or :data:`RETRIES` is spent;
+        a job cancelled meanwhile gets a cancelled record instead."""
+        attempt, alone = 0, False
+        while True:
+            attempt += 1
+            events.job_started(0, job.spec, attempt)
+            try:
+                record = await self._trial(job, alone)
+            except BrokenProcessPool as exc:
+                alone = True  # it may have been the killer: run alone
+                record = RunRecord(
+                    digest=job.digest, ok=False,
+                    error=f"worker process died: {exc!r}",
+                )
+            if job.cancelling:
+                return RunRecord(
+                    digest=job.digest, ok=False, cancelled=True,
+                    error="cancelled by request before completion",
+                    attempts=attempt,
+                )
+            if record.ok or attempt > RETRIES:
+                record.attempts = attempt
+                return record
+
+    async def _trial(self, job: Job, alone: bool) -> RunRecord:
+        """One attempt in the pool.  An ``alone`` attempt waits for the
+        pool to empty and holds every other attempt back until it
+        lands; a pool that broke under it is replaced."""
+        self._suspects += alone
+        try:
+            while self._running if alone else self._suspects:
+                if self._landed is None:
+                    self._landed = asyncio.get_running_loop().create_future()
+                await asyncio.wait([self._landed])
+            self._running += 1
+            if self._pool is None:
+                # Under fork the executor starts every worker at its
+                # first submit, before its own manager thread: the
+                # server forks while it has no other thread.
+                self._pool = ProcessPoolExecutor(
+                    self.concurrency,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_leave_signals_to_the_server,
+                )
+            pool = self._pool
+            try:
+                return await asyncio.wrap_future(
+                    pool.submit(execute_spec, job.spec, f"{job.cid}/0")
+                )
+            except BrokenProcessPool:
+                if pool is self._pool:
+                    self._pool = None
+                    kill_executor(pool)
+                raise
+            finally:
+                self._running -= 1
+        finally:
+            self._suspects -= alone
+            if self._landed is not None:
+                self._landed.set_result(None)
+                self._landed = None
 
     def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
         """One runner event, on the loop: into the job's history and
@@ -487,8 +545,8 @@ class JobManager:
         """Cancel a queued or running job; terminal jobs are left as-is.
 
         A queued job is resolved immediately (its queue entry becomes a
-        no-op); a running job is cancelled through the runner hook and
-        resolves when its trial lands.
+        no-op); a running job resolves when its trial lands, which is
+        then discarded (and never cached).
         """
         job = self._require(digest)
         if not job.active():
@@ -500,8 +558,8 @@ class JobManager:
                 error="cancelled while queued", attempts=0,
             )
             self._finish(job)
-        elif job.runner is not None:
-            job.runner.cancel(digest)
+        else:
+            job.cancelling = True
         return job
 
     def _require(self, digest: str) -> Job:
@@ -548,3 +606,13 @@ class JobManager:
             "concurrency": self.concurrency,
             "retry_after": self.retry_after(),
         }
+
+
+def _leave_signals_to_the_server() -> None:
+    """Worker side, at start: the forked worker drops the handlers it
+    inherited from the server.  SIGTERM ends it again (the executor
+    terminates the rest of a broken pool with it), and Ctrl-C on a
+    terminal reaches the server alone, whose shutdown kills the
+    workers."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)

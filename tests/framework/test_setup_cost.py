@@ -3,9 +3,6 @@ a bounded object count per session, and no collections while a trial
 is alive (docs/scaling.md, "Set-up cost")."""
 
 import gc
-import sys
-import threading
-import weakref
 
 import pytest
 
@@ -207,7 +204,7 @@ def held_passes():
     passes = []
 
     def record(phase, info):
-        if phase == "start" and experiment_module._hold_depth:
+        if phase == "start" and gc.get_threshold()[0] == 0:
             passes.append(info["generation"])
 
     gc.callbacks.append(record)
@@ -316,122 +313,6 @@ class TestFullCollectionsHeld:
         Experiment(clique(3)).start()
         assert not gc.isenabled()
         assert gc.get_threshold() == collector_state
-
-    def test_concurrent_builds_restore_once_all_are_out(self, collector_state):
-        """``repro serve --concurrency N`` builds on threads of one
-        process: nobody inside the hold may see it lifted by a
-        neighbour leaving, and the last one out restores."""
-        lifted_early = []
-        errors = []
-
-        def trials():
-            try:
-                for _ in range(40):
-                    with _full_collections_held():
-                        Experiment(clique(3)).build()
-                        if gc.get_threshold() == collector_state:
-                            lifted_early.append(1)
-            except Exception as exc:  # surfaced below, not lost in a thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=trials) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors and not lifted_early
-        assert experiment_module._hold_depth == 0
-        assert gc.get_threshold() == collector_state
-
-    def test_overlapping_trials_never_see_the_hold_lifted(
-        self, collector_state
-    ):
-        """Four threads running whole trials: every one sees every
-        generation held from inside its scenario, and the last one out
-        restores."""
-        seen = []
-        errors = []
-
-        def trials():
-            try:
-                for _ in range(8):
-                    trial(finish=lambda exp: seen.append(gc.get_threshold()))
-            except Exception as exc:  # surfaced below, not lost in a thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=trials) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not errors
-        assert seen == [(0, *collector_state[1:])] * 32
-        assert experiment_module._hold_depth == 0
-        assert gc.get_threshold() == collector_state
-
-    def test_garbage_outside_trials_is_collected_while_they_overlap(
-        self, collector_state
-    ):
-        """While trials overlap without a gap the hold never lifts, so
-        the thread leaving one runs the collection the thresholds call
-        for: young garbage goes at the next trial's end, garbage that
-        reached the oldest generation once that generation is due."""
-        gc.set_threshold(700, 1, 1)
-
-        class Cycle:
-            def __init__(self):
-                self.me = self
-
-        old = Cycle()
-        gc.collect()  # ``old`` is alive, so now in the oldest generation
-        old_ref = weakref.ref(old)
-        del old
-        inside, done = threading.Event(), threading.Event()
-        lifted, errors = [], []
-
-        def keep_holding():
-            with _full_collections_held():
-                inside.set()
-                done.wait(60)
-
-        def trials():
-            try:
-                while not done.is_set():
-                    trial()
-                    # The holder leaves only after ``done`` is set.
-                    if gc.get_threshold()[0] != 0 and not done.is_set():
-                        lifted.append(1)
-            except Exception as exc:  # surfaced below, not lost in a thread
-                errors.append(exc)
-
-        holder = threading.Thread(target=keep_holding)
-        holder.start()
-        inside.wait(60)
-        young_ref = weakref.ref(Cycle())
-        workers = [threading.Thread(target=trials) for _ in range(4)]
-        for worker in workers:
-            worker.start()
-        try:
-            for _ in range(600):
-                if young_ref() is None and old_ref() is None:
-                    break
-                done.wait(0.05)
-        finally:
-            done.set()
-            holder.join(60)
-            for worker in workers:
-                worker.join(60)
-        assert not errors and not lifted
-        assert young_ref() is None and old_ref() is None
-        assert experiment_module._hold_depth == 0
-        assert gc.get_threshold() == (700, 1, 1)
 
 
 def trial(finish=None, event=None):

@@ -1,6 +1,7 @@
 """Result cache: hit/miss, invalidation, atomicity of the contract."""
 
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 
 from repro.experiments.common import run_fraction_sweep, WithdrawalScenario
 from repro.faults import FaultSchedule
-from repro.runner import ResultCache, RunRecord, execute_spec
+from repro.runner import ParallelRunner, ResultCache, RunRecord, execute_spec
 from repro.runner.jobs import RECORD_PAYLOADS
 
 from .test_jobs import make_spec, sample_payload
@@ -400,3 +401,64 @@ class TestSweepIntegration:
         )
         assert widened.timing.cached == 2
         assert widened.timing.executed == 2
+
+
+def full_disk(monkeypatch):
+    """Make every cache write fail with ENOSPC, as a full disk does
+    (the temporary file is created, its write raises)."""
+    from repro.runner import cache as cache_module
+
+    class FullHandle:
+        def __init__(self, fd):
+            self.handle = os.fdopen(fd, "w")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class FullDiskOs:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def fdopen(fd, mode="r"):
+            return FullHandle(fd)
+
+    monkeypatch.setattr(cache_module, "os", FullDiskOs())
+
+
+class TestFullDisk:
+    def test_sweep_returns_its_records_when_the_write_fails(
+        self, tmp_path, monkeypatch
+    ):
+        """A full disk skips the cache entries: the sweep's ok records
+        come back, no temporary file is left, each failure is counted
+        and logged once, and a later lookup is a miss."""
+        from repro.obs import logging as obslog
+
+        warnings = []
+
+        class Recorder:
+            def __getattr__(self, level):
+                return lambda event, **fields: None
+
+            def warning(self, event, **fields):
+                warnings.append((event, fields))
+
+        monkeypatch.setattr(obslog, "get_logger", lambda *a, **k: Recorder())
+        full_disk(monkeypatch)
+        specs = [make_spec(seed=seed) for seed in (1, 2)]
+        cache = ResultCache(tmp_path / "cache")
+        records = ParallelRunner(1, cache=cache).run(specs)
+        assert all(record.ok for record in records)
+        assert not list((tmp_path / "cache").iterdir())
+        assert cache.put_errors == 2
+        assert [event for event, _ in warnings] == ["cache_put_failed"] * 2
+        assert "No space left" in warnings[0][1]["error"]
+        monkeypatch.undo()
+        assert all(cache.get(spec) is None for spec in specs)

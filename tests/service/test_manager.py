@@ -1,6 +1,10 @@
-"""JobManager: dedup, quotas, backpressure, cancellation, recording."""
+"""JobManager: dedup, quotas, backpressure, cancellation, recording,
+and the worker processes the trials run in."""
 
 import asyncio
+import os
+import signal
+import time
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.config import runspec_from_json
 from repro.obs import registry as registry_module
 from repro.obs.registry import RunRegistry
 from repro.runner import ParallelRunner, ResultCache
+from repro.runner import jobs as jobs_module
 from repro.service.manager import (
     JobManager,
     QueueFull,
@@ -34,6 +39,36 @@ def finish_one(spec):
         return job
 
     return body
+
+
+def patch_trial(monkeypatch, before):
+    """Run ``before(spec)`` ahead of every trial.  Patched before the
+    first dispatch, so the forked workers inherit it."""
+    real = jobs_module.run_trial_full
+
+    def trial(spec, info=None):
+        before(spec)
+        return real(spec, info=info)
+
+    monkeypatch.setattr(jobs_module, "run_trial_full", trial)
+
+
+def kill_own_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+async def started(job):
+    """Wait until ``job``'s trial has been handed to a worker."""
+    while not any(e["event"] == "job_started" for e in job.events):
+        await asyncio.sleep(0.01)
 
 
 async def manager_session(body, **kwargs):
@@ -170,8 +205,8 @@ class TestDedup:
         assert again.record.resources == first.record.resources
 
     def test_fresh_submit_probes_the_cache_once(self, tmp_path):
-        """One dedup probe at admission plus the runner's own lookup;
-        admission used to probe twice (3 misses)."""
+        """One dedup probe at admission and none at execution (the
+        admission used to probe twice, and the runner once more)."""
         cache = ResultCache(tmp_path / "cache")
 
         async def body(manager):
@@ -180,7 +215,7 @@ class TestDedup:
             await asyncio.wait_for(job.done.wait(), 60)
 
         run(manager_session(body, cache=cache))
-        assert cache.misses == 2
+        assert cache.misses == 1
 
     def test_done_job_serves_later_submissions(self):
         async def body(manager):
@@ -260,6 +295,33 @@ class TestCancel:
         first, queued = run(manager_session(body))
         assert first.state == "done"
         assert first.record.ok  # the running job was unaffected
+        assert queued.events == []  # the queued one never started
+
+    def test_cancel_running_job_discards_its_result(
+        self, tmp_path, monkeypatch
+    ):
+        """A running job cancelled mid-trial ends cancelled when its
+        trial lands: the result is discarded and never cached."""
+        patch_trial(monkeypatch, lambda spec: time.sleep(0.5))
+        spec = spec_for()
+        cache = ResultCache(tmp_path / "cache")
+
+        async def body(manager):
+            (job,) = manager.submit_many([spec], "alice")
+            await started(job)
+            manager.cancel(job.digest)
+            assert job.state == "running"  # until the trial lands
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        job = run(manager_session(body, cache=cache))
+        assert job.state == "cancelled"
+        assert job.record.cancelled and not job.record.ok
+        assert job.record.attempts == 1
+        (finished,) = [e for e in job.events if e["event"] == "job_finished"]
+        assert finished["record"]["cancelled"] is True
+        assert cache.get(spec) is None
+        assert not list((tmp_path / "cache").glob("*.json"))
 
     def test_cancel_terminal_job_is_noop(self):
         async def body(manager):
@@ -363,8 +425,9 @@ class TestRecording:
         assert timing["cache_bytes"] is None
 
 
-#: row fields that read the wall clock, not the simulation.
-WALL_CLOCK_FIELDS = {"recorded_at", "wall_time"}
+#: row fields that read the wall clock or name the process that ran
+#: the trial, not the simulation.
+WALL_CLOCK_FIELDS = {"recorded_at", "wall_time", "worker"}
 WALL_CLOCK_RESOURCES = {
     "cpu_user_s", "cpu_sys_s", "max_rss_kb", "events_per_s",
     "gc_collections", "gc_pause_s", "wall_by_layer_s",
@@ -395,8 +458,8 @@ def comparable(registry):
 
 
 class TestRegistryConnection:
-    """One registry connection per worker thread, for the manager's
-    whole life, closed at shutdown by the thread that opened it."""
+    """One registry connection for the manager's whole life, opened by
+    the first executed job and closed at shutdown, both on the loop."""
 
     @pytest.fixture
     def connections(self, monkeypatch):
@@ -444,22 +507,13 @@ class TestRegistryConnection:
         with RunRegistry(str(tmp_path / "runs.sqlite")) as reader:
             assert len(reader.runs()) == 5 and len(reader.sweeps()) == 5
 
-    def test_one_connection_per_worker_thread(self, tmp_path, connections):
-        """More workers than cores, switching threads every few
-        bytecodes: every commit lands, one connection per thread."""
-        import sys
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            self.jobs(str(tmp_path / "runs.sqlite"), count=8, concurrency=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert 1 <= len(connections) <= 4
-        for registry in connections:
-            opener, closer = registry.threads
-            assert opener == closer
-        assert len({r.threads[0] for r in connections}) == len(connections)
+    def test_one_connection_for_every_worker(self, tmp_path, connections):
+        """Four workers, eight jobs: every commit lands through the one
+        connection."""
+        self.jobs(str(tmp_path / "runs.sqlite"), count=8, concurrency=4)
+        (registry,) = connections
+        opener, closer = registry.threads
+        assert opener == closer
         with RunRegistry(str(tmp_path / "runs.sqlite")) as reader:
             runs = reader.runs()
             assert len({row.run_id for row in runs}) == 8
@@ -531,6 +585,108 @@ class TestRegistryConnection:
             (sweep,) = registry.sweeps()
         assert row.spec_digest == second.digest
         assert row.sweep_id == sweep.sweep_id and sweep.jobs == 1
+
+
+class TestWorkerProcesses:
+    """Trials run in worker processes: a worker that dies costs the
+    jobs in flight one attempt, and shutdown leaves no worker behind."""
+
+    def test_trial_that_kills_its_worker_every_time_fails(
+        self, monkeypatch
+    ):
+        patch_trial(monkeypatch, lambda spec: kill_own_worker())
+        job = run(manager_session(finish_one(spec_for())))
+        assert job.state == "failed"
+        assert job.record.attempts == 2
+        assert "worker process died" in job.record.error
+        assert [e["attempt"] for e in job.events
+                if e["event"] == "job_started"] == [1, 2]
+
+    def test_innocent_job_in_flight_beside_a_killer_ends_done(
+        self, monkeypatch
+    ):
+        """At concurrency 2 the killer dies while the innocent job is
+        mid-trial: both are charged an attempt and retried, each with
+        nothing beside it, and only the killer fails.  The executor
+        SIGTERMs the broken pool's other worker; that signal ends the
+        worker and never reaches the server's own SIGTERM handler."""
+        killer, innocent = spec_for(seed=1), spec_for(seed=2)
+        in_pool = {False: [], True: []}  # trials in the pool, by retrying
+        server_sigterms = []
+
+        def before(spec):
+            if spec.seed == killer.seed:
+                time.sleep(0.3)
+                kill_own_worker()
+            time.sleep(1.0)
+
+        patch_trial(monkeypatch, before)
+
+        async def body(manager):
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, lambda: server_sigterms.append(1)
+            )
+            jobs = manager.submit_many([killer, innocent], "alice")
+            while not all(job.done.is_set() for job in jobs):
+                retrying = any(
+                    event.get("attempt") == 2
+                    for job in jobs for event in job.events
+                )
+                in_pool[retrying].append(manager._running)
+                await asyncio.sleep(0.01)
+            return jobs
+
+        bad, good = run(manager_session(body, concurrency=2))
+        assert bad.state == "failed" and bad.record.attempts == 2
+        assert "worker process died" in bad.record.error
+        assert good.state == "done" and good.record.ok
+        assert good.record.attempts == 2
+        assert max(in_pool[False]) == 2  # the first attempts overlapped
+        assert max(in_pool[True]) == 1  # each retry ran alone
+        assert server_sigterms == []
+
+    def test_aclose_leaves_no_worker_alive(self, monkeypatch):
+        """Shutdown kills every worker, one mid-trial too, and does not
+        wait for the trial."""
+        patch_trial(
+            monkeypatch,
+            lambda spec: spec.seed == 2 and time.sleep(60),
+        )
+
+        async def session():
+            manager = JobManager(concurrency=2)
+            manager.start()
+            try:
+                done, blocked = manager.submit_many(
+                    [spec_for(seed=1), spec_for(seed=2)], "alice"
+                )
+                await asyncio.wait_for(done.done.wait(), 60)
+                await started(blocked)
+                pids = list(manager._pool._processes)
+            finally:
+                start = time.monotonic()
+                await manager.aclose()
+            return pids, time.monotonic() - start
+
+        pids, teardown_s = run(session())
+        assert len(pids) == 2
+        assert teardown_s < 5.0
+        assert not [pid for pid in pids if alive(pid)]
+
+
+class TestFullDisk:
+    def test_served_job_ends_done_when_the_cache_write_fails(
+        self, tmp_path, monkeypatch
+    ):
+        from tests.runner.test_cache import full_disk
+
+        full_disk(monkeypatch)
+        cache = ResultCache(tmp_path / "cache")
+        job = run(manager_session(finish_one(spec_for()), cache=cache))
+        assert job.state == "done" and job.record.ok
+        assert cache.put_errors == 1
+        assert not list((tmp_path / "cache").iterdir())
+        assert cache.get(job.spec) is None
 
 
 def history_scan_evict(order, jobs, limit):

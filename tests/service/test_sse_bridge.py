@@ -1,19 +1,20 @@
-"""The runner → event loop path behind the service's SSE streams.
+"""The job → event loop path behind the service's SSE streams.
 
-A served job's runner hands every event to the loop with one
-``call_soon_threadsafe``.  Three properties matter: the job's event
-history is the *same ordered stream* a synchronous sink sees, a slow
-subscriber never blocks the job (its frames drop), and an event emitted
-after the loop has gone never raises into the runner.
+A served job's trial runs in a worker process while the loop emits its
+progress events.  Three properties matter: the job's event history is
+the *same ordered stream* the runner's synchronous sink sees, a slow
+subscriber never blocks the job (its frames drop), and a service torn
+down mid-trial neither waits for the trial nor hears from it again.
 """
 
 import asyncio
 import io
-import threading
+import os
+import time
 
 from repro.config import runspec_from_json
 from repro.runner import JsonProgress, LogProgress, ParallelRunner
-from repro.runner import pool as pool_module
+from repro.runner import jobs as jobs_module
 from repro.service import manager as manager_module
 from repro.service.manager import JobManager
 
@@ -48,14 +49,15 @@ def serve_jobs(specs):
 
 
 def deterministic(payloads):
-    """Event payloads with the wall-clock noise stripped, so two runs
-    of the same sweep compare equal."""
+    """Event payloads with the wall-clock noise and the executing
+    process stripped, so two runs of the same sweep compare equal."""
     out = []
     for payload in payloads:
         clean = dict(payload)
         if "record" in clean:
             record = dict(clean["record"])
             record.pop("wall_time", None)
+            record.pop("worker", None)
             clean["record"] = record
         if "timing" in clean:
             timing = dict(clean["timing"])
@@ -150,29 +152,14 @@ class TestNonBlocking:
         assert telemetry["dropped_frames"] == 3
 
     def test_closed_loop_never_stalls_the_sweep(self, monkeypatch):
-        """Events emitted after the loop is gone (service torn down
-        mid-trial) are dropped, not raised into the runner."""
-        release = threading.Event()
-        outcome = {}
-        finished = threading.Event()
-        execute_spec = pool_module.execute_spec
-        run_in_thread = JobManager._run_in_thread
-
-        def blocked_execute(spec, cid=""):
-            release.wait(60)
-            return execute_spec(spec, cid)
-
-        def watched_run(self, runner, spec):
-            try:
-                outcome["record"] = run_in_thread(self, runner, spec)
-            except BaseException as exc:  # what the runner would see
-                outcome["error"] = exc
-                raise
-            finally:
-                finished.set()
-
-        monkeypatch.setattr(pool_module, "execute_spec", blocked_execute)
-        monkeypatch.setattr(JobManager, "_run_in_thread", watched_run)
+        """A service torn down mid-trial does not wait for the trial:
+        its worker is killed, and the job's history ends where the
+        teardown found it."""
+        # Patched before the first dispatch: the forked worker has it.
+        monkeypatch.setattr(
+            jobs_module, "run_trial_full",
+            lambda spec, info=None: time.sleep(60),
+        )
         (spec,) = specs_for([1])
 
         async def session():
@@ -182,16 +169,21 @@ class TestNonBlocking:
                 (job,) = manager.submit_many([spec], "alice")
                 while len(job.events) < 2:  # sweep_started, job_started
                     await asyncio.sleep(0.01)
-                return job
+                pids = list(manager._pool._processes)
             finally:
+                start = time.monotonic()
                 await manager.aclose()
+            return job, pids, time.monotonic() - start
 
-        job = asyncio.run(session())  # the loop is closed from here on
-        release.set()
-        assert finished.wait(60)
-        assert "error" not in outcome
-        assert outcome["record"].ok
-        # job_finished and sweep_finished had no loop to land on
+        job, pids, teardown_s = asyncio.run(session())
+        assert teardown_s < 5.0
+        assert job.state == "running"
         assert [p["event"] for p in job.events] == [
             "sweep_started", "job_started",
         ]
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            raise AssertionError(f"worker {pid} outlived the service")
