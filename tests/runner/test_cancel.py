@@ -1,144 +1,167 @@
-"""Runner-pool cancellation by spec digest.
+"""Cancellation by spec digest, as the job manager applies it to the
+trials it runs in worker processes.
 
-Cancellation takes effect at scheduling boundaries: queued jobs never
-start, mid-flight results are discarded, and — critically — cache hits
-and already-finalized records are untouched, and a cancelled record is
-never written to the cache.
+Queued jobs never start, a running job's result is discarded when its
+trial lands, cache hits and finished jobs are untouched, and a
+cancelled record is never written to the cache.
 """
 
-import threading
+import asyncio
+import time
 
-from repro.experiments.common import WithdrawalScenario
-from repro.runner import ParallelRunner, RunSpec
-from repro.topology.builders import clique
+from repro.runner import ParallelRunner, ResultCache
+from tests.service.test_manager import (
+    manager_session,
+    patch_trial,
+    run,
+    spec_for,
+    started,
+)
 
 
-def make_spec(**overrides):
-    base = dict(
-        scenario_factory=WithdrawalScenario,
-        topology_factory=clique,
-        n=4,
-        sdn_count=2,
-        seed=7,
-        mrai=1.0,
-    )
-    base.update(overrides)
-    return RunSpec(**base)
+def settle(jobs):
+    async def wait():
+        for job in jobs:
+            await asyncio.wait_for(job.done.wait(), 60)
+
+    return wait()
+
+
+def cancel_running(spec, **kwargs):
+    """Submit ``spec``, cancel it once its trial is in a worker, and
+    return the job when the trial lands."""
+
+    async def body(manager):
+        (job,) = manager.submit_many([spec], "alice")
+        await started(job)
+        manager.cancel(job.digest)
+        assert job.state == "running"  # until the trial lands
+        await settle([job])
+        return job
+
+    return run(manager_session(body, **kwargs))
 
 
 class TestCancelSerial:
     def test_cancel_before_run_skips_execution(self):
-        spec = make_spec()
-        runner = ParallelRunner(1)
-        runner.cancel(spec.digest())
-        record = runner.run([spec])[0]
-        assert not record.ok
-        assert record.cancelled
-        assert "cancelled" in record.error
+        async def body(manager):
+            (job,) = manager.submit_many([spec_for()], "alice")
+            manager.cancel(job.digest)  # no worker has taken it yet
+            await settle([job])
+            return job
 
-    def test_cancelled_record_never_cached(self, tmp_path):
-        spec = make_spec()
-        runner = ParallelRunner(1, cache=str(tmp_path))
-        runner.cancel(spec.digest())
-        runner.run([spec])
-        assert runner.cache.get(spec) is None
-        # a fresh runner over the same cache executes normally
-        clean = ParallelRunner(1, cache=str(tmp_path))
-        record = clean.run([spec])[0]
-        assert record.ok and not record.cached
+        job = run(manager_session(body))
+        assert job.state == "cancelled"
+        assert not job.record.ok
+        assert job.record.cancelled
+        assert "cancelled" in job.record.error
+        assert job.record.attempts == 0
+        assert job.events == []
+
+    def test_cancelled_record_never_cached(self, tmp_path, monkeypatch):
+        patch_trial(monkeypatch, lambda spec: time.sleep(0.5))
+        spec = spec_for()
+        cache = ResultCache(tmp_path / "cache")
+
+        job = cancel_running(spec, cache=cache)
+        assert job.state == "cancelled"
+        assert cache.get(spec) is None
+        assert not list((tmp_path / "cache").glob("*.json"))
+
+        # a fresh manager over the same cache executes normally
+        async def body(manager):
+            (again,) = manager.submit_many([spec], "alice")
+            await settle([again])
+            return again
+
+        again = run(manager_session(body, cache=ResultCache(tmp_path / "cache")))
+        assert again.state == "done"
+        assert again.record.ok and not again.from_cache
 
     def test_cache_hits_ignore_cancellation(self, tmp_path):
-        spec = make_spec()
-        warm = ParallelRunner(1, cache=str(tmp_path))
-        baseline = warm.run([spec])[0]
+        spec = spec_for()
+        cache = ResultCache(tmp_path / "cache")
+        baseline = ParallelRunner(1, cache=cache).run([spec])[0]
         assert baseline.ok
 
-        runner = ParallelRunner(1, cache=str(tmp_path))
-        runner.cancel(spec.digest())
-        record = runner.run([spec])[0]
-        assert record.ok
-        assert record.cached
-        assert not record.cancelled
+        async def body(manager):
+            (job,) = manager.submit_many([spec], "alice")
+            manager.cancel(job.digest)
+            return job
+
+        job = run(manager_session(body, cache=cache))
+        assert job.state == "done"
+        assert job.from_cache
+        assert job.record.ok and not job.record.cancelled
         assert (
-            record.measurement.convergence_time
+            job.record.measurement.convergence_time
             == baseline.measurement.convergence_time
         )
 
     def test_only_targeted_digest_cancelled(self):
-        doomed, spared = make_spec(seed=1), make_spec(seed=2)
-        runner = ParallelRunner(1)
-        runner.cancel(doomed.digest())
-        records = runner.run([doomed, spared])
-        assert records[0].cancelled and not records[0].ok
-        assert records[1].ok and not records[1].cancelled
+        doomed, spared = spec_for(seed=1), spec_for(seed=2)
 
-    def test_completed_records_unaffected_by_late_cancel(self):
-        spec = make_spec()
-        runner = ParallelRunner(1)
-        record = runner.run([spec])[0]
-        assert record.ok
-        runner.cancel(spec.digest())  # after the fact: a no-op
+        async def body(manager):
+            jobs = manager.submit_many([doomed, spared], "alice")
+            manager.cancel(jobs[0].digest)
+            await settle(jobs)
+            return jobs
+
+        first, second = run(manager_session(body))
+        assert first.state == "cancelled"
+        assert first.record.cancelled and not first.record.ok
+        assert second.state == "done"
+        assert second.record.ok and not second.record.cancelled
+
+    def test_completed_records_unaffected_by_late_cancel(self, tmp_path):
+        spec = spec_for()
+        cache = ResultCache(tmp_path / "cache")
+
+        async def body(manager):
+            (job,) = manager.submit_many([spec], "alice")
+            await settle([job])
+            record = job.record
+            manager.cancel(job.digest)  # after the fact: a no-op
+            return job, record
+
+        job, record = run(manager_session(body, cache=cache))
+        assert job.state == "done"
+        assert job.record is record
         assert record.ok and not record.cancelled
-
-    def test_cancel_mid_sweep_from_another_thread(self):
-        """Cancel later jobs from a second thread while the first runs
-        (the service's running-job cancellation path, minus the HTTP)."""
-        from repro.runner.progress import JsonProgress
-
-        first = make_spec(seed=1)
-        rest = [make_spec(seed=s) for s in (2, 3)]
-        runner = ParallelRunner(1)
-        done = threading.Event()
-
-        def cancel_rest(payload):
-            if payload["event"] == "job_started" and not done.is_set():
-                done.set()
-                thread = threading.Thread(
-                    target=lambda: [
-                        runner.cancel(spec.digest()) for spec in rest
-                    ]
-                )
-                thread.start()
-                thread.join()
-
-        runner.progress = JsonProgress(cancel_rest)
-        records = runner.run([first] + rest)
-        assert records[0].ok
-        assert all(r.cancelled for r in records[1:])
+        assert cache.get(spec).ok
 
 
 class TestCancelParallel:
     def test_queued_jobs_cancelled_in_pool_mode(self):
-        specs = [make_spec(seed=s) for s in range(1, 4)]
-        runner = ParallelRunner(2, timeout=60.0)
-        for spec in specs[1:]:
-            runner.cancel(spec.digest())
-        records = runner.run(specs)
-        assert records[0].ok
-        assert all(r.cancelled and not r.ok for r in records[1:])
+        specs = [spec_for(seed=s) for s in range(1, 4)]
 
-    def test_all_cancelled_drains_cleanly(self):
-        specs = [make_spec(seed=s) for s in range(1, 4)]
-        runner = ParallelRunner(2)
-        for spec in specs:
-            runner.cancel(spec.digest())
-        records = runner.run(specs)
-        assert all(r.cancelled for r in records)
-        assert runner.last_timing.failed == len(specs)
+        async def body(manager):
+            jobs = manager.submit_many(specs, "alice")
+            for job in jobs[1:]:
+                manager.cancel(job.digest)
+            await settle(jobs)
+            return jobs
 
-    def test_inflight_cancel_discards_completed_result(self):
-        """Cancelling while a job executes in the pool discards its
-        eventual (successful) result at the completion boundary."""
-        from repro.runner.progress import JsonProgress
+        jobs = run(manager_session(body, concurrency=2))
+        assert jobs[0].state == "done" and jobs[0].record.ok
+        for job in jobs[1:]:
+            assert job.state == "cancelled"
+            assert job.record.cancelled and not job.record.ok
+            assert job.events == []  # never started
 
-        spec = make_spec(seed=1)
-        runner = ParallelRunner(2, timeout=60.0)
+    def test_inflight_cancel_discards_completed_result(
+        self, tmp_path, monkeypatch
+    ):
+        """Cancelling while a job executes in a worker discards its
+        eventual (successful) result when the trial lands."""
+        patch_trial(monkeypatch, lambda spec: time.sleep(0.5))
+        spec = spec_for()
+        cache = ResultCache(tmp_path / "cache")
 
-        def on_event(payload):
-            if payload["event"] == "job_started":
-                runner.cancel(spec.digest())
-
-        runner.progress = JsonProgress(on_event)
-        record = runner.run([spec])[0]
-        assert not record.ok
-        assert record.cancelled
+        job = cancel_running(spec, concurrency=2, cache=cache)
+        assert job.state == "cancelled"
+        assert job.record.cancelled and not job.record.ok
+        assert job.record.attempts == 1
+        (finished,) = [e for e in job.events if e["event"] == "job_finished"]
+        assert finished["record"]["cancelled"] is True
+        assert cache.get(spec) is None

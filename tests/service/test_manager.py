@@ -297,32 +297,6 @@ class TestCancel:
         assert first.record.ok  # the running job was unaffected
         assert queued.events == []  # the queued one never started
 
-    def test_cancel_running_job_discards_its_result(
-        self, tmp_path, monkeypatch
-    ):
-        """A running job cancelled mid-trial ends cancelled when its
-        trial lands: the result is discarded and never cached."""
-        patch_trial(monkeypatch, lambda spec: time.sleep(0.5))
-        spec = spec_for()
-        cache = ResultCache(tmp_path / "cache")
-
-        async def body(manager):
-            (job,) = manager.submit_many([spec], "alice")
-            await started(job)
-            manager.cancel(job.digest)
-            assert job.state == "running"  # until the trial lands
-            await asyncio.wait_for(job.done.wait(), 60)
-            return job
-
-        job = run(manager_session(body, cache=cache))
-        assert job.state == "cancelled"
-        assert job.record.cancelled and not job.record.ok
-        assert job.record.attempts == 1
-        (finished,) = [e for e in job.events if e["event"] == "job_finished"]
-        assert finished["record"]["cancelled"] is True
-        assert cache.get(spec) is None
-        assert not list((tmp_path / "cache").glob("*.json"))
-
     def test_cancel_terminal_job_is_noop(self):
         async def body(manager):
             (job,) = manager.submit_many([spec_for()], "alice")
