@@ -50,6 +50,8 @@ from .progress import (
 
 __all__ = ["ParallelRunner", "default_workers", "kill_executor", "log_sink"]
 
+RETRIES = 1  # extra attempts after a failed trial or a dead worker
+
 
 def default_workers() -> int:
     """A sensible worker count for this machine (``os.cpu_count()``)."""
@@ -90,7 +92,7 @@ class ParallelRunner:
         n_workers: int = 1,
         *,
         timeout: Optional[float] = None,
-        retries: int = 1,
+        retries: int = RETRIES,
         cache: Union[ResultCache, str, os.PathLike, None] = None,
         progress: Union[None, str, ProgressSink] = None,
         registry=None,

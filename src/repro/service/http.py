@@ -114,12 +114,6 @@ class Request:
                 f"got {values[-1]!r}"
             )
 
-    def query_flag(self, name: str) -> bool:
-        values = self.query.get(name)
-        if not values:
-            return False
-        return values[-1].lower() not in ("0", "false", "no", "")
-
 
 async def read_request(reader) -> Optional[Request]:
     """Parse one request off a stream; None on clean EOF before a line."""

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import os
 import signal
+import stat
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
@@ -50,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from ..obs.logging import log_enabled, new_cid
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord, RunSpec, execute_spec
-from ..runner.pool import kill_executor, log_sink
+from ..runner.pool import RETRIES, kill_executor, log_sink
 from ..runner.progress import (
     JsonProgress,
     ProgressSink,
@@ -80,8 +82,6 @@ SUBSCRIBER_BUFFER = 256
 EVENT_HISTORY = 512
 #: terminal jobs kept in the table before eviction (FIFO).
 HISTORY_LIMIT = 1024
-#: extra attempts a job gets after a failed trial or a dead worker.
-RETRIES = 1
 
 
 class SubmitRejected(Exception):
@@ -360,12 +360,9 @@ class JobManager:
         while True:
             digest = await self._queue.get()
             job = self.jobs.get(digest)
-            try:
-                if job is None or job.state != QUEUED:
-                    continue  # cancelled (or evicted) while queued
-                await self._execute(job)
-            finally:
-                self._queue.task_done()
+            if job is None or job.state != QUEUED:
+                continue  # cancelled (or evicted) while queued
+            await self._execute(job)
 
     async def _execute(self, job: Job) -> None:
         job.state = RUNNING
@@ -437,17 +434,17 @@ class JobManager:
         a job cancelled meanwhile gets a cancelled record instead."""
         attempt, alone = 0, False
         while True:
-            attempt += 1
-            events.job_started(0, job.spec, attempt)
             try:
-                record = await self._trial(job, alone)
+                record = await self._trial(job, alone, events, attempt + 1)
             except BrokenProcessPool as exc:
                 alone = True  # it may have been the killer: run alone
                 record = RunRecord(
                     digest=job.digest, ok=False,
                     error=f"worker process died: {exc!r}",
                 )
-            if job.cancelling:
+            if record is not None:
+                attempt += 1
+            if record is None or job.cancelling:
                 return RunRecord(
                     digest=job.digest, ok=False, cancelled=True,
                     error="cancelled by request before completion",
@@ -457,25 +454,31 @@ class JobManager:
                 record.attempts = attempt
                 return record
 
-    async def _trial(self, job: Job, alone: bool) -> RunRecord:
-        """One attempt in the pool.  An ``alone`` attempt waits for the
-        pool to empty and holds every other attempt back until it
-        lands; a pool that broke under it is replaced."""
+    async def _trial(
+        self, job: Job, alone: bool, events: ProgressSink, attempt: int
+    ) -> Optional[RunRecord]:
+        """Attempt ``attempt`` in the pool, or None (no trial started)
+        when the job was cancelled while it waited for its turn.  An
+        ``alone`` attempt waits for the pool to empty and holds every
+        other attempt back until it lands; a pool that broke under it
+        is replaced."""
         self._suspects += alone
         try:
             while self._running if alone else self._suspects:
                 if self._landed is None:
                     self._landed = asyncio.get_running_loop().create_future()
                 await asyncio.wait([self._landed])
+            if job.cancelling:
+                return None
+            events.job_started(0, job.spec, attempt)
             self._running += 1
             if self._pool is None:
                 # Under fork the executor starts every worker at its
-                # first submit, before its own manager thread: the
-                # server forks while it has no other thread.
+                # first submit, before its own manager thread.
                 self._pool = ProcessPoolExecutor(
                     self.concurrency,
                     mp_context=multiprocessing.get_context("fork"),
-                    initializer=_leave_signals_to_the_server,
+                    initializer=_detach_from_the_server,
                 )
             pool = self._pool
             try:
@@ -608,11 +611,20 @@ class JobManager:
         }
 
 
-def _leave_signals_to_the_server() -> None:
-    """Worker side, at start: the forked worker drops the handlers it
-    inherited from the server.  SIGTERM ends it again (the executor
-    terminates the rest of a broken pool with it), and Ctrl-C on a
-    terminal reaches the server alone, whose shutdown kills the
-    workers."""
+def _detach_from_the_server() -> None:
+    """Worker side, at start: drop what the fork copied from the server.
+    Its sockets point at /dev/null: a worker holding one would keep a
+    connection the server closed from ending (pointed, not closed, so no
+    stale socket object closes a descriptor a trial reuses).  SIGTERM
+    ends the worker again (the executor terminates a broken pool with
+    it); Ctrl-C reaches the server alone, whose shutdown kills them."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
+        try:
+            if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                os.dup2(null, int(name))
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    os.close(null)

@@ -528,6 +528,33 @@ class TestConnections:
 
         serve(tmp_path, body)
 
+    def test_client_reconnects_after_an_executed_job(
+        self, tmp_path, monkeypatch
+    ):
+        """The connection that submitted the first executed job (the
+        one the worker processes are forked under) is closed for real
+        when it idles out: the client's next request reconnects instead
+        of waiting on a socket a worker still holds open."""
+        from repro.service import app as app_module
+
+        monkeypatch.setattr(app_module, "IDLE_CLOSE_S", 0.3)
+
+        def body(port, app, loop):
+            client = ServiceClient(
+                "127.0.0.1", port, client_id="t", timeout=5.0
+            )
+            try:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                assert client.watch(job["digest"])["state"] == "done"
+                assert client.healthz()["ok"] is True
+                time.sleep(1.0)  # the server closes the idle connection
+                assert client.healthz()["ok"] is True
+                assert client.status(job["digest"])["state"] == "done"
+            finally:
+                client.close()
+
+        serve(tmp_path, body, concurrency=1)
+
     def test_teardown_closes_an_idle_client_connection(self, tmp_path):
         """``server.close()`` + ``wait_closed()`` returns while a client
         holds an idle connection (Python 3.12.1 on waits for every open

@@ -619,6 +619,47 @@ class TestWorkerProcesses:
         assert max(in_pool[True]) == 1  # each retry ran alone
         assert server_sigterms == []
 
+    def test_job_cancelled_while_it_waits_for_its_retry_runs_no_trial(
+        self, tmp_path, monkeypatch
+    ):
+        """After the break both jobs retry alone, one after the other.
+        The one cancelled while it waits for its turn ends cancelled
+        with the one attempt the break charged it, and its trial is not
+        started again."""
+        killer, innocent = spec_for(seed=1), spec_for(seed=2)
+        trials = tmp_path / "trials"
+
+        def before(spec):
+            with open(trials, "a") as log:
+                log.write(f"{spec.seed}\n")
+            first = trials.read_text().split().count("1") == 1
+            if spec.seed == killer.seed and first:
+                time.sleep(0.3)
+                kill_own_worker()
+            time.sleep(1.0)
+
+        patch_trial(monkeypatch, before)
+
+        def attempts(job):
+            return sum(e["event"] == "job_started" for e in job.events)
+
+        async def body(manager):
+            jobs = manager.submit_many([killer, innocent], "alice")
+            while not any(attempts(job) == 2 for job in jobs):
+                await asyncio.sleep(0.01)
+            (waiting,) = [job for job in jobs if attempts(job) == 1]
+            manager.cancel(waiting.digest)
+            for job in jobs:
+                await asyncio.wait_for(job.done.wait(), 60)
+            return jobs, waiting
+
+        jobs, waiting = run(manager_session(body, concurrency=2))
+        (retried,) = [job for job in jobs if job is not waiting]
+        assert waiting.state == "cancelled"
+        assert waiting.record.attempts == 1 and attempts(waiting) == 1
+        assert trials.read_text().split().count(str(waiting.spec.seed)) == 1
+        assert retried.state == "done" and retried.record.attempts == 2
+
     def test_aclose_leaves_no_worker_alive(self, monkeypatch):
         """Shutdown kills every worker, one mid-trial too, and does not
         wait for the trial."""
