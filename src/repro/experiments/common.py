@@ -288,7 +288,8 @@ class RunResult:
 
 @dataclass(frozen=True)
 class FailedRun:
-    """A run that exhausted its retry budget (crash/timeout/exception)."""
+    """A run that exhausted its retries (an exception, a dead worker or
+    a spent CPU budget)."""
 
     sdn_count: int
     fraction: float
@@ -519,9 +520,11 @@ def run_groups(
     placement strategy, ...).  All groups execute as one job matrix on
     a :class:`~repro.runner.ParallelRunner` — ``workers`` processes and
     ``runner``, its remaining options (``cache``, ``progress``,
-    ``timeout``, ``retries``, ``registry``; see ``docs/runner.md``) —
-    and come back as one :class:`SweepPoint` per label, in label order,
-    ``runs`` in spec order.  A trial that fails for good lands in its
+    ``registry``; see ``docs/runner.md``) — and come back as one
+    :class:`SweepPoint` per label, in label order, ``runs`` in spec
+    order.  Every trial gets the runner's retries and, in a worker
+    process, its CPU budget (``RETRIES`` and ``TRIAL_CPU_SECONDS`` in
+    :mod:`repro.runner.pool`).  A trial that fails for good lands in its
     own group's ``failures`` and nowhere else; the other groups are
     unaffected.  A point's ``sdn_count``/``fraction`` are its first
     spec's (a group shares one deployment).  The returned timing carries
@@ -578,8 +581,6 @@ def run_fraction_sweep(
     workers: int = 1,
     cache=None,
     progress=None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     registry=None,
     **options,
 ) -> SweepResult:
@@ -593,9 +594,8 @@ def run_fraction_sweep(
     The trials are independent, so the grid routes through
     :func:`run_groups` (one group per SDN count): ``workers`` processes,
     ``cache`` (a directory path or :class:`~repro.runner.ResultCache`)
-    to skip already-computed trials, ``progress`` (``'log'`` or a
-    :class:`~repro.runner.ProgressSink`) for reporting, and
-    ``timeout``/``retries`` for fault tolerance.  ``registry`` (a
+    to skip already-computed trials and ``progress`` (``'log'`` or a
+    :class:`~repro.runner.ProgressSink`) for reporting.  ``registry`` (a
     :class:`~repro.obs.registry.RunRegistry`, a path, or a prepared
     :class:`~repro.obs.registry.RegistrySink`) records every trial —
     including cache hits and failures — into the cross-run telemetry
@@ -632,8 +632,7 @@ def run_fraction_sweep(
             sdn_count: specs[i * runs:(i + 1) * runs]
             for i, sdn_count in enumerate(sdn_counts)
         },
-        workers=workers, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, registry=registry,
+        workers=workers, cache=cache, progress=progress, registry=registry,
     )
     return SweepResult(
         scenario=scenario, n_ases=n, points=list(points.values()),

@@ -101,7 +101,7 @@ def topology_family_sweep(
 
     The whole grid is one :func:`~.common.run_groups` call, a group per
     ``(family, sdn_count)``; ``runner`` is forwarded to it (``workers``,
-    ``cache``, ``progress``, ``timeout``, ``retries``, ``registry``).
+    ``cache``, ``progress``, ``registry``).
     """
     grid: Dict[str, tuple] = {}  # family -> (sample topology, sdn_count)
     groups: Dict[tuple, list] = {}

@@ -33,9 +33,9 @@ def withdrawal_sweep(
     """Reproduce Fig. 2; returns per-fraction convergence boxplot data.
 
     ``sweep`` is forwarded to :func:`run_fraction_sweep`: ``runs``, the
-    runner options (``workers``/``cache``/``progress``/``timeout``/
-    ``retries``/``registry``; results are bit-identical at any worker
-    count, see ``docs/runner.md``) and any grid-wide
+    runner options (``workers``/``cache``/``progress``/``registry``;
+    results are bit-identical at any worker count, see
+    ``docs/runner.md``) and any grid-wide
     :class:`~repro.runner.RunSpec` option (``mrai``, ``metrics``,
     ``spans``, ``anatomy``, ...).
     """

@@ -4,9 +4,10 @@ The paper's sweeps are embarrassingly parallel grids of independent
 ``(topology, sdn_fraction, seed)`` trials.  This package turns them
 into declarative :class:`RunSpec` matrices executed by a
 :class:`ParallelRunner` — process-parallel, fault-tolerant (bounded
-retry of crashed/hung workers), content-addressed result caching, and
-pluggable progress reporting — while keeping results bit-identical to
-serial execution.  See ``docs/runner.md``.
+retry of failed trials and of crashed or runaway workers),
+content-addressed result caching, and pluggable progress reporting —
+while keeping results bit-identical to serial execution.  See
+``docs/runner.md``.
 """
 
 from .cache import CACHE_SCHEMA, CacheStats, ResultCache, current_code_version

@@ -7,8 +7,8 @@ miss, so bumping ``repro.__version__`` invalidates the whole cache
 without deleting anything.  Writes are atomic (temp file + rename) so a
 killed run never leaves a half-written entry.
 
-Only *successful* records are stored — failures and timeouts always
-re-execute on the next run.
+Only *successful* records are stored — failures always re-execute on
+the next run.
 """
 
 from __future__ import annotations

@@ -520,7 +520,7 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
 
     Scenario exceptions come back as ``ok=False`` records (with the
     traceback) so the caller's retry policy sees soft and hard failures
-    the same way; only interpreter death (crash/kill/timeout) surfaces
+    the same way; only interpreter death (crash/kill/CPU budget) surfaces
     through the pool machinery itself.  Every record carries
     digest-neutral resource accounting (with ``spec.metrics``, wall
     time by layer too — virtual-time results are unaffected, the

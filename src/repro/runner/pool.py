@@ -1,41 +1,56 @@
-"""Fault-tolerant parallel execution of :class:`~repro.runner.jobs.RunSpec` grids.
+"""One attempt loop for every trial, and the sweep runner over it.
 
-:class:`ParallelRunner` fans specs out over a ``ProcessPoolExecutor``
-(``n_workers`` processes), with
+:class:`TrialPool` runs single trials on an asyncio loop, in forked
+worker processes or, for the serial reference, in this process.  CLI
+sweeps (through :class:`ParallelRunner`) and the emulation service
+(through :class:`~repro.service.manager.JobManager`) both await it:
 
-- result ordering by *input position*, never completion order, so a
-  parallel sweep assembles bit-identically to the serial one;
-- an optional per-job wall-clock ``timeout`` — a hung worker is killed
-  and the job retried;
-- bounded retry (``retries`` extra attempts per job) of trials that
-  raise, crash the worker process, or time out; an exhausted job
-  becomes a failed :class:`~repro.runner.jobs.RunRecord` instead of
-  aborting the sweep;
-- a read-through :class:`~repro.runner.cache.ResultCache`, so re-running
-  a sweep only executes missing trials;
-- ``n_workers=1`` falls back to plain in-process serial execution (no
-  subprocesses — fully debuggable, and the reference for equality).
+- **bounded retry** — a trial that fails (an ``ok=False`` record) or
+  whose worker dies is attempted again until :data:`RETRIES` extra
+  attempts are spent; the last record is the answer, never an
+  exception;
+- **a dead worker costs one attempt, then its trial runs alone** — the
+  executor fails *every* in-flight future when a worker dies, and the
+  culprit cannot be told from its pool-mates, so each of them is
+  charged and from then on waits for the pool to empty and runs with
+  nothing beside it.  A trial that always kills its worker drains only
+  its own retries; the broken pool is replaced at the next dispatch;
+- **a CPU budget, not a timeout** — before each trial a worker sets its
+  ``RLIMIT_CPU`` soft limit to the CPU it has used so far plus
+  :data:`TRIAL_CPU_SECONDS`, so a runaway trial dies of SIGXCPU and
+  takes the dead-worker path above.  In-process trials have no budget;
+- **cancel before dispatch** — the caller's ``cancelled()`` is checked
+  before each attempt starts and after it lands;
+- **workers that die with their parent** — a worker is SIGKILLed when
+  the thread that forked it (the loop's) ends, a SIGKILLed server
+  included, writes no core file, and holds none of its parent's sockets
+  (:func:`_start_worker`).
 
-Fault semantics worth knowing: when a worker process dies, the executor
-marks *every* in-flight future broken, so each in-flight job is charged
-one attempt and requeued behind untouched work — and, since the culprit
-cannot be told from its pool-mates, each of them runs alone from then
-on.  A persistently crashing job therefore drains only its own retry
-budget: an innocent pool-mate is charged once, never again.  Per-job
-timeouts likewise kill the whole pool (there is no way to kill a single
-hung pool worker); jobs that were still within their deadline are
-requeued without being charged an attempt.
+:class:`ParallelRunner` drives the loop over a list of specs with
+``n_workers`` consumers: results by *input position*, never completion
+order, so a parallel sweep assembles bit-identically to the serial
+one; a read-through :class:`~repro.runner.cache.ResultCache`, so a
+re-run only executes missing trials; ``n_workers=1`` runs every trial
+in-process (no subprocesses — debuggable, and the reference for
+equality).
 """
 
 from __future__ import annotations
 
+# asyncio is imported where a loop runs, so that ``import repro.cli``
+# stays without its 32 modules.
+import functools
+import math
+import multiprocessing
 import os
+import signal
+import stat
+import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..obs.logging import get_logger, log_enabled, new_cid
 from .cache import ResultCache
@@ -48,9 +63,13 @@ from .progress import (
     resolve_progress,
 )
 
-__all__ = ["ParallelRunner", "default_workers", "kill_executor", "log_sink"]
+__all__ = ["ParallelRunner", "TrialPool", "default_workers", "log_sink"]
 
 RETRIES = 1  # extra attempts after a failed trial or a dead worker
+#: CPU seconds a pool trial may use before SIGXCPU ends its worker:
+#: 40x the longest trial ``repro reproduce`` runs (15.2 s of wall time,
+#: which bounds its CPU time, on a 2-vCPU host).
+TRIAL_CPU_SECONDS = 600
 
 
 def default_workers() -> int:
@@ -73,15 +92,129 @@ def log_sink(cid: str) -> JsonProgress:
     return JsonProgress(emit)
 
 
-@dataclass
-class _Job:
-    """Mutable execution state of one spec inside a run."""
+class TrialPool:
+    """Attempts of single trials over one lazily forked process pool
+    (``n_workers`` processes), or in this process when ``n_workers`` is
+    None.  Every method runs on one event loop."""
 
-    index: int
-    spec: RunSpec
-    attempts: int = 0  # executions started so far
-    #: was charged for a worker death (see ``_worker_died``): runs alone.
-    suspect: bool = False
+    def __init__(self, n_workers: Optional[int]) -> None:
+        self.n_workers = n_workers
+        #: the fork pool: made at the first pool trial, replaced after
+        #: a worker death broke it.
+        self.executor: Optional[ProcessPoolExecutor] = None
+        #: trials in flight now.
+        self.running = 0
+        #: attempts that must run alone, waiting or running.
+        self._suspects = 0
+        #: a future resolved when a trial lands (made on demand by a
+        #: waiter).
+        self._landed = None
+
+    async def run(
+        self,
+        spec: RunSpec,
+        cid: str,
+        started: Callable[[int], None],
+        cancelled: Callable[[], bool] = lambda: False,
+    ) -> RunRecord:
+        """Attempt ``spec`` until it succeeds or :data:`RETRIES` is
+        spent; ``started(attempt)`` announces each dispatch.  A trial
+        cancelled meanwhile gets a cancelled record instead."""
+        attempt, alone = 0, False
+        while True:
+            try:
+                record = await self._attempt(
+                    spec, cid, alone, started, attempt + 1, cancelled
+                )
+            except BrokenProcessPool as exc:
+                alone = True  # it may have been the killer: run alone
+                record = RunRecord(
+                    digest=spec.digest(), ok=False,
+                    error=f"worker process died: {exc!r}",
+                )
+            if record is not None:
+                attempt += 1
+            if record is None or cancelled():
+                return RunRecord(
+                    digest=spec.digest(), ok=False, cancelled=True,
+                    error="cancelled by request before completion",
+                    attempts=attempt,
+                )
+            if record.ok or attempt > RETRIES:
+                record.attempts = attempt
+                return record
+
+    async def _attempt(
+        self, spec, cid, alone, started, attempt, cancelled
+    ) -> Optional[RunRecord]:
+        """Attempt ``attempt``, or None (no trial started) when the
+        trial was cancelled while it waited for its turn.  An ``alone``
+        attempt waits for the pool to empty and holds every other
+        attempt back until it lands; a pool that broke under it is
+        replaced."""
+        import asyncio
+
+        self._suspects += alone
+        try:
+            while self.running if alone else self._suspects:
+                if self._landed is None:
+                    self._landed = asyncio.get_running_loop().create_future()
+                await asyncio.wait([self._landed])
+            if cancelled():
+                return None
+            started(attempt)
+            self.running += 1
+            try:
+                if self.n_workers is None:
+                    record = execute_spec(spec, cid)
+                    record.worker = "serial"
+                    return record
+                if self.executor is None:
+                    # Under fork the executor starts every worker at its
+                    # first submit, before its own manager thread.
+                    self.executor = ProcessPoolExecutor(
+                        self.n_workers,
+                        mp_context=multiprocessing.get_context("fork"),
+                        initializer=_start_worker,
+                        initargs=(os.getpid(),),
+                    )
+                executor = self.executor
+                try:
+                    return await asyncio.wrap_future(
+                        executor.submit(_budgeted_trial, spec, cid)
+                    )
+                except BrokenProcessPool:
+                    if executor is self.executor:
+                        self.close()
+                    raise
+            finally:
+                self.running -= 1
+        finally:
+            self._suspects -= alone
+            if self._landed is not None:
+                self._landed.set_result(None)
+                self._landed = None
+
+    def close(self) -> None:
+        """Kill the pool's processes, one still running a trial too, and
+        reap them before returning.
+
+        ``shutdown()`` alone never reaps a worker stuck in C code or a
+        sleep, so the processes are killed first (via the private
+        ``_processes`` map — there is no public API for this).
+        """
+        executor, self.executor = self.executor, None
+        if executor is None:
+            return
+        for process in list((executor._processes or {}).values()):
+            try:
+                process.kill()
+            except Exception:
+                pass
+        try:
+            executor.shutdown(wait=True, cancel_futures=True)
+        except Exception:
+            pass
 
 
 class ParallelRunner:
@@ -91,8 +224,6 @@ class ParallelRunner:
         self,
         n_workers: int = 1,
         *,
-        timeout: Optional[float] = None,
-        retries: int = RETRIES,
         cache: Union[ResultCache, str, os.PathLike, None] = None,
         progress: Union[None, str, ProgressSink] = None,
         registry=None,
@@ -100,11 +231,7 @@ class ParallelRunner:
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1: {n_workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0: {retries}")
         self.n_workers = n_workers
-        self.timeout = timeout
-        self.retries = retries
         #: sweep-level correlation id; per-job ids are ``<cid>/<index>``
         #: and flow into the workers' structured logs.  Minted lazily
         #: when structured logging is enabled and none was given.
@@ -124,9 +251,9 @@ class ParallelRunner:
                 self.registry_sink = registry
             else:
                 self.registry_sink = RegistrySink(resolve_registry(registry))
-            # Recording rides the same event stream both execution paths
-            # (and cache hits) already emit, so serial and parallel runs
-            # record identically.
+            # Recording rides the event stream every trial (and cache
+            # hit) already emits, so serial and parallel runs record
+            # identically.
             self.progress = TeeProgress(self.progress, self.registry_sink)
         #: timing stats of the most recent :meth:`run`.
         self.last_timing: Optional[SweepTiming] = None
@@ -135,9 +262,6 @@ class ParallelRunner:
         self._events: ProgressSink = self.progress
 
     # ------------------------------------------------------------------
-    def _job_cid(self, job: "_Job") -> str:
-        return f"{self.cid}/{job.index}" if self.cid else ""
-
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Run every spec; the i-th record describes the i-th spec."""
         specs = list(specs)
@@ -150,7 +274,7 @@ class ParallelRunner:
         misses_before = self.cache.misses if self.cache is not None else 0
         records: List[Optional[RunRecord]] = [None] * len(specs)
 
-        pending: List[_Job] = []
+        pending: deque = deque()
         n_cached = 0
         for index, spec in enumerate(specs):
             cached = self.cache.get(spec) if self.cache is not None else None
@@ -166,7 +290,7 @@ class ParallelRunner:
                 records[index] = cached
                 n_cached += 1
             else:
-                pending.append(_Job(index, spec))
+                pending.append(index)
 
         self._events.sweep_started(len(specs), n_cached, self.n_workers)
         for index, record in enumerate(records):
@@ -174,10 +298,20 @@ class ParallelRunner:
                 self._events.job_finished(index, specs[index], record)
 
         if pending:
-            if self.n_workers == 1:
-                self._run_serial(pending, records)
-            else:
-                self._run_parallel(pending, records)
+            import asyncio
+
+            # A loop of our own, not asyncio.run: from 3.11 that turns
+            # the first Ctrl-C into a cancel, which an in-process trial
+            # would not see until it ends.
+            trials = TrialPool(self.n_workers if self.n_workers > 1 else None)
+            loop = asyncio.new_event_loop()
+            try:
+                loop.run_until_complete(
+                    self._drain(trials, specs, pending, records)
+                )
+            finally:
+                trials.close()
+                loop.close()
 
         done = [r for r in records if r is not None]
         assert len(done) == len(specs), "runner lost a job"
@@ -202,188 +336,78 @@ class ParallelRunner:
         self._events.sweep_finished(timing)
         return done
 
-    # ------------------------------------------------------------------
-    # serial fallback
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, jobs: Sequence[_Job], records: List[Optional[RunRecord]]
-    ) -> None:
-        """In-process execution — the bit-identical reference path.
+    async def _drain(self, trials, specs, pending, records) -> None:
+        """``n_workers`` consumers, each taking the next pending spec,
+        awaiting its attempts and filing its record."""
+        import asyncio
 
-        Per-job timeouts are not enforceable in-process and are ignored.
-        """
-        for job in jobs:
-            while True:
-                job.attempts += 1
-                self._events.job_started(job.index, job.spec, job.attempts)
-                record = execute_spec(job.spec, self._job_cid(job))
-                record.worker = "serial"
-                if record.ok or job.attempts > self.retries:
-                    record.attempts = job.attempts
-                    self._finalize(job, record, records)
-                    break
-
-    # ------------------------------------------------------------------
-    # parallel engine
-    # ------------------------------------------------------------------
-    def _run_parallel(
-        self, jobs: Sequence[_Job], records: List[Optional[RunRecord]]
-    ) -> None:
-        queue = deque(jobs)
-        while queue:
-            self._drain_one_pool(queue, records)
-
-    def _drain_one_pool(self, queue, records) -> None:
-        """Run jobs in one executor until the queue drains or the pool
-        must be torn down (worker crash / job timeout)."""
-        executor = ProcessPoolExecutor(max_workers=self.n_workers)
-        inflight = {}  # future -> (_Job, deadline or None)
-        broken = False
-        try:
-            while queue or inflight:
-                while queue and len(inflight) < self.n_workers:
-                    if inflight and (
-                        queue[0].suspect
-                        or any(job.suspect for job, _ in inflight.values())
-                    ):
-                        break  # a suspect shares the pool with nobody
-                    job = queue.popleft()
-                    job.attempts += 1
-                    self._events.job_started(job.index, job.spec, job.attempts)
-                    future = executor.submit(
-                        execute_spec, job.spec, self._job_cid(job)
-                    )
-                    deadline = (
-                        time.monotonic() + self.timeout
-                        if self.timeout is not None else None
-                    )
-                    inflight[future] = (job, deadline)
-
-                wait_for = None
-                if self.timeout is not None:
-                    nearest = min(dl for _, dl in inflight.values())
-                    wait_for = max(0.0, nearest - time.monotonic())
-                done, _ = futures_wait(
-                    set(inflight), timeout=wait_for, return_when=FIRST_COMPLETED
+        async def consume() -> None:
+            while pending:
+                index = pending.popleft()
+                spec = specs[index]
+                record = await trials.run(
+                    spec,
+                    f"{self.cid}/{index}" if self.cid else "",
+                    functools.partial(self._events.job_started, index, spec),
                 )
+                records[index] = record
+                if self.cache is not None and record.ok:
+                    self.cache.put(spec, record)
+                self._events.job_finished(index, spec, record)
 
-                if not done:
-                    self._handle_timeout(inflight, queue, records)
-                    broken = True
-                    return
-
-                for future in done:
-                    job, _ = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        # The worker process died (os._exit, signal,
-                        # OOM-kill...): the pool is broken.
-                        self._worker_died(job, exc, queue, records)
-                        broken = True
-                        continue
-                    record = future.result()
-                    if record.ok:
-                        record.attempts = job.attempts
-                        self._finalize(job, record, records)
-                    elif job.attempts > self.retries:
-                        record.attempts = job.attempts
-                        self._finalize(job, record, records)
-                    else:
-                        queue.append(job)  # soft failure: retry later
-
-                if broken:
-                    # Every other in-flight future is doomed with the
-                    # pool; requeue still-running jobs without charging
-                    # them the attempt they never got to finish.
-                    for future, (job, _) in list(inflight.items()):
-                        if future.done() and future.exception() is not None:
-                            self._worker_died(
-                                job, future.exception(), queue, records
-                            )
-                        elif future.done():
-                            record = future.result()
-                            record.attempts = job.attempts
-                            self._finalize(job, record, records)
-                        else:
-                            job.attempts -= 1
-                            queue.appendleft(job)
-                    inflight.clear()
-                    return
-        finally:
-            if broken or inflight:
-                kill_executor(executor)
-            else:
-                executor.shutdown(wait=True)
-
-    def _handle_timeout(self, inflight, queue, records) -> None:
-        """Per-job deadline passed with nothing completing: kill the
-        pool, charge the expired jobs, requeue the innocent ones."""
-        now = time.monotonic()
-        for future, (job, deadline) in list(inflight.items()):
-            if future.done() and future.exception() is None:
-                record = future.result()
-                record.attempts = job.attempts
-                self._finalize(job, record, records)
-            elif deadline is not None and deadline <= now:
-                self._register_failure(
-                    job,
-                    f"timed out after {self.timeout}s "
-                    f"(attempt {job.attempts})",
-                    queue, records,
-                )
-            else:
-                job.attempts -= 1
-                queue.appendleft(job)
-        inflight.clear()
-
-    def _worker_died(self, job: _Job, exc, queue, records) -> None:
-        """Charge a job whose future the broken pool failed, and make it
-        a suspect: whether its own worker died or a pool-mate's cannot
-        be told apart, so from here on it runs with nothing beside it."""
-        job.suspect = True
-        self._register_failure(
-            job, f"worker process died: {exc!r}", queue, records
-        )
-
-    def _register_failure(self, job: _Job, error: str, queue, records) -> None:
-        """Charge a hard failure: retry (at the back of the queue,
-        behind untouched work) or finalize as failed."""
-        if job.attempts > self.retries:
-            self._finalize(
-                job,
-                RunRecord(
-                    digest=job.spec.digest(),
-                    ok=False,
-                    error=error,
-                    attempts=job.attempts,
-                ),
-                records,
-            )
-        else:
-            queue.append(job)
-
-    def _finalize(self, job: _Job, record: RunRecord, records) -> None:
-        records[job.index] = record
-        if self.cache is not None and record.ok:
-            self.cache.put(job.spec, record)
-        self._events.job_finished(job.index, job.spec, record)
+        await asyncio.gather(*(consume() for _ in range(self.n_workers)))
 
 
-def kill_executor(executor: ProcessPoolExecutor) -> None:
-    """Tear an executor down hard, hung or busy workers included, and
-    reap its processes before returning.
+def _start_worker(parent: int) -> None:
+    """Worker side, at start: bind the worker to its parent and drop what
+    the fork copied.
 
-    ``shutdown()`` alone never reaps a worker stuck in C code or a
-    sleep, so the processes are killed first (via the private
-    ``_processes`` map — there is no public API for this).
+    The kernel SIGKILLs the worker when the thread that forked it ends,
+    a SIGKILLed server included; a parent gone before that was set is
+    caught by the ``getppid`` check.  A SIGXCPU death (the CPU budget)
+    writes no core file.  Its sockets point at /dev/null: a worker
+    holding one would keep a connection the server closed from ending
+    (pointed, not closed, so no stale socket object closes a descriptor
+    a trial reuses).  SIGTERM ends the worker again (the executor
+    terminates a broken pool with it); Ctrl-C reaches the parent alone,
+    whose shutdown kills them.
     """
-    processes = getattr(executor, "_processes", None) or {}
-    for process in list(processes.values()):
+    import resource
+
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        PR_SET_PDEATHSIG = 1
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+    resource.setrlimit(
+        resource.RLIMIT_CORE, (0, resource.getrlimit(resource.RLIMIT_CORE)[1])
+    )
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    null = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
         try:
-            process.kill()
-        except Exception:
-            pass
-    try:
-        executor.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass
+            if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                os.dup2(null, int(name))
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    os.close(null)
+
+
+def _budgeted_trial(spec: RunSpec, cid: str) -> RunRecord:
+    """Worker side: allow this trial :data:`TRIAL_CPU_SECONDS` of CPU
+    beyond what the worker has used so far, then run it."""
+    import resource
+
+    _, hard = resource.getrlimit(resource.RLIMIT_CPU)
+    soft = math.ceil(time.process_time()) + TRIAL_CPU_SECONDS
+    if hard != resource.RLIM_INFINITY:
+        soft = min(soft, hard)
+    resource.setrlimit(resource.RLIMIT_CPU, (soft, hard))
+    return execute_spec(spec, cid)
+

@@ -15,15 +15,12 @@ execute in.  Its invariants:
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
   ``Retry-After``), and a batch submission is all-or-nothing;
 - **never block the loop** — every trial runs in one of
-  ``concurrency`` worker processes, forked at the first dispatch (and
-  again only when a worker died and broke the pool); the loop awaits
-  the trial's future, emits the job's progress events itself, and
+  ``concurrency`` worker processes of a
+  :class:`~repro.runner.pool.TrialPool`, the attempt loop CLI sweeps
+  use too (its retry rule, its dead-worker rule, its CPU budget); the
+  loop awaits the trial, emits the job's progress events itself, and
   slow/vanished SSE subscribers just drop frames (``put_nowait`` on a
   bounded queue) instead of stalling the worker;
-- **a dead worker costs one attempt** — each job in flight when the
-  pool broke is charged an attempt and retried once with nothing
-  beside it (which of them killed the worker cannot be told), so a
-  trial that always kills its worker fails alone;
 - **everything recorded** — one registry connection, opened on the
   loop by the first executed job and closed by
   :meth:`JobManager.aclose`; every job records through the ordinary
@@ -38,21 +35,15 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import os
-import signal
-import stat
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..obs.logging import log_enabled, new_cid
 from ..runner.cache import ResultCache
-from ..runner.jobs import RunRecord, RunSpec, execute_spec
-from ..runner.pool import RETRIES, kill_executor, log_sink
+from ..runner.jobs import RunRecord, RunSpec
+from ..runner.pool import TrialPool, log_sink
 from ..runner.progress import (
     JsonProgress,
     ProgressSink,
@@ -177,15 +168,8 @@ class JobManager:
         #: walks the slots earlier deletions left behind).
         self.jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._queue: asyncio.Queue = asyncio.Queue()
-        #: the trials' worker processes (None until the first dispatch,
-        #: and again from a break until the next).
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: trials in the pool now, and suspects waiting for or holding
-        #: the pool to themselves (see :meth:`_trial`).
-        self._running = 0
-        self._suspects = 0
-        #: resolved when a trial lands (made on demand by a waiter).
-        self._landed: Optional[asyncio.Future] = None
+        #: the trials' worker processes, forked at the first dispatch.
+        self._trials = TrialPool(concurrency)
         self._registry = None  # RunRegistry, opened by the first job
         self._workers: List[asyncio.Task] = []
         self._wall_times: List[float] = []  # recent executed wall clocks
@@ -219,9 +203,7 @@ class JobManager:
             except (asyncio.CancelledError, Exception):
                 pass
         self._workers.clear()
-        if self._pool is not None:
-            kill_executor(self._pool)
-            self._pool = None
+        self._trials.close()
         if self._registry is not None:
             self._registry.close()
             self._registry = None
@@ -415,7 +397,11 @@ class JobManager:
         run in the pool and the cache written on the loop."""
         started = time.perf_counter()
         events.sweep_started(1, 0, 1)
-        record = await self._attempts(job, events)
+        record = await self._trials.run(
+            job.spec, f"{job.cid}/0",
+            lambda attempt: events.job_started(0, job.spec, attempt),
+            lambda: job.cancelling,
+        )
         if self.cache is not None:
             self.cache.put(job.spec, record)  # stores ok records only
         events.job_finished(0, job.spec, record)
@@ -428,75 +414,6 @@ class JobManager:
             cache_misses=int(self.cache is not None),
         ))
         return record
-
-    async def _attempts(self, job: Job, events: ProgressSink) -> RunRecord:
-        """Run the trial until it succeeds or :data:`RETRIES` is spent;
-        a job cancelled meanwhile gets a cancelled record instead."""
-        attempt, alone = 0, False
-        while True:
-            try:
-                record = await self._trial(job, alone, events, attempt + 1)
-            except BrokenProcessPool as exc:
-                alone = True  # it may have been the killer: run alone
-                record = RunRecord(
-                    digest=job.digest, ok=False,
-                    error=f"worker process died: {exc!r}",
-                )
-            if record is not None:
-                attempt += 1
-            if record is None or job.cancelling:
-                return RunRecord(
-                    digest=job.digest, ok=False, cancelled=True,
-                    error="cancelled by request before completion",
-                    attempts=attempt,
-                )
-            if record.ok or attempt > RETRIES:
-                record.attempts = attempt
-                return record
-
-    async def _trial(
-        self, job: Job, alone: bool, events: ProgressSink, attempt: int
-    ) -> Optional[RunRecord]:
-        """Attempt ``attempt`` in the pool, or None (no trial started)
-        when the job was cancelled while it waited for its turn.  An
-        ``alone`` attempt waits for the pool to empty and holds every
-        other attempt back until it lands; a pool that broke under it
-        is replaced."""
-        self._suspects += alone
-        try:
-            while self._running if alone else self._suspects:
-                if self._landed is None:
-                    self._landed = asyncio.get_running_loop().create_future()
-                await asyncio.wait([self._landed])
-            if job.cancelling:
-                return None
-            events.job_started(0, job.spec, attempt)
-            self._running += 1
-            if self._pool is None:
-                # Under fork the executor starts every worker at its
-                # first submit, before its own manager thread.
-                self._pool = ProcessPoolExecutor(
-                    self.concurrency,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_detach_from_the_server,
-                )
-            pool = self._pool
-            try:
-                return await asyncio.wrap_future(
-                    pool.submit(execute_spec, job.spec, f"{job.cid}/0")
-                )
-            except BrokenProcessPool:
-                if pool is self._pool:
-                    self._pool = None
-                    kill_executor(pool)
-                raise
-            finally:
-                self._running -= 1
-        finally:
-            self._suspects -= alone
-            if self._landed is not None:
-                self._landed.set_result(None)
-                self._landed = None
 
     def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
         """One runner event, on the loop: into the job's history and
@@ -610,21 +527,3 @@ class JobManager:
             "retry_after": self.retry_after(),
         }
 
-
-def _detach_from_the_server() -> None:
-    """Worker side, at start: drop what the fork copied from the server.
-    Its sockets point at /dev/null: a worker holding one would keep a
-    connection the server closed from ending (pointed, not closed, so no
-    stale socket object closes a descriptor a trial reuses).  SIGTERM
-    ends the worker again (the executor terminates a broken pool with
-    it); Ctrl-C reaches the server alone, whose shutdown kills them."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    null = os.open(os.devnull, os.O_RDWR)
-    for name in os.listdir("/dev/fd"):
-        try:
-            if stat.S_ISSOCK(os.fstat(int(name)).st_mode):
-                os.dup2(null, int(name))
-        except OSError:
-            pass  # the listing's own descriptor, closed by now
-    os.close(null)

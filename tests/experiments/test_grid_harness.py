@@ -21,7 +21,7 @@ from repro.experiments.common import (
     seeded_specs,
 )
 from repro.obs.registry import RunRegistry
-from repro.runner import JsonProgress
+from repro.runner import JsonProgress, pool
 from repro.topology.builders import clique
 from tests.experiments.grids import PINNED, group_values
 from tests.runner.scenarios import (
@@ -63,14 +63,14 @@ class TestRunGroups:
         assert points["z"].fraction == 0.5
         assert timing.jobs == 6 and timing.failed == 0
 
-    def test_failures_land_in_their_own_group(self):
+    def test_failures_land_in_their_own_group(self, monkeypatch):
+        monkeypatch.setattr(pool, "RETRIES", 0)
         points, timing = run_groups(
             {
                 "before": _specs(WithdrawalScenario, sdn_count=0),
                 "boom": _specs(RaisingScenario, sdn_count=2),
                 "after": _specs(WithdrawalScenario, sdn_count=2),
             },
-            retries=0,
         )
         assert [len(p.failures) for p in points.values()] == [0, 2, 0]
         assert [len(p.runs) for p in points.values()] == [2, 0, 2]
@@ -120,13 +120,14 @@ class TestSweepsRecordAndFail:
     def test_partly_failed_family_keeps_the_failure(
         self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(pool, "RETRIES", 0)
         monkeypatch.setattr(
             topologies, "WithdrawalScenario", functools.partial(
                 FlakyScenario, flag_path=str(tmp_path / "attempted")
             ),
         )
         (row,) = topologies.topology_family_sweep(
-            n=6, runs=2, mrai=2.0, retries=0,
+            n=6, runs=2, mrai=2.0,
             families={"clique": topologies.FAMILIES["clique"]},
         )
         assert [f.seed for f in row.failures] == [600]
@@ -134,6 +135,7 @@ class TestSweepsRecordAndFail:
         assert row.hybrid.n == 2
 
     def test_fully_failed_family_returns_with_the_others(self, monkeypatch):
+        monkeypatch.setattr(pool, "RETRIES", 0)
         monkeypatch.setattr(
             topologies, "WithdrawalScenario", ExplodingWithdrawal
         )
@@ -142,7 +144,7 @@ class TestSweepsRecordAndFail:
             for name in ("clique", "barabasi-albert")
         }
         rows = topologies.topology_family_sweep(
-            n=6, runs=1, mrai=2.0, retries=0, families=small,
+            n=6, runs=1, mrai=2.0, families=small,
         )
         assert [r.family for r in rows] == ["clique", "barabasi-albert"]
         for row in rows:
@@ -153,9 +155,10 @@ class TestSweepsRecordAndFail:
         flaky = functools.partial(
             FlakyScenario, flag_path=str(tmp_path / "attempted")
         )
+        monkeypatch.setattr(pool, "RETRIES", 0)
         monkeypatch.setattr(placement, "WithdrawalScenario", flaky)
         rows = placement.placement_sweep(
-            n=8, sdn_count=2, runs=2, mrai=2.0, retries=0,
+            n=8, sdn_count=2, runs=2, mrai=2.0,
             strategies=("hubs-first", "spread"),
         )
         assert [len(r.point.failures) for r in rows] == [1, 0]

@@ -153,8 +153,10 @@ def log_file(tmp_path, monkeypatch):
 class TestRunnerLog:
     """The runner's structured log is one sink of its event stream."""
 
-    def test_two_worker_sweep_logs_each_event_once(self, log_file):
-        from repro.runner import ParallelRunner
+    def test_two_worker_sweep_logs_each_event_once(
+        self, log_file, monkeypatch
+    ):
+        from repro.runner import ParallelRunner, pool
         from tests.runner.scenarios import ExplodingWithdrawal
         from tests.runner.test_jobs import make_spec
 
@@ -162,7 +164,8 @@ class TestRunnerLog:
             make_spec(seed=71),
             make_spec(seed=72, scenario_factory=ExplodingWithdrawal),
         ]
-        runner = ParallelRunner(2, retries=0, timeout=60.0)
+        monkeypatch.setattr(pool, "RETRIES", 0)
+        runner = ParallelRunner(2)
         records = runner.run(specs)
         assert [r.ok for r in records] == [True, False]
         entries = log_file()

@@ -71,3 +71,17 @@ class HangScenario(Scenario):
 
     def event(self, exp) -> None:
         time.sleep(self.sleep_seconds)
+
+
+@dataclass
+class SpinScenario(Scenario):
+    """Burns ``cpu_seconds`` of CPU — a runaway trial.  (A sleep, as in
+    :class:`HangScenario`, uses none.)"""
+
+    name: str = "spin"
+    cpu_seconds: float = 60.0
+
+    def event(self, exp) -> None:
+        end = time.process_time() + self.cpu_seconds
+        while time.process_time() < end:
+            pass

@@ -1,13 +1,28 @@
-"""ParallelRunner fault tolerance: retries, crashes, timeouts, ordering."""
+"""ParallelRunner fault tolerance: retries, crashes, CPU budgets,
+ordering."""
 
 import functools
 
 import pytest
 
 from repro.runner import JsonProgress, ParallelRunner, ProgressSink
+from repro.runner import pool
 
-from .scenarios import CrashScenario, FlakyScenario, HangScenario, RaisingScenario
+from .scenarios import (
+    CrashScenario,
+    FlakyScenario,
+    HangScenario,
+    RaisingScenario,
+    SpinScenario,
+)
 from .test_jobs import make_spec
+
+
+@pytest.fixture
+def retries(monkeypatch):
+    """Set the extra attempts a trial gets (the loop reads
+    ``pool.RETRIES`` at run time)."""
+    return lambda count: monkeypatch.setattr(pool, "RETRIES", count)
 
 
 class TestSerialFallback:
@@ -16,8 +31,9 @@ class TestSerialFallback:
         assert all(r.ok for r in records)
         assert all(r.worker == "serial" for r in records)
 
-    def test_serial_soft_failure_retried_then_reported(self):
-        runner = ParallelRunner(1, retries=2)
+    def test_serial_soft_failure_retried_then_reported(self, retries):
+        retries(2)
+        runner = ParallelRunner(1)
         (record,) = runner.run([make_spec(scenario_factory=RaisingScenario)])
         assert not record.ok
         assert record.attempts == 3
@@ -26,8 +42,6 @@ class TestSerialFallback:
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(0)
-        with pytest.raises(ValueError):
-            ParallelRunner(2, retries=-1)
 
 
 class TestOrdering:
@@ -40,14 +54,14 @@ class TestOrdering:
 
 class TestCrashRetry:
     def test_crash_retried_then_failed_without_aborting(self):
-        # The crasher is last so the good jobs complete first and the
-        # broken pools never take innocent bystanders down with them.
+        # The crasher is last: a good job still in flight when it dies
+        # is charged once and ends ok on its retry.
         specs = [
             make_spec(seed=21),
             make_spec(seed=22),
             make_spec(scenario_factory=CrashScenario, seed=23),
         ]
-        runner = ParallelRunner(2, retries=1)
+        runner = ParallelRunner(2)
         records = runner.run(specs)
         assert records[0].ok and records[1].ok
         crash = records[2]
@@ -56,24 +70,23 @@ class TestCrashRetry:
         assert "worker process died" in crash.error
         assert runner.last_timing.failed == 1
 
-    def test_crash_first_still_lets_others_finish(self):
+    def test_crash_first_still_lets_others_finish(self, retries):
         specs = [
             make_spec(scenario_factory=CrashScenario, seed=31),
             make_spec(seed=32),
             make_spec(seed=33),
         ]
-        records = ParallelRunner(2, retries=3).run(specs)
+        retries(3)
+        records = ParallelRunner(2).run(specs)
         assert not records[0].ok
         assert records[1].ok and records[2].ok
 
-
-    def test_repeat_crasher_takes_its_pool_mate_down_once(self):
+    def test_repeat_crasher_takes_its_pool_mate_down_once(self, retries):
         """The last two jobs of a sweep, one a persistent crasher, the
         other slower than the crash: they share the first pool and both
-        are charged (the bystander unless the runner looked before the
-        executor had failed its future too); after that each runs
-        alone, so the bystander finishes on its next attempt instead
-        of dying beside every retry of the crasher."""
+        are charged; after that each runs alone, so the bystander
+        finishes on its next attempt instead of dying beside every
+        retry of the crasher."""
         specs = [
             make_spec(scenario_factory=CrashScenario, seed=41),
             make_spec(
@@ -83,7 +96,8 @@ class TestCrashRetry:
                 seed=42,
             ),
         ]
-        crash, bystander = ParallelRunner(2, retries=3).run(specs)
+        retries(3)
+        crash, bystander = ParallelRunner(2).run(specs)
         assert not crash.ok and crash.attempts == 4
         assert bystander.ok and bystander.attempts <= 2
 
@@ -93,7 +107,7 @@ class TestSoftFailureRetry:
         factory = functools.partial(
             FlakyScenario, flag_path=str(tmp_path / "flag")
         )
-        (record,) = ParallelRunner(2, retries=1).run(
+        (record,) = ParallelRunner(2).run(
             [make_spec(scenario_factory=factory)]
         )
         assert record.ok
@@ -104,7 +118,7 @@ class TestSoftFailureRetry:
             make_spec(seed=41),
             make_spec(scenario_factory=RaisingScenario, seed=42),
         ]
-        records = ParallelRunner(2, retries=1).run(specs)
+        records = ParallelRunner(2).run(specs)
         assert records[0].ok
         assert not records[1].ok
         assert records[1].attempts == 2
@@ -112,25 +126,29 @@ class TestSoftFailureRetry:
 
 
 class TestTimeout:
-    def test_hung_worker_killed_and_reported(self):
-        spec = make_spec(scenario_factory=HangScenario)
-        runner = ParallelRunner(2, timeout=0.5, retries=0)
-        (record,) = runner.run([spec])
-        assert not record.ok
-        assert "timed out" in record.error
-        assert record.attempts == 1
+    """A runaway trial spends its CPU budget (``TRIAL_CPU_SECONDS``,
+    patched to 1 s) and dies of SIGXCPU: the dead-worker path."""
 
-    def test_timeout_retry_budget(self):
-        spec = make_spec(scenario_factory=HangScenario)
-        (record,) = ParallelRunner(2, timeout=0.3, retries=1).run([spec])
-        assert not record.ok
-        assert record.attempts == 2
-
-    def test_fast_jobs_unaffected_by_generous_timeout(self):
-        records = ParallelRunner(2, timeout=60.0).run(
-            [make_spec(seed=51), make_spec(seed=52)]
+    def test_hung_worker_killed_and_reported(self, monkeypatch):
+        monkeypatch.setattr(pool, "TRIAL_CPU_SECONDS", 1)
+        spin, bystander = ParallelRunner(2).run(
+            [make_spec(scenario_factory=SpinScenario), make_spec(seed=52)]
         )
-        assert all(r.ok for r in records)
+        assert not spin.ok
+        assert "worker process died" in spin.error
+        assert spin.attempts == pool.RETRIES + 1
+        assert bystander.ok
+
+    def test_fast_jobs_unaffected_by_generous_timeout(self, monkeypatch):
+        """The budget is per trial, not per worker: 0.7 s trials stay
+        inside a 1 s budget though a worker that runs three of them
+        spends more than the 2 s a budget set once would allow."""
+        monkeypatch.setattr(pool, "TRIAL_CPU_SECONDS", 1)
+        spin = functools.partial(SpinScenario, cpu_seconds=0.7)
+        records = ParallelRunner(2).run(
+            [make_spec(scenario_factory=spin, seed=s) for s in range(60, 66)]
+        )
+        assert all(r.ok and r.attempts == 1 for r in records)
 
 
 class TestProgress:

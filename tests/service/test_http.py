@@ -401,6 +401,27 @@ class TestRoutes:
             assert len(rows) == 1 and rows[0].ok
 
 
+class TestListening:
+    def test_a_host_name_is_resolved_without_a_thread(self):
+        """``--host localhost`` listens from a one-thread process: the
+        name is resolved before listening, so asyncio starts no
+        resolver thread beside the loop the workers are forked from."""
+        before = set(threading.enumerate())
+
+        async def main():
+            server, app = await start_service(
+                ServiceConfig(host="localhost", port=0)
+            )
+            try:
+                return set(threading.enumerate()) - before
+            finally:
+                server.close()
+                await server.wait_closed()
+                await app.manager.aclose()
+
+        assert asyncio.run(main()) == set()
+
+
 class TestConnections:
     def test_requests_are_read_in_header_sized_chunks(
         self, tmp_path, monkeypatch

@@ -11,7 +11,7 @@ import pytest
 from repro.config import runspec_from_json
 from repro.obs import registry as registry_module
 from repro.obs.registry import RunRegistry
-from repro.runner import ParallelRunner, ResultCache
+from repro.runner import ParallelRunner, ResultCache, pool
 from repro.runner import jobs as jobs_module
 from repro.service.manager import (
     JobManager,
@@ -55,6 +55,12 @@ def patch_trial(monkeypatch, before):
 
 def kill_own_worker():
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def spin():
+    """Burn CPU until something ends the process."""
+    while True:
+        pass
 
 
 def alive(pid: int) -> bool:
@@ -606,7 +612,7 @@ class TestWorkerProcesses:
                     event.get("attempt") == 2
                     for job in jobs for event in job.events
                 )
-                in_pool[retrying].append(manager._running)
+                in_pool[retrying].append(manager._trials.running)
                 await asyncio.sleep(0.01)
             return jobs
 
@@ -660,6 +666,29 @@ class TestWorkerProcesses:
         assert trials.read_text().split().count(str(waiting.spec.seed)) == 1
         assert retried.state == "done" and retried.record.attempts == 2
 
+    def test_trial_past_its_cpu_budget_fails_and_frees_its_worker(
+        self, monkeypatch
+    ):
+        """At concurrency 1, a trial that spins past its CPU budget
+        (patched to 1 s) dies of SIGXCPU on every attempt and fails; the
+        next job runs in the replaced pool and ends done."""
+        monkeypatch.setattr(pool, "TRIAL_CPU_SECONDS", 1)
+        patch_trial(monkeypatch, lambda spec: spec.seed == 1 and spin())
+
+        async def body(manager):
+            jobs = manager.submit_many(
+                [spec_for(seed=1), spec_for(seed=2)], "alice"
+            )
+            for job in jobs:
+                await asyncio.wait_for(job.done.wait(), 60)
+            return jobs
+
+        spinner, after = run(manager_session(body))
+        assert spinner.state == "failed"
+        assert "worker process died" in spinner.record.error
+        assert spinner.record.attempts == pool.RETRIES + 1
+        assert after.state == "done" and after.record.ok
+
     def test_aclose_leaves_no_worker_alive(self, monkeypatch):
         """Shutdown kills every worker, one mid-trial too, and does not
         wait for the trial."""
@@ -677,7 +706,7 @@ class TestWorkerProcesses:
                 )
                 await asyncio.wait_for(done.done.wait(), 60)
                 await started(blocked)
-                pids = list(manager._pool._processes)
+                pids = list(manager._trials.executor._processes)
             finally:
                 start = time.monotonic()
                 await manager.aclose()

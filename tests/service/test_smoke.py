@@ -9,6 +9,7 @@ fetched dashboard HTML (CI uploads it).
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -148,3 +149,40 @@ def test_serve_smoke(tmp_path, serve_process):
         for digest in digests:
             rows = registry.runs(digest=digest)
             assert len(rows) == 1 and rows[0].ok
+
+
+def exited(pid: int) -> bool:
+    """True once ``pid`` is gone, or a zombie nobody reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_sigkilled_server_leaves_no_worker(serve_process):
+    """A server killed outright gets no shutdown, so nothing of its own
+    kills its workers: the kernel does, because each worker asked for a
+    SIGKILL when the thread that forked it ends."""
+    port = serve_process.wait_for_port()
+    spec = {"scenario": "withdrawal", "n": 5, "sdn_count": 2,
+            "seed": 7, "mrai": 1.0}
+    with ServiceClient("127.0.0.1", port, client_id="orphans") as client:
+        (job,) = client.submit({"spec": spec})
+        assert client.watch(job["digest"])["state"] == "done"
+    server = serve_process.process
+    workers = subprocess.run(
+        ["pgrep", "-P", str(server.pid)], capture_output=True, text=True,
+    ).stdout.split()
+    assert workers
+    server.kill()
+    server.wait(10)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        survivors = [int(pid) for pid in workers if not exited(int(pid))]
+        if not survivors:
+            break
+        time.sleep(0.05)
+    for pid in survivors:  # they hold serve's stdout: end them first
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"workers {survivors} outlived the SIGKILLed server"

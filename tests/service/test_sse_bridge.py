@@ -169,7 +169,7 @@ class TestNonBlocking:
                 (job,) = manager.submit_many([spec], "alice")
                 while len(job.events) < 2:  # sweep_started, job_started
                     await asyncio.sleep(0.01)
-                pids = list(manager._pool._processes)
+                pids = list(manager._trials.executor._processes)
             finally:
                 start = time.monotonic()
                 await manager.aclose()
