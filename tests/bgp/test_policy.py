@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bgp.attrs import AsPath, PathAttributes
+from repro.bgp.attrs import DEFAULT_LOCAL_PREF, AsPath, PathAttributes
+from repro.bgp.collector import RouteCollector
 from repro.bgp.policy import (
     LOCAL_COMMUNITY,
     LOCAL_PREF_BY_RELATIONSHIP,
@@ -20,6 +21,8 @@ from repro.bgp.policy import (
     strip_learned_communities,
     transit_all_policy,
 )
+from repro.bgp.router import BGPRouter
+from repro.bgp.session import BGPTimers
 from repro.net.addr import Prefix
 
 PFX = Prefix.parse("10.0.0.0/24")
@@ -199,3 +202,142 @@ class TestExportPrepend:
         peer_route = policy.import_route(PFX, PathAttributes(as_path=AsPath.of(1)))
         # peer-learned to peer: still denied after prepend wrapping
         assert policy.export_route(PFX, peer_route) is None
+
+
+# ----------------------------------------------------------------------
+# The rule table, read off real routers
+# ----------------------------------------------------------------------
+C, P, V = Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER
+ORIGIN_PFX = Prefix.parse("192.168.0.0/24")
+
+#: relationship (AS1's view) -> the stub that sits there: AS3 is AS1's
+#: customer, AS4 its peer, AS5 its provider.
+STUBS = {C: 3, P: 4, V: 5}
+
+
+def policy_star(net, learned, *, valley_free=True, prepend_toward=None):
+    """AS1 between a source AS2 (``learned`` from AS1's view; None: AS1
+    originates and there is no AS2) and the three ``STUBS``.
+
+    ``valley_free`` picks the Gao-Rexford templates on every session,
+    else transit-all; ``prepend_toward`` names the relationship whose
+    stub AS1 prepends itself twice toward.  Returns ``(as1, {asn:
+    router}, {relationship: AS1's session toward that stub})``.
+    """
+
+    def policy(relationship):
+        if valley_free:
+            return gao_rexford_policy(relationship)
+        return transit_all_policy()
+
+    timers = BGPTimers(mrai=0.2)
+    routers = {
+        asn: net.add_node(BGPRouter(net.sim, f"as{asn}", asn=asn, timers=timers))
+        for asn in [1, *STUBS.values()] + ([2] if learned is not None else [])
+    }
+    hub = routers[1]
+    toward = {}
+    neighbours = [(2, learned)] if learned is not None else []
+    for asn, rel in neighbours + [(asn, rel) for rel, asn in STUBS.items()]:
+        link = net.add_link(hub, routers[asn], latency=0.01)
+        hub_policy = policy(rel)
+        if rel is prepend_toward and asn != 2:
+            hub_policy = hub_policy.with_export_prepend(1, 2)
+        session = hub.add_peer(link, policy=hub_policy)
+        routers[asn].add_peer(link, policy=policy(rel.inverse))
+        if asn != 2:
+            toward[rel] = session
+    for router in routers.values():
+        router.start()
+    net.sim.run_until_settled()
+    (routers[2] if learned is not None else hub).originate(ORIGIN_PFX)
+    net.sim.run_until_settled()
+    return hub, routers, toward
+
+
+#: learned (None: originated) -> (AS1's LOCAL_PREF for the route, the
+#: relationships it is exported toward) under Gao-Rexford.
+VALLEY_FREE = {
+    None: (100, {C, P, V}),
+    C: (200, {C, P, V}),
+    P: (100, {C}),
+    V: (50, {C}),
+}
+
+
+class TestPolicyTable:
+    """Import LOCAL_PREF, export or not, and the exported AS path for
+    every (learned, toward) pair, read off AS1's Loc-RIB, its
+    Adj-RIBs-Out and the stubs' Loc-RIBs."""
+
+    def check(self, net, learned, local_pref, exported, *, valley_free=True,
+              prepend_toward=None):
+        hub, routers, toward = policy_star(
+            net, learned, valley_free=valley_free,
+            prepend_toward=prepend_toward,
+        )
+        best = hub.loc_rib.get(ORIGIN_PFX)
+        assert best.is_local == (learned is None)
+        assert best.attrs.local_pref == local_pref
+        tail = (1,) if learned is None else (1, 2)
+        for rel, session in toward.items():
+            sent = hub.adj_rib_out(session).get(ORIGIN_PFX)
+            heard = routers[STUBS[rel]].loc_rib.get(ORIGIN_PFX)
+            if rel not in exported:
+                assert sent is None and heard is None, rel
+                continue
+            path = (1, 1) + tail if rel is prepend_toward else tail
+            assert sent.as_path.asns == path, rel
+            assert sent.local_pref == DEFAULT_LOCAL_PREF, rel
+            assert heard.attrs.as_path.asns == path, rel
+
+    @pytest.mark.parametrize(
+        "learned", list(VALLEY_FREE), ids=lambda r: r.value if r else "local"
+    )
+    def test_valley_free(self, net, learned):
+        local_pref, exported = VALLEY_FREE[learned]
+        self.check(net, learned, local_pref, exported)
+
+    @pytest.mark.parametrize(
+        "learned", list(VALLEY_FREE), ids=lambda r: r.value if r else "local"
+    )
+    def test_transit_all_keeps_local_pref_and_exports_everything(
+        self, net, learned
+    ):
+        self.check(
+            net, learned, DEFAULT_LOCAL_PREF, {C, P, V}, valley_free=False
+        )
+
+    @pytest.mark.parametrize("learned", [None, C, P])
+    def test_a_prepended_session(self, net, learned):
+        """AS1 prepends itself twice toward its peer: only that session's
+        exports grow, and what the rule denies stays denied."""
+        local_pref, exported = VALLEY_FREE[learned]
+        self.check(net, learned, local_pref, exported, prepend_toward=P)
+
+    def test_the_collector_imports_everything_and_exports_nothing(self, net):
+        """AS1 and AS2 feed a collector over transit-all sessions, as in an
+        experiment; the collector holds AS1's route and AS2 never hears
+        it from the collector."""
+        timers = BGPTimers(mrai=0.2)
+        as1, as2 = (
+            net.add_node(BGPRouter(net.sim, f"as{asn}", asn=asn, timers=timers))
+            for asn in (1, 2)
+        )
+        collector = net.add_node(RouteCollector(net.sim))
+        feeds = {}
+        for router in (as1, as2):
+            link = net.add_link(router, collector, latency=0.01)
+            router.add_peer(link, policy=transit_all_policy())
+            feeds[router] = collector.add_peer(link)
+        for node in (as1, as2, collector):
+            node.start()
+        net.sim.run_until_settled()
+        as1.originate(ORIGIN_PFX)
+        net.sim.run_until_settled()
+        held = collector.loc_rib.get(ORIGIN_PFX)
+        assert held.attrs.as_path.asns == (1,)
+        assert held.attrs.local_pref == DEFAULT_LOCAL_PREF
+        for session in feeds.values():
+            assert collector.adj_rib_out(session).get(ORIGIN_PFX) is None
+        assert as2.loc_rib.get(ORIGIN_PFX) is None

@@ -1,5 +1,7 @@
 """Unit tests for Quagga/ExaBGP config rendering."""
 
+import pathlib
+
 from repro.bgp.policy import Relationship, gao_rexford_policy
 from repro.bgp.session import BGPTimers
 from repro.config.templates import (
@@ -7,11 +9,16 @@ from repro.config.templates import (
     render_exabgp_conf,
     render_route_map,
 )
+from repro.bgp.router import BGPRouter
 from repro.controller.idr import ControllerConfig
+from repro.experiments.common import paper_config
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
+from repro.topology.caida import synthetic_caida_topology
 from tests.conftest import make_bgp_mesh
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def hybrid_experiment():
@@ -82,3 +89,47 @@ class TestExabgpConf:
             if isinstance(node, BGPRouter):
                 conf = render_bgpd_conf(node)
                 assert f"router bgp {node.asn}" in conf
+
+
+def render_all(exp):
+    """Every legacy router's ``bgpd.conf`` in AS order, the route
+    collector's, then the cluster speaker's ``exabgp.conf`` if there is
+    one."""
+    parts = [
+        render_bgpd_conf(node)
+        for node in exp.as_nodes()
+        if isinstance(node, BGPRouter)
+    ]
+    if exp.collector is not None:
+        parts.append(render_bgpd_conf(exp.collector))
+    if exp.speaker is not None:
+        parts.append(render_exabgp_conf(exp.speaker))
+    return "".join(parts)
+
+
+def caida_prepend_experiment():
+    """Valley-free hierarchy (tier-1s 1-2, transits 3-5, stubs 6-10) in
+    which AS3 prepends twice toward its provider AS1."""
+    topology = synthetic_caida_topology(tier1=2, transit=3, stubs=5, seed=4)
+    exp = Experiment(
+        topology, config=paper_config(seed=1, policy_mode="gao_rexford")
+    ).build()
+    exp.set_export_prepend(3, toward=1, count=2)
+    exp.start()
+    exp.announce(7)
+    return exp
+
+
+class TestGoldens:
+    """The rendered files are pinned byte for byte: how a policy is
+    stored may change, what an operator reads may not."""
+
+    def test_hybrid_flat_clique(self):
+        exp = hybrid_experiment()
+        exp.announce(1)
+        golden = (GOLDEN / "clique4_sdn34_flat.conf").read_text()
+        assert render_all(exp) == golden
+
+    def test_valley_free_hierarchy_with_a_prepend(self):
+        golden = (GOLDEN / "caida10_gao_rexford_prepend.conf").read_text()
+        assert render_all(caida_prepend_experiment()) == golden

@@ -34,21 +34,27 @@ FIG2_QUICK = {
 }
 
 
-class ServeProcess:
-    """``repro serve --port 0`` wrapper that scrapes the bound port."""
+def serve_argv(tmp_path):
+    """``repro serve --port 0`` on a fresh cache and registry."""
+    return [
+        sys.executable, "-m", "repro", "serve",
+        "--port", "0",
+        "--cache-dir", str(tmp_path / "cache"),
+        "--registry", str(tmp_path / "runs.sqlite"),
+        "--concurrency", "2",
+    ]
 
-    def __init__(self, tmp_path):
+
+class ServeProcess:
+    """A child process (``repro serve`` in these tests) whose merged
+    output a reader thread collects; scrapes the bound port."""
+
+    def __init__(self, argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(SRC)
         env["PYTHONUNBUFFERED"] = "1"
         self.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--port", "0",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--registry", str(tmp_path / "runs.sqlite"),
-                "--concurrency", "2",
-            ],
+            argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -81,20 +87,29 @@ class ServeProcess:
             "serve never announced its port:\n" + "\n".join(self.lines)
         )
 
-    def stop(self):
+    def stop(self, reader_timeout: float = 10.0):
         self.process.terminate()
         try:
             self.process.wait(10)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait(10)
-        self._reader.join(10)  # the pipe is at EOF once serve exits
+        # The pipe is at EOF once serve and every process that inherited
+        # its stdout have exited.  Closing it under a reader still in its
+        # read would block on the buffer lock that read holds, so fail.
+        self._reader.join(reader_timeout)
+        if self._reader.is_alive():
+            raise AssertionError(
+                "serve exited, but another process still holds its stdout "
+                "(a child that outlived it?); output so far:\n"
+                + "\n".join(self.lines)
+            )
         self.process.stdout.close()
 
 
 @pytest.fixture
 def serve_process(tmp_path):
-    process = ServeProcess(tmp_path)
+    process = ServeProcess(serve_argv(tmp_path))
     try:
         yield process
     finally:
@@ -186,3 +201,28 @@ def test_sigkilled_server_leaves_no_worker(serve_process):
     for pid in survivors:  # they hold serve's stdout: end them first
         os.kill(pid, signal.SIGKILL)
     assert not survivors, f"workers {survivors} outlived the SIGKILLed server"
+
+
+def test_stop_fails_when_a_child_holds_the_pipe():
+    """A child that inherited serve's stdout and outlives it keeps the
+    reader in its read: ``stop`` must fail after its reader timeout
+    instead of blocking forever in ``stdout.close()``."""
+    script = (
+        "import subprocess, sys, time; "
+        "child = subprocess.Popen([sys.executable, '-c', "
+        "'import time; time.sleep(60)']); "
+        "print(child.pid, flush=True); time.sleep(60)"
+    )
+    holder = ServeProcess([sys.executable, "-c", script])
+    deadline = time.monotonic() + 30.0
+    while not holder.lines and time.monotonic() < deadline:
+        time.sleep(0.05)
+    child = int(holder.lines[0])
+    started = time.monotonic()
+    try:
+        with pytest.raises(AssertionError, match="still holds its stdout"):
+            holder.stop(reader_timeout=1.0)
+        assert time.monotonic() - started < 5.0
+    finally:
+        os.kill(child, signal.SIGKILL)
+    holder.stop()  # the pipe reaches EOF with the child gone
