@@ -1,24 +1,24 @@
 """BGP-4 implementation (the framework's Quagga substitute).
 
 Public surface: :class:`BGPRouter` (one per AS), :class:`RouteCollector`
-(monitoring), :class:`BGPTimers` (MRAI & friends), the policy templates
-(:func:`gao_rexford_policy`, :func:`transit_all_policy`), and the data
+(monitoring), :class:`BGPTimers` (MRAI & friends), the routing policy
+(the valley-free rule :func:`exports`, the LOCAL_PREF ladder, the
+per-session :class:`PeerPolicy` and its templates
+:func:`gao_rexford_policy` and :func:`transit_all_policy`), and the data
 model (:class:`AsPath`, :class:`PathAttributes`, :class:`Route`).
 """
 
 from .attrs import DEFAULT_LOCAL_PREF, AsPath, Origin, PathAttributes
 from .collector import COLLECTOR_ASN, CollectedUpdate, RouteCollector, collector_policy
-from .decision import DecisionConfig, best_route, rank_routes
+from .decision import best_route, rank_routes
 from .messages import BGPKeepalive, BGPMessage, BGPNotification, BGPOpen, BGPUpdate
 from .policy import (
-    LOCAL_COMMUNITY,
     LOCAL_PREF_BY_RELATIONSHIP,
     PeerPolicy,
+    PolicyMode,
     Relationship,
-    RouteMap,
-    RouteMapEntry,
+    exports,
     gao_rexford_policy,
-    relationship_community,
     transit_all_policy,
 )
 from .rib import AdjRibIn, AdjRibOut, LocRib, Route
@@ -34,7 +34,6 @@ __all__ = [
     "CollectedUpdate",
     "RouteCollector",
     "collector_policy",
-    "DecisionConfig",
     "best_route",
     "rank_routes",
     "BGPKeepalive",
@@ -42,14 +41,12 @@ __all__ = [
     "BGPNotification",
     "BGPOpen",
     "BGPUpdate",
-    "LOCAL_COMMUNITY",
     "LOCAL_PREF_BY_RELATIONSHIP",
     "PeerPolicy",
+    "PolicyMode",
     "Relationship",
-    "RouteMap",
-    "RouteMapEntry",
+    "exports",
     "gao_rexford_policy",
-    "relationship_community",
     "transit_all_policy",
     "AdjRibIn",
     "AdjRibOut",

@@ -184,7 +184,6 @@ class PathAttributes:
         "origin",
         "local_pref",
         "med",
-        "communities",
         "_hash",
         "__weakref__",
     )
@@ -200,13 +199,11 @@ class PathAttributes:
         origin: Origin = Origin.IGP,
         local_pref: int = DEFAULT_LOCAL_PREF,
         med: int = 0,
-        communities: Iterable[str] = (),
     ) -> "PathAttributes":
         if as_path is None:
             as_path = AsPath()
         origin = Origin(origin)
-        communities = tuple(communities)
-        key = (as_path, origin, local_pref, med, communities)
+        key = (as_path, origin, local_pref, med)
         cached = cls._pool.get(key)
         if cached is not None:
             cls._hits += 1
@@ -216,7 +213,6 @@ class PathAttributes:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "local_pref", local_pref)
         object.__setattr__(self, "med", med)
-        object.__setattr__(self, "communities", communities)
         object.__setattr__(self, "_hash", hash(key))
         cls._pool[key] = self
         return self
@@ -226,7 +222,6 @@ class PathAttributes:
         return PathAttributes(
             as_path=as_path, origin=self.origin,
             local_pref=self.local_pref, med=self.med,
-            communities=self.communities,
         )
 
     def with_local_pref(self, local_pref: int) -> "PathAttributes":
@@ -234,20 +229,7 @@ class PathAttributes:
         return PathAttributes(
             as_path=self.as_path, origin=self.origin,
             local_pref=local_pref, med=self.med,
-            communities=self.communities,
         )
-
-    def with_communities(self, communities: Iterable[str]) -> "PathAttributes":
-        """Copy with a different community set."""
-        return PathAttributes(
-            as_path=self.as_path, origin=self.origin,
-            local_pref=self.local_pref, med=self.med,
-            communities=tuple(communities),
-        )
-
-    def has_community(self, community: str) -> bool:
-        """True if the community is attached."""
-        return community in self.communities
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -258,7 +240,6 @@ class PathAttributes:
                 and self.origin == other.origin
                 and self.local_pref == other.local_pref
                 and self.med == other.med
-                and self.communities == other.communities
             )
         return NotImplemented
 
@@ -274,15 +255,14 @@ class PathAttributes:
     def __reduce__(self):
         return (
             PathAttributes,
-            (self.as_path, self.origin, self.local_pref, self.med,
-             self.communities),
+            (self.as_path, self.origin, self.local_pref, self.med),
         )
 
     def __repr__(self) -> str:
         return (
             f"PathAttributes(as_path={self.as_path!r}, "
             f"origin={self.origin!r}, local_pref={self.local_pref!r}, "
-            f"med={self.med!r}, communities={self.communities!r})"
+            f"med={self.med!r})"
         )
 
 

@@ -15,7 +15,7 @@ from typing import List, Optional
 from ..eventsim import Simulator
 from ..net.addr import Prefix
 from .messages import BGPUpdate
-from .policy import PeerPolicy, RouteMap, RouteMapEntry
+from .policy import PeerPolicy, PolicyMode, Relationship
 from .router import BGPRouter
 from .session import BGPSession, BGPTimers
 
@@ -43,17 +43,7 @@ class CollectedUpdate:
 
 def collector_policy() -> PeerPolicy:
     """Import everything, export nothing."""
-    from .policy import Relationship
-
-    import_map = RouteMap(
-        [RouteMapEntry(permit=True, description="collector accepts all")],
-        name="collector-import",
-    )
-    export_map = RouteMap(
-        [RouteMapEntry(permit=False, description="collector is silent")],
-        name="collector-export",
-    )
-    return PeerPolicy(Relationship.FLAT, import_map, export_map)
+    return PeerPolicy(Relationship.FLAT, PolicyMode.SILENT)
 
 
 class RouteCollector(BGPRouter):

@@ -7,8 +7,8 @@ Adj-RIB-In entry), pick the best:
 2. locally-originated beats learned (Quagga's "weight" effect);
 3. shortest AS_PATH;
 4. lowest ORIGIN (IGP < EGP < INCOMPLETE);
-5. lowest MED (we compare across all neighbors, i.e. Quagga's
-   ``bgp always-compare-med``, configurable off);
+5. lowest MED, compared across all neighbors (Quagga's
+   ``bgp always-compare-med``);
 6. lowest peer AS number;  7. lowest peer name (router-id stand-in).
 
 Steps 6-7 are the deterministic tie-breakers that make runs reproducible.
@@ -16,14 +16,12 @@ Steps 6-7 are the deterministic tie-breakers that make runs reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..net.addr import Prefix
 from .rib import LocRib, Route
 
 __all__ = [
-    "DecisionConfig",
     "best_route",
     "rank_routes",
     "route_sort_key",
@@ -32,53 +30,39 @@ __all__ = [
 ]
 
 
-@dataclass
-class DecisionConfig:
-    """Knobs for the decision process."""
-
-    compare_med: bool = True
-    prefer_local: bool = True
-
-
-def route_sort_key(route: Route, config: Optional[DecisionConfig] = None):
+def route_sort_key(route: Route):
     """Sort key such that the minimum is the best route."""
-    config = config or DecisionConfig()
     attrs = route.attrs
     return (
         -attrs.local_pref,
-        0 if (config.prefer_local and route.is_local) else 1,
+        0 if route.is_local else 1,
         attrs.as_path.length,
         int(attrs.origin),
-        attrs.med if config.compare_med else 0,
+        attrs.med,
         route.peer_asn,
         route.peer_name,
     )
 
 
-def best_route(
-    candidates: Iterable[Route], config: Optional[DecisionConfig] = None
-) -> Optional[Route]:
+def best_route(candidates: Iterable[Route]) -> Optional[Route]:
     """The winner among ``candidates``, or None when there are none."""
     best: Optional[Route] = None
     best_key = None
     for route in candidates:
-        key = route_sort_key(route, config)
+        key = route_sort_key(route)
         if best is None or key < best_key:
             best, best_key = route, key
     return best
 
 
-def rank_routes(
-    candidates: Iterable[Route], config: Optional[DecisionConfig] = None
-) -> List[Route]:
+def rank_routes(candidates: Iterable[Route]) -> List[Route]:
     """All candidates, best first (for diagnostics / 'show ip bgp')."""
-    return sorted(candidates, key=lambda r: route_sort_key(r, config))
+    return sorted(candidates, key=route_sort_key)
 
 
 def full_scan_best(
     candidates_fn: Callable[[Prefix], Iterable[Route]],
     prefixes: Iterable[Prefix],
-    config: Optional[DecisionConfig] = None,
 ) -> Dict[Prefix, Route]:
     """Reference decision process: best route per prefix by full scan.
 
@@ -88,7 +72,7 @@ def full_scan_best(
     """
     best: Dict[Prefix, Route] = {}
     for prefix in prefixes:
-        winner = best_route(candidates_fn(prefix), config)
+        winner = best_route(candidates_fn(prefix))
         if winner is not None:
             best[prefix] = winner
     return best
@@ -98,7 +82,6 @@ def verify_loc_rib(
     loc_rib: LocRib,
     candidates_fn: Callable[[Prefix], Iterable[Route]],
     prefixes: Iterable[Prefix],
-    config: Optional[DecisionConfig] = None,
 ) -> List[str]:
     """Differential oracle: mismatches between a Loc-RIB and a full scan.
 
@@ -107,7 +90,7 @@ def verify_loc_rib(
     Compares winners by attributes *and* provenance (peer), the same
     identity :meth:`LocRib.set_best` uses.
     """
-    expected = full_scan_best(candidates_fn, prefixes, config)
+    expected = full_scan_best(candidates_fn, prefixes)
     problems: List[str] = []
     for prefix in sorted(set(expected) | set(loc_rib.prefixes())):
         want = expected.get(prefix)

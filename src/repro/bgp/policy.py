@@ -1,42 +1,44 @@
-"""BGP routing policy: relationships, route-maps, Gao-Rexford templates.
+"""BGP routing policy: relationships, the valley-free rule, the ladder.
 
 The framework "configures ... customer-to-provider and peer-to-peer
-relationships" automatically.  We model policy the way Quagga does — as
-ordered route-maps applied on import and export per peer — and provide
-the two policy templates the experiments use:
+relationships" automatically.  A route's business meaning is the
+relationship of the session it was learned over, so policy is a plain
+value per session — no route-maps, no tags on the route — and this
+module is the one place the business rules are declared, for legacy
+routers and the IDR controller alike:
 
-- **Gao-Rexford** (valley-free): import tags each route with the business
-  relationship it was learned over and sets LOCAL_PREF customer > peer >
-  provider; export follows the no-valley rule (routes from peers or
-  providers are only exported to customers).
-- **Transit-all** (flat): every AS re-exports everything, the classic
-  setting for clique convergence studies (Labovitz et al.) and the one
-  the paper's 16-AS clique experiment corresponds to.
+- :data:`LOCAL_PREF_BY_RELATIONSHIP`, the preference ladder: customer >
+  peer > provider;
+- :func:`exports`, the valley-free (Gao-Rexford) export rule: routes
+  from peers or providers are only exported to customers;
+- :class:`PeerPolicy`, one session's relationship, mode and AS-path
+  prepend.
+
+The modes are the two templates the experiments use plus the route
+collector's: **valley-free** (import sets LOCAL_PREF from the ladder,
+export follows :func:`exports`), **transit-all** (every AS re-exports
+everything, the classic setting for clique convergence studies, Labovitz
+et al., and the one the paper's 16-AS clique experiment corresponds to)
+and **silent** (import everything, export nothing).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from ..net.addr import Prefix
-from .attrs import PathAttributes
+from .attrs import DEFAULT_LOCAL_PREF, PathAttributes
 
 __all__ = [
     "Relationship",
-    "RouteMap",
-    "RouteMapEntry",
+    "PolicyMode",
     "PeerPolicy",
+    "LOCAL_PREF_BY_RELATIONSHIP",
+    "exports",
     "gao_rexford_policy",
     "transit_all_policy",
-    "LOCAL_COMMUNITY",
-    "relationship_community",
-    "LOCAL_PREF_BY_RELATIONSHIP",
 ]
-
-#: Community tagged on locally-originated routes.
-LOCAL_COMMUNITY = "origin:local"
 
 
 class Relationship(enum.Enum):
@@ -67,158 +69,34 @@ LOCAL_PREF_BY_RELATIONSHIP = {
 }
 
 
-def relationship_community(rel: Relationship) -> str:
-    """Community recording which relationship a route was learned over."""
-    return f"learned:{rel.value}"
+def exports(learned: Optional[Relationship], toward: Relationship) -> bool:
+    """The valley-free rule: may a route learned over ``learned`` (None:
+    originated here) be exported toward a peer of ``toward``?
 
-
-# ----------------------------------------------------------------------
-# Route-maps
-# ----------------------------------------------------------------------
-@dataclass
-class RouteMapEntry:
-    """One permit/deny clause with optional matches and actions.
-
-    ``matches`` are predicates over ``(prefix, attrs)``; all must hold for
-    the entry to fire.  On a permit, ``actions`` transform the attributes
-    in order.
+    Own and customer-learned routes go to everyone; peer- and
+    provider-learned routes only to customers.  A FLAT link carries no
+    business policy, so what it brings in goes everywhere too.
     """
-
-    permit: bool = True
-    matches: List[Callable[[Prefix, PathAttributes], bool]] = field(
-        default_factory=list
+    return (
+        learned is None
+        or learned is Relationship.CUSTOMER
+        or learned is Relationship.FLAT
+        or toward is Relationship.CUSTOMER
     )
-    actions: List[Callable[[PathAttributes], PathAttributes]] = field(
-        default_factory=list
-    )
-    description: str = ""
-
-    def applies(self, prefix: Prefix, attrs: PathAttributes) -> bool:
-        """True when every match predicate holds."""
-        return all(match(prefix, attrs) for match in self.matches)
-
-    def apply_actions(self, attrs: PathAttributes) -> PathAttributes:
-        """Run all actions over the attributes."""
-        for action in self.actions:
-            attrs = action(attrs)
-        return attrs
 
 
-class RouteMap:
-    """Ordered first-match route-map, Quagga semantics.
+class PolicyMode(enum.Enum):
+    """How a session applies its relationship."""
 
-    If no entry matches, the route is denied (matching Quagga's implicit
-    deny) unless ``default_permit`` is set.
-    """
-
-    def __init__(
-        self,
-        entries: Optional[Sequence[RouteMapEntry]] = None,
-        *,
-        default_permit: bool = False,
-        name: str = "",
-    ) -> None:
-        self.entries: List[RouteMapEntry] = list(entries or [])
-        self.default_permit = default_permit
-        self.name = name
-
-    def append(self, entry: RouteMapEntry) -> None:
-        """Add an entry at the end."""
-        self.entries.append(entry)
-
-    def evaluate(
-        self, prefix: Prefix, attrs: PathAttributes
-    ) -> Optional[PathAttributes]:
-        """Transformed attributes if permitted, None if denied."""
-        for entry in self.entries:
-            if entry.applies(prefix, attrs):
-                if not entry.permit:
-                    return None
-                return entry.apply_actions(attrs)
-        return attrs if self.default_permit else None
-
-    def __repr__(self) -> str:
-        return f"<RouteMap {self.name or '?'} entries={len(self.entries)}>"
+    VALLEY_FREE = "valley-free"   # Gao-Rexford
+    TRANSIT_ALL = "transit-all"   # flat: accept and re-export everything
+    SILENT = "silent"             # route collector: accept, export nothing
 
 
-# ----------------------------------------------------------------------
-# Match / action helpers (building blocks for templates and user policy)
-# ----------------------------------------------------------------------
-def match_prefix_in(prefixes: Sequence[Prefix]):
-    """Match NLRI covered by any prefix in the list."""
-    covered = list(prefixes)
-
-    def match(prefix: Prefix, attrs: PathAttributes) -> bool:
-        return any(prefix in cover or prefix == cover for cover in covered)
-
-    return match
-
-
-def match_community(community: str):
-    def match(prefix: Prefix, attrs: PathAttributes) -> bool:
-        return attrs.has_community(community)
-
-    return match
-
-
-def match_any_community(communities: Sequence[str]):
-    wanted = set(communities)
-
-    def match(prefix: Prefix, attrs: PathAttributes) -> bool:
-        return bool(wanted.intersection(attrs.communities))
-
-    return match
-
-
-def match_as_in_path(asn: int):
-    def match(prefix: Prefix, attrs: PathAttributes) -> bool:
-        return attrs.as_path.contains(asn)
-
-    return match
-
-
-def set_local_pref(value: int):
-    def action(attrs: PathAttributes) -> PathAttributes:
-        return attrs.with_local_pref(value)
-
-    return action
-
-
-def add_community(community: str):
-    def action(attrs: PathAttributes) -> PathAttributes:
-        if attrs.has_community(community):
-            return attrs
-        return attrs.with_communities(attrs.communities + (community,))
-
-    return action
-
-
-def strip_learned_communities():
-    """Drop relationship tags before exporting (they are local meaning)."""
-
-    def action(attrs: PathAttributes) -> PathAttributes:
-        kept = tuple(
-            c for c in attrs.communities
-            if not c.startswith("learned:") and c != LOCAL_COMMUNITY
-        )
-        return attrs.with_communities(kept)
-
-    return action
-
-
-def prepend_path(asn: int, count: int):
-    def action(attrs: PathAttributes) -> PathAttributes:
-        return attrs.with_path(attrs.as_path.prepend(asn, count))
-
-    return action
-
-
-# ----------------------------------------------------------------------
-# Per-peer policy bundles
-# ----------------------------------------------------------------------
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PeerPolicy:
-    """Import and export route-maps for one BGP peer, plus its relationship.
+    """One BGP session's policy: the peer's relationship, the mode, and
+    how many extra copies of the local ASN to prepend on export.
 
     Compared and hashed by identity: sessions sharing one policy object
     form one update group (``BGPRouter._export_attrs``), so a policy is
@@ -226,106 +104,61 @@ class PeerPolicy:
     """
 
     relationship: Relationship
-    import_map: RouteMap
-    export_map: RouteMap
+    mode: PolicyMode
+    prepend: int = 0
 
-    def import_route(
-        self, prefix: Prefix, attrs: PathAttributes
+    def import_attrs(self, attrs: PathAttributes) -> PathAttributes:
+        """A received route's attributes as stored: valley-free sessions
+        set LOCAL_PREF from the ladder, the others keep what came."""
+        if self.mode is PolicyMode.VALLEY_FREE:
+            return attrs.with_local_pref(
+                LOCAL_PREF_BY_RELATIONSHIP[self.relationship]
+            )
+        return attrs
+
+    def export_attrs(
+        self,
+        attrs: PathAttributes,
+        learned: Optional[Relationship],
+        local_asn: int,
     ) -> Optional[PathAttributes]:
-        return self.import_map.evaluate(prefix, attrs)
+        """What this session advertises for a best route with ``attrs``
+        learned over ``learned`` (None: originated), or None if denied.
 
-    def export_route(
-        self, prefix: Prefix, attrs: PathAttributes
-    ) -> Optional[PathAttributes]:
-        return self.export_map.evaluate(prefix, attrs)
+        The local ASN goes on the path ``1 + prepend`` times; LOCAL_PREF
+        is not carried across eBGP, so it is reset to the default and the
+        receiver's import decides.
+        """
+        if self.mode is PolicyMode.SILENT or (
+            self.mode is PolicyMode.VALLEY_FREE
+            and not exports(learned, self.relationship)
+        ):
+            return None
+        return PathAttributes(
+            as_path=attrs.as_path.prepend(local_asn, 1 + self.prepend),
+            origin=attrs.origin,
+            local_pref=DEFAULT_LOCAL_PREF,
+            med=attrs.med,
+        )
 
-    def with_export_prepend(self, asn: int, count: int) -> "PeerPolicy":
-        """A copy whose permits additionally prepend ``asn`` x ``count``.
+    def with_export_prepend(self, count: int) -> "PeerPolicy":
+        """A copy that prepends the local ASN ``count`` extra times.
 
         This is the operator's standard primary/backup trick: prepending
         on the backup session makes its paths longer, so the backup only
         carries traffic after the primary is gone — and BGP must explore
         the length gap on fail-over.
         """
-        entries = [
-            RouteMapEntry(
-                permit=entry.permit,
-                matches=list(entry.matches),
-                actions=list(entry.actions)
-                + ([prepend_path(asn, count)] if entry.permit else []),
-                description=(entry.description + f" +prepend x{count}").strip(),
-            )
-            for entry in self.export_map.entries
-        ]
-        export_map = RouteMap(
-            entries,
-            default_permit=self.export_map.default_permit,
-            name=f"{self.export_map.name}-prepend{count}",
-        )
-        return PeerPolicy(self.relationship, self.import_map, export_map)
+        if count < 1:
+            raise ValueError(f"count must be >= 1: {count!r}")
+        return replace(self, prepend=self.prepend + count)
 
 
 def gao_rexford_policy(relationship: Relationship) -> PeerPolicy:
-    """Valley-free policy bundle for a peer with the given relationship.
-
-    Import: set LOCAL_PREF by relationship and tag the route.
-    Export: permit locally-originated and customer-learned routes to
-    everyone; peer-/provider-learned routes only to customers.
-    """
-    import_map = RouteMap(
-        [
-            RouteMapEntry(
-                permit=True,
-                actions=[
-                    set_local_pref(LOCAL_PREF_BY_RELATIONSHIP[relationship]),
-                    add_community(relationship_community(relationship)),
-                ],
-                description=f"import from {relationship.value}",
-            )
-        ],
-        name=f"gr-import-{relationship.value}",
-    )
-    exportable = [
-        LOCAL_COMMUNITY,
-        relationship_community(Relationship.CUSTOMER),
-    ]
-    if relationship is Relationship.CUSTOMER:
-        # Everything goes to customers.
-        entries = [
-            RouteMapEntry(
-                permit=True,
-                actions=[strip_learned_communities()],
-                description="export all to customer",
-            )
-        ]
-    else:
-        entries = [
-            RouteMapEntry(
-                permit=True,
-                matches=[match_any_community(exportable)],
-                actions=[strip_learned_communities()],
-                description=f"export own/customer routes to {relationship.value}",
-            ),
-            RouteMapEntry(permit=False, description="implicit valley deny"),
-        ]
-    export_map = RouteMap(entries, name=f"gr-export-{relationship.value}")
-    return PeerPolicy(relationship, import_map, export_map)
+    """Valley-free policy for a peer with the given relationship."""
+    return PeerPolicy(relationship, PolicyMode.VALLEY_FREE)
 
 
 def transit_all_policy() -> PeerPolicy:
     """Flat policy: accept and re-export everything (clique experiments)."""
-    import_map = RouteMap(
-        [RouteMapEntry(permit=True, description="accept all")],
-        name="flat-import",
-    )
-    export_map = RouteMap(
-        [
-            RouteMapEntry(
-                permit=True,
-                actions=[strip_learned_communities()],
-                description="export all",
-            )
-        ],
-        name="flat-export",
-    )
-    return PeerPolicy(Relationship.FLAT, import_map, export_map)
+    return PeerPolicy(Relationship.FLAT, PolicyMode.TRANSIT_ALL)

@@ -22,17 +22,11 @@ from ..obs.spans import activation, last_span_activation
 from ..net.dataplane import FibEntry
 from ..net.link import Link
 from ..net.node import Node
-from .attrs import DEFAULT_LOCAL_PREF, AsPath, Origin, PathAttributes
+from .attrs import AsPath, Origin, PathAttributes
 from .damping import DampingConfig, RouteDamper
-from .decision import (
-    DecisionConfig,
-    best_route,
-    rank_routes,
-    route_sort_key,
-    verify_loc_rib,
-)
+from .decision import best_route, rank_routes, route_sort_key, verify_loc_rib
 from .messages import BGPMessage, BGPUpdate
-from .policy import LOCAL_COMMUNITY, PeerPolicy, add_community
+from .policy import PeerPolicy
 from .rib import (
     NO_RIB_IN,
     NO_RIB_OUT,
@@ -60,7 +54,6 @@ class BGPRouter(Node):
         *,
         asn: int,
         timers: Optional[BGPTimers] = None,
-        decision: Optional[DecisionConfig] = None,
         damping: Optional[DampingConfig] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -68,7 +61,6 @@ class BGPRouter(Node):
             raise ValueError(f"ASN must be positive: {asn!r}")
         self.asn = asn
         self.timers = timers if timers is not None else BGPTimers()
-        self.decision_config = decision if decision is not None else DecisionConfig()
         #: prefix-major view of every Adj-RIB-In, kept in sync by the
         #: tables; :meth:`candidates` reads it, :meth:`verify_decisions`
         #: checks it against a full scan (docs/scaling.md).
@@ -181,11 +173,9 @@ class BGPRouter(Node):
     # ------------------------------------------------------------------
     def originate(self, prefix: Prefix, *, med: int = 0) -> None:
         """Originate ``prefix`` from this AS and advertise per policy."""
-        attrs = PathAttributes(
+        self.originated[prefix] = PathAttributes(
             as_path=AsPath(), origin=Origin.IGP, med=med,
         )
-        attrs = add_community(LOCAL_COMMUNITY)(attrs)
-        self.originated[prefix] = attrs
         self.add_local_prefix(prefix)
         self.bus.record("bgp.originate", self.name, prefix=str(prefix))
         # Provenance: the origination span (a root cause when injected
@@ -377,7 +367,7 @@ class BGPRouter(Node):
                 self._record_flap(link_id, prefix, "withdrawal")
                 affected.append(prefix)
         for prefix, attrs in update.announced:
-            imported = self._import_route(session, prefix, attrs)
+            imported = self._import_route(session, attrs)
             if imported is None:
                 # Rejected: an implicit withdrawal if we previously held it.
                 if rib_in.withdraw(prefix):
@@ -426,12 +416,12 @@ class BGPRouter(Node):
         self._run_decision(prefix)
 
     def _import_route(
-        self, session: BGPSession, prefix: Prefix, attrs: PathAttributes
+        self, session: BGPSession, attrs: PathAttributes
     ) -> Optional[PathAttributes]:
         """Loop check + import policy; None means reject."""
         if attrs.as_path.contains(self.asn):
             return None
-        return session.policy.import_route(prefix, attrs)
+        return session.policy.import_attrs(attrs)
 
     # ------------------------------------------------------------------
     # decision process + FIB + advertisement scheduling
@@ -507,7 +497,6 @@ class BGPRouter(Node):
             self.loc_rib,
             self._scan_candidates,
             self.known_prefixes(),
-            self.decision_config,
         )
 
     def _run_decision(self, prefix: Prefix, link_id: int = -1) -> None:
@@ -518,7 +507,7 @@ class BGPRouter(Node):
         old = self.loc_rib.get(prefix)
         best = self._incremental_best(prefix, link_id, old)
         if best is _RESCAN:
-            best = best_route(self.candidates(prefix), self.decision_config)
+            best = best_route(self.candidates(prefix))
         if best is None:
             if self.loc_rib.remove(prefix):
                 self._on_best_changed(prefix, old, None)
@@ -554,9 +543,8 @@ class BGPRouter(Node):
         new = entry.get(link_id)
         if new is None or old is None:
             return old if new is None else new
-        config = self.decision_config
-        new_key = route_sort_key(new, config)
-        old_key = route_sort_key(old, config)
+        new_key = route_sort_key(new)
+        old_key = route_sort_key(old)
         if new_key < old_key:
             return new
         if old_key < new_key:
@@ -653,14 +641,13 @@ class BGPRouter(Node):
         key = (session.policy, session.local_asn)
         if key in group:
             return group[key]
-        exported = session.policy.export_route(prefix, best.attrs)
-        if exported is not None:
-            exported = exported.with_path(
-                exported.as_path.prepend(session.local_asn)
-            )
-            # LOCAL_PREF is not carried across eBGP: reset to the default
-            # so the receiver's import policy decides.
-            exported = exported.with_local_pref(DEFAULT_LOCAL_PREF)
+        learned = (
+            None if best.is_local
+            else self.sessions[best.link_id].policy.relationship
+        )
+        exported = session.policy.export_attrs(
+            best.attrs, learned, session.local_asn
+        )
         group[key] = exported
         return exported
 
@@ -672,7 +659,7 @@ class BGPRouter(Node):
         lines: List[str] = []
         prefixes = [prefix] if prefix is not None else self.known_prefixes()
         for pfx in prefixes:
-            ranked = rank_routes(self.candidates(pfx), self.decision_config)
+            ranked = rank_routes(self.candidates(pfx))
             for i, route in enumerate(ranked):
                 marker = "*>" if i == 0 else "* "
                 src = "local" if route.is_local else f"AS{route.peer_asn}"

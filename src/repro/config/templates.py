@@ -6,14 +6,15 @@ programmatically, but the same information can be rendered to the
 familiar formats — useful for debugging, for comparing against a real
 deployment, and as a faithful artifact of the "configuration management"
 the paper emphasizes.  Rendering is lossless for what the emulator
-models: neighbors, AS numbers, networks, and per-neighbor route-maps.
+models: neighbors, AS numbers, networks, and per-neighbor route-maps
+rendered from each session's policy.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from ..bgp.policy import PeerPolicy
+from ..bgp.policy import PeerPolicy, PolicyMode, Relationship, exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bgp.router import BGPRouter
@@ -23,23 +24,32 @@ __all__ = ["render_bgpd_conf", "render_exabgp_conf", "render_route_map"]
 
 
 def render_route_map(name: str, policy: PeerPolicy) -> List[str]:
-    """Quagga route-map stanzas approximating one of our policy bundles."""
+    """Quagga route-map stanzas approximating one session's policy."""
+    rel = policy.relationship.value
+    if policy.mode is PolicyMode.VALLEY_FREE:
+        imports = [("permit", f"import from {rel}")]
+        if exports(Relationship.PROVIDER, policy.relationship):
+            outs = [("permit", f"export all to {rel}")]
+        else:
+            outs = [
+                ("permit", f"export own/customer routes to {rel}"),
+                ("deny", "implicit valley deny"),
+            ]
+    elif policy.mode is PolicyMode.TRANSIT_ALL:
+        imports = [("permit", "accept all")]
+        outs = [("permit", "export all")]
+    else:
+        imports = [("permit", "collector accepts all")]
+        outs = [("deny", "collector is silent")]
+    if policy.prepend:
+        outs = [
+            (verb, f"{text} +prepend x{policy.prepend}") for verb, text in outs
+        ]
     lines: List[str] = []
-    for direction, route_map in (
-        ("in", policy.import_map),
-        ("out", policy.export_map),
-    ):
-        map_name = f"{name}-{direction}"
-        seq = 10
-        for entry in route_map.entries:
-            verb = "permit" if entry.permit else "deny"
-            lines.append(f"route-map {map_name} {verb} {seq}")
-            if entry.description:
-                lines.append(f" description {entry.description}")
-            seq += 10
-        if route_map.default_permit:
-            lines.append(f"route-map {map_name} permit {seq}")
-            lines.append(" description default permit")
+    for direction, stanzas in (("in", imports), ("out", outs)):
+        for seq, (verb, text) in enumerate(stanzas, 1):
+            lines.append(f"route-map {name}-{direction} {verb} {10 * seq}")
+            lines.append(f" description {text}")
         lines.append("!")
     return lines
 
@@ -56,8 +66,7 @@ def render_bgpd_conf(router: "BGPRouter") -> str:
     ]
     if router.timers.fast_fallover:
         lines.append(" bgp fast-external-fallover")
-    if router.decision_config.compare_med:
-        lines.append(" bgp always-compare-med")
+    lines.append(" bgp always-compare-med")
     for prefix in sorted(router.originated):
         lines.append(f" network {prefix}")
     for link_id in sorted(router.sessions):

@@ -44,7 +44,7 @@ from typing import (
 )
 
 from ..bgp.attrs import AsPath, Origin
-from ..bgp.policy import Relationship
+from ..bgp.policy import LOCAL_PREF_BY_RELATIONSHIP, Relationship
 from ..net.addr import Prefix
 
 __all__ = [
@@ -340,20 +340,12 @@ def build_as_topology(
     return topo
 
 
-#: valley-free route preference: customer routes first, then peers,
-#: then providers (mirrors the LOCAL_PREF ladder legacy routers use).
-_REL_RANK = {
-    Relationship.CUSTOMER: 0,
-    Relationship.PEER: 1,
-    Relationship.FLAT: 1,
-    Relationship.PROVIDER: 2,
-}
-
-
 def _route_key(route: ExternalRoute):
-    """Deterministic preference among a member's external routes."""
+    """Deterministic preference among a member's external routes: the
+    legacy routers' LOCAL_PREF ladder first (customer, then peer, then
+    provider), then the decision process's tie-breakers."""
     return (
-        _REL_RANK[route.peering.relationship],
+        -LOCAL_PREF_BY_RELATIONSHIP[route.peering.relationship],
         route.path_len,
         int(route.origin),
         route.med,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..bgp.attrs import AsPath, Origin, PathAttributes
-from ..bgp.policy import Relationship
+from ..bgp.policy import exports
 from ..eventsim import DebounceTimer, Simulator
 from ..net.addr import Prefix
 from ..net.link import Link
@@ -478,16 +478,12 @@ class IDRController(Node):
     def _export_permitted(route, peering: Peering) -> bool:
         """Gao-Rexford export check for the cluster as a whole.
 
-        Locally originated routes (``route is None``) and customer-learned
-        routes go to everyone; peer-/provider-learned routes go only to
-        customers.  FLAT peerings (the clique experiments) export freely.
+        The legacy routers' rule (:func:`repro.bgp.policy.exports`), with
+        the cluster as one AS: a locally originated route
+        (``route is None``) has no learned relationship.
         """
-        if route is None:
-            return True
-        learned = route.peering.relationship
-        if learned in (Relationship.CUSTOMER, Relationship.FLAT):
-            return True
-        return peering.relationship is Relationship.CUSTOMER
+        learned = None if route is None else route.peering.relationship
+        return exports(learned, peering.relationship)
 
     def _egress_route(
         self, prefix: Prefix, decision: MemberDecision

@@ -530,7 +530,7 @@ class Experiment:
         session = node.session_on(link)
         if session is None:
             raise ExperimentError(f"no session AS{asn}->AS{toward}")
-        session.policy = session.policy.with_export_prepend(asn, count)
+        session.policy = session.policy.with_export_prepend(count)
 
     # ------------------------------------------------------------------
     # fault commands (the building blocks repro.faults schedules)

@@ -63,23 +63,16 @@ class TestPathAttributes:
         attrs = PathAttributes()
         assert attrs.local_pref == 100
         assert attrs.origin is Origin.IGP
-        assert attrs.communities == ()
 
     def test_with_path_preserves_other_fields(self):
-        attrs = PathAttributes(local_pref=200, med=5, communities=("x",))
+        attrs = PathAttributes(local_pref=200, med=5)
         updated = attrs.with_path(AsPath.of(1))
         assert updated.as_path == AsPath.of(1)
         assert updated.local_pref == 200
         assert updated.med == 5
-        assert updated.communities == ("x",)
 
     def test_with_local_pref(self):
         assert PathAttributes().with_local_pref(50).local_pref == 50
-
-    def test_with_communities_and_has_community(self):
-        attrs = PathAttributes().with_communities(["a", "b"])
-        assert attrs.has_community("a")
-        assert not attrs.has_community("c")
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

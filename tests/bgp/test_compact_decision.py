@@ -9,7 +9,7 @@ checks both is itself right.
 """
 
 from repro.bgp.attrs import AsPath, PathAttributes
-from repro.bgp.decision import DecisionConfig, full_scan_best, verify_loc_rib
+from repro.bgp.decision import full_scan_best, verify_loc_rib
 from repro.bgp.messages import BGPUpdate
 from repro.bgp.rib import AdjRibIn, LocRib, Route, RouteIndex
 from repro.net.addr import Prefix
@@ -149,7 +149,7 @@ class TestFullScanOracle:
             P2: [route(P2, 4, 1)],
         }
         best = full_scan_best(
-            self._candidates(table), [P1, P2], DecisionConfig()
+            self._candidates(table), [P1, P2]
         )
         assert best[P1].attrs.as_path == AsPath.of(3, 1)
         assert best[P2].attrs.as_path == AsPath.of(4, 1)
@@ -159,7 +159,7 @@ class TestFullScanOracle:
         loc = LocRib()
         loc.set_best(table[P1][0])
         assert verify_loc_rib(
-            loc, self._candidates(table), [P1], DecisionConfig()
+            loc, self._candidates(table), [P1]
         ) == []
 
     def test_verify_loc_rib_flags_stale_winner(self):
@@ -167,7 +167,7 @@ class TestFullScanOracle:
         loc = LocRib()
         loc.set_best(table[P1][1])  # longer path: wrong
         problems = verify_loc_rib(
-            loc, self._candidates(table), [P1], DecisionConfig()
+            loc, self._candidates(table), [P1]
         )
         assert problems and str(P1) in problems[0]
 
@@ -175,10 +175,10 @@ class TestFullScanOracle:
         table = {P1: [route(P1, 3, 1)]}
         empty = LocRib()
         assert verify_loc_rib(
-            empty, self._candidates(table), [P1], DecisionConfig()
+            empty, self._candidates(table), [P1]
         )
         ghost = LocRib()
         ghost.set_best(route(P2, 4, 1))
         assert verify_loc_rib(
-            ghost, self._candidates({}), [P2], DecisionConfig()
+            ghost, self._candidates({}), [P2]
         )

@@ -3,12 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.bgp.attrs import AsPath, Origin, PathAttributes
-from repro.bgp.decision import (
-    DecisionConfig,
-    best_route,
-    rank_routes,
-    route_sort_key,
-)
+from repro.bgp.decision import best_route, rank_routes, route_sort_key
 from repro.bgp.rib import Route
 from repro.net.addr import Prefix
 
@@ -65,12 +60,6 @@ class TestDecisionSteps:
         high = route(med=50, peer=1)
         low = route(med=10, peer=2)
         assert best_route([high, low]) is low
-
-    def test_med_ignored_when_disabled(self):
-        config = DecisionConfig(compare_med=False)
-        high_med_low_asn = route(med=50, peer=1)
-        low_med_high_asn = route(med=10, peer=2)
-        assert best_route([low_med_high_asn, high_med_low_asn], config) is high_med_low_asn
 
     def test_lower_peer_asn_breaks_tie(self):
         a = route(peer=5)

@@ -99,11 +99,6 @@ class TestPathAttributesInterning:
         )
         assert base.with_local_pref(150) is base
 
-    def test_communities_normalized_to_tuple(self):
-        assert PathAttributes(communities=["a", "b"]) is PathAttributes(
-            communities=("a", "b")
-        )
-
     def test_origin_normalized_to_enum(self):
         assert PathAttributes(origin=1).origin is Origin.EGP
 
@@ -117,7 +112,7 @@ class TestPathAttributesInterning:
         assert intern_stats()["path_attributes"] == before
 
     def test_pickle_reinterns(self):
-        attrs = PathAttributes(as_path=AsPath.of(4), communities=("x",))
+        attrs = PathAttributes(as_path=AsPath.of(4), med=7)
         assert pickle.loads(pickle.dumps(attrs)) is attrs
 
 

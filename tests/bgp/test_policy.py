@@ -1,31 +1,23 @@
-"""Unit tests for route-maps and the Gao-Rexford / transit-all templates."""
+"""The routing policy: the LOCAL_PREF ladder, the valley-free rule and
+the per-session ``PeerPolicy``, unit by unit and as a table read off
+real routers."""
 
 import pytest
 
 from repro.bgp.attrs import DEFAULT_LOCAL_PREF, AsPath, PathAttributes
 from repro.bgp.collector import RouteCollector
 from repro.bgp.policy import (
-    LOCAL_COMMUNITY,
     LOCAL_PREF_BY_RELATIONSHIP,
     Relationship,
-    RouteMap,
-    RouteMapEntry,
-    add_community,
+    exports,
     gao_rexford_policy,
-    match_as_in_path,
-    match_community,
-    match_prefix_in,
-    prepend_path,
-    relationship_community,
-    set_local_pref,
-    strip_learned_communities,
     transit_all_policy,
 )
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.net.addr import Prefix
 
-PFX = Prefix.parse("10.0.0.0/24")
+ROUTE = PathAttributes(as_path=AsPath.of(1))
 
 
 class TestRelationship:
@@ -44,109 +36,21 @@ class TestRelationship:
         )
 
 
-class TestRouteMap:
-    def test_implicit_deny(self):
-        route_map = RouteMap([])
-        assert route_map.evaluate(PFX, PathAttributes()) is None
-
-    def test_default_permit(self):
-        route_map = RouteMap([], default_permit=True)
-        assert route_map.evaluate(PFX, PathAttributes()) is not None
-
-    def test_first_match_wins(self):
-        route_map = RouteMap(
-            [
-                RouteMapEntry(permit=True, actions=[set_local_pref(111)]),
-                RouteMapEntry(permit=True, actions=[set_local_pref(222)]),
-            ]
-        )
-        result = route_map.evaluate(PFX, PathAttributes())
-        assert result.local_pref == 111
-
-    def test_deny_entry_stops_evaluation(self):
-        route_map = RouteMap(
-            [
-                RouteMapEntry(permit=False, matches=[match_prefix_in([PFX])]),
-                RouteMapEntry(permit=True),
-            ]
-        )
-        assert route_map.evaluate(PFX, PathAttributes()) is None
-        other = Prefix.parse("192.168.0.0/24")
-        assert route_map.evaluate(other, PathAttributes()) is not None
-
-    def test_actions_apply_in_order(self):
-        route_map = RouteMap(
-            [
-                RouteMapEntry(
-                    permit=True,
-                    actions=[set_local_pref(1), set_local_pref(2)],
-                )
-            ]
-        )
-        assert route_map.evaluate(PFX, PathAttributes()).local_pref == 2
-
-    def test_all_matches_must_hold(self):
-        entry = RouteMapEntry(
-            permit=True,
-            matches=[match_prefix_in([PFX]), match_community("x")],
-        )
-        route_map = RouteMap([entry])
-        assert route_map.evaluate(PFX, PathAttributes()) is None
-        tagged = PathAttributes(communities=("x",))
-        assert route_map.evaluate(PFX, tagged) is not None
-
-
-class TestMatchersAndActions:
-    def test_match_prefix_in_covers_more_specific(self):
-        match = match_prefix_in([Prefix.parse("10.0.0.0/8")])
-        assert match(PFX, PathAttributes())
-        assert not match(Prefix.parse("192.168.0.0/24"), PathAttributes())
-
-    def test_match_as_in_path(self):
-        match = match_as_in_path(7)
-        assert match(PFX, PathAttributes(as_path=AsPath.of(9, 7, 1)))
-        assert not match(PFX, PathAttributes(as_path=AsPath.of(9, 1)))
-
-    def test_add_community_is_idempotent(self):
-        action = add_community("tag")
-        once = action(PathAttributes())
-        twice = action(once)
-        assert twice.communities.count("tag") == 1
-
-    def test_strip_learned_communities(self):
-        attrs = PathAttributes(
-            communities=("learned:peer", LOCAL_COMMUNITY, "keepme")
-        )
-        stripped = strip_learned_communities()(attrs)
-        assert stripped.communities == ("keepme",)
-
-    def test_prepend_path_action(self):
-        attrs = PathAttributes(as_path=AsPath.of(1))
-        assert prepend_path(9, 2)(attrs).as_path.asns == (9, 9, 1)
-
-
 class TestGaoRexford:
-    def _import(self, relationship):
-        policy = gao_rexford_policy(relationship)
-        return policy.import_route(PFX, PathAttributes(as_path=AsPath.of(1)))
-
     @pytest.mark.parametrize(
         "relationship",
         [Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER],
     )
     def test_import_sets_relationship_local_pref(self, relationship):
-        imported = self._import(relationship)
+        imported = gao_rexford_policy(relationship).import_attrs(ROUTE)
         assert imported.local_pref == LOCAL_PREF_BY_RELATIONSHIP[relationship]
-
-    def test_import_tags_relationship(self):
-        imported = self._import(Relationship.PEER)
-        assert imported.has_community(relationship_community(Relationship.PEER))
 
     def _exports(self, learned_from, export_to):
         """Whether a route learned from X may be exported to Y."""
-        attrs = PathAttributes(as_path=AsPath.of(1))
-        imported = gao_rexford_policy(learned_from).import_route(PFX, attrs)
-        exported = gao_rexford_policy(export_to).export_route(PFX, imported)
+        exported = gao_rexford_policy(export_to).export_attrs(
+            ROUTE, learned_from, 9
+        )
+        assert (exported is not None) == exports(learned_from, export_to)
         return exported is not None
 
     def test_customer_routes_export_everywhere(self):
@@ -164,44 +68,43 @@ class TestGaoRexford:
         assert not self._exports(Relationship.PROVIDER, Relationship.PROVIDER)
 
     def test_local_routes_export_everywhere(self):
-        local = PathAttributes(communities=(LOCAL_COMMUNITY,))
         for to in (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER):
-            assert gao_rexford_policy(to).export_route(PFX, local) is not None
+            assert self._exports(None, to)
 
-    def test_export_strips_internal_communities(self):
-        attrs = gao_rexford_policy(Relationship.CUSTOMER).import_route(
-            PFX, PathAttributes(as_path=AsPath.of(1))
-        )
-        exported = gao_rexford_policy(Relationship.PEER).export_route(PFX, attrs)
-        assert all(not c.startswith("learned:") for c in exported.communities)
+    def test_flat_routes_export_everywhere(self):
+        """A FLAT link carries no business policy: what it brings in is
+        exported like a customer's route, by routers and the controller
+        alike (the legacy route-maps denied it toward non-customers)."""
+        for to in Relationship:
+            assert self._exports(Relationship.FLAT, to)
 
 
 class TestTransitAll:
     def test_accepts_and_reexports_everything(self):
         policy = transit_all_policy()
-        attrs = PathAttributes(as_path=AsPath.of(5))
-        imported = policy.import_route(PFX, attrs)
-        assert imported is not None
-        assert policy.export_route(PFX, imported) is not None
+        imported = policy.import_attrs(ROUTE.with_local_pref(7))
+        assert imported.local_pref == 7
+        for learned in (None, *Relationship):
+            exported = policy.export_attrs(imported, learned, 9)
+            assert exported.as_path.asns == (9, 1)
+            assert exported.local_pref == DEFAULT_LOCAL_PREF
 
 
 class TestExportPrepend:
     def test_prepend_applied_on_permit(self):
-        policy = transit_all_policy().with_export_prepend(9, 3)
-        exported = policy.export_route(PFX, PathAttributes(as_path=AsPath.of(1)))
-        assert exported.as_path.asns == (9, 9, 9, 1)
+        policy = transit_all_policy().with_export_prepend(3)
+        exported = policy.export_attrs(ROUTE, None, 9)
+        assert exported.as_path.asns == (9, 9, 9, 9, 1)
 
     def test_original_policy_unchanged(self):
         base = transit_all_policy()
-        base.with_export_prepend(9, 3)
-        exported = base.export_route(PFX, PathAttributes(as_path=AsPath.of(1)))
-        assert exported.as_path.asns == (1,)
+        base.with_export_prepend(3)
+        assert base.export_attrs(ROUTE, None, 9).as_path.asns == (9, 1)
 
     def test_denied_routes_stay_denied(self):
-        policy = gao_rexford_policy(Relationship.PEER).with_export_prepend(9, 1)
-        peer_route = policy.import_route(PFX, PathAttributes(as_path=AsPath.of(1)))
-        # peer-learned to peer: still denied after prepend wrapping
-        assert policy.export_route(PFX, peer_route) is None
+        policy = gao_rexford_policy(Relationship.PEER).with_export_prepend(1)
+        # peer-learned to peer: still denied with the prepend
+        assert policy.export_attrs(ROUTE, Relationship.PEER, 9) is None
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +145,7 @@ def policy_star(net, learned, *, valley_free=True, prepend_toward=None):
         link = net.add_link(hub, routers[asn], latency=0.01)
         hub_policy = policy(rel)
         if rel is prepend_toward and asn != 2:
-            hub_policy = hub_policy.with_export_prepend(1, 2)
+            hub_policy = hub_policy.with_export_prepend(2)
         session = hub.add_peer(link, policy=hub_policy)
         routers[asn].add_peer(link, policy=policy(rel.inverse))
         if asn != 2:
@@ -314,6 +217,12 @@ class TestPolicyTable:
         exports grow, and what the rule denies stays denied."""
         local_pref, exported = VALLEY_FREE[learned]
         self.check(net, learned, local_pref, exported, prepend_toward=P)
+
+    def test_a_flat_link_under_valley_free_exports_everywhere(self, net):
+        """The one answer the shared rule changed: a route learned over a
+        FLAT link on a valley-free router now goes toward peers and
+        providers too, as the controller always exported it."""
+        self.check(net, Relationship.FLAT, 100, {C, P, V})
 
     def test_the_collector_imports_everything_and_exports_nothing(self, net):
         """AS1 and AS2 feed a collector over transit-all sessions, as in an

@@ -2,7 +2,7 @@
 
 Sessions that share one ``PeerPolicy`` object and speak as one ASN
 export the same attributes for a prefix, so ``BGPRouter._export_attrs``
-evaluates the export route-map once per Loc-RIB best and hands every
+evaluates the export policy once per Loc-RIB best and hands every
 session of the group the same object.  Split horizon stays per session,
 and the per-session output runs stay too: a run that sends nothing still
 draws its MRAI period, which every pinned result depends on.
@@ -10,14 +10,7 @@ draws its MRAI period, which every pinned result depends on.
 
 import random
 
-from repro.bgp.attrs import DEFAULT_LOCAL_PREF
-from repro.bgp.policy import (
-    PeerPolicy,
-    Relationship,
-    RouteMap,
-    RouteMapEntry,
-    strip_learned_communities,
-)
+from repro.bgp.policy import PeerPolicy, transit_all_policy
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.experiments.common import paper_config
@@ -33,26 +26,20 @@ PFX = Prefix.parse("192.168.0.0/24")
 
 
 class CountingPolicy:
-    """A shared transit-all policy whose export route-map counts its
-    evaluations."""
+    """A shared transit-all policy whose export evaluations are counted
+    (``PeerPolicy.export_attrs`` patched for this one object)."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.evaluations = 0
+        self.policy = transit_all_policy()
+        export = PeerPolicy.export_attrs
 
-        def count(attrs):
-            self.evaluations += 1
-            return attrs
+        def counted(policy, *args):
+            if policy is self.policy:
+                self.evaluations += 1
+            return export(policy, *args)
 
-        self.policy = PeerPolicy(
-            Relationship.FLAT,
-            RouteMap([RouteMapEntry(permit=True)], name="in"),
-            RouteMap(
-                [RouteMapEntry(
-                    permit=True, actions=[count, strip_learned_communities()]
-                )],
-                name="out",
-            ),
-        )
+        monkeypatch.setattr(PeerPolicy, "export_attrs", counted)
 
 
 def star(net, spokes=4, policy=None):
@@ -76,8 +63,10 @@ def star(net, spokes=4, policy=None):
 
 
 class TestOneEvaluationPerGroup:
-    def test_shared_policy_evaluates_once_per_best_change(self, net):
-        counting = CountingPolicy()
+    def test_shared_policy_evaluates_once_per_best_change(
+        self, net, monkeypatch
+    ):
+        counting = CountingPolicy(monkeypatch)
         hub, spokes, toward = star(net, policy=counting.policy)
         origin, others = spokes[0], spokes[1:]
         origin.originate(PFX)
@@ -120,11 +109,13 @@ class TestOneEvaluationPerGroup:
                 if best.peer_name == session.peer_name and not best.is_local:
                     assert got is None
                     continue
-                want = session.policy.export_route(prefix, best.attrs)
-                if want is not None:
-                    want = want.with_path(
-                        want.as_path.prepend(session.local_asn)
-                    ).with_local_pref(DEFAULT_LOCAL_PREF)
+                learned = (
+                    None if best.is_local
+                    else node.sessions[best.link_id].policy.relationship
+                )
+                want = session.policy.export_attrs(
+                    best.attrs, learned, session.local_asn
+                )
                 assert got is want
                 checked += 1
         assert checked > 100

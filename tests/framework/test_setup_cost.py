@@ -7,7 +7,7 @@ import gc
 import pytest
 
 from repro.bgp.attrs import AsPath, PathAttributes
-from repro.bgp.policy import LOCAL_COMMUNITY, Relationship
+from repro.bgp.policy import Relationship
 from repro.bgp.rib import AdjRibIn, AdjRibOut
 from repro.bgp.router import BGPRouter
 from repro.controller.speaker import ClusterBGPSpeaker
@@ -29,7 +29,7 @@ from repro.topology.builders import clique
 from repro.topology.caida import caida_hierarchy
 
 PFX = Prefix.parse("192.168.7.0/24")
-OWN_ROUTE = PathAttributes(AsPath.of(1), communities=(LOCAL_COMMUNITY,))
+OWN_ROUTE = PathAttributes(AsPath())
 
 
 def hierarchy(n=300, **options):
@@ -100,7 +100,9 @@ class TestSharedPolicies:
 
         def exported(peer):
             session = exp.node(1).session_on(exp.phys_link(1, peer))
-            return session.policy.export_route(PFX, OWN_ROUTE)
+            return session.policy.export_attrs(
+                OWN_ROUTE, None, session.local_asn
+            )
 
         before = exported(sibling)
         assert exported(toward) == before
