@@ -24,6 +24,14 @@ every AS along shortest paths, which no MRAI timer delays, so at the
 paper's configuration (jitter on) it converges in delta alone — under
 0.07 s at k = 0 and 0.5 <= t < 0.6 s with any member, the recompute
 debounce plus processing.
+
+A fail-over explores only the gap between the primary and the backup
+path, and no member shortens it until the backup gateway (AS2) joins
+the cluster.  On a 16-AS clique at jitter 0 it takes, in whole MRAI
+rounds plus a delta under 0.6 s (table ``FAILOVER_ROUNDS``), two
+control-plane rounds up to k = 13 and one after, while the state
+converges in one round at k = 0, two for k = 1-6 (the one-round bump),
+one for k = 7-14 and none at all at k = 15.
 """
 
 import dataclasses
@@ -32,6 +40,7 @@ import pytest
 
 from repro.experiments.common import (
     AnnouncementScenario,
+    FailoverScenario,
     WithdrawalScenario,
     batch_config,
     paper_config,
@@ -93,4 +102,47 @@ def test_an_announcement_converges_in_one_debounce(n):
             broken.append(f"k={k}: t={t:.3f}s")
     assert not broken, f"n={n}: announcement convergence broken at " + (
         "; ".join(broken)
+    )
+
+
+def failover_rounds(k: int) -> tuple:
+    """(control-plane, state) convergence of a 16-AS clique fail-over
+    with k SDN members, in whole MRAI rounds."""
+    control = 2 if k <= 13 else 1
+    if k == 0 or 7 <= k <= 14:
+        state = 1
+    elif k == 15:
+        state = 0
+    else:
+        state = 2
+    return control, state
+
+
+@pytest.mark.parametrize("seed", [1, 200])
+def test_failover_gains_nothing_until_the_backup_gateway_joins(seed):
+    mrai = 30.0
+    config = batch_config(jitter_free(paper_config(seed=seed, mrai=mrai)))
+    broken = []
+    for k in range(16):
+        scenario = FailoverScenario()
+        topology = scenario.topology(16)
+        members = sdn_set_for(topology, k, scenario.reserved_legacy)
+        measurement, _, _ = run_scenario_full(
+            scenario, topology, members, config
+        )
+        readings = (
+            measurement.convergence_time,
+            measurement.state_convergence_time,
+        )
+        for what, t, rounds in zip(
+            ("control plane", "state"), readings, failover_rounds(k)
+        ):
+            delta = t - rounds * mrai
+            if not 0.0 <= delta < 0.6:
+                broken.append(
+                    f"k={k} {what}: t={t:.3f}s, expected {rounds} "
+                    f"round(s), delta={delta:.3f}s"
+                )
+    assert not broken, (
+        f"seed {seed}: fail-over time law broken at " + "; ".join(broken)
     )
