@@ -23,16 +23,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["render_bgpd_conf", "render_exabgp_conf", "render_route_map"]
 
 
+#: where a route was learned (None: originated here), in the order a
+#: valley-free ``out`` stanza names what it exports.
+_LEARNED = (
+    ("own", None),
+    ("customer", Relationship.CUSTOMER),
+    ("flat", Relationship.FLAT),
+    ("peer", Relationship.PEER),
+    ("provider", Relationship.PROVIDER),
+)
+
+
 def render_route_map(name: str, policy: PeerPolicy) -> List[str]:
-    """Quagga route-map stanzas approximating one session's policy."""
+    """Quagga route-map stanzas approximating one session's policy.
+
+    A valley-free ``out`` stanza names the routes :func:`exports` lets
+    through toward the peer; an AS-path prepend applies to what is
+    permitted, so only permit stanzas carry it.
+    """
     rel = policy.relationship.value
     if policy.mode is PolicyMode.VALLEY_FREE:
         imports = [("permit", f"import from {rel}")]
-        if exports(Relationship.PROVIDER, policy.relationship):
+        exported = [
+            what for what, learned in _LEARNED
+            if exports(learned, policy.relationship)
+        ]
+        if len(exported) == len(_LEARNED):
             outs = [("permit", f"export all to {rel}")]
         else:
             outs = [
-                ("permit", f"export own/customer routes to {rel}"),
+                ("permit", f"export {'/'.join(exported)} routes to {rel}"),
                 ("deny", "implicit valley deny"),
             ]
     elif policy.mode is PolicyMode.TRANSIT_ALL:
@@ -43,7 +63,9 @@ def render_route_map(name: str, policy: PeerPolicy) -> List[str]:
         outs = [("deny", "collector is silent")]
     if policy.prepend:
         outs = [
-            (verb, f"{text} +prepend x{policy.prepend}") for verb, text in outs
+            (verb, f"{text} +prepend x{policy.prepend}"
+             if verb == "permit" else text)
+            for verb, text in outs
         ]
     lines: List[str] = []
     for direction, stanzas in (("in", imports), ("out", outs)):

@@ -13,7 +13,8 @@ Public surface:
   component emits typed records on; each simulator owns one, ``sim.bus``.
 - :class:`TraceLog` / :class:`TraceRecord` — record capture (one bus
   subscriber) consumed by the analysis tools.
-- :class:`MetricsRegistry` — streaming counters/gauges/histograms;
+- :func:`merge_snapshots` / :func:`format_snapshot` — a sweep's
+  ``records_total`` counter payloads added up and printed;
   :func:`time_by_layer` — a run's dispatch wall time by layer.
 """
 
@@ -24,15 +25,7 @@ from .bus import (
     Subscription,
 )
 from .core import Event, FifoLane, SimulationError, Simulator
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_snapshot,
-    merge_snapshots,
-    time_by_layer,
-)
+from .metrics import format_snapshot, merge_snapshots, time_by_layer
 from .timer import DebounceTimer, PeriodicTimer, Timer
 from .trace import TraceLog, TraceRecord
 
@@ -50,10 +43,6 @@ __all__ = [
     "TraceRecord",
     "ROUTE_AFFECTING",
     "STATE_CHANGING",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "merge_snapshots",
     "format_snapshot",
     "time_by_layer",

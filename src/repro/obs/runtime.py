@@ -1,27 +1,24 @@
 """Operational telemetry plane: Prometheus text exposition, stdlib-only.
 
-:mod:`repro.eventsim.metrics` keeps metrics under flattened keys
-(``name{k=v,...}`` with backslash escapes); this module turns a
-registry :meth:`~repro.eventsim.metrics.MetricsRegistry.snapshot` into
-the Prometheus text exposition format (version 0.0.4) the service's
-``/metrics`` endpoint speaks, and parses such text back — the same tiny
-parser the tests and the CI smoke job use to assert a live scrape is
-well-formed.
+:func:`render_prometheus` turns metric families — a name, a kind, label
+names and samples keyed by tuples of label values — into the
+Prometheus text exposition format (version 0.0.4) the service's
+``/metrics`` endpoint speaks, and :func:`parse_prometheus` reads such
+text back: the same tiny parser the tests and the CI smoke job use to
+assert a live scrape is well-formed.
 
 Rendering is deterministic: families sort by name, samples by label
-set, and histogram buckets are converted from the snapshot's
-non-cumulative per-bound counts into the cumulative ``le`` series
-Prometheus requires (with ``+Inf`` equal to the observation count).
-See docs/operations.md for the metric catalog.
+set, and a histogram's per-bound counts become the cumulative ``le``
+series Prometheus requires (with ``+Inf`` equal to the observation
+count).  See docs/operations.md for the metric catalog.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.eventsim.metrics import parse_key
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "CONTENT_TYPE",
@@ -33,6 +30,14 @@ __all__ = [
 
 #: the content type Prometheus scrapers expect from a text endpoint.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: one metric family: ``(name, kind, label names, samples)``.  ``kind``
+#: is ``"counter"``, ``"gauge"`` or ``"histogram"``; ``samples`` maps a
+#: tuple of label values, one per label name, to a number — or, for a
+#: histogram, to ``(buckets, total)``: ``buckets`` maps an upper bound to
+#: the observations above the next lower bound and at or under it
+#: (``math.inf`` past the top bound), ``total`` is their sum.
+Family = Tuple[str, str, Sequence[str], Mapping[Tuple[str, ...], Any]]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_OK = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -106,90 +111,56 @@ def _label_str(labels: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def _bucket_bounds(buckets: Dict[str, float]) -> List[Tuple[float, float]]:
-    """Snapshot bucket dict (``le_<bound>``/``inf`` -> count, only
-    non-zero retained) as sorted (bound, count) pairs."""
-    pairs: List[Tuple[float, float]] = []
-    for label, count in (buckets or {}).items():
-        if label == "inf":
-            bound = float("inf")
-        elif label.startswith("le_"):
-            try:
-                bound = float(label[3:])
-            except ValueError:
-                continue
-        else:
+def _histogram_lines(
+    fam: str, labels: Dict[str, str], buckets: Mapping[float, float],
+    total: float,
+) -> List[str]:
+    """The cumulative ``_bucket`` series (one line per bound that holds
+    observations, then ``+Inf``), ``_sum`` and ``_count``."""
+    lines: List[str] = []
+    cumulative = 0.0
+    for bound in sorted(buckets):
+        if bound == math.inf:
             continue
-        pairs.append((bound, count))
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+        cumulative += buckets[bound]
+        le = _label_str({**labels, "le": _format_number(bound)})
+        lines.append(f"{fam}_bucket{le} {_format_number(cumulative)}")
+    count = _format_number(sum(buckets.values()))
+    le = _label_str({**labels, "le": "+Inf"})
+    return lines + [
+        f"{fam}_bucket{le} {count}",
+        f"{fam}_sum{_label_str(labels)} {_format_number(total)}",
+        f"{fam}_count{_label_str(labels)} {count}",
+    ]
 
 
-def render_prometheus(snapshot: Optional[dict], *, prefix: str = "") -> str:
-    """Render a metrics snapshot as Prometheus text exposition.
+def render_prometheus(families: Iterable[Family], *, prefix: str = "") -> str:
+    """Render metric families (see :data:`Family`) as Prometheus text
+    exposition.
 
     ``prefix`` (e.g. ``"repro_"``) is prepended to every sanitized
-    family name.  Output is byte-deterministic for a given snapshot:
-    one ``# TYPE`` line per family, samples sorted by label set,
-    histogram buckets cumulative with ``+Inf == count`` plus the
-    ``_sum``/``_count`` series.
+    family name.  Output is byte-deterministic for given families: one
+    ``# TYPE`` line per family with samples, families sorted by name,
+    samples by label set (families given twice under one name share
+    the first one's ``# TYPE`` line).
     """
-    snapshot = snapshot or {}
-    # family name -> (type, [(sorted sample line fragments)])
-    families: Dict[str, Tuple[str, List[str]]] = {}
-
-    def family(name: str, kind: str) -> List[str]:
+    rendered: Dict[str, List[str]] = {}
+    for name, kind, label_names, samples in families:
+        if not samples:
+            continue
         fam = prefix + sanitize_metric_name(name)
-        if fam not in families:
-            families[fam] = (kind, [])
-        return families[fam][1]
-
-    for key, value in (snapshot.get("counters") or {}).items():
-        name, labels = parse_key(key)
-        family(name, "counter").append(
-            f"{prefix + sanitize_metric_name(name)}"
-            f"{_label_str(labels)} {_format_number(value)}"
+        by_labels = []
+        for values, value in samples.items():
+            labels = dict(zip(label_names, values))
+            if kind == "histogram":
+                lines = _histogram_lines(fam, labels, *value)
+            else:
+                lines = [f"{fam}{_label_str(labels)} {_format_number(value)}"]
+            by_labels.append((_label_str(labels), lines))
+        rendered.setdefault(fam, [f"# TYPE {fam} {kind}"]).extend(
+            line for _, lines in sorted(by_labels) for line in lines
         )
-    for key, value in (snapshot.get("gauges") or {}).items():
-        name, labels = parse_key(key)
-        family(name, "gauge").append(
-            f"{prefix + sanitize_metric_name(name)}"
-            f"{_label_str(labels)} {_format_number(value)}"
-        )
-    for key, hist in (snapshot.get("histograms") or {}).items():
-        name, labels = parse_key(key)
-        fam = prefix + sanitize_metric_name(name)
-        lines = family(name, "histogram")
-        count = hist.get("count", 0)
-        cumulative = 0.0
-        for bound, n in _bucket_bounds(hist.get("buckets") or {}):
-            if bound == float("inf"):
-                continue
-            cumulative += n
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = _format_number(bound)
-            lines.append(
-                f"{fam}_bucket{_label_str(bucket_labels)} "
-                f"{_format_number(cumulative)}"
-            )
-        inf_labels = dict(labels)
-        inf_labels["le"] = "+Inf"
-        lines.append(
-            f"{fam}_bucket{_label_str(inf_labels)} {_format_number(count)}"
-        )
-        lines.append(
-            f"{fam}_sum{_label_str(labels)} "
-            f"{_format_number(hist.get('sum', 0.0))}"
-        )
-        lines.append(
-            f"{fam}_count{_label_str(labels)} {_format_number(count)}"
-        )
-
-    out: List[str] = []
-    for fam in sorted(families):
-        kind, lines = families[fam]
-        out.append(f"# TYPE {fam} {kind}")
-        out.extend(lines)
+    out = [line for fam in sorted(rendered) for line in rendered[fam]]
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -33,14 +33,15 @@ bit-identical bodies.  See ``docs/service.md``.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
+import math
 import signal
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..config import ServiceConfig
-from ..eventsim.metrics import MetricsRegistry
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord
 from .http import (
@@ -66,6 +67,23 @@ SSE_HEARTBEAT = 15.0
 #: a persistent connection with no request for this long is closed
 #: (seconds); a client that comes back later opens a new one.
 IDLE_CLOSE_S = 30.0
+
+#: the route templates the service answers; every other path is counted
+#: as ``unmatched``.
+ROUTES = frozenset({
+    "/healthz", "/metrics", "/api/status", "/dashboard",
+    "/api/jobs", "/api/jobs/{digest}", "/api/jobs/{digest}/result",
+    "/api/jobs/{digest}/events", "/api/jobs/{digest}/provenance",
+    "/api/runs", "/api/runs/{id}", "/api/runs/{id}/anatomy",
+})
+#: the methods any route answers; every other method is counted as
+#: ``other``.
+METHODS = frozenset({"GET", "POST", "DELETE"})
+#: request latency histogram bucket upper bounds (seconds): powers of
+#: ten from 1 µs to 100 s, then ``+Inf``.
+LATENCY_BUCKETS = (
+    1e-06, 1e-05, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, math.inf,
+)
 
 
 def record_payload(record: RunRecord) -> Dict[str, Any]:
@@ -112,10 +130,14 @@ class ServiceApp:
             max_queue=config.max_queue,
             quota=config.quota,
         )
-        #: request counters + per-route latency histograms, exposed on
-        #: ``/metrics`` alongside the scrape-time service gauges.
-        self.metrics = MetricsRegistry()
-        self._connections = self.metrics.counter("service.connections_total")
+        #: connections accepted, requests by (route, method), failed
+        #: requests by (route, status) and request latency by (route,) as
+        #: ``[buckets, total seconds]`` (``obs.runtime.Family``): exposed
+        #: on ``/metrics`` with the gauges read at scrape time.
+        self.connections = 0
+        self._requests: Dict[Tuple[str, str], int] = collections.Counter()
+        self._errors: Dict[Tuple[str, str], int] = collections.Counter()
+        self._latency: Dict[Tuple[str], list] = {}
         self._started_monotonic = time.monotonic()
         #: writers of the connections waiting for their next request;
         #: closing one ends its connection at once.
@@ -144,7 +166,7 @@ class ServiceApp:
         # read grows it again, page faults on every request.
         # Header-sized reads stay below malloc's trim threshold.
         writer.transport.max_size = MAX_HEADER_BYTES
-        self._connections.inc()
+        self.connections += 1
         loop = asyncio.get_running_loop()
         try:
             while not self._closing:
@@ -205,20 +227,20 @@ class ServiceApp:
                 pass  # its next get() returns at once; it checks _closing
 
     @staticmethod
-    def route_template(method: str, parts: List[str]) -> str:
-        """Collapse a request path onto its route template.
+    def route_template(parts: List[str]) -> str:
+        """The route template a request path is counted under.
 
-        Digest and run-id segments are replaced by placeholders so the
-        per-route latency histograms stay bounded-cardinality no matter
-        how many distinct jobs the service answers.
+        Digest and run-id segments become placeholders, and a path no
+        route answers is ``unmatched``, so the request families stay
+        bounded however many jobs the service answers and whatever
+        paths clients send.
         """
         if parts[:2] == ["api", "jobs"] and len(parts) >= 3:
-            tail = f"/{parts[3]}" if len(parts) > 3 else ""
-            return "/api/jobs/{digest}" + tail
-        if parts[:2] == ["api", "runs"] and len(parts) >= 3:
-            tail = f"/{parts[3]}" if len(parts) > 3 else ""
-            return "/api/runs/{id}" + tail
-        return "/" + "/".join(parts) if parts else "/"
+            parts = ["api", "jobs", "{digest}", *parts[3:]]
+        elif parts[:2] == ["api", "runs"] and len(parts) >= 3:
+            parts = ["api", "runs", "{id}", *parts[3:]]
+        route = "/" + "/".join(parts)
+        return route if route in ROUTES else "unmatched"
 
     async def _timed_dispatch(
         self, request: Request, writer
@@ -226,27 +248,25 @@ class ServiceApp:
         """Dispatch wrapped in request/error counters and a latency
         histogram, labelled by route template and method."""
         parts = [p for p in request.path.split("/") if p]
-        route = self.route_template(request.method, parts)
-        self.metrics.counter(
-            "service.requests", route=route, method=request.method
-        ).inc()
+        route = self.route_template(parts)
+        method = request.method if request.method in METHODS else "other"
+        self._requests[route, method] += 1
         start = time.perf_counter()
         try:
             return await self.dispatch(request, writer)
         except HttpError as exc:
-            self.metrics.counter(
-                "service.errors", route=route, status=str(exc.status)
-            ).inc()
+            self._errors[route, str(exc.status)] += 1
             raise
         except Exception:
-            self.metrics.counter(
-                "service.errors", route=route, status="500"
-            ).inc()
+            self._errors[route, "500"] += 1
             raise
         finally:
-            self.metrics.histogram(
-                "service.request_seconds", route=route
-            ).observe(time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            histogram = self._latency.setdefault(
+                (route,), [collections.Counter(), 0.0]
+            )
+            histogram[0][next(b for b in LATENCY_BUCKETS if seconds <= b)] += 1
+            histogram[1] += seconds
 
     async def dispatch(self, request: Request, writer) -> Optional[Response]:
         """The reply to ``request``; None once an SSE route has streamed
@@ -418,37 +438,51 @@ class ServiceApp:
     def _metrics(self) -> Response:
         """Prometheus text exposition of the service's operational state.
 
-        Request counters and latency histograms accumulate in
-        ``self.metrics``; queue/SSE/cache readings are sampled from the
-        manager at scrape time as gauges.  Everything is prefixed
-        ``repro_`` on the wire.
+        Connection, request and error counters and the latency histogram
+        accumulate on the app; queue/SSE/cache readings are read from
+        the manager and the cache at scrape time as gauges.  Everything
+        is prefixed ``repro_`` on the wire.
         """
         from ..obs.runtime import CONTENT_TYPE, render_prometheus
 
         telemetry = self.manager.telemetry()
-        gauge = self.metrics.gauge
-        gauge("service.queue_depth").set(telemetry["queued"])
-        gauge("service.jobs_in_flight").set(telemetry["in_flight"])
-        gauge("service.jobs_tracked").set(telemetry["jobs"])
-        gauge("service.sse_subscribers").set(telemetry["subscribers"])
-        gauge("service.sse_dropped_frames").set(telemetry["dropped_frames"])
-        gauge("service.rejected", reason="quota").set(
-            telemetry["rejected_quota"]
-        )
-        gauge("service.rejected", reason="queue").set(
-            telemetry["rejected_queue"]
-        )
-        gauge("service.uptime_seconds").set(
-            time.monotonic() - self._started_monotonic
-        )
+        gauges = {
+            "queue_depth": telemetry["queued"],
+            "jobs_in_flight": telemetry["in_flight"],
+            "jobs_tracked": telemetry["jobs"],
+            "sse_subscribers": telemetry["subscribers"],
+            "sse_dropped_frames": telemetry["dropped_frames"],
+            "uptime_seconds": time.monotonic() - self._started_monotonic,
+        }
+        families = [
+            ("service.connections_total", "counter", (),
+             {(): self.connections}),
+            ("service.requests", "counter", ("route", "method"),
+             self._requests),
+            ("service.errors", "counter", ("route", "status"), self._errors),
+            ("service.request_seconds", "histogram", ("route",),
+             self._latency),
+            ("service.rejected", "gauge", ("reason",), {
+                ("quota",): telemetry["rejected_quota"],
+                ("queue",): telemetry["rejected_queue"],
+            }),
+        ]
         if self.manager.cache is not None:
             stats = self.manager.cache.stats()
-            gauge("service.cache_entries").set(stats.entries)
-            gauge("service.cache_bytes").set(stats.total_bytes)
-            gauge("service.cache_lookups", outcome="hit").set(stats.hits)
-            gauge("service.cache_lookups", outcome="miss").set(stats.misses)
-            gauge("service.cache_hit_ratio").set(stats.hit_rate)
-        body = render_prometheus(self.metrics.snapshot(), prefix="repro_")
+            gauges.update(
+                cache_entries=stats.entries,
+                cache_bytes=stats.total_bytes,
+                cache_hit_ratio=stats.hit_rate,
+            )
+            families.append(
+                ("service.cache_lookups", "gauge", ("outcome",),
+                 {("hit",): stats.hits, ("miss",): stats.misses})
+            )
+        families += [
+            (f"service.{name}", "gauge", (), {(): value})
+            for name, value in gauges.items()
+        ]
+        body = render_prometheus(families, prefix="repro_")
         return Response(200, body.encode("utf-8"), CONTENT_TYPE)
 
     def _status(self) -> Response:

@@ -1,5 +1,6 @@
 """Unit tests for Quagga/ExaBGP config rendering."""
 
+import dataclasses
 import pathlib
 
 from repro.bgp.policy import Relationship, gao_rexford_policy
@@ -67,6 +68,43 @@ class TestRouteMapRendering:
         text = "\n".join(lines)
         assert "route-map peerX-in permit 10" in text
         assert "route-map peerX-out deny" in text
+
+    def test_valley_free_out_names_what_exports_lets_through(self):
+        """Toward a peer: own, customer- and FLAT-learned routes, the
+        rest denied."""
+        lines = render_route_map("p", gao_rexford_policy(Relationship.PEER))
+        assert lines[3:7] == [
+            "route-map p-out permit 10",
+            " description export own/customer/flat routes to peer",
+            "route-map p-out deny 20",
+            " description implicit valley deny",
+        ]
+
+    def test_valley_free_session_toward_a_flat_peer(self):
+        lines = render_route_map("f", gao_rexford_policy(Relationship.FLAT))
+        assert lines == [
+            "route-map f-in permit 10",
+            " description import from flat",
+            "!",
+            "route-map f-out permit 10",
+            " description export own/customer/flat routes to flat",
+            "route-map f-out deny 20",
+            " description implicit valley deny",
+            "!",
+        ]
+
+    def test_prepend_is_only_on_permit_stanzas(self):
+        policy = dataclasses.replace(
+            gao_rexford_policy(Relationship.PROVIDER), prepend=2
+        )
+        lines = render_route_map("up", policy)
+        assert lines[3:7] == [
+            "route-map up-out permit 10",
+            " description export own/customer/flat routes to provider"
+            " +prepend x2",
+            "route-map up-out deny 20",
+            " description implicit valley deny",
+        ]
 
 
 class TestExabgpConf:

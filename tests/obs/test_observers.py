@@ -29,7 +29,6 @@ import pytest
 from repro.bgp.attrs import AsPath
 from repro.bgp.messages import BGPUpdate
 from repro.eventsim import InstrumentationBus
-from repro.eventsim import metrics as metrics_module
 from repro.experiments.common import (
     WithdrawalScenario,
     paper_config,
@@ -37,6 +36,7 @@ from repro.experiments.common import (
     sdn_set_for,
 )
 from repro.framework.convergence import ConvergenceMeasurement
+from repro.framework import experiment as experiment_module
 from repro.framework.experiment import Experiment
 from repro.obs import anatomy as anatomy_module
 from repro.obs.dag import ProvenanceDAG
@@ -84,7 +84,8 @@ class Work:
         self.paths = []
         work = self
         rendered, path_str = BGPUpdate.rendered, AsPath.__str__
-        key, record_lazy = metrics_module._key, InstrumentationBus.record_lazy
+        snapshot = experiment_module.records_snapshot
+        record_lazy = InstrumentationBus.record_lazy
 
         def counting_rendered(update):
             if not hasattr(update, "_rendered"):
@@ -97,9 +98,9 @@ class Work:
                 work.paths.append(path)
             return path_str(path)
 
-        def counting_key(name, labels):
-            work.keys += 1
-            return key(name, labels)
+        def counting_snapshot(counts):
+            work.keys += len(counts)  # one counter key per category
+            return snapshot(counts)
 
         def counting_record_lazy(bus, category, node, thunk):
             def counted():
@@ -110,7 +111,9 @@ class Work:
 
         monkeypatch.setattr(BGPUpdate, "rendered", counting_rendered)
         monkeypatch.setattr(AsPath, "__str__", counting_str)
-        monkeypatch.setattr(metrics_module, "_key", counting_key)
+        monkeypatch.setattr(
+            experiment_module, "records_snapshot", counting_snapshot
+        )
         monkeypatch.setattr(
             InstrumentationBus, "record_lazy", counting_record_lazy
         )

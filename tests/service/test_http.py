@@ -668,7 +668,7 @@ class TestConnections:
 
 def connections(app) -> int:
     """Connections the service has accepted so far."""
-    return int(app.metrics.counter("service.connections_total").value)
+    return app.connections
 
 
 def assert_closing_reply(port: int, payload: bytes, status: bytes) -> bytes:
@@ -911,7 +911,7 @@ class TestTelemetryEndpoints:
                     "repro_service_requests", route="/api/jobs", method="POST"
                 ) >= 1
                 assert scrape.value(
-                    "repro_service_errors", route="/nope", status="404"
+                    "repro_service_errors", route="unmatched", status="404"
                 ) == 1
                 assert scrape.value(
                     "repro_service_request_seconds_count", route="/api/jobs"
