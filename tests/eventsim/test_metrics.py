@@ -18,6 +18,7 @@ from repro.eventsim.metrics import (
     records_snapshot,
 )
 from repro.experiments.common import paper_config
+from repro.obs.runtime import parse_prometheus, render_prometheus
 from repro.framework.experiment import Experiment
 from repro.topology.builders import clique
 
@@ -133,6 +134,32 @@ class TestSnapshotTools:
         assert "records_total" in text
         assert "bgp.update.tx" in text
         assert format_snapshot(merge_snapshots([])) == "(no metrics recorded)"
+
+
+class TestLabelEscaping:
+    """Label values holding separator characters never make two label
+    sets one sample: not in a run payload's keys, not in a rendered
+    scrape."""
+
+    def test_adversarial_label_value_cannot_collide(self):
+        snap = records_snapshot({"1,category=2": 1, "1": 10})
+        assert sorted(snap["counters"].values()) == [1.0, 10.0]
+        merged = merge_snapshots([snap, snap])
+        assert sorted(merged["counters"].values()) == [2.0, 20.0]
+        scrape = parse_prometheus(render_prometheus([
+            ("x", "counter", ("a", "b"), {("1,b=2", ""): 1, ("1", "2"): 10}),
+        ]))
+        assert scrape.value("x", a="1,b=2", b="") == 1
+        assert scrape.value("x", a="1", b="2") == 10
+
+    def test_brace_and_backslash_values_stay_distinct(self):
+        snap = records_snapshot({"v}": 1, "v\\}": 2})
+        assert len(snap["counters"]) == 2
+        scrape = parse_prometheus(render_prometheus([
+            ("x", "counter", ("k",), {("v}",): 1, ("v\\}",): 2}),
+        ]))
+        assert scrape.value("x", k="v}") == 1
+        assert scrape.value("x", k="v\\}") == 2
 
 
 class TestMergeEdgeCases:
