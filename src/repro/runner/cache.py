@@ -86,12 +86,29 @@ class ResultCache:
 
     def get(self, spec: RunSpec) -> Optional[RunRecord]:
         """The cached record for a spec, or None on any kind of miss."""
-        record = self._load(spec)
-        if record is None:
+        digest = spec.digest()
+        payload = self._read(self._path(digest))
+        if payload is None:
             self.misses += 1
-        else:
-            self.hits += 1
-        return record
+            return None
+        self.hits += 1
+        meta = payload.get("record", {})
+        measurement = RunRecord.measurement_from_dict(payload["measurement"])
+        return RunRecord(
+            digest=digest,
+            ok=True,
+            measurement=measurement,
+            wall_time=float(meta.get("wall_time", 0.0)),
+            worker=str(meta.get("worker", "")),
+            attempts=int(meta.get("attempts", 1)),
+            cached=True,
+            # a payload of the wrong JSON type reads as absent
+            **{
+                name: payload.get(name)
+                for name, json_type in RECORD_PAYLOADS.items()
+                if isinstance(payload.get(name), json_type)
+            },
+        )
 
     def _read(self, path: pathlib.Path) -> Optional[dict]:
         """The entry at ``path`` if this code version can serve it.
@@ -113,28 +130,6 @@ class ResultCache:
         ):
             return None
         return payload
-
-    def _load(self, spec: RunSpec) -> Optional[RunRecord]:
-        payload = self._read(self._path(spec.digest()))
-        if payload is None:
-            return None
-        meta = payload.get("record", {})
-        measurement = RunRecord.measurement_from_dict(payload["measurement"])
-        return RunRecord(
-            digest=spec.digest(),
-            ok=True,
-            measurement=measurement,
-            wall_time=float(meta.get("wall_time", 0.0)),
-            worker=str(meta.get("worker", "")),
-            attempts=int(meta.get("attempts", 1)),
-            cached=True,
-            # a payload of the wrong JSON type reads as absent
-            **{
-                name: payload.get(name)
-                for name, json_type in RECORD_PAYLOADS.items()
-                if isinstance(payload.get(name), json_type)
-            },
-        )
 
     def put(self, spec: RunSpec, record: RunRecord) -> None:
         """Store a successful record (failed records are never cached).

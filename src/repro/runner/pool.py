@@ -26,13 +26,13 @@ sweeps (through :class:`ParallelRunner`) and the emulation service
   included, writes no core file, and holds none of its parent's sockets
   (:func:`_start_worker`).
 
-:class:`ParallelRunner` drives the loop over a list of specs with
-``n_workers`` consumers: results by *input position*, never completion
-order, so a parallel sweep assembles bit-identically to the serial
-one; a read-through :class:`~repro.runner.cache.ResultCache`, so a
-re-run only executes missing trials; ``n_workers=1`` runs every trial
-in-process (no subprocesses — debuggable, and the reference for
-equality).
+:func:`sweep` is the one sweep over that loop: CLI sweeps run it on a
+loop of their own (:class:`ParallelRunner`), the service as a one-spec
+sweep per job.  It answers specs from the cache (:func:`cache_answer`),
+runs the rest with ``workers`` consumers, writes each ok record to the
+cache, announces every step to one sink (:func:`sweep_sink`), and
+returns records by *input position*, never completion order, so a
+parallel sweep assembles bit-identically to the serial one.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.logging import get_logger, log_enabled, new_cid
 from .cache import ResultCache
@@ -63,7 +63,10 @@ from .progress import (
     resolve_progress,
 )
 
-__all__ = ["ParallelRunner", "TrialPool", "default_workers", "log_sink"]
+__all__ = [
+    "ParallelRunner", "TrialPool", "cache_answer", "default_workers",
+    "log_sink", "sweep", "sweep_sink", "with_anatomy",
+]
 
 RETRIES = 1  # extra attempts after a failed trial or a dead worker
 #: CPU seconds a pool trial may use before SIGXCPU ends its worker:
@@ -217,6 +220,102 @@ class TrialPool:
             pass
 
 
+def with_anatomy(spec: RunSpec, record: RunRecord) -> RunRecord:
+    """``record``, with the anatomy ``spec`` asks for when it carries
+    none.  ``anatomy`` is digest-neutral, so an anatomy-on spec can be
+    answered by a record made without it; anatomy is a pure function of
+    the spans, so the record gains it losslessly here."""
+    if spec.anatomy and record.anatomy is None:
+        from ..obs.anatomy import ensure_record_anatomy
+
+        ensure_record_anatomy(record)
+    return record
+
+
+def cache_answer(
+    cache: Optional[ResultCache], spec: RunSpec
+) -> Optional[RunRecord]:
+    """The cache's record for ``spec`` (see :func:`with_anatomy`), or
+    None without a cache or on a miss."""
+    record = cache.get(spec) if cache is not None else None
+    return None if record is None else with_anatomy(spec, record)
+
+
+def sweep_sink(
+    progress: ProgressSink, registry: Optional[ProgressSink], cid: str
+) -> ProgressSink:
+    """What a sweep announces to: ``progress``, the registry recorder
+    when there is one, and with logging on the ``runner`` log lines
+    under ``cid``."""
+    return TeeProgress(
+        progress, registry, log_sink(cid) if log_enabled() else None
+    )
+
+
+async def sweep(
+    trials: TrialPool,
+    specs: Sequence[RunSpec],
+    events: ProgressSink,
+    *,
+    cache: Optional[ResultCache] = None,
+    answers: Optional[Sequence[Optional[RunRecord]]] = None,
+    workers: int = 1,
+    cid: str = "",
+    cancelled: Callable[[], bool] = lambda: False,
+) -> Tuple[List[RunRecord], SweepTiming]:
+    """Answer every spec, announcing each step to ``events``; the i-th
+    record describes the i-th spec.  ``answers`` is what the caller
+    already found (None where a spec must run); without it each spec is
+    looked up by :func:`cache_answer`.  Pending specs run through
+    ``trials`` as jobs ``<cid>/<index>`` with the cancel hook
+    ``cancelled``."""
+    import asyncio
+
+    started = time.perf_counter()
+    records: List[Optional[RunRecord]] = (
+        list(answers) if answers is not None
+        else [cache_answer(cache, spec) for spec in specs]
+    )
+    to_run = [index for index, record in enumerate(records) if record is None]
+    pending = deque(to_run)
+    n_cached = len(specs) - len(to_run)
+    events.sweep_started(len(specs), n_cached, workers)
+    for index, record in enumerate(records):
+        if record is not None:
+            events.job_finished(index, specs[index], record)
+
+    async def consume() -> None:
+        while pending:
+            index = pending.popleft()
+            spec = specs[index]
+            record = records[index] = await trials.run(
+                spec,
+                f"{cid}/{index}" if cid else "",
+                functools.partial(events.job_started, index, spec),
+                cancelled,
+            )
+            if cache is not None and record.ok:
+                cache.put(spec, record)
+            events.job_finished(index, spec, record)
+
+    await asyncio.gather(*(consume() for _ in range(workers)))
+    assert None not in records, "sweep lost a job"
+    executed = [records[index] for index in to_run]
+    timing = SweepTiming(
+        elapsed=time.perf_counter() - started,
+        jobs=len(specs),
+        cached=n_cached,
+        failed=sum(not r.ok for r in records),
+        total_job_wall=sum(r.wall_time for r in executed),
+        max_job_wall=max((r.wall_time for r in executed), default=0.0),
+        workers=workers,
+        cache_hits=n_cached if cache is not None else 0,
+        cache_misses=len(to_run) if cache is not None else 0,
+    )
+    events.sweep_finished(timing)
+    return records, timing
+
+
 class ParallelRunner:
     """Execute a list of specs and return records in input order."""
 
@@ -242,6 +341,8 @@ class ParallelRunner:
         self.progress = resolve_progress(progress)
         #: the telemetry recorder, when ``registry`` was given (a
         #: ``RunRegistry``, a path, or a prepared ``RegistrySink``).
+        #: Recording rides the event stream every trial (and cache hit)
+        #: already emits, so serial and parallel runs record identically.
         self.registry_sink = None
         if registry is not None:
             # Local import: repro.obs.registry imports this package.
@@ -251,111 +352,31 @@ class ParallelRunner:
                 self.registry_sink = registry
             else:
                 self.registry_sink = RegistrySink(resolve_registry(registry))
-            # Recording rides the event stream every trial (and cache
-            # hit) already emits, so serial and parallel runs record
-            # identically.
-            self.progress = TeeProgress(self.progress, self.registry_sink)
         #: timing stats of the most recent :meth:`run`.
         self.last_timing: Optional[SweepTiming] = None
-        #: the sink :meth:`run` announces to: ``progress``, plus the
-        #: structured log when logging is enabled.
-        self._events: ProgressSink = self.progress
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Run every spec; the i-th record describes the i-th spec."""
-        specs = list(specs)
-        self._events = self.progress
-        if log_enabled():
-            self.cid = self.cid or new_cid()
-            self._events = TeeProgress(self.progress, log_sink(self.cid))
-        started = time.perf_counter()
-        hits_before = self.cache.hits if self.cache is not None else 0
-        misses_before = self.cache.misses if self.cache is not None else 0
-        records: List[Optional[RunRecord]] = [None] * len(specs)
-
-        pending: deque = deque()
-        n_cached = 0
-        for index, spec in enumerate(specs):
-            cached = self.cache.get(spec) if self.cache is not None else None
-            if cached is not None:
-                if spec.anatomy and cached.anatomy is None:
-                    # ``anatomy`` is digest-neutral, so an anatomy-on
-                    # spec can hit an entry written without it; anatomy
-                    # is a pure function of the cached spans, so the
-                    # record gains it losslessly here.
-                    from ..obs.anatomy import ensure_record_anatomy
-
-                    ensure_record_anatomy(cached)
-                records[index] = cached
-                n_cached += 1
-            else:
-                pending.append(index)
-
-        self._events.sweep_started(len(specs), n_cached, self.n_workers)
-        for index, record in enumerate(records):
-            if record is not None:
-                self._events.job_finished(index, specs[index], record)
-
-        if pending:
-            import asyncio
-
-            # A loop of our own, not asyncio.run: from 3.11 that turns
-            # the first Ctrl-C into a cancel, which an in-process trial
-            # would not see until it ends.
-            trials = TrialPool(self.n_workers if self.n_workers > 1 else None)
-            loop = asyncio.new_event_loop()
-            try:
-                loop.run_until_complete(
-                    self._drain(trials, specs, pending, records)
-                )
-            finally:
-                trials.close()
-                loop.close()
-
-        done = [r for r in records if r is not None]
-        assert len(done) == len(specs), "runner lost a job"
-        executed = [r for r in done if not r.cached]
-        timing = SweepTiming(
-            elapsed=time.perf_counter() - started,
-            jobs=len(specs),
-            cached=n_cached,
-            failed=sum(1 for r in done if not r.ok),
-            total_job_wall=sum(r.wall_time for r in executed),
-            max_job_wall=max((r.wall_time for r in executed), default=0.0),
-            workers=self.n_workers,
-            cache_hits=(
-                self.cache.hits - hits_before if self.cache is not None else 0
-            ),
-            cache_misses=(
-                self.cache.misses - misses_before
-                if self.cache is not None else 0
-            ),
-        )
-        self.last_timing = timing
-        self._events.sweep_finished(timing)
-        return done
-
-    async def _drain(self, trials, specs, pending, records) -> None:
-        """``n_workers`` consumers, each taking the next pending spec,
-        awaiting its attempts and filing its record."""
         import asyncio
 
-        async def consume() -> None:
-            while pending:
-                index = pending.popleft()
-                spec = specs[index]
-                record = await trials.run(
-                    spec,
-                    f"{self.cid}/{index}" if self.cid else "",
-                    functools.partial(self._events.job_started, index, spec),
-                )
-                records[index] = record
-                if self.cache is not None and record.ok:
-                    self.cache.put(spec, record)
-                self._events.job_finished(index, spec, record)
-
-        await asyncio.gather(*(consume() for _ in range(self.n_workers)))
+        if log_enabled():
+            self.cid = self.cid or new_cid()
+        # A loop of our own, not asyncio.run: from 3.11 that turns the
+        # first Ctrl-C into a cancel, which an in-process trial would
+        # not see until it ends.
+        trials = TrialPool(self.n_workers if self.n_workers > 1 else None)
+        loop = asyncio.new_event_loop()
+        try:
+            records, self.last_timing = loop.run_until_complete(sweep(
+                trials, list(specs),
+                sweep_sink(self.progress, self.registry_sink, self.cid),
+                cache=self.cache, workers=self.n_workers, cid=self.cid,
+            ))
+        finally:
+            trials.close()
+            loop.close()
+        return records
 
 
 def _start_worker(parent: int) -> None:

@@ -129,9 +129,6 @@ class LogProgress(ProgressSink):
 
     def _emit(self, line: str) -> None:
         print(line, file=self.stream, flush=True)
-        flush = getattr(self.stream, "flush", None)
-        if flush is not None:
-            flush()
 
     def sweep_started(self, total: int, cached: int, workers: int) -> None:
         self._total = total

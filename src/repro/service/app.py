@@ -84,6 +84,22 @@ METHODS = frozenset({"GET", "POST", "DELETE"})
 LATENCY_BUCKETS = (
     1e-06, 1e-05, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0, math.inf,
 )
+#: the largest integer an SQLite INTEGER column holds.
+INT64_MAX = 2**63 - 1
+
+
+def _registry_int(text: str, what: str) -> int:
+    """``text`` as an integer from 0 to :data:`INT64_MAX`, the range a
+    registry query can take; anything else is a 400 naming ``what``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise HttpError(400, f"{what} must be an integer, got {text!r}")
+    if not 0 <= value <= INT64_MAX:
+        raise HttpError(
+            400, f"{what} must be between 0 and {INT64_MAX}, got {value}"
+        )
+    return value
 
 
 def record_payload(record: RunRecord) -> Dict[str, Any]:
@@ -364,26 +380,29 @@ class ServiceApp:
         return json_response(200, self._job(digest).status_payload())
 
     def _cancel(self, digest: str) -> Response:
-        job = self.manager.cancel(self._job(digest).digest)
-        return json_response(202, job.status_payload())
+        """202 for a queued or running job, 200 with the unchanged
+        status for a finished one (nothing is cancelled)."""
+        job = self._job(digest)
+        status = 202 if job.active() else 200
+        self.manager.cancel(job.digest)
+        return json_response(status, job.status_payload())
+
+    def _record(self, digest: str) -> RunRecord:
+        """The job's record (409 while it has none)."""
+        job = self._job(digest)
+        if job.record is None:
+            raise HttpError(
+                409,
+                f"job {digest} is {job.state}; result not available yet",
+            )
+        return job.record
 
     def _result(self, digest: str) -> Response:
-        job = self._job(digest)
-        if job.record is None:
-            raise HttpError(
-                409,
-                f"job {digest} is {job.state}; result not available yet",
-            )
-        return json_response(200, record_payload(job.record))
+        return json_response(200, record_payload(self._record(digest)))
 
     def _provenance(self, digest: str) -> Response:
-        job = self._job(digest)
-        if job.record is None:
-            raise HttpError(
-                409,
-                f"job {digest} is {job.state}; result not available yet",
-            )
-        if not job.record.spans:
+        record = self._record(digest)
+        if not record.spans:
             raise HttpError(
                 404,
                 f"job {digest} carries no spans; submit with "
@@ -392,9 +411,9 @@ class ServiceApp:
         from ..analysis.report import provenance_report
 
         root_id = None
-        if job.record.measurement is not None:
-            root_id = job.record.measurement.extra.get("event_root_span")
-        text = provenance_report(job.record.spans, root_id=root_id)
+        if record.measurement is not None:
+            root_id = record.measurement.extra.get("event_root_span")
+        text = provenance_report(record.spans, root_id=root_id)
         return Response(
             200, text.encode("utf-8"), "text/plain; charset=utf-8"
         )
@@ -541,7 +560,9 @@ class ServiceApp:
         return Response(200, html.encode("utf-8"), "text/html; charset=utf-8")
 
     def _runs_index(self, request: Request) -> Response:
-        limit = request.query_int("limit", 50)
+        limit = _registry_int(
+            request.query.get("limit", ["50"])[-1], "query parameter 'limit'"
+        )
         digest = None
         if request.query.get("digest"):
             digest = request.query["digest"][-1]
@@ -554,12 +575,9 @@ class ServiceApp:
         return json_response(200, {"runs": [asdict(row) for row in rows]})
 
     def _recorded_run(self, run_id: str):
-        """The registry row ``run_id`` names (400 unless an integer,
-        404 when no such run was recorded)."""
-        try:
-            wanted = int(run_id)
-        except ValueError:
-            raise HttpError(400, f"run id must be an integer, got {run_id!r}")
+        """The registry row ``run_id`` names (400 unless an integer an
+        SQLite INTEGER holds, 404 when no such run was recorded)."""
+        wanted = _registry_int(run_id, "run id")
         with self._open_registry() as registry:
             row = registry.run(wanted)
         if row is None:

@@ -102,18 +102,6 @@ class Request:
         except (UnicodeDecodeError, ValueError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}")
 
-    def query_int(self, name: str, default: int) -> int:
-        values = self.query.get(name)
-        if not values:
-            return default
-        try:
-            return int(values[-1])
-        except ValueError:
-            raise HttpError(
-                400, f"query parameter {name!r} must be an integer, "
-                f"got {values[-1]!r}"
-            )
-
 
 async def read_request(reader) -> Optional[Request]:
     """Parse one request off a stream; None on clean EOF before a line."""

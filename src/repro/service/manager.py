@@ -7,25 +7,27 @@ execute in.  Its invariants:
 - **one job per digest** — concurrent submissions of the same spec
   attach to one :class:`Job`; exactly one trial executes and every
   attached client reads the same record;
-- **content-addressed dedup** — a digest already answered by the
-  :class:`~repro.runner.cache.ResultCache`, the one result store,
-  becomes an already-done job without touching the queue;
 - **explicit backpressure** — per-client quotas and a bounded queue;
   violations raise :class:`QuotaExceeded` / :class:`QueueFull` carrying
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
   ``Retry-After``), and a batch submission is all-or-nothing;
-- **never block the loop** — every trial runs in one of
-  ``concurrency`` worker processes of a
-  :class:`~repro.runner.pool.TrialPool`, the attempt loop CLI sweeps
-  use too (its retry rule, its dead-worker rule, its CPU budget); the
-  loop awaits the trial, emits the job's progress events itself, and
-  slow/vanished SSE subscribers just drop frames (``put_nowait`` on a
-  bounded queue) instead of stalling the worker;
+- **the runner's own sweep** — a digest the
+  :class:`~repro.runner.cache.ResultCache`, the one result store,
+  answers (:func:`~repro.runner.pool.cache_answer`) becomes an
+  already-done job without touching the queue; any other job runs as a
+  one-spec :func:`~repro.runner.pool.sweep` over one
+  :class:`~repro.runner.pool.TrialPool` of ``concurrency`` worker
+  processes: a CLI sweep's events, timing and attempt loop (retry rule,
+  dead-worker rule, CPU budget).  An anatomy-on submit that attaches to
+  a job made without anatomy gets it derived, as from a cache hit;
+- **never block the loop** — slow/vanished SSE subscribers just drop
+  frames (``put_nowait`` on a bounded queue) instead of stalling the
+  worker;
 - **everything recorded** — one registry connection, opened on the
   loop by the first executed job and closed by
-  :meth:`JobManager.aclose`; every job records through the ordinary
-  :class:`RegistrySink` event path.  The registry is the run log:
-  nothing reads it to answer a job.
+  :meth:`JobManager.aclose`; every executed job records through the
+  ordinary :class:`RegistrySink` event path (a cache answer writes no
+  row).  The registry is the run log: nothing reads it to answer a job.
 
 All public methods must be called from the event-loop thread.
 ``submit_many`` contains no awaits, so a whole batch admission is
@@ -35,22 +37,17 @@ atomic under asyncio's run-to-completion semantics.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from ..obs.logging import log_enabled, new_cid
+from ..obs.logging import new_cid
 from ..runner.cache import ResultCache
 from ..runner.jobs import RunRecord, RunSpec
-from ..runner.pool import TrialPool, log_sink
-from ..runner.progress import (
-    JsonProgress,
-    ProgressSink,
-    SweepTiming,
-    TeeProgress,
-    record_summary,
+from ..runner.pool import (
+    TrialPool, cache_answer, sweep, sweep_sink, with_anatomy,
 )
+from ..runner.progress import JsonProgress, record_summary
 
 __all__ = [
     "Job",
@@ -228,7 +225,7 @@ class JobManager:
             sum(self._wall_times) / len(self._wall_times)
             if self._wall_times else 5.0
         )
-        queued = sum(1 for j in self.jobs.values() if j.state == QUEUED)
+        queued = self._queued()
         return min(600.0, max(1.0, mean * max(1, queued) / self.concurrency))
 
     def submit_many(
@@ -252,7 +249,7 @@ class JobManager:
         found: Dict[str, Optional[RunRecord]] = {}
         for spec, digest in zip(specs, digests):
             if digest not in self.jobs and digest not in found:
-                found[digest] = self._lookup_record(spec)
+                found[digest] = cache_answer(self.cache, spec)
         new_digests = [d for d, record in found.items() if record is None]
 
         active = self._active_for(client)
@@ -272,7 +269,7 @@ class JobManager:
                 f"the quota is {self.quota}",
                 self.retry_after(),
             )
-        queued = sum(1 for j in self.jobs.values() if j.state == QUEUED)
+        queued = self._queued()
         if queued + len(new_digests) > self.max_queue:
             self.rejected_queue += 1
             raise QueueFull(
@@ -293,6 +290,13 @@ class JobManager:
                     job = Job(digest=digest, spec=spec)
                     self._remember(job)
                     self._queue.put_nowait(digest)
+            elif spec.anatomy and not job.spec.anatomy:
+                # The job now owes its anatomy too: a queued job runs
+                # with it, a done job derives it now, a running one
+                # when its trial lands (_execute).
+                job.spec = replace(job.spec, anatomy=True)
+                if job.record is not None:
+                    with_anatomy(job.spec, job.record)
             job.clients.add(client)
             out.append(job)
         return out
@@ -318,10 +322,6 @@ class JobManager:
                     break
         for digest in doomed:
             del self.jobs[digest]
-
-    def _lookup_record(self, spec: RunSpec) -> Optional[RunRecord]:
-        """Dedup: the cached ok result for this digest, if any."""
-        return self.cache.get(spec) if self.cache is not None else None
 
     def _adopt_record(
         self, spec: RunSpec, digest: str, record: RunRecord
@@ -350,7 +350,15 @@ class JobManager:
         job.state = RUNNING
         job.cid = new_cid()
         try:
-            record = await self._sweep(job, self._progress(job))
+            (record,), _ = await sweep(
+                self._trials, [job.spec],
+                sweep_sink(
+                    JsonProgress(lambda payload: self._deliver(job, payload)),
+                    self._registry_sink(), job.cid,
+                ),
+                cache=self.cache, answers=[None], cid=job.cid,
+                cancelled=lambda: job.cancelling,
+            )
         except Exception as exc:  # a sink raised (a registry write)
             record = RunRecord(
                 digest=job.digest, ok=False,
@@ -361,7 +369,8 @@ class JobManager:
                 # a job that raised between begin_sweep and its commit
                 # must not leave the kept connection holding the lock
                 self._registry.rollback()
-        job.record = record
+        # job.spec may have gained anatomy while the trial ran
+        job.record = with_anatomy(job.spec, record)
         if record.cancelled:
             job.state = CANCELLED
         elif record.ok:
@@ -373,47 +382,19 @@ class JobManager:
             del self._wall_times[:-50]
         self._finish(job)
 
-    def _progress(self, job: Job) -> ProgressSink:
-        """The job's event stream: its history and subscribers, the
-        registry, and with logging on the ``runner`` log lines."""
-        sinks: List[ProgressSink] = [
-            JsonProgress(lambda payload: self._deliver(job, payload))
-        ]
-        if self.registry_path:
-            from ..obs.registry import RegistrySink, RunRegistry
+    def _registry_sink(self):
+        """An executed job's registry recorder, on the one connection
+        this manager keeps (opened here by the first job); None without
+        a registry."""
+        if not self.registry_path:
+            return None
+        from ..obs.registry import RegistrySink, RunRegistry
 
-            if self._registry is None:
-                self._registry = RunRegistry(
-                    self.registry_path, git_rev=self._git_rev
-                )
-            sinks.append(RegistrySink(self._registry, label="service"))
-        if log_enabled():
-            sinks.append(log_sink(job.cid))
-        return TeeProgress(*sinks)
-
-    async def _sweep(self, job: Job, events: ProgressSink) -> RunRecord:
-        """The job as the runner's one-spec sweep of a cache miss (its
-        admission probed the cache): the same events, with the trial
-        run in the pool and the cache written on the loop."""
-        started = time.perf_counter()
-        events.sweep_started(1, 0, 1)
-        record = await self._trials.run(
-            job.spec, f"{job.cid}/0",
-            lambda attempt: events.job_started(0, job.spec, attempt),
-            lambda: job.cancelling,
-        )
-        if self.cache is not None:
-            self.cache.put(job.spec, record)  # stores ok records only
-        events.job_finished(0, job.spec, record)
-        events.sweep_finished(SweepTiming(
-            elapsed=time.perf_counter() - started,
-            jobs=1,
-            failed=int(not record.ok),
-            total_job_wall=record.wall_time,
-            max_job_wall=record.wall_time,
-            cache_misses=int(self.cache is not None),
-        ))
-        return record
+        if self._registry is None:
+            self._registry = RunRegistry(
+                self.registry_path, git_rev=self._git_rev
+            )
+        return RegistrySink(self._registry, label="service")
 
     def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
         """One runner event, on the loop: into the job's history and
@@ -493,20 +474,18 @@ class JobManager:
         """True once :meth:`start` spawned the worker coroutines."""
         return bool(self._workers)
 
+    def _queued(self) -> int:
+        return sum(job.state == QUEUED for job in self.jobs.values())
+
     def telemetry(self) -> Dict[str, Any]:
         """Scrape-time operational readings (the ``/metrics`` gauges)."""
-        running = sum(1 for j in self.jobs.values() if j.state == RUNNING)
-        queued = sum(1 for j in self.jobs.values() if j.state == QUEUED)
-        subscribers = sum(len(j.subscribers) for j in self.jobs.values())
-        dropped_frames = sum(
-            j.dropped_frames for j in self.jobs.values()
-        )
+        jobs = self.jobs.values()
         return {
-            "in_flight": running,
-            "queued": queued,
+            "in_flight": sum(job.state == RUNNING for job in jobs),
+            "queued": self._queued(),
             "jobs": len(self.jobs),
-            "subscribers": subscribers,
-            "dropped_frames": dropped_frames,
+            "subscribers": sum(len(job.subscribers) for job in jobs),
+            "dropped_frames": sum(job.dropped_frames for job in jobs),
             "rejected_quota": self.rejected_quota,
             "rejected_queue": self.rejected_queue,
         }
@@ -518,9 +497,7 @@ class JobManager:
         return {
             "jobs": len(self.jobs),
             "states": states,
-            "queued": sum(
-                1 for j in self.jobs.values() if j.state == QUEUED
-            ),
+            "queued": self._queued(),
             "max_queue": self.max_queue,
             "quota": self.quota,
             "concurrency": self.concurrency,

@@ -62,7 +62,7 @@ def pinned_sequence(port):
         ]
     ]
     assert statuses == [
-        200, 400, 200, 200, 200, 404, 202, 404, 200, 200, 400, 404,
+        200, 400, 200, 200, 200, 404, 200, 404, 200, 200, 400, 404,
         200, 200, 200, 405, 404, 404, 200,
     ]
 

@@ -316,6 +316,29 @@ class TestRoutes:
 
         serve(tmp_path, body, concurrency=1)
 
+    def test_cancel_answers_200_once_the_job_finished(self, tmp_path):
+        """202 while a cancel can still act, 200 with the unchanged
+        status for a finished job."""
+
+        def delete(port, digest):
+            reply = raw_request(port, (
+                f"DELETE /api/jobs/{digest} HTTP/1.1\r\nHost: x\r\n\r\n"
+            ).encode())
+            head, _, body = reply.partition(b"\r\n\r\n")
+            return int(head.split()[1]), json.loads(body)["state"]
+
+        def body(port, app, loop):
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (first,) = client.submit({"spec": {**QUICK_SPEC, "seed": 1}})
+                (second,) = client.submit({"spec": {**QUICK_SPEC, "seed": 2}})
+                status, state = delete(port, second["digest"])
+                # queued (now cancelled) or running; done if it was fast
+                assert status == (200 if state == "done" else 202), state
+                client.watch(first["digest"])
+                assert delete(port, first["digest"]) == (200, "done")
+
+        serve(tmp_path, body, concurrency=1)
+
     def test_registry_endpoints(self, tmp_path):
         def body(port, app, loop):
             with ServiceClient("127.0.0.1", port, client_id="t") as client:
@@ -699,6 +722,29 @@ class TestErrors:
                     client._json("GET", f"/api/runs/999{suffix}")
                 assert excinfo.value.status == 404
                 assert "no recorded run 999" in str(excinfo.value)
+
+        serve(tmp_path, body)
+
+    @pytest.mark.parametrize("path", [
+        "/api/runs?limit=99999999999999999999",
+        "/api/runs?limit=-1",
+        "/api/runs/99999999999999999999",
+        "/api/runs/99999999999999999999/anatomy",
+        "/api/runs/-1",
+    ])
+    def test_integers_sqlite_cannot_hold_are_400s(self, tmp_path, path):
+        def body(port, app, loop):
+            with ServiceClient("127.0.0.1", port, client_id="t") as client:
+                (job,) = client.submit({"spec": QUICK_SPEC})
+                client.watch(job["digest"])
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client._json("GET", path)
+                assert excinfo.value.status == 400
+                assert "must be between 0 and 9223372036854775807" in str(
+                    excinfo.value
+                )
+                assert client.runs(limit=0) == []
+                assert len(client.runs(limit=9223372036854775807)) == 1
 
         serve(tmp_path, body)
 

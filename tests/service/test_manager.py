@@ -2,6 +2,7 @@
 and the worker processes the trials run in."""
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -234,6 +235,80 @@ class TestDedup:
 
         job = run(manager_session(body))
         assert job.clients == {"alice", "bob"}
+
+
+class TestAnatomy:
+    """``anatomy`` is digest-neutral: an anatomy-on submit of a spec
+    first run spans-only is the same job or cache entry, and is answered
+    with the anatomy a runner sweep of the anatomy-on spec gives."""
+
+    SPANS = spec_for(spans=True)
+    ANATOMY = spec_for(spans=True, anatomy=True)
+
+    @classmethod
+    def runner_anatomy(cls):
+        (record,) = ParallelRunner(1).run([cls.ANATOMY])
+        assert record.ok and record.anatomy is not None
+        return json.dumps(record.anatomy, sort_keys=True)
+
+    def test_done_job_derives_it(self):
+        async def body(manager):
+            (job,) = manager.submit_many([self.SPANS], "alice")
+            await asyncio.wait_for(job.done.wait(), 60)
+            assert job.record.anatomy is None
+            (again,) = manager.submit_many([self.ANATOMY], "bob")
+            assert again is job
+            return job
+
+        job = run(manager_session(body))
+        assert json.dumps(job.record.anatomy, sort_keys=True) == (
+            self.runner_anatomy()
+        )
+
+    def test_running_job_derives_it_when_its_trial_lands(self):
+        async def body(manager):
+            (job,) = manager.submit_many([self.SPANS], "alice")
+            await started(job)
+            assert job.state == "running" and job.record is None
+            (again,) = manager.submit_many([self.ANATOMY], "bob")
+            assert again is job
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        job = run(manager_session(body))
+        assert job.state == "done"
+        assert json.dumps(job.record.anatomy, sort_keys=True) == (
+            self.runner_anatomy()
+        )
+
+    def test_queued_job_runs_with_it(self):
+        async def body(manager):
+            # concurrency 1: the spans-only job waits behind the first
+            manager.submit_many([spec_for(seed=1)], "alice")
+            (job,) = manager.submit_many([self.SPANS], "alice")
+            assert job.state == "queued"
+            (again,) = manager.submit_many([self.ANATOMY], "bob")
+            assert again is job
+            await asyncio.wait_for(job.done.wait(), 60)
+            return job
+
+        job = run(manager_session(body))
+        assert json.dumps(job.record.anatomy, sort_keys=True) == (
+            self.runner_anatomy()
+        )
+
+    def test_cache_hit_after_a_restart_derives_it(self, tmp_path):
+        first = run(manager_session(
+            finish_one(self.SPANS), cache=ResultCache(tmp_path / "cache"),
+        ))
+        again = run(manager_session(
+            finish_one(self.ANATOMY), cache=ResultCache(tmp_path / "cache"),
+        ))
+        assert first.record.anatomy is None
+        assert again.from_cache
+        assert json.dumps(again.record.anatomy, sort_keys=True) == (
+            self.runner_anatomy()
+        )
 
 
 class TestBackpressure:
