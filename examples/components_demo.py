@@ -65,9 +65,11 @@ def main():
     prefix = exp.announce(1)
     exp.wait_converged()
     t0 = exp.now
+    decisions = []
+    exp.net.bus.subscribe(decisions.append, categories=("bgp.decision",))
     exp.withdraw(1, prefix)
     exp.wait_converged()
-    changes = [c for c in route_history(exp.net.trace, prefix) if c.time >= t0]
+    changes = route_history(decisions, prefix)
     print(route_change_timeline(changes, t0=t0, max_rows=12))
 
     print("\n== Graphviz export (render with `dot -Tpng`) ==")

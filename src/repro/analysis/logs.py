@@ -1,23 +1,23 @@
 """Automatic log analysis (paper §3).
 
 "The framework supports tools for automatic log file analysis ...
-convergence time and loss measurement."  These functions post-process a
-:class:`~repro.eventsim.TraceLog` (the emulator's structured log) into
-the quantities an experimenter reads off: update churn over time,
-per-node message counts and per-prefix route-change histories.
-(Convergence instants are read once, by
-:class:`~repro.framework.convergence.MeasurementWindow`.)
-
-They scan retained trace records, so the run's trace level must keep
-the categories they read.
+convergence time and loss measurement."  These functions fold the
+emulator's structured log — an iterable of
+:class:`~repro.eventsim.TraceRecord`, such as the list that
+``exp.net.bus.subscribe(records.append)`` fills — into the quantities
+an experimenter reads off: update churn over time, per-node message
+counts and per-prefix route-change histories.  (Convergence instants
+are read once, by :class:`~repro.framework.convergence.MeasurementWindow`.)
+Nothing retains records by default: subscribe before the span of the
+run to be read (``Experiment.build()`` publishes nothing).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..eventsim import TraceLog
+from ..eventsim import TraceRecord
 
 __all__ = [
     "RouteChange",
@@ -49,19 +49,24 @@ class RouteChange:
 
 
 def update_counts_by_node(
-    trace: TraceLog, *, direction: str = "tx", since: float = 0.0
+    records: Iterable[TraceRecord],
+    *,
+    direction: str = "tx",
+    since: float = 0.0,
 ) -> Dict[str, int]:
     """BGP updates sent (``tx``) or received (``rx``) per node."""
     if direction not in ("tx", "rx"):
         raise ValueError(f"direction must be tx or rx: {direction!r}")
+    category = f"bgp.update.{direction}"
     counts: Dict[str, int] = {}
-    for rec in trace.filter(category=f"bgp.update.{direction}", since=since):
-        counts[rec.node] = counts.get(rec.node, 0) + 1
+    for rec in records:
+        if rec.time >= since and rec.matches(category):
+            counts[rec.node] = counts.get(rec.node, 0) + 1
     return counts
 
 
 def churn_timeline(
-    trace: TraceLog,
+    records: Iterable[TraceRecord],
     *,
     bin_size: float = 1.0,
     category: str = "bgp.update.tx",
@@ -75,21 +80,28 @@ def churn_timeline(
     if bin_size <= 0:
         raise ValueError(f"bin_size must be positive: {bin_size!r}")
     bins: Dict[int, int] = {}
-    for rec in trace.filter(category=category, since=since, until=until):
-        index = int((rec.time - since) // bin_size)
-        bins[index] = bins.get(index, 0) + 1
+    for rec in records:
+        if rec.time < since or (until is not None and rec.time > until):
+            continue
+        if rec.matches(category):
+            index = int((rec.time - since) // bin_size)
+            bins[index] = bins.get(index, 0) + 1
     return [
         (since + index * bin_size, bins[index]) for index in sorted(bins)
     ]
 
 
 def route_history(
-    trace: TraceLog, prefix, *, node: Optional[str] = None
+    records: Iterable[TraceRecord], prefix, *, node: Optional[str] = None
 ) -> List[RouteChange]:
     """Best-path changes for ``prefix`` (route-change visualization input)."""
     target = str(prefix)
     changes: List[RouteChange] = []
-    for rec in trace.filter(category="bgp.decision", node=node):
+    for rec in records:
+        if not rec.matches("bgp.decision") or (
+            node is not None and rec.node != node
+        ):
+            continue
         if rec.data.get("prefix") != target:
             continue
         changes.append(

@@ -15,9 +15,10 @@ updates sat in MRAI gates, and the chronological causal timeline.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..bgp.router import BGPRouter
+from ..eventsim import TraceRecord
 from ..framework.experiment import Experiment
 from ..obs.dag import ProvenanceDAG
 from ..obs.spans import Span
@@ -35,19 +36,25 @@ __all__ = [
 
 def experiment_report(
     exp: Experiment,
+    records: Sequence[TraceRecord],
     *,
     since: float = 0.0,
     churn_bin: float = 1.0,
     top_talkers: int = 5,
 ) -> str:
-    """Render a human-readable status report for ``exp``."""
+    """Render a human-readable status report for ``exp``.
+
+    ``records`` are the bus records the update and churn sections read
+    (:mod:`repro.analysis.logs`): e.g. a list subscribed to
+    ``exp.net.bus`` between ``build()`` and ``start()``.
+    """
     lines: List[str] = []
     lines.append(f"experiment {exp.name!r} @ t={exp.now:.1f}s")
     lines.append("=" * max(20, len(lines[0])))
     lines.extend(_inventory(exp))
     lines.extend(_sessions(exp))
-    lines.extend(_updates(exp, since, top_talkers))
-    lines.extend(_churn(exp, since, churn_bin))
+    lines.extend(_updates(records, since, top_talkers))
+    lines.extend(_churn(records, since, churn_bin))
     lines.extend(_connectivity(exp))
     if exp.controller is not None:
         lines.extend(_cluster(exp))
@@ -96,8 +103,8 @@ def _sessions(exp: Experiment) -> List[str]:
     return out
 
 
-def _updates(exp: Experiment, since: float, top_talkers: int) -> List[str]:
-    counts = update_counts_by_node(exp.net.trace, since=since)
+def _updates(records, since: float, top_talkers: int) -> List[str]:
+    counts = update_counts_by_node(records, since=since)
     total = sum(counts.values())
     out = ["", f"update activity since t={since:.1f}s: {total} updates sent"]
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:top_talkers]
@@ -106,8 +113,8 @@ def _updates(exp: Experiment, since: float, top_talkers: int) -> List[str]:
     return out
 
 
-def _churn(exp: Experiment, since: float, churn_bin: float) -> List[str]:
-    timeline = churn_timeline(exp.net.trace, bin_size=churn_bin, since=since)
+def _churn(records, since: float, churn_bin: float) -> List[str]:
+    timeline = churn_timeline(records, bin_size=churn_bin, since=since)
     return ["", "churn: " + churn_sparkline(timeline)]
 
 

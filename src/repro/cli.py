@@ -52,7 +52,7 @@ from .analysis import (
 )
 from .config import ServiceConfig
 from .config.specio import scenario_names, scenario_registry, topology_registry
-from .eventsim import format_snapshot
+from .eventsim import RecordDigest, format_snapshot
 from .experiments import (
     WithdrawalScenario,
     announcement_sweep,
@@ -514,7 +514,9 @@ def cmd_faults_run(args) -> int:
                 seed=args.seed, mrai=args.mrai,
                 recompute_delay=args.recompute_delay,
             ),
-        ).start()
+        ).build()
+        digest = RecordDigest(exp.net.bus)
+        exp.start()
         for asn in origins:
             exp.announce(asn, exp.as_prefix(asn))
         exp.wait_converged()
@@ -545,7 +547,7 @@ def cmd_faults_run(args) -> int:
         out.emit(
             f"  invariants: {status}  "
             f"settled t={result.t_end:.3f}  "
-            f"trace digest {injector.trace_digest()[:16]}"
+            f"trace digest {digest.hexdigest()[:16]}"
         )
         for violation in result.violations:
             out.emit(f"    {violation}")

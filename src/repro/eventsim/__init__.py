@@ -10,9 +10,11 @@ Public surface:
 - :class:`Timer`, :class:`PeriodicTimer`, :class:`DebounceTimer` —
   the timer disciplines BGP and the IDR controller need.
 - :class:`InstrumentationBus` — the publish/subscribe hub every
-  component emits typed records on; each simulator owns one, ``sim.bus``.
-- :class:`TraceLog` / :class:`TraceRecord` — record capture (one bus
-  subscriber) consumed by the analysis tools.
+  component emits typed :class:`TraceRecord` events on; each simulator
+  owns one, ``sim.bus``.  Nothing retains records: an analysis
+  subscribes for the run it reads (a list's ``append`` for the
+  ``repro.analysis`` log tools, :class:`RecordDigest` for a run's
+  digest).
 - :func:`merge_snapshots` / :func:`format_snapshot` — a sweep's
   ``records_total`` counter payloads added up and printed;
   :func:`time_by_layer` — a run's dispatch wall time by layer.
@@ -22,12 +24,13 @@ from .bus import (
     ROUTE_AFFECTING,
     STATE_CHANGING,
     InstrumentationBus,
+    RecordDigest,
     Subscription,
+    TraceRecord,
 )
 from .core import Event, FifoLane, SimulationError, Simulator
 from .metrics import format_snapshot, merge_snapshots, time_by_layer
 from .timer import DebounceTimer, PeriodicTimer, Timer
-from .trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
@@ -38,8 +41,8 @@ __all__ = [
     "PeriodicTimer",
     "DebounceTimer",
     "InstrumentationBus",
+    "RecordDigest",
     "Subscription",
-    "TraceLog",
     "TraceRecord",
     "ROUTE_AFFECTING",
     "STATE_CHANGING",

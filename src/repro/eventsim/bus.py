@@ -3,12 +3,12 @@
 Each :class:`~repro.eventsim.core.Simulator` owns exactly one bus,
 ``sim.bus``, and every component built on that simulator publishes
 typed :class:`TraceRecord` events on it instead of appending to a log
-directly; subscribers (the :class:`~repro.eventsim.trace.TraceLog`, the
-span tracker, live visualizers) each receive exactly the records they
-asked for.  This is
-the publish/subscribe layer that lets large sweeps keep filtered — or
-zero — trace memory while online consumers compute in O(1) per record
-what previously required full-trace scans.
+directly; subscribers (the span tracker, a :class:`RecordDigest`, a
+list's ``append`` in a test or an example) each receive exactly the
+records they asked for.  Nothing retains records by default: each
+analysis is a fold over the stream, subscribed for the span of the run
+it reads, so a run keeps no trace memory while online consumers compute
+in O(1) per record what once took a scan of a retained trace.
 
 Records carry a dotted ``category`` (``bgp.update.rx``, ``fib.change``,
 ``controller.recompute`` ...), the node name, and a free-form payload
@@ -34,8 +34,8 @@ checks — against its compiled per-category route — whether anything will
 actually take this record (a subscriber whose filter matches).  Only
 then does the thunk run and a :class:`TraceRecord` get built; otherwise
 the cost of the call is the unconditional count increment, the
-``last_seen`` stamp and a route lookup — a run with trace capture off
-and no observer attached evaluates no thunk at all.
+``last_seen`` stamp and a route lookup — a run with no subscriber
+evaluates no thunk at all.
 The contract for subscriber authors: a record's ``data`` dict is built
 at publish time whenever *any* taker exists, so every taker of the same
 occurrence sees the same payload, and payloads always reflect state at
@@ -50,6 +50,7 @@ lists, not tuples — so retaining or serializing it converts nothing.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -57,6 +58,7 @@ __all__ = [
     "TraceRecord",
     "Subscription",
     "InstrumentationBus",
+    "RecordDigest",
     "ROUTE_AFFECTING",
     "STATE_CHANGING",
 ]
@@ -265,8 +267,8 @@ class InstrumentationBus:
                     callback(rec)
 
         else:
-            # The common large-run shape: one subscriber — e.g. the
-            # trace log's bare ``deque.append``.
+            # The common shape: one subscriber — e.g. the span
+            # tracker, or a list's bare ``append``.
 
             def eager(
                 node, data,
@@ -350,3 +352,26 @@ class InstrumentationBus:
             f"<InstrumentationBus subscribers={len(self._subscriptions)} "
             f"published={self.records_published}>"
         )
+
+
+class RecordDigest:
+    """A running sha256 over every record published on ``bus`` from
+    now on: ``f"{time!r}|{category}|{node}\\n"`` per record, exact
+    float reprs, so equal digests mean bit-identical runs.
+
+    Subscribe it between ``Experiment.build()`` (which publishes
+    nothing) and ``start()`` to fold the whole run; it keeps no record.
+    """
+
+    def __init__(self, bus: InstrumentationBus) -> None:
+        self._hasher = hashlib.sha256()
+        bus.subscribe(self._take, name="digest")
+
+    def _take(self, record: TraceRecord) -> None:
+        self._hasher.update(
+            f"{record.time!r}|{record.category}|{record.node}\n".encode()
+        )
+
+    def hexdigest(self) -> str:
+        """The digest of the records taken so far."""
+        return self._hasher.hexdigest()

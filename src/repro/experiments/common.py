@@ -13,7 +13,7 @@ whole output queue), controller recompute delay 0.5 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import BoxplotStats, LinearFit, boxplot_stats, linear_fit
@@ -30,13 +30,13 @@ from ..framework.experiment import (
 )
 from ..net.addr import Prefix
 from ..runner import ParallelRunner, RunSpec, SweepTiming, fraction_grid
+from ..runner.jobs import TRACE_LEVEL_CHOICES
 from ..topology.builders import clique
 from ..topology.model import Topology
 
 __all__ = [
     "paper_timers",
     "paper_config",
-    "batch_config",
     "Scenario",
     "WithdrawalScenario",
     "FailoverScenario",
@@ -79,41 +79,31 @@ def paper_config(
     collector — the memory shape Internet-scale trials need, where
     per-AS /24s would mean O(n²) Adj-RIB entries.
     """
-    # Not options: the frozen benchmark still passes both keywords
-    # (``benchmarks/ledger/workloads.py:361-362``); they are checked,
-    # forwarded nowhere, and deleted with those lines in the next
-    # ``benchmark``-archetype PR.
+    # Not options: the frozen benchmark still passes these three
+    # keywords (``benchmarks/ledger/workloads.py:361-362``); they are
+    # checked, forwarded nowhere (no network retains a trace), and
+    # deleted with those lines in the next ``benchmark``-archetype PR.
     if compact is not True or scheduler != "heap":
         raise ValueError(
             "the engine has one route store (the prefix index) and one "
             f"queue (the binary heap); got compact={compact!r}, "
             f"scheduler={scheduler!r}"
         )
+    if trace_level not in TRACE_LEVEL_CHOICES:
+        raise ValueError(
+            f"unknown trace level {trace_level!r}; "
+            f"choose from {sorted(TRACE_LEVEL_CHOICES)}"
+        )
     return ExperimentConfig(
         seed=seed,
         policy_mode=policy_mode,
         timers=paper_timers(mrai),
         controller=ControllerConfig(recompute_delay=recompute_delay),
-        trace_level=trace_level,
         metrics=metrics,
         spans=spans,
         with_collector=not lean,
         originate_all=not lean,
     )
-
-
-def batch_config(config: ExperimentConfig) -> ExperimentConfig:
-    """``config`` as a batch trial runs it: with no trace capture.
-
-    A batch trial hands back its measurement, metrics and span dicts,
-    never its trace, so a retained trace would be built record by
-    record and dropped unread.  Nothing a trial returns reads it: the
-    measurement reads the bus's own tables, metrics are the bus's
-    counts and spans have their own subscription.  Interactive
-    :class:`~repro.framework.experiment.Experiment` users, who can read
-    ``exp.net.trace``, keep ``config.trace_level``.
-    """
-    return replace(config, trace_level="off")
 
 
 # ----------------------------------------------------------------------
@@ -452,16 +442,14 @@ def run_scenario_full(
     :class:`~repro.obs.spans.Span` list, which ``spans`` snapshots, so
     the worker derives anatomy without reading the dicts back).
 
-    The experiment runs with :func:`batch_config`: no trace is
-    retained, whatever ``config.trace_level`` says, because none of the
-    outputs carries it.  It is closed on the way out, result or
+    The experiment is closed on the way out, result or
     exception (:meth:`~repro.framework.experiment.Experiment.close`):
     none of the outputs holds a device, so the trial is freed the
     moment this returns.  No automatic collection runs from build to
     close (see ``_full_collections_held``).
     """
     exp = Experiment(
-        topology, sdn_members=sdn_members, config=batch_config(config),
+        topology, sdn_members=sdn_members, config=config,
         name=scenario.name,
     )
     try:
@@ -605,7 +593,7 @@ def run_fraction_sweep(
     trial shares (``mrai``, ``recompute_delay``, ``trace_level``,
     ``metrics``, ``spans``, ``anatomy``, ``faults``, ... — whatever
     the spec declares grid-wide).  ``trace_level`` only sets the
-    digest: no trial retains a trace (:func:`batch_config`).
+    digest: no network retains a trace.
     ``metrics``/``spans`` attach the matching payload to every
     :class:`RunResult`; ``anatomy=True`` additionally derives each
     run's critical-path delay attribution from the spans (implies

@@ -12,7 +12,7 @@ churn, and time to final convergence — for both debounce disciplines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..controller.idr import ControllerConfig
 from ..faults.engine import FaultInjector
@@ -72,15 +72,14 @@ def run_flap_storm(
     )
     exp = Experiment(topology, sdn_members=members, config=config).start()
     controller = exp.controller
-    trace = exp.net.trace
+    speaker_sessions = exp.speaker.sessions.values()
 
     prefix = exp.announce(1)
     exp.wait_converged()
 
     recomputes_before = controller.recomputations
     flow_mods_before = controller.flow_mods_sent
-    speaker_tx_before = len(trace.filter(category="bgp.update.tx",
-                                         node="speaker"))
+    speaker_tx_before = sum(s.updates_sent for s in speaker_sessions)
 
     # The burst is a prefix_flap fault schedule: withdraw first, one
     # flip every ``flap_interval`` — bit-identical to the hand-scheduled
@@ -116,8 +115,7 @@ def run_flap_storm(
         recomputations=controller.recomputations - recomputes_before,
         flow_mods=controller.flow_mods_sent - flow_mods_before,
         speaker_updates=(
-            len(trace.filter(category="bgp.update.tx", node="speaker"))
-            - speaker_tx_before
+            sum(s.updates_sent for s in speaker_sessions) - speaker_tx_before
         ),
         settle_after_storm=settle_after_storm,
         final_state_correct=final_ok,

@@ -28,7 +28,6 @@ from ..runner.jobs import RunSpec
 from ..topology import caida_hierarchy
 from .common import (
     WithdrawalScenario,
-    batch_config,
     paper_config,
     sdn_set_for,
 )
@@ -64,12 +63,11 @@ def scale_spec(n: int, seed: int = 0) -> RunSpec:
 
 def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
     """Mirror of ``run_trial_full`` that keeps the live experiment in
-    scope, so kernel counters and intern pools can be read directly.
-    Like every batch trial it retains no trace (:func:`batch_config`)."""
+    scope, so kernel counters and intern pools can be read directly."""
     scenario = spec.scenario_factory()
     topology = scenario.topology(spec.n, spec.topology_factory)
     members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
-    config = batch_config(paper_config(**spec.config_options()))
+    config = paper_config(**spec.config_options())
     t_start = time.perf_counter()
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name

@@ -26,14 +26,15 @@ t_state_converged >= t_event``.
 Determinism: flap jitter draws from the named random stream
 ``fault.jitter.<fault_seed>``, so (a) it never perturbs the streams
 existing components use, and (b) the same schedule + seeds reproduce
-the identical event trace — :meth:`FaultInjector.trace_digest` makes
-that checkable from the CLI.
+the identical record stream — a
+:class:`~repro.eventsim.bus.RecordDigest` subscribed before the
+experiment starts folds it into one sha256, which ``repro faults run``
+prints.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -173,24 +174,6 @@ class FaultInjector:
         if self.strict and not result.ok:
             raise InvariantError(result.violations)
         return result
-
-    def trace_digest(self) -> str:
-        """sha256 of the run's observable behaviour (for reproducibility
-        checks): retained trace records, or the bus's per-category counts
-        when capture is off — equal digests mean bit-identical runs."""
-        hasher = hashlib.sha256()
-        trace = self.experiment.net.trace
-        records = list(trace)
-        if records:
-            for record in records:
-                hasher.update(
-                    f"{record.time!r}|{record.category}|{record.node}\n".encode()
-                )
-        else:
-            for category in sorted(self.experiment.net.bus.counts):
-                count = self.experiment.net.bus.counts[category]
-                hasher.update(f"{category}={count}\n".encode())
-        return hasher.hexdigest()
 
     # ------------------------------------------------------------------
     # firing

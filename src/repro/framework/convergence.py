@@ -12,11 +12,10 @@ Measurement is streaming: the instrumentation bus stamps the time of
 each category's last record and counts every record in O(1), and a
 :class:`MeasurementWindow` reads the last route-affecting / last
 state-changing timestamps and the activity counters from those tables,
-so :func:`measure_event` needs no post-run trace scan, no bus
-subscription, and works with trace capture disabled entirely.  The scan
-of the retained trace it replaced lives on as the oracle in
-``tests/framework/test_streaming.py``, which the streaming path is
-tested bit-identical against.
+so :func:`measure_event` needs no post-run trace scan and no bus
+subscription.  The scan of a run's records it replaced lives on as the
+oracle in ``tests/framework/test_streaming.py``, which the streaming
+path is tested bit-identical against.
 """
 
 from __future__ import annotations
@@ -117,8 +116,7 @@ def measure_event(
     The experiment must already be started and settled; the function
     opens a :class:`MeasurementWindow`, fires the event, runs the
     simulator until it settles again and closes the window there — no
-    trace scan, so it works with trace capture disabled and its cost is
-    independent of run size.
+    trace scan, so its cost is independent of run size.
 
     The collector is held from the event to the settle, as in a trial
     (``_full_collections_held``): an event on a long-lived experiment

@@ -135,10 +135,6 @@ class ExperimentConfig:
     phys_latency: Optional[float] = None
     #: settle horizon for :meth:`Experiment.wait_converged`.
     horizon: float = 1e5
-    #: trace capture level: "full" (every record), "route" (only
-    #: route-affecting categories), or "off" (zero trace memory —
-    #: streaming subscribers still see everything).
-    trace_level: str = "full"
     #: give the run a metrics payload (:meth:`Experiment.metrics_snapshot`:
     #: the bus's per-category record counts as ``records_total``
     #: counters); the runner also reads wall time by layer.
@@ -153,7 +149,8 @@ class ExperimentConfig:
         return replace(self.timers)
 
     def collector_timers(self) -> BGPTimers:
-        """Collector peerings report immediately (MRAI off)."""
+        """The collector's timers and those of every session toward it:
+        the experiment's, with MRAI off (feeds report immediately)."""
         return replace(self.timers, mrai=0.0)
 
     def speaker_timers(self) -> BGPTimers:
@@ -200,14 +197,15 @@ class Experiment:
     # ------------------------------------------------------------------
     @_full_collections_held()
     def build(self) -> "Experiment":
-        """Instantiate all devices and links (idempotent no; call once)."""
+        """Instantiate all devices and links (idempotent no; call once).
+
+        Publishes no record: a subscriber attached between ``build()``
+        and :meth:`start` sees the whole run.
+        """
         if self._built:
             raise ExperimentError("experiment already built")
         self._built = True
-        self.net = Network(
-            seed=self.config.seed,
-            trace_level=self.config.trace_level,
-        )
+        self.net = Network(seed=self.config.seed)
         if self.config.spans:
             self.net.enable_spans()
         self._build_cluster_core()
@@ -326,7 +324,10 @@ class Experiment:
         if not self.config.with_collector:
             return
         self.collector = self.net.add_node(
-            RouteCollector(self.net.sim, "collector")
+            RouteCollector(
+                self.net.sim, "collector",
+                timers=self.config.collector_timers(),
+            )
         )
         for asn, node in sorted(self._as_node.items()):
             if isinstance(node, BGPRouter):

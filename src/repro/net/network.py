@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..eventsim import ROUTE_AFFECTING, Simulator, TraceLog
+from ..eventsim import Simulator
 from ..obs.spans import SPAN_CATEGORIES, SpanTracker
 from .addr import IPv4Address
 from .link import Link
@@ -35,42 +35,18 @@ class PathTrace:
         return self.reached
 
 
-#: trace capture levels: category filter (None = everything) per level.
-TRACE_LEVELS = {
-    "full": None,
-    "route": tuple(sorted(ROUTE_AFFECTING)),
-    "off": None,
-}
-
-
 class Network:
     """Inventory of emulated devices sharing one event loop and bus.
 
     The network builds the :class:`Simulator`, whose bus (``sim.bus``,
-    also reachable as :attr:`bus`) every device publishes on, and
-    attaches the bus's subscribers: a :class:`TraceLog` (record
-    capture, tunable via ``trace_level``) and — opt-in via
-    :meth:`enable_spans` — a :class:`SpanTracker`.
-
-    ``trace_level``: ``"full"`` retains every record, ``"route"``
-    retains only route-affecting categories, ``"off"`` retains nothing
-    (counters and streaming subscribers still see everything).
+    also reachable as :attr:`bus`) every device publishes on.  It
+    retains no record; the one subscriber it attaches is opt-in, the
+    :class:`SpanTracker` of :meth:`enable_spans`.
     """
 
-    def __init__(self, seed: int = 0, *, trace_level: str = "full") -> None:
-        if trace_level not in TRACE_LEVELS:
-            raise ValueError(
-                f"unknown trace level {trace_level!r}; "
-                f"choose from {sorted(TRACE_LEVELS)}"
-            )
+    def __init__(self, seed: int = 0) -> None:
         self.sim = Simulator(seed=seed)
         self.bus = self.sim.bus
-        self.trace = TraceLog(
-            self.bus,
-            categories=TRACE_LEVELS[trace_level],
-            capture=trace_level != "off",
-        )
-        self.trace_level = trace_level
         self.spans: Optional[SpanTracker] = None
         self.nodes: Dict[str, Node] = {}
         self.links: List[Link] = []

@@ -192,7 +192,7 @@ class SpanTracker:
         ``t_start`` stretches the span's start earlier (never later) —
         used for sends that waited in an MRAI gate.  The span's payload
         is the published record's, so ``extra`` goes into a copy: an
-        annotation never shows up in the trace.
+        annotation never shows up in another taker's record.
         """
         if not self.spans:
             return

@@ -37,7 +37,6 @@ from typing import (
 
 from ..framework.convergence import ConvergenceMeasurement
 from ..framework.experiment import POLICY_MODES
-from ..net.network import TRACE_LEVELS
 
 __all__ = [
     "SpecError",
@@ -45,6 +44,7 @@ __all__ = [
     "RunSpec",
     "RunRecord",
     "SPEC_OPTIONS",
+    "TRACE_LEVEL_CHOICES",
     "RECORD_PAYLOADS",
     "RESULT_PAYLOADS",
     "fraction_grid",
@@ -57,6 +57,11 @@ __all__ = [
 
 class SpecError(ValueError):
     """A :class:`RunSpec` that cannot be executed or digested."""
+
+
+#: the values ``RunSpec.trace_level`` accepts (and ``paper_config``
+#: checks); none of them configures anything.
+TRACE_LEVEL_CHOICES = ("full", "route", "off")
 
 
 def callable_token(fn: Callable) -> str:
@@ -168,12 +173,11 @@ class RunSpec:
     horizon: Optional[float] = _option(
         None, "number", minimum=0.0, digest="always"
     )
-    #: changes no trial: ``run_scenario_full`` retains no trace at any
-    #: level (``batch_config``).  Kept because every digest and cache
-    #: entry includes it; deleting it is a digest re-pin.
+    #: configures nothing: no network retains a trace.  Kept because
+    #: every digest and cache entry includes it; deleting it is a
+    #: digest re-pin.
     trace_level: str = _option(
-        "full", "str", choices=tuple(TRACE_LEVELS), digest="always",
-        config=True,
+        "full", "str", choices=TRACE_LEVEL_CHOICES, digest="always",
         help="accepted for spec digests only: no trial retains a trace "
         "at any level (measurements, metrics and spans are unaffected)",
     )

@@ -6,7 +6,8 @@ execute in.  Its invariants:
 
 - **one job per digest** — concurrent submissions of the same spec
   attach to one :class:`Job`; exactly one trial executes and every
-  attached client reads the same record;
+  attached client reads the same record.  A cancelled or failed job is
+  dead: a later submit of its digest replaces it with a fresh job;
 - **explicit backpressure** — per-client quotas and a bounded queue;
   violations raise :class:`QuotaExceeded` / :class:`QueueFull` carrying
   a ``retry_after`` hint (the HTTP layer maps both onto 429 +
@@ -234,8 +235,10 @@ class JobManager:
         """Admit a batch of specs for one client, all-or-nothing.
 
         Returns one :class:`Job` per spec (order preserved): a fresh
-        queued job, an existing job the client attached to (dedup), or
-        an already-done job answered from the cache.  Raises
+        queued job, an existing queued, running or done job the client
+        attached to (dedup), or an already-done job answered from the
+        cache.  A cancelled or failed job takes no attachments: its
+        digest is admitted as if the table did not know it.  Raises
         :class:`QuotaExceeded` / :class:`QueueFull` without admitting
         anything when the batch does not fit.  No awaits — the whole
         admission decision is atomic on the event loop.
@@ -243,12 +246,13 @@ class JobManager:
         digests = [spec.digest() for spec in specs]
 
         # Pass 1 (nothing admitted yet): probe the cache once for every
-        # digest the job table does not know; the ones with no
-        # answer are the genuinely new jobs.  Does the whole batch fit?
+        # digest with no live job; the ones with no answer are the
+        # genuinely new jobs.  Does the whole batch fit?
         seen: Set[str] = set(digests)
+        live = {d: self._live_job(d) for d in seen}
         found: Dict[str, Optional[RunRecord]] = {}
         for spec, digest in zip(specs, digests):
-            if digest not in self.jobs and digest not in found:
+            if live[digest] is None and digest not in found:
                 found[digest] = cache_answer(self.cache, spec)
         new_digests = [d for d, record in found.items() if record is None]
 
@@ -257,9 +261,8 @@ class JobManager:
         # too — a client cannot shadow-queue unlimited work by riding
         # other clients' submissions.
         joining = sum(
-            1 for digest in seen
-            if digest in self.jobs and self.jobs[digest].active()
-            and client not in self.jobs[digest].clients
+            1 for job in live.values()
+            if job is not None and job.active() and client not in job.clients
         )
         if active + joining + len(new_digests) > self.quota:
             self.rejected_quota += 1
@@ -281,7 +284,7 @@ class JobManager:
         # Pass 2: admit.
         out: List[Job] = []
         for spec, digest in zip(specs, digests):
-            job = self.jobs.get(digest)
+            job = live[digest]
             if job is None:
                 record = found[digest]
                 if record is not None:
@@ -290,6 +293,7 @@ class JobManager:
                     job = Job(digest=digest, spec=spec)
                     self._remember(job)
                     self._queue.put_nowait(digest)
+                live[digest] = job
             elif spec.anatomy and not job.spec.anatomy:
                 # The job now owes its anatomy too: a queued job runs
                 # with it, a done job derives it now, a running one
@@ -301,7 +305,18 @@ class JobManager:
             out.append(job)
         return out
 
+    def _live_job(self, digest: str) -> Optional[Job]:
+        """The job a submit of ``digest`` attaches to: a queued, running
+        or done one, else None (a cancelled or failed job is dead)."""
+        job = self.jobs.get(digest)
+        if job is None or job.state in (CANCELLED, FAILED):
+            return None
+        return job
+
     def _remember(self, job: Job) -> None:
+        """Enter ``job`` as the newest in the table, replacing a dead
+        job of its digest."""
+        self.jobs.pop(job.digest, None)
         self.jobs[job.digest] = job
         self._evict()
 

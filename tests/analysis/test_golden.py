@@ -27,6 +27,7 @@ from repro.controller.idr import ControllerConfig
 from repro.framework.convergence import measure_event
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.topology.builders import clique
+from tests.conftest import subscribe_records
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -55,7 +56,9 @@ def run():
         controller=ControllerConfig(recompute_delay=0.2),
         spans=True,
     )
-    exp = Experiment(clique(5), sdn_members={4, 5}, config=config).start()
+    exp = Experiment(clique(5), sdn_members={4, 5}, config=config).build()
+    records = subscribe_records(exp.net.bus)
+    exp.start()
     exp.wait_converged()
     prefix = exp.as_prefix(1)
     measurement = measure_event(exp, lambda: exp.withdraw(1, prefix))
@@ -64,23 +67,23 @@ def run():
         s["span_id"] for s in spans
         if s["parent_id"] is None and s["t_end"] >= measurement.t_event
     )
-    return exp, measurement, spans, root_id
+    return exp, records, measurement, spans, root_id
 
 
 class TestReportGoldens:
     def test_experiment_report(self, run):
-        exp, _, _, _ = run
-        check_golden("experiment_report.txt", experiment_report(exp))
+        exp, records, _, _, _ = run
+        check_golden("experiment_report.txt", experiment_report(exp, records))
 
     def test_provenance_report(self, run):
-        _, _, spans, root_id = run
+        _, _, _, spans, root_id = run
         check_golden(
             "provenance_report.txt",
             provenance_report(spans, root_id=root_id, max_timeline=10),
         )
 
     def test_provenance_markdown(self, run):
-        _, _, spans, root_id = run
+        _, _, _, spans, root_id = run
         check_golden(
             "provenance_report.md",
             provenance_markdown(spans, root_id=root_id, max_timeline=10),
@@ -89,17 +92,15 @@ class TestReportGoldens:
 
 class TestLogScanGoldens:
     def test_update_counts_by_node(self, run):
-        exp, measurement, _, _ = run
-        counts = update_counts_by_node(
-            exp.net.trace, since=measurement.t_event
-        )
+        _, records, measurement, _, _ = run
+        counts = update_counts_by_node(records, since=measurement.t_event)
         text = json.dumps(counts, indent=1, sort_keys=True) + "\n"
         check_golden("update_counts_by_node.json", text)
 
     def test_churn_timeline(self, run):
-        exp, measurement, _, _ = run
+        _, records, measurement, _, _ = run
         series = churn_timeline(
-            exp.net.trace, bin_size=1.0, since=measurement.t_event
+            records, bin_size=1.0, since=measurement.t_event
         )
         text = json.dumps(series, indent=1) + "\n"
         check_golden("churn_timeline.json", text)

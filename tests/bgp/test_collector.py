@@ -3,7 +3,9 @@
 from repro.bgp.collector import RouteCollector
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
+from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import Prefix
+from repro.topology.builders import clique
 
 PFX = Prefix.parse("192.168.0.0/24")
 
@@ -90,3 +92,21 @@ class TestSilence:
         a.originate(PFX)
         net.sim.run_until_settled()
         assert collector.loc_rib.get(PFX) is not None
+
+
+class TestExperimentCollector:
+    def test_collector_takes_the_experiments_timers(self):
+        """An experiment's collector and its feeds run on the
+        experiment's timers with MRAI off — a fixed processing delay
+        included, not the 5-20 ms default."""
+        timers = BGPTimers(mrai=5.0, proc_delay_min=0.01, proc_delay_max=0.01)
+        exp = Experiment(
+            clique(3), config=ExperimentConfig(timers=timers)
+        ).build()
+        collector = exp.collector
+        assert collector.timers == BGPTimers(
+            mrai=0.0, proc_delay_min=0.01, proc_delay_max=0.01
+        )
+        assert len(collector.sessions) == 3
+        for session in collector.sessions.values():
+            assert session.timers == collector.timers

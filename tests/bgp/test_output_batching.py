@@ -16,7 +16,7 @@ from repro.experiments.common import paper_config
 from repro.framework.experiment import Experiment
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
-from tests.conftest import make_bgp_mesh
+from tests.conftest import make_bgp_mesh, select
 
 PFX = Prefix.parse("192.168.0.0/24")
 
@@ -35,7 +35,7 @@ def make_pair(net, mrai=30.0):
 
 
 class TestBatching:
-    def test_simultaneous_originations_share_one_update(self, net):
+    def test_simultaneous_originations_share_one_update(self, net, records):
         a, b = make_pair(net)
         t0 = net.sim.now
         a.originate(Prefix.parse("192.168.0.0/24"))
@@ -43,7 +43,7 @@ class TestBatching:
         a.originate(Prefix.parse("192.168.2.0/24"))
         net.sim.run_until_settled()
         updates = [
-            r for r in net.trace.filter(
+            r for r in select(records, 
                 category="bgp.update.rx", node="b", since=t0
             )
             if r.data["announced"]
@@ -51,16 +51,16 @@ class TestBatching:
         assert len(updates) == 1
         assert len(updates[0].data["announced"]) == 3
 
-    def test_batched_update_arrives_within_output_window(self, net):
+    def test_batched_update_arrives_within_output_window(self, net, records):
         a, b = make_pair(net)
         t0 = net.sim.now
         a.originate(Prefix.parse("192.168.0.0/24"))
         net.sim.run_until_settled()
-        rx = net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+        rx = select(records, category="bgp.update.rx", node="b", since=t0)
         # output window (10ms) + latency (10ms) + proc jitter
         assert rx[0].time - t0 < 0.1
 
-    def test_flap_within_window_cancels_out(self, net):
+    def test_flap_within_window_cancels_out(self, net, records):
         """Announce+withdraw inside one window -> nothing on the wire."""
         a, b = make_pair(net)
         t0 = net.sim.now
@@ -68,10 +68,10 @@ class TestBatching:
         a.originate(prefix)
         a.withdraw(prefix)  # same instant, before the output run
         net.sim.run_until_settled()
-        rx = net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+        rx = select(records, category="bgp.update.rx", node="b", since=t0)
         assert rx == []
 
-    def test_session_loss_batches_all_withdrawals(self, net):
+    def test_session_loss_batches_all_withdrawals(self, net, records):
         """Losing a peer with many prefixes -> one UPDATE to others."""
         timers = BGPTimers(mrai=30.0, mrai_jitter=0.0,
                            withdrawal_rate_limited=True)
@@ -100,7 +100,7 @@ class TestBatching:
         # r2's withdrawals toward r3 ride one UPDATE (they were batched);
         # exploration announces may follow but the withdrawal burst is one.
         withdrawal_updates = [
-            r for r in net.trace.filter(
+            r for r in select(records, 
                 category="bgp.update.tx", node="r2", since=t0
             )
             if r.data["peer"] == "r3" and r.data["withdrawn"]

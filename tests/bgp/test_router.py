@@ -7,7 +7,7 @@ from repro.bgp.policy import Relationship, gao_rexford_policy
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.net.addr import Prefix
-from tests.conftest import make_bgp_mesh
+from tests.conftest import make_bgp_mesh, select
 
 PFX = Prefix.parse("192.168.0.0/24")
 
@@ -101,7 +101,7 @@ class TestPropagation:
         rerouted = c.fib.get(PFX)
         assert rerouted is not None and rerouted.via == "as2"
 
-    def test_path_exploration_on_withdrawal(self, bgp_triangle, net):
+    def test_path_exploration_on_withdrawal(self, bgp_triangle, net, records):
         """Withdrawal triggers at least one stale-path exploration step."""
         a, b, c = bgp_triangle
         a.originate(PFX)
@@ -110,7 +110,7 @@ class TestPropagation:
         a.withdraw(PFX)
         net.sim.run_until_settled()
         decisions = [
-            r for r in net.trace.filter(category="bgp.decision", since=t0)
+            r for r in select(records, category="bgp.decision", since=t0)
             if r.data["prefix"] == str(PFX) and r.node in ("as2", "as3")
         ]
         # each of b, c at least loses the route; exploration may add more

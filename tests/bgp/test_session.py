@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers, SessionState
 from repro.net.addr import Prefix
+from tests.conftest import select
 
 PFX = Prefix.parse("192.168.0.0/24")
 
@@ -123,35 +124,35 @@ class TestTeardown:
 
 
 class TestMraiPacing:
-    def test_first_update_is_immediate(self, net):
+    def test_first_update_is_immediate(self, net, records):
         a, b, link, sa, sb = make_pair(net)
         t0 = net.sim.now
         a.originate(PFX)
         net.sim.run_until_settled()
-        rx = net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+        rx = select(records, category="bgp.update.rx", node="b", since=t0)
         # Delivered within output batching + latency, far below MRAI.
         assert rx and rx[0].time - t0 < 1.0
 
-    def test_rapid_changes_coalesce_within_mrai(self, net):
+    def test_rapid_changes_coalesce_within_mrai(self, net, records):
         """Two flaps inside one MRAI window reach the peer as one UPDATE."""
         a, b, link, sa, sb = make_pair(net)
         t0 = net.sim.now
         a.originate(PFX)
         net.sim.run_until_settled()
-        first_count = len(net.trace.filter(category="bgp.update.rx", node="b", since=t0))
+        first_count = len(select(records, category="bgp.update.rx", node="b", since=t0))
         t1 = net.sim.now
         # flap: withdraw + reannounce within the MRAI window
         a.withdraw(PFX)
         a.originate(PFX)
         net.sim.run_until_settled()
-        rx = net.trace.filter(category="bgp.update.rx", node="b", since=t1)
+        rx = select(records, category="bgp.update.rx", node="b", since=t1)
         # The withdrawal escapes MRAI (RFC default) but announce+withdraw
         # resolve to the same attrs as before -> at most the withdrawal
         # plus one re-announce; never two separate announces.
         announces = [r for r in rx if r.data["announced"]]
         assert len(announces) <= 1
 
-    def test_mrai_delays_second_announcement(self, net):
+    def test_mrai_delays_second_announcement(self, net, records):
         timers = BGPTimers(mrai=10.0, mrai_jitter=0.0)
         a, b, link, sa, sb = make_pair(net, timers, timers)
         t0 = net.sim.now
@@ -161,14 +162,14 @@ class TestMraiPacing:
         a.originate(Prefix.parse("192.168.1.0/24"))
         net.sim.run_until_settled()
         rx = [
-            r for r in net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+            r for r in select(records, category="bgp.update.rx", node="b", since=t0)
             if r.data["announced"]
         ]
         assert len(rx) == 2
         gap = rx[1].time - rx[0].time
         assert 9.0 <= gap <= 10.5
 
-    def test_zero_mrai_sends_back_to_back(self, net):
+    def test_zero_mrai_sends_back_to_back(self, net, records):
         timers = BGPTimers(mrai=0.0)
         a, b, link, sa, sb = make_pair(net, timers, timers)
         t0 = net.sim.now
@@ -177,13 +178,13 @@ class TestMraiPacing:
         a.originate(Prefix.parse("192.168.1.0/24"))
         net.sim.run_until_settled()
         rx = [
-            r for r in net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+            r for r in select(records, category="bgp.update.rx", node="b", since=t0)
             if r.data["announced"]
         ]
         assert len(rx) == 2
         assert rx[1].time - rx[0].time < 1.0
 
-    def test_withdrawal_escapes_mrai_by_default(self, net):
+    def test_withdrawal_escapes_mrai_by_default(self, net, records):
         timers = BGPTimers(mrai=30.0, mrai_jitter=0.0)
         a, b, link, sa, sb = make_pair(net, timers, timers)
         a.originate(PFX)
@@ -196,12 +197,12 @@ class TestMraiPacing:
         a.withdraw(PFX)
         net.sim.run(until=t0 + 5.0)
         withdrawals = [
-            r for r in net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+            r for r in select(records, category="bgp.update.rx", node="b", since=t0)
             if r.data["withdrawn"]
         ]
         assert withdrawals and withdrawals[0].time - t0 < 2.0
 
-    def test_withdrawal_rate_limited_waits_for_mrai(self, net):
+    def test_withdrawal_rate_limited_waits_for_mrai(self, net, records):
         timers = BGPTimers(
             mrai=30.0, mrai_jitter=0.0, withdrawal_rate_limited=True
         )
@@ -214,7 +215,7 @@ class TestMraiPacing:
         a.withdraw(PFX)
         net.sim.run_until_settled()
         withdrawals = [
-            r for r in net.trace.filter(category="bgp.update.rx", node="b", since=t0)
+            r for r in select(records, category="bgp.update.rx", node="b", since=t0)
             if r.data["withdrawn"]
         ]
         assert withdrawals and withdrawals[0].time - t0 >= 29.0
@@ -236,7 +237,7 @@ class TestKeepalives:
         net.sim.run(until=net.sim.now + 60.0)
         assert sa.established and sb.established
 
-    def test_hold_timer_detects_silent_failure(self, net):
+    def test_hold_timer_detects_silent_failure(self, net, records):
         timers = BGPTimers(
             mrai=1.0, keepalives_enabled=True,
             keepalive_interval=5.0, hold_time=15.0, fast_fallover=False,
@@ -245,5 +246,5 @@ class TestKeepalives:
         link.up = False  # silent failure: no notifications
         net.sim.run(until=net.sim.now + 30.0)
         assert not sa.established
-        downs = net.trace.filter(category="bgp.session.down")
+        downs = select(records, category="bgp.session.down")
         assert any(r.data.get("reason") == "hold_timer" for r in downs)

@@ -19,7 +19,7 @@ from repro.bgp.messages import (
 )
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers, SessionState
-from repro.eventsim import Simulator, TraceLog
+from repro.eventsim import Simulator
 from repro.net.addr import Prefix
 from repro.net.network import Network
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
-from repro.eventsim import Simulator, TraceLog
+from repro.eventsim import Simulator
 from repro.net.network import Network
 
 
@@ -14,13 +14,41 @@ def sim():
 
 
 @pytest.fixture
-def trace(sim):
-    return TraceLog(sim.bus)
+def net():
+    return Network(seed=42)
+
+
+def subscribe_records(bus, categories=None):
+    """A list that receives every record ``bus`` publishes from now on
+    (matching ``categories``, dotted prefixes, when given).  Subscribe
+    an experiment's list between ``build()`` and ``start()``: a build
+    publishes nothing, so the list then holds the whole run."""
+    records = []
+    bus.subscribe(records.append, categories=categories)
+    return records
+
+
+def select(records, category=None, *, node=None, since=None):
+    """The ``records`` in ``category`` (and everything nested under it),
+    at ``node``, at or after ``since`` — each criterion when given."""
+    return [
+        r for r in records
+        if (category is None or r.matches(category))
+        and (node is None or r.node == node)
+        and (since is None or r.time >= since)
+    ]
 
 
 @pytest.fixture
-def net():
-    return Network(seed=42)
+def records(net):
+    """Every record ``net`` publishes after the fixture is set up."""
+    return subscribe_records(net.bus)
+
+
+@pytest.fixture
+def sim_records(sim):
+    """Every record ``sim``'s bus publishes after the fixture is set up."""
+    return subscribe_records(sim.bus)
 
 
 def make_bgp_mesh(net, n, *, timers=None, start=True):

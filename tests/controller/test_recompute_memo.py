@@ -17,6 +17,7 @@ from repro.controller.idr import ControllerConfig
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
+from tests.conftest import select, subscribe_records
 
 
 def hybrid(seed=1):
@@ -46,10 +47,6 @@ def computes(monkeypatch):
     return seen
 
 
-def since(exp, t0, category):
-    return list(exp.net.trace.filter(category=category, since=t0))
-
-
 class TestUnchangedInputs:
     def test_sends_nothing_and_advertises_nothing(self, computes):
         exp = hybrid()
@@ -57,15 +54,15 @@ class TestUnchangedInputs:
         controller = exp.controller
         decisions = dict(controller.decisions)
         sent = controller.flow_mods_sent
-        t0 = exp.now
+        records = subscribe_records(exp.net.bus)
         controller.mark_dirty(controller.known_prefixes())
         controller.flush_now()
         exp.wait_converged()
         assert computes == []
         assert controller.flow_mods_sent == sent
-        assert since(exp, t0, "controller.flow_install") == []
-        assert since(exp, t0, "controller.advertise") == []
-        assert since(exp, t0, "controller.recompute")
+        assert select(records, "controller.flow_install") == []
+        assert select(records, "controller.advertise") == []
+        assert select(records, "controller.recompute")
         assert controller.decisions == decisions
         assert controller.audit() == []
 
@@ -94,7 +91,7 @@ class TestUnchangedInputs:
         prefix = Prefix.parse("203.0.113.0/24")
         advertised = []
         for path in (AsPath.of(1, 7), AsPath.of(1, 8), AsPath.of(1, 8)):
-            before = len(since(exp, 0.0, "controller.advertise"))
+            before = exp.net.bus.count("controller.advertise")
             speaker._apply_update(session, BGPUpdate(
                 sender_asn=1,
                 announced=((prefix, PathAttributes(as_path=path)),),
@@ -102,7 +99,7 @@ class TestUnchangedInputs:
             controller.mark_dirty([prefix])
             controller.flush_now()
             advertised.append(
-                len(since(exp, 0.0, "controller.advertise")) - before
+                exp.net.bus.count("controller.advertise") - before
             )
             assert controller.decisions[prefix]["as3"].route.as_path == path
         assert computes == [prefix, prefix]

@@ -5,6 +5,7 @@ from repro.controller.idr import ControllerConfig
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
+from tests.conftest import select, subscribe_records
 
 
 def hybrid(seed=1, mrai=1.0):
@@ -116,14 +117,12 @@ class TestAdvertisementDiffing:
     def test_no_duplicate_announcements(self):
         """The speaker's Adj-RIB-Out suppresses identical re-sends."""
         exp = hybrid()
-        t0 = exp.now
+        records = subscribe_records(exp.net.bus)
         # force a recompute with no route changes
         exp.controller.mark_dirty(exp.controller.known_prefixes())
         exp.wait_converged()
         announces = [
-            r for r in exp.net.trace.filter(
-                category="bgp.update.tx", node="speaker", since=t0
-            )
+            r for r in select(records, "bgp.update.tx", node="speaker")
             if r.data["announced"]
         ]
         assert announces == []

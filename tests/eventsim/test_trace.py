@@ -1,7 +1,9 @@
-"""Unit tests for the structured trace log."""
+"""Unit tests for the structured log: the records a bus publishes, as
+a subscribed list receives them, and the bus's own tables."""
 
-from repro.eventsim import ROUTE_AFFECTING, TraceLog
+from repro.eventsim import ROUTE_AFFECTING
 from repro.framework.convergence import MeasurementWindow
+from tests.conftest import select
 
 
 class _Run:
@@ -17,14 +19,14 @@ class _Run:
 
 
 class TestRecording:
-    def test_records_carry_current_time(self, sim, trace):
+    def test_records_carry_current_time(self, sim, sim_records):
         sim.schedule(3.0, lambda: sim.bus.record("x", "node1"))
         sim.run()
-        assert trace.records[0].time == 3.0
+        assert sim_records[0].time == 3.0
 
-    def test_record_data_payload(self, sim, trace):
+    def test_record_data_payload(self, sim, sim_records):
         sim.bus.record("bgp.update.tx", "as1", prefix="10.0.0.0/24")
-        assert trace.records[0].data["prefix"] == "10.0.0.0/24"
+        assert sim_records[0].data["prefix"] == "10.0.0.0/24"
 
     def test_counts_by_category(self, sim):
         sim.bus.record("a.b", "n")
@@ -39,40 +41,26 @@ class TestRecording:
         assert sim.bus.count("bgp.update") == 2
         assert sim.bus.count("bgp") == 3
 
-    def test_disabled_log_still_counts(self, sim):
-        trace = TraceLog(sim.bus, capture=False)
-        sim.bus.record("x", "n")
-        assert len(trace) == 0
-        assert sim.bus.counts["x"] == 1
-
 
 class TestTaps:
-    """Live observers are plain subscriptions on the trace's bus."""
+    """Live observers are plain subscriptions on the bus."""
 
-    def test_tap_sees_records_live(self, sim, trace):
+    def test_tap_sees_records_live(self, sim):
         seen = []
-        trace.bus.subscribe(seen.append)
+        sim.bus.subscribe(seen.append)
         sim.bus.record("x", "n")
         assert len(seen) == 1
 
-    def test_tap_fires_even_when_disabled(self, sim):
-        trace = TraceLog(sim.bus, capture=False)
+    def test_remove_tap(self, sim):
         seen = []
-        trace.bus.subscribe(seen.append)
-        sim.bus.record("x", "n")
-        assert len(seen) == 1
-        assert len(trace) == 0
-
-    def test_remove_tap(self, sim, trace):
-        seen = []
-        tap = trace.bus.subscribe(seen.append)
-        trace.bus.unsubscribe(tap)
+        tap = sim.bus.subscribe(seen.append)
+        sim.bus.unsubscribe(tap)
         sim.bus.record("x", "n")
         assert seen == []
 
 
 class TestQueries:
-    def _populate(self, sim, trace):
+    def _populate(self, sim):
         for t, cat, node in [
             (1.0, "bgp.update.tx", "as1"),
             (2.0, "bgp.update.rx", "as2"),
@@ -82,22 +70,16 @@ class TestQueries:
             sim.schedule(t, lambda c=cat, n=node: sim.bus.record(c, n))
         sim.run()
 
-    def test_filter_by_category_prefix(self, sim, trace):
-        self._populate(sim, trace)
-        assert len(trace.filter(category="bgp.update")) == 2
-        assert len(trace.filter(category="bgp")) == 2
+    def test_filter_by_category_prefix(self, sim, sim_records):
+        self._populate(sim)
+        assert len(select(sim_records, "bgp.update")) == 2
+        assert len(select(sim_records, "bgp")) == 2
 
-    def test_filter_by_node(self, sim, trace):
-        self._populate(sim, trace)
-        assert len(trace.filter(node="as1")) == 2
-
-    def test_filter_by_time_window(self, sim, trace):
-        self._populate(sim, trace)
-        assert len(trace.filter(since=2.0, until=3.0)) == 2
-
-    def test_exact_category_does_not_match_prefix_sibling(self, sim, trace):
-        """``bgp.updates`` does not nest under ``bgp.update`` — for the
-        trace, the bus and a measurement window alike."""
+    def test_exact_category_does_not_match_prefix_sibling(
+        self, sim, sim_records
+    ):
+        """``bgp.updates`` does not nest under ``bgp.update`` — for a
+        record, the bus and a measurement window alike."""
         window = MeasurementWindow(_Run(sim))
         for t, category in [
             (1.0, "bgp.update"),
@@ -108,7 +90,7 @@ class TestQueries:
         ]:
             sim.schedule(t, lambda c=category: sim.bus.record(c, "n"))
         sim.run()
-        assert len(trace.filter(category="bgp.update")) == 4
+        assert len(select(sim_records, "bgp.update")) == 4
         assert sim.bus.count("bgp.update") == 4
         assert sim.bus.count("bgp.update.tx") == 2
         assert sim.bus.last_time({"bgp.update"}) == 5.0
@@ -116,29 +98,24 @@ class TestQueries:
         assert sim.bus.last_time({"bgp.updat"}) is None
         assert window.close().updates_tx == 2
 
-    def test_last_time_over_route_affecting(self, sim, trace):
-        self._populate(sim, trace)
-        assert trace.last_time(ROUTE_AFFECTING) == 3.0
+    def test_last_time_over_route_affecting(self, sim):
+        self._populate(sim)
+        assert sim.bus.last_time(ROUTE_AFFECTING) == 3.0
 
-    def test_last_time_respects_since(self, sim, trace):
-        self._populate(sim, trace)
-        assert trace.last_time(ROUTE_AFFECTING, since=3.5) is None
-
-    def test_last_time_matches_by_prefix_like_the_bus(self, sim, trace):
+    def test_last_time_matches_by_prefix_like_the_bus(self, sim, sim_records):
         """The bus's one category rule: ``bgp.update`` covers
-        ``bgp.update.tx`` for ``last_time`` as it does for ``filter``,
-        ``count`` and ``bus.last_time``."""
-        self._populate(sim, trace)
-        assert trace.last_time({"bgp.update"}) == 2.0
-        assert trace.last_time({"bgp"}) == 2.0
-        assert trace.last_time({"bgp.update"}) == trace.last_time(
+        ``bgp.update.tx`` for ``bus.last_time`` as it does for
+        ``TraceRecord.matches`` and ``count``."""
+        self._populate(sim)
+        assert sim.bus.last_time({"bgp.update"}) == 2.0
+        assert sim.bus.last_time({"bgp"}) == 2.0
+        assert sim.bus.last_time({"bgp.update"}) == sim.bus.last_time(
             {"bgp.update.tx", "bgp.update.rx"}
         )
-        assert trace.last_time({"bgp.update"}) == sim.bus.last_time(
-            {"bgp.update"}
+        assert sim.bus.last_time({"bgp.update"}) == max(
+            r.time for r in select(sim_records, "bgp.update")
         )
-        assert trace.last_time({"bgp.update"}, since=1.5) == 2.0
-        assert trace.last_time({"bgp.updat"}) is None
+        assert sim.bus.last_time({"bgp.updat"}) is None
 
     def test_route_affecting_includes_controller_categories(self):
         assert "controller.recompute" in ROUTE_AFFECTING

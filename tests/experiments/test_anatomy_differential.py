@@ -14,12 +14,12 @@ and registry writes re-derive it from the stored span dicts.  The two
 derivations must agree byte for byte.
 """
 
-import hashlib
 import json
 from dataclasses import fields
 
 import pytest
 
+from repro.eventsim import RecordDigest
 from repro.experiments.common import (
     AnnouncementScenario,
     FailoverScenario,
@@ -39,17 +39,6 @@ from repro.runner.jobs import RunSpec, execute_spec
 from repro.topology.builders import clique
 
 
-def _trace_digest(exp):
-    """Same recipe as ``FaultInjector.trace_digest``: every retained
-    trace record, exact float reprs."""
-    hasher = hashlib.sha256()
-    for record in exp.net.trace:
-        hasher.update(
-            f"{record.time!r}|{record.category}|{record.node}\n".encode()
-        )
-    return hasher.hexdigest()
-
-
 def _run_scenario(scenario, *, n, sdn_count, seed, mrai):
     topology = scenario.topology(n, clique)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
@@ -57,12 +46,13 @@ def _run_scenario(scenario, *, n, sdn_count, seed, mrai):
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name
     ).build()
+    digest = RecordDigest(exp.net.bus)
     scenario.configure(exp)
     exp.start()
     scenario.prepare(exp)
     measurement = measure_event(exp, lambda: scenario.event(exp))
     scenario.finish(exp)
-    return exp, measurement
+    return exp, measurement, digest.hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -70,10 +60,10 @@ def _run_scenario(scenario, *, n, sdn_count, seed, mrai):
     ids=["withdrawal", "failover"],
 )
 def test_measurement_and_trace_identical_anatomy_on_vs_off(scenario_cls):
-    off_exp, off_m = _run_scenario(
+    _, off_m, off_digest = _run_scenario(
         scenario_cls(), n=8, sdn_count=3, seed=42, mrai=2.0
     )
-    on_exp, on_m = _run_scenario(
+    on_exp, on_m, on_digest = _run_scenario(
         scenario_cls(), n=8, sdn_count=3, seed=42, mrai=2.0
     )
     # derive the anatomy mid-flight, before comparing: the attribution
@@ -87,7 +77,7 @@ def test_measurement_and_trace_identical_anatomy_on_vs_off(scenario_cls):
 
     for f in fields(ConvergenceMeasurement):
         assert getattr(on_m, f.name) == getattr(off_m, f.name), f.name
-    assert _trace_digest(on_exp) == _trace_digest(off_exp)
+    assert on_digest == off_digest
 
 
 @pytest.mark.parametrize(

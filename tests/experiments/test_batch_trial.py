@@ -1,11 +1,10 @@
 """A batch trial's results do not depend on whether it takes a trace,
 and its span payloads are JSON-shaped as published.
 
-``run_scenario_full`` retains no trace at any level (``batch_config``),
-so ``RunSpec.trace_level`` only moves the digest.  The differential
-below runs every trial family again with ``batch_config`` passed
-through, so the trace is taken as an interactive ``Experiment`` takes
-it, and every lazy payload is built: nothing a trial returns may move.
+No network retains a trace, so ``RunSpec.trace_level`` only moves the
+digest.  The differential below runs every trial family again with a
+list subscribed to every record from the build on, so every lazy
+payload is built: nothing a trial returns may move.
 Spans are snapshotted without a conversion pass, so every publisher
 must build its payload in JSON shape (lists, never tuples); the round
 trip below is that check, over every trial family at k = 0 and k > 0.
@@ -17,7 +16,7 @@ import json
 
 import pytest
 
-from repro.experiments import common
+from repro.framework.experiment import Experiment
 from repro.runner.jobs import execute_spec
 from tests.framework.trial_families import FAMILIES, family_spec
 
@@ -28,16 +27,23 @@ CASES = [
 ]
 
 
-def taking_the_trace(config):
-    assert config.trace_level == "full"
-    return config
+def taking_the_trace(build):
+    """``Experiment.build`` followed by a list's subscription to every
+    record the run publishes."""
+
+    def built(self):
+        out = build(self)
+        self.net.bus.subscribe([].append)
+        return out
+
+    return built
 
 
 @pytest.fixture(scope="module")
 def observed():
     """``observed(family, sdn_count, traced)``: the trial's record at
     ``trace_level="full"`` with every payload on, run once per module;
-    ``traced`` takes the trace the batch path leaves out."""
+    ``traced`` takes every record of the run as well."""
     records = {}
 
     def record_of(family, sdn_count, traced=False):
@@ -49,7 +55,9 @@ def observed():
             )
             with pytest.MonkeyPatch.context() as patch:
                 if traced:
-                    patch.setattr(common, "batch_config", taking_the_trace)
+                    patch.setattr(
+                        Experiment, "build", taking_the_trace(Experiment.build)
+                    )
                 records[key] = execute_spec(spec)
             assert records[key].ok, records[key].error
         return records[key]

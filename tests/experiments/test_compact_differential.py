@@ -13,7 +13,6 @@ kernel's event count.  The scan itself stays in ``src/`` as
 are ``test_fault_differential``'s.
 """
 
-import hashlib
 import json
 import pathlib
 from dataclasses import fields
@@ -21,6 +20,7 @@ from dataclasses import fields
 import pytest
 
 from repro.bgp.router import BGPRouter
+from repro.eventsim import RecordDigest
 from repro.experiments.common import (
     WithdrawalScenario,
     paper_config,
@@ -34,20 +34,10 @@ FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "withdrawal_oracles.json"
 ORACLES = json.loads(FIXTURE.read_text())["withdrawal"]
 
 
-def _trace_digest(exp):
-    """Same recipe as ``FaultInjector.trace_digest``: every retained
-    trace record, exact float reprs."""
-    hasher = hashlib.sha256()
-    for record in exp.net.trace:
-        hasher.update(
-            f"{record.time!r}|{record.category}|{record.node}\n".encode()
-        )
-    return hasher.hexdigest()
-
-
 def _run_withdrawal(*, n, sdn_count, seed, mrai):
     """One Fig. 2-style withdrawal run, keeping the live experiment so
-    the trace and the routers stay inspectable."""
+    the routers stay inspectable, with the digest of its whole record
+    stream."""
     scenario = WithdrawalScenario()
     topology = scenario.topology(n, clique)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
@@ -55,19 +45,20 @@ def _run_withdrawal(*, n, sdn_count, seed, mrai):
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name
     ).build()
+    digest = RecordDigest(exp.net.bus)
     scenario.configure(exp)
     exp.start()
     scenario.prepare(exp)
     measurement = measure_event(exp, lambda: scenario.event(exp))
     scenario.finish(exp)
-    return exp, measurement
+    return exp, measurement, digest.hexdigest()
 
 
 @pytest.mark.parametrize(
     "case", ORACLES, ids=[str(c["sdn_count"]) for c in ORACLES]
 )
 def test_withdrawal_measurement_and_trace_bit_identical(case):
-    exp, measurement = _run_withdrawal(
+    exp, measurement, digest = _run_withdrawal(
         n=case["n"], sdn_count=case["sdn_count"], seed=case["seed"],
         mrai=case["mrai"],
     )
@@ -76,7 +67,7 @@ def test_withdrawal_measurement_and_trace_bit_identical(case):
     )
     for name, frozen in case["measurement"].items():
         assert getattr(measurement, name) == frozen, name
-    assert _trace_digest(exp) == case["trace_digest"]
+    assert digest == case["trace_digest"]
     assert dict(exp.net.bus.counts) == case["bus_counts"]
     assert exp.net.sim.events_processed == case["events_processed"]
     # The scan-order invariant of docs/scaling.md: the index yields the
@@ -92,6 +83,6 @@ def test_withdrawal_incremental_decisions_match_full_scan():
     # The oracle inside the router: after a converged run, a full scan
     # over every known prefix must agree with every Loc-RIB the
     # once-per-touched-prefix decisions produced.
-    exp, _ = _run_withdrawal(n=8, sdn_count=3, seed=7, mrai=2.0)
+    exp, _, _ = _run_withdrawal(n=8, sdn_count=3, seed=7, mrai=2.0)
     for asn in exp.legacy_asns():
         assert exp.node(asn).verify_decisions() == [], f"AS{asn}"

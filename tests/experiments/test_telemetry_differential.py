@@ -10,7 +10,6 @@ The spec digests of the pre-telemetry construction are pinned so no
 telemetry field can leak into cache keys of existing sweeps.
 """
 
-import hashlib
 from dataclasses import fields
 
 import pytest
@@ -23,7 +22,7 @@ from repro.experiments.common import (
 )
 from repro.framework.convergence import ConvergenceMeasurement, measure_event
 from repro.framework.experiment import Experiment
-from repro.eventsim import time_by_layer
+from repro.eventsim import RecordDigest, time_by_layer
 from repro.obs.logging import LOG_ENV, get_logger
 from repro.obs import logging as obslog
 from repro.runner.jobs import RunSpec, execute_spec
@@ -41,20 +40,9 @@ LEGACY_FAILOVER_DIGEST = (
 )
 
 
-def _trace_digest(exp):
-    """Same recipe as ``FaultInjector.trace_digest``: every retained
-    trace record, exact float reprs."""
-    hasher = hashlib.sha256()
-    for record in exp.net.trace:
-        hasher.update(
-            f"{record.time!r}|{record.category}|{record.node}\n".encode()
-        )
-    return hasher.hexdigest()
-
-
 def _run_scenario(scenario, *, n, sdn_count, seed, mrai, metrics):
-    """One full scenario run, keeping the live experiment so the trace
-    stays inspectable.  With ``metrics`` the layer reading is installed
+    """One full scenario run, keeping the live experiment, with the
+    digest of its whole record stream.  With ``metrics`` the layer reading is installed
     where ``run_scenario_full`` installs it."""
     topology = scenario.topology(n, clique)
     members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
@@ -62,6 +50,7 @@ def _run_scenario(scenario, *, n, sdn_count, seed, mrai, metrics):
     exp = Experiment(
         topology, sdn_members=members, config=config, name=scenario.name
     ).build()
+    digest = RecordDigest(exp.net.bus)
     if metrics:
         exp.walls = time_by_layer(exp.net.sim)
     scenario.configure(exp)
@@ -69,7 +58,7 @@ def _run_scenario(scenario, *, n, sdn_count, seed, mrai, metrics):
     scenario.prepare(exp)
     measurement = measure_event(exp, lambda: scenario.event(exp))
     scenario.finish(exp)
-    return exp, measurement
+    return exp, measurement, digest.hexdigest()
 
 
 def _reset_logging():
@@ -87,7 +76,7 @@ def test_measurement_and_trace_identical_telemetry_on_vs_off(
     # off: no structured log sink, no metrics capture, no layer reading
     monkeypatch.delenv(LOG_ENV, raising=False)
     _reset_logging()
-    off_exp, off_m = _run_scenario(
+    _, off_m, off_digest = _run_scenario(
         scenario_cls(), n=8, sdn_count=3, seed=42, mrai=2.0, metrics=False
     )
 
@@ -98,7 +87,7 @@ def test_measurement_and_trace_identical_telemetry_on_vs_off(
     logger = get_logger("differential")
     try:
         logger.info("run_started", scenario=scenario_cls.__name__)
-        on_exp, on_m = _run_scenario(
+        on_exp, on_m, on_digest = _run_scenario(
             scenario_cls(), n=8, sdn_count=3, seed=42, mrai=2.0, metrics=True
         )
         logger.info("run_finished")
@@ -108,7 +97,7 @@ def test_measurement_and_trace_identical_telemetry_on_vs_off(
     assert on_exp.walls, "the layer reading timed no event"
     for f in fields(ConvergenceMeasurement):
         assert getattr(on_m, f.name) == getattr(off_m, f.name), f.name
-    assert _trace_digest(on_exp) == _trace_digest(off_exp)
+    assert on_digest == off_digest
 
 
 def test_legacy_spec_digests_pinned():

@@ -4,10 +4,11 @@ Three guarantees it must keep:
 
 1. :func:`measure_event` and the fault engine's
    :class:`MeasurementWindow` produce bit-identical measurements to a
-   scan of the retained trace (the oracle, self-contained below),
-2. a metrics-only run (``trace_level="off"``) completes the paper's
-   16-AS clique withdrawal experiment with the same convergence times
-   while retaining zero trace records, and
+   scan of the run's records, as a subscribed list received them (the
+   oracle, self-contained below),
+2. a metrics-only run completes the paper's 16-AS clique withdrawal
+   experiment with the same convergence times at every
+   ``trace_level``, while no network retains a record, and
 3. a window is a *reader* of the bus's ``last_seen`` table: it holds
    no subscription, so an unobserved run evaluates no payload thunk.
 """
@@ -27,7 +28,6 @@ from repro.eventsim import (
     ROUTE_AFFECTING,
     STATE_CHANGING,
     Simulator,
-    TraceLog,
     TraceRecord,
 )
 from repro.faults import FaultInjector, FaultSchedule
@@ -40,6 +40,7 @@ from repro.framework.convergence import (
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.bgp.session import BGPTimers
 from repro.topology.builders import clique
+from tests.conftest import subscribe_records
 
 #: measurement field -> the category (and everything nested under it)
 #: whose records it counts.
@@ -70,12 +71,26 @@ def _scanned(t_event, t_settled, last_activity, last_state, count):
     )
 
 
+def last_time(records, categories, since=0.0):
+    """The trace scan: the time of the last record in ``categories``
+    (each matching itself and everything nested under it) at or after
+    ``since``; None if there is none."""
+    return max(
+        (
+            r.time for r in records
+            if r.time >= since
+            and any(_nested(r.category, c) for c in categories)
+        ),
+        default=None,
+    )
+
+
 def measure_event_from_trace(experiment, event):
     """The scan oracle for :func:`measure_event`: fire ``event``, settle,
-    then read the convergence instants with ``trace.last_time`` and the
-    activity counters as ``bus.counts`` deltas (requires full trace
-    capture)."""
-    trace, bus = experiment.net.trace, experiment.net.bus
+    then read the convergence instants by scanning the records published
+    meanwhile and the activity counters as ``bus.counts`` deltas."""
+    bus = experiment.net.bus
+    records = subscribe_records(bus)
     t_event = experiment.now
     before = dict(bus.counts)
     event()
@@ -89,8 +104,8 @@ def measure_event_from_trace(experiment, event):
 
     return _scanned(
         t_event, t_settled,
-        trace.last_time(ROUTE_AFFECTING, since=t_event),
-        trace.last_time(STATE_CHANGING, since=t_event),
+        last_time(records, ROUTE_AFFECTING, since=t_event),
+        last_time(records, STATE_CHANGING, since=t_event),
         count,
     )
 
@@ -101,19 +116,10 @@ def window_from_trace(records, start, stop, t_open, t_close):
     last matching records at/after ``t_open`` published before it
     closed."""
     seen, inside = records[:stop], records[start:stop]
-
-    def last(categories):
-        return max(
-            (
-                r.time for r in seen
-                if r.time >= t_open
-                and any(_nested(r.category, c) for c in categories)
-            ),
-            default=None,
-        )
-
     return _scanned(
-        t_open, t_close, last(ROUTE_AFFECTING), last(STATE_CHANGING),
+        t_open, t_close,
+        last_time(seen, ROUTE_AFFECTING, since=t_open),
+        last_time(seen, STATE_CHANGING, since=t_open),
         lambda category: sum(1 for r in inside if _nested(r.category, category)),
     )
 
@@ -172,15 +178,16 @@ class TestTrackerMatchesTraceScan:
         reads what a scan of the records published while it was open
         reads."""
         spans = []
+        records = []
 
         class RecordedWindow(MeasurementWindow):
             def __init__(self, experiment, **kwargs):
                 super().__init__(experiment, **kwargs)
-                self.start = len(experiment.net.trace)
+                self.start = len(records)
                 spans.append(self)
 
             def close(self, t_close=None, **kwargs):
-                self.stop = len(self.experiment.net.trace)
+                self.stop = len(records)
                 return super().close(t_close, **kwargs)
 
         monkeypatch.setattr(fault_engine, "MeasurementWindow", RecordedWindow)
@@ -189,7 +196,9 @@ class TestTrackerMatchesTraceScan:
             topology,
             sdn_members=sdn_set_for(topology, 2, frozenset({1, 2})),
             config=paper_config(seed=4, mrai=2.0),
-        ).start()
+        ).build()
+        exp.net.bus.subscribe(records.append)
+        exp.start()
         for asn in (1, 2):
             exp.announce(asn, exp.as_prefix(asn))
         exp.wait_converged()
@@ -201,7 +210,6 @@ class TestTrackerMatchesTraceScan:
             .withdraw(1, at=60.0)
         )
         result = FaultInjector(exp, schedule).run()
-        records = exp.net.trace.records
         assert len(spans) == len(result.reports) == 4
         # the first three windows overlap: each opened before the
         # previous one closed
@@ -226,15 +234,15 @@ class TestTrackerMatchesTraceScan:
             config=paper_config(seed=7, mrai=5.0),
             name=scenario.name,
         ).build()
+        records = subscribe_records(exp.net.bus)
         exp.start()
         scenario.prepare(exp)
         t_event = exp.now
         scenario.event(exp)
         exp.wait_converged()
-        bus, trace = exp.net.bus, exp.net.trace
         for categories in (ROUTE_AFFECTING, STATE_CHANGING):
-            assert last_since(bus, categories, t_event) == trace.last_time(
-                categories, since=t_event
+            assert last_since(exp.net.bus, categories, t_event) == last_time(
+                records, categories, since=t_event
             )
 
     def test_no_event_yields_none_since(self):
@@ -258,15 +266,15 @@ class TestTrackerReadsLastSeen:
     def setup_method(self):
         self.sim = Simulator(seed=0)
         self.bus = self.sim.bus
-        self.trace = TraceLog(self.bus)
+        self.records = subscribe_records(self.bus)
 
     def advance(self, delay):
         self.sim.schedule(delay, lambda: None)
         self.sim.run()
 
     def assert_matches_scan(self, categories, since):
-        assert last_since(self.bus, categories, since) == self.trace.last_time(
-            categories, since=since
+        assert last_since(self.bus, categories, since) == last_time(
+            self.records, categories, since=since
         )
 
     def test_stock_and_custom_sets_match_the_scan(self):
@@ -317,9 +325,11 @@ class TestSetMembersMatchByPrefix:
         exp = Experiment(
             clique(4),
             config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
-        ).start()
+        ).build()
+        records = subscribe_records(exp.net.bus)
+        exp.start()
         m = measure_event(exp, lambda: exp.announce(1))
-        bus, trace = exp.net.bus, exp.net.trace
+        bus = exp.net.bus
         prefix_form = {"bgp.update", "controller"}
         spelled_out = {
             "bgp.update.tx", "bgp.update.rx", "controller.recompute",
@@ -328,39 +338,37 @@ class TestSetMembersMatchByPrefix:
         assert m.updates_rx > 0
         assert bus.last_time({"bgp.update"}) > m.t_event
         assert bus.last_time(prefix_form) == bus.last_time(spelled_out)
-        assert trace.last_time(prefix_form, since=m.t_event) == (
-            trace.last_time(spelled_out, since=m.t_event)
+        assert last_time(records, prefix_form, since=m.t_event) == (
+            last_time(records, spelled_out, since=m.t_event)
         )
-        assert trace.last_time(prefix_form) == bus.last_time(prefix_form)
+        assert last_time(records, prefix_form) == bus.last_time(prefix_form)
 
     def test_plain_subscriber_takes_its_filter(self):
         """A plain route-affecting subscription gets exactly those
-        records, in trace order, and its last one is the convergence
-        instant."""
+        records, in publishing order, and its last one is the
+        convergence instant."""
         exp = Experiment(
             clique(4),
             config=ExperimentConfig(seed=1, timers=BGPTimers(mrai=1.0)),
         ).start()
-        trace = exp.net.trace
+        records = subscribe_records(exp.net.bus)
         taken = []
         exp.net.bus.subscribe(taken.append, categories=ROUTE_AFFECTING)
-        subscribed = len(trace)
         prefix = exp.announce(1)
         exp.wait_converged()
         m = measure_event(exp, lambda: exp.withdraw(1, prefix))
         exp.net.bus.record("link.state", "n")
 
         assert taken == [
-            r for r in trace.records[subscribed:]
+            r for r in records
             if any(_nested(r.category, c) for c in ROUTE_AFFECTING)
         ]
         assert taken[-1].time == m.t_converged
 
 
 class TestUnobservedRunBuildsNoPayload:
-    """Laziness as it now holds: with trace off and no observer, no
-    thunk runs — and it is still unobservable to anything that takes
-    records."""
+    """Laziness as it now holds: with no observer, no thunk runs — and
+    it is still unobservable to anything that takes records."""
 
     @staticmethod
     def explode():
@@ -384,13 +392,14 @@ class TestUnobservedRunBuildsNoPayload:
     def test_thunks_run_again_once_someone_takes_records(self):
         exp, _ = _one_withdrawal(2, 3, n=4, trace_level="off")
         bus = exp.net.bus
-        trace = TraceLog(bus)
+        records = []
+        taker = bus.subscribe(records.append)
         for category in sorted(ROUTE_AFFECTING):
             with pytest.raises(AssertionError, match="nobody"):
                 bus.record_lazy(category, "n", self.explode)
         bus.record_lazy("bgp.update.tx", "n", lambda: {"seen": 1})
-        assert trace.records[-1].data == {"seen": 1}
-        trace.detach()
+        assert records[-1].data == {"seen": 1}
+        bus.unsubscribe(taker)
         exp.net.enable_spans()
         for category in sorted(ROUTE_AFFECTING):
             with pytest.raises(AssertionError, match="nobody"):
@@ -398,7 +407,8 @@ class TestUnobservedRunBuildsNoPayload:
 
 
 class TestMetricsOnlyRun:
-    """Acceptance: trace_level='off' measures identically, retains nothing."""
+    """Acceptance: every trace level measures identically, and no
+    network retains a record."""
 
     def test_16_as_clique_withdrawal_same_times_zero_records(self):
         results = {}
@@ -418,17 +428,13 @@ class TestMetricsOnlyRun:
         assert dataclasses.asdict(off) == dataclasses.asdict(full)
 
     def test_off_retains_no_trace_records(self):
-        exp, m = _one_withdrawal(4, 5, trace_level="off")
-        assert m.convergence_time > 0
-        assert exp.net.trace.records == []
-        # ...but the bus-side counts are still complete
-        assert exp.net.bus.count("bgp.update.tx") > 0
-
-    def test_route_level_keeps_only_route_affecting(self):
-        exp, _ = _one_withdrawal(4, 5, trace_level="route")
-        records = exp.net.trace.records
-        assert records
-        assert all(r.category in ROUTE_AFFECTING for r in records)
+        """No level attaches a subscriber (the network keeps no trace),
+        and the bus-side counts are still complete."""
+        for level in ("off", "route", "full"):
+            exp, m = _one_withdrawal(4, 5, trace_level=level)
+            assert m.convergence_time > 0
+            assert exp.net.bus.subscriptions == []
+            assert exp.net.bus.count("bgp.update.tx") > 0
 
     def test_metrics_snapshot_attached(self):
         exp, _ = _one_withdrawal(2, 3, metrics=True)

@@ -81,16 +81,13 @@ def test_a_finished_trial_frees_itself(family, observers, collector_off, built):
 @pytest.fixture
 def closing(monkeypatch):
     """What every experiment held as it closed: its bus's subscription
-    names and the number of trace records it retained."""
+    names."""
     seen = []
     close = Experiment.close
 
     def tracked(self):
         if self.net is not None:
-            seen.append((
-                [s.name for s in self.net.bus.subscriptions],
-                len(self.net.trace),
-            ))
+            seen.append([s.name for s in self.net.bus.subscriptions])
         close(self)
 
     monkeypatch.setattr(Experiment, "close", tracked)
@@ -100,11 +97,11 @@ def closing(monkeypatch):
 @pytest.mark.parametrize("observers", sorted(OBSERVERS))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_a_batch_trial_retains_no_trace(family, observers, closing):
-    """Nothing a trial returns carries its trace, so none is taken, at
-    any ``trace_level`` ("on" asks for the full trace)."""
+    """No network retains a trace, at any ``trace_level`` ("on" asks
+    for the full trace): only the span tracker subscribes."""
     run_dropping_outputs(spec(family, observers))
     spans = ["spans"] if observers == "on" else []
-    assert closing == [(spans, 0)]
+    assert closing == [spans]
 
 
 def test_outputs_hold_no_device(collector_off, built):
@@ -194,5 +191,4 @@ def test_the_scale_trial_retains_no_trace(monkeypatch):
     _measure_trial(dataclasses.replace(scale_spec(60), trace_level="full"))
     [exp] = built_exps
     assert exp.net.bus.subscriptions == []
-    assert len(exp.net.trace) == 0
     exp.close()

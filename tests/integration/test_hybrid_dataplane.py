@@ -9,13 +9,18 @@ from repro.framework.traffic import ProbeStream
 from repro.topology.builders import clique, line, ring
 
 
-def build(topo, sdn=(), seed=1, mrai=1.0, recompute=0.2):
+def build(topo, sdn=(), seed=1, mrai=1.0, recompute=0.2, records=None):
+    """The started experiment; a ``records`` list receives every record
+    of the run."""
     config = ExperimentConfig(
         seed=seed,
         timers=BGPTimers(mrai=mrai),
         controller=ControllerConfig(recompute_delay=recompute),
     )
-    return Experiment(topo, sdn_members=set(sdn), config=config).start()
+    exp = Experiment(topo, sdn_members=set(sdn), config=config).build()
+    if records is not None:
+        exp.net.bus.subscribe(records.append)
+    return exp.start()
 
 
 class TestCrossBoundaryPaths:
@@ -100,15 +105,13 @@ class TestFailureRecovery:
 class TestDeterminism:
     def test_identical_runs_identical_traces(self):
         def run():
-            exp = build(clique(5), sdn=(4, 5), seed=7)
+            records = []
+            exp = build(clique(5), sdn=(4, 5), seed=7, records=records)
             prefix = exp.announce(1)
             exp.wait_converged()
             exp.withdraw(1, prefix)
             exp.wait_converged()
-            return [
-                (round(r.time, 9), r.category, r.node)
-                for r in exp.net.trace.records
-            ]
+            return [(round(r.time, 9), r.category, r.node) for r in records]
 
         assert run() == run()
 

@@ -11,6 +11,7 @@ import pytest
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.controller.idr import ControllerConfig
+from repro.eventsim import ROUTE_AFFECTING
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.topology.builders import barabasi_albert, clique, ring
 from repro.topology.caida import synthetic_caida_topology
@@ -169,4 +170,4 @@ class TestQuiescence:
         exp.wait_converged()
         cut = exp.now
         exp.net.sim.run(until=cut + 60.0)
-        assert exp.net.trace.last_time(since=cut + 1e-9) is None
+        assert exp.net.bus.last_time(ROUTE_AFFECTING) < cut + 1e-9

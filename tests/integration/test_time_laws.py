@@ -42,7 +42,6 @@ from repro.experiments.common import (
     AnnouncementScenario,
     FailoverScenario,
     WithdrawalScenario,
-    batch_config,
     paper_config,
     run_scenario_full,
     sdn_set_for,
@@ -65,7 +64,7 @@ def mrai_rounds(n: int, k: int) -> int:
     [(6, 30.0), (8, 30.0), (12, 30.0), (16, 30.0), (6, 5.0), (8, 5.0)],
 )
 def test_each_member_removes_one_mrai_round(n, mrai):
-    config = batch_config(jitter_free(paper_config(seed=1, mrai=mrai)))
+    config = jitter_free(paper_config(seed=1, mrai=mrai))
     broken = []
     for k in range(n):
         topology = clique(n)
@@ -87,7 +86,7 @@ def test_each_member_removes_one_mrai_round(n, mrai):
 
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
 def test_an_announcement_converges_in_one_debounce(n):
-    config = batch_config(paper_config(seed=1))
+    config = paper_config(seed=1)
     broken = []
     for k in range(n):
         topology = clique(n)
@@ -121,7 +120,7 @@ def failover_rounds(k: int) -> tuple:
 @pytest.mark.parametrize("seed", [1, 200])
 def test_failover_gains_nothing_until_the_backup_gateway_joins(seed):
     mrai = 30.0
-    config = batch_config(jitter_free(paper_config(seed=seed, mrai=mrai)))
+    config = jitter_free(paper_config(seed=seed, mrai=mrai))
     broken = []
     for k in range(16):
         scenario = FailoverScenario()

@@ -62,7 +62,7 @@ class TestInventory:
         assert exp.net.bus is bus
         assert exp.controller is not None and exp.collector is not None
         assert all(node.bus is bus for node in exp.net.nodes.values())
-        assert [s.name for s in bus.subscriptions] == ["trace", "spans"]
+        assert [s.name for s in bus.subscriptions] == ["spans"]
 
 
 class TestTracePath:

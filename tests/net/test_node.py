@@ -4,6 +4,7 @@ from repro.net.addr import IPv4Address, Prefix
 from repro.net.dataplane import FibEntry
 from repro.net.messages import Packet, PING_PROTO, PROBE_PROTO
 from repro.net.node import Host, Node
+from tests.conftest import select
 
 
 def addr(text):
@@ -47,13 +48,13 @@ class TestForwarding:
         net.sim.run()
         assert packet.ttl == 62
 
-    def test_ttl_expiry_drops(self, net):
+    def test_ttl_expiry_drops(self, net, records):
         nodes, _ = make_chain(net, 3)
         packet = Packet(src=nodes[0].address, dst=nodes[2].address, ttl=1, proto="raw")
         nodes[0].send_packet(packet)
         net.sim.run()
         assert nodes[1].packets_dropped == 1
-        drops = net.trace.filter(category="packet.drop")
+        drops = select(records, category="packet.drop")
         assert drops and drops[0].data["reason"] == "ttl_expired"
 
     def test_no_route_drops(self, net):

@@ -278,11 +278,16 @@ class TestMultiRootFaultSchedules:
 
 class TestLiveTrialPayloads:
     """Payload ownership and shape on a live hybrid trial (clique n = 8,
-    3 SDN members) with trace capture, metrics and spans on — and, for
-    the cache round trip, anatomy."""
+    3 SDN members) with every record taken, metrics and spans on — and,
+    for the cache round trip, anatomy."""
 
     @pytest.fixture(scope="class")
-    def live(self):
+    def live_records(self):
+        """Every record of the ``live`` trial (``live`` fills it)."""
+        return []
+
+    @pytest.fixture(scope="class")
+    def live(self, live_records):
         scenario = WithdrawalScenario()
         topology = scenario.topology(8, clique)
         members = sdn_set_for(topology, 3, scenario.reserved_legacy)
@@ -292,6 +297,7 @@ class TestLiveTrialPayloads:
                 seed=7, trace_level="full", metrics=True, spans=True
             ),
         ).build()
+        exp.net.bus.subscribe(live_records.append)
         scenario.configure(exp)
         exp.start()
         scenario.prepare(exp)
@@ -299,7 +305,7 @@ class TestLiveTrialPayloads:
         scenario.finish(exp)
         return exp
 
-    def test_trace_records_carry_no_span_annotations(self, live):
+    def test_trace_records_carry_no_span_annotations(self, live, live_records):
         annotated = [
             s for s in live.spans.spans
             if "mrai_wait" in s.data or "debounce_wait" in s.data
@@ -307,13 +313,15 @@ class TestLiveTrialPayloads:
         assert {s.category for s in annotated} == {
             "bgp.update.tx", "controller.recompute",
         }
-        for record in live.net.trace:
+        for record in live_records:
             assert "mrai_wait" not in record.data
             assert "debounce_wait" not in record.data
 
-    def test_tx_and_rx_records_of_an_update_share_its_rendering(self, live):
+    def test_tx_and_rx_records_of_an_update_share_its_rendering(
+        self, live, live_records
+    ):
         by_update = {}
-        for record in live.net.trace:
+        for record in live_records:
             if record.category in ("bgp.update.tx", "bgp.update.rx"):
                 by_update.setdefault(record.data["update_id"], []).append(
                     record

@@ -22,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from repro.eventsim import RecordDigest  # noqa: E402
 from repro.experiments.common import paper_config, sdn_set_for  # noqa: E402
 from repro.faults import FaultInjector, FaultSchedule  # noqa: E402
 from repro.framework.convergence import measure_event  # noqa: E402
@@ -92,22 +93,25 @@ def fault_schedule(draw, n):
 
 
 def build_experiment(topo_name, n, sdn_count, seed, mrai=2.0):
+    """The converged experiment and the digest of its whole run."""
     topology = TOPOLOGIES[topo_name](n)
     members = sdn_set_for(topology, sdn_count, frozenset({1}))
     exp = Experiment(
         topology, sdn_members=members,
         config=paper_config(seed=seed, mrai=mrai),
-    ).start()
+    ).build()
+    digest = RecordDigest(exp.net.bus)
+    exp.start()
     exp.announce(1, exp.as_prefix(1))
     exp.wait_converged()
-    return exp
+    return exp, digest
 
 
 def run_faults(topo_name, n, sdn_count, seed, schedule):
-    """A scenario's result and its injector's trace digest."""
-    exp = build_experiment(topo_name, n, sdn_count, seed)
+    """A scenario's result and the digest of its whole run."""
+    exp, digest = build_experiment(topo_name, n, sdn_count, seed)
     injector = FaultInjector(exp, schedule)
-    return injector.run(), injector.trace_digest()
+    return injector.run(), digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

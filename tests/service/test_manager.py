@@ -378,6 +378,54 @@ class TestCancel:
         assert first.record.ok  # the running job was unaffected
         assert queued.events == []  # the queued one never started
 
+    def test_resubmit_of_a_cancelled_job_runs_it(self):
+        """A cancelled job is dead: the same spec submitted again gets a
+        fresh job that runs once and ends done, and the cancelled job's
+        leftover queue entry does not run it a second time."""
+
+        async def body(manager):
+            (first,) = manager.submit_many([spec_for(seed=1)], "alice")
+            (queued,) = manager.submit_many([spec_for(seed=2)], "alice")
+            manager.cancel(queued.digest)
+            await asyncio.wait_for(first.done.wait(), 60)
+            while manager._queue.qsize():  # the pool drains the queue
+                await asyncio.sleep(0.01)
+            (again,) = manager.submit_many([spec_for(seed=2)], "bob")
+            await asyncio.wait_for(again.done.wait(), 60)
+            while manager._queue.qsize():
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return queued, again, manager.jobs[again.digest]
+
+        queued, again, kept = run(manager_session(body))
+        assert queued.state == "cancelled"
+        assert again is not queued and again is kept
+        assert again.state == "done" and again.record.ok
+        assert again.clients == {"bob"}
+        starts = [e for e in again.events if e["event"] == "job_started"]
+        assert len(starts) == 1
+
+    def test_resubmit_before_the_queue_drains_runs_once(self):
+        """Resubmitted while the cancelled job's queue entry still
+        waits: the fresh job's trial starts once, not once per entry."""
+
+        async def body(manager):
+            (first,) = manager.submit_many([spec_for(seed=1)], "alice")
+            (queued,) = manager.submit_many([spec_for(seed=2)], "alice")
+            manager.cancel(queued.digest)
+            # no await since the cancel: its queue entry still waits
+            (again,) = manager.submit_many([spec_for(seed=2)], "alice")
+            await asyncio.wait_for(again.done.wait(), 60)
+            while manager._queue.qsize():
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return first, again
+
+        first, again = run(manager_session(body))
+        assert first.state == again.state == "done"
+        starts = [e for e in again.events if e["event"] == "job_started"]
+        assert len(starts) == 1
+
     def test_cancel_terminal_job_is_noop(self):
         async def body(manager):
             (job,) = manager.submit_many([spec_for()], "alice")
