@@ -4,8 +4,9 @@ One :class:`BGPRouter` emulates one AS's border router ("to isolate the
 effects of inter-domain from intra-domain routing every AS is emulated by
 a single network device", paper §3).  It owns:
 
-- one :class:`~repro.bgp.session.BGPSession` per peering link,
-- per-peer Adj-RIB-In / Adj-RIB-Out plus the Loc-RIB,
+- one :class:`~repro.bgp.session.BGPSession` per peering link, each
+  holding its peer's Adj-RIB-In / Adj-RIB-Out,
+- the Loc-RIB,
 - the decision process, FIB installation, and UPDATE generation,
 - a serialized update-processing queue with a small per-update delay,
   modelling router CPU the way a real bgpd process serializes work.
@@ -27,15 +28,7 @@ from .damping import DampingConfig, RouteDamper
 from .decision import best_route, rank_routes, route_sort_key, verify_loc_rib
 from .messages import BGPMessage, BGPUpdate
 from .policy import PeerPolicy
-from .rib import (
-    NO_RIB_IN,
-    NO_RIB_OUT,
-    AdjRibIn,
-    AdjRibOut,
-    LocRib,
-    Route,
-    RouteIndex,
-)
+from .rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteIndex
 from .session import BGPSession, BGPTimers
 
 __all__ = ["BGPRouter"]
@@ -74,10 +67,6 @@ class BGPRouter(Node):
         self.loc_rib = LocRib()
         self.originated: Dict[Prefix, PathAttributes] = {}
         self.sessions: Dict[int, BGPSession] = {}  # link_id -> session
-        #: link_id -> per-peer RIB, keyed in link order from
-        #: :meth:`add_peer`; None until the session first comes up.
-        self._rib_in: Dict[int, Optional[AdjRibIn]] = {}
-        self._rib_out: Dict[int, Optional[AdjRibOut]] = {}
         self._update_queue: deque = deque()
         self._processing = False
         # Bound once: every received UPDATE schedules a processing event.
@@ -114,9 +103,6 @@ class BGPRouter(Node):
             self, link, policy=policy, timers=timers, local_asn=local_asn
         )
         self.sessions[link.link_id] = session
-        # The session's first ``session_up`` makes its tables; the
-        # placeholders keep link order as the tables' key order.
-        self._rib_in[link.link_id] = self._rib_out[link.link_id] = None
         return session
 
     def start(self) -> None:
@@ -143,14 +129,12 @@ class BGPRouter(Node):
     def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
         """Per-peer Adj-RIB-In for a session (an empty read-only one
         until the session first comes up)."""
-        rib = self._rib_in[session.link.link_id]
-        return NO_RIB_IN if rib is None else rib
+        return session.rib_in
 
     def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
         """Per-peer Adj-RIB-Out for a session (an empty read-only one
         until the session first comes up)."""
-        rib = self._rib_out[session.link.link_id]
-        return NO_RIB_OUT if rib is None else rib
+        return session.rib_out
 
     # ------------------------------------------------------------------
     # node hooks
@@ -198,17 +182,7 @@ class BGPRouter(Node):
     # ------------------------------------------------------------------
     def session_up(self, session: BGPSession) -> None:
         """Session reached ESTABLISHED: reset RIBs and resync."""
-        link_id = session.link.link_id
-        # The old per-peer table, if any, is replaced wholesale below;
-        # its entries must leave the prefix index with it.
-        old = self._rib_in[link_id]
-        if old is not None:
-            old.clear()
-        self._rib_in[link_id] = AdjRibIn(
-            session.peer_asn, session.peer_name,
-            link_id=link_id, index=self._index,
-        )
-        self._rib_out[link_id] = AdjRibOut(session.peer_asn, session.peer_name)
+        session.reset_tables(self._index)
         self.bus.record(
             "bgp.session.up", self.name,
             peer=session.peer_name, peer_asn=session.peer_asn,
@@ -228,14 +202,9 @@ class BGPRouter(Node):
 
     def session_down(self, session: BGPSession, *, reason: str = "") -> None:
         """Session lost: flush per-peer state, re-decide."""
-        link_id = session.link.link_id
         if self.damper is not None:
-            self.damper.clear_peer(link_id)
-        rib_in = self._rib_in.get(link_id)
-        affected = rib_in.clear() if rib_in is not None else []
-        rib_out = self._rib_out.get(link_id)
-        if rib_out is not None:
-            rib_out.clear()
+            self.damper.clear_peer(session.link.link_id)
+        affected = session.clear_tables()
         self.bus.record(
             "bgp.session.down", self.name,
             peer=session.link.other(self).name, reason=reason,
@@ -277,10 +246,8 @@ class BGPRouter(Node):
             self._update_queue.clear()
             self._processing = False
             self._export_memo.clear()
-            for link_id, rib_in in self._rib_in.items():
-                if rib_in is not None:
-                    rib_in.clear()
-                    self._rib_out[link_id].clear()
+            for link_id, session in self.sessions.items():
+                session.clear_tables()
                 if self.damper is not None:
                     self.damper.clear_peer(link_id)
             lost = 0
@@ -359,7 +326,7 @@ class BGPRouter(Node):
 
     def _apply_update(self, session: BGPSession, update: BGPUpdate) -> None:
         self.updates_processed += 1
-        rib_in = self.adj_rib_in(session)
+        rib_in = session.rib_in
         link_id = session.link.link_id
         affected: List[Prefix] = []
         for prefix in update.withdrawn:
@@ -445,7 +412,7 @@ class BGPRouter(Node):
                 (session.link.link_id, prefix)
             ):
                 continue
-            route = self.adj_rib_in(session).get(prefix)
+            route = session.rib_in.get(prefix)
             if route is not None:
                 routes.append(route)
         return routes
@@ -480,9 +447,8 @@ class BGPRouter(Node):
     def known_prefixes(self) -> List[Prefix]:
         """Every prefix this router holds any state for, sorted."""
         seen = set(self.loc_rib.prefixes())
-        for rib in self._rib_in.values():
-            if rib is not None:
-                seen.update(rib.prefixes())
+        for session in self.sessions.values():
+            seen.update(session.rib_in.prefixes())
         seen.update(self.originated)
         return sorted(seen)
 
@@ -615,7 +581,7 @@ class BGPRouter(Node):
     ) -> Optional[Tuple[str, Optional[PathAttributes]]]:
         """What this session must send about ``prefix`` right now."""
         attrs = self._export_attrs(session, prefix)
-        return self.adj_rib_out(session).diff(prefix, attrs)
+        return session.rib_out.diff(prefix, attrs)
 
     def _export_attrs(
         self, session: BGPSession, prefix: Prefix

@@ -20,13 +20,14 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..eventsim import PeriodicTimer, Timer
+from ..eventsim import Event, PeriodicTimer, Timer
 from ..net.addr import Prefix
 from ..net.link import Link
 from .messages import BGPKeepalive, BGPMessage, BGPNotification, BGPOpen, BGPUpdate
 from .policy import PeerPolicy, transit_all_policy
+from .rib import NO_RIB_IN, NO_RIB_OUT, AdjRibIn, AdjRibOut, RouteIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .router import BGPRouter
@@ -74,18 +75,21 @@ class BGPTimers:
 
 
 class BGPSession:
-    """One eBGP session over one link.
+    """One eBGP session over one link, and its peer's Adj-RIBs.
 
-    Slotted: a 5000-AS storm holds about 50k sessions.
+    Slotted, and its MRAI and connect waits are bare kernel events, not
+    :class:`~repro.eventsim.Timer` objects: a 5000-AS storm holds about
+    50k sessions (docs/scaling.md, "Set-up cost").
     """
 
     __slots__ = (
         "router", "link", "local_asn", "policy", "timers", "state",
         "peer_asn", "peer_name", "updates_sent", "updates_received",
-        "_sim", "_mrai_timer", "_connect_timer", "_flush_label",
-        "_hold_timer", "_keepalive_timer", "_dirty", "_pending_obs",
-        "_flush_event", "_flush_callback", "_output_lane", "_mrai_rng",
-        "_open_received",
+        "rib_in", "rib_out",
+        "_sim", "_mrai_event", "_connect_event", "_mrai_label",
+        "_flush_label", "_hold_timer", "_keepalive_timer", "_dirty",
+        "_pending_obs", "_flush_event", "_flush_callback", "_output_lane",
+        "_mrai_rng", "_open_received",
     )
 
     def __init__(
@@ -111,27 +115,37 @@ class BGPSession:
         self.peer_name = ""
         self.updates_sent = 0
         self.updates_received = 0
+        #: the peer's Adj-RIB-In and Adj-RIB-Out: made by the host's
+        #: ``session_up`` (:meth:`reset_tables`), shared empty read-only
+        #: ones until then.
+        self.rib_in: AdjRibIn = NO_RIB_IN
+        self.rib_out: AdjRibOut = NO_RIB_OUT
         sim = router.sim
         self._sim = sim
-        # Bound once, and shared by the output lane and the MRAI timer:
+        # Bound once, and shared by the output lane and the MRAI expiry:
         # every decision schedules an output run per session.
-        self._flush_callback = flush = self._flush
+        self._flush_callback = self._flush
+        #: the armed MRAI expiry and connect wait: each one kernel event,
+        #: armed with ``sim.schedule``, or None once it fired or was
+        #: disarmed with ``sim.cancel``.
+        self._mrai_event: Optional[Event] = None
+        self._connect_event: Optional[Event] = None
         # Labels are per router, so its sessions share one copy of each.
         name = router.name
-        self._mrai_timer = Timer(sim, flush, label=sys.intern(f"{name}:mrai"))
-        self._connect_timer = Timer(
-            sim, self._send_open, label=sys.intern(f"{name}:connect")
-        )
+        self._mrai_label = sys.intern(f"{name}:mrai")
         self._flush_label = sys.intern(f"{name}:flush")
         # Armed only under ``keepalives_enabled``, so made on first use:
         # most experiments run tens of thousands of sessions without.
         self._hold_timer: Optional[Timer] = None
         self._keepalive_timer: Optional[PeriodicTimer] = None
-        #: prefixes awaiting the next output run: one set for the
-        #: session's life, emptied in place.  A fresh set per run, or a
-        #: dict (which every full collection untracks while it is empty),
-        #: would re-enter the young generation once per session per storm.
-        self._dirty: Set[Prefix] = set()
+        #: prefixes awaiting the next output run, a dict used as an
+        #: ordered set (the run sorts what it sends, so the order changes
+        #: nothing).  Made by the first change after a run and handed to
+        #: the run, so a session at rest holds none: a set kept for the
+        #: session's life took 216 bytes, and a dict emptied in place
+        #: went back into the youngest generation on every first insert
+        #: after a full collection untracked it.
+        self._dirty: Optional[Dict[Prefix, None]] = None
         #: provenance of pending advertisements: prefix -> (context, time
         #: it first went dirty).  First cause wins; consumed at send time
         #: to parent the tx span and measure the pacing wait, and dropped
@@ -152,6 +166,34 @@ class BGPSession:
         """True in the ESTABLISHED state."""
         return self.state is SessionState.ESTABLISHED
 
+    @property
+    def mrai_expires_at(self) -> Optional[float]:
+        """Virtual time of the armed MRAI expiry, or None."""
+        armed = self._mrai_event
+        return None if armed is None else armed.time
+
+    def reset_tables(self, index: RouteIndex) -> None:
+        """Give the session fresh Adj-RIBs (its host's ``session_up``).
+
+        The replaced Adj-RIB-In's entries leave ``index``, the host's
+        prefix-major view of every Adj-RIB-In, with it.
+        """
+        if self.rib_in is not NO_RIB_IN:
+            self.rib_in.clear()
+        self.rib_in = AdjRibIn(
+            self.peer_asn, self.peer_name,
+            link_id=self.link.link_id, index=index,
+        )
+        self.rib_out = AdjRibOut(self.peer_asn, self.peer_name)
+
+    def clear_tables(self) -> list:
+        """Empty both Adj-RIBs (session loss, crash); returns the
+        prefixes the Adj-RIB-In held."""
+        if self.rib_in is NO_RIB_IN:
+            return []
+        self.rib_out.clear()
+        return self.rib_in.clear()
+
     def __repr__(self) -> str:
         return (
             f"<BGPSession {self.router.name}->"
@@ -169,8 +211,11 @@ class BGPSession:
             return
         self.state = SessionState.CONNECT
         self._open_received = False
-        self._connect_timer.start(
-            self.timers.connect_delay if delay is None else delay
+        # Armed once per bring-up, so its label is made here.
+        self._connect_event = self._sim.schedule(
+            self.timers.connect_delay if delay is None else delay,
+            self._send_open,
+            label=sys.intern(f"{self.router.name}:connect"),
         )
 
     def stop(self, *, notify_peer: bool = True, reason: str = "admin") -> None:
@@ -195,10 +240,10 @@ class BGPSession:
     def close(self) -> None:
         """Drop the session's edges into the trial graph (its router's
         :meth:`~repro.bgp.router.BGPRouter.close` calls it): router,
-        link, timers, output lane and the bound flush callback, which
-        the MRAI timer shares."""
+        link, armed events, timers, output lane and the bound flush
+        callback, which the MRAI expiry shares."""
         self.router = self.link = None
-        self._mrai_timer = self._connect_timer = None
+        self._mrai_event = self._connect_event = self._flush_event = None
         self._hold_timer = self._keepalive_timer = None
         self._flush_callback = self._output_lane = None
 
@@ -239,14 +284,19 @@ class BGPSession:
         self.peer_asn = 0
         self.peer_name = ""
         self._open_received = False
-        self._dirty.clear()
+        self._dirty = None
         if self._pending_obs is not None:
             self._pending_obs.clear()
+        sim = self._sim
         if self._flush_event is not None:
-            self._sim.cancel(self._flush_event)
+            sim.cancel(self._flush_event)
             self._flush_event = None
-        self._mrai_timer.stop()
-        self._connect_timer.stop()
+        if self._mrai_event is not None:
+            sim.cancel(self._mrai_event)
+            self._mrai_event = None
+        if self._connect_event is not None:
+            sim.cancel(self._connect_event)
+            self._connect_event = None
         if self._hold_timer is not None:
             self._hold_timer.stop()
         if self._keepalive_timer is not None:
@@ -267,6 +317,7 @@ class BGPSession:
             self._handle_notification(message)
 
     def _send_open(self) -> None:
+        self._connect_event = None
         if self.state not in (SessionState.CONNECT,):
             return
         if not self.link.up:
@@ -295,8 +346,10 @@ class BGPSession:
         self.peer_name = message.router_id
         self._open_received = True
         if self.state is SessionState.CONNECT:
-            # Peer beat our connect timer; answer with our own OPEN now.
-            self._connect_timer.stop()
+            # Peer beat our connect wait; answer with our own OPEN now.
+            if self._connect_event is not None:
+                self._sim.cancel(self._connect_event)
+                self._connect_event = None
             self._send(
                 BGPOpen(
                     sender_asn=self.local_asn,
@@ -386,12 +439,15 @@ class BGPSession:
         The actual content is computed at send time by diffing Loc-RIB
         (through export policy) against Adj-RIB-Out, so intermediate flaps
         within one MRAI round collapse naturally.  Every decision change
-        calls this once per session, so it reads the MRAI timer's and the
-        pending run's events directly instead of through helpers.
+        calls this once per session, so it reads the MRAI expiry's and
+        the pending run's events directly instead of through helpers.
         """
         if self.state is not _ESTABLISHED:
             return
-        self._dirty.add(prefix)
+        dirty = self._dirty
+        if dirty is None:
+            dirty = self._dirty = {}
+        dirty[prefix] = None
         obs = self.router.bus.obs
         if obs is not None:
             pending_obs = self._pending_obs
@@ -400,8 +456,7 @@ class BGPSession:
             if prefix not in pending_obs:
                 # The causal context that dirtied it (first cause wins).
                 pending_obs[prefix] = (obs.current, self._sim.now)
-        armed = self._mrai_timer._event
-        if armed is None or armed.cancelled:
+        if self._mrai_event is None:
             # One output run shortly, coalescing concurrent changes.
             run = self._flush_event
             if run is None or run.cancelled:
@@ -413,9 +468,9 @@ class BGPSession:
             # RFC default: withdrawals escape the MRAI gate.
             action = self.router.outbound_diff(self, prefix)
             if action is not None and action[0] == "withdraw":
-                self._dirty.discard(prefix)
+                dirty.pop(prefix, None)
                 self._send_update(announced=(), withdrawn=(prefix,))
-                self.router.adj_rib_out(self).mark_sent(prefix, None)
+                self.rib_out.mark_sent(prefix, None)
 
     def resync(self) -> None:
         """Mark every Loc-RIB prefix (plus stale Adj-RIB-Out entries) dirty.
@@ -427,13 +482,13 @@ class BGPSession:
         """
         if not self.established:
             return
-        if self._flush_event is None and not self._mrai_timer.running:
+        if self._flush_event is None and self._mrai_event is None:
             self._flush_event = self._output_lane.schedule(
                 self._flush_callback, label=self._flush_label
             )
         for prefix in self.router.loc_rib.prefixes():
             self.schedule_route(prefix)
-        for prefix in self.router.adj_rib_out(self).prefixes():
+        for prefix in self.rib_out.prefixes():
             self.schedule_route(prefix)
 
     def _mrai_period(self) -> float:
@@ -462,14 +517,14 @@ class BGPSession:
         draws its MRAI period: the draw order on ``bgp.mrai`` is part of
         every pinned result.
         """
-        self._flush_event = None
-        pending = self._dirty
+        self._flush_event = self._mrai_event = None
+        pending, self._dirty = self._dirty, None
         if not pending:
-            # On MRAI expiry the timer simply stops: the next change is
+            # On MRAI expiry the gate simply opens: the next change is
             # sent at once (RFC behaviour after a quiet interval).
             return
         router = self.router
-        rib_out = router.adj_rib_out(self)
+        rib_out = self.rib_out
         # A BGP router's export is its own update-group memo, compared
         # with the Adj-RIB-Out entry (the interned attributes make a
         # match usually the same object); the cluster speaker asks its
@@ -494,7 +549,6 @@ class BGPSession:
                 # Not sent: its cause is spent, so the prefix's next
                 # UPDATE must not be parented under it or timed from it.
                 pending_obs.pop(prefix, None)
-        pending.clear()
         if sends is None:
             self._mrai_period()
             return
@@ -511,7 +565,9 @@ class BGPSession:
         self._send_update(announced, withdrawn)
         period = self._mrai_period()
         if period > 0:
-            self._mrai_timer.start(period)
+            self._mrai_event = self._sim.schedule(
+                period, self._flush_callback, label=self._mrai_label
+            )
 
     def _send_update(self, announced, withdrawn) -> None:
         update = BGPUpdate(

@@ -10,9 +10,9 @@ transparent to the legacy world (design goal §2).  Each session runs
 over a dedicated relay link to the member's border switch, which
 shuttles the BGP bytes to/from the physical peering link.
 
-The speaker is deliberately dumb: it keeps per-peering Adj-RIB-In /
-Adj-RIB-Out, forwards route events to the IDR controller, and asks the
-controller what to advertise.  All route *selection* lives in the
+The speaker is deliberately dumb: its sessions keep per-peering
+Adj-RIB-In / Adj-RIB-Out, it forwards route events to the IDR
+controller, and asks the controller what to advertise.  All route *selection* lives in the
 controller (unlike RouteFlow, which mirrors legacy protocols — see the
 paper's related-work comparison).
 """
@@ -24,14 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..bgp.attrs import PathAttributes
 from ..bgp.messages import BGPMessage, BGPUpdate
-from ..bgp.rib import (
-    NO_RIB_IN,
-    NO_RIB_OUT,
-    AdjRibIn,
-    AdjRibOut,
-    Route,
-    RouteIndex,
-)
+from ..bgp.rib import AdjRibIn, AdjRibOut, Route, RouteIndex
 from ..bgp.session import BGPSession, BGPTimers
 from ..eventsim import Simulator
 from ..net.addr import Prefix
@@ -117,10 +110,6 @@ class ClusterBGPSpeaker(Node):
         #: prefix -> {relay link id: ExternalRoute}, fed by the
         #: Adj-RIB-Ins; :meth:`external_routes` reads it.
         self._index = _ExternalRouteIndex(self.peering_of)
-        #: relay link id -> per-peer RIB, keyed in link order from
-        #: :meth:`add_peering`; None until the session first comes up.
-        self._rib_in: Dict[int, Optional[AdjRibIn]] = {}
-        self._rib_out: Dict[int, Optional[AdjRibOut]] = {}
         # Every UPDATE is applied a fixed delay after it arrives, so the
         # processing events fire in arrival order: one FIFO and one
         # bound callback instead of a closure per UPDATE.
@@ -161,9 +150,6 @@ class ClusterBGPSpeaker(Node):
         )
         self.sessions[relay_link.link_id] = session
         self.peering_of[relay_link.link_id] = peering
-        # Made by the session's first ``session_up``, as on a router.
-        self._rib_in[relay_link.link_id] = None
-        self._rib_out[relay_link.link_id] = None
         return session
 
     def start(self) -> None:
@@ -226,14 +212,12 @@ class ClusterBGPSpeaker(Node):
     def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
         """Per-peer Adj-RIB-In for a session (an empty read-only one
         until the session first comes up)."""
-        rib = self._rib_in[session.link.link_id]
-        return NO_RIB_IN if rib is None else rib
+        return session.rib_in
 
     def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
         """Per-peer Adj-RIB-Out for a session (an empty read-only one
         until the session first comes up)."""
-        rib = self._rib_out[session.link.link_id]
-        return NO_RIB_OUT if rib is None else rib
+        return session.rib_out
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -272,17 +256,8 @@ class ClusterBGPSpeaker(Node):
     # ------------------------------------------------------------------
     def session_up(self, session: BGPSession) -> None:
         """Session reached ESTABLISHED: reset RIBs and resync."""
-        link_id = session.link.link_id
-        # The replaced table's entries leave the index with it.
-        old = self._rib_in[link_id]
-        if old is not None:
-            old.clear()
-        self._rib_in[link_id] = AdjRibIn(
-            session.peer_asn, session.peer_name,
-            link_id=link_id, index=self._index,
-        )
-        self._rib_out[link_id] = AdjRibOut(session.peer_asn, session.peer_name)
-        peering = self.peering_of[link_id]
+        session.reset_tables(self._index)
+        peering = self.peering_of[session.link.link_id]
         self.bus.record(
             "speaker.session.up", self.name,
             peering=str(peering), peer_asn=session.peer_asn,
@@ -307,10 +282,8 @@ class ClusterBGPSpeaker(Node):
 
     def session_down(self, session: BGPSession, *, reason: str = "") -> None:
         """Session lost: flush per-peer state, re-decide."""
-        link_id = session.link.link_id
-        peering = self.peering_of[link_id]
-        affected = self._rib_in[link_id].clear()
-        self._rib_out[link_id].clear()
+        peering = self.peering_of[session.link.link_id]
+        affected = session.clear_tables()
         self.bus.record(
             "speaker.session.down", self.name,
             peering=str(peering), reason=reason,
@@ -364,7 +337,7 @@ class ClusterBGPSpeaker(Node):
         self.updates_processed += 1
         link_id = session.link.link_id
         peering = self.peering_of[link_id]
-        rib_in = self._rib_in[link_id]
+        rib_in = session.rib_in
         affected: List[Prefix] = []
         for prefix in update.withdrawn:
             if rib_in.withdraw(prefix):
@@ -402,7 +375,7 @@ class ClusterBGPSpeaker(Node):
         attrs: Optional[PathAttributes] = None
         if self.controller is not None:
             attrs = self.controller.desired_advertisement(peering, prefix)
-        return self.adj_rib_out(session).diff(prefix, attrs)
+        return session.rib_out.diff(prefix, attrs)
 
     # ------------------------------------------------------------------
     # controller-facing queries
@@ -423,9 +396,11 @@ class ClusterBGPSpeaker(Node):
                 if sessions[link_id].established
             ]
         out: List[ExternalRoute] = []
-        for link_id, rib_in in self._rib_in.items():
-            if sessions[link_id].established:
-                out.extend(index.get(p)[link_id] for p in rib_in.prefixes())
+        for link_id, session in sessions.items():
+            if session.established:
+                out.extend(
+                    index.get(p)[link_id] for p in session.rib_in.prefixes()
+                )
         return out
 
     def known_external_prefixes(self) -> List[Prefix]:

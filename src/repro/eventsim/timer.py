@@ -1,10 +1,12 @@
 """Restartable one-shot and periodic timers on top of the kernel.
 
-BGP needs several timer disciplines: per-peer MRAI (one-shot, re-armed on
-demand), hold/keepalive (periodic), and the IDR controller's debounced
-recomputation (one-shot that *extends* on new input).  This module keeps
-that logic in one audited place instead of scattering raw ``schedule``
-calls through protocol code.
+BGP needs several timer disciplines: hold/keepalive (periodic) and the
+IDR controller's debounced recomputation (one-shot that *extends* on new
+input).  This module keeps that logic in one audited place.  A BGP
+session's MRAI expiry and connect wait are the exception: every session
+has them, so each is one bare kernel event in a session slot, armed with
+``schedule`` and disarmed with ``cancel`` (docs/scaling.md, "Set-up
+cost").
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` arms (or re-arms) the timer; ``stop`` disarms it.  The
-    callback fires once per arming.  Slotted: every BGP session holds
-    two, and a 5000-AS storm has tens of thousands of sessions.
+    callback fires once per arming.  Slotted: a BGP session makes one,
+    its hold timer, under ``keepalives_enabled``, and a 5000-AS storm
+    has tens of thousands of sessions.
     """
 
     __slots__ = ("_sim", "_callback", "_background", "_label", "_event")

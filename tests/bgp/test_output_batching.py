@@ -144,7 +144,7 @@ class TestMraiDrawContract:
         session.schedule_route(PFX)  # an output run, through the kernel
         net.sim.run_until_settled()
         assert session.updates_sent == sent
-        assert not session._mrai_timer.running
+        assert session.mrai_expires_at is None
         assert rng.getstate() == advanced(state, draws)
 
     @pytest.mark.parametrize("mrai, jitter, draws", DRAW_CASES)
@@ -160,13 +160,13 @@ class TestMraiDrawContract:
         assert session.updates_sent == 1
         assert rng.getstate() == advanced(state, draws)
         if mrai == 0:
-            assert not session._mrai_timer.running
+            assert session.mrai_expires_at is None
             return
         replay = random.Random()
         replay.setstate(state)
         low = mrai * (1.0 - jitter)
         period = low + (mrai - low) * replay.random() if draws else mrai
-        assert session._mrai_timer.expires_at == net.sim.now + period
+        assert session.mrai_expires_at == net.sim.now + period
 
     def test_cluster_speaker_sessions_draw_nothing(self):
         """The speaker's sessions run with MRAI 0: its output runs, sent
@@ -198,5 +198,5 @@ class TestMraiDrawContract:
         assert quiet._flush_event is None
         assert quiet.updates_sent == before[0]
         assert resent.updates_sent == before[1] + 1
-        assert not resent._mrai_timer.running
+        assert resent.mrai_expires_at is None
         assert rng.getstate() == state

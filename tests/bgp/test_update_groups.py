@@ -190,7 +190,7 @@ class TestOutputRunsStay:
         session.schedule_route(PFX)  # an output run, through the kernel
         net.sim.run_until_settled()
         assert session.updates_sent == sent
-        assert not session._mrai_timer.running
+        assert session.mrai_expires_at is None
         one_draw = random.Random()
         one_draw.setstate(state)
         one_draw.uniform(22.5, 30.0)

@@ -17,9 +17,10 @@ UNKNOWN = Prefix.parse("192.0.2.0/24")
 def scan_external_routes(speaker, prefix=None):
     """The pre-index ``external_routes``: probe every Adj-RIB-In."""
     out = []
-    for link_id, rib_in in speaker._rib_in.items():
-        if not speaker.sessions[link_id].established:
+    for link_id, session in speaker.sessions.items():
+        if not session.established:
             continue
+        rib_in = session.rib_in
         peering = speaker.peering_of[link_id]
         if prefix is None:
             routes = rib_in
@@ -45,8 +46,8 @@ def assert_matches_scan(speaker):
             speaker, prefix
         ), prefix
     held = set()
-    for rib_in in speaker._rib_in.values():
-        held.update(rib_in.prefixes())
+    for session in speaker.sessions.values():
+        held.update(session.rib_in.prefixes())
     assert speaker.known_external_prefixes() == sorted(held)
 
 
@@ -63,8 +64,8 @@ def table_links(speaker):
     """Every (prefix, relay link id) the Adj-RIB-Ins hold."""
     return {
         (prefix, link_id)
-        for link_id, rib_in in speaker._rib_in.items()
-        for prefix in rib_in.prefixes()
+        for link_id, session in speaker.sessions.items()
+        for prefix in session.rib_in.prefixes()
     }
 
 
@@ -96,7 +97,7 @@ class TestExternalRoutesEqualTheScan:
         exp = hybrid()
         speaker = exp.speaker
         # Table order, which the scan used, is ascending link id.
-        assert list(speaker._rib_in) == sorted(speaker._rib_in)
+        assert list(speaker.sessions) == sorted(speaker.sessions)
         link_of = {p: lid for lid, p in speaker.peering_of.items()}
         for prefix in speaker.known_external_prefixes():
             ids = [link_of[r.peering] for r in speaker.external_routes(prefix)]
@@ -156,10 +157,10 @@ class TestTheIndexEmptiesOut:
         speaker = exp.speaker
         link_id, session = next(
             (lid, s) for lid, s in sorted(speaker.sessions.items())
-            if len(speaker._rib_in[lid])
+            if len(s.rib_in)
         )
         speaker.session_up(session)
-        assert len(speaker._rib_in[link_id]) == 0
+        assert len(session.rib_in) == 0
         assert all(lid != link_id for _, lid in index_links(speaker))
         assert index_links(speaker) == table_links(speaker)
         assert_matches_scan(speaker)

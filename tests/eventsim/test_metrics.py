@@ -86,14 +86,26 @@ class TestTimeByLayer:
         assert event_layer(Timer(net.sim, clique)._fire) == "topology"
 
     def test_timer_fires_in_a_trial_leave_the_kernel(self, hybrid):
+        """BGP's MRAI expiries and connect waits are plain session
+        events; the controller's debounced recompute is a timer fire.
+        Each is charged to what armed it, none to the kernel."""
         _, seen, _ = hybrid
         timers = (Timer, PeriodicTimer, DebounceTimer)
-        fired = {
-            event_layer(e.callback) for e in seen
+        timer_fires = [
+            e for e in seen
             if isinstance(getattr(e.callback, "__self__", None), timers)
+        ]
+        mrai = [e for e in seen if e.label.endswith(":mrai")]
+        connect = [e for e in seen if e.label.endswith(":connect")]
+        assert mrai and connect
+        assert {event_layer(e.callback) for e in mrai} == {"bgp"}
+        assert {
+            event_layer(e.callback) for e in timer_fires
+            if isinstance(e.callback.__self__, DebounceTimer)
+        } == {"controller"}
+        assert "eventsim" not in {
+            event_layer(e.callback) for e in timer_fires + mrai + connect
         }
-        assert {"bgp", "controller"} <= fired
-        assert "eventsim" not in fired
 
     def test_link_delivery_is_charged_to_the_receiver(self, hybrid):
         _, seen, _ = hybrid
