@@ -41,7 +41,7 @@ def main():
           f"({len(exp.speaker.peerings())} external peerings)")
     collectors = exp.net.nodes_of_type(RouteCollector)
     print(f"route collector    : {collectors[0].name} "
-          f"({len(collectors[0].feed)} updates collected)")
+          f"({exp.net.bus.count('collector.update')} updates collected)")
 
     host_a = exp.add_host(1)
     host_b = exp.add_host(5)

@@ -75,7 +75,8 @@ def _inventory(exp: Experiment) -> List[str]:
         f"({sum(1 for l in exp.net.links if not l.up)} down)",
     ]
     if exp.collector is not None:
-        out.append(f"  collector feed : {len(exp.collector.feed)} updates")
+        collected = exp.net.bus.count("collector.update")
+        out.append(f"  collector feed : {collected} updates")
     return out
 
 

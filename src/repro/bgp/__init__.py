@@ -9,7 +9,7 @@ model (:class:`AsPath`, :class:`PathAttributes`, :class:`Route`).
 """
 
 from .attrs import DEFAULT_LOCAL_PREF, AsPath, Origin, PathAttributes
-from .collector import COLLECTOR_ASN, CollectedUpdate, RouteCollector, collector_policy
+from .collector import COLLECTOR_ASN, RouteCollector, collector_policy
 from .decision import best_route, rank_routes
 from .messages import BGPKeepalive, BGPMessage, BGPNotification, BGPOpen, BGPUpdate
 from .policy import (
@@ -31,7 +31,6 @@ __all__ = [
     "Origin",
     "PathAttributes",
     "COLLECTOR_ASN",
-    "CollectedUpdate",
     "RouteCollector",
     "collector_policy",
     "best_route",

@@ -40,12 +40,11 @@ class BGPOpen(BGPMessage):
     """OPEN: carries the sender's AS and router-id (its node name here)."""
 
     router_id: str = ""
-    hold_time: float = 90.0
 
 
 @dataclass(slots=True)
 class BGPKeepalive(BGPMessage):
-    """KEEPALIVE: refreshes the hold timer; also acks OPEN."""
+    """KEEPALIVE: acks OPEN (sessions send no periodic keepalives)."""
 
 
 @dataclass(slots=True)

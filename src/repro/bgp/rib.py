@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from ..net.addr import Prefix
 from .attrs import PathAttributes
@@ -210,7 +210,8 @@ class LocRib:
 
 
 class AdjRibOut:
-    """What we last sent to one peer; UPDATE generation diffs against it.
+    """What we last sent to one peer; an output run compares the export
+    with it.
 
     Slotted: one per session, and every output run reads it.
     """
@@ -228,22 +229,6 @@ class AdjRibOut:
     def get(self, prefix: Prefix) -> Optional[PathAttributes]:
         """Exact-match lookup; None if absent."""
         return self._sent.get(prefix)
-
-    def diff(
-        self, prefix: Prefix, attrs: Optional[PathAttributes]
-    ) -> Optional[Tuple[str, Optional[PathAttributes]]]:
-        """What (if anything) must be sent so the peer sees ``attrs``.
-
-        Returns ``("announce", attrs)``, ``("withdraw", None)``, or None
-        when the peer is already up to date.  Does *not* mutate state —
-        call :meth:`mark_sent` when the UPDATE actually goes out.
-        """
-        sent = self._sent.get(prefix)
-        if attrs is None:
-            return ("withdraw", None) if sent is not None else None
-        if sent == attrs:
-            return None
-        return ("announce", attrs)
 
     def mark_sent(self, prefix: Prefix, attrs: Optional[PathAttributes]) -> None:
         if attrs is None:

@@ -28,7 +28,7 @@ from .damping import DampingConfig, RouteDamper
 from .decision import best_route, rank_routes, route_sort_key, verify_loc_rib
 from .messages import BGPMessage, BGPUpdate
 from .policy import PeerPolicy
-from .rib import AdjRibIn, AdjRibOut, LocRib, Route, RouteIndex
+from .rib import LocRib, Route, RouteIndex
 from .session import BGPSession, BGPTimers
 
 __all__ = ["BGPRouter"]
@@ -125,16 +125,6 @@ class BGPRouter(Node):
     def established_sessions(self) -> List[BGPSession]:
         """Sessions currently in ESTABLISHED state."""
         return [s for s in self.sessions.values() if s.established]
-
-    def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
-        """Per-peer Adj-RIB-In for a session (an empty read-only one
-        until the session first comes up)."""
-        return session.rib_in
-
-    def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
-        """Per-peer Adj-RIB-Out for a session (an empty read-only one
-        until the session first comes up)."""
-        return session.rib_out
 
     # ------------------------------------------------------------------
     # node hooks
@@ -576,16 +566,11 @@ class BGPRouter(Node):
     # ------------------------------------------------------------------
     # outbound route generation (called by sessions at send time)
     # ------------------------------------------------------------------
-    def outbound_diff(
-        self, session: BGPSession, prefix: Prefix
-    ) -> Optional[Tuple[str, Optional[PathAttributes]]]:
-        """What this session must send about ``prefix`` right now."""
-        attrs = self._export_attrs(session, prefix)
-        return session.rib_out.diff(prefix, attrs)
-
     def _export_attrs(
         self, session: BGPSession, prefix: Prefix
     ) -> Optional[PathAttributes]:
+        """What ``session`` should advertise for ``prefix`` now, or None
+        (the session host's one export question; docs/architecture.md)."""
         memo = self._export_memo.get(prefix)
         if memo is None:
             best = self.loc_rib.get(prefix)

@@ -1,4 +1,4 @@
-"""eBGP session: finite state machine, hold/keepalive, and MRAI pacing.
+"""eBGP session: finite state machine and MRAI pacing.
 
 A session binds one local router to one peer over one point-to-point
 link (the paper's one-router-per-AS abstraction).  The two behaviours
@@ -11,8 +11,15 @@ that matter for convergence dynamics live here:
   ASes.  Per RFC default, withdrawals are *not* rate-limited (Quagga-like
   behaviour is available via ``BGPTimers.withdrawal_rate_limited``).
 - **Fast fallover**: when the underlying link goes down the session
-  drops immediately (Quagga's ``bgp fast-external-fallover``); otherwise
-  failure is only detected when the hold timer expires.
+  drops immediately (Quagga's ``bgp fast-external-fallover``).  There
+  are no periodic keepalives and no hold timer: a link or peer failure
+  is always signalled, never detected by silence.
+
+A session asks its host — a :class:`~repro.bgp.router.BGPRouter` or the
+cluster BGP speaker — one question, ``host._export_attrs(session,
+prefix)``: the attributes to advertise for ``prefix`` now, or None.  An
+output run sends the prefix when the answer differs from what the
+Adj-RIB-Out holds.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..eventsim import Event, PeriodicTimer, Timer
+from ..eventsim import Event
 from ..net.addr import Prefix
 from ..net.link import Link
 from .messages import BGPKeepalive, BGPMessage, BGPNotification, BGPOpen, BGPUpdate
@@ -33,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .router import BGPRouter
 
 __all__ = ["SessionState", "BGPTimers", "BGPSession"]
+
+#: wait from start to the first OPEN, and after a drop before the next
+#: attempt (seconds).
+CONNECT_DELAY = 0.1
+RECONNECT_DELAY = 1.0
 
 
 class SessionState(enum.Enum):
@@ -48,22 +60,18 @@ _ESTABLISHED = SessionState.ESTABLISHED
 
 @dataclass
 class BGPTimers:
-    """Timer/behaviour configuration for a speaker's sessions.
+    """The timer knobs a run sets for a speaker's sessions.
 
     Defaults follow common Quagga deployments; experiments override
     ``mrai`` and friends explicitly so results are self-describing.
+    Connect and reconnect waits are fixed (``CONNECT_DELAY``,
+    ``RECONNECT_DELAY``), and link down always drops a session.
     """
 
     mrai: float = 30.0
     #: RFC 4271 recommends jittering timers to 75-100% of nominal.
     mrai_jitter: float = 0.25
     withdrawal_rate_limited: bool = False
-    connect_delay: float = 0.1
-    reconnect_delay: float = 1.0
-    hold_time: float = 90.0
-    keepalive_interval: float = 30.0
-    keepalives_enabled: bool = False
-    fast_fallover: bool = True
     #: per-UPDATE processing delay range at the receiver (models CPU).
     proc_delay_min: float = 0.005
     proc_delay_max: float = 0.02
@@ -87,7 +95,7 @@ class BGPSession:
         "peer_asn", "peer_name", "updates_sent", "updates_received",
         "rib_in", "rib_out",
         "_sim", "_mrai_event", "_connect_event", "_mrai_label",
-        "_flush_label", "_hold_timer", "_keepalive_timer", "_dirty",
+        "_flush_label", "_dirty",
         "_pending_obs", "_flush_event", "_flush_callback", "_output_lane",
         "_mrai_rng", "_open_received",
     )
@@ -134,10 +142,6 @@ class BGPSession:
         name = router.name
         self._mrai_label = sys.intern(f"{name}:mrai")
         self._flush_label = sys.intern(f"{name}:flush")
-        # Armed only under ``keepalives_enabled``, so made on first use:
-        # most experiments run tens of thousands of sessions without.
-        self._hold_timer: Optional[Timer] = None
-        self._keepalive_timer: Optional[PeriodicTimer] = None
         #: prefixes awaiting the next output run, a dict used as an
         #: ordered set (the run sorts what it sends, so the order changes
         #: nothing).  Made by the first change after a run and handed to
@@ -213,54 +217,45 @@ class BGPSession:
         self._open_received = False
         # Armed once per bring-up, so its label is made here.
         self._connect_event = self._sim.schedule(
-            self.timers.connect_delay if delay is None else delay,
+            CONNECT_DELAY if delay is None else delay,
             self._send_open,
             label=sys.intern(f"{self.router.name}:connect"),
         )
 
     def stop(self, *, notify_peer: bool = True, reason: str = "admin") -> None:
         """Tear the session down and flush per-peer state."""
-        was_established = self.established
         if notify_peer and self.state is not SessionState.IDLE and self.link.up:
             self._send(BGPNotification(sender_asn=self.local_asn, code=reason))
-        self._to_idle()
-        if was_established:
-            self.router.session_down(self, reason=reason)
+        self._drop(reason)
 
     def reset(self, *, reason: str = "admin_reset") -> None:
         """Administratively bounce the session (``clear ip bgp neighbor``).
 
         Sends a NOTIFICATION so the peer drops its side too, then
-        reconnects after ``reconnect_delay``; the peer reconnects on its
+        reconnects after ``RECONNECT_DELAY``; the peer reconnects on its
         own schedule when it processes the notification.
         """
         self.stop(notify_peer=True, reason=reason)
-        self.start(delay=self.timers.reconnect_delay)
+        self.start(delay=RECONNECT_DELAY)
 
     def close(self) -> None:
         """Drop the session's edges into the trial graph (its router's
         :meth:`~repro.bgp.router.BGPRouter.close` calls it): router,
-        link, armed events, timers, output lane and the bound flush
-        callback, which the MRAI expiry shares."""
+        link, armed events, output lane and the bound flush callback,
+        which the MRAI expiry shares."""
         self.router = self.link = None
         self._mrai_event = self._connect_event = self._flush_event = None
-        self._hold_timer = self._keepalive_timer = None
         self._flush_callback = self._output_lane = None
 
     def link_state_changed(self) -> None:
-        """Called by the router when the session's link flips state."""
+        """Called by the router when the session's link flips state:
+        down drops the session at once (fast fallover), up reconnects
+        after ``RECONNECT_DELAY``."""
         if not self.link.up:
-            if self.timers.fast_fallover:
-                was_established = self.established
-                self._to_idle()
-                if was_established:
-                    self.router.session_down(self, reason="link_down")
-            # Without fast fallover, the hold timer (if keepalives are on)
-            # or nothing at all detects the failure — as in real BGP.
+            self._drop("link_down")
             return
-        # Link restored: reconnect after the configured delay.
         if self.state is SessionState.IDLE:
-            self.start(delay=self.timers.reconnect_delay)
+            self.start(delay=RECONNECT_DELAY)
 
     def peer_unreachable(self) -> None:
         """Force the session down although our own link is up.
@@ -269,15 +264,19 @@ class BGPSession:
         *physical* peering link failed: the speaker's relay link is
         healthy, so fast fallover cannot fire on it.
         """
-        was_established = self.established
-        self._to_idle()
-        if was_established:
-            self.router.session_down(self, reason="peer_unreachable")
+        self._drop("peer_unreachable")
 
     def peer_reachable(self) -> None:
         """Physical path restored; reconnect after the usual delay."""
         if self.state is SessionState.IDLE and self.link.up:
-            self.start(delay=self.timers.reconnect_delay)
+            self.start(delay=RECONNECT_DELAY)
+
+    def _drop(self, reason: str) -> None:
+        """Go idle; an established session tells its host it is down."""
+        was_established = self.established
+        self._to_idle()
+        if was_established:
+            self.router.session_down(self, reason=reason)
 
     def _to_idle(self) -> None:
         self.state = SessionState.IDLE
@@ -297,10 +296,6 @@ class BGPSession:
         if self._connect_event is not None:
             sim.cancel(self._connect_event)
             self._connect_event = None
-        if self._hold_timer is not None:
-            self._hold_timer.stop()
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.stop()
 
     # ------------------------------------------------------------------
     # FSM message handling
@@ -324,11 +319,7 @@ class BGPSession:
             self._to_idle()
             return
         self._send(
-            BGPOpen(
-                sender_asn=self.local_asn,
-                router_id=self.router.name,
-                hold_time=self.timers.hold_time,
-            )
+            BGPOpen(sender_asn=self.local_asn, router_id=self.router.name)
         )
         self.state = SessionState.OPEN_SENT
         if self._open_received:
@@ -351,11 +342,7 @@ class BGPSession:
                 self._sim.cancel(self._connect_event)
                 self._connect_event = None
             self._send(
-                BGPOpen(
-                    sender_asn=self.local_asn,
-                    router_id=self.router.name,
-                    hold_time=self.timers.hold_time,
-                )
+                BGPOpen(sender_asn=self.local_asn, router_id=self.router.name)
             )
             self.state = SessionState.OPEN_SENT
         if self.state is SessionState.OPEN_SENT:
@@ -366,69 +353,22 @@ class BGPSession:
         self.state = SessionState.OPEN_CONFIRM
 
     def _handle_keepalive(self, message: BGPKeepalive) -> None:
+        # The KEEPALIVE that acks our OPEN; the only one a session sends.
         if self.state is SessionState.OPEN_CONFIRM:
             self.state = SessionState.ESTABLISHED
-            if self.timers.keepalives_enabled:
-                self._start_keepalives()
-                self._restart_hold()
             self.router.session_up(self)
-        elif self.established and self.timers.keepalives_enabled:
-            self._restart_hold()
 
     def _handle_update(self, message: BGPUpdate) -> None:
         if not self.established:
             return
         self.updates_received += 1
-        if self.timers.keepalives_enabled:
-            self._restart_hold()
         self.router.enqueue_update(self, message)
 
     def _handle_notification(self, message: BGPNotification) -> None:
-        was_established = self.established
-        self._to_idle()
-        if was_established:
-            self.router.session_down(self, reason=f"notification:{message.code}")
+        self._drop(f"notification:{message.code}")
         # Try again later, like a real speaker would.
         if self.link.up:
-            self.start(delay=self.timers.reconnect_delay)
-
-    def _restart_hold(self) -> None:
-        if self._hold_timer is None:
-            # Hold expiry only matters when keepalives stop coming; it
-            # must not hold up convergence detection, so it is background.
-            self._hold_timer = Timer(
-                self._sim, self._on_hold_expiry, background=True,
-                label=f"{self.router.name}:hold",
-            )
-        self._hold_timer.start(self.timers.hold_time)
-
-    def _start_keepalives(self) -> None:
-        if self._keepalive_timer is None:
-            # "bgp.keepalive" is one by-name stream for all sessions, so
-            # when a session makes its timer cannot change the draws.
-            self._keepalive_timer = PeriodicTimer(
-                self._sim,
-                self._send_keepalive,
-                max(self.timers.keepalive_interval, 1e-3),
-                background=True,
-                label=f"{self.router.name}:keepalive",
-                jitter=0.25 if self.timers.keepalive_interval > 0 else 0.0,
-                jitter_rng=self._sim.rng("bgp.keepalive"),
-            )
-        self._keepalive_timer.start()
-
-    def _on_hold_expiry(self) -> None:
-        self.stop(notify_peer=False, reason="hold_timer")
-        if self.link.up:
-            self.start(delay=self.timers.reconnect_delay)
-
-    def _send_keepalive(self) -> None:
-        if self.established and self.link.up:
-            self.link.transmit(
-                self.router,
-                BGPKeepalive(sender_asn=self.local_asn),
-                background=True,
-            )
+            self.start(delay=RECONNECT_DELAY)
 
     # ------------------------------------------------------------------
     # route advertisement with MRAI pacing
@@ -436,9 +376,9 @@ class BGPSession:
     def schedule_route(self, prefix: Prefix) -> None:
         """Note that this peer may need an UPDATE about ``prefix``.
 
-        The actual content is computed at send time by diffing Loc-RIB
-        (through export policy) against Adj-RIB-Out, so intermediate flaps
-        within one MRAI round collapse naturally.  Every decision change
+        The actual content is computed at send time by comparing the
+        host's export (``_export_attrs``) with the Adj-RIB-Out, so
+        intermediate flaps within one MRAI round collapse naturally.  Every decision change
         calls this once per session, so it reads the MRAI expiry's and
         the pending run's events directly instead of through helpers.
         """
@@ -466,8 +406,8 @@ class BGPSession:
             return
         if not self.timers.withdrawal_rate_limited:
             # RFC default: withdrawals escape the MRAI gate.
-            action = self.router.outbound_diff(self, prefix)
-            if action is not None and action[0] == "withdraw":
+            attrs = self.router._export_attrs(self, prefix)
+            if attrs is None and self.rib_out.get(prefix) is not None:
                 dirty.pop(prefix, None)
                 self._send_update(announced=(), withdrawn=(prefix,))
                 self.rib_out.mark_sent(prefix, None)
@@ -523,25 +463,16 @@ class BGPSession:
             # On MRAI expiry the gate simply opens: the next change is
             # sent at once (RFC behaviour after a quiet interval).
             return
-        router = self.router
         rib_out = self.rib_out
-        # A BGP router's export is its own update-group memo, compared
-        # with the Adj-RIB-Out entry (the interned attributes make a
-        # match usually the same object); the cluster speaker asks its
-        # controller, through its outbound_diff.
-        export = getattr(router, "_export_attrs", None)
+        # The host's export compared with the Adj-RIB-Out entry (the
+        # interned attributes make a match usually the same object).
+        export = self.router._export_attrs
         pending_obs = self._pending_obs
         sends = None
         for prefix in pending:
-            if export is None:
-                action = router.outbound_diff(self, prefix)
-                send = action is not None
-                attrs = action[1] if send else None
-            else:
-                attrs = export(self, prefix)
-                held = rib_out.get(prefix)
-                send = held is not attrs and held != attrs
-            if send:
+            attrs = export(self, prefix)
+            held = rib_out.get(prefix)
+            if held is not attrs and held != attrs:
                 if sends is None:
                     sends = []
                 sends.append((prefix, attrs))

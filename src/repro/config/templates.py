@@ -85,10 +85,9 @@ def render_bgpd_conf(router: "BGPRouter") -> str:
         "!",
         f"router bgp {router.asn}",
         f" bgp router-id {router.address or '0.0.0.0'}",
+        " bgp fast-external-fallover",
+        " bgp always-compare-med",
     ]
-    if router.timers.fast_fallover:
-        lines.append(" bgp fast-external-fallover")
-    lines.append(" bgp always-compare-med")
     for prefix in sorted(router.originated):
         lines.append(f" network {prefix}")
     for link_id in sorted(router.sessions):

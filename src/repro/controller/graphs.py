@@ -55,6 +55,7 @@ __all__ = [
     "ASTopologyGraph",
     "DEST",
     "INTRA_WEIGHT",
+    "EGRESS_BASE_COST",
     "build_as_topology",
 ]
 
@@ -63,6 +64,9 @@ DEST = "__dest__"
 
 #: Weight of one intra-cluster hop in the AS topology graph.
 INTRA_WEIGHT = 1.0
+
+#: Weight every egress edge adds to its external AS-path length.
+EGRESS_BASE_COST = 1.0
 
 
 @dataclass(frozen=True)
@@ -286,8 +290,6 @@ def build_as_topology(
     prefix: Prefix,
     external_routes: Iterable[ExternalRoute],
     originating_members: Iterable[str] = (),
-    *,
-    egress_base_cost: float = 1.0,
 ) -> ASTopologyGraph:
     """Transform the switch graph into the AS topology graph for ``prefix``.
 
@@ -297,11 +299,11 @@ def build_as_topology(
     speaker's per-session loop check already dropped that — but a path
     through a fellow sub-cluster member would re-enter this sub-cluster.)
 
-    Weights: intra-cluster hop = 1; egress edge = ``egress_base_cost`` +
-    external AS-path length; local origination = 0.  With the default
-    base cost this makes total weight equal to the AS-level hop count of
-    the resulting route, so Dijkstra picks what BGP's shortest-AS-path
-    step would, minus the exploration.
+    Weights: intra-cluster hop = 1; egress edge = ``EGRESS_BASE_COST`` +
+    external AS-path length; local origination = 0.  This makes total
+    weight equal to the AS-level hop count of the resulting route, so
+    Dijkstra picks what BGP's shortest-AS-path step would, minus the
+    exploration.
     """
     view = switch_graph.view()
     topo = ASTopologyGraph(prefix, view.members, view.neighbors)
@@ -334,7 +336,7 @@ def build_as_topology(
     for member, (_, route) in best_per_member.items():
         if member in dest_edges:
             continue  # origination wins
-        dest_edges[member] = (egress_base_cost + route.path_len, "egress")
+        dest_edges[member] = (EGRESS_BASE_COST + route.path_len, "egress")
         topo.egress_choice[member] = ("egress", route)
 
     return topo

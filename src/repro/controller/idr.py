@@ -53,8 +53,6 @@ class ControllerConfig:
     #: (quiescence-style); if False it fires a fixed delay after the
     #: first event of a burst (rate-limit style, the paper's behaviour).
     extend_on_burst: bool = False
-    #: weight added to every egress edge in the AS topology graph.
-    egress_base_cost: float = 1.0
 
 
 class IDRController(Node):
@@ -389,7 +387,6 @@ class IDRController(Node):
             prefix,
             routes,
             self.originations.get(prefix, ()),
-            egress_base_cost=self.config.egress_base_cost,
         )
         # The decisions are a function of the view (members, links,
         # ASNs) and the edges to DEST.  If neither moved since this

@@ -20,11 +20,11 @@ paper's related-work comparison).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..bgp.attrs import PathAttributes
 from ..bgp.messages import BGPMessage, BGPUpdate
-from ..bgp.rib import AdjRibIn, AdjRibOut, Route, RouteIndex
+from ..bgp.rib import Route, RouteIndex
 from ..bgp.session import BGPSession, BGPTimers
 from ..eventsim import Simulator
 from ..net.addr import Prefix
@@ -209,16 +209,6 @@ class ClusterBGPSpeaker(Node):
                 return self.sessions[link_id]
         return None
 
-    def adj_rib_in(self, session: BGPSession) -> AdjRibIn:
-        """Per-peer Adj-RIB-In for a session (an empty read-only one
-        until the session first comes up)."""
-        return session.rib_in
-
-    def adj_rib_out(self, session: BGPSession) -> AdjRibOut:
-        """Per-peer Adj-RIB-Out for a session (an empty read-only one
-        until the session first comes up)."""
-        return session.rib_out
-
     # ------------------------------------------------------------------
     # message dispatch
     # ------------------------------------------------------------------
@@ -362,20 +352,20 @@ class ClusterBGPSpeaker(Node):
                 return
             self.controller.route_event(peering, affected)
 
-    def outbound_diff(
+    def _export_attrs(
         self, session: BGPSession, prefix: Prefix
-    ) -> Optional[Tuple[str, Optional[PathAttributes]]]:
-        """Ask the controller what this peering should see, diff vs sent."""
+    ) -> Optional[PathAttributes]:
+        """What the controller wants this peering to see for ``prefix``,
+        or None (the session host's one export question)."""
         if not self.controller_reachable:
-            # Partitioned: no policy input, so the current advertisement
-            # stands (returning None attrs here would send a spurious
-            # withdrawal for routes the controller still wants out).
+            # Partitioned: no policy input, so what was sent stands —
+            # the session sees no change and sends nothing.
+            return session.rib_out.get(prefix)
+        if self.controller is None:
             return None
-        peering = self.peering_of[session.link.link_id]
-        attrs: Optional[PathAttributes] = None
-        if self.controller is not None:
-            attrs = self.controller.desired_advertisement(peering, prefix)
-        return session.rib_out.diff(prefix, attrs)
+        return self.controller.desired_advertisement(
+            self.peering_of[session.link.link_id], prefix
+        )
 
     # ------------------------------------------------------------------
     # controller-facing queries

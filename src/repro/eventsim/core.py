@@ -8,7 +8,7 @@ single :class:`Simulator` event loop.
 Events are classified as *foreground* (work that can still change routing
 state: message deliveries, MRAI expirations, controller recomputations)
 or *background* (periodic housekeeping that never changes routing state
-by itself: keepalives, probe transmissions, collector flushes).  The
+by itself: probe transmissions, collector flushes).  The
 distinction is what lets :meth:`Simulator.run_until_settled` detect
 routing convergence exactly: the network has converged when no foreground
 event remains in the queue.

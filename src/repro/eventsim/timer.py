@@ -1,12 +1,10 @@
-"""Restartable one-shot and periodic timers on top of the kernel.
+"""Restartable one-shot, periodic and debounced timers on the kernel.
 
-BGP needs several timer disciplines: hold/keepalive (periodic) and the
-IDR controller's debounced recomputation (one-shot that *extends* on new
-input).  This module keeps that logic in one audited place.  A BGP
-session's MRAI expiry and connect wait are the exception: every session
-has them, so each is one bare kernel event in a session slot, armed with
-``schedule`` and disarmed with ``cancel`` (docs/scaling.md, "Set-up
-cost").
+The IDR controller's delayed recomputation (a one-shot that *extends*
+on new input) is the one in use.  A BGP session's MRAI expiry and
+connect wait are bare kernel events in session slots instead, armed
+with ``schedule`` and disarmed with ``cancel``: every session has them
+(docs/scaling.md, "Set-up cost").
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ class Timer:
     """A restartable one-shot timer.
 
     ``start`` arms (or re-arms) the timer; ``stop`` disarms it.  The
-    callback fires once per arming.  Slotted: a BGP session makes one,
-    its hold timer, under ``keepalives_enabled``, and a 5000-AS storm
-    has tens of thousands of sessions.
+    callback fires once per arming.
     """
 
     __slots__ = ("_sim", "_callback", "_background", "_label", "_event")
@@ -76,7 +72,7 @@ class PeriodicTimer:
 
     Optional ``jitter_rng``/``jitter`` draw each period uniformly from
     ``[interval * (1 - jitter), interval]`` — the RFC 4271 style of timer
-    jitter used to desynchronize keepalives and MRAI rounds.
+    jitter used to desynchronize periodic work.
     """
 
     def __init__(

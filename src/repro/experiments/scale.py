@@ -23,7 +23,7 @@ from typing import Any, Dict, List
 
 from ..bgp.attrs import intern_stats
 from ..framework.convergence import measure_event
-from ..framework.experiment import Experiment
+from ..framework.experiment import Experiment, _full_collections_held
 from ..runner.jobs import RunSpec
 from ..topology import caida_hierarchy
 from .common import (
@@ -61,9 +61,12 @@ def scale_spec(n: int, seed: int = 0) -> RunSpec:
     )
 
 
+@_full_collections_held()
 def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
     """Mirror of ``run_trial_full`` that keeps the live experiment in
-    scope, so kernel counters and intern pools can be read directly."""
+    scope, so kernel counters and intern pools can be read directly.
+    Like ``run_scenario_full`` it runs no automatic collection from
+    topology to result: every pass would walk live objects only."""
     scenario = spec.scenario_factory()
     topology = scenario.topology(spec.n, spec.topology_factory)
     members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)

@@ -131,7 +131,7 @@ class InvariantChecker:
                         )
                     )
                     continue
-                held = node.adj_rib_in(session).get(route.prefix)
+                held = session.rib_in.get(route.prefix)
                 if held is None or held.attrs != route.attrs:
                     out.append(
                         InvariantViolation(

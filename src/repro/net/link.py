@@ -139,7 +139,7 @@ class Link:
         been notified, so this signals a protocol bug.
 
         ``background=True`` marks the delivery as routing-irrelevant
-        (periodic keepalives, probe packets): it will not hold up
+        (probe packets): it will not hold up
         convergence detection.
         """
         if not self.up:

@@ -1,4 +1,7 @@
-"""Unit tests for the route collector."""
+"""Unit tests for the route collector.
+
+What the collector hears is a fold over its ``bgp.update.rx`` records
+(the collector keeps no feed of its own)."""
 
 from repro.bgp.collector import RouteCollector
 from repro.bgp.router import BGPRouter
@@ -6,6 +9,7 @@ from repro.bgp.session import BGPTimers
 from repro.framework.experiment import Experiment, ExperimentConfig
 from repro.net.addr import Prefix
 from repro.topology.builders import clique
+from tests.conftest import select, subscribe_records, touching
 
 PFX = Prefix.parse("192.168.0.0/24")
 
@@ -28,67 +32,81 @@ def build(net, n=2):
         link = net.add_link(router, collector, kind="collector")
         router.add_peer(link, timers=BGPTimers(mrai=0.0))
         collector.add_peer(link)
+    records = subscribe_records(net.bus, ["bgp.update.rx"])
     for node in routers + [collector]:
         node.start()
     net.sim.run_until_settled()
-    return routers, collector
+    return routers, collector, records
+
+
+def heard(records, collector, since=None):
+    """The UPDATEs ``collector`` received, as its rx records."""
+    return select(records, node=collector.name, since=since)
 
 
 class TestCollection:
     def test_feed_records_announcements(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
-        touched = collector.updates_for(PFX)
+        touched = touching(heard(records, collector), PFX)
         assert touched
-        assert any(u.peer_name == "as1" for u in touched)
+        assert any(r.data["peer"] == "as1" for r in touched)
 
     def test_feed_records_withdrawals(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
         a.withdraw(PFX)
         net.sim.run_until_settled()
-        assert any(u.is_withdrawal for u in collector.updates_for(PFX))
+        assert any(
+            r.data["withdrawn"] and not r.data["announced"]
+            for r in touching(heard(records, collector), PFX)
+        )
 
     def test_feed_timestamps_monotonic(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
-        times = [u.time for u in collector.feed]
-        assert times == sorted(times)
+        times = [r.time for r in heard(records, collector)]
+        assert times and times == sorted(times)
 
     def test_updates_since(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
         cut = net.sim.now
         b.originate(Prefix.parse("192.168.1.0/24"))
         net.sim.run_until_settled()
-        later = collector.updates_since(cut)
-        assert later and all(u.time >= cut for u in later)
+        later = heard(records, collector, since=cut)
+        assert later and all(r.time >= cut for r in later)
+        assert touching(later, Prefix.parse("192.168.1.0/24"))
+        assert not touching(later, PFX)
 
     def test_last_update_time(self, net):
-        (a, b), collector = build(net)
-        assert collector.last_update_time(net.sim.now + 1) is None
+        (a, b), collector, records = build(net)
+        t0 = net.sim.now
+        assert not heard(records, collector, since=t0 + 1)
         a.originate(PFX)
         net.sim.run_until_settled()
-        assert collector.last_update_time() is not None
+        last = max(r.time for r in heard(records, collector))
+        assert t0 < last <= net.sim.now
 
 
 class TestSilence:
     def test_collector_never_announces(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
         # no router ever hears anything from the collector
         for router in (a, b):
             for session in router.sessions.values():
                 if session.peer_name == "collector":
-                    assert len(router.adj_rib_in(session)) == 0
+                    assert len(session.rib_in) == 0
+        assert all(r.data["peer"] != "collector" for r in records)
 
     def test_collector_loc_rib_learns_routes(self, net):
-        (a, b), collector = build(net)
+        (a, b), collector, records = build(net)
         a.originate(PFX)
         net.sim.run_until_settled()
         assert collector.loc_rib.get(PFX) is not None

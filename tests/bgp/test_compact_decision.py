@@ -74,7 +74,7 @@ def learning_pair(net):
     a.originate(P2)
     net.sim.run_until_settled()
     (session,) = b.sessions.values()
-    assert b.adj_rib_in(session).get(P1) and b.adj_rib_in(session).get(P2)
+    assert session.rib_in.get(P1) and session.rib_in.get(P2)
     return a, b, session
 
 
@@ -94,7 +94,7 @@ class TestSessionReplacement:
         # the index with it.
         a, b, session = learning_pair(net)
         b.session_up(session)
-        assert len(b.adj_rib_in(session)) == 0
+        assert len(session.rib_in) == 0
         assert b._index.get(P1) == {} and b._index.get(P2) == {}
         for prefix in b.known_prefixes():
             assert b.candidates(prefix) == b._scan_candidates(prefix)

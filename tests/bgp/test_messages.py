@@ -72,7 +72,7 @@ class TestUpdate:
 
 class TestOthers:
     def test_open_carries_identity(self):
-        msg = BGPOpen(sender_asn=9, router_id="as9", hold_time=90.0)
+        msg = BGPOpen(sender_asn=9, router_id="as9")
         assert msg.sender_asn == 9 and msg.router_id == "as9"
 
     def test_keepalive_describe(self):

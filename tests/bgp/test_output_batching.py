@@ -181,7 +181,7 @@ class TestMraiDrawContract:
         speaker = exp.speaker
         toward = [
             s for s in speaker.sessions.values()
-            if speaker.adj_rib_out(s).get(prefix) is not None
+            if s.rib_out.get(prefix) is not None
         ]
         assert len(toward) > 1 and all(s.timers.mrai == 0 for s in toward)
         rng = sim.rng("bgp.mrai")
@@ -189,7 +189,7 @@ class TestMraiDrawContract:
         quiet, resent = toward[0], toward[-1]
         # a run with nothing to send, and one that re-sends a route
         # Adj-RIB-Out no longer holds
-        speaker.adj_rib_out(resent).mark_sent(prefix, None)
+        resent.rib_out.mark_sent(prefix, None)
         before = quiet.updates_sent, resent.updates_sent
         quiet.schedule_route(prefix)
         resent.schedule_route(prefix)

@@ -184,7 +184,7 @@ class TestPolicyTable:
         assert best.attrs.local_pref == local_pref
         tail = (1,) if learned is None else (1, 2)
         for rel, session in toward.items():
-            sent = hub.adj_rib_out(session).get(ORIGIN_PFX)
+            sent = session.rib_out.get(ORIGIN_PFX)
             heard = routers[STUBS[rel]].loc_rib.get(ORIGIN_PFX)
             if rel not in exported:
                 assert sent is None and heard is None, rel
@@ -248,5 +248,5 @@ class TestPolicyTable:
         assert held.attrs.as_path.asns == (1,)
         assert held.attrs.local_pref == DEFAULT_LOCAL_PREF
         for session in feeds.values():
-            assert collector.adj_rib_out(session).get(ORIGIN_PFX) is None
+            assert session.rib_out.get(ORIGIN_PFX) is None
         assert as2.loc_rib.get(ORIGIN_PFX) is None

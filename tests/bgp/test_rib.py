@@ -90,41 +90,41 @@ class TestLocRib:
 
 
 class TestAdjRibOut:
+    """The table an output run compares the host's export with: a prefix
+    is sent when the export is neither the held object nor equal to it
+    (``BGPSession._flush``)."""
+
     def test_first_announce_needed(self):
         rib = AdjRibOut(1)
-        attrs = PathAttributes(as_path=AsPath.of(1))
-        assert rib.diff(PFX, attrs) == ("announce", attrs)
+        assert rib.get(PFX) is None
 
     def test_same_attrs_no_resend(self):
         rib = AdjRibOut(1)
         attrs = PathAttributes(as_path=AsPath.of(1))
         rib.mark_sent(PFX, attrs)
-        assert rib.diff(PFX, attrs) is None
+        assert rib.get(PFX) is attrs
+        assert rib.get(PFX) == PathAttributes(as_path=AsPath.of(1))
 
     def test_changed_attrs_resend(self):
         rib = AdjRibOut(1)
         rib.mark_sent(PFX, PathAttributes(as_path=AsPath.of(1)))
         new = PathAttributes(as_path=AsPath.of(2, 1))
-        assert rib.diff(PFX, new) == ("announce", new)
+        assert rib.get(PFX) != new
+        rib.mark_sent(PFX, new)
+        assert rib.get(PFX) is new
 
     def test_withdraw_only_if_previously_sent(self):
         rib = AdjRibOut(1)
-        assert rib.diff(PFX, None) is None
+        assert rib.get(PFX) is None
         rib.mark_sent(PFX, PathAttributes())
-        assert rib.diff(PFX, None) == ("withdraw", None)
+        assert rib.get(PFX) is not None
 
     def test_mark_sent_none_clears(self):
         rib = AdjRibOut(1)
         rib.mark_sent(PFX, PathAttributes())
         rib.mark_sent(PFX, None)
-        assert rib.diff(PFX, None) is None
+        assert rib.get(PFX) is None
         assert len(rib) == 0
-
-    def test_diff_does_not_mutate(self):
-        rib = AdjRibOut(1)
-        attrs = PathAttributes()
-        rib.diff(PFX, attrs)
-        assert rib.diff(PFX, attrs) == ("announce", attrs)
 
 
 class TestRoute:

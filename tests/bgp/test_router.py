@@ -80,7 +80,7 @@ class TestPropagation:
         # accept any path containing 3, so check rib contents directly.
         for router in (a, b, c):
             for session in router.sessions.values():
-                for route in router.adj_rib_in(session):
+                for route in session.rib_in:
                     assert not route.attrs.as_path.contains(router.asn)
 
     def test_best_path_prefers_direct(self, bgp_triangle, net):
@@ -127,7 +127,7 @@ class TestPropagation:
         # b's best is via a; b must not have advertised the prefix back to a
         for session in a.sessions.values():
             if session.peer_name == "as2":
-                route = a.adj_rib_in(session).get(PFX)
+                route = session.rib_in.get(PFX)
                 assert route is None
 
 
@@ -190,7 +190,7 @@ class TestGaoRexfordIntegration:
         # and as3 -> as1 session must not carry it:
         for session in routers[1].sessions.values():
             if session.peer_name == "as3":
-                assert routers[1].adj_rib_in(session).get(PFX) is None
+                assert session.rib_in.get(PFX) is None
 
     def test_customer_prefers_customer_route(self, net):
         routers = self.build(net)

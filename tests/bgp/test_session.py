@@ -77,12 +77,6 @@ class TestTeardown:
         assert sa.state is SessionState.IDLE
         assert sb.state is SessionState.IDLE
 
-    def test_no_fallover_without_fast_fallover(self, net):
-        timers = BGPTimers(mrai=10.0, fast_fallover=False)
-        a, b, link, sa, sb = make_pair(net, timers, timers)
-        link.fail()
-        assert sa.established  # failure undetected (no keepalives)
-
     def test_session_reestablishes_after_restore(self, net):
         a, b, link, sa, sb = make_pair(net)
         link.fail()
@@ -225,26 +219,3 @@ class TestMraiPacing:
         a, b, link, sa, sb = make_pair(net, timers, timers)
         period = sa._mrai_period()
         assert 7.5 <= period <= 10.0
-
-
-class TestKeepalives:
-    def test_keepalives_maintain_session(self, net):
-        timers = BGPTimers(
-            mrai=1.0, keepalives_enabled=True,
-            keepalive_interval=5.0, hold_time=15.0,
-        )
-        a, b, link, sa, sb = make_pair(net, timers, timers)
-        net.sim.run(until=net.sim.now + 60.0)
-        assert sa.established and sb.established
-
-    def test_hold_timer_detects_silent_failure(self, net, records):
-        timers = BGPTimers(
-            mrai=1.0, keepalives_enabled=True,
-            keepalive_interval=5.0, hold_time=15.0, fast_fallover=False,
-        )
-        a, b, link, sa, sb = make_pair(net, timers, timers)
-        link.up = False  # silent failure: no notifications
-        net.sim.run(until=net.sim.now + 30.0)
-        assert not sa.established
-        downs = select(records, category="bgp.session.down")
-        assert any(r.data.get("reason") == "hold_timer" for r in downs)

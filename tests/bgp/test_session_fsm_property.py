@@ -92,7 +92,7 @@ def test_fsm_never_crashes_or_corrupts(sequence):
         assert session.state in SessionState
         # invariant: non-established sessions advertise nothing
         if not session.established:
-            assert len(a.adj_rib_out(session)) == 0
+            assert len(session.rib_out) == 0
 
     net.sim.run(until=net.sim.now + 5.0)
     assert session.state in SessionState
@@ -101,4 +101,4 @@ def test_fsm_never_crashes_or_corrupts(sequence):
         assert session.peer_asn == 2
     else:
         # ...and a dead session holds no routes from the peer
-        assert len(a.adj_rib_in(session)) == 0
+        assert len(session.rib_in) == 0

@@ -73,14 +73,14 @@ class TestOneEvaluationPerGroup:
         net.sim.run_until_settled()
         # one best change at the hub, three sessions exporting it
         assert counting.evaluations == 1
-        sent = [hub.adj_rib_out(toward[s]).get(PFX) for s in others]
+        sent = [toward[s].rib_out.get(PFX) for s in others]
         assert sent[0] is not None
         assert all(attrs is sent[0] for attrs in sent)
         assert sent[0].as_path.asns == (1, origin.asn)
         for spoke in others:
             assert spoke.loc_rib.get(PFX).attrs.as_path.asns == (1, origin.asn)
         # split horizon is still per session: nothing goes back to the origin
-        assert hub.adj_rib_out(toward[origin]).get(PFX) is None
+        assert toward[origin].rib_out.get(PFX) is None
 
         origin.withdraw(PFX)
         net.sim.run_until_settled()
@@ -148,7 +148,7 @@ class TestMemoLifetime:
         exp.restart_router(1)
         exp.wait_converged()
         for session in origin.sessions.values():
-            sent = origin.adj_rib_out(session).get(prefix)
+            sent = session.rib_out.get(prefix)
             assert sent is not None and sent.as_path.asns == (1,)
         for asn in (2, 3, 4):
             best = exp.node(asn).loc_rib.get(prefix)
@@ -170,8 +170,8 @@ class TestMemoLifetime:
         assert best is origin.loc_rib.get(prefix)
         groups = {policy for policy, _ in exports}
         assert {to2.policy, to3.policy} <= groups
-        assert origin.adj_rib_out(to2).get(prefix).as_path.asns == (1, 1, 1, 1)
-        assert origin.adj_rib_out(to3).get(prefix).as_path.asns == (1,)
+        assert to2.rib_out.get(prefix).as_path.asns == (1, 1, 1, 1)
+        assert to3.rib_out.get(prefix).as_path.asns == (1,)
 
 
 class TestOutputRunsStay:
@@ -183,7 +183,8 @@ class TestOutputRunsStay:
         net.sim.run_until_settled()
         # b's best came from a: split horizon leaves b nothing to send a
         session = next(iter(b.sessions.values()))
-        assert b.outbound_diff(session, PFX) is None
+        assert b._export_attrs(session, PFX) is None
+        assert session.rib_out.get(PFX) is None
         rng = net.sim.rng("bgp.mrai")
         state = rng.getstate()
         sent = session.updates_sent

@@ -39,6 +39,17 @@ def select(records, category=None, *, node=None, since=None):
     ]
 
 
+def touching(records, prefix):
+    """The ``bgp.update.*`` ``records`` that announce or withdraw
+    ``prefix``."""
+    text = str(prefix)
+    return [
+        r for r in records
+        if text in r.data["withdrawn"]
+        or any(p == text for p, _ in r.data["announced"])
+    ]
+
+
 @pytest.fixture
 def records(net):
     """Every record ``net`` publishes after the fixture is set up."""

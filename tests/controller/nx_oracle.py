@@ -92,7 +92,6 @@ class NxSwitchGraph:
 
 def nx_build_as_topology(
     switch_graph, prefix, external_routes, originating_members=(),
-    *, egress_base_cost=1.0,
 ):
     """``(graph, egress_choice)`` the way the controller used to build them."""
     graph = nx.DiGraph()
@@ -139,7 +138,7 @@ def nx_build_as_topology(
             continue
         graph.add_edge(
             member, DEST,
-            weight=egress_base_cost + route.path_len,
+            weight=1.0 + route.path_len,
             kind="egress",
         )
         egress_choice[member] = ("egress", route)
@@ -218,7 +217,6 @@ def random_case(rng):
     return dict(
         members=members, asn=asn, links=links, flips=flips,
         originations=originations, routes=routes,
-        egress_base_cost=rng.choice([1.0, 1.0, 0.5]),
     )
 
 
@@ -266,12 +264,9 @@ def _compare(new, old, routes, case):
             assert new.intra_link_name(member, other) == old.intra_link_name(
                 member, other
             )
-    cost = case["egress_base_cost"]
-    topo = build_as_topology(
-        new, PFX, routes, case["originations"], egress_base_cost=cost
-    )
+    topo = build_as_topology(new, PFX, routes, case["originations"])
     graph, egress_choice = nx_build_as_topology(
-        old, PFX, routes, case["originations"], egress_base_cost=cost
+        old, PFX, routes, case["originations"]
     )
     assert topo.egress_choice == egress_choice
     derived = topo.graph

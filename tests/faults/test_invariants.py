@@ -56,7 +56,7 @@ class TestCorruptedState:
         node = exp.node(3)
         route = node.loc_rib.get(exp.as_prefix(1))
         session = node.sessions[route.link_id]
-        node.adj_rib_in(session).withdraw(route.prefix)
+        session.rib_in.withdraw(route.prefix)
         violations = InvariantChecker(exp).check_loc_rib_consistency()
         assert any(
             v.check == "stale_loc_rib" and v.node == node.name

@@ -11,6 +11,7 @@ from repro.framework.experiment import (
     ExperimentError,
 )
 from repro.topology.builders import clique, line
+from tests.conftest import subscribe_records
 
 
 def build(topo=None, sdn=(), seed=1, mrai=1.0):
@@ -87,9 +88,13 @@ class TestAddAs:
 
     def test_new_as_peers_with_collector(self):
         exp = build()
+        records = subscribe_records(exp.net.bus, ["bgp.update.rx"])
         exp.add_as(9, links=[1])
         exp.wait_converged()
-        assert any(u.peer_name == "as9" for u in exp.collector.feed)
+        assert any(
+            r.node == exp.collector.name and r.data["peer"] == "as9"
+            for r in records
+        )
 
     def test_add_sdn_member_at_runtime(self):
         exp = build(sdn=(4,))

@@ -203,16 +203,16 @@ class TestNothingBuiltAheadOfUse:
             ], link
         exp.start()
         sessions = [
-            (node, session)
+            session
             for node in (*exp.as_nodes(), exp.collector, exp.speaker)
             if isinstance(node, (BGPRouter, ClusterBGPSpeaker))
             for session in node.sessions.values()
         ]
-        assert sessions and all(s.established for _, s in sessions)
+        assert sessions and all(s.established for s in sessions)
         # One table of each per session, and no other.
         for tables in (
-            {id(node.adj_rib_in(s)) for node, s in sessions},
-            {id(node.adj_rib_out(s)) for node, s in sessions},
+            {id(s.rib_in) for s in sessions},
+            {id(s.rib_out) for s in sessions},
         ):
             assert len(tables) == len(sessions)
         after = instances(AdjRibIn, AdjRibOut)

@@ -192,3 +192,28 @@ def test_the_scale_trial_retains_no_trace(monkeypatch):
     [exp] = built_exps
     assert exp.net.bus.subscriptions == []
     exp.close()
+
+
+def test_the_scale_trial_runs_no_automatic_collection(monkeypatch):
+    """``scale._measure_trial`` holds every generation from topology to
+    result, as ``run_scenario_full`` does: its ``scenario.prepare``
+    (announce, then settle) runs outside the holds ``build()``,
+    ``start()`` and ``measure_event`` take of their own."""
+    from repro.experiments.common import WithdrawalScenario
+    from repro.experiments.scale import _measure_trial, scale_spec
+
+    thresholds = []
+    built_exps = []
+    prepare = WithdrawalScenario.prepare
+
+    def recording(self, exp):
+        thresholds.append(gc.get_threshold()[0])
+        built_exps.append(exp)
+        prepare(self, exp)
+
+    monkeypatch.setattr(WithdrawalScenario, "prepare", recording)
+    assert gc.isenabled() and gc.get_threshold()[0] > 0
+    _measure_trial(scale_spec(60))
+    assert thresholds == [0]
+    assert gc.get_threshold()[0] > 0
+    built_exps[0].close()

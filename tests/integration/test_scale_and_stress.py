@@ -93,12 +93,12 @@ class TestRibConsistency:
                 if peer_session is None:
                     continue
                 sent = {
-                    str(p): node.adj_rib_out(session).get(p)
-                    for p in node.adj_rib_out(session).prefixes()
+                    str(p): session.rib_out.get(p)
+                    for p in session.rib_out.prefixes()
                 }
                 held = {
                     str(r.prefix): r
-                    for r in peer.adj_rib_in(peer_session)
+                    for r in peer_session.rib_in
                 }
                 assert set(sent) == set(held), (node.name, peer.name)
 
