@@ -54,6 +54,7 @@ from .config import ServiceConfig
 from .config.specio import scenario_names, scenario_registry, topology_registry
 from .eventsim import RecordDigest, format_snapshot
 from .experiments import (
+    FaultSuiteScenario,
     WithdrawalScenario,
     announcement_sweep,
     failover_sweep,
@@ -67,16 +68,10 @@ from .experiments import (
     topology_family_sweep,
     withdrawal_sweep,
 )
-from .experiments.common import sdn_set_for
+from .experiments.common import run_scenario_full, sdn_set_for
 from .obs import chrome_trace_json, spans_from_jsonl, spans_to_jsonl
 from .obs.registry import DEFAULT_REGISTRY_PATH, REGISTRY_ENV, RunRegistry
-from .faults import (
-    FaultInjector,
-    FaultSchedule,
-    canned_names,
-    get_canned,
-)
-from .framework import Experiment
+from .faults import FaultSchedule, canned_names, get_canned
 from .runner.cache import DEFAULT_CACHE_DIR
 from .runner.jobs import SPEC_OPTIONS, RunSpec, run_trial_full
 from .topology import clique
@@ -480,6 +475,13 @@ def cmd_faults_list(args) -> int:
     return 0
 
 
+class _DigestedFaultRun(FaultSuiteScenario):
+    """A fault suite that folds its whole record stream into a digest."""
+
+    def configure(self, exp) -> None:
+        self.digest = RecordDigest(exp.net.bus)
+
+
 def cmd_faults_run(args) -> int:
     out = args.out
     if args.spec:
@@ -489,65 +491,51 @@ def cmd_faults_run(args) -> int:
         except (OSError, ValueError) as exc:  # JSON and FaultSpecError too
             raise SystemExit(f"fault spec {args.spec}: {exc}") from None
         schedule.fault_seed = args.fault_seed
-        reserved: frozenset = frozenset()
-        origins = tuple(sorted(args.origins)) or (1,)
+        suite = dict(suite=None, faults=schedule.canonical(),
+                     origins=tuple(sorted(args.origins)) or (1,),
+                     reserved_legacy=frozenset())
         title = f"fault spec {args.spec}"
     else:
-        canned = get_canned(args.scenario)
-        schedule = canned.schedule(args.fault_seed)
-        reserved = frozenset(canned.reserved)
-        origins = canned.origins
+        suite = dict(suite=args.scenario, fault_seed=args.fault_seed)
         title = f"fault scenario {args.scenario!r}"
     out.info(
         f"{title} on a {args.n}-AS clique "
         f"(fault-seed {args.fault_seed}, seed {args.seed}, "
         f"mrai {args.mrai:g}s)"
     )
+    config = paper_config(
+        seed=args.seed, mrai=args.mrai, recompute_delay=args.recompute_delay,
+    )
     all_ok = True
     for fraction in args.fractions:
-        sdn_count = min(round(fraction * args.n), args.n - len(reserved))
-        topo = clique(args.n)
-        members = sdn_set_for(topo, sdn_count, reserved)
-        exp = Experiment(
-            topo, sdn_members=members,
-            config=paper_config(
-                seed=args.seed, mrai=args.mrai,
-                recompute_delay=args.recompute_delay,
-            ),
-        ).build()
-        digest = RecordDigest(exp.net.bus)
-        exp.start()
-        for asn in origins:
-            exp.announce(asn, exp.as_prefix(asn))
-        exp.wait_converged()
-        injector = FaultInjector(
-            exp, schedule, check_invariants=not args.no_invariants
+        scenario = _DigestedFaultRun(
+            **suite, strict=False, check_invariants=not args.no_invariants,
         )
-        result = injector.run()
+        reserved = scenario.reserved_legacy
+        sdn_count = min(round(fraction * args.n), args.n - len(reserved))
+        topo = scenario.topology(args.n)
+        members = sdn_set_for(topo, sdn_count, reserved)
+        run_scenario_full(scenario, topo, members, config)
+        result = scenario.result
         out.info(
             f"\nSDN fraction {fraction:.2f} ({sdn_count}/{args.n} converted)"
         )
-        for report in result.reports:
-            if report.skipped:
-                out.info(
-                    f"  #{report.index} {report.kind:20s} "
-                    f"t={report.t_fired:8.3f}  skipped"
-                )
-                continue
+        for report in result.reports:  # finalized: every one measured
             m = report.measurement
-            conv = f"{m.convergence_time:7.3f}s" if m else "      ?"
-            state = f"{m.state_convergence_time:7.3f}s" if m else "      ?"
-            tx = f"{m.updates_tx:4d}" if m else "   ?"
             out.info(
                 f"  #{report.index} {report.kind:20s} "
-                f"t={report.t_fired:8.3f}  conv={conv}  state={state}  "
-                f"updates={tx}"
+                f"t={report.t_fired:8.3f}  " + (
+                    "skipped" if report.skipped else
+                    f"conv={m.convergence_time:7.3f}s  "
+                    f"state={m.state_convergence_time:7.3f}s  "
+                    f"updates={m.updates_tx:4d}"
+                )
             )
         status = "PASS" if result.ok else f"FAIL ({len(result.violations)})"
         out.emit(
             f"  invariants: {status}  "
             f"settled t={result.t_end:.3f}  "
-            f"trace digest {digest.hexdigest()[:16]}"
+            f"trace digest {scenario.digest.hexdigest()[:16]}"
         )
         for violation in result.violations:
             out.emit(f"    {violation}")

@@ -12,15 +12,13 @@ churn, and time to final convergence — for both debounce disciplines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
-from ..controller.idr import ControllerConfig
 from ..faults.engine import FaultInjector
 from ..faults.schedule import FaultSchedule
-from ..framework.convergence import measure_event
 from ..framework.experiment import Experiment
 from ..topology.builders import clique
-from .common import paper_config
+from .common import Scenario, paper_config, run_scenario_once
 
 __all__ = ["FlapStormResult", "run_flap_storm", "flap_storm_sweep"]
 
@@ -51,6 +49,63 @@ class FlapStormResult:
         return self.flaps / self.recomputations
 
 
+@dataclass
+class FlapStormScenario(Scenario):
+    """AS1 announces a prefix, then flaps it: ``flaps`` flips of a
+    ``prefix_flap`` fault, withdraw first, ``interval`` apart."""
+
+    name: str = "flapstorm"
+    flaps: int = 10
+    interval: float = 0.2
+    result: Optional[FlapStormResult] = None
+
+    def prepare(self, exp: Experiment) -> None:
+        self.prefix = exp.announce(1)
+        exp.wait_converged()
+        self._before = _churn(exp)
+
+    def event(self, exp: Experiment) -> None:
+        schedule = FaultSchedule().prefix_flap(
+            1, at=0.0, count=self.flaps, interval=self.interval,
+            prefix=str(self.prefix), first="withdraw",
+        )
+        FaultInjector(exp, schedule, check_invariants=False).inject()
+
+    def finish(self, exp: Experiment) -> None:
+        recomputes, flow_mods, speaker_tx = (
+            after - before for after, before in zip(_churn(exp), self._before)
+        )
+        # Even flap count ends with an announce (last flip index is
+        # odd), odd count ends withdrawn; the data plane must agree.
+        walks = [
+            exp.net.trace_path(exp.node(asn), self.prefix.host(0)).reached
+            for asn in exp.topology.asns
+            if asn != 1
+        ]
+        config = exp.controller.config
+        self.result = FlapStormResult(
+            recompute_delay=config.recompute_delay,
+            extend_on_burst=config.extend_on_burst,
+            flaps=self.flaps,
+            recomputations=recomputes,
+            flow_mods=flow_mods,
+            speaker_updates=speaker_tx,
+            settle_after_storm=0.0,  # the measurement's: run_flap_storm's
+            final_state_correct=(
+                all(walks) if self.flaps % 2 == 0 else not any(walks)
+            ),
+        )
+
+
+def _churn(exp: Experiment) -> Tuple[int, int, int]:
+    """Recomputations, flow-mods and speaker UPDATEs sent so far."""
+    return (
+        exp.controller.recomputations,
+        exp.controller.flow_mods_sent,
+        sum(s.updates_sent for s in exp.speaker.sessions.values()),
+    )
+
+
 def run_flap_storm(
     *,
     n: int = 8,
@@ -63,63 +118,17 @@ def run_flap_storm(
     seed: int = 0,
 ) -> FlapStormResult:
     """Flap a prefix from AS1 and measure the controller's churn."""
-    topology = clique(n)
-    members = set(range(n - sdn_count + 1, n + 1))
     config = paper_config(seed=seed, mrai=mrai,
                           recompute_delay=recompute_delay)
-    config.controller = ControllerConfig(
-        recompute_delay=recompute_delay, extend_on_burst=extend_on_burst
+    config.controller.extend_on_burst = extend_on_burst
+    storm = FlapStormScenario(flaps=flaps, interval=flap_interval)
+    measurement = run_scenario_once(
+        storm, clique(n), frozenset(range(n - sdn_count + 1, n + 1)), config
     )
-    exp = Experiment(topology, sdn_members=members, config=config).start()
-    controller = exp.controller
-    speaker_sessions = exp.speaker.sessions.values()
-
-    prefix = exp.announce(1)
-    exp.wait_converged()
-
-    recomputes_before = controller.recomputations
-    flow_mods_before = controller.flow_mods_sent
-    speaker_tx_before = sum(s.updates_sent for s in speaker_sessions)
-
-    # The burst is a prefix_flap fault schedule: withdraw first, one
-    # flip every ``flap_interval`` — bit-identical to the hand-scheduled
-    # loop this replaced (pinned by the differential oracle tests).
-    storm_schedule = FaultSchedule().prefix_flap(
-        1, at=0.0, count=flaps, interval=flap_interval,
-        prefix=str(prefix), first="withdraw",
+    storm.result.settle_after_storm = max(
+        0.0, measurement.convergence_time - (flaps - 1) * flap_interval
     )
-
-    def storm() -> None:
-        FaultInjector(exp, storm_schedule, check_invariants=False).inject()
-
-    t_last_flap_offset = (flaps - 1) * flap_interval
-    measurement = measure_event(exp, storm)
-    settle_after_storm = max(
-        0.0, measurement.convergence_time - t_last_flap_offset
-    )
-
-    # Even flap count ends with an announce (last flip index is odd),
-    # odd count ends withdrawn; verify the data plane agrees either way.
-    ends_announced = flaps % 2 == 0
-    target = prefix.host(0)
-    walks = [
-        exp.net.trace_path(exp.node(asn), target).reached
-        for asn in exp.topology.asns
-        if asn != 1
-    ]
-    final_ok = all(walks) if ends_announced else not any(walks)
-    return FlapStormResult(
-        recompute_delay=recompute_delay,
-        extend_on_burst=extend_on_burst,
-        flaps=flaps,
-        recomputations=controller.recomputations - recomputes_before,
-        flow_mods=controller.flow_mods_sent - flow_mods_before,
-        speaker_updates=(
-            sum(s.updates_sent for s in speaker_sessions) - speaker_tx_before
-        ),
-        settle_after_storm=settle_after_storm,
-        final_state_correct=final_ok,
-    )
+    return storm.result
 
 
 def flap_storm_sweep(
@@ -132,15 +141,12 @@ def flap_storm_sweep(
     seed: int = 0,
 ) -> List[FlapStormResult]:
     """Storm the cluster across delays and both debounce disciplines."""
-    results: List[FlapStormResult] = []
-    for extend in (False, True):
-        for delay in delays:
-            results.append(
-                run_flap_storm(
-                    n=n, sdn_count=sdn_count, flaps=flaps,
-                    flap_interval=flap_interval,
-                    recompute_delay=delay, extend_on_burst=extend,
-                    seed=seed,
-                )
-            )
-    return results
+    return [
+        run_flap_storm(
+            n=n, sdn_count=sdn_count, flaps=flaps,
+            flap_interval=flap_interval,
+            recompute_delay=delay, extend_on_burst=extend, seed=seed,
+        )
+        for extend in (False, True)
+        for delay in delays
+    ]

@@ -22,13 +22,12 @@ import traceback
 from typing import Any, Dict, List
 
 from ..bgp.attrs import intern_stats
-from ..framework.convergence import measure_event
-from ..framework.experiment import Experiment, _full_collections_held
 from ..runner.jobs import RunSpec
 from ..topology import caida_hierarchy
 from .common import (
     WithdrawalScenario,
     paper_config,
+    run_scenario_once,
     sdn_set_for,
 )
 
@@ -61,51 +60,52 @@ def scale_spec(n: int, seed: int = 0) -> RunSpec:
     )
 
 
-@_full_collections_held()
+class _ClockedWithdrawal(WithdrawalScenario):
+    """The withdrawal, with wall clock, kernel event count and intern
+    pools read at the converged pre-storm state and after the settle."""
+
+    def prepare(self, exp) -> None:
+        super().prepare(exp)
+        self.t_ready = time.perf_counter()
+        # Sample the pools here: the storm is a withdrawal, and
+        # withdrawn routes release their (weakly held) interned
+        # attributes, so the end-of-trial pools would be empty.
+        self.pools = intern_stats()
+        self.events_ready = exp.net.sim.events_processed
+
+    def finish(self, exp) -> None:
+        self.t_done = time.perf_counter()
+        self.events_total = exp.net.sim.events_processed
+
+
 def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
-    """Mirror of ``run_trial_full`` that keeps the live experiment in
-    scope, so kernel counters and intern pools can be read directly.
-    Like ``run_scenario_full`` it runs no automatic collection from
-    topology to result: every pass would walk live objects only."""
-    scenario = spec.scenario_factory()
+    """One trial of ``spec`` (a :func:`scale_spec`: the withdrawal)
+    through ``run_scenario_full``, its phases timed."""
+    scenario = _ClockedWithdrawal()
     topology = scenario.topology(spec.n, spec.topology_factory)
     members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
     config = paper_config(**spec.config_options())
     t_start = time.perf_counter()
-    exp = Experiment(
-        topology, sdn_members=members, config=config, name=scenario.name
-    ).build()
-    scenario.configure(exp)
-    exp.start()
-    scenario.prepare(exp)
-    t_ready = time.perf_counter()
-    # Sample the pools at the converged pre-storm state: the storm is a
-    # withdrawal, and withdrawn routes release their (weakly held)
-    # interned attributes, so the end-of-trial pools would be empty.
-    pools = intern_stats()
-    events_before = exp.net.sim.events_processed
-    measurement = measure_event(
-        exp, lambda: scenario.event(exp), horizon=spec.horizon
+    measurement = run_scenario_once(
+        scenario, topology, members, config, horizon=spec.horizon
     )
-    scenario.finish(exp)
-    t_done = time.perf_counter()
-    storm_events = exp.net.sim.events_processed - events_before
-    storm_wall = t_done - t_ready
+    storm_events = scenario.events_total - scenario.events_ready
+    storm_wall = scenario.t_done - scenario.t_ready
     return {
         "n": spec.n,
         "links": len(topology.links),
         "measurement": measurement,
-        "build_wall_s": round(t_ready - t_start, 3),
+        "build_wall_s": round(scenario.t_ready - t_start, 3),
         "storm_wall_s": round(storm_wall, 3),
-        "total_wall_s": round(t_done - t_start, 3),
-        "events_total": exp.net.sim.events_processed,
+        "total_wall_s": round(scenario.t_done - t_start, 3),
+        "events_total": scenario.events_total,
         "storm_events": storm_events,
         "events_per_s": round(storm_events / storm_wall) if storm_wall > 0 else 0,
         # Linux reports ru_maxrss in KiB.
         "peak_rss_mib": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
         ),
-        "intern_pools": pools,
+        "intern_pools": scenario.pools,
     }
 
 

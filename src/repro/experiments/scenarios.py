@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..faults.engine import FaultInjector, ScenarioResult
-from ..faults.invariants import InvariantError
 from ..faults.scenarios import canned_names, get_canned
 from ..faults.schedule import FaultSchedule
 from ..framework.experiment import Experiment
@@ -43,24 +42,31 @@ class FaultSuiteScenario(Scenario):
     checker runs at quiet boundaries plus once after the final settle.
     ``faults`` (a canonical schedule tuple) overrides the canned
     schedule — it is populated automatically when a sweep embeds a
-    schedule in its :class:`~repro.runner.RunSpec`.
+    schedule in its :class:`~repro.runner.RunSpec`.  With ``suite``
+    None the scenario is ``faults`` alone: ``origins`` and
+    ``reserved_legacy`` are the caller's (a canned suite supplies both).
     """
 
     name: str = "faults"
-    suite: str = "gateway-outage"
+    suite: Optional[str] = "gateway-outage"
     fault_seed: int = 0
     faults: Optional[tuple] = None
+    #: ASNs announcing their own /24 before the faults start.
+    origins: Tuple[int, ...] = ()
     check_invariants: bool = True
     #: raise on violations so sweep runs fail loudly (the runner turns
     #: the raise into a FailedRun rather than aborting the sweep).
     strict: bool = True
-    #: the last run's full result (reports, violations, trace digest).
+    #: the last run's full result (reports, violations, settle instant).
     result: Optional[ScenarioResult] = None
 
     def __post_init__(self) -> None:
+        if self.suite is None:
+            return
         canned = get_canned(self.suite)
         self.name = f"faults:{self.suite}"
         self.reserved_legacy = frozenset(canned.reserved)
+        self.origins = canned.origins
 
     def schedule(self) -> FaultSchedule:
         if self.faults is not None:
@@ -69,20 +75,21 @@ class FaultSuiteScenario(Scenario):
 
     def prepare(self, exp: Experiment) -> None:
         """Give the checker real state: each origin announces its /24."""
-        for asn in get_canned(self.suite).origins:
+        for asn in self.origins:
             exp.announce(asn, exp.as_prefix(asn))
         exp.wait_converged()
 
     def event(self, exp: Experiment) -> None:
         self._injector = FaultInjector(
-            exp, self.schedule(), check_invariants=self.check_invariants
+            exp, self.schedule(),
+            check_invariants=self.check_invariants, strict=self.strict,
         )
         self._injector.inject()
 
     def finish(self, exp: Experiment) -> None:
-        self.result = self._injector.finalize()
-        if self.strict and not self.result.ok:
-            raise InvariantError(self.result.violations)
+        # the injector holds the experiment: keep only its result
+        injector, self._injector = self._injector, None
+        self.result = injector.finalize()
 
 
 def fault_suite_scenario(

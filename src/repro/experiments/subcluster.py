@@ -15,12 +15,12 @@ must survive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..framework.convergence import ConvergenceMeasurement, measure_event
+from ..framework.convergence import ConvergenceMeasurement
 from ..framework.experiment import Experiment
 from ..topology.model import Topology
-from .common import paper_config
+from .common import Scenario, paper_config, run_scenario_once
 
 __all__ = ["SubClusterResult", "barbell_topology", "run_subcluster_experiment"]
 
@@ -67,32 +67,49 @@ class SubClusterResult:
     cross_path_after: List[str]
 
 
+@dataclass
+class SubClusterScenario(Scenario):
+    """The bridge link fails; the sub-clusters and reachability are
+    read on either side of it."""
+
+    name: str = "subcluster"
+    result: Optional[SubClusterResult] = None
+
+    def prepare(self, exp: Experiment) -> None:
+        self._before = _sub_clusters(exp)
+        self._reachable_before = exp.all_reachable()
+
+    def event(self, exp: Experiment) -> None:
+        exp.fail_link(*BRIDGE)
+
+    def finish(self, exp: Experiment) -> None:
+        cross = exp.reachable(LEFT_MEMBERS[0], RIGHT_MEMBERS[1])
+        self.result = SubClusterResult(
+            measurement=None,  # run_subcluster_experiment's
+            sub_clusters_before=self._before,
+            sub_clusters_after=_sub_clusters(exp),
+            reachable_before=self._reachable_before,
+            reachable_after=exp.all_reachable(),
+            cross_path_after=cross.hops if cross.reached else [],
+        )
+
+
+def _sub_clusters(exp: Experiment) -> List[Tuple[str, ...]]:
+    return [
+        tuple(sorted(c)) for c in exp.controller.switch_graph.sub_clusters()
+    ]
+
+
 def run_subcluster_experiment(
     *, seed: int = 0, mrai: float = 5.0, recompute_delay: float = 0.2
 ) -> SubClusterResult:
     """Fail the bridge link and verify the legacy detour carries traffic."""
-    topology = barbell_topology()
-    config = paper_config(
-        seed=seed, mrai=mrai, recompute_delay=recompute_delay
+    config = paper_config(seed=seed, mrai=mrai,
+                          recompute_delay=recompute_delay)
+    split = SubClusterScenario()
+    measurement = run_scenario_once(
+        split, barbell_topology(),
+        frozenset(LEFT_MEMBERS + RIGHT_MEMBERS), config,
     )
-    exp = Experiment(
-        topology,
-        sdn_members=(*LEFT_MEMBERS, *RIGHT_MEMBERS),
-        config=config,
-        name="subcluster",
-    ).start()
-    controller = exp.controller
-    before = [tuple(sorted(c)) for c in controller.switch_graph.sub_clusters()]
-    reachable_before = exp.all_reachable()
-    measurement = measure_event(exp, lambda: exp.fail_link(*BRIDGE))
-    after = [tuple(sorted(c)) for c in controller.switch_graph.sub_clusters()]
-    reachable_after = exp.all_reachable()
-    cross = exp.reachable(LEFT_MEMBERS[0], RIGHT_MEMBERS[1])
-    return SubClusterResult(
-        measurement=measurement,
-        sub_clusters_before=before,
-        sub_clusters_after=after,
-        reachable_before=reachable_before,
-        reachable_after=reachable_after,
-        cross_path_after=cross.hops if cross.reached else [],
-    )
+    split.result.measurement = measurement
+    return split.result

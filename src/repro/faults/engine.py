@@ -65,16 +65,6 @@ class FaultReport:
     measurement: Optional[ConvergenceMeasurement] = None
     violations: List[InvariantViolation] = field(default_factory=list)
 
-    def describe(self) -> str:
-        if self.skipped:
-            return f"#{self.index} {self.kind} @ t={self.t_fired:.3f} (skipped)"
-        conv = (
-            f"conv={self.measurement.convergence_time:.3f}s"
-            if self.measurement is not None
-            else "conv=?"
-        )
-        return f"#{self.index} {self.kind} @ t={self.t_fired:.3f} {conv}"
-
 
 @dataclass
 class ScenarioResult:
@@ -82,7 +72,7 @@ class ScenarioResult:
 
     reports: List[FaultReport]
     violations: List[InvariantViolation]
-    t_start: float
+    #: the virtual time the run was finalized at: the settle instant.
     t_end: float
 
     @property
@@ -90,11 +80,9 @@ class ScenarioResult:
         return not self.violations
 
     def convergence_times(self) -> List[float]:
-        """Per-fault convergence times, skipped faults as 0.0."""
-        return [
-            r.measurement.convergence_time if r.measurement is not None else 0.0
-            for r in self.reports
-        ]
+        """Per-fault convergence times (a skipped fault is measured
+        too: its window opens as it fires)."""
+        return [r.measurement.convergence_time for r in self.reports]
 
 
 class FaultInjector:
@@ -139,27 +127,20 @@ class FaultInjector:
 
     def run(self, *, horizon: Optional[float] = None) -> ScenarioResult:
         """Inject, settle, and finalize in one call."""
-        t_start = self.experiment.now
         self.inject()
-        t_end = self.experiment.wait_converged(horizon)
-        return self.finalize(t_start=t_start, t_end=t_end)
+        self.experiment.wait_converged(horizon)
+        return self.finalize()
 
-    def finalize(
-        self,
-        *,
-        t_start: Optional[float] = None,
-        t_end: Optional[float] = None,
-    ) -> ScenarioResult:
-        """Close remaining windows, run the final checks, build the result."""
+    def finalize(self) -> ScenarioResult:
+        """Close remaining windows, run the final checks, build the
+        result; raise :class:`InvariantError` on a violation when
+        ``strict``."""
         if self._finalized:
             raise FaultError("scenario already finalized")
         self._finalized = True
-        now = self.experiment.now
-        self._close_open_windows()
+        self._close_open_windows()  # every report is measured now
         self._run_checks()
         for report in self.reports:
-            if report.measurement is None:
-                continue
             ordering = InvariantChecker.check_measurement(
                 report.measurement, fault=f"#{report.index} {report.kind}"
             )
@@ -168,8 +149,7 @@ class FaultInjector:
         result = ScenarioResult(
             reports=self.reports,
             violations=self.violations,
-            t_start=t_start if t_start is not None else now,
-            t_end=t_end if t_end is not None else now,
+            t_end=self.experiment.now,
         )
         if self.strict and not result.ok:
             raise InvariantError(result.violations)

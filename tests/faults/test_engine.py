@@ -136,7 +136,8 @@ class TestRouterCrash:
         assert len(node.loc_rib) == 0
         assert not [e for e in node.fib if e.source.startswith("bgp")]
         assert not node.established_sessions()
-        result = injector.finalize(t_end=exp.wait_converged())
+        exp.wait_converged()
+        result = injector.finalize()
         assert result.ok
         assert exp.all_reachable()
         # its own prefix is re-announced after restart

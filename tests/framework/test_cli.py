@@ -5,6 +5,7 @@ import argparse
 import pytest
 
 from repro.cli import _parse_sdn, _parse_topology, build_parser, main
+from repro.faults import get_canned
 from repro.runner.jobs import SPEC_OPTIONS
 
 
@@ -245,6 +246,30 @@ class TestFaultInputs:
         message = exit_info.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"fault spec {path}: ") and problem in message
+
+
+    def test_spec_file_runs_its_schedule(self, tmp_path, capsys):
+        """A spec file is the schedule alone: no AS is reserved, the
+        ``--origins`` announce, and ``--fault-seed`` is its seed."""
+        path = tmp_path / "faults.json"
+        path.write_text(get_canned("gateway-outage").schedule(0).to_json())
+        assert main([
+            "faults", "run", "--n", "8", "--spec", str(path),
+            "--origins", "1,3", "--fault-seed", "7",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"PASS: fault spec {path}, 3 fraction(s)" in out
+        assert "SDN fraction 1.00 (8/8 converted)" in out
+        assert [
+            line.strip() for line in out.splitlines() if "invariants:" in line
+        ] == [
+            f"invariants: PASS  settled t={t}  trace digest {digest}"
+            for t, digest in [
+                ("26.423", "b9da4a3a79fdb0f0"),
+                ("25.938", "cd67e19005498714"),
+                ("7.503", "46f3f14b52b594ec"),
+            ]
+        ]
 
 
 def _leaves(parser, path=()):

@@ -96,5 +96,6 @@ class TestScheduleExecution:
         injector.inject()
         exp.net.sim.run(until=exp.now + 10.0)
         assert not exp.reachable(1, 3).reached
-        injector.finalize(t_end=exp.wait_converged())
+        exp.wait_converged()
+        injector.finalize()
         assert exp.reachable(1, 3).reached

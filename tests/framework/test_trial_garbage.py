@@ -12,7 +12,10 @@ import weakref
 
 import pytest
 
+from repro.cli import Output, build_parser
 from repro.experiments.common import paper_config
+from repro.experiments.flapstorm import run_flap_storm
+from repro.experiments.subcluster import run_subcluster_experiment
 from repro.faults.invariants import (
     InvariantChecker,
     InvariantError,
@@ -175,40 +178,28 @@ def test_storm_phases_make_no_cyclic_garbage(collector_off):
     exp.close()
 
 
-def test_the_scale_trial_retains_no_trace(monkeypatch):
-    """``scale._measure_trial``, which keeps its experiment live, takes
-    no trace either."""
+def test_the_scale_trial_retains_no_trace(closing):
+    """``scale._measure_trial`` takes no trace either, asked for the
+    full one."""
     from repro.experiments.scale import _measure_trial, scale_spec
 
-    built_exps = []
-    build = Experiment.build
-
-    def tracked(self):
-        built_exps.append(self)
-        return build(self)
-
-    monkeypatch.setattr(Experiment, "build", tracked)
     _measure_trial(dataclasses.replace(scale_spec(60), trace_level="full"))
-    [exp] = built_exps
-    assert exp.net.bus.subscriptions == []
-    exp.close()
+    assert closing == [[]]
 
 
 def test_the_scale_trial_runs_no_automatic_collection(monkeypatch):
-    """``scale._measure_trial`` holds every generation from topology to
-    result, as ``run_scenario_full`` does: its ``scenario.prepare``
-    (announce, then settle) runs outside the holds ``build()``,
-    ``start()`` and ``measure_event`` take of their own."""
+    """``scale._measure_trial`` holds every generation from build to
+    close, as every ``run_scenario_full`` trial does: its
+    ``scenario.prepare`` (announce, then settle) runs outside the holds
+    ``build()``, ``start()`` and ``measure_event`` take of their own."""
     from repro.experiments.common import WithdrawalScenario
     from repro.experiments.scale import _measure_trial, scale_spec
 
     thresholds = []
-    built_exps = []
     prepare = WithdrawalScenario.prepare
 
     def recording(self, exp):
         thresholds.append(gc.get_threshold()[0])
-        built_exps.append(exp)
         prepare(self, exp)
 
     monkeypatch.setattr(WithdrawalScenario, "prepare", recording)
@@ -216,4 +207,29 @@ def test_the_scale_trial_runs_no_automatic_collection(monkeypatch):
     _measure_trial(scale_spec(60))
     assert thresholds == [0]
     assert gc.get_threshold()[0] > 0
-    built_exps[0].close()
+
+
+def faults_run():
+    """``repro faults run``, parsed first: argparse's parser is cyclic
+    garbage of its own, collected before any trial is built."""
+    args = build_parser().parse_args(
+        ["faults", "run", "--n", "6", "--fractions", "0,1"]
+    )
+    args.out = Output(quiet=True)
+    gc.collect()
+    assert args.func(args) == 0
+
+
+@pytest.mark.parametrize("command", [
+    faults_run,
+    lambda: run_flap_storm(n=6, sdn_count=2, flaps=3),
+    run_subcluster_experiment,
+], ids=["faults-run", "flapstorm", "subcluster"])
+def test_every_measured_command_frees_its_trials(
+    command, collector_off, built, capsys
+):
+    """The commands that build their experiments through
+    ``run_scenario_full`` close every one of them."""
+    command()
+    assert built and [ref() for ref in built] == [None] * len(built)
+    assert gc.collect() == 0
