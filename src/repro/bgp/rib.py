@@ -103,13 +103,24 @@ class RouteIndex:
         return list(self._by_prefix)
 
 
+#: what an Adj-RIB holds until its first route: one shared, empty,
+#: read-only mapping, swapped for a dict of its own by the first write.
+#: Most sessions of a large storm never carry a route (docs/scaling.md,
+#: "Set-up cost").
+_EMPTY = MappingProxyType({})
+
+
 class AdjRibIn:
     """Routes received from one peer, post-import-policy.
 
     When constructed with ``link_id``/``index`` the table mirrors every
     mutation into the router-wide :class:`RouteIndex` so the decision
     process can read candidates per prefix.
+
+    Slotted, and holds no dict until its first route: one per session.
     """
+
+    __slots__ = ("peer_asn", "peer_name", "_routes", "_link_id", "_index")
 
     def __init__(
         self,
@@ -121,7 +132,7 @@ class AdjRibIn:
     ) -> None:
         self.peer_asn = peer_asn
         self.peer_name = peer_name
-        self._routes: Dict[Prefix, Route] = {}
+        self._routes: Dict[Prefix, Route] = _EMPTY
         self._link_id = link_id
         self._index = index if link_id is not None else None
 
@@ -137,25 +148,33 @@ class AdjRibIn:
 
     def update(self, route: Route) -> bool:
         """Install/replace; True if state changed."""
-        old = self._routes.get(route.prefix)
+        routes = self._routes
+        old = routes.get(route.prefix)
         if old is not None and old.attrs == route.attrs:
             return False
-        self._routes[route.prefix] = route
+        if routes is _EMPTY:
+            routes = self._routes = {}
+        routes[route.prefix] = route
         if self._index is not None:
             self._index.set(self._link_id, route)
         return True
 
     def withdraw(self, prefix: Prefix) -> bool:
         """Remove; True if a route existed."""
-        existed = self._routes.pop(prefix, None) is not None
+        routes = self._routes
+        if not routes:
+            return False
+        existed = routes.pop(prefix, None) is not None
         if existed and self._index is not None:
             self._index.discard(self._link_id, prefix)
         return existed
 
     def clear(self) -> list:
         """Drop everything (session reset); returns the prefixes removed."""
+        if not self._routes:
+            return []
         prefixes = list(self._routes)
-        self._routes.clear()
+        self._routes = _EMPTY
         if self._index is not None:
             for prefix in prefixes:
                 self._index.discard(self._link_id, prefix)
@@ -213,7 +232,8 @@ class AdjRibOut:
     """What we last sent to one peer; an output run compares the export
     with it.
 
-    Slotted: one per session, and every output run reads it.
+    Slotted: one per session, and every output run reads it.  Like
+    :class:`AdjRibIn`, it holds no dict until its first route.
     """
 
     __slots__ = ("peer_asn", "peer_name", "_sent")
@@ -221,7 +241,7 @@ class AdjRibOut:
     def __init__(self, peer_asn: int, peer_name: str = "") -> None:
         self.peer_asn = peer_asn
         self.peer_name = peer_name
-        self._sent: Dict[Prefix, PathAttributes] = {}
+        self._sent: Dict[Prefix, PathAttributes] = _EMPTY
 
     def __len__(self) -> int:
         return len(self._sent)
@@ -231,14 +251,19 @@ class AdjRibOut:
         return self._sent.get(prefix)
 
     def mark_sent(self, prefix: Prefix, attrs: Optional[PathAttributes]) -> None:
+        sent = self._sent
         if attrs is None:
-            self._sent.pop(prefix, None)
-        else:
-            self._sent[prefix] = attrs
+            if sent:
+                sent.pop(prefix, None)
+            return
+        if sent is _EMPTY:
+            sent = self._sent = {}
+        sent[prefix] = attrs
 
     def clear(self) -> None:
         """Drop all stored state."""
-        self._sent.clear()
+        if self._sent:
+            self._sent = _EMPTY
 
     def prefixes(self) -> list:
         """All prefixes currently held, as a list."""
@@ -246,9 +271,10 @@ class AdjRibOut:
 
 
 #: what a session that has never come up reads as its tables: its
-#: speaker makes them in ``session_up``.  Shared and read-only — a write
-#: fails (no item assignment, no ``pop``/``clear``) instead of leaking
-#: into every such session.
+#: speaker makes them in ``session_up``.  Shared and read-only, on a
+#: mapping of their own rather than ``_EMPTY`` — a route written to one
+#: fails (no item assignment) instead of leaking into every such
+#: session; removing from an empty table writes nothing.
 NO_RIB_IN = AdjRibIn(0)
 NO_RIB_IN._routes = MappingProxyType({})
 NO_RIB_OUT = AdjRibOut(0)

@@ -67,7 +67,10 @@ class BGPRouter(Node):
         self.loc_rib = LocRib()
         self.originated: Dict[Prefix, PathAttributes] = {}
         self.sessions: Dict[int, BGPSession] = {}  # link_id -> session
-        self._update_queue: deque = deque()
+        #: received UPDATEs awaiting processing: made by the first one
+        #: and dropped when drained, so a router at rest holds no deque
+        #: (760 bytes each, one per router).
+        self._update_queue: Optional[deque] = None
         self._processing = False
         # Bound once: every received UPDATE schedules a processing event.
         self._process_callback = self._process_one
@@ -233,7 +236,7 @@ class BGPRouter(Node):
         with activation(obs, ctx):
             for session in self.sessions.values():
                 session.stop(notify_peer=False, reason="crash")
-            self._update_queue.clear()
+            self._update_queue = None
             self._processing = False
             self._export_memo.clear()
             for link_id, session in self.sessions.items():
@@ -289,7 +292,10 @@ class BGPRouter(Node):
         # record above) so deferred processing re-enters it.
         obs = self.bus.obs
         ctx = obs.last_ctx if obs is not None else None
-        self._update_queue.append((session, update, ctx))
+        queue = self._update_queue
+        if queue is None:
+            queue = self._update_queue = deque()
+        queue.append((session, update, ctx))
         self._schedule_processing()
 
     def _schedule_processing(self) -> None:
@@ -306,9 +312,12 @@ class BGPRouter(Node):
 
     def _process_one(self) -> None:
         self._processing = False
-        if not self._update_queue:
+        queue = self._update_queue
+        if not queue:
             return
-        session, update, ctx = self._update_queue.popleft()
+        session, update, ctx = queue.popleft()
+        if not queue:
+            self._update_queue = None
         if session.established:
             with activation(self.bus.obs, ctx):
                 self._apply_update(session, update)

@@ -85,9 +85,10 @@ class BGPTimers:
 class BGPSession:
     """One eBGP session over one link, and its peer's Adj-RIBs.
 
-    Slotted, and its MRAI and connect waits are bare kernel events, not
-    :class:`~repro.eventsim.Timer` objects: a 5000-AS storm holds about
-    50k sessions (docs/scaling.md, "Set-up cost").
+    Slotted, its MRAI and connect waits are bare kernel events, not
+    :class:`~repro.eventsim.Timer` objects, and it is itself the
+    callback of its output runs and MRAI expiries: a 5000-AS storm holds
+    about 50k sessions (docs/scaling.md, "Set-up cost").
     """
 
     __slots__ = (
@@ -96,7 +97,7 @@ class BGPSession:
         "rib_in", "rib_out",
         "_sim", "_mrai_event", "_connect_event", "_mrai_label",
         "_flush_label", "_dirty",
-        "_pending_obs", "_flush_event", "_flush_callback", "_output_lane",
+        "_pending_obs", "_flush_event", "_output_lane",
         "_mrai_rng", "_open_received",
     )
 
@@ -130,9 +131,6 @@ class BGPSession:
         self.rib_out: AdjRibOut = NO_RIB_OUT
         sim = router.sim
         self._sim = sim
-        # Bound once, and shared by the output lane and the MRAI expiry:
-        # every decision schedules an output run per session.
-        self._flush_callback = self._flush
         #: the armed MRAI expiry and connect wait: each one kernel event,
         #: armed with ``sim.schedule``, or None once it fired or was
         #: disarmed with ``sim.cancel``.
@@ -241,11 +239,10 @@ class BGPSession:
     def close(self) -> None:
         """Drop the session's edges into the trial graph (its router's
         :meth:`~repro.bgp.router.BGPRouter.close` calls it): router,
-        link, armed events, output lane and the bound flush callback,
-        which the MRAI expiry shares."""
+        link, armed events and output lane."""
         self.router = self.link = None
         self._mrai_event = self._connect_event = self._flush_event = None
-        self._flush_callback = self._output_lane = None
+        self._output_lane = None
 
     def link_state_changed(self) -> None:
         """Called by the router when the session's link flips state:
@@ -401,7 +398,7 @@ class BGPSession:
             run = self._flush_event
             if run is None or run.cancelled:
                 self._flush_event = self._output_lane.schedule(
-                    self._flush_callback, label=self._flush_label
+                    self, label=self._flush_label
                 )
             return
         if not self.timers.withdrawal_rate_limited:
@@ -424,7 +421,7 @@ class BGPSession:
             return
         if self._flush_event is None and self._mrai_event is None:
             self._flush_event = self._output_lane.schedule(
-                self._flush_callback, label=self._flush_label
+                self, label=self._flush_label
             )
         for prefix in self.router.loc_rib.prefixes():
             self.schedule_route(prefix)
@@ -497,8 +494,12 @@ class BGPSession:
         period = self._mrai_period()
         if period > 0:
             self._mrai_event = self._sim.schedule(
-                period, self._flush_callback, label=self._mrai_label
+                period, self, label=self._mrai_label
             )
+
+    #: the session is the callback of its output runs and MRAI expiries,
+    #: so it holds no bound method (64 bytes) for them.
+    __call__ = _flush
 
     def _send_update(self, announced, withdrawn) -> None:
         update = BGPUpdate(

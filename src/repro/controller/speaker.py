@@ -112,8 +112,9 @@ class ClusterBGPSpeaker(Node):
         self._index = _ExternalRouteIndex(self.peering_of)
         # Every UPDATE is applied a fixed delay after it arrives, so the
         # processing events fire in arrival order: one FIFO and one
-        # bound callback instead of a closure per UPDATE.
-        self._update_queue: deque = deque()
+        # bound callback instead of a closure per UPDATE.  The FIFO is
+        # made by the first UPDATE and dropped when drained.
+        self._update_queue: Optional[deque] = None
         self._process_callback = self._process_one
         self._process_label = f"{name}:proc"
         self.updates_processed = 0
@@ -311,13 +312,19 @@ class ClusterBGPSpeaker(Node):
         # re-enters the rx span's causal context captured here.
         obs = self.bus.obs
         ctx = obs.last_ctx if obs is not None else None
-        self._update_queue.append((session, update, ctx))
+        queue = self._update_queue
+        if queue is None:
+            queue = self._update_queue = deque()
+        queue.append((session, update, ctx))
         self.sim.schedule(
             0.002, self._process_callback, label=self._process_label
         )
 
     def _process_one(self) -> None:
-        session, update, ctx = self._update_queue.popleft()
+        queue = self._update_queue
+        session, update, ctx = queue.popleft()
+        if not queue:
+            self._update_queue = None
         with activation(self.bus.obs, ctx):
             self._apply_update(session, update)
 

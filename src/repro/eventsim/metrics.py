@@ -19,6 +19,7 @@ that owns the event (:func:`event_layer`).
 from __future__ import annotations
 
 import functools
+from types import FunctionType
 from typing import Callable, Dict, Iterable, Optional
 
 from .timer import DebounceTimer, PeriodicTimer, Timer
@@ -103,8 +104,9 @@ def event_layer(callback: Callable) -> str:
     a timer's ``_fire`` is unwrapped to the callback the timer holds (a
     fire is the work of whoever armed it) and any ``functools.partial``
     to its function — so a link delivery, ``partial(receiver.receive,
-    ...)``, belongs to the receiving router, switch or controller.  An
-    unbound function belongs to its module.
+    ...)``, belongs to the receiving router, switch or controller.  A
+    callable instance (a BGP session's output run) and an unbound
+    function belong to their class's or their own module.
     """
     while True:
         if isinstance(callback, functools.partial):
@@ -127,11 +129,11 @@ def time_by_layer(sim) -> Dict[str, float]:
     virtual-time results are untouched.
     """
     walls: Dict[str, float] = {}
-    # A bound callback (a session's, a router's, a timer's, a link
-    # receiver's method) is resolved once: resolving it on every event
-    # made this hook about three times as costly on a 16-AS Fig. 2
-    # trial.  Closures are resolved each time, so no one-off callback
-    # is kept alive.
+    # A bound callback (a router's, a timer's, a link receiver's
+    # method) or a callable instance (a session) is resolved once:
+    # resolving it on every event made this hook about three times as
+    # costly on a 16-AS Fig. 2 trial.  Functions, closures among them,
+    # are resolved each time, so no one-off callback is kept alive.
     bound: Dict[Callable, str] = {}
 
     def hook(event, wall: float) -> None:
@@ -141,7 +143,7 @@ def time_by_layer(sim) -> Dict[str, float]:
         layer = bound.get(callback)
         if layer is None:
             layer = event_layer(callback)
-            if hasattr(callback, "__self__"):
+            if not isinstance(callback, FunctionType):
                 bound[callback] = layer
         walls[layer] = walls.get(layer, 0.0) + wall
         if previous is not None:

@@ -24,7 +24,7 @@ class TopologyError(ValueError):
     """Malformed topology (self-loop, duplicate link, unknown AS...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ASSpec:
     """One autonomous system in the topology."""
 
@@ -38,7 +38,7 @@ class ASSpec:
         return self.name or f"as{self.asn}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterASLink:
     """An inter-AS adjacency.
 

@@ -35,9 +35,17 @@ pytestmark = [
 SIZES = (2_000, 10_000)
 
 
+#: what each row prints (shown with ``-s``): the figures
+#: docs/scaling.md's "scaling evidence" table quotes.
+SHOWN = ("n", "links", "peak_rss_mib", "build_wall_s", "storm_wall_s")
+
+
 @pytest.fixture(scope="module")
 def trial_rows():
-    return [run_scale_trial(scale_spec(n)) for n in SIZES]
+    rows = [run_scale_trial(scale_spec(n)) for n in SIZES]
+    for row in rows:
+        print(" ".join(f"{key}={row[key]}" for key in SHOWN))
+    return rows
 
 
 def test_ten_k_converges(trial_rows):

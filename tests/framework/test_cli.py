@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import argparse
+import gc
 
 import pytest
 
@@ -88,6 +89,21 @@ class TestCommands:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_a_command_line_leaves_no_cyclic_garbage(self, capsys):
+        """The parser is built once per process: each build left about
+        1.9k objects of cyclic garbage behind."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            main(["faults", "list"])
+            gc.collect()
+            assert main(["faults", "list"]) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert "gateway-outage" in capsys.readouterr().out
 
 
 class TestQuietFlag:
